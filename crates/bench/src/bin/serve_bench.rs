@@ -9,7 +9,7 @@
 //! ```text
 //! serve-bench [--items N] [--shards S] [--qps Q] [--seed SEED]
 //!             [--alphabet A] [--alpha Z] [--capacity C] [--connections K]
-//!             [--io-model reactor|threads] [--repeats R]
+//!             [--repeats R]
 //!             [--connection-sweep] [--scaling-sweep] [--wire-sweep]
 //!             [--sweep-items N] [--strict]
 //! ```
@@ -25,13 +25,11 @@
 //!
 //! `--connection-sweep` additionally measures ingest throughput at
 //! C ∈ {2, 64, 512, 4096} simultaneously open connections (simulated by
-//! a small pool of multiplexing client workers) under the reactor — and
-//! under the thread-per-connection model up to C = 512 — and writes a
-//! `connections` section into `BENCH_serve.json`. The sweep gates:
-//! reactor throughput must reach 0.9× the threaded model at C = 2, and
-//! the reactor must sustain C = 512 with a clean accuracy check (the
-//! threaded model is allowed to fail there; C = 4096 is recorded but
-//! not gating, so fd-limited CI runners cannot flake the gate).
+//! a small pool of multiplexing client workers) and writes a
+//! `connections` section into `BENCH_serve.json`. The sweep gate is
+//! functional: every point up to C = 512 must complete with a clean
+//! accuracy check (C = 4096 is recorded but not gating, so fd-limited
+//! CI runners cannot flake the gate).
 //!
 //! `--scaling-sweep` measures quiet ingest throughput over the full
 //! shard-count × skew matrix S ∈ {1, 2, 4, 8} × θ ∈ {1.1, 1.5, 2.0} —
@@ -56,7 +54,7 @@ use cots_core::Threshold;
 use cots_datagen::{ExactCounter, StreamSpec};
 use cots_serve::loadgen::{self, LoadConfig};
 use cots_serve::protocol::QueryReq;
-use cots_serve::{Client, IoConfig, IoModel, LoadReport, Server, ServiceConfig, WireMode};
+use cots_serve::{Client, LoadReport, Server, ServiceConfig, WireMode};
 
 /// Queried-run throughput must reach this fraction of the quiet run.
 /// Recalibrated from 0.90 when the BIN1 fast path roughly doubled
@@ -66,18 +64,10 @@ use cots_serve::{Client, IoConfig, IoModel, LoadReport, Server, ServiceConfig, W
 /// dip. The floor still catches queries blocking ingest outright.
 const INTERFERENCE_FLOOR: f64 = 0.80;
 
-/// Reactor throughput must reach this fraction of the threaded model at
-/// the sweep's C = 2 baseline.
-const PARITY_FLOOR: f64 = 0.90;
-
 /// Connection counts the sweep visits.
 const SWEEP_POINTS: [usize; 4] = [2, 64, 512, 4096];
 
-/// The threaded model is only attempted up to this many connections
-/// (beyond it, thread-per-connection is the failure mode under test).
-const THREADED_CEILING: usize = 512;
-
-/// The sweep gate requires the reactor to sustain this many connections.
+/// The sweep gate requires the server to sustain this many connections.
 const SUSTAIN_FLOOR: usize = 512;
 
 /// BIN1 ingest throughput must beat the JSON encoding by this factor at
@@ -104,7 +94,6 @@ struct BenchArgs {
     alpha: f64,
     capacity: usize,
     connections: usize,
-    io_model: IoModel,
     repeats: usize,
     connection_sweep: bool,
     scaling_sweep: bool,
@@ -124,7 +113,6 @@ impl Default for BenchArgs {
             alpha: 1.5,
             capacity: 1_000,
             connections: 2,
-            io_model: IoModel::default_for_platform(),
             repeats: 1,
             connection_sweep: false,
             scaling_sweep: false,
@@ -139,7 +127,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve-bench [--items N] [--shards S] [--qps Q] [--seed SEED] \
          [--alphabet A] [--alpha Z] [--capacity C] [--connections K] \
-         [--io-model reactor|threads] [--repeats R] [--connection-sweep] \
+         [--repeats R] [--connection-sweep] \
          [--scaling-sweep] [--wire-sweep] [--sweep-items N] [--strict]"
     );
     std::process::exit(2);
@@ -175,7 +163,6 @@ fn bench_args() -> BenchArgs {
             "--alpha" => a.alpha = parse("--alpha", args.next()),
             "--capacity" => a.capacity = parse("--capacity", args.next()),
             "--connections" => a.connections = parse("--connections", args.next()),
-            "--io-model" => a.io_model = parse("--io-model", args.next()),
             "--repeats" => a.repeats = parse("--repeats", args.next()),
             "--connection-sweep" => a.connection_sweep = true,
             "--scaling-sweep" => a.scaling_sweep = true,
@@ -205,9 +192,9 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Bind a fresh server with this bench's service config and I/O model.
-fn bind_server(a: &BenchArgs, model: IoModel) -> Result<Server, String> {
-    Server::bind_with(
+/// Bind a fresh server with this bench's service config.
+fn bind_server(a: &BenchArgs) -> Result<Server, String> {
+    Server::bind(
         "127.0.0.1:0",
         ServiceConfig {
             shards: a.shards,
@@ -215,17 +202,13 @@ fn bind_server(a: &BenchArgs, model: IoModel) -> Result<Server, String> {
             refresh: Duration::from_millis(20),
             ..Default::default()
         },
-        IoConfig {
-            model,
-            ..IoConfig::default()
-        },
     )
     .map_err(|e| format!("bind: {e}"))
 }
 
 /// One full server lifecycle: bind, replay the stream, drain, shut down.
 fn run_pass(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<LoadReport, String> {
-    let server = bind_server(a, a.io_model)?;
+    let server = bind_server(a)?;
     let addr = server.local_addr().to_string();
     let server_thread = std::thread::spawn(move || server.run());
 
@@ -286,7 +269,7 @@ fn best_of(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<LoadR
     Ok(best)
 }
 
-/// What one (connection count, io model) sweep pass measured.
+/// What one sweep pass at one connection count measured.
 struct SweepOutcome {
     meps: f64,
     elapsed_secs: f64,
@@ -295,8 +278,10 @@ struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    fn to_json(&self) -> Json {
+    /// The sweep's JSON point for this outcome at `connections`.
+    fn to_json(&self, connections: usize) -> Json {
         Json::obj(vec![
+            ("connections", connections.to_json()),
             ("meps", self.meps.to_json()),
             ("elapsed_secs", self.elapsed_secs.to_json()),
             ("overload_retries", self.overload_retries.to_json()),
@@ -315,8 +300,8 @@ impl SweepOutcome {
 /// `min(c, 8)` threads keeps the *client* side from needing thousands of
 /// threads (that ceiling is exactly what the server under test must not
 /// have).
-fn sweep_pass(a: &BenchArgs, model: IoModel, c: usize, items: u64) -> Result<SweepOutcome, String> {
-    let server = bind_server(a, model)?;
+fn sweep_pass(a: &BenchArgs, c: usize, items: u64) -> Result<SweepOutcome, String> {
+    let server = bind_server(a)?;
     let addr = server.local_addr().to_string();
     let server_thread = std::thread::spawn(move || server.run());
 
@@ -438,16 +423,11 @@ fn sweep_drive(a: &BenchArgs, addr: &str, c: usize, items: u64) -> Result<SweepO
 /// Best-of-`repeats` sweep pass, mirroring [`best_of`]: the fastest
 /// repeat estimates throughput, but the accuracy check must pass on
 /// *every* repeat.
-fn sweep_best_of(
-    a: &BenchArgs,
-    model: IoModel,
-    c: usize,
-    items: u64,
-) -> Result<SweepOutcome, String> {
+fn sweep_best_of(a: &BenchArgs, c: usize, items: u64) -> Result<SweepOutcome, String> {
     let mut best: Option<SweepOutcome> = None;
     let mut all_checks = true;
     for _ in 0..a.repeats {
-        let o = sweep_pass(a, model, c, items)?;
+        let o = sweep_pass(a, c, items)?;
         all_checks &= o.check_passed;
         if best.as_ref().map_or(true, |b| o.meps > b.meps) {
             best = Some(o);
@@ -467,86 +447,38 @@ fn connection_sweep(a: &BenchArgs) -> (Json, bool) {
         a.items.min(2_000_000)
     };
     let mut points = Vec::new();
-    let mut parity_ratio: Option<f64> = None;
     let mut sustained = false;
     let mut gate_passed = true;
 
     for c in SWEEP_POINTS {
         println!("connection sweep: C={c} ({items} items, best of {})", a.repeats);
-        let reactor = sweep_best_of(a, IoModel::Reactor, c, items);
-        match &reactor {
+        let outcome = sweep_best_of(a, c, items);
+        match &outcome {
             Ok(o) => println!(
-                "  reactor:  {:.2} M items/s ({:.2}s, {} retries, check {})",
+                "  {:.2} M items/s ({:.2}s, {} retries, check {})",
                 o.meps,
                 o.elapsed_secs,
                 o.overload_retries,
                 if o.check_passed { "PASS" } else { "FAIL" }
             ),
-            Err(e) => println!("  reactor:  FAILED: {e}"),
+            Err(e) => println!("  FAILED: {e}"),
         }
-        let threaded = if c <= THREADED_CEILING {
-            let t = sweep_best_of(a, IoModel::Threads, c, items);
-            match &t {
-                Ok(o) => println!(
-                    "  threaded: {:.2} M items/s ({:.2}s, {} retries, check {})",
-                    o.meps,
-                    o.elapsed_secs,
-                    o.overload_retries,
-                    if o.check_passed { "PASS" } else { "FAIL" }
-                ),
-                Err(e) => println!("  threaded: FAILED (allowed beyond C=2): {e}"),
-            }
-            Some(t)
-        } else {
-            println!("  threaded: skipped (thread-per-connection ceiling is the failure under test)");
-            None
-        };
-
-        if c == 2 {
-            if let (Ok(r), Some(Ok(t))) = (&reactor, &threaded) {
-                if t.meps > 0.0 {
-                    parity_ratio = Some(r.meps / t.meps);
-                }
-            }
-        }
+        let exact = outcome.as_ref().map(|o| o.check_passed).unwrap_or(false);
         if c == SUSTAIN_FLOOR {
-            sustained = reactor.as_ref().map(|o| o.check_passed).unwrap_or(false);
+            sustained = exact;
         }
-        // The gate covers every reactor point up to the sustain floor.
-        if c <= SUSTAIN_FLOOR && !reactor.as_ref().map(|o| o.check_passed).unwrap_or(false) {
+        // The gate covers every point up to the sustain floor.
+        if c <= SUSTAIN_FLOOR && !exact {
             gate_passed = false;
         }
-
-        points.push(Json::obj(vec![
-            ("connections", c.to_json()),
-            (
-                "reactor",
-                match &reactor {
-                    Ok(o) => o.to_json(),
-                    Err(e) => Json::obj(vec![("error", e.to_json())]),
-                },
-            ),
-            (
-                "threaded",
-                match &threaded {
-                    Some(Ok(o)) => o.to_json(),
-                    Some(Err(e)) => Json::obj(vec![("error", e.to_json())]),
-                    None => Json::Null,
-                },
-            ),
-        ]));
+        points.push(match &outcome {
+            Ok(o) => o.to_json(c),
+            Err(e) => Json::obj(vec![("connections", c.to_json()), ("error", e.to_json())]),
+        });
     }
 
-    let parity_ok = parity_ratio.map(|r| r >= PARITY_FLOOR).unwrap_or(false);
-    if !parity_ok || !sustained {
-        gate_passed = false;
-    }
     println!(
-        "sweep gate: parity {} (ratio {}, floor {PARITY_FLOOR}), sustained C={SUSTAIN_FLOOR} {} => {}",
-        if parity_ok { "OK" } else { "FAIL" },
-        parity_ratio
-            .map(|r| format!("{r:.3}"))
-            .unwrap_or_else(|| "n/a".into()),
+        "sweep gate: exact through C={SUSTAIN_FLOOR} {} => {}",
         if sustained { "OK" } else { "FAIL" },
         if gate_passed { "PASS" } else { "FAIL" }
     );
@@ -557,8 +489,6 @@ fn connection_sweep(a: &BenchArgs) -> (Json, bool) {
         (
             "gate",
             Json::obj(vec![
-                ("parity_ratio", parity_ratio.to_json()),
-                ("parity_floor", PARITY_FLOOR.to_json()),
                 ("sustain_connections", SUSTAIN_FLOOR.to_json()),
                 ("sustained", sustained.to_json()),
                 ("passed", gate_passed.to_json()),
@@ -744,8 +674,8 @@ fn main() {
     let a = bench_args();
     println!(
         "serve-bench: items={} shards={} qps={} seed={} alphabet={} alpha={} capacity={} \
-         connections={} io-model={}",
-        a.items, a.shards, a.qps, a.seed, a.alphabet, a.alpha, a.capacity, a.connections, a.io_model
+         connections={}",
+        a.items, a.shards, a.qps, a.seed, a.alphabet, a.alpha, a.capacity, a.connections
     );
 
     println!("quiet pass (no queries):");
@@ -800,7 +730,6 @@ fn main() {
         ("shards", a.shards.to_json()),
         ("capacity", a.capacity.to_json()),
         ("load_connections", a.connections.to_json()),
-        ("io_model", a.io_model.to_string().to_json()),
         ("qps", a.qps.to_json()),
         ("repeats", a.repeats.to_json()),
         ("quiet", quiet.to_json()),

@@ -1,17 +1,11 @@
 //! `cots-member` — a cluster member node.
 //!
 //! A member *is* a `cots-serve` instance (same wire protocol, same
-//! engine, same durability); this binary exists so cluster tooling and
-//! tests ship a member under the cluster crate's own name. It accepts
-//! the core `cots-serve` flags:
+//! engine, same durability, same flags — see [`cots_serve::cli`]) plus
+//! one flag of its own:
 //!
 //! ```text
-//! cots-member [--addr 127.0.0.1:4040] [--shards 4] [--capacity 1000]
-//!             [--refresh-ms 20] [--queue-batches 64]
-//!             [--io-model reactor|threads] [--reactor-threads R]
-//!             [--data-dir DIR] [--fsync always|grouped|off]
-//!             [--checkpoint-ms 5000] [--wal-segment-mb 8]
-//!             [--standby] [--peer HOST:PORT]
+//! cots-member [cots-serve flags] [--peer HOST:PORT]
 //! ```
 //!
 //! With `--data-dir`, startup recovers checkpoint + WAL tail before the
@@ -26,119 +20,27 @@
 //! *both*: it parks as a standby and its shipper stays idle unless it
 //! is promoted again.
 
-use std::time::Duration;
-
-use cots_serve::persistence::PersistOptions;
-use cots_serve::{IoConfig, Server, ServiceConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: cots-member [--addr HOST:PORT] [--shards N] [--capacity M] \
-         [--refresh-ms MS] [--queue-batches Q] [--io-model reactor|threads] \
-         [--reactor-threads R] [--data-dir DIR] [--fsync always|grouped|off] \
-         [--checkpoint-ms MS] [--wal-segment-mb MB] [--standby] [--peer HOST:PORT]"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse `{raw}`");
-        usage();
-    })
-}
+use cots_serve::cli::Cli;
 
 fn main() {
-    let mut addr = "127.0.0.1:4040".to_string();
-    let mut config = ServiceConfig::default();
-    let mut io = IoConfig::default();
-    let mut data_dir: Option<std::path::PathBuf> = None;
-    let mut fsync = cots_persist::FsyncPolicy::default();
-    let mut checkpoint_ms: u64 = 5_000;
-    let mut wal_segment_mb: u64 = 8;
-    let mut peer: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = parse("--addr", args.next()),
-            "--shards" => config.shards = parse("--shards", args.next()),
-            "--capacity" => config.capacity = parse("--capacity", args.next()),
-            "--refresh-ms" => {
-                config.refresh = Duration::from_millis(parse("--refresh-ms", args.next()))
-            }
-            "--queue-batches" => config.queue_batches = parse("--queue-batches", args.next()),
-            "--io-model" => io.model = parse("--io-model", args.next()),
-            "--reactor-threads" => io.reactor_threads = parse("--reactor-threads", args.next()),
-            "--data-dir" => data_dir = Some(parse("--data-dir", args.next())),
-            "--fsync" => fsync = parse("--fsync", args.next()),
-            "--checkpoint-ms" => checkpoint_ms = parse("--checkpoint-ms", args.next()),
-            "--wal-segment-mb" => wal_segment_mb = parse("--wal-segment-mb", args.next()),
-            "--standby" => config.standby = true,
-            "--peer" => peer = Some(parse("--peer", args.next())),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
-        }
+    let cli = Cli::new("cots-member", &[("--peer", "HOST:PORT")]);
+    let (mut args, extra) = cli.parse();
+    let peer = extra.into_iter().next_back().map(|(_, addr)| addr);
+    if peer.is_some() && args.config.persist.is_none() {
+        cli.usage("--peer needs --data-dir (replication ships the WAL)");
     }
-    if config.shards == 0 || config.capacity == 0 || config.queue_batches == 0 {
-        eprintln!("--shards, --capacity and --queue-batches must be positive");
-        usage();
-    }
-    if io.reactor_threads == 0 {
-        eprintln!("--reactor-threads must be positive");
-        usage();
-    }
-    if let Some(dir) = data_dir {
-        let mut opts = PersistOptions::new(dir);
-        opts.fsync = fsync;
-        opts.checkpoint_every = Duration::from_millis(checkpoint_ms);
-        opts.segment_bytes = wal_segment_mb.saturating_mul(1024 * 1024).max(1);
-        config.persist = Some(opts);
-    }
-    if (config.standby || peer.is_some()) && config.persist.is_none() {
-        eprintln!("--standby and --peer need --data-dir (replication ships the WAL)");
-        usage();
-    }
-    config.repl_peer = peer.clone();
-    let server = match Server::bind_with(&addr, config, io) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cots-member: cannot start on {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Some(rec) = server.service().recovery_report() {
-        println!(
-            "recovered {} items (checkpoint {:?}, {} wal batches over {} segments, \
-             {} torn frames, {} bytes dropped) in {:.3}s",
-            rec.recovered_items,
-            rec.checkpoint_watermark,
-            rec.replayed_batches,
-            rec.segments_scanned,
-            rec.torn_frames,
-            rec.dropped_bytes,
-            rec.elapsed_secs
-        );
-    }
+    args.config.repl_peer = peer.clone();
+    let server = cli.bind(args);
     // The shipper parks while this node is a standby, so a rejoining
     // ex-primary can carry `--standby --peer OLD_SELF` and the pair
     // stays symmetric across promotions.
     let _shipper = peer.map(|p| {
-        cots_repl::spawn(server.service().clone(), cots_repl::ShipperConfig::new(p))
-            .unwrap_or_else(|e| {
+        cots_repl::spawn(server.service().clone(), cots_repl::ShipperConfig::new(p)).unwrap_or_else(
+            |e| {
                 eprintln!("cots-member: cannot start WAL shipper: {e}");
                 std::process::exit(1);
-            })
+            },
+        )
     });
-    println!("listening on {}", server.local_addr());
-    if let Err(e) = server.run() {
-        eprintln!("cots-member: {e}");
-        std::process::exit(1);
-    }
+    cli.run(server);
 }

@@ -526,12 +526,10 @@ impl Coordinator {
         federate::answer(&current.snapshot, q, stamp)
     }
 
-    /// The federated snapshot with its provenance stamp (for `SNAPSHOT`
-    /// and `SNAPSHOT_PAGE` serving).
-    pub fn current(&self) -> (Arc<cots::publish::StampedSnapshot<u64>>, QueryStamp) {
-        let current = self.publisher.current();
-        let stamp = self.stamp_for(current.epoch, current.captured_total);
-        (current, stamp)
+    /// The federated snapshot (for `SNAPSHOT` and `SNAPSHOT_PAGE`
+    /// serving).
+    pub fn published(&self) -> Arc<cots::publish::StampedSnapshot<u64>> {
+        self.publisher.current()
     }
 
     /// Stamp an answer computed from a snapshot with the given

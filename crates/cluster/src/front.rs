@@ -1,11 +1,15 @@
 //! The coordinator's TCP front-end.
 //!
-//! Speaks the same framed protocol (and the same mandatory `HELLO`
-//! handshake) as `cots-serve`, so every existing client — `cots-load`,
-//! [`cots_serve::Client`], the load generator — works against a
-//! coordinator unchanged. Blocking thread-per-connection is deliberate:
-//! a coordinator fronts a handful of ingest pipes and dashboards, not
-//! the ten-thousand-connection fan-in the member reactor exists for.
+//! Speaks the same framed protocol as `cots-serve` under the same
+//! connection rules — handshake, BIN1 admission, snapshot paging, frame
+//! cap all come from [`cots_serve::session`], which the coordinator
+//! plugs into as an [`Endpoint`] — so every existing client
+//! (`cots-load`, [`cots_serve::Client`], the load generator) works
+//! against a coordinator unchanged. Blocking thread-per-connection is
+//! deliberate: a request here blocks on member round-trips, so it cannot
+//! share a reactor thread with other connections, and a coordinator
+//! fronts a handful of ingest pipes and dashboards, not the
+//! ten-thousand-connection fan-in the member reactor exists for.
 //!
 //! Differences from a member, all answered here:
 //! * `INGEST` key-routes to members (with spillover) instead of
@@ -21,9 +25,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cots::publish::StampedSnapshot;
-use cots_serve::frame::{is_timeout, read_frame, write_frame, write_payload, Payload};
-use cots_serve::protocol::{decode, encode, snapshot_page_response};
-use cots_serve::{bin1, Request, Response, MAX_FRAME, MIN_PROTO_VERSION, PROTO_VERSION};
+use cots_serve::frame::{is_timeout, read_frame, write_payload};
+use cots_serve::session::{self, ConnState, Endpoint};
+use cots_serve::{QueryStamp, Request, Response};
 
 use crate::coord::{CoordConfig, Coordinator, Router};
 
@@ -98,20 +102,10 @@ impl CoordServer {
     }
 }
 
-/// Per-connection protocol state.
-struct Conn {
-    greeted: bool,
-    /// The client's `HELLO` advertised `"bin"`: BIN1 bulk frames are
-    /// admitted and answered in kind.
-    bin: bool,
-    /// Federated snapshot pinned by an in-progress paged transfer.
-    pinned: Option<Arc<StampedSnapshot<u64>>>,
-}
-
 /// Serve one client connection until EOF, violation, or shutdown,
 /// then deliver whatever the router still has buffered — a client that
 /// drops its socket after a final `INGEST` ack must not strand keys.
-fn serve_conn(stream: TcpStream, coord: &Arc<Coordinator>) {
+fn serve_conn(stream: TcpStream, coord: &Coordinator) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
     let mut reader = match stream.try_clone() {
@@ -124,18 +118,15 @@ fn serve_conn(stream: TcpStream, coord: &Arc<Coordinator>) {
     let _ = coord.flush(&mut router);
 }
 
-/// The request/response loop for one connection.
+/// The blocking read → [`session::serve_frame`] → write loop for one
+/// connection.
 fn conn_loop(
-    coord: &Arc<Coordinator>,
+    coord: &Coordinator,
     reader: &mut io::BufReader<TcpStream>,
     writer: &mut io::BufWriter<TcpStream>,
     router: &mut Router,
 ) {
-    let mut conn = Conn {
-        greeted: false,
-        bin: false,
-        pinned: None,
-    };
+    let mut conn = ConnState::new();
     loop {
         let payload = match read_frame(reader) {
             Ok(Some(p)) => p,
@@ -147,195 +138,66 @@ fn conn_loop(
                 continue;
             }
             Err(_) => {
-                let resp = Response::Error {
-                    message: "malformed frame".into(),
-                };
-                let _ = write_frame(writer, &encode(&resp));
+                let _ = write_payload(writer, &session::malformed_frame());
                 return;
             }
         };
-        // Same admission rule as a member: BIN1 frames are only decoded
-        // on connections whose `HELLO` negotiated the `bin` feature, and
-        // the response mirrors the request's encoding (errors stay JSON —
-        // clients of either mode decode both).
-        let ((response, close), bin) = match &payload {
-            Payload::Json(text) => (
-                match decode::<Request>(text) {
-                    Ok(request) => handle(coord, router, &mut conn, request),
-                    Err(e) => (
-                        Response::Error {
-                            message: e.to_string(),
-                        },
-                        false,
-                    ),
-                },
-                false,
-            ),
-            Payload::Bin(bytes) => {
-                if !conn.bin {
-                    (
-                        (
-                            Response::Error {
-                                message: "BIN1 frame on a connection that did not \
-                                          negotiate the `bin` feature in HELLO"
-                                    .into(),
-                            },
-                            true,
-                        ),
-                        false,
-                    )
-                } else {
-                    match bin1::decode_request(bytes) {
-                        Ok(request) => (handle(coord, router, &mut conn, request), true),
-                        Err(e) => (
-                            (
-                                Response::Error {
-                                    message: e.to_string(),
-                                },
-                                false,
-                            ),
-                            false,
-                        ),
-                    }
-                }
-            }
-        };
-        let encoded = if bin {
-            match bin1::encode_response(&response) {
-                Some(bytes) => Payload::Bin(bytes),
-                None => Payload::Json(encode(&response)),
-            }
-        } else {
-            Payload::Json(encode(&response))
-        };
-        if encoded.len() > MAX_FRAME {
-            // Only the one-shot federated snapshot can get here.
-            let fallback = Response::Error {
-                message: format!(
-                    "response would be {} bytes, over the {MAX_FRAME}-byte frame \
-                     cap; page it with SNAPSHOT_PAGE",
-                    encoded.len()
-                ),
-            };
-            if write_frame(writer, &encode(&fallback)).is_err() {
-                return;
-            }
-            continue;
-        }
-        if write_payload(writer, &encoded).is_err() {
-            return;
-        }
-        if close {
+        let (response, close) = session::serve_frame(coord, &mut conn, &payload, router);
+        if write_payload(writer, &response).is_err() || close {
             return;
         }
     }
 }
 
-/// Dispatch one request; returns the response and whether to close.
-fn handle(
-    coord: &Arc<Coordinator>,
-    router: &mut Router,
-    conn: &mut Conn,
-    request: Request,
-) -> (Response, bool) {
-    if conn.greeted && !matches!(request, Request::Ingest { .. }) {
-        // Read barrier: anything that is not an INGEST observes (or
-        // ends) the stream, so deliver this connection's buffered keys
-        // first. A failure is absorbed — those keys stay inside the
-        // staleness bound the answer is stamped with.
-        let _ = coord.flush(router);
+impl Endpoint for Coordinator {
+    type Link = Router;
+
+    fn features(&self) -> &'static [&'static str] {
+        COORD_FEATURES
     }
-    match request {
-        Request::Hello {
-            proto_version,
-            ref features,
-        } => {
-            if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto_version) {
-                conn.greeted = true;
-                conn.bin = features.iter().any(|f| f == "bin");
-                (
-                    Response::HelloAck {
-                        proto_version: PROTO_VERSION,
-                        features: COORD_FEATURES.iter().map(|f| f.to_string()).collect(),
-                    },
-                    false,
-                )
-            } else {
-                (
-                    Response::UnsupportedVersion {
-                        supported: PROTO_VERSION,
-                        requested: proto_version,
-                    },
-                    true,
-                )
-            }
+
+    /// The federated snapshot, behind the same read barrier as
+    /// [`Self::dispatch`].
+    fn current(&self, router: &mut Router) -> Arc<StampedSnapshot<u64>> {
+        let _ = self.flush(router);
+        self.published()
+    }
+
+    fn stamp(&self, snapshot: &StampedSnapshot<u64>) -> QueryStamp {
+        self.stamp_for(snapshot.epoch, snapshot.captured_total)
+    }
+
+    fn dispatch(&self, request: Request, router: &mut Router) -> Response {
+        if !matches!(request, Request::Ingest { .. }) {
+            // Read barrier: anything that is not an INGEST observes (or
+            // ends) the stream, so deliver this connection's buffered keys
+            // first. A failure is absorbed — those keys stay inside the
+            // staleness bound the answer is stamped with.
+            let _ = self.flush(router);
         }
-        _ if !conn.greeted => (
-            Response::UnsupportedVersion {
-                supported: PROTO_VERSION,
-                requested: 0,
-            },
-            true,
-        ),
-        Request::Ingest { keys } => (coord.forward(router, &keys), false),
-        Request::Query(q) => (coord.answer(q), false),
-        Request::Stats => (Response::Stats(coord.stats()), false),
-        Request::ClusterStats => (Response::ClusterStats(coord.cluster_report()), false),
-        Request::Snapshot => {
-            let (current, stamp) = coord.current();
-            (
-                Response::Snapshot {
-                    snapshot: current.snapshot.clone(),
-                    stamp,
-                },
-                false,
-            )
-        }
-        Request::SnapshotPage {
-            since_epoch,
-            offset,
-            limit,
-        } => {
-            if offset == 0 || conn.pinned.is_none() {
-                let (current, _) = coord.current();
-                conn.pinned = Some(current);
-            }
-            match &conn.pinned {
-                Some(pinned) => {
-                    let stamp = coord.stamp_for(pinned.epoch, pinned.captured_total);
-                    (
-                        snapshot_page_response(&pinned.snapshot, stamp, since_epoch, offset, limit),
-                        false,
-                    )
-                }
-                None => (
-                    Response::Error {
-                        message: "no federated snapshot yet".into(),
-                    },
-                    false,
-                ),
-            }
-        }
-        Request::Checkpoint => (
-            Response::Error {
+        match request {
+            Request::Ingest { keys } => self.forward(router, &keys),
+            Request::Query(q) => self.answer(q),
+            Request::Stats => Response::Stats(self.stats()),
+            Request::ClusterStats => Response::ClusterStats(self.cluster_report()),
+            Request::Checkpoint => Response::Error {
                 message: "coordinator holds no durable state; checkpoint members directly".into(),
             },
-            false,
-        ),
-        Request::ReplSubscribe { .. }
-        | Request::ReplBatch { .. }
-        | Request::ReplSnapshot { .. }
-        | Request::ReplPromote => (
-            Response::Error {
+            Request::ReplSubscribe { .. }
+            | Request::ReplBatch { .. }
+            | Request::ReplSnapshot { .. }
+            | Request::ReplPromote => Response::Error {
                 message: "coordinator is not a replica; REPL ops go to members \
                           (the coordinator promotes standbys itself)"
                     .into(),
             },
-            false,
-        ),
-        Request::Shutdown => {
-            coord.begin_shutdown();
-            (Response::ShuttingDown, true)
+            Request::Shutdown => {
+                self.begin_shutdown();
+                Response::ShuttingDown
+            }
+            // The handshake and the snapshot ops never get here: the
+            // connection layer answers them before dispatch.
+            _ => session::not_dispatched(),
         }
     }
 }

@@ -339,3 +339,25 @@ fn member_sigkill_degrades_then_rejoins_and_converges() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `cots-member` takes `cots-serve`'s command line whole, the removals
+/// included: the removed values exit 2 naming the removal, and a flag
+/// only `cots-serve` used to know (`--window`) now parses here too.
+#[test]
+fn member_shares_the_server_command_line() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cots-member"))
+            .args(args)
+            .output()
+            .expect("run cots-member");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    for removed in [["--io-model", "threads"], ["--wal-records", "per-batch"]] {
+        let (code, stderr) = run(&removed);
+        assert_eq!(code, Some(2), "{removed:?}");
+        assert!(stderr.contains("removed in PR 13"), "{removed:?}: {stderr}");
+    }
+    let (code, stderr) = run(&["--window", "1000", "--io-model", "reactor", "--peer", "127.0.0.1:1"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("--peer needs --data-dir"), "{stderr}");
+}

@@ -1,10 +1,10 @@
 //! Segmented batch write-ahead log.
 //!
-//! Every ingested batch is assigned a sequence number and appended as one
-//! CRC record *before* it is applied to the in-memory engine. Records are
-//! group-committed: a shard worker appends the batches of one ring drain
-//! and then calls [`WalWriter::commit`] once, so the syscall (and optional
-//! `fsync`) cost is paid per drain, not per batch.
+//! Every ingested batch is assigned a sequence number and logged *before*
+//! it is applied to the in-memory engine. Records are group-committed: a
+//! shard worker stages the batches of one ring drain as one run record
+//! and then calls [`WalWriter::commit`] once, so the CRC frame, the
+//! syscall (and optional `fsync`) are paid per drain, not per batch.
 //!
 //! ## Segment format
 //!
@@ -18,10 +18,11 @@
 //! A *run* record ([`WalWriter::append_run`]) packs a whole ring drain
 //! of consecutive batches into one CRC frame: one checksum and one
 //! length prefix per drain instead of per batch, which is the log-side
-//! twin of the BIN1 wire encoding (same per-batch byte layout). Legacy
-//! per-batch records and run records coexist freely in one directory —
-//! recovery and tailing parse both — so data directories written by
-//! older builds replay unchanged. The run magic's little-endian `u64`
+//! twin of the BIN1 wire encoding (same per-batch byte layout). It is
+//! the only form the running service writes (a drain of one batch is a
+//! run of one). Legacy per-batch records ([`WalWriter::append`]) and run
+//! records coexist freely in one directory — recovery and tailing parse
+//! both — so data directories written by older builds replay unchanged. The run magic's little-endian `u64`
 //! value has its top bit set (> 2⁶³), which no monotone batch sequence
 //! number ever reaches, so the two payload forms cannot be confused.
 //!
@@ -170,7 +171,10 @@ impl WalWriter {
         })
     }
 
-    /// Stage one batch. Nothing reaches the OS until [`commit`].
+    /// Stage one batch as a legacy per-batch record — the form builds
+    /// before run records wrote, kept so tests and tools can produce the
+    /// old grammar the readers must still accept. Nothing reaches the OS
+    /// until [`commit`].
     ///
     /// [`commit`]: WalWriter::commit
     pub fn append(&mut self, seq: u64, keys: &[u64]) {
@@ -192,15 +196,16 @@ impl WalWriter {
     /// [`commit`]; an empty slice stages nothing.
     ///
     /// [`commit`]: WalWriter::commit
-    pub fn append_run(&mut self, first_seq: u64, batches: &[Vec<u64>]) {
+    pub fn append_run<B: AsRef<[u64]>>(&mut self, first_seq: u64, batches: &[B]) {
         if batches.is_empty() {
             return;
         }
-        let keys: usize = batches.iter().map(|b| b.len()).sum();
+        let keys: usize = batches.iter().map(|b| b.as_ref().len()).sum();
         let mut payload = Vec::with_capacity(12 + batches.len() * 12 + keys * 8);
         payload.extend_from_slice(RUN_MAGIC);
         payload.extend_from_slice(&(batches.len() as u32).to_le_bytes());
         for (i, batch) in batches.iter().enumerate() {
+            let batch = batch.as_ref();
             payload.extend_from_slice(&(first_seq + i as u64).to_le_bytes());
             payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
             for k in batch {
@@ -695,7 +700,7 @@ mod tests {
     fn empty_run_stages_nothing() {
         let dir = temp_dir("empty-run");
         let mut w = WalWriter::open(&dir, 0, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
-        w.append_run(0, &[]);
+        w.append_run::<Vec<u64>>(0, &[]);
         assert_eq!(w.commit().unwrap(), CommitStats::default());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,7 +8,9 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use cots_persist::{encode_record, scan_wal, FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES};
+use cots_persist::{
+    encode_record, scan_wal, FsyncPolicy, WalTailer, WalWriter, DEFAULT_SEGMENT_BYTES,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -81,6 +83,36 @@ proptest! {
         prop_assert_eq!(run_scan.torn_frames, 0);
         std::fs::remove_dir_all(&run_dir).unwrap();
         std::fs::remove_dir_all(&legacy_dir).unwrap();
+    }
+
+    /// The running service logs every drain as a run, a drain of one
+    /// batch included: to both readers that run of one is the legacy
+    /// single-batch record.
+    #[test]
+    fn run_of_one_reads_as_the_legacy_single_record(
+        keys in proptest::collection::vec(any::<u64>(), 0..64),
+        seq in 0u64..1 << 40,
+    ) {
+        let mut read = Vec::new();
+        for run in [true, false] {
+            let dir = temp_dir(if run { "one-run" } else { "one-legacy" });
+            let mut w =
+                WalWriter::open(&dir, seq, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
+            if run {
+                w.append_run(seq, &[keys.as_slice()]);
+            } else {
+                w.append(seq, &keys);
+            }
+            let stats = w.commit().unwrap();
+            prop_assert_eq!((stats.records, stats.keys), (1, keys.len() as u64));
+            let scan = scan_wal(&dir, 0).unwrap();
+            prop_assert_eq!(scan.torn_frames, 0);
+            let tailed = WalTailer::new(&dir, 0).poll(usize::MAX).unwrap();
+            read.push((scan.batches, scan.records, scan.max_seq, tailed));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        prop_assert_eq!(&read[0], &read[1]);
+        prop_assert_eq!(&read[0].0, &read[0].3, "scan and tail agree with each other");
     }
 
     #[test]

@@ -153,11 +153,11 @@ impl PersistTally {
         self.last_watermark.fetch_max(watermark, Ordering::Relaxed);
     }
 
-    /// Record one WAL batch record of `keys` keys spanning `bytes` bytes
-    /// on disk (framing included).
+    /// Record one successful WAL group commit: `records` logical batches
+    /// holding `keys` keys, `bytes` bytes written (framing included).
     #[inline]
-    pub fn wal_record(&self, keys: u64, bytes: u64) {
-        self.wal_records.fetch_add(1, Ordering::Relaxed);
+    pub fn wal_commit(&self, records: u64, keys: u64, bytes: u64) {
+        self.wal_records.fetch_add(records, Ordering::Relaxed);
         self.wal_keys.fetch_add(keys, Ordering::Relaxed);
         self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -242,8 +242,8 @@ mod tests {
         let t = PersistTally::new();
         t.checkpoint(100);
         t.checkpoint(40); // out-of-order commit keeps the high-water mark
-        t.wal_record(32, 300);
-        t.wal_record(8, 80);
+        t.wal_commit(1, 32, 300);
+        t.wal_commit(1, 8, 80);
         t.wal_sync();
         t.io_error();
         let r = t.report();

@@ -1,20 +1,6 @@
 //! `cots-serve` — the CoTS frequency-counting service.
 //!
-//! ```text
-//! cots-serve [--addr 127.0.0.1:4040] [--shards 4] [--capacity 1000]
-//!            [--window W] [--refresh-ms 20] [--queue-batches 64]
-//!            [--io-model reactor|threads] [--reactor-threads R]
-//!            [--data-dir DIR] [--fsync always|grouped|off]
-//!            [--checkpoint-ms 5000] [--wal-segment-mb 8]
-//!            [--wal-records run|per-batch] [--standby]
-//! ```
-//!
-//! `--io-model` selects the connection front-end: `reactor` (default) —
-//! a fixed pool of readiness-polling threads (epoll on Linux) that
-//! scales to tens of thousands of connections — or `threads`, the
-//! blocking thread-per-connection model kept for differential testing.
-//! `--reactor-threads` sizes the reactor pool (default:
-//! `min(4, cores)`).
+//! Flags, output and exit codes are those of [`cots_serve::cli`].
 //!
 //! With `--data-dir`, startup recovers the newest valid checkpoint plus
 //! the WAL tail *before* binding the listener, prints a one-line recovery
@@ -33,126 +19,10 @@
 //! serves until a `SHUTDOWN` request arrives, drains (taking a final
 //! checkpoint when persistent), and exits 0.
 
-use std::time::Duration;
-
-use cots_serve::persistence::PersistOptions;
-use cots_serve::{IoConfig, Server, ServiceConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: cots-serve [--addr HOST:PORT] [--shards N] [--capacity M] \
-         [--window W] [--refresh-ms MS] [--queue-batches Q] \
-         [--io-model reactor|threads] [--reactor-threads R] \
-         [--data-dir DIR] [--fsync always|grouped|off] [--checkpoint-ms MS] \
-         [--wal-segment-mb MB] [--wal-records run|per-batch] [--standby]"
-    );
-    std::process::exit(2);
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(raw) = value else {
-        eprintln!("{flag} needs a value");
-        usage();
-    };
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: cannot parse `{raw}`");
-        usage();
-    })
-}
+use cots_serve::cli::Cli;
 
 fn main() {
-    let mut addr = "127.0.0.1:4040".to_string();
-    let mut config = ServiceConfig::default();
-    let mut io = IoConfig::default();
-    let mut data_dir: Option<std::path::PathBuf> = None;
-    let mut fsync = cots_persist::FsyncPolicy::default();
-    let mut checkpoint_ms: u64 = 5_000;
-    let mut wal_segment_mb: u64 = 8;
-    let mut wal_runs = true;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = parse("--addr", args.next()),
-            "--shards" => config.shards = parse("--shards", args.next()),
-            "--capacity" => config.capacity = parse("--capacity", args.next()),
-            "--window" => config.window = Some(parse("--window", args.next())),
-            "--refresh-ms" => {
-                config.refresh = Duration::from_millis(parse("--refresh-ms", args.next()))
-            }
-            "--queue-batches" => config.queue_batches = parse("--queue-batches", args.next()),
-            "--io-model" => io.model = parse("--io-model", args.next()),
-            "--reactor-threads" => io.reactor_threads = parse("--reactor-threads", args.next()),
-            "--data-dir" => data_dir = Some(parse("--data-dir", args.next())),
-            "--fsync" => fsync = parse("--fsync", args.next()),
-            "--checkpoint-ms" => checkpoint_ms = parse("--checkpoint-ms", args.next()),
-            "--wal-segment-mb" => wal_segment_mb = parse("--wal-segment-mb", args.next()),
-            "--wal-records" => {
-                wal_runs = match parse::<String>("--wal-records", args.next()).as_str() {
-                    "run" => true,
-                    "per-batch" => false,
-                    other => {
-                        eprintln!("--wal-records: expected `run` or `per-batch`, got `{other}`");
-                        usage();
-                    }
-                }
-            }
-            "--standby" => config.standby = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                usage();
-            }
-        }
-    }
-    if config.shards == 0 || config.capacity == 0 || config.queue_batches == 0 {
-        eprintln!("--shards, --capacity and --queue-batches must be positive");
-        usage();
-    }
-    if config.standby && data_dir.is_none() {
-        eprintln!("--standby needs --data-dir (replication ships the WAL)");
-        usage();
-    }
-    if let Some(dir) = data_dir {
-        let mut opts = PersistOptions::new(dir);
-        opts.fsync = fsync;
-        opts.checkpoint_every = Duration::from_millis(checkpoint_ms);
-        opts.segment_bytes = wal_segment_mb.saturating_mul(1024 * 1024).max(1);
-        opts.wal_runs = wal_runs;
-        config.persist = Some(opts);
-    }
-    if io.reactor_threads == 0 {
-        eprintln!("--reactor-threads must be positive");
-        usage();
-    }
-    let server = match Server::bind_with(&addr, config, io) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cots-serve: cannot start on {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match io.model {
-        cots_serve::IoModel::Reactor => {
-            println!("io-model reactor ({} reactor threads)", io.reactor_threads)
-        }
-        cots_serve::IoModel::Threads => println!("io-model threads (one thread per connection)"),
-    }
-    if let Some(rec) = server.service().recovery_report() {
-        println!(
-            "recovered {} items (checkpoint {:?}, {} wal batches over {} segments, \
-             {} torn frames, {} bytes dropped) in {:.3}s",
-            rec.recovered_items,
-            rec.checkpoint_watermark,
-            rec.replayed_batches,
-            rec.segments_scanned,
-            rec.torn_frames,
-            rec.dropped_bytes,
-            rec.elapsed_secs
-        );
-    }
-    println!("listening on {}", server.local_addr());
-    if let Err(e) = server.run() {
-        eprintln!("cots-serve: {e}");
-        std::process::exit(1);
-    }
+    let cli = Cli::new("cots-serve", &[]);
+    let (args, _) = cli.parse();
+    cli.run(cli.bind(args));
 }

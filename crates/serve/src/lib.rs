@@ -22,19 +22,21 @@
 //!   `SHUTDOWN`. Peers that negotiate the `"bin"` feature at `HELLO`
 //!   may carry the bulk ops (`INGEST`, `REPL_BATCH`, `SNAPSHOT_PAGE`)
 //!   as BIN1 fixed-LE binary payloads instead.
-//! * **Event-driven front-end** ([`reactor`], [`server`]): by default a
-//!   small fixed pool of reactor threads drives every connection via
-//!   readiness polling (epoll on Linux, `poll(2)` fallback) and
-//!   incremental frame assembly, so N connections cost N buffers rather
-//!   than N OS threads; `--io-model threads` restores the blocking
-//!   thread-per-connection model for differential testing.
+//! * **Connection rules** ([`session`]): the `HELLO` gate, BIN1
+//!   admission, encode-in-kind, snapshot pinning and the frame-cap
+//!   fallback, written once over an [`Endpoint`] trait that this crate's
+//!   [`Service`] and `cots-cluster`'s coordinator both implement.
+//! * **Event-driven front-end** ([`reactor`], [`server`]): a small fixed
+//!   pool of reactor threads drives every connection via readiness
+//!   polling (epoll on Linux, `poll(2)` on other Unix) and incremental
+//!   frame assembly, so N connections cost N buffers rather than N OS
+//!   threads.
 //! * **Sharded ingest** ([`spsc`], [`shard`]): per-(producer, shard)
 //!   bounded SPSC rings feed workers that call
 //!   `CotsEngine::delegate_batch`; full rings answer `OVERLOADED`
 //!   (backpressure) instead of buffering unboundedly, and shutdown drains
-//!   every ring before the engine finalizes. Under the reactor each
-//!   reactor *thread* is one producer (R×shards rings); under the
-//!   blocking model each connection is (N×shards rings).
+//!   every ring before the engine finalizes. Each reactor *thread* is
+//!   one producer (R×shards rings).
 //! * **Live queries** ([`service`], `cots::publish`): an epoch-stamped
 //!   snapshot publisher refreshes a consistent [`cots_core::Snapshot`]
 //!   off the hot path; every answer reports its epoch and staleness
@@ -45,7 +47,8 @@
 //!   `CHECKPOINT` wire op), and recovers checkpoint + WAL tail *before*
 //!   the listener opens, keeping the Space-Saving error envelope over
 //!   everything recovered.
-//! * **Binaries**: `cots-serve` (the server) and `cots-load` (replay a
+//! * **Binaries**: `cots-serve` (the server; its command line is
+//!   [`cli`], which `cots-member` reuses) and `cots-load` (replay a
 //!   `datagen` Zipf stream over the wire and check answers against exact
 //!   ground truth).
 
@@ -53,6 +56,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bin1;
+pub mod cli;
 pub mod client;
 pub mod frame;
 pub mod loadgen;
@@ -61,6 +65,7 @@ pub mod protocol;
 pub mod reactor;
 pub mod server;
 pub mod service;
+pub mod session;
 pub mod shard;
 pub mod spsc;
 
@@ -73,6 +78,7 @@ pub use protocol::{
     QueryReq, QueryStamp, ReplFrame, Request, Response, MAX_PAGE_ENTRIES, MIN_PROTO_VERSION,
     PROTO_VERSION,
 };
-pub use server::{IoConfig, IoModel, Server};
-pub use service::{ConnState, Reply, Service, ServiceConfig};
+pub use server::{IoConfig, Server};
+pub use service::{Service, ServiceConfig};
+pub use session::{ConnState, Endpoint, Reply};
 pub use shard::{Backend, SendOutcome, ShardPool, ShardSender};

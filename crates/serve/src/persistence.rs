@@ -36,7 +36,7 @@ use cots_core::merge::merge_snapshots;
 use cots_core::{Result, Snapshot};
 use cots_persist::{
     find_checkpoints, parse_checkpoint_name, prune_checkpoints, prune_wal, write_checkpoint,
-    Checkpoint, FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES,
+    Checkpoint, CommitStats, FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES,
 };
 use cots_profiling::{PersistTally, ShardTally};
 
@@ -59,23 +59,17 @@ pub struct PersistOptions {
     pub checkpoint_every: Duration,
     /// WAL segment rotation threshold, in bytes.
     pub segment_bytes: u64,
-    /// Log multi-batch ring drains as one binary *run* record (one CRC
-    /// frame per drain) instead of one record per batch. Either form
-    /// replays on any build — this knob only trades record overhead
-    /// against frame granularity (`--wal-records per-batch` disables).
-    pub wal_runs: bool,
 }
 
 impl PersistOptions {
     /// Defaults for `data_dir`: grouped fsync, 5 s checkpoints, 8 MiB
-    /// segments, run records on.
+    /// segments.
     pub fn new(data_dir: PathBuf) -> Self {
         Self {
             data_dir,
             fsync: FsyncPolicy::default(),
             checkpoint_every: Duration::from_secs(5),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            wal_runs: true,
         }
     }
 }
@@ -101,9 +95,6 @@ pub struct Persistence {
     quiesced: Condvar,
     /// WAL/checkpoint counters for `STATS`.
     pub tally: PersistTally,
-    /// Log multi-batch drains as one run record (see
-    /// [`PersistOptions::wal_runs`]).
-    wal_runs: bool,
     /// Serializes checkpointers (background thread vs. `CHECKPOINT` op).
     ckpt_lock: Mutex<()>,
     /// Oldest WAL sequence a replication peer still needs. Segments at
@@ -138,7 +129,6 @@ impl Persistence {
             unfrozen: Condvar::new(),
             quiesced: Condvar::new(),
             tally: PersistTally::new(),
-            wal_runs: opts.wal_runs,
             ckpt_lock: Mutex::new(()),
             repl_retain: AtomicU64::new(repl_retain),
         })
@@ -162,9 +152,9 @@ impl Persistence {
         self.repl_retain.store(seq, Ordering::Release);
     }
 
-    /// Log a drained group of batches, then apply them — all inside one
-    /// gate section, so a checkpoint watermark always cuts between
-    /// groups, never through one.
+    /// Log a drained group of batches as one run record, then apply them
+    /// — all inside one gate section, so a checkpoint watermark always
+    /// cuts between groups, never through one.
     ///
     /// WAL I/O failures are absorbed (counted, batch still applied): a
     /// full disk degrades durability, not liveness.
@@ -172,39 +162,15 @@ impl Persistence {
         self.gate_enter();
         {
             let mut wal = self.wal.lock();
-            if self.wal_runs && burst.len() > 1 {
-                // One reservation, one CRC frame for the whole drain.
-                let first = self.next_seq.fetch_add(burst.len() as u64, Ordering::Relaxed);
-                wal.append_run(first, burst);
-                // On-disk footprint: 8 framing + 12 run header once, then
-                // 12 + 8 per key for each batch (charged to the first).
-                for (i, batch) in burst.iter().enumerate() {
-                    let overhead = if i == 0 { 32 } else { 12 };
-                    self.tally
-                        .wal_record(batch.len() as u64, overhead + 8 * batch.len() as u64);
-                }
-            } else {
-                for batch in burst.iter() {
-                    let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-                    wal.append(seq, batch);
-                    // On-disk footprint of this record: 8 framing + 12
-                    // header + 8 per key.
-                    self.tally.wal_record(batch.len() as u64, 20 + 8 * batch.len() as u64);
-                }
-            }
+            // One reservation, one CRC frame for the whole drain.
+            let first = self.next_seq.fetch_add(burst.len() as u64, Ordering::Relaxed);
+            wal.append_run(first, burst);
             // LOCK-OK: committing under the wal lock is the design — the
             // WAL is one sequential file, writers must not interleave
             // records, and the hold is bounded by the burst size. Contention
             // is between shard workers only; the request path never takes
             // this lock.
-            match wal.commit() {
-                Ok(stats) => {
-                    if stats.synced {
-                        self.tally.wal_sync();
-                    }
-                }
-                Err(_) => self.tally.io_error(),
-            }
+            self.tally_commit(wal.commit());
         }
         for batch in burst.drain(..) {
             backend.apply(&batch);
@@ -213,11 +179,12 @@ impl Persistence {
         self.gate_exit();
     }
 
-    /// Log one *replicated* batch at the primary's sequence number, then
-    /// apply it — the standby's half of WAL shipping. Returns `true` only
-    /// when `seq` is exactly the next expected sequence; duplicates
-    /// (`seq` below the watermark) and gaps are rejected untouched so the
-    /// caller can ack the real watermark and let the shipper resolve.
+    /// Log one *replicated* batch at the primary's sequence number (a run
+    /// of one), then apply it — the standby's half of WAL shipping.
+    /// Returns `true` only when `seq` is exactly the next expected
+    /// sequence; duplicates (`seq` below the watermark) and gaps are
+    /// rejected untouched so the caller can ack the real watermark and
+    /// let the shipper resolve.
     ///
     /// Same gate discipline and loss model as [`Self::log_and_apply`]:
     /// the batch is durable per the [`FsyncPolicy`] once this returns,
@@ -232,20 +199,12 @@ impl Persistence {
             if seq != self.next_seq.load(Ordering::Acquire) {
                 false
             } else {
-                wal.append(seq, keys);
-                self.tally.wal_record(keys.len() as u64, 20 + 8 * keys.len() as u64);
+                wal.append_run(seq, &[keys]);
                 // LOCK-OK: same single-sequential-file design as
                 // `log_and_apply` — records must not interleave, and the
                 // request path of a *standby* is the replication stream
                 // itself, so this hold is the ingest path, not behind it.
-                match wal.commit() {
-                    Ok(stats) => {
-                        if stats.synced {
-                            self.tally.wal_sync();
-                        }
-                    }
-                    Err(_) => self.tally.io_error(),
-                }
+                self.tally_commit(wal.commit());
                 self.next_seq.store(seq + 1, Ordering::Release);
                 true
             }
@@ -255,6 +214,21 @@ impl Persistence {
         }
         self.gate_exit();
         accepted
+    }
+
+    /// Account for one group commit from what the writer says it wrote:
+    /// records, keys and bytes only once they reached the OS, a failure
+    /// as an absorbed I/O error and nothing else.
+    fn tally_commit(&self, outcome: Result<CommitStats>) {
+        match outcome {
+            Ok(stats) => {
+                self.tally.wal_commit(stats.records, stats.keys, stats.bytes);
+                if stats.synced {
+                    self.tally.wal_sync();
+                }
+            }
+            Err(_) => self.tally.io_error(),
+        }
     }
 
     /// Install a catch-up base checkpoint shipped by a primary: persist
@@ -547,37 +521,75 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Bytes of WAL records on disk under `dir` (segment magics excluded).
+    fn wal_record_bytes(dir: &Path) -> u64 {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| cots_persist::parse_segment_name(p).is_some())
+            .map(|p| std::fs::metadata(p).unwrap().len() - cots_persist::WAL_MAGIC.len() as u64)
+            .sum()
+    }
+
     #[test]
-    fn run_records_recover_identically_to_per_batch_records() {
-        // Same ingest, two on-disk grammars (and a mix, via the
-        // single-batch bursts that stay legacy either way): recovery
-        // must be indistinguishable.
-        let mut recovered = Vec::new();
-        for wal_runs in [true, false] {
-            let dir = temp_dir(if wal_runs { "runs-on" } else { "runs-off" });
-            let mut opts = PersistOptions::new(dir.clone());
-            opts.wal_runs = wal_runs;
-            {
-                let p = Persistence::new(&opts, 0, 64).unwrap();
-                let backend = engine_backend(64);
-                let tally = ShardTally::new();
-                let mut multi = vec![vec![1u64, 2, 3], vec![4u64], vec![]];
-                p.log_and_apply(&mut multi, &backend, &tally);
-                let mut single = vec![vec![5u64, 5]];
-                p.log_and_apply(&mut single, &backend, &tally);
-                assert_eq!(p.next_seq(), 4);
-                let report = p.tally.report();
-                assert_eq!(report.wal_records, 4, "records count logical batches");
-                assert_eq!(report.wal_keys, 6);
-            }
-            let rec = cots_persist::recover(&dir).unwrap();
-            assert_eq!(rec.next_seq, 4);
-            assert_eq!(rec.report.replayed_batches, 4);
-            assert_eq!(rec.report.replayed_items, 6);
-            recovered.push((rec.next_seq, rec.batches));
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-        assert_eq!(recovered[0], recovered[1], "recovery must not depend on record grammar");
+    fn tally_reports_what_the_writer_committed() {
+        let dir = temp_dir("tally");
+        let p = Persistence::new(&PersistOptions::new(dir.clone()), 0, 64).unwrap();
+        let backend = engine_backend(64);
+        let shard_tally = ShardTally::new();
+        let mut multi = vec![vec![1u64, 2, 3], vec![4u64], vec![]];
+        p.log_and_apply(&mut multi, &backend, &shard_tally);
+        let mut single = vec![vec![5u64, 5]];
+        p.log_and_apply(&mut single, &backend, &shard_tally);
+        assert!(p.log_external_and_apply(4, &[6, 6, 6], &backend));
+        assert!(!p.log_external_and_apply(9, &[7], &backend), "a gap logs nothing");
+        assert_eq!(p.next_seq(), 5);
+        let report = p.tally.report();
+        assert_eq!(report.wal_records, 5, "records count logical batches");
+        assert_eq!(report.wal_keys, 9);
+        assert_eq!(report.wal_bytes, wal_record_bytes(&dir), "bytes are the segment's growth");
+        assert_eq!(report.io_errors, 0);
+        drop(p);
+        let rec = cots_persist::recover(&dir).unwrap();
+        assert_eq!(rec.next_seq, 5);
+        assert_eq!(rec.report.replayed_items, 9);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_commit_is_an_io_error_not_bytes_written() {
+        let dir = temp_dir("commit-fails");
+        let mut opts = PersistOptions::new(dir.clone());
+        opts.segment_bytes = 1; // every commit opens a new segment
+        let p = Persistence::new(&opts, 0, 64).unwrap();
+        let backend = engine_backend(64);
+        let shard_tally = ShardTally::new();
+        p.log_and_apply(&mut vec![vec![1u64, 2]], &backend, &shard_tally);
+        let before = p.tally.report();
+        assert_eq!((before.wal_records, before.io_errors), (1, 0));
+
+        // With the directory gone the next segment cannot be created, so
+        // the commit fails (read-only permissions would not stop a root
+        // test runner; a missing directory stops everyone).
+        std::fs::remove_dir_all(&dir).unwrap();
+        p.log_and_apply(&mut vec![vec![3u64], vec![4u64]], &backend, &shard_tally);
+        let failed = p.tally.report();
+        assert_eq!(failed.io_errors, 1);
+        assert_eq!(
+            (failed.wal_records, failed.wal_keys, failed.wal_bytes),
+            (before.wal_records, before.wal_keys, before.wal_bytes),
+            "nothing reached the OS, nothing is reported written"
+        );
+        assert_eq!(backend.processed(), 4, "the batches are applied regardless");
+
+        // The disk comes back: the staged records go out with the next
+        // commit and are counted then.
+        std::fs::create_dir_all(&dir).unwrap();
+        p.log_and_apply(&mut vec![vec![5u64]], &backend, &shard_tally);
+        let healed = p.tally.report();
+        assert_eq!((healed.wal_records, healed.wal_keys, healed.io_errors), (4, 5, 1));
+        assert_eq!(healed.wal_bytes - before.wal_bytes, wal_record_bytes(&dir));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -34,8 +34,8 @@ use std::io::{self, Write};
 use std::net::TcpStream;
 
 use crate::frame::{FrameAssembler, Payload, MAX_FRAME};
-use crate::protocol::{encode, Response};
-use crate::service::{ConnState, Service};
+use crate::service::Service;
+use crate::session::{self, ConnState};
 use crate::shard::ShardSender;
 
 /// Pending-write cap: a peer that stops reading while responses pile up
@@ -129,7 +129,7 @@ impl Connection {
             match self.asm.next_frame() {
                 Ok(Some(payload)) => {
                     let (response, close) =
-                        service.serve_frame(&payload, &mut self.state, sender);
+                        session::serve_frame(service, &mut self.state, &payload, sender);
                     if !self.queue_payload(&response) {
                         return Drive::Close;
                     }
@@ -142,10 +142,7 @@ impl Connection {
                 Err(_) => {
                     // Framing violation: resync is impossible. Answer if
                     // the socket still drains, then close.
-                    let resp = Response::Error {
-                        message: "malformed frame".into(),
-                    };
-                    let _ = self.queue_payload(&Payload::Json(encode(&resp)));
+                    let _ = self.queue_payload(&session::malformed_frame());
                     self.closing = true;
                     break;
                 }
@@ -166,8 +163,9 @@ impl Connection {
     }
 
     /// Frame and queue one already-encoded response payload (JSON or
-    /// BIN1); `false` if it exceeds the frame cap or the peer has
-    /// fallen pathologically behind.
+    /// BIN1); `false` if it exceeds the frame cap (which
+    /// [`session::serve_frame`] never lets a response do) or the peer
+    /// has fallen pathologically behind.
     fn queue_payload(&mut self, payload: &Payload) -> bool {
         let bytes = payload.bytes();
         if bytes.len() > MAX_FRAME {

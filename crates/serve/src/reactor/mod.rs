@@ -1,7 +1,7 @@
 //! The event-driven reactor: tens of thousands of connections on a
 //! small fixed thread pool.
 //!
-//! The blocking server model costs one OS thread and one set of shard
+//! A thread-per-connection server costs one OS thread and one set of shard
 //! rings per connection — fine for hundreds of connections, fatal for
 //! tens of thousands. The reactor inverts that: a fixed pool of
 //! reactor threads each owns one readiness [`Poller`](sys::Poller)
@@ -34,11 +34,11 @@
 //! not a single producer connection — all of this reactor's
 //! connections enqueue from this thread.
 //!
-//! Shutdown mirrors the blocking model: the service flag flips, the
-//! reactor notices at its next wakeup (immediate when the acceptor
-//! joins the pool — it taps every wakeup channel first),
-//! drops every connection and its `ShardSender` — closing the rings —
-//! and exits; the shard workers drain and the service quiesces.
+//! Shutdown: the service flag flips, the reactor notices at its next
+//! wakeup (immediate when the acceptor joins the pool — it taps every
+//! wakeup channel first), drops every connection and its `ShardSender`
+//! — closing the rings — and exits; the shard workers drain and the
+//! service quiesces.
 //!
 //! AUDIT: locks — the inbox mutex is the only lock here and must never
 //! wrap I/O; enforced by `cargo xtask audit` (lint-locks).

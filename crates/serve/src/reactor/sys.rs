@@ -28,8 +28,8 @@
 //! changes performance only.
 //!
 //! On non-Unix targets a stub backend compiles and reports
-//! `Unsupported` at construction; the server then refuses
-//! `--io-model reactor` with a clear error instead of failing to build.
+//! `Unsupported` at construction; the server then refuses to start
+//! with a clear error instead of failing to build.
 
 use std::io;
 #[cfg(unix)]
@@ -92,7 +92,7 @@ impl Poller {
     /// Linux uses epoll unless the `COTS_POLLER=poll` environment
     /// variable forces the portable backend (differential testing);
     /// other Unixes always use `poll(2)`; elsewhere this returns
-    /// `Unsupported` and the caller falls back to the threaded model.
+    /// `Unsupported` and the server refuses to start.
     #[cfg(target_os = "linux")]
     pub fn new() -> io::Result<Self> {
         if std::env::var("COTS_POLLER").is_ok_and(|v| v == "poll") {
@@ -113,7 +113,7 @@ impl Poller {
     pub fn new() -> io::Result<Self> {
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "no readiness backend on this platform; use --io-model threads",
+            "no readiness backend on this platform (cots-serve needs epoll or poll(2))",
         ))
     }
 

@@ -1,100 +1,42 @@
-//! The TCP front-end: accept loop plus one of two I/O models.
+//! The TCP front-end: an accept loop feeding the reactor pool.
 //!
 //! Connections speak the framed protocol of [`crate::frame`] /
-//! [`crate::protocol`]. Two interchangeable I/O models sit behind the
-//! same accept loop and wire format:
+//! [`crate::protocol`] under the rules of [`crate::session`]. Sockets
+//! are nonblocking and driven by a small fixed pool of
+//! readiness-polling reactor threads (epoll on Linux, `poll(2)` on
+//! other Unix; see [`crate::reactor`]): N connections cost N buffers,
+//! not N threads. Unix is the supported platform — elsewhere
+//! [`Server::run`] fails at startup with the poller's error.
 //!
-//! * [`IoModel::Reactor`] (default) — nonblocking sockets driven by a
-//!   small fixed pool of readiness-polling reactor threads (epoll on
-//!   Linux, `poll(2)` fallback elsewhere; see [`crate::reactor`]). N
-//!   connections cost N buffers, not N threads, lifting the connection
-//!   ceiling from hundreds to tens of thousands.
-//! * [`IoModel::Threads`] — the original thread-per-connection blocking
-//!   model, kept for differential testing and as a portability escape
-//!   hatch (`--io-model threads`).
-//!
-//! Shutdown is identical in both: a `SHUTDOWN` request flips the
-//! service flag. The acceptor (polling with a short timeout) stops
-//! accepting; connection threads or reactor threads notice the flag
-//! within one poll interval, close their connections, and thereby close
-//! their rings; shard workers drain and exit; the server returns.
+//! Shutdown: a `SHUTDOWN` request flips the service flag. The acceptor
+//! (polling with a short timeout) stops accepting; reactor threads
+//! notice the flag within one poll interval, close their connections,
+//! and thereby close their rings; shard workers drain and exit; the
+//! server returns.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::str::FromStr;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::frame::{is_timeout, read_frame, write_frame, write_payload};
-use crate::protocol::{encode, Response};
+use crate::frame::is_timeout;
 use crate::reactor::ReactorPool;
-use crate::service::{ConnState, Service, ServiceConfig};
+use crate::service::{Service, ServiceConfig};
 
-/// How long a connection read blocks before re-checking the shutdown
-/// flag.
-const POLL: Duration = Duration::from_millis(25);
-
-/// How long the acceptor sleeps when no connection is pending. Shorter
-/// than [`POLL`]: the listen backlog is small (128 by default), so a
-/// connect storm can overflow it — and suffer seconds-long SYN
-/// retransmits — if the acceptor naps too long between drains.
+/// How long the acceptor sleeps when no connection is pending. The
+/// listen backlog is small (128 by default), so a connect storm can
+/// overflow it — and suffer seconds-long SYN retransmits — if the
+/// acceptor naps too long between drains.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
-/// Which connection I/O model the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// Readiness-driven reactor threads over nonblocking sockets
-    /// (default on Unix).
-    Reactor,
-    /// One blocking OS thread per connection (the pre-reactor model).
-    Threads,
-}
-
-impl IoModel {
-    /// The platform default: the reactor wherever a readiness backend
-    /// exists (all Unix), blocking threads elsewhere.
-    pub fn default_for_platform() -> Self {
-        if cfg!(unix) {
-            IoModel::Reactor
-        } else {
-            IoModel::Threads
-        }
-    }
-}
-
-impl FromStr for IoModel {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reactor" => Ok(IoModel::Reactor),
-            "threads" => Ok(IoModel::Threads),
-            other => Err(format!(
-                "unknown io model `{other}` (expected `reactor` or `threads`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for IoModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IoModel::Reactor => f.write_str("reactor"),
-            IoModel::Threads => f.write_str("threads"),
-        }
-    }
-}
-
-/// Front-end I/O configuration: the model and its sizing.
+/// Front-end I/O sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct IoConfig {
-    /// Which I/O model to run.
-    pub model: IoModel,
-    /// Reactor thread count (ignored under [`IoModel::Threads`]).
-    /// Defaults to `available_parallelism` clamped to `2..=4`: the
-    /// reactor is I/O-bound bookkeeping (the shard workers do the heavy
-    /// lifting), but a *single* reactor thread serializes every
-    /// connection's frame handling behind one scheduler entity, which
-    /// measurably inflates round-trip latency versus the threaded model
+    /// Reactor thread count. Defaults to `available_parallelism`
+    /// clamped to `2..=4`: the reactor is I/O-bound bookkeeping (the
+    /// shard workers do the heavy lifting), but a *single* reactor
+    /// thread serializes every connection's frame handling behind one
+    /// scheduler entity, which measurably inflates round-trip latency
     /// even on one core — two threads restore pipelining at negligible
     /// cost.
     pub reactor_threads: usize,
@@ -106,7 +48,6 @@ impl Default for IoConfig {
             .map(|n| n.get())
             .unwrap_or(1);
         Self {
-            model: IoModel::default_for_platform(),
             reactor_threads: cores.clamp(2, 4),
         }
     }
@@ -122,7 +63,7 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// the service behind it, with the platform-default I/O model.
+    /// the service behind it, with the default reactor sizing.
     pub fn bind(addr: &str, config: ServiceConfig) -> io::Result<Self> {
         Self::bind_with(addr, config, IoConfig::default())
     }
@@ -151,24 +92,12 @@ impl Server {
         &self.service
     }
 
-    /// The I/O configuration this server will run with.
-    pub fn io_config(&self) -> IoConfig {
-        self.io
-    }
-
     /// Accept and serve until a `SHUTDOWN` request arrives, then drain
-    /// and return. Consumes the server.
+    /// and return. Consumes the server. The acceptor hands streams to
+    /// the pool; a fixed number of reactor threads drive all
+    /// connections.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
-        match self.io.model {
-            IoModel::Reactor => self.run_reactor(),
-            IoModel::Threads => self.run_threads(),
-        }
-    }
-
-    /// Reactor model: the acceptor hands streams to the pool; a fixed
-    /// number of reactor threads drive all connections.
-    fn run_reactor(self) -> io::Result<()> {
         let mut pool = ReactorPool::spawn(&self.service, self.io.reactor_threads)?;
         while !self.service.shutdown_requested() {
             match self.listener.accept() {
@@ -190,35 +119,9 @@ impl Server {
         drain_service(self.service);
         Ok(())
     }
-
-    /// Blocking model: one OS thread per connection.
-    fn run_threads(self) -> io::Result<()> {
-        let mut connections = Vec::new();
-        while !self.service.shutdown_requested() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let service = self.service.clone();
-                    connections.push(
-                        std::thread::Builder::new()
-                            .name("cots-conn".into())
-                            .spawn(move || serve_connection(stream, &service))?,
-                    );
-                }
-                Err(e) if is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        drop(self.listener);
-        for c in connections {
-            let _ = c.join();
-        }
-        drain_service(self.service);
-        Ok(())
-    }
 }
 
-/// All connection/reactor threads (and their rings) are gone; drain the
+/// All reactor threads (and their rings) are gone; drain the
 /// shard workers and quiesce.
 fn drain_service(service: Arc<Service>) {
     match Arc::try_unwrap(service) {
@@ -226,48 +129,6 @@ fn drain_service(service: Arc<Service>) {
         Err(service) => {
             // A caller still holds a handle; drain via the flag only.
             service.begin_shutdown();
-        }
-    }
-}
-
-/// Serve one connection until EOF, a protocol violation, or shutdown
-/// (the blocking [`IoModel::Threads`] path).
-fn serve_connection(stream: TcpStream, service: &Service) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut reader = match stream.try_clone() {
-        Ok(s) => io::BufReader::new(s),
-        Err(_) => return,
-    };
-    let mut writer = io::BufWriter::new(stream);
-    let mut sender = service.connect();
-    let mut conn = ConnState::new();
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => return, // clean EOF
-            Err(e) if is_timeout(&e) => {
-                if service.shutdown_requested() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => {
-                // Framing violation: answer if the socket still works,
-                // then drop the connection (resync is impossible).
-                let resp = Response::Error {
-                    message: "malformed frame".into(),
-                };
-                let _ = write_frame(&mut writer, &encode(&resp));
-                return;
-            }
-        };
-        let (response, close) = service.serve_frame(&payload, &mut conn, &mut sender);
-        if write_payload(&mut writer, &response).is_err() {
-            return;
-        }
-        if close {
-            return;
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The service: one backend, one shard pool, one snapshot publisher, and
-//! the request → response logic shared by the TCP server and in-process
-//! tests.
+//! the member's [`Endpoint`] — how it answers every request the shared
+//! connection layer ([`crate::session`]) passes on.
 //!
 //! Queries never touch the counting structures: they are answered from
 //! the most recently *published* snapshot, so a query burst cannot block
@@ -34,84 +34,13 @@ use cots_core::{
 use cots_persist::Checkpoint;
 use cots_profiling::IngestTally;
 
-use crate::frame::Payload;
 use crate::persistence::{PersistOptions, Persistence};
-use crate::protocol::{
-    snapshot_page_response, QueryReq, QueryStamp, ReplFrame, Request, Response,
-    MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use crate::protocol::{QueryReq, QueryStamp, ReplFrame, Request, Response};
+use crate::session::{self, ConnState, Endpoint};
 use crate::shard::{Backend, SendOutcome, ShardPool, ShardSender};
 
 /// Feature flags a member instance advertises in `HELLO_ACK`.
 const MEMBER_FEATURES: &[&str] = &["snapshot-page", "bin"];
-
-/// Per-connection protocol state: handshake progress, whether the peer
-/// negotiated the BIN1 encoding, plus the snapshot pinned by an
-/// in-progress paged transfer. Owned by the connection (a blocking
-/// thread or a reactor slab slot), never shared.
-#[derive(Default)]
-pub struct ConnState {
-    greeted: bool,
-    /// The peer listed `"bin"` in its `HELLO` features: BIN1 frames are
-    /// admitted on this connection (and answered in kind).
-    bin: bool,
-    pinned: Option<Arc<cots::StampedSnapshot<u64>>>,
-}
-
-impl ConnState {
-    /// Fresh state for a newly accepted connection: the first frame must
-    /// be `HELLO`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A state that skips the handshake — for in-process callers and
-    /// tests that drive [`Service::serve`] without a socket.
-    pub fn pre_greeted() -> Self {
-        Self {
-            greeted: true,
-            bin: false,
-            pinned: None,
-        }
-    }
-
-    /// Whether the handshake has completed on this connection.
-    pub fn is_greeted(&self) -> bool {
-        self.greeted
-    }
-
-    /// Whether the peer negotiated the BIN1 encoding at `HELLO` time.
-    pub fn is_bin(&self) -> bool {
-        self.bin
-    }
-}
-
-/// What a connection should do with one request's outcome.
-pub struct Reply {
-    /// The response to write.
-    pub response: Response,
-    /// Close the connection after flushing the response (handshake
-    /// rejection, graceful shutdown).
-    pub close: bool,
-}
-
-impl Reply {
-    /// A response that keeps the connection open.
-    pub fn open(response: Response) -> Self {
-        Self {
-            response,
-            close: false,
-        }
-    }
-
-    /// A response after which the connection closes.
-    pub fn closing(response: Response) -> Self {
-        Self {
-            response,
-            close: true,
-        }
-    }
-}
 
 /// Service deployment knobs.
 #[derive(Debug, Clone)]
@@ -513,142 +442,39 @@ impl Service {
         self.pool.begin_shutdown();
     }
 
-    /// Serve one request on behalf of a real connection: enforce the
-    /// `HELLO` handshake, keep paged snapshot transfers pinned to one
-    /// snapshot, and say whether the connection should close afterwards.
-    ///
-    /// The first frame on every connection must be `HELLO` with a
-    /// supported version; anything else is answered with
-    /// `UNSUPPORTED_VERSION` (requested = 0 when no `HELLO` was sent at
-    /// all) and the connection closes. In-process callers that need no
-    /// handshake use [`Service::handle`] or [`ConnState::pre_greeted`].
-    pub fn serve(&self, request: Request, conn: &mut ConnState, sender: &mut ShardSender) -> Reply {
-        if let Request::Hello {
-            proto_version,
-            ref features,
-        } = request
-        {
-            return if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto_version) {
-                conn.greeted = true;
-                // BIN1 admission is per connection: only a peer that
-                // announced the feature may send binary frames.
-                conn.bin = features.iter().any(|f| f == "bin");
-                Reply::open(self.hello_ack())
-            } else {
-                Reply::closing(Response::UnsupportedVersion {
-                    supported: PROTO_VERSION,
-                    requested: proto_version,
-                })
-            };
-        }
-        if !conn.greeted {
-            return Reply::closing(Response::UnsupportedVersion {
-                supported: PROTO_VERSION,
-                requested: 0,
-            });
-        }
-        if let Request::SnapshotPage {
-            since_epoch,
-            offset,
-            limit,
-        } = request
-        {
-            // Offset 0 (re)pins the freshest published snapshot; later
-            // pages keep reading the pinned one, so a multi-frame
-            // transfer never sees a torn summary.
-            if offset == 0 || conn.pinned.is_none() {
-                conn.pinned = Some(self.publisher.current());
-            }
-            let response = match &conn.pinned {
-                Some(snap) => {
-                    let stamp = self.stamp_for(snap);
-                    snapshot_page_response(&snap.snapshot, stamp, since_epoch, offset, limit)
-                }
-                None => Response::Error {
-                    message: "no snapshot published yet".into(),
-                },
-            };
-            return Reply::open(response);
-        }
-        let response = self.handle(request, sender);
-        let close = matches!(response, Response::ShuttingDown);
-        Reply { response, close }
-    }
-
-    /// Serve one raw frame payload: decode (JSON always; BIN1 only on a
-    /// connection that negotiated the `"bin"` feature), dispatch through
-    /// [`Service::serve`], and encode the response *in kind* — a BIN1
-    /// request gets a BIN1 response when the response op has a binary
-    /// form, and JSON otherwise (errors are always JSON). Returns the
-    /// encoded response payload and whether the connection must close.
-    ///
-    /// Both I/O models (blocking threads and the reactor) funnel through
-    /// here, so the two front-ends accept byte-identical languages.
-    pub fn serve_frame(
-        &self,
-        payload: &Payload,
-        conn: &mut ConnState,
-        sender: &mut ShardSender,
-    ) -> (Payload, bool) {
-        let (reply, bin) = match payload {
-            Payload::Json(text) => match crate::protocol::decode::<Request>(text) {
-                Ok(request) => (self.serve(request, conn, sender), false),
-                Err(e) => (
-                    Reply::open(Response::Error {
-                        message: e.to_string(),
-                    }),
-                    false,
-                ),
-            },
-            Payload::Bin(bytes) => {
-                if !conn.is_bin() {
-                    // Sending BIN1 without negotiating it is a protocol
-                    // violation, handled like a failed handshake: answer
-                    // and close.
-                    (
-                        Reply::closing(Response::Error {
-                            message: "BIN1 frame on a connection that did not \
-                                      negotiate the `bin` feature in HELLO"
-                                .into(),
-                        }),
-                        false,
-                    )
-                } else {
-                    match crate::bin1::decode_request(bytes) {
-                        Ok(request) => (self.serve(request, conn, sender), true),
-                        Err(e) => (
-                            Reply::open(Response::Error {
-                                message: e.to_string(),
-                            }),
-                            false,
-                        ),
-                    }
-                }
-            }
-        };
-        let encoded = if bin {
-            match crate::bin1::encode_response(&reply.response) {
-                Some(bytes) => Payload::Bin(bytes),
-                None => Payload::Json(crate::protocol::encode(&reply.response)),
-            }
-        } else {
-            Payload::Json(crate::protocol::encode(&reply.response))
-        };
-        (encoded, reply.close)
-    }
-
-    /// The `HELLO_ACK` this instance answers a successful handshake with.
-    fn hello_ack(&self) -> Response {
-        Response::HelloAck {
-            proto_version: PROTO_VERSION,
-            features: MEMBER_FEATURES.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-
-    /// Handle one request on behalf of a connection.
+    /// Handle one request in process, on a connection that needs no
+    /// handshake: the same path a socket takes through
+    /// [`session::serve_request`], minus the `HELLO` gate.
     pub fn handle(&self, request: Request, sender: &mut ShardSender) -> Response {
+        session::serve_request(self, &mut ConnState::pre_greeted(), request, sender).response
+    }
+}
+
+impl Endpoint for Service {
+    type Link = ShardSender;
+
+    fn features(&self) -> &'static [&'static str] {
+        MEMBER_FEATURES
+    }
+
+    fn current(&self, _sender: &mut ShardSender) -> Arc<cots::StampedSnapshot<u64>> {
+        self.publisher.current()
+    }
+
+    fn stamp(&self, snap: &cots::StampedSnapshot<u64>) -> QueryStamp {
+        QueryStamp {
+            epoch: snap.epoch,
+            captured_total: snap.captured_total,
+            staleness: self.total_processed().saturating_sub(snap.captured_total),
+            rotations: snap.rotations,
+        }
+    }
+
+    fn dispatch(&self, request: Request, sender: &mut ShardSender) -> Response {
         match request {
-            Request::Hello { .. } => self.hello_ack(),
+            Request::Hello { .. } | Request::Snapshot | Request::SnapshotPage { .. } => {
+                session::not_dispatched()
+            }
             Request::Ingest { keys } => {
                 if self.is_standby() {
                     return Response::Error {
@@ -675,23 +501,6 @@ impl Service {
                 self.answer(q)
             }
             Request::Stats => Response::Stats(self.stats()),
-            Request::Snapshot => {
-                let (snap, stamp) = self.published();
-                Response::Snapshot {
-                    snapshot: snap.snapshot.clone(),
-                    stamp,
-                }
-            }
-            Request::SnapshotPage {
-                since_epoch,
-                offset,
-                limit,
-            } => {
-                // Pin-free in-process path; real connections go through
-                // [`Service::serve`], which pins across pages.
-                let (snap, stamp) = self.published();
-                snapshot_page_response(&snap.snapshot, stamp, since_epoch, offset, limit)
-            }
             Request::ClusterStats => Response::Error {
                 message: "this instance is a member, not a coordinator \
                           (CLUSTER_STATS is answered by cots-coord)"
@@ -783,6 +592,9 @@ impl Service {
         }
     }
 
+}
+
+impl Service {
     /// The persistence handle a `REPL_*` stream operation applies
     /// through, or the refusal to send back: only a standby with a data
     /// directory accepts the stream.
@@ -980,18 +792,8 @@ impl Service {
     /// The current published snapshot plus its provenance stamp.
     fn published(&self) -> (Arc<cots::StampedSnapshot<u64>>, QueryStamp) {
         let snap = self.publisher.current();
-        let stamp = self.stamp_for(&snap);
+        let stamp = self.stamp(&snap);
         (snap, stamp)
-    }
-
-    /// Provenance stamp for an arbitrary (possibly pinned) snapshot.
-    fn stamp_for(&self, snap: &cots::StampedSnapshot<u64>) -> QueryStamp {
-        QueryStamp {
-            epoch: snap.epoch,
-            captured_total: snap.captured_total,
-            staleness: self.total_processed().saturating_sub(snap.captured_total),
-            rotations: snap.rotations,
-        }
     }
 
     /// Current service statistics.
@@ -1124,19 +926,6 @@ mod tests {
         panic!("service did not quiesce at {n} applied keys");
     }
 
-    /// Wait until the publisher epoch holds still (the refresher's
-    /// confirming publish after quiescence has landed).
-    fn settled_epoch(service: &Service) -> u64 {
-        for _ in 0..1_000 {
-            let epoch = service.publisher.epoch();
-            std::thread::sleep(Duration::from_millis(25));
-            if service.publisher.epoch() == epoch {
-                return epoch;
-            }
-        }
-        panic!("publisher epoch never settled");
-    }
-
     #[test]
     fn ingest_then_query_round_trip() {
         let service = Service::start(ServiceConfig {
@@ -1202,8 +991,11 @@ mod tests {
         service.drain();
     }
 
+    /// The gate itself is `session`'s (and tested there); what is the
+    /// member's own is what it advertises and that a greeted connection
+    /// reaches its dispatch, including the close after `SHUTDOWN`.
     #[test]
-    fn handshake_gates_real_connections() {
+    fn greeted_connection_reaches_member_dispatch() {
         let service = Service::start(ServiceConfig {
             shards: 1,
             capacity: 16,
@@ -1212,75 +1004,31 @@ mod tests {
         })
         .unwrap();
         let mut sender = service.connect();
-
-        // Any operation before HELLO is rejected and the connection closes.
         let mut conn = ConnState::new();
-        let reply = service.serve(Request::Stats, &mut conn, &mut sender);
-        match reply.response {
-            Response::UnsupportedVersion {
-                supported,
-                requested,
-            } => {
-                assert_eq!(supported, PROTO_VERSION);
-                assert_eq!(requested, 0, "no HELLO at all is flagged as version 0");
-            }
+        let hello = Request::Hello {
+            proto_version: crate::PROTO_VERSION,
+            features: vec![],
+        };
+        match session::serve_request(&service, &mut conn, hello, &mut sender).response {
+            Response::HelloAck { features, .. } => assert_eq!(features, MEMBER_FEATURES),
             other => panic!("unexpected: {other:?}"),
         }
-        assert!(reply.close);
-        assert!(!conn.is_greeted());
-
-        // An unsupported version is named in the rejection.
-        let mut conn = ConnState::new();
-        let reply = service.serve(
-            Request::Hello {
-                proto_version: 1,
-                features: vec![],
-            },
-            &mut conn,
-            &mut sender,
-        );
-        assert!(matches!(
-            reply.response,
-            Response::UnsupportedVersion { requested: 1, .. }
-        ));
-        assert!(reply.close);
-
-        // The proper handshake opens the connection for business.
-        let mut conn = ConnState::new();
-        let reply = service.serve(
-            Request::Hello {
-                proto_version: PROTO_VERSION,
-                features: vec!["snapshot-page".into()],
-            },
-            &mut conn,
-            &mut sender,
-        );
-        match reply.response {
-            Response::HelloAck {
-                proto_version,
-                features,
-            } => {
-                assert_eq!(proto_version, PROTO_VERSION);
-                assert!(features.iter().any(|f| f == "snapshot-page"));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert!(!reply.close);
-        assert!(conn.is_greeted());
-        let reply = service.serve(Request::Stats, &mut conn, &mut sender);
+        let reply = session::serve_request(&service, &mut conn, Request::Stats, &mut sender);
         assert!(matches!(reply.response, Response::Stats(_)));
         assert!(!reply.close);
-
-        // Shutdown still closes through the serve path.
-        let reply = service.serve(Request::Shutdown, &mut conn, &mut sender);
+        let reply = session::serve_request(&service, &mut conn, Request::Shutdown, &mut sender);
         assert!(matches!(reply.response, Response::ShuttingDown));
         assert!(reply.close);
+        assert!(service.shutdown_requested());
         drop(sender);
         service.drain();
     }
 
+    /// Pinning is `session`'s (and tested there); the member's part is
+    /// stamping a pinned snapshot honestly: staleness keeps counting
+    /// what was applied after the pin.
     #[test]
-    fn snapshot_pages_stay_pinned_across_republishes() {
+    fn pinned_snapshot_is_stamped_with_honest_staleness() {
         let service = Service::start(ServiceConfig {
             shards: 1,
             capacity: 64,
@@ -1293,93 +1041,26 @@ mod tests {
         let keys: Vec<u64> = (0..1_000u64).map(|i| i % 10).collect();
         drive(&service, &mut sender, &keys, 128);
         await_applied(&service, 1_000);
-
-        // First page pins the current snapshot.
-        let first = service.serve(
-            Request::SnapshotPage {
+        let mut page = |offset| {
+            let request = Request::SnapshotPage {
                 since_epoch: 0,
-                offset: 0,
+                offset,
                 limit: 4,
-            },
-            &mut conn,
-            &mut sender,
-        );
-        let (first_epoch, first_entries) = match first.response {
-            Response::SnapshotPage {
-                entries,
-                stamp,
-                total_entries,
-                done,
-                ..
-            } => {
-                assert_eq!(total_entries, 10);
-                assert!(!done);
-                (stamp.epoch, entries)
+            };
+            match session::serve_request(&service, &mut conn, request, &mut sender).response {
+                Response::SnapshotPage { total, stamp, .. } => (total, stamp),
+                other => panic!("unexpected: {other:?}"),
             }
-            other => panic!("unexpected: {other:?}"),
         };
-        assert_eq!(first_entries.len(), 4);
+        let (_, first) = page(0);
+        assert_eq!(first.staleness, 0);
 
-        // New data publishes new epochs underneath the transfer...
-        drive(&service, &mut sender, &keys, 128);
+        drive(&service, &mut service.connect(), &keys, 128);
         await_applied(&service, 2_000);
-        assert!(service.publisher.epoch() > first_epoch);
-
-        // ...but later pages still read the pinned snapshot.
-        let second = service.serve(
-            Request::SnapshotPage {
-                since_epoch: 0,
-                offset: 4,
-                limit: 100,
-            },
-            &mut conn,
-            &mut sender,
-        );
-        match second.response {
-            Response::SnapshotPage {
-                entries,
-                stamp,
-                total,
-                done,
-                ..
-            } => {
-                assert_eq!(stamp.epoch, first_epoch, "transfer stays on the pinned epoch");
-                assert_eq!(total, 1_000, "pinned mass, not the republished one");
-                assert_eq!(entries.len(), 6);
-                assert!(done);
-                assert!(
-                    stamp.staleness >= 1_000,
-                    "staleness against the pinned snapshot is honest: {}",
-                    stamp.staleness
-                );
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-
-        // Offset 0 re-pins; a holder of the fresh epoch gets `unchanged`.
-        let epoch_now = settled_epoch(&service);
-        let third = service.serve(
-            Request::SnapshotPage {
-                since_epoch: epoch_now,
-                offset: 0,
-                limit: 100,
-            },
-            &mut conn,
-            &mut sender,
-        );
-        match third.response {
-            Response::SnapshotPage {
-                entries,
-                unchanged,
-                done,
-                stamp,
-                ..
-            } => {
-                assert!(unchanged && done && entries.is_empty());
-                assert_eq!(stamp.epoch, epoch_now);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
+        let (total, second) = page(4);
+        assert_eq!(second.epoch, first.epoch, "transfer stays on the pinned epoch");
+        assert_eq!(total, 1_000, "pinned mass, not the republished one");
+        assert_eq!(second.staleness, 1_000);
         drop(sender);
         service.drain();
     }
@@ -1645,6 +1326,77 @@ mod tests {
         assert_eq!(service.lineage(), 1, "the lineage bump survives restart");
         service.drain();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// CRC records in `dir`'s WAL segments, as `(run, legacy)` counts.
+    fn wal_record_forms(dir: &std::path::Path) -> (usize, usize) {
+        let (mut run, mut legacy) = (0, 0);
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if cots_persist::parse_segment_name(&path).is_none() {
+                continue;
+            }
+            let bytes = std::fs::read(&path).unwrap();
+            let mut off = cots_persist::WAL_MAGIC.len();
+            while off < bytes.len() {
+                let (payload, used) = cots_persist::decode_record(&bytes[off..]).unwrap();
+                if payload.starts_with(cots_persist::RUN_MAGIC) {
+                    run += 1;
+                } else {
+                    legacy += 1;
+                }
+                off += used;
+            }
+        }
+        (run, legacy)
+    }
+
+    #[test]
+    fn primary_and_standby_write_only_run_records() {
+        let config = |dir: &std::path::Path, standby| {
+            let mut opts = PersistOptions::new(dir.to_path_buf());
+            opts.checkpoint_every = Duration::ZERO;
+            ServiceConfig {
+                shards: 2,
+                capacity: 64,
+                refresh: Duration::from_millis(2),
+                persist: Some(opts),
+                standby,
+                ..Default::default()
+            }
+        };
+
+        // A primary: single-batch and multi-batch drains alike.
+        let primary_dir = temp_data_dir("forms-primary");
+        let service = Service::start(config(&primary_dir, false)).unwrap();
+        let mut sender = service.connect();
+        let keys: Vec<u64> = (0..4_000u64).map(|i| i % 25).collect();
+        drive(&service, &mut sender, &keys[..1], 1);
+        await_applied(&service, 1);
+        drive(&service, &mut sender, &keys[1..], 64);
+        await_applied(&service, 4_000);
+        drop(sender);
+        service.drain();
+        let (run, legacy) = wal_record_forms(&primary_dir);
+        assert!(run > 0, "the primary logged something");
+        assert_eq!(legacy, 0, "primary wrote {legacy} per-batch records");
+
+        // A standby: every replicated batch is a run of one.
+        let standby_dir = temp_data_dir("forms-standby");
+        let service = Service::start(config(&standby_dir, true)).unwrap();
+        let mut sender = service.connect();
+        let batches = (0..3).map(|seq| ReplFrame { seq, keys: vec![7, 7, 9] }).collect();
+        match service.handle(Request::ReplBatch { lineage: 0, batches }, &mut sender) {
+            Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 3),
+            other => panic!("unexpected: {other:?}"),
+        }
+        drop(sender);
+        service.drain();
+        assert_eq!(wal_record_forms(&standby_dir), (3, 0));
+
+        for dir in [primary_dir, standby_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -2,23 +2,16 @@
 //! JSON-only protocol-v3 client keeps working against a binary-capable
 //! server (same answers, byte-for-byte JSON frames), BIN1 frames are
 //! refused on connections that did not negotiate `"bin"`, and malformed
-//! binary frames produce clean errors on a live connection — under both
-//! I/O models.
+//! binary frames produce clean errors on a live connection.
 
 use std::time::Duration;
 
 use cots_serve::frame::Payload;
 use cots_serve::protocol::QueryReq;
-use cots_serve::{
-    Client, IoConfig, IoModel, Request, Response, Server, ServiceConfig, BIN1_MAGIC, PROTO_VERSION,
-};
+use cots_serve::{Client, Request, Response, Server, ServiceConfig, BIN1_MAGIC, PROTO_VERSION};
 
-fn spawn_server(model: IoModel) -> (String, std::thread::JoinHandle<()>) {
-    let io = IoConfig {
-        model,
-        ..IoConfig::default()
-    };
-    let server = Server::bind_with(
+fn spawn_server() -> (String, std::thread::JoinHandle<()>) {
+    let server = Server::bind(
         "127.0.0.1:0",
         ServiceConfig {
             shards: 2,
@@ -26,7 +19,6 @@ fn spawn_server(model: IoModel) -> (String, std::thread::JoinHandle<()>) {
             refresh: Duration::from_millis(2),
             ..Default::default()
         },
-        io,
     )
     .expect("bind");
     let addr = server.local_addr().to_string();
@@ -59,65 +51,69 @@ fn settle(client: &mut Client, total: u64) {
 /// client on the same server.
 #[test]
 fn json_only_v3_client_interoperates_with_binary_server() {
-    for model in [IoModel::Reactor, IoModel::Threads] {
-        let (addr, handle) = spawn_server(model);
+    let (addr, handle) = spawn_server();
 
-        // The modern client: negotiates BIN1 and ingests binary.
-        let mut modern = Client::connect(&addr).expect("modern connect");
-        modern.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        assert!(modern.is_binary(), "model {model}: server must offer bin");
+    // The modern client: negotiates BIN1 and ingests binary.
+    let mut modern = Client::connect(&addr).expect("modern connect");
+    modern.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(modern.is_binary(), "server must offer bin");
 
-        // The legacy client: protocol v3, no feature flags at all.
-        let mut legacy = Client::connect_raw(&addr).expect("legacy connect");
-        legacy.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        match legacy.call(&Request::Hello {
-            proto_version: 3,
-            features: vec![],
-        }) {
-            Ok(Response::HelloAck { proto_version, .. }) => {
-                assert_eq!(proto_version, PROTO_VERSION, "model {model}")
-            }
-            other => panic!("model {model}: v3 HELLO failed: {other:?}"),
+    // The legacy client: protocol v3, no feature flags at all.
+    let mut legacy = Client::connect_raw(&addr).expect("legacy connect");
+    legacy.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    match legacy.call(&Request::Hello {
+        proto_version: 3,
+        features: vec![],
+    }) {
+        Ok(Response::HelloAck { proto_version, .. }) => {
+            assert_eq!(proto_version, PROTO_VERSION)
         }
-        assert!(!legacy.is_binary(), "model {model}: legacy stays JSON");
-
-        // Both ingest; the binary ack must actually be binary and the
-        // legacy ack actually JSON.
-        modern
-            .send(&Request::Ingest {
-                keys: vec![1, 1, 2, 3],
-            })
-            .expect("modern send");
-        let payload = modern.recv_payload().expect("modern ack");
-        assert!(payload.is_bin(), "model {model}: negotiated ack is BIN1");
-        match Client::decode_response(&payload).expect("decode") {
-            Response::IngestAck { enqueued } => assert_eq!(enqueued, 4, "model {model}"),
-            other => panic!("model {model}: unexpected ack {other:?}"),
-        }
-        legacy.send(&Request::Ingest { keys: vec![1, 4] }).expect("legacy send");
-        let payload = legacy.recv_payload().expect("legacy ack");
-        assert!(!payload.is_bin(), "model {model}: JSON conn gets JSON ack");
-        match Client::decode_response(&payload).expect("decode") {
-            Response::IngestAck { enqueued } => assert_eq!(enqueued, 2, "model {model}"),
-            other => panic!("model {model}: unexpected ack {other:?}"),
-        }
-
-        // Same question, both encodings of client: byte-identical JSON
-        // answers (queries are JSON on every connection).
-        settle(&mut modern, 6);
-        modern.send(&Request::Query(QueryReq::TopK { k: 64 })).unwrap();
-        let modern_raw = modern.recv_payload().expect("modern answer");
-        legacy.send(&Request::Query(QueryReq::TopK { k: 64 })).unwrap();
-        let legacy_raw = legacy.recv_payload().expect("legacy answer");
-        assert!(!modern_raw.is_bin() && !legacy_raw.is_bin(), "model {model}");
-        assert_eq!(
-            modern_raw.bytes(),
-            legacy_raw.bytes(),
-            "model {model}: answers must be byte-identical across client generations"
-        );
-
-        shutdown(&addr, handle);
+        other => panic!("v3 HELLO failed: {other:?}"),
     }
+    assert!(!legacy.is_binary(), "legacy stays JSON");
+
+    // Both ingest; the binary ack must actually be binary and the
+    // legacy ack actually JSON.
+    modern
+        .send(&Request::Ingest {
+            keys: vec![1, 1, 2, 3],
+        })
+        .expect("modern send");
+    let payload = modern.recv_payload().expect("modern ack");
+    assert!(payload.is_bin(), "negotiated ack is BIN1");
+    match Client::decode_response(&payload).expect("decode") {
+        Response::IngestAck { enqueued } => assert_eq!(enqueued, 4),
+        other => panic!("unexpected ack {other:?}"),
+    }
+    legacy
+        .send(&Request::Ingest { keys: vec![1, 4] })
+        .expect("legacy send");
+    let payload = legacy.recv_payload().expect("legacy ack");
+    assert!(!payload.is_bin(), "JSON conn gets JSON ack");
+    match Client::decode_response(&payload).expect("decode") {
+        Response::IngestAck { enqueued } => assert_eq!(enqueued, 2),
+        other => panic!("unexpected ack {other:?}"),
+    }
+
+    // Same question, both encodings of client: byte-identical JSON
+    // answers (queries are JSON on every connection).
+    settle(&mut modern, 6);
+    modern
+        .send(&Request::Query(QueryReq::TopK { k: 64 }))
+        .unwrap();
+    let modern_raw = modern.recv_payload().expect("modern answer");
+    legacy
+        .send(&Request::Query(QueryReq::TopK { k: 64 }))
+        .unwrap();
+    let legacy_raw = legacy.recv_payload().expect("legacy answer");
+    assert!(!modern_raw.is_bin() && !legacy_raw.is_bin());
+    assert_eq!(
+        modern_raw.bytes(),
+        legacy_raw.bytes(),
+        "answers must be byte-identical across client generations"
+    );
+
+    shutdown(&addr, handle);
 }
 
 /// A BIN1 frame on a connection that never negotiated `"bin"` is an
@@ -125,61 +121,57 @@ fn json_only_v3_client_interoperates_with_binary_server() {
 /// handshake.
 #[test]
 fn bin1_without_negotiation_is_refused_and_closed() {
-    for model in [IoModel::Reactor, IoModel::Threads] {
-        let (addr, handle) = spawn_server(model);
+    let (addr, handle) = spawn_server();
 
-        let mut raw = Client::connect_raw(&addr).expect("raw connect");
-        raw.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        raw.call(&Request::Hello {
-            proto_version: PROTO_VERSION,
-            features: vec![], // deliberately not advertising bin
-        })
-        .expect("hello");
-        raw.send_payload(&Payload::Bin(cots_serve::bin1::encode_ingest(&[1, 2])))
-            .expect("send binary frame");
-        match raw.recv() {
-            Ok(Response::Error { message }) => {
-                assert!(message.contains("bin"), "model {model}: {message}")
-            }
-            other => panic!("model {model}: expected Error, got {other:?}"),
+    let mut raw = Client::connect_raw(&addr).expect("raw connect");
+    raw.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.call(&Request::Hello {
+        proto_version: PROTO_VERSION,
+        features: vec![], // deliberately not advertising bin
+    })
+    .expect("hello");
+    raw.send_payload(&Payload::Bin(cots_serve::bin1::encode_ingest(&[1, 2])))
+        .expect("send binary frame");
+    match raw.recv() {
+        Ok(Response::Error { message }) => {
+            assert!(message.contains("bin"), "{message}")
         }
-        assert!(raw.recv().is_err(), "model {model}: closed after violation");
-
-        shutdown(&addr, handle);
+        other => panic!("expected Error, got {other:?}"),
     }
+    assert!(raw.recv().is_err(), "closed after violation");
+
+    shutdown(&addr, handle);
 }
 
 /// Malformed BIN1 bytes on a *negotiated* connection answer with a JSON
 /// error and the connection survives — mirroring garbage-JSON handling.
 #[test]
 fn malformed_bin1_errors_cleanly_and_connection_survives() {
-    for model in [IoModel::Reactor, IoModel::Threads] {
-        let (addr, handle) = spawn_server(model);
+    let (addr, handle) = spawn_server();
 
-        let mut client = Client::connect(&addr).expect("connect");
-        client.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        assert!(client.is_binary());
+    let mut client = Client::connect(&addr).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(client.is_binary());
 
-        for garbage in [
-            vec![BIN1_MAGIC],                      // no tag
-            vec![BIN1_MAGIC, 0x7F],                // unknown tag
-            vec![BIN1_MAGIC, 0x01, 9, 0, 0, 0],    // claims 9 keys, has none
-            vec![BIN1_MAGIC, 0x01, 0, 0, 0, 0, 1], // trailing byte
-        ] {
-            client
-                .send_payload(&Payload::Bin(garbage))
-                .expect("send garbage");
-            match client.recv() {
-                Ok(Response::Error { .. }) => {}
-                other => panic!("model {model}: expected Error, got {other:?}"),
-            }
+    for garbage in [
+        vec![BIN1_MAGIC],                      // no tag
+        vec![BIN1_MAGIC, 0x7F],                // unknown tag
+        vec![BIN1_MAGIC, 0x01, 9, 0, 0, 0],    // claims 9 keys, has none
+        vec![BIN1_MAGIC, 0x01, 0, 0, 0, 0, 1], // trailing byte
+    ] {
+        client
+            .send_payload(&Payload::Bin(garbage))
+            .expect("send garbage");
+        match client.recv() {
+            Ok(Response::Error { .. }) => {}
+            other => panic!("expected Error, got {other:?}"),
         }
-        // Still alive and fully functional, still binary.
-        client.ingest(&[5, 6, 7]).expect("ingest after garbage");
-        client.stats().expect("stats after garbage");
-
-        shutdown(&addr, handle);
     }
+    // Still alive and fully functional, still binary.
+    client.ingest(&[5, 6, 7]).expect("ingest after garbage");
+    client.stats().expect("stats after garbage");
+
+    shutdown(&addr, handle);
 }
 
 /// `set_binary(false)` drops a negotiated connection back to JSON and
@@ -187,7 +179,7 @@ fn malformed_bin1_errors_cleanly_and_connection_survives() {
 /// loadgen `--wire` flag rides on.
 #[test]
 fn set_binary_toggles_wire_encoding_per_connection() {
-    let (addr, handle) = spawn_server(IoModel::Reactor);
+    let (addr, handle) = spawn_server();
 
     let mut client = Client::connect(&addr).expect("connect");
     client.set_timeout(Some(Duration::from_secs(10))).unwrap();

@@ -1,23 +1,17 @@
 //! End-to-end tests for the `HELLO` handshake and `SNAPSHOT_PAGE`
-//! streaming: version gating over a real socket under both I/O models,
-//! paged reassembly equal to the one-shot snapshot, the `unchanged`
-//! delta short-circuit, and a summary too large for any single frame.
+//! streaming: version gating over a real socket, paged reassembly equal
+//! to the one-shot snapshot, the `unchanged` delta short-circuit, and a
+//! summary too large for any single frame.
 
 use std::time::Duration;
 
 use cots_core::CounterEntry;
-use cots_serve::protocol::encode;
 use cots_serve::{
-    Client, ConnState, IoConfig, IoModel, Request, Response, Server, Service, ServiceConfig,
-    MAX_FRAME, MAX_PAGE_ENTRIES, PROTO_VERSION,
+    Client, Request, Response, Server, ServiceConfig, MAX_FRAME, MAX_PAGE_ENTRIES, PROTO_VERSION,
 };
 
-fn spawn_server(model: IoModel, capacity: usize) -> (String, std::thread::JoinHandle<()>) {
-    let io = IoConfig {
-        model,
-        ..IoConfig::default()
-    };
-    let server = Server::bind_with(
+fn spawn_server(capacity: usize) -> (String, std::thread::JoinHandle<()>) {
+    let server = Server::bind(
         "127.0.0.1:0",
         ServiceConfig {
             shards: 2,
@@ -25,7 +19,6 @@ fn spawn_server(model: IoModel, capacity: usize) -> (String, std::thread::JoinHa
             refresh: Duration::from_millis(2),
             ..Default::default()
         },
-        io,
     )
     .expect("bind");
     let addr = server.local_addr().to_string();
@@ -57,59 +50,57 @@ fn shutdown(addr: &str, handle: std::thread::JoinHandle<()>) {
 
 /// A client that skips HELLO gets `UNSUPPORTED_VERSION` (requested = 0)
 /// and the server closes the connection; a wrong version is echoed
-/// back; the proper handshake works — under both I/O models.
+/// back; the proper handshake works.
 #[test]
 fn handshake_is_mandatory_on_the_wire() {
-    for model in [IoModel::Reactor, IoModel::Threads] {
-        let (addr, handle) = spawn_server(model, 64);
+    let (addr, handle) = spawn_server(64);
 
-        // Op before HELLO: rejected, then closed.
-        let mut raw = Client::connect_raw(&addr).expect("raw connect");
-        raw.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        match raw.call(&Request::Stats) {
-            Ok(Response::UnsupportedVersion {
-                supported,
-                requested,
-            }) => {
-                assert_eq!(supported, PROTO_VERSION, "model {model}");
-                assert_eq!(requested, 0, "model {model}");
-            }
-            other => panic!("model {model}: unexpected pre-HELLO answer: {other:?}"),
+    // Op before HELLO: rejected, then closed.
+    let mut raw = Client::connect_raw(&addr).expect("raw connect");
+    raw.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    match raw.call(&Request::Stats) {
+        Ok(Response::UnsupportedVersion {
+            supported,
+            requested,
+        }) => {
+            assert_eq!(supported, PROTO_VERSION);
+            assert_eq!(requested, 0);
         }
-        assert!(
-            raw.recv().is_err(),
-            "model {model}: connection should be closed after the rejection"
-        );
-
-        // Wrong version: named in the rejection, then closed.
-        let mut raw = Client::connect_raw(&addr).expect("raw connect");
-        raw.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        match raw.call(&Request::Hello {
-            proto_version: 999,
-            features: vec![],
-        }) {
-            Ok(Response::UnsupportedVersion {
-                supported,
-                requested,
-            }) => {
-                assert_eq!(supported, PROTO_VERSION, "model {model}");
-                assert_eq!(requested, 999, "model {model}");
-            }
-            other => panic!("model {model}: unexpected bad-HELLO answer: {other:?}"),
-        }
-        assert!(raw.recv().is_err(), "model {model}: closed after rejection");
-
-        // The blessed path: Client::connect performs HELLO and the
-        // connection is fully usable afterwards.
-        let mut client = Client::connect(&addr).expect("handshake connect");
-        client.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        let (version, features) = client.hello().expect("re-HELLO is idempotent");
-        assert_eq!(version, PROTO_VERSION);
-        assert!(features.iter().any(|f| f == "snapshot-page"));
-        client.ingest(&[1, 2, 3]).expect("ingest after handshake");
-
-        shutdown(&addr, handle);
+        other => panic!("unexpected pre-HELLO answer: {other:?}"),
     }
+    assert!(
+        raw.recv().is_err(),
+        "connection should be closed after the rejection"
+    );
+
+    // Wrong version: named in the rejection, then closed.
+    let mut raw = Client::connect_raw(&addr).expect("raw connect");
+    raw.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    match raw.call(&Request::Hello {
+        proto_version: 999,
+        features: vec![],
+    }) {
+        Ok(Response::UnsupportedVersion {
+            supported,
+            requested,
+        }) => {
+            assert_eq!(supported, PROTO_VERSION);
+            assert_eq!(requested, 999);
+        }
+        other => panic!("unexpected bad-HELLO answer: {other:?}"),
+    }
+    assert!(raw.recv().is_err(), "closed after rejection");
+
+    // The blessed path: Client::connect performs HELLO and the
+    // connection is fully usable afterwards.
+    let mut client = Client::connect(&addr).expect("handshake connect");
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    let (version, features) = client.hello().expect("re-HELLO is idempotent");
+    assert_eq!(version, PROTO_VERSION);
+    assert!(features.iter().any(|f| f == "snapshot-page"));
+    client.ingest(&[1, 2, 3]).expect("ingest after handshake");
+
+    shutdown(&addr, handle);
 }
 
 /// Page through a snapshot over the wire and check the reassembly is
@@ -117,7 +108,7 @@ fn handshake_is_mandatory_on_the_wire() {
 /// `unchanged` delta short-circuit.
 #[test]
 fn paged_snapshot_matches_one_shot_over_the_wire() {
-    let (addr, handle) = spawn_server(IoModel::Reactor, 32);
+    let (addr, handle) = spawn_server(32);
     let mut client = Client::connect(&addr).expect("connect");
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
 
@@ -203,110 +194,69 @@ fn paged_snapshot_matches_one_shot_over_the_wire() {
 }
 
 /// A summary whose one-shot encoding exceeds the 16 MiB frame cap can
-/// only move via `SNAPSHOT_PAGE`: every page stays under the cap and
-/// the reassembly is exact. In-process against the [`Service`] so the
-/// test ingests half a million distinct keys in milliseconds, while
-/// exercising the same pinned-transfer path the wire uses.
+/// only move via `SNAPSHOT_PAGE`. Over a real socket: the one-shot
+/// `SNAPSHOT` is answered with an error naming the paged op (not a
+/// dropped connection), the same connection then pages the whole
+/// summary, every page fits a frame and reads one pinned epoch, and the
+/// reassembly is exact.
 #[test]
-fn oversized_snapshot_streams_in_pages() {
+fn oversized_snapshot_is_refused_then_streams_in_pages() {
     let capacity = 500_000usize;
-    let service = Service::start(ServiceConfig {
-        shards: 1,
-        capacity,
-        refresh: Duration::from_millis(5),
-        queue_batches: 64,
-        ..Default::default()
-    })
-    .expect("service");
-    let mut sender = service.connect();
+    let (addr, handle) = spawn_server(capacity);
+    let mut client = Client::connect(&addr).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(120))).unwrap();
 
     // Large key values inflate the JSON encoding well past the frame
-    // cap at this entry count.
+    // cap at this entry count; every key is distinct and the summary
+    // never fills, so the expected content is known exactly.
     let base = 1_000_000_000_000_000u64;
-    let items = 600_000u64;
-    let mut next = 0u64;
-    while next < items {
-        let end = (next + 4_096).min(items);
-        let keys: Vec<u64> = (next..end).map(|i| base + i).collect();
-        loop {
-            match service.handle(
-                Request::Ingest { keys: keys.clone() },
-                &mut sender,
-            ) {
-                Response::IngestAck { .. } => break,
-                Response::Overloaded => std::thread::sleep(Duration::from_micros(200)),
-                other => panic!("unexpected ingest answer: {other:?}"),
-            }
-        }
-        next = end;
+    let items = capacity as u64;
+    let keys: Vec<u64> = (0..items).map(|i| base + i).collect();
+    for chunk in keys.chunks(4_096) {
+        client.ingest(chunk).expect("ingest");
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats = service.stats();
-        if stats.applied_keys() >= items && stats.staleness == 0 {
-            break;
+    cots_serve::loadgen::await_quiescence(&mut client, items).expect("quiesce");
+
+    // The one-shot answer physically cannot fit one frame: the server
+    // says so and keeps the connection.
+    match client
+        .call(&Request::Snapshot)
+        .expect("connection must survive an oversized SNAPSHOT")
+    {
+        Response::Error { message } => {
+            assert!(
+                message.contains("SNAPSHOT_PAGE"),
+                "unhelpful refusal: {message}"
+            );
+            assert!(
+                message.contains(&MAX_FRAME.to_string()),
+                "cap not named: {message}"
+            );
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "service did not quiesce: {} applied",
-            stats.applied_keys()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    // Let the confirming publish land so the epoch stays frozen for the
-    // duration of the transfer.
-    loop {
-        let epoch = service.stats().snapshot_epoch;
-        std::thread::sleep(Duration::from_millis(25));
-        if service.stats().snapshot_epoch == epoch {
-            break;
-        }
+        other => panic!("a >16 MiB SNAPSHOT must be refused, got {other:?}"),
     }
 
-    // The one-shot answer physically cannot fit one frame.
-    let (snapshot, one_shot_stamp) = match service.handle(Request::Snapshot, &mut sender) {
-        Response::Snapshot { snapshot, stamp } => (snapshot, stamp),
-        other => panic!("unexpected: {other:?}"),
-    };
-    assert_eq!(snapshot.len(), capacity);
-    let one_shot = encode(&Response::Snapshot {
-        snapshot: snapshot.clone(),
-        stamp: one_shot_stamp,
-    });
-    assert!(
-        one_shot.len() > MAX_FRAME,
-        "one-shot snapshot must exceed the frame cap for this test to bite \
-         ({} <= {MAX_FRAME})",
-        one_shot.len()
-    );
-
-    // Stream it in pages through the pinned-transfer path: every page
-    // frames, and the reassembly is exact.
-    let mut conn = ConnState::pre_greeted();
+    // The same connection streams it in pages — JSON pages, the larger
+    // of the two encodings, so the page clamp is checked at its worst.
+    client.set_binary(false);
     let mut paged: Vec<CounterEntry<u64>> = Vec::new();
-    let mut offset = 0usize;
     let mut pages = 0usize;
     let mut pinned_epoch = None;
     loop {
-        let reply = service.serve(
-            Request::SnapshotPage {
+        client
+            .send(&Request::SnapshotPage {
                 since_epoch: 0,
-                offset,
+                offset: paged.len(),
                 limit: MAX_PAGE_ENTRIES,
-            },
-            &mut conn,
-            &mut sender,
-        );
-        let framed = encode(&reply.response);
-        assert!(
-            framed.len() <= MAX_FRAME,
-            "page {pages} overflows a frame: {} bytes",
-            framed.len()
-        );
-        match reply.response {
+            })
+            .expect("send page request");
+        let framed = client.recv_payload().expect("page");
+        assert!(framed.len() <= MAX_FRAME, "page {pages} overflows a frame");
+        match Client::decode_response(&framed).expect("decode page") {
             Response::SnapshotPage {
                 entries,
                 total_entries,
+                total,
                 done,
                 unchanged,
                 stamp,
@@ -314,11 +264,11 @@ fn oversized_snapshot_streams_in_pages() {
             } => {
                 assert!(!unchanged);
                 assert_eq!(total_entries, capacity);
+                assert_eq!(total, items);
                 // The transfer is pinned: every page reads the same
                 // epoch, no matter what publishes underneath it.
                 let epoch = *pinned_epoch.get_or_insert(stamp.epoch);
                 assert_eq!(stamp.epoch, epoch);
-                offset += entries.len();
                 paged.extend(entries);
                 pages += 1;
                 if done {
@@ -329,16 +279,10 @@ fn oversized_snapshot_streams_in_pages() {
         }
     }
     assert!(pages > 1, "a >16 MiB summary must take multiple pages");
-    assert_eq!(paged.len(), snapshot.len());
-    // The pinned transfer may be a different (equal-content) publish
-    // than the one-shot; equal counts tie-break in capture order, so
-    // compare as multisets.
-    let mut paged_sorted = paged;
-    paged_sorted.sort_by_key(|e| e.item);
-    let mut full_sorted = snapshot.entries().to_vec();
-    full_sorted.sort_by_key(|e| e.item);
-    assert_eq!(paged_sorted, full_sorted);
+    let mut seen: Vec<(u64, u64, u64)> = paged.iter().map(|e| (e.item, e.count, e.error)).collect();
+    seen.sort_unstable();
+    let expected: Vec<(u64, u64, u64)> = keys.iter().map(|&k| (k, 1, 0)).collect();
+    assert_eq!(seen, expected, "paged reassembly is the exact summary");
 
-    drop(sender);
-    service.drain();
+    shutdown(&addr, handle);
 }

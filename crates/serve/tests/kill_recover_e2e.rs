@@ -229,3 +229,20 @@ fn sigkill_mid_stream_recovers_within_reported_envelope() {
     child.wait().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The thread-per-connection front-end and the per-batch WAL writer are
+/// gone: asking for them is a usage error (exit 2) that says so, while
+/// the surviving spellings are still accepted (the server above starts
+/// without them; `cli`'s unit tests cover the no-op spellings).
+#[test]
+fn removed_flag_values_exit_2_naming_the_removal() {
+    for removed in [["--io-model", "threads"], ["--wal-records", "per-batch"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cots-serve"))
+            .args(removed)
+            .output()
+            .expect("run cots-serve");
+        assert_eq!(out.status.code(), Some(2), "{removed:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("removed in PR 13"), "{removed:?}: {stderr}");
+    }
+}

@@ -1,8 +1,6 @@
 //! End-to-end loopback test: a real TCP server, the real load generator,
 //! and answers checked against both exact truth and a sequential
-//! `SpaceSaving` oracle run over the very same stream — under both I/O
-//! models (the default reactor and the blocking thread-per-connection
-//! fallback), which must be observably identical on the wire.
+//! `SpaceSaving` oracle run over the very same stream.
 
 use std::time::Duration;
 
@@ -11,7 +9,7 @@ use cots_datagen::{ExactCounter, StreamSpec};
 use cots_sequential::SpaceSaving;
 use cots_serve::loadgen::{self, LoadConfig};
 use cots_serve::protocol::QueryReq;
-use cots_serve::{Client, IoConfig, IoModel, Server, ServiceConfig};
+use cots_serve::{Client, Server, ServiceConfig};
 
 const CAPACITY: usize = 1_000;
 const ITEMS: u64 = 200_000;
@@ -20,25 +18,9 @@ const ALPHA: f64 = 1.5;
 const SEED: u64 = 7;
 const PHI: f64 = 0.01;
 
-fn io(model: IoModel) -> IoConfig {
-    IoConfig {
-        model,
-        ..IoConfig::default()
-    }
-}
-
 #[test]
-fn served_answers_match_sequential_oracle_reactor() {
-    served_answers_match_sequential_oracle(IoModel::Reactor);
-}
-
-#[test]
-fn served_answers_match_sequential_oracle_threads() {
-    served_answers_match_sequential_oracle(IoModel::Threads);
-}
-
-fn served_answers_match_sequential_oracle(model: IoModel) {
-    let server = Server::bind_with(
+fn served_answers_match_sequential_oracle() {
+    let server = Server::bind(
         "127.0.0.1:0",
         ServiceConfig {
             shards: 4,
@@ -46,7 +28,6 @@ fn served_answers_match_sequential_oracle(model: IoModel) {
             refresh: Duration::from_millis(5),
             ..Default::default()
         },
-        io(model),
     )
     .unwrap();
     let addr = server.local_addr().to_string();
@@ -141,19 +122,10 @@ fn served_answers_match_sequential_oracle(model: IoModel) {
 }
 
 #[test]
-fn malformed_traffic_cannot_kill_the_server_reactor() {
-    malformed_traffic_cannot_kill_the_server(IoModel::Reactor);
-}
-
-#[test]
-fn malformed_traffic_cannot_kill_the_server_threads() {
-    malformed_traffic_cannot_kill_the_server(IoModel::Threads);
-}
-
-fn malformed_traffic_cannot_kill_the_server(model: IoModel) {
+fn malformed_traffic_cannot_kill_the_server() {
     use std::io::{Read, Write};
 
-    let server = Server::bind_with("127.0.0.1:0", ServiceConfig::default(), io(model)).unwrap();
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
     let addr = server.local_addr();
     let server_thread = std::thread::spawn(move || server.run());
 
