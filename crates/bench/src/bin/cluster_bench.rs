@@ -219,7 +219,6 @@ fn drive(a: &BenchArgs, addr: &str, check: bool) -> Result<LoadReport, String> {
         qps: 0,
         phi: 0.01,
         check,
-        wire: cots_serve::WireMode::Auto,
     })
     .map_err(|e| format!("load: {e}"))
 }

@@ -52,6 +52,7 @@ use std::time::Duration;
 use cots_bench::engines::{run_cots_frontend, run_sequential, run_shared_batched};
 use cots_bench::harness::CAPACITY;
 use cots_core::json::{Json, ToJson};
+use cots_core::json_record;
 use cots_core::{ConcurrentCounter, RunStats, WorkCounters};
 use cots_datagen::StreamSpec;
 use cots_naive::LockKind;
@@ -130,83 +131,60 @@ fn gate_args() -> GateArgs {
     GateArgs { seed, threads }
 }
 
-struct GateCheck {
-    name: String,
-    pass: bool,
-    detail: String,
+json_record! {
+    struct GateCheck {
+        name: String,
+        pass: bool,
+        detail: String,
+    }
 }
 
-struct RunRecord {
-    engine: &'static str,
-    frontend: Option<bool>,
-    alpha: f64,
-    threads: usize,
-    elements: u64,
-    wall: ThroughputSummary,
-    work: WorkCounters,
+json_record! {
+    /// One row of `BENCH_ingest.json`'s `runs`: the run's identity and
+    /// measurements plus the ratios the gate and readers key on.
+    struct RunRecord {
+        /// Stable identity used to match runs against the baseline file.
+        key: String,
+        engine: String,
+        frontend: Option<bool>,
+        alpha: f64,
+        threads: usize,
+        elements: u64,
+        wall: ThroughputSummary,
+        throughput_meps: f64,
+        crossings_per_element: f64,
+        combining_factor: f64,
+        work: WorkCounters,
+    }
 }
 
 impl RunRecord {
-    /// Stable identity used to match runs against the baseline file.
-    fn key(&self) -> String {
-        format!(
-            "{}:{}:a{}:t{}",
-            self.engine,
-            match self.frontend {
-                Some(true) => "on",
-                Some(false) => "off",
-                None => "-",
-            },
-            self.alpha,
-            self.threads
-        )
-    }
-
-    fn crossings_per_element(&self) -> f64 {
-        self.work.crossings_per_element()
-    }
-}
-
-impl ToJson for RunRecord {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("key", self.key().to_json()),
-            ("engine", self.engine.to_json()),
-            (
-                "frontend",
-                match self.frontend {
-                    Some(b) => b.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            ("alpha", self.alpha.to_json()),
-            ("threads", self.threads.to_json()),
-            ("elements", self.elements.to_json()),
-            ("wall", self.wall.to_json()),
-            (
-                "throughput_meps",
-                self.wall.meps(self.elements).to_json(),
-            ),
-            (
-                "crossings_per_element",
-                self.crossings_per_element().to_json(),
-            ),
-            (
-                "combining_factor",
-                self.work.combining_factor().to_json(),
-            ),
-            ("work", self.work.to_json()),
-        ])
-    }
-}
-
-impl ToJson for GateCheck {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("pass", self.pass.to_json()),
-            ("detail", self.detail.to_json()),
-        ])
+    fn new(
+        engine: &str,
+        frontend: Option<bool>,
+        alpha: f64,
+        threads: usize,
+        stats: &RunStats,
+        wall: ThroughputSummary,
+    ) -> Self {
+        let mode = match frontend {
+            Some(true) => "on",
+            Some(false) => "off",
+            None => "-",
+        };
+        Self {
+            key: format!("{engine}:{mode}:a{alpha}:t{threads}"),
+            engine: engine.to_string(),
+            frontend,
+            alpha,
+            threads,
+            elements: stats.elements,
+            wall,
+            throughput_meps: wall.meps(stats.elements),
+            crossings_per_element: stats.work.crossings_per_element(),
+            combining_factor: stats.work.combining_factor(),
+            work: stats.work,
+        }
     }
 }
 
@@ -298,27 +276,18 @@ fn main() {
 
         // Baselines: sequential, shared-batched at the top thread count.
         let (seq, seq_wall) = repeat(reps, || run_sequential(&stream));
-        records.push(RunRecord {
-            engine: "sequential",
-            frontend: None,
-            alpha,
-            threads: 1,
-            elements: seq.elements,
-            wall: seq_wall,
-            work: seq.work,
-        });
+        records.push(RunRecord::new("sequential", None, alpha, 1, &seq, seq_wall));
         let (sh, sh_wall) = repeat(reps, || {
             run_shared_batched(&stream, shared_threads, LockKind::Mutex, BATCH)
         });
-        records.push(RunRecord {
-            engine: "shared",
-            frontend: None,
+        records.push(RunRecord::new(
+            "shared",
+            None,
             alpha,
-            threads: shared_threads,
-            elements: sh.elements,
-            wall: sh_wall,
-            work: sh.work,
-        });
+            shared_threads,
+            &sh,
+            sh_wall,
+        ));
 
         // CoTS, front-end on vs off, across thread counts.
         for &threads in &threads {
@@ -328,15 +297,14 @@ fn main() {
                     run_cots_frontend(&stream, threads, CAPACITY, frontend, BATCH).0
                 });
                 cpe[slot] = stats.work.crossings_per_element();
-                records.push(RunRecord {
-                    engine: "cots",
-                    frontend: Some(frontend),
+                records.push(RunRecord::new(
+                    "cots",
+                    Some(frontend),
                     alpha,
                     threads,
-                    elements: stats.elements,
+                    &stats,
                     wall,
-                    work: stats.work,
-                });
+                ));
             }
             if threads >= 4 {
                 let (on, off) = (cpe[0], cpe[1]);
@@ -387,11 +355,11 @@ fn main() {
             .iter()
             .filter(|r| r.engine == "cots" && r.threads == 1)
         {
-            let key = rec.key();
-            let Some((_, base_cpe)) = base.iter().find(|(k, _)| *k == key) else {
+            let key = &rec.key;
+            let Some((_, base_cpe)) = base.iter().find(|(k, _)| k == key) else {
                 continue;
             };
-            let now = rec.crossings_per_element();
+            let now = rec.crossings_per_element;
             let allowed = base_cpe * (1.0 + TOLERANCE) + ABS_SLACK;
             checks.push(GateCheck {
                 name: format!("no-crossings-regression:{key}"),

@@ -10,7 +10,7 @@
 //! serve-bench [--items N] [--shards S] [--qps Q] [--seed SEED]
 //!             [--alphabet A] [--alpha Z] [--capacity C] [--connections K]
 //!             [--repeats R]
-//!             [--connection-sweep] [--scaling-sweep] [--wire-sweep]
+//!             [--connection-sweep] [--scaling-sweep]
 //!             [--sweep-items N] [--strict]
 //! ```
 //!
@@ -38,12 +38,6 @@
 //! `EXPERIMENTS.md` is regenerated from them). The sweep gates only on
 //! every cell completing with all items applied; speedup ratios are
 //! recorded, not gated, because CI cores vary.
-//!
-//! `--wire-sweep` runs the same quiet ingest load at 64 connections
-//! under both the JSON and the negotiated BIN1 wire encodings and
-//! writes a `wire` section into `BENCH_serve.json`. The gate requires
-//! binary ingest throughput to beat JSON by ≥ 1.15× with the
-//! exact-truth accuracy check passing under both encodings.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +48,7 @@ use cots_core::Threshold;
 use cots_datagen::{ExactCounter, StreamSpec};
 use cots_serve::loadgen::{self, LoadConfig};
 use cots_serve::protocol::QueryReq;
-use cots_serve::{Client, LoadReport, Server, ServiceConfig, WireMode};
+use cots_serve::{Client, LoadReport, Server, ServiceConfig};
 
 /// Queried-run throughput must reach this fraction of the quiet run.
 /// Recalibrated from 0.90 when the BIN1 fast path roughly doubled
@@ -69,13 +63,6 @@ const SWEEP_POINTS: [usize; 4] = [2, 64, 512, 4096];
 
 /// The sweep gate requires the server to sustain this many connections.
 const SUSTAIN_FLOOR: usize = 512;
-
-/// BIN1 ingest throughput must beat the JSON encoding by this factor at
-/// the wire sweep's connection count.
-const WIRE_FLOOR: f64 = 1.15;
-
-/// Simultaneous ingest connections the wire sweep drives.
-const WIRE_CONNECTIONS: usize = 64;
 
 /// Zipf skew parameters the scaling sweep visits (θ in the paper).
 const SCALING_ALPHAS: [f64; 3] = [1.1, 1.5, 2.0];
@@ -97,7 +84,6 @@ struct BenchArgs {
     repeats: usize,
     connection_sweep: bool,
     scaling_sweep: bool,
-    wire_sweep: bool,
     sweep_items: u64,
     strict: bool,
 }
@@ -116,7 +102,6 @@ impl Default for BenchArgs {
             repeats: 1,
             connection_sweep: false,
             scaling_sweep: false,
-            wire_sweep: false,
             sweep_items: 0, // 0 = auto: min(items, 2M)
             strict: false,
         }
@@ -128,7 +113,7 @@ fn usage() -> ! {
         "usage: serve-bench [--items N] [--shards S] [--qps Q] [--seed SEED] \
          [--alphabet A] [--alpha Z] [--capacity C] [--connections K] \
          [--repeats R] [--connection-sweep] \
-         [--scaling-sweep] [--wire-sweep] [--sweep-items N] [--strict]"
+         [--scaling-sweep] [--sweep-items N] [--strict]"
     );
     std::process::exit(2);
 }
@@ -166,7 +151,6 @@ fn bench_args() -> BenchArgs {
             "--repeats" => a.repeats = parse("--repeats", args.next()),
             "--connection-sweep" => a.connection_sweep = true,
             "--scaling-sweep" => a.scaling_sweep = true,
-            "--wire-sweep" => a.wire_sweep = true,
             "--sweep-items" => a.sweep_items = parse("--sweep-items", args.next()),
             "--strict" => a.strict = true,
             "--help" | "-h" => usage(),
@@ -207,7 +191,7 @@ fn bind_server(a: &BenchArgs) -> Result<Server, String> {
 }
 
 /// One full server lifecycle: bind, replay the stream, drain, shut down.
-fn run_pass(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<LoadReport, String> {
+fn run_pass(a: &BenchArgs, qps: u64, check: bool) -> Result<LoadReport, String> {
     let server = bind_server(a)?;
     let addr = server.local_addr().to_string();
     let server_thread = std::thread::spawn(move || server.run());
@@ -224,7 +208,6 @@ fn run_pass(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<Load
         phi: 0.01,
         check,
         resume_from: 0,
-        wire,
     });
 
     let stop = Client::connect(&addr)
@@ -242,12 +225,12 @@ fn run_pass(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<Load
 
 /// Best-of-`repeats` by throughput: scheduler noise only ever slows a run
 /// down, so the fastest repeat is the cleanest estimate of each mode.
-fn best_of(a: &BenchArgs, qps: u64, check: bool, wire: WireMode) -> Result<LoadReport, String> {
+fn best_of(a: &BenchArgs, qps: u64, check: bool) -> Result<LoadReport, String> {
     let mut best: Option<LoadReport> = None;
     let mut checked = None;
     for rep in 0..a.repeats {
         // Only the last repeat pays for the exact-truth check.
-        let mut report = run_pass(a, qps, check && rep + 1 == a.repeats, wire)?;
+        let mut report = run_pass(a, qps, check && rep + 1 == a.repeats)?;
         println!(
             "  qps={qps} repeat {}/{}: {:.2} M items/s ({:.2}s, {} retries, {} queries)",
             rep + 1,
@@ -526,7 +509,7 @@ fn scaling_sweep(a: &BenchArgs) -> (Json, bool) {
                 "scaling sweep: theta={alpha} shards={shards} ({items} items, best of {})",
                 a.repeats
             );
-            let outcome = best_of(&cell, 0, false, WireMode::Auto);
+            let outcome = best_of(&cell, 0, false);
             let (meps, elapsed, speedup) = match &outcome {
                 Ok(r) => {
                     if shards == 1 {
@@ -573,103 +556,6 @@ fn scaling_sweep(a: &BenchArgs) -> (Json, bool) {
     (section, gate_passed)
 }
 
-/// Run the same quiet ingest load at [`WIRE_CONNECTIONS`] connections
-/// under both wire encodings and build the `wire` JSON section plus the
-/// gate verdict. Returns `(section, gate_passed)`.
-///
-/// The gate requires the BIN1 run to beat the JSON run by
-/// [`WIRE_FLOOR`]× on throughput *and* both runs to pass the
-/// exact-truth accuracy check — a faster encoding that corrupts counts
-/// would be worse than no encoding at all.
-fn wire_sweep(a: &BenchArgs) -> (Json, bool) {
-    let items = if a.sweep_items > 0 {
-        a.sweep_items
-    } else {
-        a.items.min(2_000_000)
-    };
-    let cell = BenchArgs {
-        items,
-        connections: WIRE_CONNECTIONS,
-        ..a.clone()
-    };
-    println!("wire sweep: C={WIRE_CONNECTIONS} ({items} items, best of {})", a.repeats);
-
-    let mut gate_passed = true;
-    let run = |wire: WireMode, label: &str| -> Option<LoadReport> {
-        match best_of(&cell, 0, true, wire) {
-            Ok(r) => {
-                let codec = r
-                    .wire
-                    .as_ref()
-                    .map(|w| {
-                        format!(
-                            ", encode p50={}ns, decode p50={}ns",
-                            w.encode_p50_ns, w.decode_p50_ns
-                        )
-                    })
-                    .unwrap_or_default();
-                println!(
-                    "  {label}: {:.2} M items/s ({:.2}s, {} retries{codec}, check {})",
-                    r.meps,
-                    r.elapsed_secs,
-                    r.overload_retries,
-                    if r.check.as_ref().is_some_and(|c| c.passed) {
-                        "PASS"
-                    } else {
-                        "FAIL"
-                    }
-                );
-                Some(r)
-            }
-            Err(e) => {
-                println!("  {label}: FAILED: {e}");
-                None
-            }
-        }
-    };
-    let json = run(WireMode::Json, "json  ");
-    let binary = run(WireMode::Binary, "binary");
-
-    let accuracy_passed = [&json, &binary]
-        .iter()
-        .all(|r| r.as_ref().is_some_and(|r| r.check.as_ref().is_some_and(|c| c.passed)));
-    let ratio = match (&json, &binary) {
-        (Some(j), Some(b)) if j.meps > 0.0 => Some(b.meps / j.meps),
-        _ => None,
-    };
-    let ratio_ok = ratio.is_some_and(|r| r >= WIRE_FLOOR);
-    if !ratio_ok || !accuracy_passed {
-        gate_passed = false;
-    }
-    println!(
-        "wire gate: ratio {} (floor {WIRE_FLOOR}), accuracy {} => {}",
-        ratio.map(|r| format!("{r:.3}")).unwrap_or_else(|| "n/a".into()),
-        if accuracy_passed { "OK" } else { "FAIL" },
-        if gate_passed { "PASS" } else { "FAIL" }
-    );
-
-    let mode_json = |r: &Option<LoadReport>| match r {
-        Some(r) => r.to_json(),
-        None => Json::Null,
-    };
-    let section = Json::obj(vec![
-        ("sweep_items", items.to_json()),
-        ("connections", WIRE_CONNECTIONS.to_json()),
-        ("json", mode_json(&json)),
-        ("binary", mode_json(&binary)),
-        (
-            "gate",
-            Json::obj(vec![
-                ("ratio", ratio.to_json()),
-                ("floor", WIRE_FLOOR.to_json()),
-                ("accuracy_passed", accuracy_passed.to_json()),
-                ("passed", gate_passed.to_json()),
-            ]),
-        ),
-    ]);
-    (section, gate_passed)
-}
-
 fn main() {
     let a = bench_args();
     println!(
@@ -679,7 +565,7 @@ fn main() {
     );
 
     println!("quiet pass (no queries):");
-    let quiet = match best_of(&a, 0, false, WireMode::Auto) {
+    let quiet = match best_of(&a, 0, false) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("serve-bench: quiet pass failed: {e}");
@@ -687,7 +573,7 @@ fn main() {
         }
     };
     println!("queried pass ({} QPS, checked against exact truth):", a.qps);
-    let queried = match best_of(&a, a.qps, true, WireMode::Auto) {
+    let queried = match best_of(&a, a.qps, true) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("serve-bench: queried pass failed: {e}");
@@ -711,12 +597,6 @@ fn main() {
     };
     let (scaling_section, scaling_gate_passed) = if a.scaling_sweep {
         let (section, passed) = scaling_sweep(&a);
-        (Some(section), passed)
-    } else {
-        (None, true)
-    };
-    let (wire_section, wire_gate_passed) = if a.wire_sweep {
-        let (section, passed) = wire_sweep(&a);
         (Some(section), passed)
     } else {
         (None, true)
@@ -746,7 +626,6 @@ fn main() {
         ),
         ("connections", sweep_section.to_json()),
         ("scaling", scaling_section.to_json()),
-        ("wire", wire_section.to_json()),
         ("check_passed", check_passed.to_json()),
     ]);
     let out_path = repo_root().join("BENCH_serve.json");
@@ -787,10 +666,6 @@ fn main() {
     }
     if !scaling_gate_passed {
         eprintln!("serve-bench: scaling sweep gate failed");
-        std::process::exit(1);
-    }
-    if !wire_gate_passed {
-        eprintln!("serve-bench: wire sweep gate failed");
         std::process::exit(1);
     }
 }

@@ -10,10 +10,8 @@
 //! Each `MEMBER` is an address (`host:port`) or a replica pair
 //! (`PRIMARY/STANDBY`, e.g. `127.0.0.1:7001/127.0.0.1:8001` — the
 //! standby runs `cots-member --standby`, the primary ships its WAL to
-//! it with `--peer`). The legacy colon pair spelling
-//! (`127.0.0.1:7001:127.0.0.1:8001`) still parses for IPv4/hostname
-//! addresses; IPv6 members (`[::1]:7001`) require the slash form for
-//! pairs.
+//! it with `--peer`). Each side is taken verbatim, so IPv6 members
+//! (`[::1]:7001`) need no special spelling.
 //!
 //! Key-routes `INGEST` batches across the members, pulls their
 //! summaries as streamed `SNAPSHOT_PAGE` deltas, merges them into one

@@ -12,79 +12,25 @@ use cots_core::{CotsError, MulHash, Result};
 
 /// Parse one `--members` entry into `(primary, standby)`.
 ///
-/// The unambiguous spelling is `PRIMARY/STANDBY` (slash-separated —
-/// `,` already separates members in a `--members` list): each side is
-/// taken verbatim as one address, so IPv6 (`[::1]:7001`) and any host
-/// containing `:` work. A single address with no slash is a member with
-/// no standby.
-///
-/// The legacy colon form is still accepted for IPv4/hostname pairs.
-/// Because addresses themselves contain `:`, the split is resolved by
-/// shape — a segment that is all digits is a port, everything else
-/// starts a new address:
-///
-/// * `a` / `host:1234` — a single member, no standby;
-/// * `a:b` — **a pair of bare tokens** (two addresses, not
-///   host-plus-named-port; use the comma form when that reading is
-///   wrong);
-/// * `host:1234:standby`, `primary:host:1234` — mixed pairs;
-/// * `host:1234:host:5678` — a pair of full addresses.
-///
-/// Bracketed IPv6 addresses are rejected in the colon form with a
-/// pointer at the slash form.
+/// A member is `ADDR` or `PRIMARY/STANDBY` (slash-separated — `,`
+/// already separates members in a `--members` list). Each side is taken
+/// verbatim as one address, so IPv6 (`[::1]:7001`) and any host
+/// containing `:` work, and nothing is guessed from an address's shape:
+/// a typo surfaces when the coordinator fails to connect and reports the
+/// member, spelled as given, degraded.
 pub fn parse_member_spec(spec: &str) -> Result<(String, Option<String>)> {
-    let invalid = |hint: &str| {
-        CotsError::InvalidConfig(format!(
-            "cannot parse member spec `{spec}` ({hint})"
-        ))
-    };
-    if let Some((primary, standby)) = spec.split_once('/') {
-        // Slash form: both sides are verbatim addresses.
-        if primary.is_empty() || standby.is_empty() || standby.contains('/') {
-            return Err(invalid("expected PRIMARY/STANDBY with non-empty addresses"));
+    match spec.split_once('/') {
+        None if !spec.is_empty() => Ok((spec.to_string(), None)),
+        Some((primary, standby))
+            if !primary.is_empty() && !standby.is_empty() && !standby.contains('/') =>
+        {
+            Ok((primary.to_string(), Some(standby.to_string())))
         }
-        return Ok((primary.to_string(), Some(standby.to_string())));
+        _ => Err(CotsError::InvalidConfig(format!(
+            "cannot parse member spec `{spec}` (expected ADDR or PRIMARY/STANDBY with \
+             non-empty addresses)"
+        ))),
     }
-    if spec.contains('[') || spec.contains(']') {
-        // A bracketed (IPv6) address splits into >4 colon segments, and
-        // a *pair* of them is inexpressible by shape. Single bracketed
-        // addresses are fine verbatim; pairs must use the slash form.
-        return match spec.split_once(']') {
-            Some((host, rest))
-                if host.starts_with('[')
-                    && !host[1..].is_empty()
-                    && (rest.is_empty()
-                        || rest
-                            .strip_prefix(':')
-                            .is_some_and(|p| !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()))) =>
-            {
-                Ok((spec.to_string(), None))
-            }
-            _ => Err(invalid(
-                "bracketed IPv6 pairs must be written as PRIMARY/STANDBY",
-            )),
-        };
-    }
-    let is_port = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    let segs: Vec<&str> = spec.split(':').collect();
-    let parsed = match segs.as_slice() {
-        [a] if !a.is_empty() => Some((a.to_string(), None)),
-        [h, p] if is_port(p) => Some((format!("{h}:{p}"), None)),
-        [a, b] if !a.is_empty() && !b.is_empty() => {
-            Some((a.to_string(), Some(b.to_string())))
-        }
-        [h, p, b] if is_port(p) && !b.is_empty() => {
-            Some((format!("{h}:{p}"), Some(b.to_string())))
-        }
-        [a, h, p] if is_port(p) && !a.is_empty() => {
-            Some((a.to_string(), Some(format!("{h}:{p}"))))
-        }
-        [h1, p1, h2, p2] if is_port(p1) && is_port(p2) => {
-            Some((format!("{h1}:{p1}"), Some(format!("{h2}:{p2}"))))
-        }
-        _ => None,
-    };
-    parsed.ok_or_else(|| invalid("expected ADDR or PRIMARY/STANDBY"))
 }
 
 /// Parse a full `--members` list into parallel `(primaries, standbys)`
@@ -209,35 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn member_specs_parse_by_shape() {
+    fn member_specs_take_each_address_verbatim() {
         assert_eq!(parse_member_spec("a").unwrap(), ("a".into(), None));
         assert_eq!(
             parse_member_spec("127.0.0.1:7001").unwrap(),
             ("127.0.0.1:7001".into(), None)
         );
-        assert_eq!(
-            parse_member_spec("a:b").unwrap(),
-            ("a".into(), Some("b".into()))
-        );
-        assert_eq!(
-            parse_member_spec("127.0.0.1:7001:127.0.0.1:8001").unwrap(),
-            ("127.0.0.1:7001".into(), Some("127.0.0.1:8001".into()))
-        );
-        assert_eq!(
-            parse_member_spec("127.0.0.1:7001:b").unwrap(),
-            ("127.0.0.1:7001".into(), Some("b".into()))
-        );
-        assert_eq!(
-            parse_member_spec("a:127.0.0.1:8001").unwrap(),
-            ("a".into(), Some("127.0.0.1:8001".into()))
-        );
-        assert!(parse_member_spec("").is_err());
-        assert!(parse_member_spec("a:b:c:d:e").is_err());
-    }
-
-    #[test]
-    fn slash_and_ipv6_specs_parse_unambiguously() {
-        // The slash form takes each side verbatim.
         assert_eq!(
             parse_member_spec("a/b").unwrap(),
             ("a".into(), Some("b".into()))
@@ -246,29 +169,28 @@ mod tests {
             parse_member_spec("127.0.0.1:7001/127.0.0.1:8001").unwrap(),
             ("127.0.0.1:7001".into(), Some("127.0.0.1:8001".into()))
         );
-        // IPv6 works as a single member and as a slash pair.
+        // IPv6 works as a single member and as a pair.
         assert_eq!(
             parse_member_spec("[::1]:7001").unwrap(),
             ("[::1]:7001".into(), None)
         );
         assert_eq!(
-            parse_member_spec("[::1]").unwrap(),
-            ("[::1]".into(), None)
-        );
-        assert_eq!(
             parse_member_spec("[::1]:7001/[::1]:8001").unwrap(),
             ("[::1]:7001".into(), Some("[::1]:8001".into()))
         );
-        // Malformed slashes and colon-form IPv6 pairs are rejected.
-        assert!(parse_member_spec("a/").is_err());
-        assert!(parse_member_spec("/b").is_err());
-        assert!(parse_member_spec("a/b/c").is_err());
-        assert!(parse_member_spec("[::1]:7001:[::1]:8001").is_err());
-        assert!(parse_member_spec("[]").is_err());
-        assert!(parse_member_spec("[::1]:port").is_err());
+        // Colons never split a member: this is one (unreachable) address,
+        // not a pair.
+        assert_eq!(
+            parse_member_spec("127.0.0.1:7001:127.0.0.1:8001").unwrap(),
+            ("127.0.0.1:7001:127.0.0.1:8001".into(), None)
+        );
+        for malformed in ["", "a/", "/b", "a/b/c", "/"] {
+            let err = parse_member_spec(malformed).unwrap_err().to_string();
+            assert!(err.contains(&format!("`{malformed}`")), "{err}");
+        }
 
         let (primaries, standbys) = parse_members(&[
-            "127.0.0.1:7001:127.0.0.1:8001".to_string(),
+            "127.0.0.1:7001/127.0.0.1:8001".to_string(),
             "127.0.0.1:7002".to_string(),
         ])
         .unwrap();

@@ -150,7 +150,7 @@ fn primary_sigkill_promotes_standby_without_restarts() {
     );
     let plain = spawn_member("127.0.0.1:0", None, false, None);
 
-    let pair_spec = format!("{primary_addr}:{standby_addr}");
+    let pair_spec = format!("{primary_addr}/{standby_addr}");
     let coord_args: Vec<String> = [
         "--addr",
         "127.0.0.1:0",

@@ -7,13 +7,15 @@
 //! the cooperative scheduler.
 
 use crate::error::{CotsError, Result};
-use crate::json::{FromJson, Json, JsonResult, ToJson};
+use crate::json_record;
 
-/// Counter budget configuration shared by every counter-based algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SummaryConfig {
-    /// Maximum number of monitored counters (`m`).
-    pub capacity: usize,
+json_record! {
+    /// Counter budget configuration shared by every counter-based algorithm.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SummaryConfig {
+        /// Maximum number of monitored counters (`m`).
+        pub capacity: usize,
+    }
 }
 
 impl SummaryConfig {
@@ -43,38 +45,44 @@ impl SummaryConfig {
     }
 }
 
-/// Configuration of the CoTS framework.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CotsConfig {
-    /// Counter budget.
-    pub summary: SummaryConfig,
-    /// log2 of the number of hash buckets in the search structure. The
-    /// paper sizes the table so it never resizes; the default gives a load
-    /// factor of at most ~0.5 for the configured capacity.
-    pub hash_bits: u32,
-    /// Entries per cache-conscious block in a hash chain (a block is sized
-    /// to a multiple of the cache line; 4 entries ≈ 64 bytes of key/metadata
-    /// per block on x86-64).
-    pub block_entries: usize,
-    /// Optional adaptive thread scheduling thresholds (§5.2.3). `None`
-    /// disables adaptation — the configuration the paper's experiments use.
-    pub adaptive: Option<AdaptiveConfig>,
-    /// Slots in the per-thread combining front-end that pre-aggregates
-    /// `(key, count)` pairs inside `delegate_batch` before they touch the
-    /// shared search structure. Must be a power of two; `0` disables the
-    /// front-end (every occurrence then pays its own table operation).
-    pub combiner_slots: usize,
+json_record! {
+    /// Configuration of the CoTS framework.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct CotsConfig {
+        /// Counter budget.
+        pub summary: SummaryConfig,
+        /// log2 of the number of hash buckets in the search structure. The
+        /// paper sizes the table so it never resizes; the default gives a load
+        /// factor of at most ~0.5 for the configured capacity.
+        pub hash_bits: u32,
+        /// Entries per cache-conscious block in a hash chain (a block is sized
+        /// to a multiple of the cache line; 4 entries ≈ 64 bytes of key/metadata
+        /// per block on x86-64).
+        pub block_entries: usize,
+        /// Optional adaptive thread scheduling thresholds (§5.2.3). `None`
+        /// disables adaptation — the configuration the paper's experiments use.
+        pub adaptive: Option<AdaptiveConfig>,
+        /// Slots in the per-thread combining front-end that pre-aggregates
+        /// `(key, count)` pairs inside `delegate_batch` before they touch the
+        /// shared search structure. Must be a power of two; `0` disables the
+        /// front-end (every occurrence then pays its own table operation).
+        /// Absent in configs serialized before the front-end existed; those
+        /// streams ran without one.
+        pub combiner_slots: usize = 0,
+    }
 }
 
-/// Queue-occupancy thresholds for dynamic auto configuration (§5.2.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// σ: when a bucket queue grows beyond this while a thread enqueues,
-    /// the scheduler parks surplus threads back into the pool.
-    pub sigma: usize,
-    /// ρ: when an *unowned* bucket queue exceeds this, the scheduler wakes a
-    /// pooled thread to drain it.
-    pub rho: usize,
+json_record! {
+    /// Queue-occupancy thresholds for dynamic auto configuration (§5.2.3).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct AdaptiveConfig {
+        /// σ: when a bucket queue grows beyond this while a thread enqueues,
+        /// the scheduler parks surplus threads back into the pool.
+        pub sigma: usize,
+        /// ρ: when an *unowned* bucket queue exceeds this, the scheduler wakes a
+        /// pooled thread to drain it.
+        pub rho: usize,
+    }
 }
 
 impl CotsConfig {
@@ -158,67 +166,6 @@ impl CotsConfig {
     /// Number of hash buckets.
     pub fn hash_buckets(&self) -> usize {
         1usize << self.hash_bits
-    }
-}
-
-impl ToJson for SummaryConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("capacity", self.capacity.to_json())])
-    }
-}
-
-impl FromJson for SummaryConfig {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            capacity: usize::from_json(v.field("capacity")?)?,
-        })
-    }
-}
-
-impl ToJson for AdaptiveConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("sigma", self.sigma.to_json()),
-            ("rho", self.rho.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AdaptiveConfig {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            sigma: usize::from_json(v.field("sigma")?)?,
-            rho: usize::from_json(v.field("rho")?)?,
-        })
-    }
-}
-
-impl ToJson for CotsConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("summary", self.summary.to_json()),
-            ("hash_bits", self.hash_bits.to_json()),
-            ("block_entries", self.block_entries.to_json()),
-            ("adaptive", self.adaptive.to_json()),
-            ("combiner_slots", self.combiner_slots.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CotsConfig {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            summary: SummaryConfig::from_json(v.field("summary")?)?,
-            hash_bits: u32::from_json(v.field("hash_bits")?)?,
-            block_entries: usize::from_json(v.field("block_entries")?)?,
-            adaptive: Option::from_json(v.field("adaptive")?)?,
-            // Absent in configs serialized before the combining front-end
-            // existed; those streams ran without one.
-            combiner_slots: match v.field("combiner_slots") {
-                Ok(f) => usize::from_json(f)?,
-                Err(_) => 0,
-            },
-        })
     }
 }
 

@@ -7,24 +7,26 @@
 //! which every query of the paper's model can be answered.
 
 use crate::element::Element;
-use crate::json::{FromJson, Json, JsonResult, ToJson};
+use crate::json_record;
 use crate::query::Threshold;
 
-/// One monitored element: the guaranteed-over-estimate `count` and the
-/// maximum possible over-estimation `error`.
-///
-/// For Space Saving, `error` is the count the element inherited when it
-/// overwrote the previous minimum; a *guaranteed* count of
-/// `count - error` is thus always a lower bound on the true frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterEntry<K> {
-    /// The monitored element.
-    pub item: K,
-    /// Estimated frequency; never less than the true frequency.
-    pub count: u64,
-    /// Over-estimation bound; `count - error` never exceeds the true
-    /// frequency.
-    pub error: u64,
+json_record! {
+    /// One monitored element: the guaranteed-over-estimate `count` and the
+    /// maximum possible over-estimation `error`.
+    ///
+    /// For Space Saving, `error` is the count the element inherited when it
+    /// overwrote the previous minimum; a *guaranteed* count of
+    /// `count - error` is thus always a lower bound on the true frequency.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct CounterEntry<K> {
+        /// The monitored element.
+        pub item: K,
+        /// Estimated frequency; never less than the true frequency.
+        pub count: u64,
+        /// Over-estimation bound; `count - error` never exceeds the true
+        /// frequency.
+        pub error: u64,
+    }
 }
 
 impl<K: Element> CounterEntry<K> {
@@ -41,19 +43,21 @@ impl<K: Element> CounterEntry<K> {
     }
 }
 
-/// A consistent, sorted view of a frequency summary.
-///
-/// Entries are ordered by decreasing `count` (ties broken arbitrarily but
-/// deterministically), which is the order in which the Stream Summary
-/// structure naturally maintains them. `total` is the number of stream
-/// elements the summary has absorbed — for any counter-based algorithm in
-/// this suite the invariant `Σ count == total` holds whenever the alphabet
-/// has been counted exactly or the structure is full (Space Saving maintains
-/// it unconditionally).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Snapshot<K> {
-    entries: Vec<CounterEntry<K>>,
-    total: u64,
+json_record! {
+    /// A consistent, sorted view of a frequency summary.
+    ///
+    /// Entries are ordered by decreasing `count` (ties broken arbitrarily but
+    /// deterministically), which is the order in which the Stream Summary
+    /// structure naturally maintains them. `total` is the number of stream
+    /// elements the summary has absorbed — for any counter-based algorithm in
+    /// this suite the invariant `Σ count == total` holds whenever the alphabet
+    /// has been counted exactly or the structure is full (Space Saving maintains
+    /// it unconditionally).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Snapshot<K> {
+        entries: Vec<CounterEntry<K>>,
+        total: u64,
+    }
 }
 
 impl<K: Element> Snapshot<K> {
@@ -207,44 +211,6 @@ impl<K: Element> crate::invariants::CheckInvariants for Snapshot<K> {
             ));
         }
         out
-    }
-}
-
-impl<K: ToJson> ToJson for CounterEntry<K> {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("item", self.item.to_json()),
-            ("count", self.count.to_json()),
-            ("error", self.error.to_json()),
-        ])
-    }
-}
-
-impl<K: FromJson> FromJson for CounterEntry<K> {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            item: K::from_json(v.field("item")?)?,
-            count: u64::from_json(v.field("count")?)?,
-            error: u64::from_json(v.field("error")?)?,
-        })
-    }
-}
-
-impl<K: ToJson> ToJson for Snapshot<K> {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("entries", self.entries.to_json()),
-            ("total", self.total.to_json()),
-        ])
-    }
-}
-
-impl<K: FromJson> FromJson for Snapshot<K> {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            entries: Vec::from_json(v.field("entries")?)?,
-            total: u64::from_json(v.field("total")?)?,
-        })
     }
 }
 

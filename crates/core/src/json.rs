@@ -1,14 +1,18 @@
 //! A small, dependency-free JSON value model, parser, and emitter.
 //!
 //! The workspace builds without registry access, so instead of `serde` +
-//! `serde_json` the report/config types implement the two traits defined
-//! here by hand. The surface is deliberately tiny:
+//! `serde_json` the report/config types get the two traits defined here
+//! from one declaration. The surface is deliberately tiny:
 //!
 //! * [`Json`] — a JSON document as a tree of values. Integers are kept
 //!   exact (separate [`Json::UInt`]/[`Json::Int`] variants) so `u64`
 //!   counters survive a round trip without `f64` truncation.
 //! * [`ToJson`] / [`FromJson`] — conversion traits, implemented for the
 //!   primitives plus `Vec<T>`, `Option<T>` and `[T; N]`.
+//! * [`json_record!`](crate::json_record) — the derive stand-in: wraps a
+//!   literal `struct` or `enum` declaration and emits both impls in
+//!   declaration order (and, for an all-`u64` report, its relaxed-atomic
+//!   tally), so a field is spelled exactly once.
 //! * [`to_string`] / [`to_string_pretty`] / [`from_str`] — the
 //!   `serde_json`-shaped entry points the harness uses.
 //!
@@ -743,6 +747,233 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Declared-once records
+// ---------------------------------------------------------------------------
+
+/// Decode member `key` of object `v`; a missing member or a wrong type is
+/// reported with the field's name.
+pub fn field<T: FromJson>(v: &Json, key: &str) -> JsonResult<T> {
+    T::from_json(v.field(key)?).map_err(|e| JsonError(format!("field `{key}`: {}", e.0)))
+}
+
+/// Decompose an externally-tagged enum value: `"Variant"` or
+/// `{"Variant": payload}`.
+pub fn variant(v: &Json) -> JsonResult<(&str, Option<&Json>)> {
+    match v {
+        Json::Str(name) => Ok((name, None)),
+        Json::Obj(members) => match members.as_slice() {
+            [(name, payload)] => Ok((name.as_str(), Some(payload))),
+            _ => err("expected an enum variant"),
+        },
+        _ => err("expected an enum variant"),
+    }
+}
+
+/// Build the externally-tagged form of a data-carrying variant.
+pub fn tagged(name: &str, payload: Json) -> Json {
+    Json::Obj(vec![(name.to_string(), payload)])
+}
+
+/// Declare a type once and get [`ToJson`] + [`FromJson`] for it.
+///
+/// The body is the literal item — attributes, doc comments, visibility
+/// and all — so the source reads (and greps, and lints) as an ordinary
+/// declaration:
+///
+/// ```
+/// cots_core::json_record! {
+///     /// A point on the wire.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Point {
+///         /// Abscissa.
+///         pub x: u64,
+///         /// Absent in frames written before labels existed.
+///         pub label: Option<String> = None,
+///     }
+/// }
+/// let p: Point = cots_core::json::from_str(r#"{"x":3}"#).unwrap();
+/// assert_eq!(cots_core::json::to_string(&p), r#"{"x":3,"label":null}"#);
+/// ```
+///
+/// * A **struct** becomes an object with one member per field, in
+///   declaration order. Every member must be present on decode unless
+///   the field carries `= default`; errors name the field. Type
+///   parameters are allowed (`struct Entry<K> { .. }`).
+/// * An **enum** uses the externally tagged convention of this module:
+///   `"Unit"`, `{"Newtype": value}`, `{"Struct": {"field": ..}}`.
+/// * A struct of `u64` counters followed by `tally Name;` also gets its
+///   shared mirror: `Name` holds one relaxed `AtomicU64` per field, an
+///   adder named after each field, and `snapshot()` freezing the totals
+///   into the struct. The counts are statistics, not synchronization.
+#[macro_export]
+macro_rules! json_record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
+        }
+        $(#[$tmeta:meta])*
+        tally $tally:ident;
+    ) => {
+        $crate::json_record! {
+            $(#[$meta])*
+            $vis struct $name { $( $(#[$fmeta])* $fvis $field : $fty ),* }
+        }
+
+        $(#[$tmeta])*
+        #[derive(Debug, Default)]
+        $vis struct $tally {
+            $( $field: ::std::sync::atomic::AtomicU64, )*
+        }
+
+        impl $tally {
+            /// Fresh tally with all counters zero.
+            pub fn new() -> Self {
+                Self::default()
+            }
+
+            $(
+                #[doc = concat!("Add `n` to `", stringify!($field), "`.")]
+                #[inline]
+                pub fn $field(&self, n: u64) {
+                    self.$field.fetch_add(n, ::std::sync::atomic::Ordering::Relaxed);
+                }
+            )*
+
+            /// Freeze the totals.
+            pub fn snapshot(&self) -> $name {
+                $name {
+                    $( $field: self.$field.load(::std::sync::atomic::Ordering::Relaxed), )*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $(<$($gen:ident),+>)? {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty $(= $default:expr)? ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name $(<$($gen),+>)? {
+            $( $(#[$fmeta])* $fvis $field : $fty, )*
+        }
+
+        impl<$($($gen: $crate::json::ToJson),+)?> $crate::json::ToJson for $name<$($($gen),+)?> {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Obj(vec![
+                    $( (stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)), )*
+                ])
+            }
+        }
+
+        impl<$($($gen: $crate::json::FromJson),+)?> $crate::json::FromJson for $name<$($($gen),+)?> {
+            fn from_json(v: &$crate::json::Json) -> $crate::json::JsonResult<Self> {
+                Ok(Self {
+                    $( $field: $crate::json_record!(@field v, $field $(, $default)?), )*
+                })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident $(<$($gen:ident),+>)? { $($body:tt)* }
+    ) => {
+        $crate::json_record! {
+            @enum [$(#[$meta])* $vis enum $name [$($($gen),+)?]] [] [] [] $($body)*
+        }
+    };
+
+    (@field $v:ident, $field:ident) => {
+        $crate::json::field($v, stringify!($field))?
+    };
+    (@field $v:ident, $field:ident, $default:expr) => {
+        match $v.get(stringify!($field)) {
+            Some(_) => $crate::json::field($v, stringify!($field))?,
+            None => $default,
+        }
+    };
+
+    // Enum variants are munched one at a time into three accumulators:
+    // the declaration body, the `to_json` arms and the `from_json` arms.
+    (
+        @enum $head:tt [$($decl:tt)*] [$($to:tt)*] [$($from:tt)*]
+        $(#[$vmeta:meta])* $variant:ident {
+            $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)?
+        } $(, $($rest:tt)*)?
+    ) => {
+        $crate::json_record! {
+            @enum $head
+            [$($decl)* $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field : $fty ),* },]
+            [$($to)* Self::$variant { $($field),* } => $crate::json::tagged(
+                stringify!($variant),
+                $crate::json::Json::Obj(vec![
+                    $( (stringify!($field).to_string(), $crate::json::ToJson::to_json($field)), )*
+                ]),
+            ),]
+            [$($from)* (stringify!($variant), Some(p)) => Ok(Self::$variant {
+                $( $field: $crate::json::field(p, stringify!($field))?, )*
+            }),]
+            $($($rest)*)?
+        }
+    };
+    (
+        @enum $head:tt [$($decl:tt)*] [$($to:tt)*] [$($from:tt)*]
+        $(#[$vmeta:meta])* $variant:ident ( $inner:ty ) $(, $($rest:tt)*)?
+    ) => {
+        $crate::json_record! {
+            @enum $head
+            [$($decl)* $(#[$vmeta])* $variant($inner),]
+            [$($to)* Self::$variant(inner) => $crate::json::tagged(
+                stringify!($variant),
+                $crate::json::ToJson::to_json(inner),
+            ),]
+            [$($from)* (stringify!($variant), Some(p)) => {
+                Ok(Self::$variant($crate::json::FromJson::from_json(p)?))
+            }]
+            $($($rest)*)?
+        }
+    };
+    (
+        @enum $head:tt [$($decl:tt)*] [$($to:tt)*] [$($from:tt)*]
+        $(#[$vmeta:meta])* $variant:ident $(, $($rest:tt)*)?
+    ) => {
+        $crate::json_record! {
+            @enum $head
+            [$($decl)* $(#[$vmeta])* $variant,]
+            [$($to)* Self::$variant => $crate::json::Json::Str(stringify!($variant).to_string()),]
+            [$($from)* (stringify!($variant), None) => Ok(Self::$variant),]
+            $($($rest)*)?
+        }
+    };
+    (
+        @enum [$(#[$meta:meta])* $vis:vis enum $name:ident [$($gen:ident),*]]
+        [$($decl:tt)*] [$($to:tt)*] [$($from:tt)*]
+    ) => {
+        $(#[$meta])*
+        $vis enum $name<$($gen),*> { $($decl)* }
+
+        impl<$($gen: $crate::json::ToJson),*> $crate::json::ToJson for $name<$($gen),*> {
+            fn to_json(&self) -> $crate::json::Json {
+                match self { $($to)* }
+            }
+        }
+
+        impl<$($gen: $crate::json::FromJson),*> $crate::json::FromJson for $name<$($gen),*> {
+            fn from_json(v: &$crate::json::Json) -> $crate::json::JsonResult<Self> {
+                match $crate::json::variant(v)? {
+                    $($from)*
+                    (name, _) => Err($crate::json::JsonError(format!(
+                        "unknown {} variant `{name}`",
+                        stringify!($name)
+                    ))),
+                }
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,6 +1052,147 @@ mod tests {
         let back: [f64; 3] = from_str(&to_string(&arr)).unwrap();
         assert_eq!(back, arr);
         assert!(from_str::<[f64; 2]>(&to_string(&arr)).is_err());
+    }
+
+    crate::json_record! {
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        struct Inner {
+            hits: u64,
+            misses: u64,
+        }
+
+        tally InnerTally;
+    }
+
+    crate::json_record! {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Outer<K> {
+            key: K,
+            label: Option<String>,
+            inner: Inner,
+            rows: Vec<Inner>,
+            added_later: u32 = 7,
+        }
+    }
+
+    crate::json_record! {
+        #[derive(Debug, Clone, PartialEq)]
+        enum Shape<K> {
+            Empty,
+            Tagged(K),
+            Sized { width: u32, inner: Inner },
+        }
+    }
+
+    fn outer() -> Outer<u64> {
+        Outer {
+            key: 9,
+            label: None,
+            inner: Inner { hits: 1, misses: 2 },
+            rows: vec![Inner { hits: 3, misses: 4 }],
+            added_later: 5,
+        }
+    }
+
+    #[test]
+    fn record_encodes_in_declaration_order_and_round_trips() {
+        let text = to_string(&outer());
+        assert_eq!(
+            text,
+            r#"{"key":9,"label":null,"inner":{"hits":1,"misses":2},"rows":[{"hits":3,"misses":4}],"added_later":5}"#
+        );
+        assert_eq!(from_str::<Outer<u64>>(&text).unwrap(), outer());
+        let labelled = Outer {
+            label: Some("x".into()),
+            rows: vec![],
+            ..outer()
+        };
+        assert_eq!(
+            from_str::<Outer<u64>>(&to_string(&labelled)).unwrap(),
+            labelled
+        );
+    }
+
+    #[test]
+    fn record_errors_name_the_field() {
+        let missing = r#"{"key":9,"inner":{"hits":1,"misses":2},"rows":[]}"#;
+        let e = from_str::<Outer<u64>>(missing).unwrap_err();
+        assert_eq!(
+            e.0, "missing field `label`",
+            "`Option` members must be present"
+        );
+        let wrong = r#"{"key":9,"label":null,"inner":{"hits":"one","misses":2},"rows":[]}"#;
+        let e = from_str::<Outer<u64>>(wrong).unwrap_err();
+        assert_eq!(
+            e.0,
+            "field `inner`: field `hits`: expected unsigned integer"
+        );
+        let wrong_row =
+            r#"{"key":9,"label":null,"inner":{"hits":1,"misses":2},"rows":[{"hits":1}]}"#;
+        let e = from_str::<Outer<u64>>(wrong_row).unwrap_err();
+        assert_eq!(e.0, "field `rows`: missing field `misses`");
+        assert!(from_str::<Outer<u64>>("[]").is_err());
+    }
+
+    #[test]
+    fn defaulted_field_may_be_absent_but_not_malformed() {
+        let absent = r#"{"key":9,"label":null,"inner":{"hits":1,"misses":2},"rows":[]}"#;
+        assert_eq!(from_str::<Outer<u64>>(absent).unwrap().added_later, 7);
+        let malformed =
+            r#"{"key":9,"label":null,"inner":{"hits":1,"misses":2},"rows":[],"added_later":-1}"#;
+        let e = from_str::<Outer<u64>>(malformed).unwrap_err();
+        assert!(e.0.starts_with("field `added_later`"), "{e}");
+    }
+
+    #[test]
+    fn enum_uses_external_tags() {
+        let sized = Shape::<u64>::Sized {
+            width: 2,
+            inner: Inner { hits: 1, misses: 0 },
+        };
+        for (shape, text) in [
+            (Shape::Empty, r#""Empty""#),
+            (Shape::Tagged(4), r#"{"Tagged":4}"#),
+            (
+                sized,
+                r#"{"Sized":{"width":2,"inner":{"hits":1,"misses":0}}}"#,
+            ),
+        ] {
+            assert_eq!(to_string(&shape), text);
+            assert_eq!(from_str::<Shape<u64>>(text).unwrap(), shape);
+        }
+        let e = from_str::<Shape<u64>>(r#""Round""#).unwrap_err();
+        assert_eq!(e.0, "unknown Shape variant `Round`");
+        // A unit variant with a payload, or a data variant without one,
+        // is not the variant.
+        assert!(from_str::<Shape<u64>>(r#"{"Empty":{}}"#).is_err());
+        assert!(from_str::<Shape<u64>>(r#""Tagged""#).is_err());
+        let e = from_str::<Shape<u64>>(r#"{"Sized":{"width":2}}"#).unwrap_err();
+        assert_eq!(e.0, "missing field `inner`");
+        assert!(from_str::<Shape<u64>>(r#"{"Empty":1,"Tagged":2}"#).is_err());
+    }
+
+    #[test]
+    fn tally_mirrors_the_record_field_for_field() {
+        let t = std::sync::Arc::new(InnerTally::new());
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let t = t.clone();
+                s.spawn(move || {
+                    for _ in 0..1000 {
+                        t.hits(2);
+                    }
+                });
+            }
+        });
+        t.misses(1);
+        assert_eq!(
+            t.snapshot(),
+            Inner {
+                hits: 8000,
+                misses: 1
+            }
+        );
     }
 
     #[test]

@@ -15,16 +15,18 @@
 
 use crate::counter::CounterEntry;
 use crate::element::Element;
-use crate::json::{FromJson, Json, JsonError, JsonResult, ToJson};
+use crate::json_record;
 
-/// A frequency threshold: either an absolute count or a fraction φ of the
-/// stream length ("clicked more than 0.1% of the total clicks").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Threshold {
-    /// Absolute minimum count.
-    Count(u64),
-    /// Fraction of the processed stream length, in `[0, 1]`.
-    Fraction(f64),
+json_record! {
+    /// A frequency threshold: either an absolute count or a fraction φ of the
+    /// stream length ("clicked more than 0.1% of the total clicks").
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum Threshold {
+        /// Absolute minimum count.
+        Count(u64),
+        /// Fraction of the processed stream length, in `[0, 1]`.
+        Fraction(f64),
+    }
 }
 
 impl Threshold {
@@ -42,72 +44,84 @@ impl Threshold {
     }
 }
 
-/// Query 1: a boolean query about a single element.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PointQuery<K> {
-    /// `IsElementFrequent(e)` at the given threshold.
-    IsFrequent {
-        /// The element asked about.
-        item: K,
-        /// The frequency threshold.
-        threshold: Threshold,
-    },
-    /// `IsElementInTopk(e)`.
-    IsInTopK {
-        /// The element asked about.
-        item: K,
-        /// The rank cutoff.
-        k: usize,
-    },
+json_record! {
+    /// Query 1: a boolean query about a single element.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum PointQuery<K> {
+        /// `IsElementFrequent(e)` at the given threshold.
+        IsFrequent {
+            /// The element asked about.
+            item: K,
+            /// The frequency threshold.
+            threshold: Threshold,
+        },
+        /// `IsElementInTopk(e)`.
+        IsInTopK {
+            /// The element asked about.
+            item: K,
+            /// The rank cutoff.
+            k: usize,
+        },
+    }
 }
 
-/// Query 2: a query returning a set of elements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SetQuery {
-    /// All elements whose estimated count meets the threshold.
-    Frequent {
-        /// The frequency threshold.
-        threshold: Threshold,
-    },
-    /// The k most frequent elements.
-    TopK {
-        /// How many elements to report.
-        k: usize,
-    },
+json_record! {
+    /// Query 2: a query returning a set of elements.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum SetQuery {
+        /// All elements whose estimated count meets the threshold.
+        Frequent {
+            /// The frequency threshold.
+            threshold: Threshold,
+        },
+        /// The k most frequent elements.
+        TopK {
+            /// How many elements to report.
+            k: usize,
+        },
+    }
 }
 
-/// How often an interval (Query 3) evaluation fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryPeriod {
-    /// Every `n` processed updates (the paper's experiments use 50 000).
-    Updates(u64),
+json_record! {
+    /// How often an interval (Query 3) evaluation fires.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum QueryPeriod {
+        /// Every `n` processed updates (the paper's experiments use 50 000).
+        Updates(u64),
+    }
 }
 
-/// Queries 3/4: a point or set query plus a re-evaluation period.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IntervalQuery<K> {
-    /// What to evaluate.
-    pub query: QueryKind<K>,
-    /// How often.
-    pub period: QueryPeriod,
+json_record! {
+    /// Queries 3/4: a point or set query plus a re-evaluation period.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct IntervalQuery<K> {
+        /// What to evaluate.
+        pub query: QueryKind<K>,
+        /// How often.
+        pub period: QueryPeriod,
+    }
 }
 
-/// Either query shape, for interval scheduling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueryKind<K> {
-    /// A point query.
-    Point(PointQuery<K>),
-    /// A set query.
-    Set(SetQuery),
+json_record! {
+    /// Either query shape, for interval scheduling.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum QueryKind<K> {
+        /// A point query.
+        Point(PointQuery<K>),
+        /// A set query.
+        Set(SetQuery),
+    }
 }
 
-/// The answer to a query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryAnswer<K> {
-    /// Answer to a point query.
-    Bool(bool),
-    /// Answer to a set query: entries in decreasing-count order.
-    Set(Vec<CounterEntry<K>>),
+json_record! {
+    /// The answer to a query.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum QueryAnswer<K> {
+        /// Answer to a point query.
+        Bool(bool),
+        /// Answer to a set query: entries in decreasing-count order.
+        Set(Vec<CounterEntry<K>>),
+    }
 }
 
 impl<K: Element> QueryAnswer<K> {
@@ -124,174 +138,6 @@ impl<K: Element> QueryAnswer<K> {
         match self {
             QueryAnswer::Bool(_) => None,
             QueryAnswer::Set(s) => Some(s),
-        }
-    }
-}
-
-/// Decompose an externally-tagged enum value: `"Variant"` or
-/// `{"Variant": payload}`.
-fn variant(v: &Json) -> JsonResult<(&str, Option<&Json>)> {
-    match v {
-        Json::Str(name) => Ok((name, None)),
-        Json::Obj(members) if members.len() == 1 => {
-            Ok((members[0].0.as_str(), Some(&members[0].1)))
-        }
-        _ => Err(JsonError("expected an enum variant".into())),
-    }
-}
-
-fn tagged(name: &str, payload: Json) -> Json {
-    Json::Obj(vec![(name.to_string(), payload)])
-}
-
-impl ToJson for Threshold {
-    fn to_json(&self) -> Json {
-        match self {
-            Threshold::Count(c) => tagged("Count", c.to_json()),
-            Threshold::Fraction(f) => tagged("Fraction", f.to_json()),
-        }
-    }
-}
-
-impl FromJson for Threshold {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("Count", Some(p)) => Ok(Threshold::Count(u64::from_json(p)?)),
-            ("Fraction", Some(p)) => Ok(Threshold::Fraction(f64::from_json(p)?)),
-            (name, _) => Err(JsonError(format!("unknown Threshold variant `{name}`"))),
-        }
-    }
-}
-
-impl<K: ToJson> ToJson for PointQuery<K> {
-    fn to_json(&self) -> Json {
-        match self {
-            PointQuery::IsFrequent { item, threshold } => tagged(
-                "IsFrequent",
-                Json::obj(vec![
-                    ("item", item.to_json()),
-                    ("threshold", threshold.to_json()),
-                ]),
-            ),
-            PointQuery::IsInTopK { item, k } => tagged(
-                "IsInTopK",
-                Json::obj(vec![("item", item.to_json()), ("k", k.to_json())]),
-            ),
-        }
-    }
-}
-
-impl<K: FromJson> FromJson for PointQuery<K> {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("IsFrequent", Some(p)) => Ok(PointQuery::IsFrequent {
-                item: K::from_json(p.field("item")?)?,
-                threshold: Threshold::from_json(p.field("threshold")?)?,
-            }),
-            ("IsInTopK", Some(p)) => Ok(PointQuery::IsInTopK {
-                item: K::from_json(p.field("item")?)?,
-                k: usize::from_json(p.field("k")?)?,
-            }),
-            (name, _) => Err(JsonError(format!("unknown PointQuery variant `{name}`"))),
-        }
-    }
-}
-
-impl ToJson for SetQuery {
-    fn to_json(&self) -> Json {
-        match self {
-            SetQuery::Frequent { threshold } => tagged(
-                "Frequent",
-                Json::obj(vec![("threshold", threshold.to_json())]),
-            ),
-            SetQuery::TopK { k } => tagged("TopK", Json::obj(vec![("k", k.to_json())])),
-        }
-    }
-}
-
-impl FromJson for SetQuery {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("Frequent", Some(p)) => Ok(SetQuery::Frequent {
-                threshold: Threshold::from_json(p.field("threshold")?)?,
-            }),
-            ("TopK", Some(p)) => Ok(SetQuery::TopK {
-                k: usize::from_json(p.field("k")?)?,
-            }),
-            (name, _) => Err(JsonError(format!("unknown SetQuery variant `{name}`"))),
-        }
-    }
-}
-
-impl ToJson for QueryPeriod {
-    fn to_json(&self) -> Json {
-        match self {
-            QueryPeriod::Updates(n) => tagged("Updates", n.to_json()),
-        }
-    }
-}
-
-impl FromJson for QueryPeriod {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("Updates", Some(p)) => Ok(QueryPeriod::Updates(u64::from_json(p)?)),
-            (name, _) => Err(JsonError(format!("unknown QueryPeriod variant `{name}`"))),
-        }
-    }
-}
-
-impl<K: ToJson> ToJson for QueryKind<K> {
-    fn to_json(&self) -> Json {
-        match self {
-            QueryKind::Point(p) => tagged("Point", p.to_json()),
-            QueryKind::Set(s) => tagged("Set", s.to_json()),
-        }
-    }
-}
-
-impl<K: FromJson> FromJson for QueryKind<K> {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("Point", Some(p)) => Ok(QueryKind::Point(PointQuery::from_json(p)?)),
-            ("Set", Some(p)) => Ok(QueryKind::Set(SetQuery::from_json(p)?)),
-            (name, _) => Err(JsonError(format!("unknown QueryKind variant `{name}`"))),
-        }
-    }
-}
-
-impl<K: ToJson> ToJson for IntervalQuery<K> {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("query", self.query.to_json()),
-            ("period", self.period.to_json()),
-        ])
-    }
-}
-
-impl<K: FromJson> FromJson for IntervalQuery<K> {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            query: QueryKind::from_json(v.field("query")?)?,
-            period: QueryPeriod::from_json(v.field("period")?)?,
-        })
-    }
-}
-
-impl<K: ToJson> ToJson for QueryAnswer<K> {
-    fn to_json(&self) -> Json {
-        match self {
-            QueryAnswer::Bool(b) => tagged("Bool", b.to_json()),
-            QueryAnswer::Set(s) => tagged("Set", s.to_json()),
-        }
-    }
-}
-
-impl<K: FromJson> FromJson for QueryAnswer<K> {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("Bool", Some(p)) => Ok(QueryAnswer::Bool(bool::from_json(p)?)),
-            ("Set", Some(p)) => Ok(QueryAnswer::Set(Vec::from_json(p)?)),
-            (name, _) => Err(JsonError(format!("unknown QueryAnswer variant `{name}`"))),
         }
     }
 }

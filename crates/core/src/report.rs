@@ -9,57 +9,67 @@
 //! volume). These reproduce the qualitative claims deterministically,
 //! independent of the core count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use crate::json::{FromJson, Json, JsonResult, ToJson};
+use crate::json_record;
 
-/// Plain, serializable work-counter totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkCounters {
-    /// Stream elements processed.
-    pub elements: u64,
-    /// Operations applied to a stream-summary structure (add / increment /
-    /// overwrite executions, bulk or not).
-    pub summary_ops: u64,
-    /// Times a thread crossed the search-structure → summary boundary with
-    /// exclusive rights on an element (CoTS) or entered the summary under
-    /// locks (naive shared).
-    pub boundary_crossings: u64,
-    /// Delegation actions that logged mass with the element's current
-    /// owner instead of crossing the boundary (CoTS) — the "bulk
-    /// increment" sources. A combining-front-end flush logs its whole
-    /// aggregate as *one* action; the occurrences beyond the first are
-    /// counted in [`WorkCounters::combined_increments`], so
-    /// `boundary_crossings + delegated_increments + combined_increments`
-    /// partitions `elements` exactly.
-    pub delegated_increments: u64,
-    /// Stream occurrences absorbed by the thread-local combining front-end
-    /// before ever touching the shared search structure (occurrences beyond
-    /// the first per distinct key per flush window).
-    pub combined_increments: u64,
-    /// Aggregated `(key, count)` flushes the combining front-end pushed
-    /// through the delegation protocol.
-    pub combiner_flushes: u64,
-    /// Requests delegated at bucket level (enqueued for another owner).
-    pub delegated_requests: u64,
-    /// Lock acquisitions (naive shared design; hash-bucket insert locks in
-    /// CoTS).
-    pub lock_acquisitions: u64,
-    /// Lock acquisitions that observed contention (had to wait/spin).
-    pub lock_contentions: u64,
-    /// Merge operations executed (independent design).
-    pub merges: u64,
-    /// Counters examined across all merges.
-    pub merged_counters: u64,
-    /// Lock-free read traversals that had to abort and restart.
-    pub read_restarts: u64,
-    /// Frequency buckets garbage-collected.
-    pub gc_buckets: u64,
-    /// Overwrite operations executed (Space Saving eviction).
-    pub overwrites: u64,
-    /// Overwrite requests deferred because every candidate was busy.
-    pub overwrite_deferrals: u64,
+json_record! {
+    /// Plain, serializable work-counter totals.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WorkCounters {
+        /// Stream elements processed.
+        pub elements: u64,
+        /// Operations applied to a stream-summary structure (add / increment /
+        /// overwrite executions, bulk or not).
+        pub summary_ops: u64,
+        /// Times a thread crossed the search-structure → summary boundary with
+        /// exclusive rights on an element (CoTS) or entered the summary under
+        /// locks (naive shared).
+        pub boundary_crossings: u64,
+        /// Delegation actions that logged mass with the element's current
+        /// owner instead of crossing the boundary (CoTS) — the "bulk
+        /// increment" sources. A combining-front-end flush logs its whole
+        /// aggregate as *one* action; the occurrences beyond the first are
+        /// counted in [`WorkCounters::combined_increments`], so
+        /// `boundary_crossings + delegated_increments + combined_increments`
+        /// partitions `elements` exactly.
+        pub delegated_increments: u64,
+        /// Stream occurrences absorbed by the thread-local combining front-end
+        /// before ever touching the shared search structure (occurrences beyond
+        /// the first per distinct key per flush window).
+        pub combined_increments: u64,
+        /// Aggregated `(key, count)` flushes the combining front-end pushed
+        /// through the delegation protocol.
+        pub combiner_flushes: u64,
+        /// Requests delegated at bucket level (enqueued for another owner).
+        pub delegated_requests: u64,
+        /// Lock acquisitions (naive shared design; hash-bucket insert locks in
+        /// CoTS).
+        pub lock_acquisitions: u64,
+        /// Lock acquisitions that observed contention (had to wait/spin).
+        pub lock_contentions: u64,
+        /// Merge operations executed (independent design).
+        pub merges: u64,
+        /// Counters examined across all merges.
+        pub merged_counters: u64,
+        /// Lock-free read traversals that had to abort and restart.
+        pub read_restarts: u64,
+        /// Frequency buckets garbage-collected.
+        pub gc_buckets: u64,
+        /// Overwrite operations executed (Space Saving eviction).
+        pub overwrites: u64,
+        /// Overwrite requests deferred because every candidate was busy.
+        pub overwrite_deferrals: u64,
+    }
+
+    /// Shared, thread-safe tally of work counters.
+    ///
+    /// Engines hold one `WorkTally` and bump it from any thread with relaxed
+    /// atomics (the counts are statistics, not synchronization); `snapshot`
+    /// freezes the totals.
+    tally WorkTally;
 }
 
 impl WorkCounters {
@@ -113,88 +123,6 @@ impl WorkCounters {
     }
 }
 
-/// Shared, thread-safe tally of work counters.
-///
-/// Engines hold one `WorkTally` and bump it from any thread with relaxed
-/// atomics (the counts are statistics, not synchronization); `snapshot`
-/// freezes the totals.
-#[derive(Debug, Default)]
-pub struct WorkTally {
-    elements: AtomicU64,
-    summary_ops: AtomicU64,
-    boundary_crossings: AtomicU64,
-    delegated_increments: AtomicU64,
-    combined_increments: AtomicU64,
-    combiner_flushes: AtomicU64,
-    delegated_requests: AtomicU64,
-    lock_acquisitions: AtomicU64,
-    lock_contentions: AtomicU64,
-    merges: AtomicU64,
-    merged_counters: AtomicU64,
-    read_restarts: AtomicU64,
-    gc_buckets: AtomicU64,
-    overwrites: AtomicU64,
-    overwrite_deferrals: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($name:ident),* $(,)?) => {
-        $(
-            /// Add `n` to the corresponding counter.
-            #[inline]
-            pub fn $name(&self, n: u64) {
-                self.$name.fetch_add(n, Ordering::Relaxed);
-            }
-        )*
-    };
-}
-
-impl WorkTally {
-    /// Fresh tally with all counters zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    bump!(
-        elements,
-        summary_ops,
-        boundary_crossings,
-        delegated_increments,
-        combined_increments,
-        combiner_flushes,
-        delegated_requests,
-        lock_acquisitions,
-        lock_contentions,
-        merges,
-        merged_counters,
-        read_restarts,
-        gc_buckets,
-        overwrites,
-        overwrite_deferrals,
-    );
-
-    /// Freeze the totals.
-    pub fn snapshot(&self) -> WorkCounters {
-        WorkCounters {
-            elements: self.elements.load(Ordering::Relaxed),
-            summary_ops: self.summary_ops.load(Ordering::Relaxed),
-            boundary_crossings: self.boundary_crossings.load(Ordering::Relaxed),
-            delegated_increments: self.delegated_increments.load(Ordering::Relaxed),
-            combined_increments: self.combined_increments.load(Ordering::Relaxed),
-            combiner_flushes: self.combiner_flushes.load(Ordering::Relaxed),
-            delegated_requests: self.delegated_requests.load(Ordering::Relaxed),
-            lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-            lock_contentions: self.lock_contentions.load(Ordering::Relaxed),
-            merges: self.merges.load(Ordering::Relaxed),
-            merged_counters: self.merged_counters.load(Ordering::Relaxed),
-            read_restarts: self.read_restarts.load(Ordering::Relaxed),
-            gc_buckets: self.gc_buckets.load(Ordering::Relaxed),
-            overwrites: self.overwrites.load(Ordering::Relaxed),
-            overwrite_deferrals: self.overwrite_deferrals.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Outcome of one measured engine run.
 #[derive(Debug, Clone)]
 pub struct RunStats {
@@ -232,280 +160,269 @@ impl RunStats {
     }
 }
 
-macro_rules! counters_json {
-    ($($field:ident),* $(,)?) => {
-        impl ToJson for WorkCounters {
-            fn to_json(&self) -> Json {
-                Json::obj(vec![
-                    $((stringify!($field), self.$field.to_json()),)*
-                ])
-            }
-        }
-
-        impl FromJson for WorkCounters {
-            fn from_json(v: &Json) -> JsonResult<Self> {
-                Ok(Self {
-                    $($field: u64::from_json(v.field(stringify!($field))?)?,)*
-                })
-            }
-        }
-    };
+json_record! {
+    /// Per-shard ingest progress of the `cots-serve` pipeline, reported in
+    /// `STATS` responses and the service benchmark artifact.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ShardReport {
+        /// Shard index (0-based).
+        pub shard: usize,
+        /// Ingest batches drained from this shard's queues.
+        pub batches: u64,
+        /// Keys applied to the backend by this shard's worker.
+        pub keys: u64,
+        /// High-water mark of queued batches observed by the worker.
+        pub max_queue_depth: u64,
+        /// Times the worker parked because every queue was empty.
+        pub idle_parks: u64,
+    }
 }
 
-counters_json!(
-    elements,
-    summary_ops,
-    boundary_crossings,
-    delegated_increments,
-    combined_increments,
-    combiner_flushes,
-    delegated_requests,
-    lock_acquisitions,
-    lock_contentions,
-    merges,
-    merged_counters,
-    read_restarts,
-    gc_buckets,
-    overwrites,
-    overwrite_deferrals,
-);
-
-/// Per-shard ingest progress of the `cots-serve` pipeline, reported in
-/// `STATS` responses and the service benchmark artifact.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardReport {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Ingest batches drained from this shard's queues.
-    pub batches: u64,
-    /// Keys applied to the backend by this shard's worker.
-    pub keys: u64,
-    /// High-water mark of queued batches observed by the worker.
-    pub max_queue_depth: u64,
-    /// Times the worker parked because every queue was empty.
-    pub idle_parks: u64,
+json_record! {
+    /// What one crash-recovery pass found and restored (`cots-persist`).
+    ///
+    /// Every count here is conservative by construction: `replayed_items`
+    /// covers only WAL records whose CRC verified, and `torn_frames` /
+    /// `dropped_bytes` quantify the tail that was *not* restored. The
+    /// recovered summary therefore never over-reports durable data — any
+    /// answer it gives is within the usual Space-Saving envelope of the
+    /// `recovered_items`-item durable multiset.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct RecoveryReport {
+        /// WAL sequence watermark of the checkpoint recovery started from
+        /// (`None` when no valid checkpoint was found and recovery replayed
+        /// the WAL from sequence 0).
+        pub checkpoint_watermark: Option<u64>,
+        /// Stream items contained in the restored checkpoint.
+        pub base_items: u64,
+        /// WAL batches replayed on top of the checkpoint.
+        pub replayed_batches: u64,
+        /// Stream items replayed from the WAL.
+        pub replayed_items: u64,
+        /// Total durable items after recovery (`base_items + replayed_items`).
+        pub recovered_items: u64,
+        /// WAL segment files scanned.
+        pub segments_scanned: u64,
+        /// Bytes examined across checkpoint and WAL files.
+        pub bytes_scanned: u64,
+        /// Torn or corrupt frames encountered (each ends one segment's valid
+        /// prefix; everything after it in that segment is dropped).
+        pub torn_frames: u64,
+        /// Bytes discarded as unreadable (torn tails, bad magic, CRC
+        /// mismatches).
+        pub dropped_bytes: u64,
+        /// Checkpoint files that failed CRC or semantic validation and were
+        /// skipped in favour of an older one.
+        pub corrupt_checkpoints: u64,
+        /// Wall-clock seconds the recovery pipeline took (scan + replay).
+        pub elapsed_secs: f64,
+    }
 }
 
-/// What one crash-recovery pass found and restored (`cots-persist`).
-///
-/// Every count here is conservative by construction: `replayed_items`
-/// covers only WAL records whose CRC verified, and `torn_frames` /
-/// `dropped_bytes` quantify the tail that was *not* restored. The
-/// recovered summary therefore never over-reports durable data — any
-/// answer it gives is within the usual Space-Saving envelope of the
-/// `recovered_items`-item durable multiset.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryReport {
-    /// WAL sequence watermark of the checkpoint recovery started from
-    /// (`None` when no valid checkpoint was found and recovery replayed
-    /// the WAL from sequence 0).
-    pub checkpoint_watermark: Option<u64>,
-    /// Stream items contained in the restored checkpoint.
-    pub base_items: u64,
-    /// WAL batches replayed on top of the checkpoint.
-    pub replayed_batches: u64,
-    /// Stream items replayed from the WAL.
-    pub replayed_items: u64,
-    /// Total durable items after recovery (`base_items + replayed_items`).
-    pub recovered_items: u64,
-    /// WAL segment files scanned.
-    pub segments_scanned: u64,
-    /// Bytes examined across checkpoint and WAL files.
-    pub bytes_scanned: u64,
-    /// Torn or corrupt frames encountered (each ends one segment's valid
-    /// prefix; everything after it in that segment is dropped).
-    pub torn_frames: u64,
-    /// Bytes discarded as unreadable (torn tails, bad magic, CRC
-    /// mismatches).
-    pub dropped_bytes: u64,
-    /// Checkpoint files that failed CRC or semantic validation and were
-    /// skipped in favour of an older one.
-    pub corrupt_checkpoints: u64,
-    /// Wall-clock seconds the recovery pipeline took (scan + replay).
-    pub elapsed_secs: f64,
+json_record! {
+    /// Live persistence-pipeline counters for a `cots-serve` instance running
+    /// with `--data-dir`.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct PersistReport {
+        /// Checkpoints committed (atomic rename completed) since start.
+        pub checkpoints: u64,
+        /// WAL sequence watermark of the newest committed checkpoint.
+        pub last_watermark: u64,
+        /// Batch records appended to the WAL.
+        pub wal_records: u64,
+        /// Stream keys appended to the WAL.
+        pub wal_keys: u64,
+        /// Bytes appended to the WAL (framing included).
+        pub wal_bytes: u64,
+        /// Group commits that reached `fsync` (policy `always`, plus the
+        /// barrier sync before every checkpoint).
+        pub wal_syncs: u64,
+        /// WAL or checkpoint I/O errors absorbed (logged, never fatal to
+        /// ingest).
+        pub io_errors: u64,
+    }
+
+    /// Shared counters of the durability pipeline: bumped by the shard
+    /// workers (WAL appends) and the checkpointer, frozen by `STATS`.
+    tally PersistTally;
 }
 
-/// Live persistence-pipeline counters for a `cots-serve` instance running
-/// with `--data-dir`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PersistReport {
-    /// Checkpoints committed (atomic rename completed) since start.
-    pub checkpoints: u64,
-    /// WAL sequence watermark of the newest committed checkpoint.
-    pub last_watermark: u64,
-    /// Batch records appended to the WAL.
-    pub wal_records: u64,
-    /// Stream keys appended to the WAL.
-    pub wal_keys: u64,
-    /// Bytes appended to the WAL (framing included).
-    pub wal_bytes: u64,
-    /// Group commits that reached `fsync` (policy `always`, plus the
-    /// barrier sync before every checkpoint).
-    pub wal_syncs: u64,
-    /// WAL or checkpoint I/O errors absorbed (logged, never fatal to
-    /// ingest).
-    pub io_errors: u64,
+json_record! {
+    /// Live replication state of one member of a primary/standby pair
+    /// (`cots-repl`), reported in `STATS` responses.
+    ///
+    /// On a primary the counters describe the WAL shipper: batches tailed
+    /// from the local log and streamed to the standby, and the ack
+    /// watermark the standby has confirmed durable. `unacked_keys` is the
+    /// loss bound of this instant: if the primary dies *right now*, the
+    /// promoted standby is missing exactly the keys logged locally past
+    /// `acked_seq` — no more, no less. On a standby the same counters
+    /// describe the apply side: batches received, logged to its own WAL
+    /// copy, and applied to the warm engine.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ReplReport {
+        /// `"primary"` (shipping) or `"standby"` (applying).
+        pub role: String,
+        /// Peer address of the pair (standby for a primary, primary for a
+        /// standby).
+        pub peer: String,
+        /// The replication stream is currently established.
+        pub connected: bool,
+        /// Batches shipped (primary) or applied (standby).
+        pub streamed_batches: u64,
+        /// Keys those batches carried.
+        pub streamed_keys: u64,
+        /// Ack watermark: every batch with `seq < acked_seq` is durable on
+        /// both sides of the pair.
+        pub acked_seq: u64,
+        /// First unused local WAL sequence number.
+        pub next_seq: u64,
+        /// Batches logged locally but not yet acknowledged by the peer
+        /// (`next_seq − acked_seq`, saturating).
+        pub unacked_batches: u64,
+        /// Keys inside those batches — the mass a failover would lose.
+        pub unacked_keys: u64,
+        /// Catch-up snapshots sent (primary) or installed (standby).
+        pub snapshots: u64,
+        /// Re-shipped batches skipped by sequence dedup (exactly-once
+        /// apply under reconnect/replay).
+        pub duplicates: u64,
+        /// Standby → primary transitions this process has performed.
+        pub promotions: u64,
+        /// Replication lineage (promotion generation) of this node's data:
+        /// bumped durably on every promotion and carried on every REPL wire
+        /// op, so divergent histories refuse each other instead of silently
+        /// acking.
+        pub lineage: u64,
+        /// The pair refused to stream because histories diverged (standby
+        /// ahead of the primary, mismatched lineage, or a non-empty standby
+        /// needing a snapshot). An operator must resync the standby with a
+        /// fresh data directory; clears once a stream establishes.
+        pub resync_required: bool,
+    }
 }
 
-/// Live replication state of one member of a primary/standby pair
-/// (`cots-repl`), reported in `STATS` responses.
-///
-/// On a primary the counters describe the WAL shipper: batches tailed
-/// from the local log and streamed to the standby, and the ack
-/// watermark the standby has confirmed durable. `unacked_keys` is the
-/// loss bound of this instant: if the primary dies *right now*, the
-/// promoted standby is missing exactly the keys logged locally past
-/// `acked_seq` — no more, no less. On a standby the same counters
-/// describe the apply side: batches received, logged to its own WAL
-/// copy, and applied to the warm engine.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplReport {
-    /// `"primary"` (shipping) or `"standby"` (applying).
-    pub role: String,
-    /// Peer address of the pair (standby for a primary, primary for a
-    /// standby).
-    pub peer: String,
-    /// The replication stream is currently established.
-    pub connected: bool,
-    /// Batches shipped (primary) or applied (standby).
-    pub streamed_batches: u64,
-    /// Keys those batches carried.
-    pub streamed_keys: u64,
-    /// Ack watermark: every batch with `seq < acked_seq` is durable on
-    /// both sides of the pair.
-    pub acked_seq: u64,
-    /// First unused local WAL sequence number.
-    pub next_seq: u64,
-    /// Batches logged locally but not yet acknowledged by the peer
-    /// (`next_seq − acked_seq`, saturating).
-    pub unacked_batches: u64,
-    /// Keys inside those batches — the mass a failover would lose.
-    pub unacked_keys: u64,
-    /// Catch-up snapshots sent (primary) or installed (standby).
-    pub snapshots: u64,
-    /// Re-shipped batches skipped by sequence dedup (exactly-once
-    /// apply under reconnect/replay).
-    pub duplicates: u64,
-    /// Standby → primary transitions this process has performed.
-    pub promotions: u64,
-    /// Replication lineage (promotion generation) of this node's data:
-    /// bumped durably on every promotion and carried on every REPL wire
-    /// op, so divergent histories refuse each other instead of silently
-    /// acking.
-    pub lineage: u64,
-    /// The pair refused to stream because histories diverged (standby
-    /// ahead of the primary, mismatched lineage, or a non-empty standby
-    /// needing a snapshot). An operator must resync the standby with a
-    /// fresh data directory; clears once a stream establishes.
-    pub resync_required: bool,
+json_record! {
+    /// One member's view from a `cots-coord` coordinator.
+    ///
+    /// `forwarded_keys − captured_total` is this member's contribution to
+    /// the cluster staleness bound: keys the member acknowledged that the
+    /// coordinator's federated snapshot does not yet reflect. For a healthy
+    /// member it shrinks back to zero at quiescence; for an unreachable one
+    /// it is frozen high — the widened error bound of degraded answers.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct MemberReport {
+        /// Member index in the coordinator's topology (0-based).
+        pub member: usize,
+        /// Member address (`host:port`).
+        pub addr: String,
+        /// The member answered its most recent pull (false = degraded:
+        /// answers fall back to its last good snapshot).
+        pub healthy: bool,
+        /// Publisher epoch of the last good snapshot pulled.
+        pub epoch: u64,
+        /// Stream mass that snapshot accounts for.
+        pub captured_total: u64,
+        /// Keys this member acknowledged (as key-routing primary or as a
+        /// spillover target).
+        pub forwarded_keys: u64,
+        /// Subset of `forwarded_keys` absorbed on behalf of unreachable
+        /// peers (spillover routing).
+        pub spilled_keys: u64,
+        /// Successful snapshot pulls.
+        pub pulls: u64,
+        /// Failed pulls or connection attempts.
+        pub pull_failures: u64,
+        /// `forwarded_keys − captured_total` (saturating): acknowledged
+        /// keys not yet reflected in the last good snapshot.
+        pub staleness: u64,
+        /// Standby address of this slot's replica pair, when configured.
+        pub standby: Option<String>,
+        /// Times this slot's routing flipped to the standby.
+        pub promotions: u64,
+        /// Un-acked replication tail: keys the active primary had logged
+        /// but its standby had not acknowledged at the last health check —
+        /// frozen at promotion as the slot's failover loss bound.
+        pub repl_unacked_keys: u64,
+    }
 }
 
-/// One member's view from a `cots-coord` coordinator.
-///
-/// `forwarded_keys − captured_total` is this member's contribution to
-/// the cluster staleness bound: keys the member acknowledged that the
-/// coordinator's federated snapshot does not yet reflect. For a healthy
-/// member it shrinks back to zero at quiescence; for an unreachable one
-/// it is frozen high — the widened error bound of degraded answers.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MemberReport {
-    /// Member index in the coordinator's topology (0-based).
-    pub member: usize,
-    /// Member address (`host:port`).
-    pub addr: String,
-    /// The member answered its most recent pull (false = degraded:
-    /// answers fall back to its last good snapshot).
-    pub healthy: bool,
-    /// Publisher epoch of the last good snapshot pulled.
-    pub epoch: u64,
-    /// Stream mass that snapshot accounts for.
-    pub captured_total: u64,
-    /// Keys this member acknowledged (as key-routing primary or as a
-    /// spillover target).
-    pub forwarded_keys: u64,
-    /// Subset of `forwarded_keys` absorbed on behalf of unreachable
-    /// peers (spillover routing).
-    pub spilled_keys: u64,
-    /// Successful snapshot pulls.
-    pub pulls: u64,
-    /// Failed pulls or connection attempts.
-    pub pull_failures: u64,
-    /// `forwarded_keys − captured_total` (saturating): acknowledged
-    /// keys not yet reflected in the last good snapshot.
-    pub staleness: u64,
-    /// Standby address of this slot's replica pair, when configured.
-    pub standby: Option<String>,
-    /// Times this slot's routing flipped to the standby.
-    pub promotions: u64,
-    /// Un-acked replication tail: keys the active primary had logged
-    /// but its standby had not acknowledged at the last health check —
-    /// frozen at promotion as the slot's failover loss bound.
-    pub repl_unacked_keys: u64,
+json_record! {
+    /// Cluster-wide statistics from a `cots-coord` coordinator.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ClusterReport {
+        /// Per-member breakdown.
+        pub members: Vec<MemberReport>,
+        /// Epoch of the federated (merged) snapshot.
+        pub epoch: u64,
+        /// Summed member mass the federated snapshot accounts for.
+        pub captured_total: u64,
+        /// Keys acknowledged cluster-wide.
+        pub forwarded_keys: u64,
+        /// Conservative cluster staleness: `forwarded_keys` minus the
+        /// federated snapshot's `captured_total`. Every answer may miss at
+        /// most this many acknowledged keys.
+        pub staleness: u64,
+        /// Members currently degraded (unreachable; answered from their
+        /// last good snapshot).
+        pub degraded_members: usize,
+        /// Staleness attributable to degraded members — the part of the
+        /// error envelope that cannot shrink until they rejoin.
+        pub degraded_staleness: u64,
+        /// Standby promotions performed cluster-wide.
+        pub promotions: u64,
+        /// Summed failover loss bound of slots currently running on a
+        /// promoted standby: keys acknowledged by a dead primary that its
+        /// standby had not received. Widens the answer envelope exactly
+        /// once (it is the frozen part of `staleness`, never added on
+        /// top), and cannot shrink until the ex-primary resyncs.
+        pub repl_unacked_keys: u64,
+        /// Federated merges published.
+        pub merges: u64,
+        /// Queries answered by the coordinator.
+        pub queries: u64,
+    }
 }
 
-/// Cluster-wide statistics from a `cots-coord` coordinator.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClusterReport {
-    /// Per-member breakdown.
-    pub members: Vec<MemberReport>,
-    /// Epoch of the federated (merged) snapshot.
-    pub epoch: u64,
-    /// Summed member mass the federated snapshot accounts for.
-    pub captured_total: u64,
-    /// Keys acknowledged cluster-wide.
-    pub forwarded_keys: u64,
-    /// Conservative cluster staleness: `forwarded_keys` minus the
-    /// federated snapshot's `captured_total`. Every answer may miss at
-    /// most this many acknowledged keys.
-    pub staleness: u64,
-    /// Members currently degraded (unreachable; answered from their
-    /// last good snapshot).
-    pub degraded_members: usize,
-    /// Staleness attributable to degraded members — the part of the
-    /// error envelope that cannot shrink until they rejoin.
-    pub degraded_staleness: u64,
-    /// Standby promotions performed cluster-wide.
-    pub promotions: u64,
-    /// Summed failover loss bound of slots currently running on a
-    /// promoted standby: keys acknowledged by a dead primary that its
-    /// standby had not received. Widens the answer envelope exactly
-    /// once (it is the frozen part of `staleness`, never added on
-    /// top), and cannot shrink until the ex-primary resyncs.
-    pub repl_unacked_keys: u64,
-    /// Federated merges published.
-    pub merges: u64,
-    /// Queries answered by the coordinator.
-    pub queries: u64,
+json_record! {
+    /// Aggregate service-level statistics for a `cots-serve` instance.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct ServiceReport {
+        /// Keys accepted into shard queues (enqueued; may exceed applied).
+        pub ingested_keys: u64,
+        /// INGEST frames accepted.
+        pub ingest_frames: u64,
+        /// INGEST frames rejected with OVERLOADED (backpressure).
+        pub rejected_frames: u64,
+        /// QUERY frames answered.
+        pub queries: u64,
+        /// Epoch of the currently published snapshot.
+        pub snapshot_epoch: u64,
+        /// Items applied to the backend after the published snapshot was
+        /// captured (staleness bound for query answers).
+        pub staleness: u64,
+        /// Counters monitored by the backend summary.
+        pub monitored: usize,
+        /// Per-shard breakdown.
+        pub shards: Vec<ShardReport>,
+        /// Crash-recovery provenance, when this instance restored state from
+        /// a data directory at startup.
+        pub recovery: Option<RecoveryReport>,
+        /// Persistence-pipeline counters, when running with a data directory.
+        pub persist: Option<PersistReport>,
+        /// Replication counters, when this instance is half of a
+        /// primary/standby pair.
+        pub repl: Option<ReplReport>,
+    }
 }
 
-/// Aggregate service-level statistics for a `cots-serve` instance.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServiceReport {
-    /// Keys accepted into shard queues (enqueued; may exceed applied).
-    pub ingested_keys: u64,
-    /// INGEST frames accepted.
-    pub ingest_frames: u64,
-    /// INGEST frames rejected with OVERLOADED (backpressure).
-    pub rejected_frames: u64,
-    /// QUERY frames answered.
-    pub queries: u64,
-    /// Epoch of the currently published snapshot.
-    pub snapshot_epoch: u64,
-    /// Items applied to the backend after the published snapshot was
-    /// captured (staleness bound for query answers).
-    pub staleness: u64,
-    /// Counters monitored by the backend summary.
-    pub monitored: usize,
-    /// Per-shard breakdown.
-    pub shards: Vec<ShardReport>,
-    /// Crash-recovery provenance, when this instance restored state from
-    /// a data directory at startup.
-    pub recovery: Option<RecoveryReport>,
-    /// Persistence-pipeline counters, when running with a data directory.
-    pub persist: Option<PersistReport>,
-    /// Replication counters, when this instance is half of a
-    /// primary/standby pair.
-    pub repl: Option<ReplReport>,
+impl PersistTally {
+    /// Record one committed checkpoint cut at `watermark`;
+    /// `last_watermark` keeps the high-water mark.
+    pub fn checkpoint(&self, watermark: u64) {
+        self.checkpoints(1);
+        self.last_watermark.fetch_max(watermark, Ordering::Relaxed);
+    }
 }
 
 impl ServiceReport {
@@ -515,248 +432,8 @@ impl ServiceReport {
     }
 }
 
-impl ToJson for ShardReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("shard", self.shard.to_json()),
-            ("batches", self.batches.to_json()),
-            ("keys", self.keys.to_json()),
-            ("max_queue_depth", self.max_queue_depth.to_json()),
-            ("idle_parks", self.idle_parks.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ShardReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            shard: usize::from_json(v.field("shard")?)?,
-            batches: u64::from_json(v.field("batches")?)?,
-            keys: u64::from_json(v.field("keys")?)?,
-            max_queue_depth: u64::from_json(v.field("max_queue_depth")?)?,
-            idle_parks: u64::from_json(v.field("idle_parks")?)?,
-        })
-    }
-}
-
-impl ToJson for RecoveryReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("checkpoint_watermark", self.checkpoint_watermark.to_json()),
-            ("base_items", self.base_items.to_json()),
-            ("replayed_batches", self.replayed_batches.to_json()),
-            ("replayed_items", self.replayed_items.to_json()),
-            ("recovered_items", self.recovered_items.to_json()),
-            ("segments_scanned", self.segments_scanned.to_json()),
-            ("bytes_scanned", self.bytes_scanned.to_json()),
-            ("torn_frames", self.torn_frames.to_json()),
-            ("dropped_bytes", self.dropped_bytes.to_json()),
-            ("corrupt_checkpoints", self.corrupt_checkpoints.to_json()),
-            ("elapsed_secs", self.elapsed_secs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RecoveryReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            checkpoint_watermark: Option::<u64>::from_json(v.field("checkpoint_watermark")?)?,
-            base_items: u64::from_json(v.field("base_items")?)?,
-            replayed_batches: u64::from_json(v.field("replayed_batches")?)?,
-            replayed_items: u64::from_json(v.field("replayed_items")?)?,
-            recovered_items: u64::from_json(v.field("recovered_items")?)?,
-            segments_scanned: u64::from_json(v.field("segments_scanned")?)?,
-            bytes_scanned: u64::from_json(v.field("bytes_scanned")?)?,
-            torn_frames: u64::from_json(v.field("torn_frames")?)?,
-            dropped_bytes: u64::from_json(v.field("dropped_bytes")?)?,
-            corrupt_checkpoints: u64::from_json(v.field("corrupt_checkpoints")?)?,
-            elapsed_secs: f64::from_json(v.field("elapsed_secs")?)?,
-        })
-    }
-}
-
-impl ToJson for PersistReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("checkpoints", self.checkpoints.to_json()),
-            ("last_watermark", self.last_watermark.to_json()),
-            ("wal_records", self.wal_records.to_json()),
-            ("wal_keys", self.wal_keys.to_json()),
-            ("wal_bytes", self.wal_bytes.to_json()),
-            ("wal_syncs", self.wal_syncs.to_json()),
-            ("io_errors", self.io_errors.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PersistReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            checkpoints: u64::from_json(v.field("checkpoints")?)?,
-            last_watermark: u64::from_json(v.field("last_watermark")?)?,
-            wal_records: u64::from_json(v.field("wal_records")?)?,
-            wal_keys: u64::from_json(v.field("wal_keys")?)?,
-            wal_bytes: u64::from_json(v.field("wal_bytes")?)?,
-            wal_syncs: u64::from_json(v.field("wal_syncs")?)?,
-            io_errors: u64::from_json(v.field("io_errors")?)?,
-        })
-    }
-}
-
-impl ToJson for ReplReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("role", self.role.to_json()),
-            ("peer", self.peer.to_json()),
-            ("connected", self.connected.to_json()),
-            ("streamed_batches", self.streamed_batches.to_json()),
-            ("streamed_keys", self.streamed_keys.to_json()),
-            ("acked_seq", self.acked_seq.to_json()),
-            ("next_seq", self.next_seq.to_json()),
-            ("unacked_batches", self.unacked_batches.to_json()),
-            ("unacked_keys", self.unacked_keys.to_json()),
-            ("snapshots", self.snapshots.to_json()),
-            ("duplicates", self.duplicates.to_json()),
-            ("promotions", self.promotions.to_json()),
-            ("lineage", self.lineage.to_json()),
-            ("resync_required", self.resync_required.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ReplReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            role: String::from_json(v.field("role")?)?,
-            peer: String::from_json(v.field("peer")?)?,
-            connected: bool::from_json(v.field("connected")?)?,
-            streamed_batches: u64::from_json(v.field("streamed_batches")?)?,
-            streamed_keys: u64::from_json(v.field("streamed_keys")?)?,
-            acked_seq: u64::from_json(v.field("acked_seq")?)?,
-            next_seq: u64::from_json(v.field("next_seq")?)?,
-            unacked_batches: u64::from_json(v.field("unacked_batches")?)?,
-            unacked_keys: u64::from_json(v.field("unacked_keys")?)?,
-            snapshots: u64::from_json(v.field("snapshots")?)?,
-            duplicates: u64::from_json(v.field("duplicates")?)?,
-            promotions: u64::from_json(v.field("promotions")?)?,
-            lineage: u64::from_json(v.field("lineage")?)?,
-            resync_required: bool::from_json(v.field("resync_required")?)?,
-        })
-    }
-}
-
-impl ToJson for MemberReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("member", self.member.to_json()),
-            ("addr", self.addr.to_json()),
-            ("healthy", self.healthy.to_json()),
-            ("epoch", self.epoch.to_json()),
-            ("captured_total", self.captured_total.to_json()),
-            ("forwarded_keys", self.forwarded_keys.to_json()),
-            ("spilled_keys", self.spilled_keys.to_json()),
-            ("pulls", self.pulls.to_json()),
-            ("pull_failures", self.pull_failures.to_json()),
-            ("staleness", self.staleness.to_json()),
-            ("standby", self.standby.to_json()),
-            ("promotions", self.promotions.to_json()),
-            ("repl_unacked_keys", self.repl_unacked_keys.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MemberReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            member: usize::from_json(v.field("member")?)?,
-            addr: String::from_json(v.field("addr")?)?,
-            healthy: bool::from_json(v.field("healthy")?)?,
-            epoch: u64::from_json(v.field("epoch")?)?,
-            captured_total: u64::from_json(v.field("captured_total")?)?,
-            forwarded_keys: u64::from_json(v.field("forwarded_keys")?)?,
-            spilled_keys: u64::from_json(v.field("spilled_keys")?)?,
-            pulls: u64::from_json(v.field("pulls")?)?,
-            pull_failures: u64::from_json(v.field("pull_failures")?)?,
-            staleness: u64::from_json(v.field("staleness")?)?,
-            standby: Option::<String>::from_json(v.field("standby")?)?,
-            promotions: u64::from_json(v.field("promotions")?)?,
-            repl_unacked_keys: u64::from_json(v.field("repl_unacked_keys")?)?,
-        })
-    }
-}
-
-impl ToJson for ClusterReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("members", self.members.to_json()),
-            ("epoch", self.epoch.to_json()),
-            ("captured_total", self.captured_total.to_json()),
-            ("forwarded_keys", self.forwarded_keys.to_json()),
-            ("staleness", self.staleness.to_json()),
-            ("degraded_members", self.degraded_members.to_json()),
-            ("degraded_staleness", self.degraded_staleness.to_json()),
-            ("promotions", self.promotions.to_json()),
-            ("repl_unacked_keys", self.repl_unacked_keys.to_json()),
-            ("merges", self.merges.to_json()),
-            ("queries", self.queries.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ClusterReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            members: Vec::<MemberReport>::from_json(v.field("members")?)?,
-            epoch: u64::from_json(v.field("epoch")?)?,
-            captured_total: u64::from_json(v.field("captured_total")?)?,
-            forwarded_keys: u64::from_json(v.field("forwarded_keys")?)?,
-            staleness: u64::from_json(v.field("staleness")?)?,
-            degraded_members: usize::from_json(v.field("degraded_members")?)?,
-            degraded_staleness: u64::from_json(v.field("degraded_staleness")?)?,
-            promotions: u64::from_json(v.field("promotions")?)?,
-            repl_unacked_keys: u64::from_json(v.field("repl_unacked_keys")?)?,
-            merges: u64::from_json(v.field("merges")?)?,
-            queries: u64::from_json(v.field("queries")?)?,
-        })
-    }
-}
-
-impl ToJson for ServiceReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("ingested_keys", self.ingested_keys.to_json()),
-            ("ingest_frames", self.ingest_frames.to_json()),
-            ("rejected_frames", self.rejected_frames.to_json()),
-            ("queries", self.queries.to_json()),
-            ("snapshot_epoch", self.snapshot_epoch.to_json()),
-            ("staleness", self.staleness.to_json()),
-            ("monitored", self.monitored.to_json()),
-            ("shards", self.shards.to_json()),
-            ("recovery", self.recovery.to_json()),
-            ("persist", self.persist.to_json()),
-            ("repl", self.repl.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServiceReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            ingested_keys: u64::from_json(v.field("ingested_keys")?)?,
-            ingest_frames: u64::from_json(v.field("ingest_frames")?)?,
-            rejected_frames: u64::from_json(v.field("rejected_frames")?)?,
-            queries: u64::from_json(v.field("queries")?)?,
-            snapshot_epoch: u64::from_json(v.field("snapshot_epoch")?)?,
-            staleness: u64::from_json(v.field("staleness")?)?,
-            monitored: usize::from_json(v.field("monitored")?)?,
-            shards: Vec::<ShardReport>::from_json(v.field("shards")?)?,
-            recovery: Option::<RecoveryReport>::from_json(v.field("recovery")?)?,
-            persist: Option::<PersistReport>::from_json(v.field("persist")?)?,
-            repl: Option::<ReplReport>::from_json(v.field("repl")?)?,
-        })
-    }
-}
-
+// Hand-written: `elapsed` is a `Duration` in memory and fractional seconds
+// on the wire (the unit of the paper's tables).
 impl ToJson for RunStats {
     fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -842,6 +519,22 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.snapshot().elements, 4000);
+    }
+
+    #[test]
+    fn persist_tally_accumulates() {
+        let t = PersistTally::new();
+        t.checkpoint(100);
+        t.checkpoint(40); // out-of-order commit keeps the high-water mark
+        t.wal_keys(32);
+        t.wal_keys(8);
+        t.io_errors(1);
+        let r = t.snapshot();
+        assert_eq!(r.checkpoints, 2);
+        assert_eq!(r.last_watermark, 100);
+        assert_eq!(r.wal_keys, 40);
+        assert_eq!(r.io_errors, 1);
+        assert_eq!(r.wal_syncs, 0);
     }
 
     #[test]

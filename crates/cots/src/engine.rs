@@ -19,6 +19,26 @@
 //!   bucket. This is where skewed streams win: one summary operation
 //!   absorbs the whole logged mass.
 //!
+//! ## Why draining is a loop, not a recursion
+//!
+//! Processing a request usually ends by logging a follow-up request on
+//! another bucket (an increment lands its element one bucket up, a
+//! relinquish turns logged mass into a bulk increment, a retired bucket's
+//! queue is re-routed), and the follow-up has to complete before the
+//! drain it came from pops its next request — otherwise a backlog of
+//! overwrites empties the minimum bucket while the elements they admit
+//! are still in flight, and every later overwrite bounces off it. Done by
+//! recursion, one hot element climbing the frequency list while other
+//! threads keep logging mass for it nests a stack frame per bucket
+//! climbed: unbounded, and a stack overflow on a small-stack worker
+//! thread. So the call stack is explicit. [`CotsEngine::enqueue`] only
+//! pushes the request and records a [`Debt`] in the caller's list; a
+//! drain that finds it has incurred debts *parks* itself — still owning
+//! its bucket — beneath them; and the outermost caller
+//! [`CotsEngine::settle`]s the list newest-first until it is empty. The
+//! order of operations and the span of every ownership are those of the
+//! recursion; only the frames live on the heap.
+//!
 //! ## Why the raw-pointer requests are sound
 //!
 //! See [`crate::node`]: a queued request holds a unit of `pending`, and
@@ -96,6 +116,25 @@ struct BatchCounters {
     combined: u64,
     flushes: u64,
 }
+
+/// One unit of drain work a thread has taken on and not yet done. Valid
+/// for the lifetime of the epoch pin the bucket was loaded under.
+enum Debt<'g, K> {
+    /// The thread pushed a request onto this bucket and has not yet tried
+    /// to become its owner.
+    Attempt(Shared<'g, Bucket<K>>),
+    /// The thread owns this bucket and parked its drain while the debts
+    /// above it are settled: the suspended frame of `try_drain`.
+    Parked {
+        bucket: Shared<'g, Bucket<K>>,
+        scan: bool,
+        stash: Vec<Request<K>>,
+        progressed: bool,
+    },
+}
+
+/// A thread's outstanding [`Debt`]s, newest last.
+type Owed<'g, K> = Vec<Debt<'g, K>>;
 
 /// Outcome of processing one request.
 enum Outcome<K> {
@@ -257,11 +296,12 @@ impl<K: Element> CotsEngine<K> {
         self.tally.elements(items.len() as u64);
         let guard = epoch::pin();
         let mut c = BatchCounters::default();
+        let mut owed = Owed::new();
         if self.combiner_slots != 0 && items.len() > 1 {
-            self.delegate_batch_combined(items, before, &mut c, &guard);
+            self.delegate_batch_combined(items, before, &mut c, &mut owed, &guard);
         } else {
             for &item in items {
-                self.flush_mass(item, MulHash::hash(&item), 1, &mut c, &guard);
+                self.flush_mass(item, MulHash::hash(&item), 1, &mut c, &mut owed, &guard);
             }
             // Lossy Counting round boundaries crossed by this batch (§5.3):
             // replace Overwrite with a minimum-bucket prune.
@@ -269,7 +309,8 @@ impl<K: Element> CotsEngine<K> {
                 let first_round = before / width;
                 let last_round = after / width;
                 for round in (first_round + 1)..=last_round {
-                    self.enqueue_head(Request::PruneMin { threshold: round }, &guard);
+                    self.enqueue_head(Request::PruneMin { threshold: round }, &mut owed, &guard);
+                    self.settle(&mut owed, &guard);
                 }
             }
         }
@@ -305,18 +346,19 @@ impl<K: Element> CotsEngine<K> {
     /// is enqueued, so no pre-boundary mass hides in private state when
     /// the prune inspects the summary (same visibility a per-element run
     /// would give the prune).
-    fn delegate_batch_combined(
+    fn delegate_batch_combined<'g>(
         &self,
         items: &[K],
         before: u64,
         c: &mut BatchCounters,
-        guard: &Guard,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
     ) {
         let mut combiner = BatchCombiner::new(self.combiner_slots);
         match self.policy {
             Policy::SpaceSaving => {
-                self.combine_segment(items, &mut combiner, c, guard);
-                self.flush_combiner(&mut combiner, c, guard);
+                self.combine_segment(items, &mut combiner, c, owed, guard);
+                self.flush_combiner(&mut combiner, c, owed, guard);
             }
             Policy::LossyRounds { width } => {
                 let mut offset = 0usize;
@@ -324,39 +366,59 @@ impl<K: Element> CotsEngine<K> {
                 while offset < items.len() {
                     let until_boundary = (width - pos % width) as usize;
                     let take = until_boundary.min(items.len() - offset);
-                    self.combine_segment(&items[offset..offset + take], &mut combiner, c, guard);
+                    self.combine_segment(
+                        &items[offset..offset + take],
+                        &mut combiner,
+                        c,
+                        owed,
+                        guard,
+                    );
                     offset += take;
                     pos += take as u64;
                     if pos.is_multiple_of(width) {
-                        self.flush_combiner(&mut combiner, c, guard);
-                        self.enqueue_head(Request::PruneMin { threshold: pos / width }, guard);
+                        self.flush_combiner(&mut combiner, c, owed, guard);
+                        self.enqueue_head(
+                            Request::PruneMin {
+                                threshold: pos / width,
+                            },
+                            owed,
+                            guard,
+                        );
+                        self.settle(owed, guard);
                     }
                 }
-                self.flush_combiner(&mut combiner, c, guard);
+                self.flush_combiner(&mut combiner, c, owed, guard);
             }
         }
     }
 
     /// Feed a segment through the combiner, flushing evicted victims
     /// immediately so no occurrence is ever dropped.
-    fn combine_segment(
+    fn combine_segment<'g>(
         &self,
         seg: &[K],
         combiner: &mut BatchCombiner<K>,
         c: &mut BatchCounters,
-        guard: &Guard,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
     ) {
         for &item in seg {
             let hash = MulHash::hash(&item);
             if let Some((key, key_hash, count)) = combiner.add(item, hash) {
-                self.flush_mass(key, key_hash, count, c, guard);
+                self.flush_mass(key, key_hash, count, c, owed, guard);
             }
         }
     }
 
     /// Drain the combiner through the delegation protocol.
-    fn flush_combiner(&self, combiner: &mut BatchCombiner<K>, c: &mut BatchCounters, guard: &Guard) {
-        combiner.drain(|key, hash, count| self.flush_mass(key, hash, count, c, guard));
+    fn flush_combiner<'g>(
+        &self,
+        combiner: &mut BatchCombiner<K>,
+        c: &mut BatchCounters,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
+    ) {
+        combiner.drain(|key, hash, count| self.flush_mass(key, hash, count, c, owed, guard));
     }
 
     /// Algorithm 2's delegate step for `count` occurrences of `key` at
@@ -364,7 +426,15 @@ impl<K: Element> CotsEngine<K> {
     /// value of 0 makes this thread the element owner (boundary crossing
     /// with the whole aggregated amount); otherwise the mass is logged for
     /// the current owner's relinquish to fold into a bulk increment.
-    fn flush_mass(&self, key: K, hash: u64, count: u64, c: &mut BatchCounters, guard: &Guard) {
+    fn flush_mass<'g>(
+        &self,
+        key: K,
+        hash: u64,
+        count: u64,
+        c: &mut BatchCounters,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
+    ) {
         debug_assert!(count > 0);
         loop {
             let node_sh = self.table.lookup_or_insert_hashed(key, hash, guard);
@@ -398,7 +468,10 @@ impl<K: Element> CotsEngine<K> {
                     node.pending.fetch_sub(count - 1, Ordering::AcqRel);
                 }
                 c.crossings += 1;
-                self.cross_boundary(node, count, guard);
+                self.cross_boundary(node, count, owed, guard);
+                // Everything the crossing set in motion completes before
+                // the next stream element is looked at.
+                self.settle(owed, guard);
             } else {
                 // Logged: the current owner folds this mass into a bulk
                 // request at relinquish time.
@@ -411,7 +484,13 @@ impl<K: Element> CotsEngine<K> {
     /// The element-owner produces the request for `node` carrying `amount`
     /// stream occurrences and routes it (the "crossing the boundary" step
     /// of §5.2.1).
-    fn cross_boundary(&self, node: &Node<K>, amount: u64, guard: &Guard) {
+    fn cross_boundary<'g>(
+        &self,
+        node: &Node<K>,
+        amount: u64,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
+    ) {
         if node.freq.load(Ordering::Acquire) == 0 {
             // Admission of a new element.
             let admit = match self.policy {
@@ -432,22 +511,22 @@ impl<K: Element> CotsEngine<K> {
             };
             if admit {
                 node.freq.store(amount, Ordering::Release);
-                self.enqueue_head(Request::Add(NodePtr::new(node)), guard);
+                self.enqueue_head(Request::Add(NodePtr::new(node)), owed, guard);
             } else {
-                self.enqueue_head(Request::Overwrite(NodePtr::new(node), amount), guard);
+                self.enqueue_head(Request::Overwrite(NodePtr::new(node), amount), owed, guard);
             }
         } else {
             // The node sits in a bucket and is stationary (we exclusively
             // own its processing), so routing to `node.bucket` is safe.
             let b = node.bucket.load(Ordering::Acquire, guard);
             debug_assert!(!b.is_null(), "admitted node must have a bucket");
-            self.enqueue(b, Request::Increment(NodePtr::new(node), amount), guard);
+            self.enqueue(b, Request::Increment(NodePtr::new(node), amount), owed);
         }
     }
 
     /// Release exclusive rights on `node`, converting any logged mass into
     /// a bulk increment (the CAS/swap protocol of §5.2.1).
-    fn relinquish(&self, node: &Node<K>, guard: &Guard) {
+    fn relinquish<'g>(&self, node: &Node<K>, owed: &mut Owed<'g, K>, guard: &'g Guard) {
         if node
             .pending
             .compare_exchange(1, 0, Ordering::AcqRel, Ordering::Acquire)
@@ -462,27 +541,25 @@ impl<K: Element> CotsEngine<K> {
         // it relinquishes again.
         let b = node.bucket.load(Ordering::Acquire, guard);
         debug_assert!(!b.is_null());
-        self.enqueue(b, Request::Increment(NodePtr::new(node), extra), guard);
+        self.enqueue(b, Request::Increment(NodePtr::new(node), extra), owed);
     }
 
     // ==================================================================
     // Bucket-level delegation: enqueue + drain
     // ==================================================================
 
-    /// Log a request on `b`'s queue and try to become its processor.
-    fn enqueue(&self, b: Shared<'_, Bucket<K>>, req: Request<K>, guard: &Guard) {
+    /// Log a request on `b`'s queue and owe the bucket a drain attempt;
+    /// the outermost caller pays with [`CotsEngine::settle`]. Nothing is
+    /// drained here, so logging never nests (see the module docs).
+    fn enqueue<'g>(&self, b: Shared<'g, Bucket<K>>, req: Request<K>, owed: &mut Owed<'g, K>) {
         // NB: `b` may be retired (unlinked + deferred) — the epoch pin
-        // keeps it valid and the `is_gc` check below rescues the request.
-        // SAFETY: the caller loaded `b` under `guard`; even if concurrently
-        // retired, reclamation is deferred past this pin.
+        // keeps it valid and the drain attempt's leading `is_gc` check
+        // rescues the request.
+        // SAFETY: the caller loaded `b` under the guard `'g` borrows; even
+        // if concurrently retired, reclamation is deferred past that pin.
         let bucket = unsafe { b.deref() };
         bucket.queue.push(req);
-        if bucket.is_gc() {
-            // The bucket was logically removed; rescue everything.
-            self.forward_gc_queue(bucket, guard);
-            return;
-        }
-        if let Some(a) = self.adaptive {
+        if let Some(a) = self.adaptive.filter(|_| !bucket.is_gc()) {
             let len = bucket.queue.len();
             if len > a.sigma {
                 if let Some(h) = self.hook.get() {
@@ -494,17 +571,36 @@ impl<K: Element> CotsEngine<K> {
                 }
             }
         }
-        self.try_drain(b, self.scan_neighbors, guard);
+        if !matches!(owed.last(), Some(Debt::Attempt(last)) if *last == b) {
+            owed.push(Debt::Attempt(b));
+        }
+    }
+
+    /// Pay every debt on the list, including the ones paying them incurs,
+    /// newest first — a follow-up completes before the drain that caused
+    /// it resumes.
+    fn settle<'g>(&self, owed: &mut Owed<'g, K>, guard: &'g Guard) {
+        while let Some(debt) = owed.pop() {
+            match debt {
+                Debt::Attempt(b) => self.try_drain(b, self.scan_neighbors, None, owed, guard),
+                Debt::Parked {
+                    bucket,
+                    scan,
+                    stash,
+                    progressed,
+                } => self.try_drain(bucket, scan, Some((stash, progressed)), owed, guard),
+            }
+        }
     }
 
     /// Route a request to the head sentinel, whose owner dispatches it to
     /// the (current) minimum bucket. The sentinel always exists and is
     /// never garbage-collected, so the paper's "delegate to the minimum
     /// frequency bucket" has a stable, race-free target.
-    fn enqueue_head(&self, req: Request<K>, guard: &Guard) {
+    fn enqueue_head<'g>(&self, req: Request<K>, owed: &mut Owed<'g, K>, guard: &'g Guard) {
         let head = self.head.load(Ordering::Acquire, guard);
         debug_assert!(!head.is_null(), "sentinel installed at construction");
-        self.enqueue(head, req, guard);
+        self.enqueue(head, req, owed);
     }
 
     /// First live (non-GC) bucket after the sentinel — the minimum bucket —
@@ -527,46 +623,81 @@ impl<K: Element> CotsEngine<K> {
 
     /// Acquire-and-drain loop (bucket-level delegation with the
     /// release-recheck pattern, so no logged request is ever lost).
-    fn try_drain(&self, b: Shared<'_, Bucket<K>>, scan: bool, guard: &Guard) {
+    ///
+    /// `parked` is `Some` when [`CotsEngine::settle`] resumes a drain this
+    /// thread parked: it still owns the bucket and continues mid-loop.
+    fn try_drain<'g>(
+        &self,
+        b: Shared<'g, Bucket<K>>,
+        scan: bool,
+        mut parked: Option<(Vec<Request<K>>, bool)>,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
+    ) {
         // NB: `b` may be retired — handled by the leading `is_gc` check.
         // SAFETY: the caller loaded `b` under `guard`; even if concurrently
         // retired, reclamation is deferred past this pin.
         let bucket = unsafe { b.deref() };
+        // Debts above this mark were incurred by this drain.
+        let floor = owed.len();
         loop {
-            if bucket.is_gc() {
-                self.forward_gc_queue(bucket, guard);
-                return;
-            }
-            if !bucket.try_own() {
-                // Delegated: the current owner is bound to process our
-                // request before releasing.
-                self.tally.delegated_requests(1);
-                return;
-            }
-            if bucket.is_gc() {
-                // TOCTOU: the previous owner retired the bucket between
-                // our entry check and the ownership CAS. A retired bucket
-                // must never be treated as owned (its links are frozen and
-                // its successors may belong to someone else now) — rescue
-                // the queue and leave.
-                bucket.release();
-                self.forward_gc_queue(bucket, guard);
-                return;
-            }
-            // Owners keep the list tidy: unlink retired successors so
-            // traversals (and the dead prefix after the sentinel) stay
-            // short.
-            self.gc_successors(b, guard);
-            let mut progressed = false;
-            let mut stash: Vec<Request<K>> = Vec::new();
-            while let Some(req) = bucket.queue.pop() {
+            let (mut stash, mut progressed) = match parked.take() {
+                Some(frame) => frame,
+                None => {
+                    if bucket.is_gc() {
+                        self.forward_gc_queue(bucket, owed, guard);
+                        return;
+                    }
+                    if !bucket.try_own() {
+                        // Delegated: the current owner is bound to process
+                        // our request before releasing.
+                        self.tally.delegated_requests(1);
+                        return;
+                    }
+                    if bucket.is_gc() {
+                        // TOCTOU: the previous owner retired the bucket
+                        // between our entry check and the ownership CAS. A
+                        // retired bucket must never be treated as owned
+                        // (its links are frozen and its successors may
+                        // belong to someone else now) — rescue the queue
+                        // and leave.
+                        bucket.release();
+                        self.forward_gc_queue(bucket, owed, guard);
+                        return;
+                    }
+                    // Owners keep the list tidy: unlink retired successors
+                    // so traversals (and the dead prefix after the
+                    // sentinel) stay short.
+                    self.gc_successors(b, owed, guard);
+                    (Vec::new(), false)
+                }
+            };
+            loop {
+                if owed.len() > floor && !bucket.is_gc() {
+                    // The last step logged follow-up work. Park — still
+                    // the owner, so arrivals keep queueing behind us —
+                    // beneath it; `settle` resumes here once it is done.
+                    owed.insert(
+                        floor,
+                        Debt::Parked {
+                            bucket: b,
+                            scan,
+                            stash,
+                            progressed,
+                        },
+                    );
+                    return;
+                }
+                let Some(req) = bucket.queue.pop() else {
+                    break;
+                };
                 if bucket.is_gc() {
                     // We GC'd the bucket ourselves mid-drain (minimum
                     // advanced); everything left re-routes.
-                    self.redispatch(req, guard);
+                    self.redispatch(req, owed, guard);
                     continue;
                 }
-                match self.process_request(b, req, guard) {
+                match self.process_request(b, req, owed, guard) {
                     Outcome::Done => progressed = true,
                     Outcome::Deferred(r) => {
                         self.tally.overwrite_deferrals(1);
@@ -576,9 +707,9 @@ impl<K: Element> CotsEngine<K> {
             }
             if bucket.is_gc() {
                 for r in stash {
-                    self.redispatch(r, guard);
+                    self.redispatch(r, owed, guard);
                 }
-                self.forward_gc_queue(bucket, guard);
+                self.forward_gc_queue(bucket, owed, guard);
                 return;
             }
             let restashed = stash.len();
@@ -599,13 +730,13 @@ impl<K: Element> CotsEngine<K> {
                     self.tally.gc_buckets(1);
                 }
                 bucket.release();
-                self.forward_gc_queue(bucket, guard);
+                self.forward_gc_queue(bucket, owed, guard);
                 // Trim the dead prefix promptly — an emptied minimum
                 // bucket would otherwise linger linked after the sentinel
                 // until the next admission.
                 let head = self.head.load(Ordering::Acquire, guard);
                 if head != b {
-                    self.try_drain(head, false, guard);
+                    self.try_drain(head, false, None, owed, guard);
                 }
                 return;
             }
@@ -623,13 +754,18 @@ impl<K: Element> CotsEngine<K> {
             }
         }
         if scan {
-            self.neighbor_scan(b, guard);
+            self.neighbor_scan(b, owed, guard);
         }
     }
 
     /// §5.2.3: after finishing a bucket, help successors that have pending
     /// requests and no owner, stopping at the first owned bucket.
-    fn neighbor_scan(&self, b: Shared<'_, Bucket<K>>, guard: &Guard) {
+    fn neighbor_scan<'g>(
+        &self,
+        b: Shared<'g, Bucket<K>>,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
+    ) {
         // SAFETY: `b` was loaded under `guard` by the caller; deferred
         // reclamation keeps it valid while pinned.
         let mut cur = unsafe { b.deref() }.next.load(Ordering::Acquire, guard);
@@ -641,7 +777,11 @@ impl<K: Element> CotsEngine<K> {
                 break;
             }
             if !bucket.is_gc() && !bucket.queue.is_empty() {
-                self.try_drain(cur, false, guard);
+                let floor = owed.len();
+                self.try_drain(cur, false, None, owed, guard);
+                if owed.len() > floor {
+                    break; // the helped drain has follow-ups to finish first
+                }
             }
             cur = bucket.next.load(Ordering::Acquire, guard);
             hops += 1;
@@ -652,21 +792,21 @@ impl<K: Element> CotsEngine<K> {
     }
 
     /// Rescue all requests logged on a garbage-collected bucket.
-    fn forward_gc_queue(&self, bucket: &Bucket<K>, guard: &Guard) {
+    fn forward_gc_queue<'g>(&self, bucket: &Bucket<K>, owed: &mut Owed<'g, K>, guard: &'g Guard) {
         while let Some(req) = bucket.queue.pop() {
-            self.redispatch(req, guard);
+            self.redispatch(req, owed, guard);
         }
     }
 
     /// Re-route a request whose target bucket disappeared.
-    fn redispatch(&self, req: Request<K>, guard: &Guard) {
+    fn redispatch<'g>(&self, req: Request<K>, owed: &mut Owed<'g, K>, guard: &'g Guard) {
         match req {
             Request::Increment(node, by) => {
                 let b = node.get().bucket.load(Ordering::Acquire, guard);
                 debug_assert!(!b.is_null());
-                self.enqueue(b, Request::Increment(node, by), guard);
+                self.enqueue(b, Request::Increment(node, by), owed);
             }
-            other => self.enqueue_head(other, guard),
+            other => self.enqueue_head(other, owed, guard),
         }
     }
 
@@ -674,11 +814,12 @@ impl<K: Element> CotsEngine<K> {
     // Request processing (Algorithms 3, 5, 6 + §5.3 prune)
     // ==================================================================
 
-    fn process_request(
+    fn process_request<'g>(
         &self,
-        b: Shared<'_, Bucket<K>>,
+        b: Shared<'g, Bucket<K>>,
         req: Request<K>,
-        guard: &Guard,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
     ) -> Outcome<K> {
         self.tally.summary_ops(1);
         // SAFETY: requests are only dispatched to buckets loaded under
@@ -688,18 +829,18 @@ impl<K: Element> CotsEngine<K> {
             // search (the sentinel's frequency 0 is below every real
             // count); minimum-bucket requests are delegated to the first
             // live successor.
-            return self.process_at_sentinel(b, req, guard);
+            return self.process_at_sentinel(b, req, owed, guard);
         }
         match req {
             Request::Add(node) => {
-                self.process_add(b, node, guard);
+                self.process_add(b, node, owed, guard);
                 Outcome::Done
             }
             Request::Increment(node, by) => {
-                self.process_increment(b, node, by, guard);
+                self.process_increment(b, node, by, owed, guard);
                 Outcome::Done
             }
-            Request::Overwrite(node, by) => self.process_overwrite(b, node, by, guard),
+            Request::Overwrite(node, by) => self.process_overwrite(b, node, by, owed, guard),
             Request::PruneMin { threshold } => {
                 self.process_prune(b, threshold, guard);
                 Outcome::Done
@@ -712,19 +853,20 @@ impl<K: Element> CotsEngine<K> {
     /// count, so sorted insertion just works — including into an empty
     /// summary); minimum-bucket requests are delegated to the first live
     /// successor.
-    fn process_at_sentinel(
+    fn process_at_sentinel<'g>(
         &self,
-        b: Shared<'_, Bucket<K>>,
+        b: Shared<'g, Bucket<K>>,
         req: Request<K>,
-        guard: &Guard,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
     ) -> Outcome<K> {
         match req {
             Request::Add(node_ptr) => {
-                self.find_dest(b, node_ptr, guard);
+                self.find_dest(b, node_ptr, owed, guard);
                 Outcome::Done
             }
             Request::Overwrite(node_ptr, by) => {
-                self.gc_successors(b, guard);
+                self.gc_successors(b, owed, guard);
                 // SAFETY: we hold `b`'s drain rights and `guard` is pinned;
                 // the bucket stays allocated even if concurrently retired.
                 let first = unsafe { b.deref() }.next.load(Ordering::Acquire, guard);
@@ -736,19 +878,19 @@ impl<K: Element> CotsEngine<K> {
                     self.monitored.fetch_add(1, Ordering::AcqRel);
                     let node = node_ptr.get();
                     node.freq.store(by, Ordering::Release);
-                    self.find_dest(b, node_ptr, guard);
+                    self.find_dest(b, node_ptr, owed, guard);
                 } else {
-                    self.enqueue(first, Request::Overwrite(node_ptr, by), guard);
+                    self.enqueue(first, Request::Overwrite(node_ptr, by), owed);
                 }
                 Outcome::Done
             }
             Request::PruneMin { threshold } => {
-                self.gc_successors(b, guard);
+                self.gc_successors(b, owed, guard);
                 // SAFETY: we hold `b`'s drain rights and `guard` is pinned;
                 // the bucket stays allocated even if concurrently retired.
                 let first = unsafe { b.deref() }.next.load(Ordering::Acquire, guard);
                 if !first.is_null() {
-                    self.enqueue(first, Request::PruneMin { threshold }, guard);
+                    self.enqueue(first, Request::PruneMin { threshold }, owed);
                 }
                 Outcome::Done
             }
@@ -757,7 +899,13 @@ impl<K: Element> CotsEngine<K> {
     }
 
     /// Algorithm 3: AddElementToBucket.
-    fn process_add(&self, b: Shared<'_, Bucket<K>>, node_ptr: NodePtr<K>, guard: &Guard) {
+    fn process_add<'g>(
+        &self,
+        b: Shared<'g, Bucket<K>>,
+        node_ptr: NodePtr<K>,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
+    ) {
         // SAFETY: we hold `b`'s drain rights and `guard` is pinned; the
         // bucket stays allocated even if concurrently retired.
         let bucket = unsafe { b.deref() };
@@ -765,24 +913,25 @@ impl<K: Element> CotsEngine<K> {
         let freq = node.freq.load(Ordering::Acquire);
         if freq == bucket.freq {
             self.link(b, node, guard);
-            self.relinquish(node, guard);
+            self.relinquish(node, owed, guard);
         } else if freq < bucket.freq {
             // This bucket is no longer the right landing spot (a lower
             // bucket must exist or be created); route through the sentinel,
             // whose destination search inserts in sorted position.
-            self.enqueue_head(Request::Add(node_ptr), guard);
+            self.enqueue_head(Request::Add(node_ptr), owed, guard);
         } else {
-            self.find_dest(b, node_ptr, guard);
+            self.find_dest(b, node_ptr, owed, guard);
         }
     }
 
     /// Algorithm 5: IncrementCounter.
-    fn process_increment(
+    fn process_increment<'g>(
         &self,
-        b: Shared<'_, Bucket<K>>,
+        b: Shared<'g, Bucket<K>>,
         node_ptr: NodePtr<K>,
         by: u64,
-        guard: &Guard,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
     ) {
         // SAFETY: we hold `b`'s drain rights and `guard` is pinned; the
         // bucket stays allocated even if concurrently retired.
@@ -795,14 +944,20 @@ impl<K: Element> CotsEngine<K> {
         self.unlink(b, node, guard);
         let new_freq = bucket.freq + by;
         node.freq.store(new_freq, Ordering::Release);
-        self.find_dest(b, node_ptr, guard);
+        self.find_dest(b, node_ptr, owed, guard);
         // If this emptied the bucket, the drain-exit garbage collection of
         // `try_drain` retires it once its queue runs dry.
     }
 
     /// Algorithm 4: FindDestBucket. `node` is unlinked, its `freq` holds
     /// the target; we own `b` and `node.freq > b.freq`.
-    fn find_dest(&self, b: Shared<'_, Bucket<K>>, node_ptr: NodePtr<K>, guard: &Guard) {
+    fn find_dest<'g>(
+        &self,
+        b: Shared<'g, Bucket<K>>,
+        node_ptr: NodePtr<K>,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
+    ) {
         // SAFETY: we hold `b`'s drain rights and `guard` is pinned; the
         // bucket stays allocated even if concurrently retired.
         let bucket = unsafe { b.deref() };
@@ -811,17 +966,17 @@ impl<K: Element> CotsEngine<K> {
         debug_assert!(target > bucket.freq);
         // Garbage-collect retired buckets immediately after us (we own the
         // predecessor, so the unlink is safe).
-        self.gc_successors(b, guard);
+        self.gc_successors(b, owed, guard);
         let next = bucket.next.load(Ordering::Acquire, guard);
         // SAFETY: successor pointer loaded under `guard`; retired buckets are
         // reclaimed only after every pin is released.
         let next_ref = unsafe { next.as_ref() };
         match next_ref {
-            None => self.insert_bucket_after(b, next, node, guard),
-            Some(nb) if nb.freq > target => self.insert_bucket_after(b, next, node, guard),
+            None => self.insert_bucket_after(b, next, node, owed, guard),
+            Some(nb) if nb.freq > target => self.insert_bucket_after(b, next, node, owed, guard),
             Some(nb) if nb.freq == target => {
                 // Delegate the linking to the destination bucket.
-                self.enqueue(next, Request::Add(node_ptr), guard);
+                self.enqueue(next, Request::Add(node_ptr), owed);
             }
             Some(_) => {
                 // Bulk increment: walk forward to the last bucket whose
@@ -859,19 +1014,20 @@ impl<K: Element> CotsEngine<K> {
                         break;
                     }
                 }
-                self.enqueue(prev, Request::Add(node_ptr), guard);
+                self.enqueue(prev, Request::Add(node_ptr), owed);
             }
         }
     }
 
     /// Insert a new bucket holding `node` between owned bucket `b` and its
     /// successor `next`.
-    fn insert_bucket_after(
+    fn insert_bucket_after<'g>(
         &self,
-        b: Shared<'_, Bucket<K>>,
-        next: Shared<'_, Bucket<K>>,
+        b: Shared<'g, Bucket<K>>,
+        next: Shared<'g, Bucket<K>>,
         node: &Node<K>,
-        guard: &Guard,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
     ) {
         #[cfg(debug_assertions)]
         destroy_registry::assert_alive(b.as_raw() as usize, "insert_bucket_after");
@@ -891,17 +1047,18 @@ impl<K: Element> CotsEngine<K> {
         destroy_registry::forget(installed.as_raw() as usize);
         bucket.next.store(installed, Ordering::Release);
         node.bucket.store(installed, Ordering::Release);
-        self.relinquish(node, guard);
+        self.relinquish(node, owed, guard);
     }
 
     /// Algorithm 6: OverwriteElement. We own `b`; `node` is a new element
     /// that must replace a minimum-frequency victim.
-    fn process_overwrite(
+    fn process_overwrite<'g>(
         &self,
-        b: Shared<'_, Bucket<K>>,
+        b: Shared<'g, Bucket<K>>,
         node_ptr: NodePtr<K>,
         by: u64,
-        guard: &Guard,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
     ) -> Outcome<K> {
         // SAFETY: we hold `b`'s drain rights and `guard` is pinned; the
         // bucket stays allocated even if concurrently retired.
@@ -910,7 +1067,7 @@ impl<K: Element> CotsEngine<K> {
         // appeared (or this one was retired), chase the real minimum
         // through the sentinel.
         if self.first_alive(guard) != b {
-            self.enqueue_head(Request::Overwrite(node_ptr, by), guard);
+            self.enqueue_head(Request::Overwrite(node_ptr, by), owed, guard);
             return Outcome::Done;
         }
         let node = node_ptr.get();
@@ -927,7 +1084,7 @@ impl<K: Element> CotsEngine<K> {
                 node.error.store(bucket.freq, Ordering::Release);
                 node.freq.store(bucket.freq + by, Ordering::Release);
                 self.tally.overwrites(1);
-                self.find_dest(b, node_ptr, guard);
+                self.find_dest(b, node_ptr, owed, guard);
                 return Outcome::Done;
             }
             cur = cand.list_next.load(Ordering::Acquire, guard);
@@ -941,7 +1098,7 @@ impl<K: Element> CotsEngine<K> {
                 if bucket.mark_gc() {
                     self.tally.gc_buckets(1);
                 }
-                self.enqueue_head(Request::Overwrite(node_ptr, by), guard);
+                self.enqueue_head(Request::Overwrite(node_ptr, by), owed, guard);
                 return Outcome::Done;
             }
             return Outcome::Deferred(Request::Overwrite(node_ptr, by));
@@ -1020,7 +1177,12 @@ impl<K: Element> CotsEngine<K> {
 
     /// Unlink (and retire) garbage-collected buckets directly after owned
     /// bucket `b`.
-    fn gc_successors(&self, b: Shared<'_, Bucket<K>>, guard: &Guard) {
+    fn gc_successors<'g>(
+        &self,
+        b: Shared<'g, Bucket<K>>,
+        owed: &mut Owed<'g, K>,
+        guard: &'g Guard,
+    ) {
         // SAFETY: the caller owns `b` and holds `guard`; the bucket stays
         // allocated.
         let bucket = unsafe { b.deref() };
@@ -1033,7 +1195,7 @@ impl<K: Element> CotsEngine<K> {
                     let after = nb.next.load(Ordering::Acquire, guard);
                     bucket.next.store(after, Ordering::Release);
                     // Rescue any late-logged requests, then retire.
-                    self.forward_gc_queue(nb, guard);
+                    self.forward_gc_queue(nb, owed, guard);
                     #[cfg(debug_assertions)]
                     destroy_registry::record_destroy(
                         next.as_raw() as usize,
@@ -1064,6 +1226,7 @@ impl<K: Element> CotsEngine<K> {
     /// `Σ counts == N` holds exactly (Space Saving policy).
     pub fn finalize(&self) {
         let guard = epoch::pin();
+        let mut owed = Owed::new();
         for round in 0..1_000_000 {
             let mut any = false;
             let mut cur = self.head.load(Ordering::Acquire, &guard);
@@ -1073,7 +1236,7 @@ impl<K: Element> CotsEngine<K> {
             while let Some(bucket) = unsafe { cur.as_ref() } {
                 if !bucket.queue.is_empty() {
                     any = true;
-                    self.try_drain(cur, false, &guard);
+                    self.try_drain(cur, false, None, &mut owed, &guard);
                 } else if round == 0
                     && bucket.freq != 0
                     && !bucket.is_gc()
@@ -1081,8 +1244,9 @@ impl<K: Element> CotsEngine<K> {
                 {
                     // Quiet empty bucket: drain once so the exit GC
                     // retires it.
-                    self.try_drain(cur, false, &guard);
+                    self.try_drain(cur, false, None, &mut owed, &guard);
                 }
+                self.settle(&mut owed, &guard);
                 cur = bucket.next.load(Ordering::Acquire, &guard);
             }
             if !any && round > 0 {
@@ -1260,6 +1424,7 @@ impl<K: Element> CotsEngine<K> {
     /// running (used by windowed readers to freshen a snapshot).
     pub fn drain_pending(&self) {
         let guard = epoch::pin();
+        let mut owed = Owed::new();
         for _ in 0..8 {
             let mut any = false;
             let mut cur = self.head.load(Ordering::Acquire, &guard);
@@ -1269,7 +1434,8 @@ impl<K: Element> CotsEngine<K> {
             while let Some(bucket) = unsafe { cur.as_ref() } {
                 if !bucket.queue.is_empty() {
                     any = true;
-                    self.try_drain(cur, false, &guard);
+                    self.try_drain(cur, false, None, &mut owed, &guard);
+                    self.settle(&mut owed, &guard);
                 }
                 cur = bucket.next.load(Ordering::Acquire, &guard);
             }

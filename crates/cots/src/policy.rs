@@ -10,19 +10,21 @@
 //! evicts via `Overwrite`; [`Policy::LossyRounds`] admits unconditionally
 //! and prunes the minimum bucket at every round boundary.
 
-use cots_core::json::{FromJson, Json, JsonError, JsonResult, ToJson};
+use cots_core::json_record;
 
-/// The frequency-counting policy run inside the CoTS framework.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Space Saving (§3.3): bounded counters, minimum-element overwrite.
-    SpaceSaving,
-    /// Lossy Counting (§5.3): rounds of `width` elements; the minimum
-    /// bucket is pruned at each round boundary.
-    LossyRounds {
-        /// Round width `w = ⌈1/ε⌉`.
-        width: u64,
-    },
+json_record! {
+    /// The frequency-counting policy run inside the CoTS framework.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Policy {
+        /// Space Saving (§3.3): bounded counters, minimum-element overwrite.
+        SpaceSaving,
+        /// Lossy Counting (§5.3): rounds of `width` elements; the minimum
+        /// bucket is pruned at each round boundary.
+        LossyRounds {
+            /// Round width `w = ⌈1/ε⌉`.
+            width: u64,
+        },
+    }
 }
 
 impl Policy {
@@ -32,32 +34,6 @@ impl Policy {
         Ok(Policy::LossyRounds {
             width: cfg.capacity as u64,
         })
-    }
-}
-
-impl ToJson for Policy {
-    fn to_json(&self) -> Json {
-        match self {
-            Policy::SpaceSaving => Json::Str("SpaceSaving".into()),
-            Policy::LossyRounds { width } => Json::Obj(vec![(
-                "LossyRounds".into(),
-                Json::obj(vec![("width", width.to_json())]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for Policy {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match v {
-            Json::Str(s) if s == "SpaceSaving" => Ok(Policy::SpaceSaving),
-            Json::Obj(members) if members.len() == 1 && members[0].0 == "LossyRounds" => {
-                Ok(Policy::LossyRounds {
-                    width: u64::from_json(members[0].1.field("width")?)?,
-                })
-            }
-            _ => Err(JsonError("unknown Policy variant".into())),
-        }
     }
 }
 

@@ -28,7 +28,7 @@ use std::fs::{self, File};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use cots_core::json::{FromJson, Json, JsonError, JsonResult, ToJson};
+use cots_core::json_record;
 use cots_core::{CotsError, CounterEntry, Result, Snapshot};
 
 use crate::codec::{decode_record, encode_record};
@@ -39,22 +39,24 @@ pub const CKPT_MAGIC: &[u8; 8] = b"COTSCKP1";
 /// File extension of committed checkpoints.
 pub const CKPT_EXT: &str = "ckpt";
 
-/// A decoded checkpoint: one consistent summary of the service plus the
-/// WAL position it corresponds to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// First WAL batch sequence number *not* reflected in `entries`.
-    /// Recovery replays `seq >= watermark`.
-    pub watermark: u64,
-    /// Snapshot-publisher epoch at capture time; the restarted publisher
-    /// resumes from here so client-visible epochs stay monotone.
-    pub epoch: u64,
-    /// Summary capacity the entries were produced under.
-    pub capacity: usize,
-    /// Total stream mass the summary accounts for.
-    pub total: u64,
-    /// Summary entries, sorted by descending count.
-    pub entries: Vec<CounterEntry<u64>>,
+json_record! {
+    /// A decoded checkpoint: one consistent summary of the service plus the
+    /// WAL position it corresponds to.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Checkpoint {
+        /// First WAL batch sequence number *not* reflected in `entries`.
+        /// Recovery replays `seq >= watermark`.
+        pub watermark: u64,
+        /// Snapshot-publisher epoch at capture time; the restarted publisher
+        /// resumes from here so client-visible epochs stay monotone.
+        pub epoch: u64,
+        /// Summary capacity the entries were produced under.
+        pub capacity: usize,
+        /// Total stream mass the summary accounts for.
+        pub total: u64,
+        /// Summary entries, sorted by descending count.
+        pub entries: Vec<CounterEntry<u64>>,
+    }
 }
 
 impl Checkpoint {
@@ -115,32 +117,6 @@ impl Checkpoint {
     }
 }
 
-impl ToJson for Checkpoint {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("watermark", self.watermark.to_json()),
-            ("epoch", self.epoch.to_json()),
-            ("capacity", self.capacity.to_json()),
-            ("total", self.total.to_json()),
-            ("entries", self.entries.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Checkpoint {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        let ckpt = Self {
-            watermark: u64::from_json(v.field("watermark")?)?,
-            epoch: u64::from_json(v.field("epoch")?)?,
-            capacity: usize::from_json(v.field("capacity")?)?,
-            total: u64::from_json(v.field("total")?)?,
-            entries: Vec::from_json(v.field("entries")?)?,
-        };
-        ckpt.validate().map_err(|e| JsonError(format!("invalid checkpoint: {e}")))?;
-        Ok(ckpt)
-    }
-}
-
 /// Serialize and commit `ckpt` into `dir`, atomically.
 ///
 /// Returns the committed path and the file size in bytes.
@@ -185,10 +161,12 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint> {
     }
     let text = std::str::from_utf8(payload)
         .map_err(|e| CotsError::Report(format!("{}: payload not UTF-8: {e}", path.display())))?;
-    // FromJson runs `validate()`, so a CRC-valid but semantically broken
-    // checkpoint is rejected here.
-    cots_core::json::from_str(text)
-        .map_err(|e| CotsError::Report(format!("{}: {e}", path.display())))
+    let ckpt: Checkpoint = cots_core::json::from_str(text)
+        .map_err(|e| CotsError::Report(format!("{}: {e}", path.display())))?;
+    // A CRC-valid but semantically broken checkpoint is rejected here.
+    ckpt.validate()
+        .map_err(|e| CotsError::Report(format!("{}: invalid checkpoint: {e}", path.display())))?;
+    Ok(ckpt)
 }
 
 /// List committed checkpoint files in `dir`, newest first (by the

@@ -1,18 +1,19 @@
 //! Incremental WAL tailing and replication ack watermarks.
 //!
-//! [`WalTailer`] is the read side of the replication shipper: it follows
-//! the segmented log *while a writer is still appending*, returning each
-//! committed batch exactly once, in sequence order. Unlike
-//! [`scan_wal`](crate::wal::scan_wal) (which reads a quiescent directory
-//! once, at recovery), the tailer keeps a cursor per segment and treats
-//! an incomplete frame at the end of the newest segment as "not written
-//! yet, retry later" rather than as a torn tail.
+//! [`WalTailer`] is the one reader of the segmented log. The replication
+//! shipper uses it to follow the log *while a writer is still appending*,
+//! returning each committed batch exactly once, in sequence order: it
+//! keeps a cursor per segment and treats an incomplete frame at the end
+//! of the newest segment as "not written yet, retry later". Recovery
+//! ([`scan_wal`](crate::wal::scan_wal)) drives the same tailer to the end
+//! of a quiescent directory and then [`WalTailer::seal`]s it, which is
+//! what turns that unfinished tail into a torn one.
 //!
-//! The same rules as recovery apply to damage: a bad frame in a segment
-//! that is no longer the newest ends that segment's contribution (the
-//! framing beyond it is untrusted) and the remaining bytes are counted
-//! as dropped — shipping then under-ships exactly the mass recovery
-//! would have dropped, never something else.
+//! Damage is handled once, so shipping and recovery cannot disagree: a
+//! bad frame in a segment that is no longer the newest ends that
+//! segment's contribution (the framing beyond it is untrusted) and the
+//! remaining bytes are counted as dropped — shipping under-ships exactly
+//! the mass recovery would have dropped, never something else.
 //!
 //! [`load_ack`] / [`store_ack`] persist the standby's acknowledged
 //! sequence number on the primary, CRC-framed. The primary uses it as a
@@ -31,7 +32,7 @@ use std::path::{Path, PathBuf};
 use cots_core::Result;
 
 use crate::codec::{decode_record, encode_record, read_u64_le, RecordError};
-use crate::wal::{parse_segment_name, WalBatch, WAL_MAGIC};
+use crate::wal::{list_segments, parse_record_payload, WalBatch, WAL_MAGIC};
 
 /// File name of the persisted replication ack watermark.
 pub const ACK_FILE: &str = "repl-ack";
@@ -53,6 +54,14 @@ pub struct TailStats {
     pub dropped_bytes: u64,
     /// Segments fully consumed (read to their final frame).
     pub segments_done: u64,
+    /// Segment files visited.
+    pub segments: u64,
+    /// Bytes accounted for so far: decoded frames, segment magics and
+    /// abandoned regions. Equals the log's size once sealed.
+    pub bytes_scanned: u64,
+    /// Highest sequence number in any valid record (including ones
+    /// below the start sequence).
+    pub max_seq: Option<u64>,
 }
 
 /// Per-segment read cursor.
@@ -101,14 +110,7 @@ impl WalTailer {
     /// Re-list the directory, keeping existing cursors and appending
     /// newly appeared segments in scan order.
     fn refresh(&mut self) -> Result<()> {
-        let mut found: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if let Some(first) = parse_segment_name(&path) {
-                found.push((first, path));
-            }
-        }
-        found.sort();
+        let found = list_segments(&self.dir)?;
         // Cursors for files that disappeared (pruned) are dropped; any
         // unread frames they held are gone for recovery too, so the
         // shipper and a restart agree on what was lost.
@@ -116,6 +118,7 @@ impl WalTailer {
             .retain(|c| found.iter().any(|(_, p)| *p == c.path));
         for (first_seq, path) in found {
             if !self.segments.iter().any(|c| c.path == path) {
+                self.stats.segments += 1;
                 self.segments.push(SegCursor {
                     first_seq,
                     path,
@@ -157,11 +160,15 @@ impl WalTailer {
                 Ok(b) => b,
                 // The file can vanish between listing and reading
                 // (pruned); treat as done, a refresh will drop it.
-                Err(_) => {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                     // PANIC-OK: same in-bounds `i` as above.
                     self.segments[i].done = true;
                     continue;
                 }
+                // Anything else (permissions, a failing disk) must not
+                // pass for an empty segment: recovery would silently
+                // under-count and the shipper would skip live data.
+                Err(e) => return Err(e.into()),
             };
             let mut off = 0usize;
             // The magic prefix is consumed once per segment.
@@ -181,6 +188,9 @@ impl WalTailer {
                     continue;
                 }
                 off = WAL_MAGIC.len();
+                self.stats.bytes_scanned += off as u64;
+                // PANIC-OK: same in-bounds `i` as above.
+                self.segments[i].offset = off as u64;
             }
             while off < bytes.len() {
                 if out_keys >= max_keys && !out.is_empty() {
@@ -189,12 +199,14 @@ impl WalTailer {
                 match decode_record(bytes.get(off..).unwrap_or(&[])) {
                     Ok((payload, consumed)) => {
                         off += consumed;
+                        self.stats.bytes_scanned += consumed as u64;
                         // PANIC-OK: same in-bounds `i` as above.
                         self.segments[i].offset = offset + off as u64;
                         parsed.clear();
-                        if crate::wal::parse_record_payload(payload, &mut parsed) {
+                        if parse_record_payload(payload, &mut parsed) {
                             for batch in parsed.drain(..) {
                                 self.stats.records += 1;
+                                self.stats.max_seq = self.stats.max_seq.max(Some(batch.seq));
                                 let fresh = batch.seq >= self.from_seq
                                     && self.last_seq.is_none_or(|l| batch.seq > l);
                                 if fresh {
@@ -238,12 +250,33 @@ impl WalTailer {
         Ok(out)
     }
 
-    /// Mark segment `i` consumed, accounting `dropped` abandoned bytes.
-    fn finish_segment(&mut self, i: usize, dropped: u64) {
-        if dropped > 0 {
-            self.stats.torn_frames += 1;
-            self.stats.dropped_bytes += dropped;
+    /// Declare the log quiescent: nobody will finish what the newest
+    /// segment still holds unread (a half-written frame, or a file too
+    /// short to carry the segment magic), so book it as a torn tail the
+    /// way a sealed segment's would have been. Recovery calls this once
+    /// the tailer has caught up; a live shipper never does.
+    pub fn seal(&mut self) {
+        let Some(i) = self.segments.len().checked_sub(1) else {
+            return;
+        };
+        // PANIC-OK: `i` is the last index of a non-empty vec.
+        let c = &self.segments[i];
+        if c.done {
+            return;
         }
+        let len = fs::metadata(&c.path).map_or(c.offset, |m| m.len());
+        let unread = len.saturating_sub(c.offset);
+        if unread > 0 || c.offset == 0 {
+            self.finish_segment(i, unread);
+        }
+    }
+
+    /// Mark segment `i` consumed after damage: one torn frame spanning
+    /// `dropped` abandoned bytes.
+    fn finish_segment(&mut self, i: usize, dropped: u64) {
+        self.stats.torn_frames += 1;
+        self.stats.dropped_bytes += dropped;
+        self.stats.bytes_scanned += dropped;
         // PANIC-OK: callers pass an `i` bounded by the poll loop.
         self.segments[i].done = true;
         self.stats.segments_done += 1;
@@ -262,14 +295,7 @@ fn read_from(path: &Path, offset: u64) -> std::io::Result<Vec<u8>> {
 /// The first sequence number still available in the log under `dir`:
 /// the smallest segment start. `None` when no segments exist.
 pub fn oldest_segment_seq(dir: &Path) -> Result<Option<u64>> {
-    let mut oldest: Option<u64> = None;
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if let Some(first) = parse_segment_name(&path) {
-            oldest = Some(oldest.map_or(first, |o| o.min(first)));
-        }
-    }
-    Ok(oldest)
+    Ok(list_segments(dir)?.first().map(|(first, _)| *first))
 }
 
 /// Durably record the standby's acknowledged sequence number.
@@ -342,7 +368,7 @@ fn load_watermark_file(dir: &Path, name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{scan_wal, FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES};
+    use crate::wal::{parse_segment_name, scan_wal, FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES};
 
     fn temp_dir(tag: &str) -> PathBuf {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

@@ -34,17 +34,22 @@
 //! segment at the next sequence number — they never append to a
 //! possibly-torn file.
 //!
-//! AUDIT: total — the scan path decodes arbitrary disk bytes; enforced by
-//! `cargo xtask audit` (lint-totality).
+//! Reading the log back — at recovery ([`scan_wal`]) and while it is
+//! still being written (the replication shipper) — is one loop, in
+//! [`crate::tail`].
+//!
+//! AUDIT: total — the record parsers decode arbitrary disk bytes;
+//! enforced by `cargo xtask audit` (lint-totality).
 
 use std::fs::{self, File};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use cots_core::{CotsError, Result};
 
-use crate::codec::{decode_record, encode_record, read_u32_le, read_u64_le, RecordError};
+use crate::codec::{encode_record, read_u32_le, read_u64_le};
+use crate::tail::WalTailer;
 
 /// Magic prefix of every WAL segment.
 pub const WAL_MAGIC: &[u8; 8] = b"COTSWAL1";
@@ -328,7 +333,25 @@ pub struct WalScan {
     pub max_seq: Option<u64>,
 }
 
+/// Every WAL segment file in `dir` as `(first_seq, path)`, in log order.
+pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
+    let mut segments = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if let Some(first) = parse_segment_name(&path) {
+            segments.push((first, path));
+        }
+    }
+    segments.sort();
+    Ok(segments)
+}
+
 /// Scan every WAL segment in `dir` and recover the valid prefix of each.
+///
+/// This is a [`WalTailer`] driven to the end of a log nobody is writing:
+/// one poll reads everything committed, and [`WalTailer::seal`] books
+/// what the newest segment still holds unread as a torn tail instead of
+/// waiting for a writer to finish it.
 ///
 /// Total: arbitrary file contents produce a [`WalScan`], never a panic.
 /// Decoding stops at the first bad frame *per segment* (framing beyond it
@@ -338,65 +361,19 @@ pub struct WalScan {
 /// the checkpoint and are skipped; duplicate or regressing sequence
 /// numbers are skipped too so a scan can never double-apply a batch.
 pub fn scan_wal(dir: &Path, from_seq: u64) -> Result<WalScan> {
-    let mut segments: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if let Some(first) = parse_segment_name(&path) {
-            segments.push((first, path));
-        }
-    }
-    segments.sort();
-
-    let mut scan = WalScan::default();
-    let mut last_kept: Option<u64> = None;
-    for (_, path) in segments {
-        scan.segments += 1;
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        scan.bytes_scanned += bytes.len() as u64;
-        if bytes.get(..WAL_MAGIC.len()) != Some(WAL_MAGIC.as_slice()) {
-            scan.torn_frames += 1;
-            scan.dropped_bytes += bytes.len() as u64;
-            continue;
-        }
-        let mut off = WAL_MAGIC.len();
-        let mut parsed: Vec<WalBatch> = Vec::new();
-        while off < bytes.len() {
-            match decode_record(bytes.get(off..).unwrap_or(&[])) {
-                Ok((payload, consumed)) => {
-                    off += consumed;
-                    parsed.clear();
-                    if parse_record_payload(payload, &mut parsed) {
-                        for batch in parsed.drain(..) {
-                            scan.records += 1;
-                            scan.max_seq =
-                                Some(scan.max_seq.map_or(batch.seq, |m| m.max(batch.seq)));
-                            let fresh = batch.seq >= from_seq
-                                && last_kept.is_none_or(|l| batch.seq > l);
-                            if fresh {
-                                last_kept = Some(batch.seq);
-                                scan.batches.push(batch);
-                            }
-                        }
-                    } else {
-                        // CRC-valid frame with a malformed payload:
-                        // count it as corruption but keep framing —
-                        // the CRC says the frame boundary is sound.
-                        scan.torn_frames += 1;
-                        scan.dropped_bytes += consumed as u64;
-                    }
-                }
-                Err(RecordError::Incomplete)
-                | Err(RecordError::TooLarge(_))
-                | Err(RecordError::Corrupt { .. }) => {
-                    scan.torn_frames += 1;
-                    scan.dropped_bytes += (bytes.len() - off) as u64;
-                    break;
-                }
-            }
-        }
-    }
-    Ok(scan)
+    let mut tailer = WalTailer::new(dir, from_seq);
+    let batches = tailer.poll(usize::MAX)?;
+    tailer.seal();
+    let stats = tailer.stats;
+    Ok(WalScan {
+        batches,
+        segments: stats.segments,
+        records: stats.records,
+        bytes_scanned: stats.bytes_scanned,
+        torn_frames: stats.torn_frames,
+        dropped_bytes: stats.dropped_bytes,
+        max_seq: stats.max_seq,
+    })
 }
 
 /// Decode one batch at byte offset `off`; returns the batch and the
@@ -455,16 +432,8 @@ pub(crate) fn parse_record_payload(payload: &[u8], out: &mut Vec<WalBatch>) -> b
 /// the number of files removed. Removal errors are ignored — pruning is
 /// an optimization, not a correctness requirement.
 pub fn prune_wal(dir: &Path, watermark: u64) -> Result<u64> {
-    let mut segments: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        if let Some(first) = parse_segment_name(&path) {
-            segments.push((first, path));
-        }
-    }
-    segments.sort();
     let mut removed = 0;
-    for pair in segments.windows(2) {
+    for pair in list_segments(dir)?.windows(2) {
         if let [(_, path), (next_first, _)] = pair {
             if *next_first <= watermark && fs::remove_file(path).is_ok() {
                 removed += 1;

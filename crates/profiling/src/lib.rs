@@ -18,33 +18,35 @@
 
 pub mod service;
 
-pub use service::{IngestTally, PersistTally, ShardTally};
+pub use service::{IngestTally, ShardTally};
 
 use std::time::{Duration, Instant};
 
-use cots_core::json::{FromJson, Json, JsonError, JsonResult, ToJson};
+use cots_core::json_record;
 
-/// The measured phases, covering both of the paper's breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Phase {
-    /// Frequency-counting work proper (Fig. 4 "Counting").
-    Counting = 0,
-    /// Merging thread-local structures (Fig. 4 "Merge").
-    Merge = 1,
-    /// Hash-table operations, including blocking on element-level
-    /// synchronization (Fig. 5 "Hash Opns").
-    HashOps = 2,
-    /// Stream Summary operations: add / increment / overwrite under bucket
-    /// locks (Fig. 5 "Structure Opns").
-    StructureOps = 3,
-    /// Acquiring the min/max bucket-pointer locks (Fig. 5 "Min-Max Locks").
-    MinMaxLocks = 4,
-    /// Frequency-bucket lock acquisitions outside structure operations
-    /// (Fig. 5 "Bucket Locks").
-    BucketLocks = 5,
-    /// Everything else (Fig. 5 "Rest").
-    Rest = 6,
+json_record! {
+    /// The measured phases, covering both of the paper's breakdowns.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[repr(usize)]
+    pub enum Phase {
+        /// Frequency-counting work proper (Fig. 4 "Counting").
+        Counting,
+        /// Merging thread-local structures (Fig. 4 "Merge").
+        Merge,
+        /// Hash-table operations, including blocking on element-level
+        /// synchronization (Fig. 5 "Hash Opns").
+        HashOps,
+        /// Stream Summary operations: add / increment / overwrite under bucket
+        /// locks (Fig. 5 "Structure Opns").
+        StructureOps,
+        /// Acquiring the min/max bucket-pointer locks (Fig. 5 "Min-Max Locks").
+        MinMaxLocks,
+        /// Frequency-bucket lock acquisitions outside structure operations
+        /// (Fig. 5 "Bucket Locks").
+        BucketLocks,
+        /// Everything else (Fig. 5 "Rest").
+        Rest,
+    }
 }
 
 /// Number of phases.
@@ -76,10 +78,12 @@ impl Phase {
     }
 }
 
-/// Accumulated time per phase for one thread.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseTimes {
-    nanos: [u64; NUM_PHASES],
+json_record! {
+    /// Accumulated time per phase for one thread.
+    #[derive(Debug, Clone, Default)]
+    pub struct PhaseTimes {
+        nanos: [u64; NUM_PHASES],
+    }
 }
 
 impl PhaseTimes {
@@ -179,16 +183,18 @@ impl PhaseTimer {
     }
 }
 
-/// An aggregated percentage breakdown across threads — one bar of Figure
-/// 4/5.
-#[derive(Debug, Clone)]
-pub struct Breakdown {
-    /// Thread count of the run the bar describes.
-    pub threads: usize,
-    /// Percentage of total time per phase, aligned with [`ALL_PHASES`].
-    pub percent: [f64; NUM_PHASES],
-    /// Total measured time across threads.
-    pub total_nanos: u64,
+json_record! {
+    /// An aggregated percentage breakdown across threads — one bar of Figure
+    /// 4/5.
+    #[derive(Debug, Clone)]
+    pub struct Breakdown {
+        /// Thread count of the run the bar describes.
+        pub threads: usize,
+        /// Percentage of total time per phase, aligned with [`ALL_PHASES`].
+        pub percent: [f64; NUM_PHASES],
+        /// Total measured time across threads.
+        pub total_nanos: u64,
+    }
 }
 
 impl Breakdown {
@@ -235,86 +241,21 @@ impl Breakdown {
     }
 }
 
-impl ToJson for Phase {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Phase::Counting => "Counting",
-                Phase::Merge => "Merge",
-                Phase::HashOps => "HashOps",
-                Phase::StructureOps => "StructureOps",
-                Phase::MinMaxLocks => "MinMaxLocks",
-                Phase::BucketLocks => "BucketLocks",
-                Phase::Rest => "Rest",
-            }
-            .to_string(),
-        )
+json_record! {
+    /// Advisory wall-clock summary over repeated runs of one configuration.
+    ///
+    /// Perf gates must key on *deterministic* work counters; wall clock on a
+    /// shared CI runner is weather, so it is summarized here and reported,
+    /// never gated on.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ThroughputSummary {
+        /// Median of the observed wall-clock times, in seconds.
+        pub median_secs: f64,
+        /// Fastest observed run, in seconds.
+        pub min_secs: f64,
+        /// Slowest observed run, in seconds.
+        pub max_secs: f64,
     }
-}
-
-impl FromJson for Phase {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match v.as_str() {
-            Some("Counting") => Ok(Phase::Counting),
-            Some("Merge") => Ok(Phase::Merge),
-            Some("HashOps") => Ok(Phase::HashOps),
-            Some("StructureOps") => Ok(Phase::StructureOps),
-            Some("MinMaxLocks") => Ok(Phase::MinMaxLocks),
-            Some("BucketLocks") => Ok(Phase::BucketLocks),
-            Some("Rest") => Ok(Phase::Rest),
-            _ => Err(JsonError("unknown Phase variant".into())),
-        }
-    }
-}
-
-impl ToJson for PhaseTimes {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("nanos", self.nanos.to_json())])
-    }
-}
-
-impl FromJson for PhaseTimes {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            nanos: <[u64; NUM_PHASES]>::from_json(v.field("nanos")?)?,
-        })
-    }
-}
-
-impl ToJson for Breakdown {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("threads", self.threads.to_json()),
-            ("percent", self.percent.to_json()),
-            ("total_nanos", self.total_nanos.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Breakdown {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            threads: usize::from_json(v.field("threads")?)?,
-            percent: <[f64; NUM_PHASES]>::from_json(v.field("percent")?)?,
-            total_nanos: u64::from_json(v.field("total_nanos")?)?,
-        })
-    }
-}
-
-/// Render a set of breakdowns (one per thread count) as the paper's stacked
-/// Advisory wall-clock summary over repeated runs of one configuration.
-///
-/// Perf gates must key on *deterministic* work counters; wall clock on a
-/// shared CI runner is weather, so it is summarized here and reported,
-/// never gated on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputSummary {
-    /// Median of the observed wall-clock times, in seconds.
-    pub median_secs: f64,
-    /// Fastest observed run, in seconds.
-    pub min_secs: f64,
-    /// Slowest observed run, in seconds.
-    pub max_secs: f64,
 }
 
 impl ThroughputSummary {
@@ -341,26 +282,7 @@ impl ThroughputSummary {
     }
 }
 
-impl ToJson for ThroughputSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("median_secs", self.median_secs.to_json()),
-            ("min_secs", self.min_secs.to_json()),
-            ("max_secs", self.max_secs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ThroughputSummary {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            median_secs: f64::from_json(v.field("median_secs")?)?,
-            min_secs: f64::from_json(v.field("min_secs")?)?,
-            max_secs: f64::from_json(v.field("max_secs")?)?,
-        })
-    }
-}
-
+/// Render a set of breakdowns (one per thread count) as the paper's stacked
 /// percentage table, restricted to the phases that are non-zero anywhere.
 pub fn render_breakdown_table(breakdowns: &[Breakdown]) -> String {
     let used: Vec<Phase> = ALL_PHASES

@@ -126,73 +126,6 @@ impl IngestTally {
     }
 }
 
-/// Counters for the durability pipeline (WAL appends, checkpoints) of a
-/// `cots-serve` instance running with a data directory. Shared by the
-/// shard workers (appends), the checkpointer thread, and `STATS`.
-#[derive(Debug, Default)]
-pub struct PersistTally {
-    checkpoints: AtomicU64,
-    last_watermark: AtomicU64,
-    wal_records: AtomicU64,
-    wal_keys: AtomicU64,
-    wal_bytes: AtomicU64,
-    wal_syncs: AtomicU64,
-    io_errors: AtomicU64,
-}
-
-impl PersistTally {
-    /// Fresh tally with all counters zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one committed checkpoint at `watermark`.
-    #[inline]
-    pub fn checkpoint(&self, watermark: u64) {
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.last_watermark.fetch_max(watermark, Ordering::Relaxed);
-    }
-
-    /// Record one successful WAL group commit: `records` logical batches
-    /// holding `keys` keys, `bytes` bytes written (framing included).
-    #[inline]
-    pub fn wal_commit(&self, records: u64, keys: u64, bytes: u64) {
-        self.wal_records.fetch_add(records, Ordering::Relaxed);
-        self.wal_keys.fetch_add(keys, Ordering::Relaxed);
-        self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record one `fsync` of the WAL.
-    #[inline]
-    pub fn wal_sync(&self) {
-        self.wal_syncs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one absorbed persistence I/O error.
-    #[inline]
-    pub fn io_error(&self) {
-        self.io_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// I/O errors absorbed so far.
-    pub fn io_errors(&self) -> u64 {
-        self.io_errors.load(Ordering::Relaxed)
-    }
-
-    /// Freeze into the wire report.
-    pub fn report(&self) -> PersistReport {
-        PersistReport {
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            last_watermark: self.last_watermark.load(Ordering::Relaxed),
-            wal_records: self.wal_records.load(Ordering::Relaxed),
-            wal_keys: self.wal_keys.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,26 +168,6 @@ mod tests {
         assert_eq!(r.applied_keys(), 100);
         assert_eq!(r.shards[1].shard, 1);
         assert!(r.recovery.is_none() && r.persist.is_none());
-    }
-
-    #[test]
-    fn persist_tally_accumulates() {
-        let t = PersistTally::new();
-        t.checkpoint(100);
-        t.checkpoint(40); // out-of-order commit keeps the high-water mark
-        t.wal_commit(1, 32, 300);
-        t.wal_commit(1, 8, 80);
-        t.wal_sync();
-        t.io_error();
-        let r = t.report();
-        assert_eq!(r.checkpoints, 2);
-        assert_eq!(r.last_watermark, 100);
-        assert_eq!(r.wal_records, 2);
-        assert_eq!(r.wal_keys, 40);
-        assert_eq!(r.wal_bytes, 380);
-        assert_eq!(r.wal_syncs, 1);
-        assert_eq!(r.io_errors, 1);
-        assert_eq!(t.io_errors(), 1);
     }
 
     #[test]

@@ -27,5 +27,5 @@
 pub mod plan;
 pub mod shipper;
 
-pub use plan::{expected_ack, frames_for, is_contiguous, plan_chunks, runs_for};
+pub use plan::{expected_ack, is_contiguous, plan_chunks, runs_for};
 pub use shipper::{spawn, ShipperConfig, ShipperHandle};

@@ -2,16 +2,14 @@
 //! frames and reasoning about the acks they should produce.
 //!
 //! Plans are *subslices* of the tailer's batch run — no keys are copied
-//! at planning time. The BIN1 shipper encodes a chunk straight from the
-//! borrowed slices ([`runs_for`]); only the JSON fallback materializes
-//! owned [`ReplFrame`]s ([`frames_for`]).
+//! at planning time; the shipper hands the borrowed slices ([`runs_for`])
+//! to `Client::encode_repl_batch`, which picks the wire encoding.
 //!
 //! AUDIT: total — planning runs on every shipper poll against data read
 //! back from disk; it must never panic. Enforced by `cargo xtask audit`
 //! (lint-totality).
 
 use cots_persist::WalBatch;
-use cots_serve::ReplFrame;
 
 /// Chunk a run of tailed WAL batches into `REPL_BATCH`-sized subslices,
 /// each carrying at most `max_keys` keys. Batches are never split — a
@@ -40,19 +38,8 @@ pub fn plan_chunks(batches: &[WalBatch], max_keys: usize) -> Vec<&[WalBatch]> {
     chunks
 }
 
-/// Owned `REPL_FRAME`s for one planned chunk — the JSON encoding path.
-pub fn frames_for(chunk: &[WalBatch]) -> Vec<ReplFrame> {
-    chunk
-        .iter()
-        .map(|b| ReplFrame {
-            seq: b.seq,
-            keys: b.keys.clone(),
-        })
-        .collect()
-}
-
-/// Borrowed `(seq, keys)` runs for one planned chunk — the BIN1
-/// encoding path feeds these straight to the wire without copying keys.
+/// Borrowed `(seq, keys)` runs for one planned chunk, in the shape
+/// `Client::encode_repl_batch` frames without copying keys.
 pub fn runs_for(chunk: &[WalBatch]) -> Vec<(u64, &[u64])> {
     chunk.iter().map(|b| (b.seq, b.keys.as_slice())).collect()
 }
@@ -125,18 +112,5 @@ mod tests {
     fn gaps_are_detected() {
         let batches = [batch(3, 0), batch(5, 0)];
         assert!(!is_contiguous(&batches));
-    }
-
-    #[test]
-    fn both_encodings_plan_the_same_chunk() {
-        let batches = [batch(7, 2), batch(8, 1)];
-        let chunks = plan_chunks(&batches, 100);
-        let frames = frames_for(chunks[0]);
-        let runs = runs_for(chunks[0]);
-        assert_eq!(frames.len(), runs.len());
-        for (f, (seq, keys)) in frames.iter().zip(&runs) {
-            assert_eq!(f.seq, *seq);
-            assert_eq!(f.keys.as_slice(), *keys);
-        }
     }
 }

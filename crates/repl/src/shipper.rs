@@ -23,9 +23,9 @@ use std::time::Duration;
 use cots_core::{CotsError, ReplReport, Result};
 use cots_persist::{load_ack, store_ack, WalTailer};
 use cots_serve::frame::Payload;
-use cots_serve::{bin1, Client, Persistence, Request, Response, Service};
+use cots_serve::{Client, Persistence, Request, Response, Service};
 
-use crate::plan::{expected_ack, frames_for, is_contiguous, plan_chunks, runs_for};
+use crate::plan::{expected_ack, is_contiguous, plan_chunks, runs_for};
 
 /// Tuning knobs for one shipper thread.
 #[derive(Debug, Clone)]
@@ -237,17 +237,7 @@ fn stream(
             let expected = expected_ack(chunk);
             let chunk_batches = chunk.len() as u64;
             let chunk_keys: u64 = chunk.iter().map(|b| b.keys.len() as u64).sum();
-            // A negotiated standby gets BIN1 framed straight from the
-            // tailer's buffers — no per-frame key clone; the JSON
-            // fallback materializes owned frames.
-            let payload = if client.is_binary() {
-                Payload::Bin(bin1::encode_repl_batch_runs(lineage, &runs_for(chunk)))
-            } else {
-                client.encode_request(&Request::ReplBatch {
-                    lineage,
-                    batches: frames_for(chunk),
-                })
-            };
+            let payload = client.encode_repl_batch(lineage, &runs_for(chunk));
             let got = call_acked_payload(client, &payload)?;
             if Some(got) != expected {
                 // The standby applied a prefix (or none): rewind the
@@ -274,8 +264,8 @@ fn call_acked(client: &mut Client, request: &Request) -> std::result::Result<u64
     call_acked_payload(client, &payload)
 }
 
-/// [`call_acked`] for an already-encoded payload (the BIN1 streaming
-/// path encodes straight from borrowed WAL buffers).
+/// [`call_acked`] for an already-encoded payload (`REPL_BATCH` frames
+/// are encoded straight from borrowed WAL buffers).
 fn call_acked_payload(
     client: &mut Client,
     payload: &Payload,

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use cots::CotsEngine;
 use cots_core::{CotsConfig, QueryableSummary};
 use cots_persist::{scan_wal, FsyncPolicy, WalTailer, WalWriter};
-use cots_repl::{expected_ack, frames_for, is_contiguous, plan_chunks};
+use cots_repl::{expected_ack, is_contiguous, plan_chunks, runs_for};
 use cots_serve::protocol::{decode, encode, ReplFrame, Request, Response};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -142,16 +142,16 @@ proptest! {
             }
             tailed.extend(got);
         }
-        let frames: Vec<ReplFrame> =
-            plan_chunks(&tailed, budget).into_iter().flat_map(frames_for).collect();
+        let frames: Vec<(u64, &[u64])> =
+            plan_chunks(&tailed, budget).into_iter().flat_map(runs_for).collect();
         prop_assert_eq!(frames.len(), runs.len());
 
         // Apply a prefix of the shipped frames (what a standby that lost
         // its primary mid-stream holds)...
         let cut = prefix % (frames.len() + 1);
         let shipped = CotsEngine::new(CotsConfig::for_capacity(16).unwrap()).unwrap();
-        for f in frames.iter().take(cut) {
-            shipped.delegate_batch(&f.keys);
+        for (_, keys) in frames.iter().take(cut) {
+            shipped.delegate_batch(keys);
         }
         shipped.finalize();
 

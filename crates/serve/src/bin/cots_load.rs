@@ -5,13 +5,12 @@
 //! cots-load --addr 127.0.0.1:4040 --items 10000000 [--alphabet 100000]
 //!           [--alpha 1.5] [--seed 42] [--resume R] [--batch 8192]
 //!           [--connections 2] [--qps 0] [--phi 0.01] [--check]
-//!           [--wire auto|json|binary] [--json PATH] [--shutdown]
+//!           [--json PATH] [--shutdown]
 //! ```
 //!
-//! `--wire` picks the `INGEST` encoding: `auto` (the default) uses BIN1
-//! whenever the server advertises the `bin` feature, `json` forces the
-//! JSON fallback, and `binary` *requires* BIN1 (failing loudly against
-//! a server that cannot speak it).
+//! `INGEST` frames go out as BIN1 whenever the server advertises the
+//! `bin` feature (every in-repo server does) and as JSON otherwise; the
+//! `wire:` line of the summary says which.
 //!
 //! `--resume R` skips the first `R` items of the seeded stream and sends
 //! the next `--items` after them — the deterministic way to continue a
@@ -27,7 +26,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cots-load [--addr HOST:PORT] [--items N] [--alphabet A] [--alpha Z] \
          [--seed S] [--resume R] [--batch B] [--connections C] [--qps Q] [--phi PHI] \
-         [--check] [--wire auto|json|binary] [--json PATH] [--shutdown]"
+         [--check] [--json PATH] [--shutdown]"
     );
     std::process::exit(2);
 }
@@ -61,7 +60,6 @@ fn main() {
             "--qps" => config.qps = parse("--qps", args.next()),
             "--phi" => config.phi = parse("--phi", args.next()),
             "--check" => config.check = true,
-            "--wire" => config.wire = parse("--wire", args.next()),
             "--json" => json_path = Some(parse("--json", args.next())),
             "--shutdown" => shutdown = true,
             "--help" | "-h" => usage(),

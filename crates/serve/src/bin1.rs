@@ -206,20 +206,8 @@ pub fn encode_overloaded() -> Vec<u8> {
 
 /// Encode a `REPL_BATCH` request from protocol frames.
 pub fn encode_repl_batch(lineage: u64, batches: &[ReplFrame]) -> Vec<u8> {
-    let keys: usize = batches.iter().map(|b| b.keys.len()).sum();
-    let mut out = Vec::with_capacity(14 + batches.len() * 12 + keys * 8);
-    out.push(BIN1_MAGIC);
-    out.push(TAG_REPL_BATCH);
-    push_u64(&mut out, lineage);
-    push_u32(&mut out, batches.len() as u32);
-    for b in batches {
-        push_u64(&mut out, b.seq);
-        push_u32(&mut out, b.keys.len() as u32);
-        for k in &b.keys {
-            push_u64(&mut out, *k);
-        }
-    }
-    out
+    let runs: Vec<(u64, &[u64])> = batches.iter().map(|b| (b.seq, b.keys.as_slice())).collect();
+    encode_repl_batch_runs(lineage, &runs)
 }
 
 /// Encode a `REPL_BATCH` request straight from `(seq, keys)` runs —

@@ -4,11 +4,11 @@
 //! `HELLO` time it advertises the `"bin"` feature; when the server
 //! advertises it back, the bulk operations (`INGEST`, `REPL_BATCH`,
 //! `SNAPSHOT_PAGE`) switch to the BIN1 binary encoding automatically
-//! (see [`crate::bin1`]). [`Client::set_binary`] forces JSON back on
-//! for differential testing, as does `COTS_WIRE=json` in the
-//! environment; responses of either encoding are always accepted, so a
-//! JSON `Error` answering a binary request never desynchronizes the
-//! conversation.
+//! (see [`crate::bin1`]). This is the one place the bulk encoding is
+//! chosen; [`Client::set_binary`] forces JSON back on for one connection
+//! (differential testing). Responses of either encoding are always
+//! accepted, so a JSON `Error` answering a binary request never
+//! desynchronizes the conversation.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::TcpStream;
@@ -18,7 +18,9 @@ use cots_core::{CotsError, CounterEntry, Result, ServiceReport};
 
 use crate::bin1;
 use crate::frame::{read_frame, write_payload, Payload};
-use crate::protocol::{decode, encode, QueryReq, QueryStamp, Request, Response, PROTO_VERSION};
+use crate::protocol::{
+    decode, encode, QueryReq, QueryStamp, ReplFrame, Request, Response, PROTO_VERSION,
+};
 
 /// One connection to a `cots-serve` instance.
 pub struct Client {
@@ -59,7 +61,7 @@ impl Client {
     /// Perform the `HELLO` handshake, returning the server's protocol
     /// version and feature flags. Advertises the `"bin"` feature and
     /// switches the bulk operations to BIN1 when the server advertises
-    /// it back (unless `COTS_WIRE=json` is set in the environment).
+    /// it back.
     pub fn hello(&mut self) -> Result<(u32, Vec<String>)> {
         match self.call(&Request::Hello {
             proto_version: PROTO_VERSION,
@@ -70,8 +72,7 @@ impl Client {
                 features,
             } => {
                 self.bin_negotiated = features.iter().any(|f| f == "bin");
-                let force_json = std::env::var_os("COTS_WIRE").is_some_and(|v| v == "json");
-                self.bin = self.bin_negotiated && !force_json;
+                self.bin = self.bin_negotiated;
                 Ok((proto_version, features))
             }
             Response::UnsupportedVersion {
@@ -125,6 +126,24 @@ impl Client {
             Payload::Json(encode(&Request::Ingest {
                 keys: keys.to_vec(),
             }))
+        }
+    }
+
+    /// Encode one `REPL_BATCH` of borrowed `(seq, keys)` runs for this
+    /// connection. The BIN1 path frames the runs straight from the
+    /// caller's buffers; only the JSON form materializes owned frames.
+    pub fn encode_repl_batch(&self, lineage: u64, runs: &[(u64, &[u64])]) -> Payload {
+        if self.bin {
+            Payload::Bin(bin1::encode_repl_batch_runs(lineage, runs))
+        } else {
+            let batches = runs
+                .iter()
+                .map(|&(seq, keys)| ReplFrame {
+                    seq,
+                    keys: keys.to_vec(),
+                })
+                .collect();
+            Payload::Json(encode(&Request::ReplBatch { lineage, batches }))
         }
     }
 

@@ -6,37 +6,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cots_core::json::{FromJson, Json, JsonResult, ToJson};
+use cots_core::json_record;
 use cots_core::{CotsError, Result, Threshold};
 use cots_datagen::{ExactCounter, StreamSpec};
 
 use crate::client::Client;
 use crate::protocol::{QueryReq, Response};
-
-/// Which wire encoding the bulk `INGEST` path should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireMode {
-    /// BIN1 when the server advertises `"bin"`, JSON otherwise.
-    #[default]
-    Auto,
-    /// Force JSON even on a binary-capable server.
-    Json,
-    /// Require BIN1; error out if the server does not advertise it.
-    Binary,
-}
-
-impl std::str::FromStr for WireMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "json" => Ok(Self::Json),
-            "binary" => Ok(Self::Binary),
-            other => Err(format!("unknown wire mode `{other}`")),
-        }
-    }
-}
 
 /// What to replay and how hard.
 #[derive(Debug, Clone)]
@@ -67,8 +42,6 @@ pub struct LoadConfig {
     pub phi: f64,
     /// Verify answers against exact ground truth after quiescence.
     pub check: bool,
-    /// Wire encoding for the `INGEST` frames (see [`WireMode`]).
-    pub wire: WireMode,
 }
 
 impl Default for LoadConfig {
@@ -85,200 +58,96 @@ impl Default for LoadConfig {
             qps: 0,
             phi: 0.01,
             check: false,
-            wire: WireMode::Auto,
         }
     }
 }
 
-/// Result of the answer check against exact truth.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckReport {
-    /// Support fraction checked.
-    pub phi: f64,
-    /// Resolved count threshold (`ceil(phi × items)`).
-    pub threshold: u64,
-    /// Keys whose true count meets the threshold.
-    pub truly_frequent: usize,
-    /// Entries the server reported for `frequent(phi)`.
-    pub reported: usize,
-    /// Truly frequent keys missing from the answer (must be 0: Space
-    /// Saving guarantees recall 1.0 at quiescence).
-    pub missed: usize,
-    /// Reported entries violating `count ≥ true ≥ count − error`.
-    pub bound_violations: usize,
-    /// All of the above held.
-    pub passed: bool,
-}
-
-/// Ingest-frame round-trip latency over one load run, aggregated from
-/// per-connection samples (one sample per `INGEST` frame: send to ack,
-/// retries included).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencySummary {
-    /// Round trips measured.
-    pub samples: u64,
-    /// Median round trip, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile round trip, microseconds.
-    pub p99_us: u64,
-    /// Slowest round trip, microseconds.
-    pub max_us: u64,
-    /// Largest per-connection p99 — a fairness signal: when one
-    /// connection's tail is far above the pooled p99, the front-end is
-    /// starving it.
-    pub worst_connection_p99_us: u64,
-}
-
-/// Per-frame wire-codec cost over one load run: what the client spent
-/// turning key batches into bytes and acks back into responses, split
-/// out from the round trip so encode cost is visible independently of
-/// server latency.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSummary {
-    /// Effective encoding: `"binary"` (BIN1) or `"json"`.
-    pub mode: String,
-    /// `INGEST` frames encoded (one per batch; retries resend, not
-    /// re-encode).
-    pub frames: u64,
-    /// Median per-frame encode time, nanoseconds.
-    pub encode_p50_ns: u64,
-    /// 99th-percentile per-frame encode time, nanoseconds.
-    pub encode_p99_ns: u64,
-    /// Median per-ack decode time, nanoseconds.
-    pub decode_p50_ns: u64,
-    /// 99th-percentile per-ack decode time, nanoseconds.
-    pub decode_p99_ns: u64,
-}
-
-/// Everything one load run observed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadReport {
-    /// Items streamed.
-    pub items: u64,
-    /// Wall-clock seconds from first frame to all items applied.
-    pub elapsed_secs: f64,
-    /// Million items per second over the wire path.
-    pub meps: f64,
-    /// `OVERLOADED` responses absorbed by retry (backpressure working).
-    pub overload_retries: u64,
-    /// Background queries answered during ingest.
-    pub queries_issued: u64,
-    /// Ingest round-trip latency (absent only for zero-frame runs).
-    pub latency: Option<LatencySummary>,
-    /// Per-frame encode/decode cost (absent only for zero-frame runs).
-    pub wire: Option<WireSummary>,
-    /// Answer verification, when requested.
-    pub check: Option<CheckReport>,
-}
-
-impl ToJson for CheckReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("phi", self.phi.to_json()),
-            ("threshold", self.threshold.to_json()),
-            ("truly_frequent", self.truly_frequent.to_json()),
-            ("reported", self.reported.to_json()),
-            ("missed", self.missed.to_json()),
-            ("bound_violations", self.bound_violations.to_json()),
-            ("passed", self.passed.to_json()),
-        ])
+json_record! {
+    /// Result of the answer check against exact truth.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CheckReport {
+        /// Support fraction checked.
+        pub phi: f64,
+        /// Resolved count threshold (`ceil(phi × items)`).
+        pub threshold: u64,
+        /// Keys whose true count meets the threshold.
+        pub truly_frequent: usize,
+        /// Entries the server reported for `frequent(phi)`.
+        pub reported: usize,
+        /// Truly frequent keys missing from the answer (must be 0: Space
+        /// Saving guarantees recall 1.0 at quiescence).
+        pub missed: usize,
+        /// Reported entries violating `count ≥ true ≥ count − error`.
+        pub bound_violations: usize,
+        /// All of the above held.
+        pub passed: bool,
     }
 }
 
-impl FromJson for CheckReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            phi: f64::from_json(v.field("phi")?)?,
-            threshold: u64::from_json(v.field("threshold")?)?,
-            truly_frequent: usize::from_json(v.field("truly_frequent")?)?,
-            reported: usize::from_json(v.field("reported")?)?,
-            missed: usize::from_json(v.field("missed")?)?,
-            bound_violations: usize::from_json(v.field("bound_violations")?)?,
-            passed: bool::from_json(v.field("passed")?)?,
-        })
+json_record! {
+    /// Ingest-frame round-trip latency over one load run, aggregated from
+    /// per-connection samples (one sample per `INGEST` frame: send to ack,
+    /// retries included).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LatencySummary {
+        /// Round trips measured.
+        pub samples: u64,
+        /// Median round trip, microseconds.
+        pub p50_us: u64,
+        /// 99th-percentile round trip, microseconds.
+        pub p99_us: u64,
+        /// Slowest round trip, microseconds.
+        pub max_us: u64,
+        /// Largest per-connection p99 — a fairness signal: when one
+        /// connection's tail is far above the pooled p99, the front-end is
+        /// starving it.
+        pub worst_connection_p99_us: u64,
     }
 }
 
-impl ToJson for LatencySummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("samples", self.samples.to_json()),
-            ("p50_us", self.p50_us.to_json()),
-            ("p99_us", self.p99_us.to_json()),
-            ("max_us", self.max_us.to_json()),
-            (
-                "worst_connection_p99_us",
-                self.worst_connection_p99_us.to_json(),
-            ),
-        ])
+json_record! {
+    /// Per-frame wire-codec cost over one load run: what the client spent
+    /// turning key batches into bytes and acks back into responses, split
+    /// out from the round trip so encode cost is visible independently of
+    /// server latency.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireSummary {
+        /// Effective encoding: `"binary"` (BIN1) or `"json"`.
+        pub mode: String,
+        /// `INGEST` frames encoded (one per batch; retries resend, not
+        /// re-encode).
+        pub frames: u64,
+        /// Median per-frame encode time, nanoseconds.
+        pub encode_p50_ns: u64,
+        /// 99th-percentile per-frame encode time, nanoseconds.
+        pub encode_p99_ns: u64,
+        /// Median per-ack decode time, nanoseconds.
+        pub decode_p50_ns: u64,
+        /// 99th-percentile per-ack decode time, nanoseconds.
+        pub decode_p99_ns: u64,
     }
 }
 
-impl FromJson for LatencySummary {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            samples: u64::from_json(v.field("samples")?)?,
-            p50_us: u64::from_json(v.field("p50_us")?)?,
-            p99_us: u64::from_json(v.field("p99_us")?)?,
-            max_us: u64::from_json(v.field("max_us")?)?,
-            worst_connection_p99_us: u64::from_json(v.field("worst_connection_p99_us")?)?,
-        })
-    }
-}
-
-impl ToJson for WireSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("mode", self.mode.to_json()),
-            ("frames", self.frames.to_json()),
-            ("encode_p50_ns", self.encode_p50_ns.to_json()),
-            ("encode_p99_ns", self.encode_p99_ns.to_json()),
-            ("decode_p50_ns", self.decode_p50_ns.to_json()),
-            ("decode_p99_ns", self.decode_p99_ns.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WireSummary {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            mode: String::from_json(v.field("mode")?)?,
-            frames: u64::from_json(v.field("frames")?)?,
-            encode_p50_ns: u64::from_json(v.field("encode_p50_ns")?)?,
-            encode_p99_ns: u64::from_json(v.field("encode_p99_ns")?)?,
-            decode_p50_ns: u64::from_json(v.field("decode_p50_ns")?)?,
-            decode_p99_ns: u64::from_json(v.field("decode_p99_ns")?)?,
-        })
-    }
-}
-
-impl ToJson for LoadReport {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("items", self.items.to_json()),
-            ("elapsed_secs", self.elapsed_secs.to_json()),
-            ("meps", self.meps.to_json()),
-            ("overload_retries", self.overload_retries.to_json()),
-            ("queries_issued", self.queries_issued.to_json()),
-            ("latency", self.latency.to_json()),
-            ("wire", self.wire.to_json()),
-            ("check", self.check.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LoadReport {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            items: u64::from_json(v.field("items")?)?,
-            elapsed_secs: f64::from_json(v.field("elapsed_secs")?)?,
-            meps: f64::from_json(v.field("meps")?)?,
-            overload_retries: u64::from_json(v.field("overload_retries")?)?,
-            queries_issued: u64::from_json(v.field("queries_issued")?)?,
-            latency: Option::<LatencySummary>::from_json(v.field("latency")?)?,
-            wire: Option::<WireSummary>::from_json(v.field("wire")?)?,
-            check: Option::<CheckReport>::from_json(v.field("check")?)?,
-        })
+json_record! {
+    /// Everything one load run observed.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LoadReport {
+        /// Items streamed.
+        pub items: u64,
+        /// Wall-clock seconds from first frame to all items applied.
+        pub elapsed_secs: f64,
+        /// Million items per second over the wire path.
+        pub meps: f64,
+        /// `OVERLOADED` responses absorbed by retry (backpressure working).
+        pub overload_retries: u64,
+        /// Background queries answered during ingest.
+        pub queries_issued: u64,
+        /// Ingest round-trip latency (absent only for zero-frame runs).
+        pub latency: Option<LatencySummary>,
+        /// Per-frame encode/decode cost (absent only for zero-frame runs).
+        pub wire: Option<WireSummary>,
+        /// Answer verification, when requested.
+        pub check: Option<CheckReport>,
     }
 }
 
@@ -330,7 +199,6 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport> {
             let retries = &retries;
             handles.push(s.spawn(move || -> Result<ConnSamples> {
                 let mut client = Client::connect(&config.addr)?;
-                apply_wire(&mut client, config.wire)?;
                 let mut samples = ConnSamples {
                     binary: client.is_binary(),
                     ..ConnSamples::default()
@@ -419,26 +287,6 @@ struct ConnSamples {
     dec_ns: Vec<u64>,
     /// The connection ran BIN1.
     binary: bool,
-}
-
-/// Force the requested wire mode on a fresh connection.
-fn apply_wire(client: &mut Client, wire: WireMode) -> Result<()> {
-    match wire {
-        WireMode::Auto => Ok(()),
-        WireMode::Json => {
-            client.set_binary(false);
-            Ok(())
-        }
-        WireMode::Binary => {
-            if client.set_binary(true) {
-                Ok(())
-            } else {
-                Err(CotsError::Protocol(
-                    "--wire binary: the server did not advertise the `bin` feature".into(),
-                ))
-            }
-        }
-    }
 }
 
 /// One `INGEST` with overload retries (mirroring [`Client::ingest`]),

@@ -6,12 +6,14 @@
 //!
 //! A checkpoint must be an *exact prefix cut* of the WAL: every batch
 //! with `seq < watermark` logged **and** applied, nothing past the
-//! watermark reflected in the captured summary. Shard workers therefore
-//! wrap each group (allocate sequence numbers → append to WAL → apply to
-//! the engine) in a gate section. The checkpointer freezes the gate,
-//! waits for in-flight groups to finish, reads `watermark = next_seq`,
-//! captures the summary, and unfreezes — the ingest stall is the capture
-//! walk, not the file write, which happens after the gate reopens.
+//! watermark reflected in the captured summary. The gate is a
+//! reader/writer lock: shard workers hold it shared across each group
+//! (allocate sequence numbers → append to WAL → apply to the engine), so
+//! groups never wait on each other; the checkpointer takes it exclusive,
+//! which waits out the in-flight groups and holds new ones back while it
+//! reads `watermark = next_seq`, captures the summary and syncs the log.
+//! The ingest stall is the capture walk plus that sync, not the
+//! checkpoint file write, which happens after the gate reopens.
 //!
 //! ## Loss model
 //!
@@ -29,16 +31,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, RwLock};
 
 use cots::SnapshotPublisher;
 use cots_core::merge::merge_snapshots;
+use cots_core::report::PersistTally;
 use cots_core::{Result, Snapshot};
 use cots_persist::{
     find_checkpoints, parse_checkpoint_name, prune_checkpoints, prune_wal, write_checkpoint,
     Checkpoint, CommitStats, FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES,
 };
-use cots_profiling::{PersistTally, ShardTally};
+use cots_profiling::ShardTally;
 
 use crate::shard::Backend;
 
@@ -74,12 +77,6 @@ impl PersistOptions {
     }
 }
 
-#[derive(Debug, Default)]
-struct GateState {
-    frozen: bool,
-    in_flight: u64,
-}
-
 /// Shared durability state of a running service.
 pub struct Persistence {
     dir: PathBuf,
@@ -88,11 +85,9 @@ pub struct Persistence {
     /// Next batch sequence number. Allocated under the `wal` lock so the
     /// log file is sequence-ordered.
     next_seq: AtomicU64,
-    gate: Mutex<GateState>,
-    /// Signalled when the gate unfreezes (workers wait here).
-    unfrozen: Condvar,
-    /// Signalled when `in_flight` drops to zero (checkpointer waits).
-    quiesced: Condvar,
+    /// The freeze gate: shared by log-then-apply groups, exclusive for
+    /// the checkpoint cut.
+    gate: RwLock<()>,
     /// WAL/checkpoint counters for `STATS`.
     pub tally: PersistTally,
     /// Serializes checkpointers (background thread vs. `CHECKPOINT` op).
@@ -125,9 +120,7 @@ impl Persistence {
             capacity,
             wal: Mutex::new(wal),
             next_seq: AtomicU64::new(next_seq),
-            gate: Mutex::new(GateState::default()),
-            unfrozen: Condvar::new(),
-            quiesced: Condvar::new(),
+            gate: RwLock::new(()),
             tally: PersistTally::new(),
             ckpt_lock: Mutex::new(()),
             repl_retain: AtomicU64::new(repl_retain),
@@ -159,8 +152,11 @@ impl Persistence {
     /// WAL I/O failures are absorbed (counted, batch still applied): a
     /// full disk degrades durability, not liveness.
     pub fn log_and_apply(&self, burst: &mut Vec<Vec<u64>>, backend: &Backend, tally: &ShardTally) {
-        self.gate_enter();
+        let _group = self.gate.read();
         {
+            // LOCK-OK: gate (shared) → wal is the one order workers take
+            // these in, and the checkpointer takes gate (exclusive) → wal;
+            // no path holds wal while waiting for the gate.
             let mut wal = self.wal.lock();
             // One reservation, one CRC frame for the whole drain.
             let first = self.next_seq.fetch_add(burst.len() as u64, Ordering::Relaxed);
@@ -169,14 +165,14 @@ impl Persistence {
             // WAL is one sequential file, writers must not interleave
             // records, and the hold is bounded by the burst size. Contention
             // is between shard workers only; the request path never takes
-            // this lock.
+            // this lock. The shared gate hold spans the commit because the
+            // group must be logged *and* applied before a cut can pass it.
             self.tally_commit(wal.commit());
         }
         for batch in burst.drain(..) {
             backend.apply(&batch);
             tally.batch(batch.len() as u64);
         }
-        self.gate_exit();
     }
 
     /// Log one *replicated* batch at the primary's sequence number (a run
@@ -190,8 +186,9 @@ impl Persistence {
     /// the batch is durable per the [`FsyncPolicy`] once this returns,
     /// and WAL I/O failures degrade durability, never liveness.
     pub fn log_external_and_apply(&self, seq: u64, keys: &[u64], backend: &Backend) -> bool {
-        self.gate_enter();
+        let _group = self.gate.read();
         let accepted = {
+            // LOCK-OK: same gate (shared) → wal order as `log_and_apply`.
             let mut wal = self.wal.lock();
             // Read under the wal lock: local ingest allocates from
             // `next_seq` under this same lock, so the comparison is
@@ -212,7 +209,6 @@ impl Persistence {
         if accepted {
             backend.apply(keys);
         }
-        self.gate_exit();
         accepted
     }
 
@@ -222,12 +218,14 @@ impl Persistence {
     fn tally_commit(&self, outcome: Result<CommitStats>) {
         match outcome {
             Ok(stats) => {
-                self.tally.wal_commit(stats.records, stats.keys, stats.bytes);
+                self.tally.wal_records(stats.records);
+                self.tally.wal_keys(stats.keys);
+                self.tally.wal_bytes(stats.bytes);
                 if stats.synced {
-                    self.tally.wal_sync();
+                    self.tally.wal_syncs(1);
                 }
             }
-            Err(_) => self.tally.io_error(),
+            Err(_) => self.tally.io_errors(1),
         }
     }
 
@@ -245,102 +243,60 @@ impl Persistence {
             ));
         }
         let (_, bytes) = write_checkpoint(&self.dir, ckpt).inspect_err(|_| {
-            self.tally.io_error();
+            self.tally.io_errors(1);
         })?;
         self.tally.checkpoint(ckpt.watermark);
         self.next_seq.store(ckpt.watermark, Ordering::Release);
         Ok(bytes)
     }
 
-    fn gate_enter(&self) {
-        let mut gate = self.gate.lock();
-        while gate.frozen {
-            self.unfrozen.wait(&mut gate);
-        }
-        gate.in_flight += 1;
-    }
-
-    fn gate_exit(&self) {
-        let mut gate = self.gate.lock();
-        gate.in_flight -= 1;
-        if gate.in_flight == 0 {
-            self.quiesced.notify_all();
-        }
-    }
-
     /// Take one epoch-consistent checkpoint: freeze ingest, cut the
-    /// watermark, capture the merged summary, unfreeze, then write and
-    /// commit the file and prune state it makes redundant.
-    ///
-    /// Returns `(watermark, total_mass, file_bytes)`.
-    pub fn checkpoint_now(
+    /// watermark, capture the merged summary and force the log, unfreeze,
+    /// then write and commit the file and prune state it makes redundant.
+    pub fn checkpoint(
         &self,
         backend: &Backend,
         base: Option<&Snapshot<u64>>,
         publisher: &SnapshotPublisher<u64>,
-    ) -> Result<(u64, u64, u64)> {
-        self.checkpoint_full(backend, base, publisher)
-            .map(|(watermark, total, bytes, _)| (watermark, total, bytes))
-    }
-
-    /// [`Self::checkpoint_now`], but also hand back the merged summary
-    /// the checkpoint captured — the WAL shipper sends exactly this pair
-    /// (`watermark`, summary) as a catch-up `REPL_SNAPSHOT`, so the
-    /// transfer is consistent with the durable cut by construction.
-    pub fn checkpoint_full(
-        &self,
-        backend: &Backend,
-        base: Option<&Snapshot<u64>>,
-        publisher: &SnapshotPublisher<u64>,
-    ) -> Result<(u64, u64, u64, Snapshot<u64>)> {
+    ) -> Result<CheckpointCut> {
         let _serialize = self.ckpt_lock.lock();
 
-        {
+        let (watermark, live, sync_result) = {
             // LOCK-OK: ckpt_lock → gate is the one global lock order
-            // (ckpt_lock is outermost everywhere); the gate hold here is
-            // freeze + quiesce, no I/O.
-            let mut gate = self.gate.lock();
-            gate.frozen = true;
-            while gate.in_flight > 0 {
-                self.quiesced.wait(&mut gate);
-            }
-        }
-        // Quiescent: every batch with seq < next_seq is logged and
-        // applied; nothing else is.
-        let watermark = self.next_seq.load(Ordering::Acquire);
-        let (live, _, _) = backend.capture();
-        // The log is forced before the checkpoint commits so the durable
-        // state never has a checkpoint whose preceding WAL vanished.
-        // LOCK-OK: the fsync must land while ingest is frozen — that is
-        // the prefix-cut guarantee — so it deliberately runs under
-        // ckpt_lock, and the transient wal guard orders after it
-        // (ckpt_lock → wal, consistent with log_and_apply's wal-only use).
-        let sync_result = self.wal.lock().sync();
-        {
-            // LOCK-OK: same acyclic ckpt_lock → gate order; this hold
-            // only unfreezes and notifies.
-            let mut gate = self.gate.lock();
-            gate.frozen = false;
-            self.unfrozen.notify_all();
-        }
+            // (ckpt_lock is outermost everywhere). Exclusive: every group
+            // that started has finished, none starts until this drops.
+            let _frozen = self.gate.write();
+            // Quiescent: every batch with seq < next_seq is logged and
+            // applied; nothing else is.
+            let watermark = self.next_seq.load(Ordering::Acquire);
+            let (live, _, _) = backend.capture();
+            // The log is forced before the checkpoint commits so the
+            // durable state never has a checkpoint whose preceding WAL
+            // vanished.
+            // LOCK-OK: the fsync must land while ingest is frozen — that
+            // is the prefix-cut guarantee — so it deliberately runs under
+            // the exclusive gate, and the transient wal guard orders after
+            // it (gate → wal, same as the workers).
+            let sync_result = self.wal.lock().sync();
+            (watermark, live, sync_result)
+        };
         // Ingest is live again; report I/O problems only now.
         match sync_result {
-            Ok(()) => self.tally.wal_sync(),
+            Ok(()) => self.tally.wal_syncs(1),
             Err(e) => {
-                self.tally.io_error();
+                self.tally.io_errors(1);
                 return Err(e);
             }
         }
 
-        let merged = match base {
+        let summary = match base {
             Some(b) => merge_snapshots(&[b.clone(), live], self.capacity),
             None => live,
         };
         let epoch = publisher.epoch();
-        let ckpt = Checkpoint::from_snapshot(watermark, epoch, self.capacity, &merged);
-        let total = ckpt.total;
+        let ckpt = Checkpoint::from_snapshot(watermark, epoch, self.capacity, &summary);
         let (_, bytes) = write_checkpoint(&self.dir, &ckpt).inspect_err(|_| {
-            self.tally.io_error();
+            self.tally.io_errors(1);
         })?;
         self.tally.checkpoint(watermark);
 
@@ -354,8 +310,26 @@ impl Persistence {
                 let _ = prune_wal(&self.dir, floor);
             }
         }
-        Ok((watermark, total, bytes, merged))
+        Ok(CheckpointCut {
+            watermark,
+            bytes,
+            summary,
+        })
     }
+}
+
+/// What one [`Persistence::checkpoint`] committed.
+#[derive(Debug)]
+pub struct CheckpointCut {
+    /// WAL sequence the checkpoint cuts at: every batch below it is in
+    /// `summary`, nothing at or past it is.
+    pub watermark: u64,
+    /// Size of the committed checkpoint file.
+    pub bytes: u64,
+    /// The merged summary the checkpoint captured — the WAL shipper sends
+    /// exactly this with `watermark` as a catch-up `REPL_SNAPSHOT`, so the
+    /// transfer is consistent with the durable cut by construction.
+    pub summary: Snapshot<u64>,
 }
 
 impl std::fmt::Debug for Persistence {
@@ -409,10 +383,10 @@ mod tests {
         assert_eq!(shard_tally.keys_applied(), 4);
         assert_eq!(backend.processed(), 4);
 
-        let (watermark, total, bytes) = p.checkpoint_now(&backend, None, &publisher).unwrap();
-        assert_eq!(watermark, 2, "two batches logged before the cut");
-        assert_eq!(total, 4);
-        assert!(bytes > 0);
+        let cut = p.checkpoint(&backend, None, &publisher).unwrap();
+        assert_eq!(cut.watermark, 2, "two batches logged before the cut");
+        assert_eq!(cut.summary.total(), 4);
+        assert!(cut.bytes > 0);
 
         // More batches after the checkpoint land in the WAL tail.
         let mut tail = vec![vec![9u64, 9]];
@@ -443,7 +417,8 @@ mod tests {
         let mut burst = vec![vec![7u64; 10]];
         p.log_and_apply(&mut burst, &backend, &shard_tally);
 
-        let (watermark, total, _) = p.checkpoint_now(&backend, Some(&base), &publisher).unwrap();
+        let cut = p.checkpoint(&backend, Some(&base), &publisher).unwrap();
+        let (watermark, total) = (cut.watermark, cut.summary.total());
         assert_eq!(watermark, 11);
         assert_eq!(total, 50, "base mass plus live mass");
         let rec = cots_persist::recover(&dir).unwrap();
@@ -467,11 +442,11 @@ mod tests {
         for round in 0..4u64 {
             let mut burst = vec![vec![round; 8], vec![round; 8]];
             p.log_and_apply(&mut burst, &backend, &shard_tally);
-            p.checkpoint_now(&backend, None, &publisher).unwrap();
+            p.checkpoint(&backend, None, &publisher).unwrap();
         }
         let ckpts = find_checkpoints(&dir).unwrap();
         assert_eq!(ckpts.len(), KEEP_CHECKPOINTS);
-        let report = p.tally.report();
+        let report = p.tally.snapshot();
         assert_eq!(report.checkpoints, 4);
         assert_eq!(report.last_watermark, 8);
         assert_eq!(report.io_errors, 0);
@@ -509,7 +484,7 @@ mod tests {
         for round in 0..4u64 {
             let mut burst = vec![vec![round; 8], vec![round; 8]];
             p.log_and_apply(&mut burst, &backend, &shard_tally);
-            p.checkpoint_now(&backend, None, &publisher).unwrap();
+            p.checkpoint(&backend, None, &publisher).unwrap();
         }
         let oldest = cots_persist::oldest_segment_seq(&dir)
             .unwrap()
@@ -544,7 +519,7 @@ mod tests {
         assert!(p.log_external_and_apply(4, &[6, 6, 6], &backend));
         assert!(!p.log_external_and_apply(9, &[7], &backend), "a gap logs nothing");
         assert_eq!(p.next_seq(), 5);
-        let report = p.tally.report();
+        let report = p.tally.snapshot();
         assert_eq!(report.wal_records, 5, "records count logical batches");
         assert_eq!(report.wal_keys, 9);
         assert_eq!(report.wal_bytes, wal_record_bytes(&dir), "bytes are the segment's growth");
@@ -565,7 +540,7 @@ mod tests {
         let backend = engine_backend(64);
         let shard_tally = ShardTally::new();
         p.log_and_apply(&mut vec![vec![1u64, 2]], &backend, &shard_tally);
-        let before = p.tally.report();
+        let before = p.tally.snapshot();
         assert_eq!((before.wal_records, before.io_errors), (1, 0));
 
         // With the directory gone the next segment cannot be created, so
@@ -573,7 +548,7 @@ mod tests {
         // test runner; a missing directory stops everyone).
         std::fs::remove_dir_all(&dir).unwrap();
         p.log_and_apply(&mut vec![vec![3u64], vec![4u64]], &backend, &shard_tally);
-        let failed = p.tally.report();
+        let failed = p.tally.snapshot();
         assert_eq!(failed.io_errors, 1);
         assert_eq!(
             (failed.wal_records, failed.wal_keys, failed.wal_bytes),
@@ -586,7 +561,7 @@ mod tests {
         // commit and are counted then.
         std::fs::create_dir_all(&dir).unwrap();
         p.log_and_apply(&mut vec![vec![5u64]], &backend, &shard_tally);
-        let healed = p.tally.report();
+        let healed = p.tally.snapshot();
         assert_eq!((healed.wal_records, healed.wal_keys, healed.io_errors), (4, 5, 1));
         assert_eq!(healed.wal_bytes - before.wal_bytes, wal_record_bytes(&dir));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -619,7 +594,7 @@ mod tests {
             .collect();
         // Checkpoints interleave with live ingest without deadlock.
         for _ in 0..5 {
-            p.checkpoint_now(&backend, None, &publisher).unwrap();
+            p.checkpoint(&backend, None, &publisher).unwrap();
             std::thread::sleep(Duration::from_millis(2));
         }
         stop.store(true, Ordering::Release);
@@ -627,7 +602,11 @@ mod tests {
         assert!(applied > 0);
         assert_eq!(backend.processed(), applied);
         // A final frozen cut sees exactly the applied mass.
-        let (_, total, _) = p.checkpoint_now(&backend, None, &publisher).unwrap();
+        let total = p
+            .checkpoint(&backend, None, &publisher)
+            .unwrap()
+            .summary
+            .total();
         assert_eq!(total, applied);
         std::fs::remove_dir_all(&dir).unwrap();
     }

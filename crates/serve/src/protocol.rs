@@ -10,7 +10,8 @@
 //! AUDIT: total — decode runs on attacker-controlled payloads; enforced
 //! by `cargo xtask audit` (lint-totality).
 
-use cots_core::json::{FromJson, Json, JsonError, JsonResult, ToJson};
+use cots_core::json::{field, tagged, variant, FromJson, Json, JsonError, JsonResult, ToJson};
+use cots_core::json_record;
 use cots_core::{ClusterReport, CotsError, CounterEntry, ServiceReport, Snapshot};
 
 /// The protocol version this build speaks. Version 4 adds no
@@ -23,33 +24,17 @@ use cots_core::{ClusterReport, CotsError, CounterEntry, ServiceReport, Snapshot}
 /// `docs/PROTOCOL.md` (machine-checked by `cargo xtask lint-protocol`).
 pub const PROTO_VERSION: u32 = 4;
 
-/// The oldest peer version this build still accepts in `HELLO`.
-/// Version 1 had no handshake at all, so it cannot be negotiated with:
-/// a v1 client's first frame is an operation, which the server answers
-/// with `UNSUPPORTED_VERSION` and a close.
-pub const MIN_PROTO_VERSION: u32 = 2;
+/// The oldest peer version this build still accepts in `HELLO`: the
+/// current one. Versions 2 and 3 are answered `UNSUPPORTED_VERSION` like
+/// any other mismatch (no in-repo client ever sent them once v4 shipped);
+/// version 1 had no handshake at all, so a v1 client's first frame is an
+/// operation, which gets the same answer with `requested = 0`.
+pub const MIN_PROTO_VERSION: u32 = PROTO_VERSION;
 
 /// Server-side clamp on entries per `SNAPSHOT_PAGE` response. An entry
 /// serializes to well under 128 bytes, so a full page stays far below
 /// the 16 MiB frame cap no matter what `limit` the client asks for.
 pub const MAX_PAGE_ENTRIES: usize = 65_536;
-
-/// Decompose an externally-tagged enum value: `"Variant"` or
-/// `{"Variant": payload}`.
-fn variant(v: &Json) -> JsonResult<(&str, Option<&Json>)> {
-    match v {
-        Json::Str(name) => Ok((name, None)),
-        Json::Obj(members) => match members.as_slice() {
-            [(name, payload)] => Ok((name.as_str(), Some(payload))),
-            _ => Err(JsonError("expected an enum variant".into())),
-        },
-        _ => Err(JsonError("expected an enum variant".into())),
-    }
-}
-
-fn tagged(name: &str, payload: Json) -> Json {
-    Json::Obj(vec![(name.to_string(), payload)])
-}
 
 /// A query against the live summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,49 +160,35 @@ pub enum Request {
     ReplPromote,
 }
 
-/// One replicated WAL batch on the wire: the primary's log sequence
-/// number and the keys the batch applied, in stream order. Mirrors
-/// `cots_persist::WalBatch` but lives in the protocol vocabulary so the
-/// wire format is self-contained.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplFrame {
-    /// The primary's WAL sequence number for this batch.
-    pub seq: u64,
-    /// The keys the batch carries, in stream order.
-    pub keys: Vec<u64>,
-}
-
-impl ToJson for ReplFrame {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("seq", self.seq.to_json()),
-            ("keys", self.keys.to_json()),
-        ])
+json_record! {
+    /// One replicated WAL batch on the wire: the primary's log sequence
+    /// number and the keys the batch applied, in stream order. Mirrors
+    /// `cots_persist::WalBatch` but lives in the protocol vocabulary so the
+    /// wire format is self-contained.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ReplFrame {
+        /// The primary's WAL sequence number for this batch.
+        pub seq: u64,
+        /// The keys the batch carries, in stream order.
+        pub keys: Vec<u64>,
     }
 }
 
-impl FromJson for ReplFrame {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            seq: u64::from_json(v.field("seq")?)?,
-            keys: Vec::<u64>::from_json(v.field("keys")?)?,
-        })
+json_record! {
+    /// Provenance stamp on every answer: which snapshot it came from and how
+    /// stale that snapshot was at answer time.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct QueryStamp {
+        /// Publisher epoch of the snapshot the answer was computed from.
+        pub epoch: u64,
+        /// Backend items applied when the snapshot was captured.
+        pub captured_total: u64,
+        /// Items applied after capture (staleness bound: the answer may miss
+        /// at most this many most-recent items).
+        pub staleness: u64,
+        /// Window rotation count at capture (`None` on the unwindowed path).
+        pub rotations: Option<u64>,
     }
-}
-
-/// Provenance stamp on every answer: which snapshot it came from and how
-/// stale that snapshot was at answer time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueryStamp {
-    /// Publisher epoch of the snapshot the answer was computed from.
-    pub epoch: u64,
-    /// Backend items applied when the snapshot was captured.
-    pub captured_total: u64,
-    /// Items applied after capture (staleness bound: the answer may miss
-    /// at most this many most-recent items).
-    pub staleness: u64,
-    /// Window rotation count at capture (`None` on the unwindowed path).
-    pub rotations: Option<u64>,
 }
 
 /// One server→client message.
@@ -331,14 +302,12 @@ impl FromJson for QueryReq {
     fn from_json(v: &Json) -> JsonResult<Self> {
         match variant(v)? {
             ("Point", Some(p)) => Ok(QueryReq::Point {
-                key: u64::from_json(p.field("key")?)?,
+                key: field(p, "key")?,
             }),
             ("Frequent", Some(p)) => Ok(QueryReq::Frequent {
-                phi: f64::from_json(p.field("phi")?)?,
+                phi: field(p, "phi")?,
             }),
-            ("TopK", Some(p)) => Ok(QueryReq::TopK {
-                k: usize::from_json(p.field("k")?)?,
-            }),
+            ("TopK", Some(p)) => Ok(QueryReq::TopK { k: field(p, "k")? }),
             (name, _) => Err(JsonError(format!("unknown QueryReq variant `{name}`"))),
         }
     }
@@ -418,62 +387,40 @@ impl FromJson for Request {
     fn from_json(v: &Json) -> JsonResult<Self> {
         match variant(v)? {
             ("Hello", Some(p)) => Ok(Request::Hello {
-                proto_version: u32::from_json(p.field("proto_version")?)?,
-                features: Vec::<String>::from_json(p.field("features")?)?,
+                proto_version: field(p, "proto_version")?,
+                features: field(p, "features")?,
             }),
             ("Ingest", Some(p)) => Ok(Request::Ingest {
-                keys: Vec::<u64>::from_json(p.field("keys")?)?,
+                keys: field(p, "keys")?,
             }),
             ("Query", Some(p)) => Ok(Request::Query(QueryReq::from_json(p)?)),
             ("Stats", None) => Ok(Request::Stats),
             ("Snapshot", None) => Ok(Request::Snapshot),
             ("SnapshotPage", Some(p)) => Ok(Request::SnapshotPage {
-                since_epoch: u64::from_json(p.field("since_epoch")?)?,
-                offset: usize::from_json(p.field("offset")?)?,
-                limit: usize::from_json(p.field("limit")?)?,
+                since_epoch: field(p, "since_epoch")?,
+                offset: field(p, "offset")?,
+                limit: field(p, "limit")?,
             }),
             ("ClusterStats", None) => Ok(Request::ClusterStats),
             ("Checkpoint", None) => Ok(Request::Checkpoint),
             ("Shutdown", None) => Ok(Request::Shutdown),
             ("ReplSubscribe", Some(p)) => Ok(Request::ReplSubscribe {
-                start_seq: u64::from_json(p.field("start_seq")?)?,
-                lineage: u64::from_json(p.field("lineage")?)?,
-                next_seq: u64::from_json(p.field("next_seq")?)?,
+                start_seq: field(p, "start_seq")?,
+                lineage: field(p, "lineage")?,
+                next_seq: field(p, "next_seq")?,
             }),
             ("ReplBatch", Some(p)) => Ok(Request::ReplBatch {
-                lineage: u64::from_json(p.field("lineage")?)?,
-                batches: Vec::<ReplFrame>::from_json(p.field("batches")?)?,
+                lineage: field(p, "lineage")?,
+                batches: field(p, "batches")?,
             }),
             ("ReplSnapshot", Some(p)) => Ok(Request::ReplSnapshot {
-                lineage: u64::from_json(p.field("lineage")?)?,
-                watermark: u64::from_json(p.field("watermark")?)?,
-                snapshot: Snapshot::<u64>::from_json(p.field("snapshot")?)?,
+                lineage: field(p, "lineage")?,
+                watermark: field(p, "watermark")?,
+                snapshot: field(p, "snapshot")?,
             }),
             ("ReplPromote", None) => Ok(Request::ReplPromote),
             (name, _) => Err(JsonError(format!("unknown Request variant `{name}`"))),
         }
-    }
-}
-
-impl ToJson for QueryStamp {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("epoch", self.epoch.to_json()),
-            ("captured_total", self.captured_total.to_json()),
-            ("staleness", self.staleness.to_json()),
-            ("rotations", self.rotations.to_json()),
-        ])
-    }
-}
-
-impl FromJson for QueryStamp {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        Ok(Self {
-            epoch: u64::from_json(v.field("epoch")?)?,
-            captured_total: u64::from_json(v.field("captured_total")?)?,
-            staleness: u64::from_json(v.field("staleness")?)?,
-            rotations: Option::<u64>::from_json(v.field("rotations")?)?,
-        })
     }
 }
 
@@ -572,48 +519,48 @@ impl FromJson for Response {
     fn from_json(v: &Json) -> JsonResult<Self> {
         match variant(v)? {
             ("HelloAck", Some(p)) => Ok(Response::HelloAck {
-                proto_version: u32::from_json(p.field("proto_version")?)?,
-                features: Vec::<String>::from_json(p.field("features")?)?,
+                proto_version: field(p, "proto_version")?,
+                features: field(p, "features")?,
             }),
             ("UnsupportedVersion", Some(p)) => Ok(Response::UnsupportedVersion {
-                supported: u32::from_json(p.field("supported")?)?,
-                requested: u32::from_json(p.field("requested")?)?,
+                supported: field(p, "supported")?,
+                requested: field(p, "requested")?,
             }),
             ("IngestAck", Some(p)) => Ok(Response::IngestAck {
-                enqueued: u64::from_json(p.field("enqueued")?)?,
+                enqueued: field(p, "enqueued")?,
             }),
             ("Overloaded", None) => Ok(Response::Overloaded),
             ("Answer", Some(p)) => Ok(Response::Answer {
-                entries: Vec::<CounterEntry<u64>>::from_json(p.field("entries")?)?,
-                total: u64::from_json(p.field("total")?)?,
-                stamp: QueryStamp::from_json(p.field("stamp")?)?,
+                entries: field(p, "entries")?,
+                total: field(p, "total")?,
+                stamp: field(p, "stamp")?,
             }),
             ("Stats", Some(p)) => Ok(Response::Stats(ServiceReport::from_json(p)?)),
             ("Snapshot", Some(p)) => Ok(Response::Snapshot {
-                snapshot: Snapshot::<u64>::from_json(p.field("snapshot")?)?,
-                stamp: QueryStamp::from_json(p.field("stamp")?)?,
+                snapshot: field(p, "snapshot")?,
+                stamp: field(p, "stamp")?,
             }),
             ("SnapshotPage", Some(p)) => Ok(Response::SnapshotPage {
-                entries: Vec::<CounterEntry<u64>>::from_json(p.field("entries")?)?,
-                offset: usize::from_json(p.field("offset")?)?,
-                total_entries: usize::from_json(p.field("total_entries")?)?,
-                total: u64::from_json(p.field("total")?)?,
-                done: bool::from_json(p.field("done")?)?,
-                unchanged: bool::from_json(p.field("unchanged")?)?,
-                stamp: QueryStamp::from_json(p.field("stamp")?)?,
+                entries: field(p, "entries")?,
+                offset: field(p, "offset")?,
+                total_entries: field(p, "total_entries")?,
+                total: field(p, "total")?,
+                done: field(p, "done")?,
+                unchanged: field(p, "unchanged")?,
+                stamp: field(p, "stamp")?,
             }),
             ("ClusterStats", Some(p)) => Ok(Response::ClusterStats(ClusterReport::from_json(p)?)),
             ("Checkpointed", Some(p)) => Ok(Response::Checkpointed {
-                watermark: u64::from_json(p.field("watermark")?)?,
-                total: u64::from_json(p.field("total")?)?,
-                bytes: u64::from_json(p.field("bytes")?)?,
+                watermark: field(p, "watermark")?,
+                total: field(p, "total")?,
+                bytes: field(p, "bytes")?,
             }),
             ("ShuttingDown", None) => Ok(Response::ShuttingDown),
             ("ReplAck", Some(p)) => Ok(Response::ReplAck {
-                ack_seq: u64::from_json(p.field("ack_seq")?)?,
+                ack_seq: field(p, "ack_seq")?,
             }),
             ("Error", Some(p)) => Ok(Response::Error {
-                message: String::from_json(p.field("message")?)?,
+                message: field(p, "message")?,
             }),
             (name, _) => Err(JsonError(format!("unknown Response variant `{name}`"))),
         }

@@ -320,9 +320,7 @@ impl Service {
                                 }
                                 last = Instant::now();
                                 let (b, _) = base.get();
-                                if let Err(e) =
-                                    p.checkpoint_now(&backend, b.as_deref(), &publisher)
-                                {
+                                if let Err(e) = p.checkpoint(&backend, b.as_deref(), &publisher) {
                                     eprintln!("cots-serve: background checkpoint failed: {e}");
                                 }
                             }
@@ -419,9 +417,8 @@ impl Service {
             CotsError::Report("replication snapshot requires --data-dir".into())
         })?;
         let (b, _) = self.base.get();
-        let (watermark, _, _, merged) =
-            p.checkpoint_full(&self.backend, b.as_deref(), &self.publisher)?;
-        Ok((watermark, merged))
+        let cut = p.checkpoint(&self.backend, b.as_deref(), &self.publisher)?;
+        Ok((cut.watermark, cut.summary))
     }
 
     /// Register a new connection with the shard pool.
@@ -509,11 +506,11 @@ impl Endpoint for Service {
             Request::Checkpoint => match &self.persistence {
                 Some(p) => {
                     let (b, _) = self.base.get();
-                    match p.checkpoint_now(&self.backend, b.as_deref(), &self.publisher) {
-                        Ok((watermark, total, bytes)) => Response::Checkpointed {
-                            watermark,
-                            total,
-                            bytes,
+                    match p.checkpoint(&self.backend, b.as_deref(), &self.publisher) {
+                        Ok(cut) => Response::Checkpointed {
+                            watermark: cut.watermark,
+                            total: cut.summary.total(),
+                            bytes: cut.bytes,
                         },
                         Err(e) => Response::Error {
                             message: format!("checkpoint failed: {e}"),
@@ -806,7 +803,7 @@ impl Service {
             staleness,
             self.backend.monitored(),
             self.recovery.clone(),
-            self.persistence.as_ref().map(|p| p.tally.report()),
+            self.persistence.as_ref().map(|p| p.tally.snapshot()),
         );
         report.repl = self.build_repl_report();
         report
@@ -884,7 +881,7 @@ impl Service {
         // quiescent state; a clean restart replays an empty WAL tail.
         if let Some(p) = &self.persistence {
             let (b, _) = self.base.get();
-            if let Err(e) = p.checkpoint_now(&self.backend, b.as_deref(), &self.publisher) {
+            if let Err(e) = p.checkpoint(&self.backend, b.as_deref(), &self.publisher) {
                 eprintln!("cots-serve: final checkpoint failed: {e}");
             }
         }

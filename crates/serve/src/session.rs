@@ -5,9 +5,9 @@
 //! once and the front-ends only move bytes:
 //!
 //! * **Handshake** — the first frame must be `HELLO` with a version in
-//!   `MIN_PROTO_VERSION..=PROTO_VERSION`; anything else is answered with
-//!   `UNSUPPORTED_VERSION` (`requested = 0` when no `HELLO` was sent at
-//!   all) and the connection closes.
+//!   `MIN_PROTO_VERSION..=PROTO_VERSION` (both 4); anything else is
+//!   answered with `UNSUPPORTED_VERSION` (`requested = 0` when no `HELLO`
+//!   was sent at all) and the connection closes.
 //! * **BIN1 admission** — binary frames are decoded only on connections
 //!   whose `HELLO` listed the `"bin"` feature; an unnegotiated binary
 //!   frame is a protocol violation (JSON error, then close), a malformed
@@ -366,13 +366,37 @@ mod tests {
                 },
             ),
             (
-                "version below the supported range",
+                "protocol v2 is no longer negotiated",
                 vec![],
-                hello(MIN_PROTO_VERSION - 1, &[]),
+                hello(2, &[]),
                 Expect {
                     response: |r| {
-                        matches!(r, Response::UnsupportedVersion { requested, .. }
-                            if *requested == MIN_PROTO_VERSION - 1)
+                        matches!(
+                            r,
+                            Response::UnsupportedVersion {
+                                supported: 4,
+                                requested: 2
+                            }
+                        )
+                    },
+                    bin: false,
+                    close: true,
+                    dispatched: false,
+                },
+            ),
+            (
+                "protocol v3 is no longer negotiated",
+                vec![],
+                hello(3, &["snapshot-page"]),
+                Expect {
+                    response: |r| {
+                        matches!(
+                            r,
+                            Response::UnsupportedVersion {
+                                supported: 4,
+                                requested: 3
+                            }
+                        )
                     },
                     bin: false,
                     close: true,
@@ -394,9 +418,9 @@ mod tests {
                 },
             ),
             (
-                "oldest supported version is greeted with the endpoint's features",
+                "the supported version is greeted with the endpoint's features",
                 vec![],
-                hello(MIN_PROTO_VERSION, &[]),
+                hello(PROTO_VERSION, &[]),
                 Expect {
                     response: |r| {
                         matches!(r, Response::HelloAck { proto_version: PROTO_VERSION, features }
@@ -457,6 +481,19 @@ mod tests {
                 Payload::Bin(bin1::encode_repl_batch(0, &[])),
                 Expect {
                     response: is_error,
+                    bin: false,
+                    close: false,
+                    dispatched: true,
+                },
+            ),
+            (
+                "v4 without `bin` is served in JSON",
+                vec![hello(PROTO_VERSION, &[])],
+                json(&Request::Ingest {
+                    keys: vec![1, 2, 3],
+                }),
+                Expect {
+                    response: |r| matches!(r, Response::IngestAck { enqueued: 3 }),
                     bin: false,
                     close: false,
                     dispatched: true,

@@ -1,6 +1,7 @@
 //! Interop end-to-end tests for the negotiated BIN1 encoding: a
-//! JSON-only protocol-v3 client keeps working against a binary-capable
-//! server (same answers, byte-for-byte JSON frames), BIN1 frames are
+//! JSON-only client (v4, no `"bin"` feature) keeps working against a
+//! binary-capable server (same answers, byte-for-byte JSON frames), BIN1
+//! frames are
 //! refused on connections that did not negotiate `"bin"`, and malformed
 //! binary frames produce clean errors on a live connection.
 
@@ -46,11 +47,11 @@ fn settle(client: &mut Client, total: u64) {
     panic!("ingested mass never became visible");
 }
 
-/// A protocol-v3 client that never advertises `"bin"` gets pure JSON
-/// frames back — and sees exactly the same answers as a v4 binary
-/// client on the same server.
+/// A client that never advertises `"bin"` gets pure JSON frames back —
+/// and sees exactly the same answers as a binary client on the same
+/// server.
 #[test]
-fn json_only_v3_client_interoperates_with_binary_server() {
+fn json_only_client_interoperates_with_binary_server() {
     let (addr, handle) = spawn_server();
 
     // The modern client: negotiates BIN1 and ingests binary.
@@ -58,22 +59,22 @@ fn json_only_v3_client_interoperates_with_binary_server() {
     modern.set_timeout(Some(Duration::from_secs(10))).unwrap();
     assert!(modern.is_binary(), "server must offer bin");
 
-    // The legacy client: protocol v3, no feature flags at all.
-    let mut legacy = Client::connect_raw(&addr).expect("legacy connect");
+    // The JSON-only client: current version, no feature flags at all.
+    let mut legacy = Client::connect_raw(&addr).expect("json-only connect");
     legacy.set_timeout(Some(Duration::from_secs(10))).unwrap();
     match legacy.call(&Request::Hello {
-        proto_version: 3,
+        proto_version: PROTO_VERSION,
         features: vec![],
     }) {
         Ok(Response::HelloAck { proto_version, .. }) => {
             assert_eq!(proto_version, PROTO_VERSION)
         }
-        other => panic!("v3 HELLO failed: {other:?}"),
+        other => panic!("featureless HELLO failed: {other:?}"),
     }
-    assert!(!legacy.is_binary(), "legacy stays JSON");
+    assert!(!legacy.is_binary(), "no `bin` advertised, stays JSON");
 
     // Both ingest; the binary ack must actually be binary and the
-    // legacy ack actually JSON.
+    // JSON-only client's ack actually JSON.
     modern
         .send(&Request::Ingest {
             keys: vec![1, 1, 2, 3],
@@ -96,21 +97,32 @@ fn json_only_v3_client_interoperates_with_binary_server() {
     }
 
     // Same question, both encodings of client: byte-identical JSON
-    // answers (queries are JSON on every connection).
+    // answers (queries are JSON on every connection). The publisher
+    // keeps republishing, and ties may order differently from one
+    // published snapshot to the next, so only answers served from the
+    // same epoch are comparable.
     settle(&mut modern, 6);
-    modern
-        .send(&Request::Query(QueryReq::TopK { k: 64 }))
-        .unwrap();
-    let modern_raw = modern.recv_payload().expect("modern answer");
-    legacy
-        .send(&Request::Query(QueryReq::TopK { k: 64 }))
-        .unwrap();
-    let legacy_raw = legacy.recv_payload().expect("legacy answer");
-    assert!(!modern_raw.is_bin() && !legacy_raw.is_bin());
+    let ask = |client: &mut Client| {
+        client
+            .send(&Request::Query(QueryReq::TopK { k: 64 }))
+            .unwrap();
+        let raw = client.recv_payload().expect("answer");
+        assert!(!raw.is_bin(), "queries are answered in JSON");
+        match Client::decode_response(&raw).expect("decode") {
+            Response::Answer { stamp, .. } => (stamp.epoch, raw),
+            other => panic!("unexpected answer {other:?}"),
+        }
+    };
+    let same_epoch = (0..100).find_map(|_| {
+        let (modern_epoch, modern_raw) = ask(&mut modern);
+        let (legacy_epoch, legacy_raw) = ask(&mut legacy);
+        (modern_epoch == legacy_epoch).then_some((modern_raw, legacy_raw))
+    });
+    let (modern_raw, legacy_raw) = same_epoch.expect("two queries never hit one epoch");
     assert_eq!(
         modern_raw.bytes(),
         legacy_raw.bytes(),
-        "answers must be byte-identical across client generations"
+        "answers must be byte-identical across client encodings"
     );
 
     shutdown(&addr, handle);
@@ -175,8 +187,8 @@ fn malformed_bin1_errors_cleanly_and_connection_survives() {
 }
 
 /// `set_binary(false)` drops a negotiated connection back to JSON and
-/// `set_binary(true)` restores it — the differential-testing switch the
-/// loadgen `--wire` flag rides on.
+/// `set_binary(true)` restores it — the one differential-testing switch;
+/// both encodings of a bulk request decode to the same operation.
 #[test]
 fn set_binary_toggles_wire_encoding_per_connection() {
     let (addr, handle) = spawn_server();
@@ -186,11 +198,22 @@ fn set_binary_toggles_wire_encoding_per_connection() {
     assert!(client.is_binary());
 
     assert!(!client.set_binary(false));
+    let runs: [(u64, &[u64]); 2] = [(7, &[1, 2]), (8, &[])];
+    let json_batch = client.encode_repl_batch(3, &runs);
     client.send(&Request::Ingest { keys: vec![1] }).unwrap();
     let ack = client.recv_payload().expect("ack");
     assert!(!ack.is_bin(), "forced-JSON ingest must be answered in JSON");
 
     assert!(client.set_binary(true), "re-enable after negotiation");
+    let (Payload::Json(text), Payload::Bin(bytes)) =
+        (json_batch, client.encode_repl_batch(3, &runs))
+    else {
+        panic!("REPL_BATCH must follow the connection's encoding");
+    };
+    assert_eq!(
+        cots_serve::protocol::decode::<Request>(&text).expect("json form"),
+        cots_serve::bin1::decode_request(&bytes).expect("bin1 form"),
+    );
     client.send(&Request::Ingest { keys: vec![2] }).unwrap();
     let ack = client.recv_payload().expect("ack");
     assert!(ack.is_bin(), "binary ingest answered in BIN1");
