@@ -19,16 +19,17 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpListener;
+mod common;
+
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
+use common::{await_cluster, cluster_report, reserve_port, spawn, Proc};
 use cots_cluster::fetch::{fetch_snapshot, Fetched};
 use cots_datagen::{ExactCounter, StreamSpec};
 use cots_serve::protocol::QueryReq;
-use cots_serve::{Client, Request, Response};
+use cots_serve::Client;
 
 const PHASE1: usize = 30_000;
 const PHASE2: usize = 20_000;
@@ -40,53 +41,7 @@ const ALPHA: f64 = 1.2;
 const SEED: u64 = 42;
 const BATCH: usize = 500;
 const PHI: f64 = 0.01;
-
-struct Proc {
-    child: Child,
-    addr: String,
-    recovery_line: Option<String>,
-}
-
-fn spawn(bin: &str, args: &[String]) -> Proc {
-    let mut child = Command::new(bin)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-    let mut reader = BufReader::new(child.stdout.take().unwrap());
-    let mut recovery_line = None;
-    let mut addr = None;
-    for _ in 0..16 {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap() == 0 {
-            break;
-        }
-        let line = line.trim().to_string();
-        if let Some(rest) = line.strip_prefix("listening on ") {
-            addr = Some(rest.to_string());
-            break;
-        }
-        if line.starts_with("recovered ") {
-            recovery_line = Some(line);
-        }
-    }
-    // Keep draining stdout so the child never blocks on a full pipe.
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        loop {
-            sink.clear();
-            if reader.read_line(&mut sink).unwrap_or(0) == 0 {
-                break;
-            }
-        }
-    });
-    Proc {
-        child,
-        addr: addr.expect("process never printed its listening line"),
-        recovery_line,
-    }
-}
+const COALESCE_KEYS: u64 = 1_024;
 
 fn spawn_member(addr: &str, data_dir: Option<&Path>) -> Proc {
     let mut args: Vec<String> = [
@@ -116,44 +71,16 @@ fn spawn_coord(members: &[&str]) -> Proc {
         "1024",
         "--pull-ms",
         "20",
+        // Coalescing on (`failover_e2e` runs with it off): BATCH-key
+        // frames split over two members cross both the threshold flush
+        // and the read/stats barrier flush.
+        "--coalesce-keys",
+        &COALESCE_KEYS.to_string(),
     ]
     .iter()
     .map(|s| s.to_string())
     .collect();
     spawn(env!("CARGO_BIN_EXE_cots-coord"), &args)
-}
-
-/// Reserve a loopback port so a killed member can rejoin on the same
-/// address the coordinator already knows.
-fn reserve_port() -> u16 {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    listener.local_addr().unwrap().port()
-}
-
-fn cluster_report(client: &mut Client) -> cots_core::report::ClusterReport {
-    match client.call(&Request::ClusterStats).unwrap() {
-        Response::ClusterStats(report) => report,
-        other => panic!("unexpected CLUSTER_STATS response: {other:?}"),
-    }
-}
-
-/// Poll `CLUSTER_STATS` until `pred` holds, panicking after `timeout`.
-fn await_cluster<F>(client: &mut Client, timeout: Duration, what: &str, mut pred: F)
-where
-    F: FnMut(&cots_core::report::ClusterReport) -> bool,
-{
-    let deadline = Instant::now() + timeout;
-    loop {
-        let report = cluster_report(client);
-        if pred(&report) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}: {report:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }
 
 #[test]
@@ -176,6 +103,20 @@ fn member_sigkill_degrades_then_rejoins_and_converges() {
         client.ingest(batch).unwrap();
         acked.extend_from_slice(batch);
     }
+    // No read has crossed the coordinator connection yet, so only the
+    // threshold flush has delivered anything: in frames of at least
+    // `--coalesce-keys` keys, with the remainder acked but still
+    // buffered until the first barrier (the CLUSTER_STATS below).
+    let (mut delivered, mut frames) = (0, 0);
+    for member in [&member_a, &member_b] {
+        let stats = Client::connect(&member.addr).unwrap().stats().unwrap();
+        delivered += stats.ingested_keys;
+        frames += stats.ingest_frames;
+    }
+    assert!(
+        frames > 0 && delivered >= frames * COALESCE_KEYS && delivered < PHASE1 as u64,
+        "threshold flush: {delivered} keys in {frames} frames"
+    );
     await_cluster(&mut client, Duration::from_secs(30), "phase-1 quiescence", |r| {
         r.captured_total == PHASE1 as u64 && r.staleness == 0
     });

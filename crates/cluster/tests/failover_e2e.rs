@@ -14,15 +14,15 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpListener;
+mod common;
+
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{await_cluster, cluster_report, reserve_port, spawn, Proc};
 use cots_datagen::{ExactCounter, StreamSpec};
 use cots_serve::protocol::QueryReq;
-use cots_serve::{Client, Request, Response};
+use cots_serve::Client;
 
 const PHASE1: usize = 30_000;
 const PHASE2: usize = 20_000;
@@ -33,45 +33,6 @@ const ALPHABET: usize = 2_000;
 const ALPHA: f64 = 1.2;
 const SEED: u64 = 7;
 const BATCH: usize = 500;
-
-struct Proc {
-    child: Child,
-    addr: String,
-}
-
-fn spawn(bin: &str, args: &[String]) -> Proc {
-    let mut child = Command::new(bin)
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-    let mut reader = BufReader::new(child.stdout.take().unwrap());
-    let mut addr = None;
-    for _ in 0..16 {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap() == 0 {
-            break;
-        }
-        if let Some(rest) = line.trim().strip_prefix("listening on ") {
-            addr = Some(rest.to_string());
-            break;
-        }
-    }
-    std::thread::spawn(move || {
-        let mut sink = String::new();
-        loop {
-            sink.clear();
-            if reader.read_line(&mut sink).unwrap_or(0) == 0 {
-                break;
-            }
-        }
-    });
-    Proc {
-        child,
-        addr: addr.expect("process never printed its listening line"),
-    }
-}
 
 fn spawn_member(addr: &str, data_dir: Option<&Path>, standby: bool, peer: Option<&str>) -> Proc {
     let mut args: Vec<String> = [
@@ -96,36 +57,6 @@ fn spawn_member(addr: &str, data_dir: Option<&Path>, standby: bool, peer: Option
         args.push(p.into());
     }
     spawn(env!("CARGO_BIN_EXE_cots-member"), &args)
-}
-
-fn reserve_port() -> u16 {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    listener.local_addr().unwrap().port()
-}
-
-fn cluster_report(client: &mut Client) -> cots_core::report::ClusterReport {
-    match client.call(&Request::ClusterStats).unwrap() {
-        Response::ClusterStats(report) => report,
-        other => panic!("unexpected CLUSTER_STATS response: {other:?}"),
-    }
-}
-
-fn await_cluster<F>(client: &mut Client, timeout: Duration, what: &str, mut pred: F)
-where
-    F: FnMut(&cots_core::report::ClusterReport) -> bool,
-{
-    let deadline = Instant::now() + timeout;
-    loop {
-        let report = cluster_report(client);
-        if pred(&report) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "timed out waiting for {what}: {report:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }
 
 #[test]

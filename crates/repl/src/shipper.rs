@@ -27,6 +27,13 @@ use cots_serve::{Client, Persistence, Request, Response, Service};
 
 use crate::plan::{expected_ack, is_contiguous, plan_chunks, runs_for};
 
+/// Key budget per `REPL_BATCH` frame (batches are never split).
+const MAX_KEYS_PER_FRAME: usize = 8_192;
+
+/// First reconnect delay after a connection failure; doubles up to
+/// [`ShipperConfig::max_backoff`].
+const RECONNECT_BACKOFF: Duration = Duration::from_millis(100);
+
 /// Tuning knobs for one shipper thread.
 #[derive(Debug, Clone)]
 pub struct ShipperConfig {
@@ -34,23 +41,17 @@ pub struct ShipperConfig {
     pub peer: String,
     /// How long to sleep when the tail is dry.
     pub poll_interval: Duration,
-    /// Key budget per `REPL_BATCH` frame (batches are never split).
-    pub max_keys_per_frame: usize,
-    /// First reconnect delay after a connection failure.
-    pub reconnect_backoff: Duration,
     /// Cap on the exponential reconnect delay.
     pub max_backoff: Duration,
 }
 
 impl ShipperConfig {
-    /// Defaults for a pair on one LAN: 10ms poll, 8192-key frames,
-    /// 100ms → 5s reconnect backoff.
+    /// Defaults for a pair on one LAN: 10ms poll, reconnect backoff
+    /// capped at 5s.
     pub fn new(peer: impl Into<String>) -> Self {
         Self {
             peer: peer.into(),
             poll_interval: Duration::from_millis(10),
-            max_keys_per_frame: 8_192,
-            reconnect_backoff: Duration::from_millis(100),
             max_backoff: Duration::from_secs(5),
         }
     }
@@ -134,7 +135,7 @@ fn run(service: &Service, config: &ShipperConfig, stop: &AtomicBool) {
         return;
     };
     let mut counters = ShipCounters::default();
-    let mut backoff = config.reconnect_backoff;
+    let mut backoff = RECONNECT_BACKOFF;
     while !stop.load(Ordering::Acquire) {
         if service.is_standby() {
             // Only a primary ships. A rejoined ex-primary (or a fresh
@@ -144,7 +145,7 @@ fn run(service: &Service, config: &ShipperConfig, stop: &AtomicBool) {
         }
         let mut refused = None;
         if let Ok(mut client) = Client::connect(&config.peer) {
-            backoff = config.reconnect_backoff;
+            backoff = RECONNECT_BACKOFF;
             let _ = client.set_timeout(Some(Duration::from_secs(10)));
             match stream(service, &p, &mut client, config, stop, &mut counters) {
                 // Clean exit: the stop flag is set.
@@ -172,7 +173,7 @@ fn run(service: &Service, config: &ShipperConfig, stop: &AtomicBool) {
         if let Some(msg) = refused {
             eprintln!("cots-repl: standby refused the stream (resync required): {msg}");
             sleep_unless_stopped(stop, config.max_backoff);
-            backoff = config.reconnect_backoff;
+            backoff = RECONNECT_BACKOFF;
         } else {
             sleep_unless_stopped(stop, backoff);
             backoff = backoff.saturating_mul(2).min(config.max_backoff);
@@ -223,13 +224,13 @@ fn stream(
     note_ack(service, p, config, ack, counters);
     let mut tailer = WalTailer::new(p.dir(), ack);
     while !stop.load(Ordering::Acquire) {
-        let batches = tailer.poll(config.max_keys_per_frame)?;
+        let batches = tailer.poll(MAX_KEYS_PER_FRAME)?;
         if batches.is_empty() {
             publish(service, p, config, true, ack, 0, false, counters);
             sleep_unless_stopped(stop, config.poll_interval);
             continue;
         }
-        for chunk in plan_chunks(&batches, config.max_keys_per_frame) {
+        for chunk in plan_chunks(&batches, MAX_KEYS_PER_FRAME) {
             if !is_contiguous(chunk) {
                 // Shipping plan lost contiguity: resubscribe.
                 return Err(SessionEnd::Io);
@@ -376,10 +377,7 @@ mod tests {
         );
         let err = spawn(service.clone(), ShipperConfig::new("127.0.0.1:0"));
         assert!(err.is_err(), "no --data-dir, nothing to tail");
-        match Arc::try_unwrap(service) {
-            Ok(s) => s.drain(),
-            Err(_) => panic!("service still shared"),
-        }
+        service.drain();
     }
 
     #[test]
@@ -410,10 +408,7 @@ mod tests {
         let report = service.stats().repl.expect("shipper published a report");
         assert!(!report.connected);
         assert_eq!(report.peer, "127.0.0.1:1");
-        match Arc::try_unwrap(service) {
-            Ok(s) => s.drain(),
-            Err(_) => panic!("service still shared"),
-        }
+        service.drain();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,8 +9,7 @@
 //! ```
 //!
 //! `INGEST` frames go out as BIN1 whenever the server advertises the
-//! `bin` feature (every in-repo server does) and as JSON otherwise; the
-//! `wire:` line of the summary says which.
+//! `bin` feature (every in-repo server does) and as JSON otherwise.
 //!
 //! `--resume R` skips the first `R` items of the seeded stream and sends
 //! the next `--items` after them — the deterministic way to continue a
@@ -87,17 +86,6 @@ fn main() {
         println!(
             "latency: {} round trips, p50={}us p99={}us max={}us (worst connection p99={}us)",
             lat.samples, lat.p50_us, lat.p99_us, lat.max_us, lat.worst_connection_p99_us
-        );
-    }
-    if let Some(wire) = &report.wire {
-        println!(
-            "wire: {} encoding, {} frames, encode p50={}ns p99={}ns, decode p50={}ns p99={}ns",
-            wire.mode,
-            wire.frames,
-            wire.encode_p50_ns,
-            wire.encode_p99_ns,
-            wire.decode_p50_ns,
-            wire.decode_p99_ns
         );
     }
     let mut failed = false;

@@ -72,7 +72,7 @@ pub mod spsc;
 pub use bin1::Bin1Error;
 pub use client::Client;
 pub use frame::{FrameAssembler, FrameError, Payload, BIN1_MAGIC, MAX_FRAME};
-pub use loadgen::{LatencySummary, LoadConfig, LoadReport, WireSummary};
+pub use loadgen::{LatencySummary, LoadConfig, LoadReport};
 pub use persistence::{PersistOptions, Persistence};
 pub use protocol::{
     QueryReq, QueryStamp, ReplFrame, Request, Response, MAX_PAGE_ENTRIES, MIN_PROTO_VERSION,

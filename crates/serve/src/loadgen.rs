@@ -1,4 +1,4 @@
-//! The load generator behind `cots-load` and the service benchmark:
+//! The load generator behind `cots-load` and the loopback e2e tests:
 //! replays a deterministic Zipf stream over the wire, optionally fires
 //! concurrent queries, and checks answers against exact ground truth.
 
@@ -11,7 +11,7 @@ use cots_core::{CotsError, Result, Threshold};
 use cots_datagen::{ExactCounter, StreamSpec};
 
 use crate::client::Client;
-use crate::protocol::{QueryReq, Response};
+use crate::protocol::QueryReq;
 
 /// What to replay and how hard.
 #[derive(Debug, Clone)]
@@ -106,29 +106,6 @@ json_record! {
 }
 
 json_record! {
-    /// Per-frame wire-codec cost over one load run: what the client spent
-    /// turning key batches into bytes and acks back into responses, split
-    /// out from the round trip so encode cost is visible independently of
-    /// server latency.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct WireSummary {
-        /// Effective encoding: `"binary"` (BIN1) or `"json"`.
-        pub mode: String,
-        /// `INGEST` frames encoded (one per batch; retries resend, not
-        /// re-encode).
-        pub frames: u64,
-        /// Median per-frame encode time, nanoseconds.
-        pub encode_p50_ns: u64,
-        /// 99th-percentile per-frame encode time, nanoseconds.
-        pub encode_p99_ns: u64,
-        /// Median per-ack decode time, nanoseconds.
-        pub decode_p50_ns: u64,
-        /// 99th-percentile per-ack decode time, nanoseconds.
-        pub decode_p99_ns: u64,
-    }
-}
-
-json_record! {
     /// Everything one load run observed.
     #[derive(Debug, Clone, PartialEq)]
     pub struct LoadReport {
@@ -144,8 +121,6 @@ json_record! {
         pub queries_issued: u64,
         /// Ingest round-trip latency (absent only for zero-frame runs).
         pub latency: Option<LatencySummary>,
-        /// Per-frame encode/decode cost (absent only for zero-frame runs).
-        pub wire: Option<WireSummary>,
         /// Answer verification, when requested.
         pub check: Option<CheckReport>,
     }
@@ -192,26 +167,22 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport> {
     let queries = AtomicU64::new(0);
 
     let batches: Vec<&[u64]> = stream.chunks(config.batch).collect();
-    let per_conn: Vec<ConnSamples> = std::thread::scope(|s| -> Result<Vec<ConnSamples>> {
+    let rtts: Vec<Vec<u64>> = std::thread::scope(|s| -> Result<Vec<Vec<u64>>> {
         let batches = &batches;
         let mut handles = Vec::new();
         for c in 0..config.connections {
             let retries = &retries;
-            handles.push(s.spawn(move || -> Result<ConnSamples> {
+            handles.push(s.spawn(move || -> Result<Vec<u64>> {
                 let mut client = Client::connect(&config.addr)?;
-                let mut samples = ConnSamples {
-                    binary: client.is_binary(),
-                    ..ConnSamples::default()
-                };
+                // Per-frame round trips (send to ack, retries included), µs.
+                let mut rtts = Vec::new();
                 for batch in batches.iter().skip(c).step_by(config.connections) {
                     let sent = Instant::now();
-                    let (r, enc_ns, dec_ns) = timed_ingest(&mut client, batch)?;
-                    samples.rtts.push(sent.elapsed().as_micros() as u64);
-                    samples.enc_ns.push(enc_ns);
-                    samples.dec_ns.push(dec_ns);
+                    let r = client.ingest(batch)?;
+                    rtts.push(sent.elapsed().as_micros() as u64);
                     retries.fetch_add(r, Ordering::Relaxed);
                 }
-                Ok(samples)
+                Ok(rtts)
             }));
         }
         let query_handle = (config.qps > 0).then(|| {
@@ -232,7 +203,7 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport> {
         let mut lats = Vec::new();
         for h in handles {
             match h.join().expect("ingest thread panicked") {
-                Ok(samples) => lats.push(samples),
+                Ok(rtts) => lats.push(rtts),
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
@@ -263,7 +234,7 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport> {
     };
 
     let elapsed_secs = elapsed.as_secs_f64();
-    let rtts: Vec<&[u64]> = per_conn.iter().map(|s| s.rtts.as_slice()).collect();
+    let rtts: Vec<&[u64]> = rtts.iter().map(Vec::as_slice).collect();
     Ok(LoadReport {
         items: config.items,
         elapsed_secs,
@@ -271,59 +242,8 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport> {
         overload_retries: retries.into_inner(),
         queries_issued: queries.into_inner(),
         latency: summarize_latency(&rtts),
-        wire: summarize_wire(&per_conn),
         check,
     })
-}
-
-/// One ingest connection's raw measurements.
-#[derive(Debug, Default)]
-struct ConnSamples {
-    /// Per-frame round trips (send to ack, retries included), µs.
-    rtts: Vec<u64>,
-    /// Per-frame request encode time, ns.
-    enc_ns: Vec<u64>,
-    /// Per-frame ack decode time (last attempt), ns.
-    dec_ns: Vec<u64>,
-    /// The connection ran BIN1.
-    binary: bool,
-}
-
-/// One `INGEST` with overload retries (mirroring [`Client::ingest`]),
-/// timing the encode and the final ack decode separately from the round
-/// trip. Returns `(retries, encode_ns, decode_ns)`.
-fn timed_ingest(client: &mut Client, keys: &[u64]) -> Result<(u64, u64, u64)> {
-    let t = Instant::now();
-    let payload = client.encode_ingest(keys);
-    let enc_ns = t.elapsed().as_nanos() as u64;
-    let mut retries = 0u64;
-    loop {
-        client.send_payload(&payload)?;
-        let raw = client.recv_payload()?;
-        let t = Instant::now();
-        let response = Client::decode_response(&raw)?;
-        let dec_ns = t.elapsed().as_nanos() as u64;
-        match response {
-            Response::IngestAck { enqueued } => {
-                if enqueued != keys.len() as u64 {
-                    return Err(CotsError::Protocol(format!(
-                        "acked {enqueued} of {} keys",
-                        keys.len()
-                    )));
-                }
-                return Ok((retries, enc_ns, dec_ns));
-            }
-            Response::Overloaded => {
-                retries += 1;
-                std::thread::sleep(Duration::from_micros((50 * retries).min(5_000)));
-            }
-            other => {
-                return Err(CotsError::Protocol(format!(
-                    "unexpected ingest response: {other:?}"
-                )))
-            }
-        }
-    }
 }
 
 /// Aggregate per-connection RTT samples into a [`LatencySummary`].
@@ -339,21 +259,6 @@ fn summarize_latency(per_conn: &[&[u64]]) -> Option<LatencySummary> {
         p99_us: percentile(&all, 99)?,
         max_us: all.iter().copied().max()?,
         worst_connection_p99_us,
-    })
-}
-
-/// Aggregate per-connection codec samples into a [`WireSummary`].
-fn summarize_wire(per_conn: &[ConnSamples]) -> Option<WireSummary> {
-    let enc: Vec<u64> = per_conn.iter().flat_map(|s| s.enc_ns.iter()).copied().collect();
-    let dec: Vec<u64> = per_conn.iter().flat_map(|s| s.dec_ns.iter()).copied().collect();
-    let binary = !per_conn.is_empty() && per_conn.iter().all(|s| s.binary);
-    Some(WireSummary {
-        mode: if binary { "binary" } else { "json" }.to_string(),
-        frames: enc.len() as u64,
-        encode_p50_ns: percentile(&enc, 50)?,
-        encode_p99_ns: percentile(&enc, 99)?,
-        decode_p50_ns: percentile(&dec, 50)?,
-        decode_p99_ns: percentile(&dec, 99)?,
     })
 }
 
@@ -451,14 +356,6 @@ mod tests {
                 max_us: 1400,
                 worst_connection_p99_us: 1100,
             }),
-            wire: Some(WireSummary {
-                mode: "binary".into(),
-                frames: 12,
-                encode_p50_ns: 900,
-                encode_p99_ns: 4_000,
-                decode_p50_ns: 150,
-                decode_p99_ns: 800,
-            }),
             check: Some(CheckReport {
                 phi: 0.01,
                 threshold: 1,
@@ -474,7 +371,6 @@ mod tests {
         assert_eq!(back, r);
         let none = LoadReport {
             latency: None,
-            wire: None,
             check: None,
             ..r
         };
@@ -482,7 +378,6 @@ mod tests {
             cots_core::json::from_str(&cots_core::json::to_string(&none)).unwrap();
         assert_eq!(back.check, None);
         assert_eq!(back.latency, None);
-        assert_eq!(back.wire, None);
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! notice the flag within one poll interval, close their connections,
 //! and thereby close their rings; shard workers drain and exit; the
 //! server returns.
+//!
+//! An `accept` that fails for want of descriptors or socket memory is
+//! retried, not fatal: the listener is intact and the shortage is
+//! something any client can cause (see `is_transient_accept_error`).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -99,36 +103,75 @@ impl Server {
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let mut pool = ReactorPool::spawn(&self.service, self.io.reactor_threads)?;
+        let mut fatal = None;
+        // One line per burst of transient failures, not one per poll;
+        // a burst lasts until the backlog has been accepted empty.
+        let mut in_burst = false;
         while !self.service.shutdown_requested() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => pool.dispatch(stream),
-                Err(e) if is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
+                Err(e) if is_timeout(&e) => {
+                    in_burst = false;
+                    std::thread::sleep(ACCEPT_POLL);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if is_transient_accept_error(&e) => {
+                    if !in_burst {
+                        eprintln!("cots-serve: accept failed, still listening: {e}");
+                        in_burst = true;
+                    }
+                    std::thread::sleep(ACCEPT_POLL);
+                }
                 Err(e) => {
                     // Surface the accept error, but unwind the pool and
                     // service first so shard workers don't leak.
                     self.service.begin_shutdown();
-                    pool.join();
-                    drain_service(self.service);
-                    return Err(e);
+                    fatal = Some(e);
                 }
             }
         }
         drop(self.listener);
+        // All reactor threads (and their rings) are gone after the
+        // join; drain the shard workers and quiesce.
         pool.join();
-        drain_service(self.service);
-        Ok(())
+        self.service.drain();
+        fatal.map_or(Ok(()), Err)
     }
 }
 
-/// All reactor threads (and their rings) are gone; drain the
-/// shard workers and quiesce.
-fn drain_service(service: Arc<Service>) {
-    match Arc::try_unwrap(service) {
-        Ok(service) => service.drain(),
-        Err(service) => {
-            // A caller still holds a handle; drain via the flag only.
-            service.begin_shutdown();
+// The `errno`s below have no stable `io::ErrorKind`.
+const ENFILE: i32 = 23;
+const EMFILE: i32 = 24;
+const ENOBUFS: i32 = if cfg!(target_os = "linux") { 105 } else { 55 };
+
+/// Whether a failed `accept` says "not now" rather than "never": the
+/// process or the host is out of descriptors or socket memory, or the
+/// peer gave up while it sat in the backlog. Any client can cause all
+/// of these by opening sockets, so none of them may stop the server;
+/// the listener itself is still good.
+fn is_transient_accept_error(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted | io::ErrorKind::OutOfMemory
+    ) || matches!(e.raw_os_error(), Some(ENFILE | EMFILE | ENOBUFS))
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resource_exhaustion_on_accept_is_transient_and_the_rest_is_fatal() {
+        const ENOMEM: i32 = 12;
+        const ECONNABORTED: i32 = if cfg!(target_os = "linux") { 103 } else { 53 };
+        for errno in [EMFILE, ENFILE, ENOBUFS, ENOMEM, ECONNABORTED] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(is_transient_accept_error(&e), "errno {errno}: {e}");
+        }
+        // EBADF, EINVAL: the listener itself is broken.
+        for errno in [9, 22] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(!is_transient_accept_error(&e), "errno {errno}: {e}");
         }
     }
 }

@@ -132,9 +132,9 @@ pub struct Service {
     publisher: Arc<SnapshotPublisher<u64>>,
     tally: Arc<IngestTally>,
     shutdown: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<()>>,
-    refresher: Option<JoinHandle<()>>,
-    checkpointer: Option<JoinHandle<()>>,
+    /// Join handles of everything [`Service::start`] spawned, taken
+    /// (once) by [`Service::drain`].
+    threads: Mutex<Option<Vec<JoinHandle<()>>>>,
     persistence: Option<Arc<Persistence>>,
     /// Recovered (or replication-installed) checkpoint summary, merged
     /// into every published snapshot.
@@ -253,7 +253,7 @@ impl Service {
         }
 
         let pool = ShardPool::new(config.shards, config.queue_batches);
-        let workers = pool.spawn_workers(&backend, persistence.clone());
+        let mut threads = pool.spawn_workers(&backend, persistence.clone());
         let shutdown = Arc::new(AtomicBool::new(false));
         let refresher = {
             let backend = backend.clone();
@@ -330,15 +330,15 @@ impl Service {
             }
             _ => None,
         };
+        threads.push(refresher);
+        threads.extend(checkpointer);
         Ok(Self {
             backend,
             pool,
             publisher,
             tally: Arc::new(IngestTally::new()),
             shutdown,
-            workers,
-            refresher: Some(refresher),
-            checkpointer,
+            threads: Mutex::new(Some(threads)),
             persistence,
             base,
             base_watermark: AtomicU64::new(base_watermark),
@@ -861,17 +861,17 @@ impl Service {
     ///
     /// Call after every [`ShardSender`] for this service has been
     /// dropped; workers wait for live rings to close before exiting.
-    pub fn drain(mut self) {
+    /// Other handles to the service (a WAL shipper's, a test's) may
+    /// stay alive. Only the first call drains; later ones return at
+    /// once.
+    pub fn drain(&self) {
         self.begin_shutdown();
-        self.pool.begin_shutdown();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(r) = self.refresher.take() {
-            let _ = r.join();
-        }
-        if let Some(c) = self.checkpointer.take() {
-            let _ = c.join();
+        let taken = self.threads.lock().take();
+        let Some(threads) = taken else {
+            return;
+        };
+        for t in threads {
+            let _ = t.join();
         }
         self.backend.finalize();
         let (snapshot, total, rotations) =

@@ -18,7 +18,7 @@ use cots_core::{
 use cots_persist::Checkpoint;
 use cots_profiling::{Breakdown, Phase, PhaseTimes, ThroughputSummary};
 use cots_serve::loadgen::CheckReport;
-use cots_serve::{LatencySummary, LoadReport, QueryStamp, ReplFrame, WireSummary};
+use cots_serve::{LatencySummary, LoadReport, QueryStamp, ReplFrame};
 
 /// `value` encodes to exactly `golden`, and `golden` decodes back to it.
 fn check<T: ToJson + FromJson + PartialEq + Debug>(value: &T, golden: &str) {
@@ -248,14 +248,6 @@ fn load_report() {
             max_us: 1400,
             worst_connection_p99_us: 1100,
         }),
-        wire: Some(WireSummary {
-            mode: "binary".into(),
-            frames: 12,
-            encode_p50_ns: 900,
-            encode_p99_ns: 4_000,
-            decode_p50_ns: 150,
-            decode_p99_ns: 800,
-        }),
         check: Some(CheckReport {
             phi: 0.01,
             threshold: 1,
@@ -268,16 +260,15 @@ fn load_report() {
     };
     check(
         &full,
-        r#"{"items":10,"elapsed_secs":0.5,"meps":0.02,"overload_retries":3,"queries_issued":8,"latency":{"samples":12,"p50_us":180,"p99_us":950,"max_us":1400,"worst_connection_p99_us":1100},"wire":{"mode":"binary","frames":12,"encode_p50_ns":900,"encode_p99_ns":4000,"decode_p50_ns":150,"decode_p99_ns":800},"check":{"phi":0.01,"threshold":1,"truly_frequent":4,"reported":5,"missed":0,"bound_violations":2,"passed":false}}"#,
+        r#"{"items":10,"elapsed_secs":0.5,"meps":0.02,"overload_retries":3,"queries_issued":8,"latency":{"samples":12,"p50_us":180,"p99_us":950,"max_us":1400,"worst_connection_p99_us":1100},"check":{"phi":0.01,"threshold":1,"truly_frequent":4,"reported":5,"missed":0,"bound_violations":2,"passed":false}}"#,
     );
     check(
         &LoadReport {
             latency: None,
-            wire: None,
             check: None,
             ..full
         },
-        r#"{"items":10,"elapsed_secs":0.5,"meps":0.02,"overload_retries":3,"queries_issued":8,"latency":null,"wire":null,"check":null}"#,
+        r#"{"items":10,"elapsed_secs":0.5,"meps":0.02,"overload_retries":3,"queries_issued":8,"latency":null,"check":null}"#,
     );
 }
 

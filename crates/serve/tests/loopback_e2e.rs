@@ -18,12 +18,14 @@ const ALPHA: f64 = 1.5;
 const SEED: u64 = 7;
 const PHI: f64 = 0.01;
 
-#[test]
-fn served_answers_match_sequential_oracle() {
+/// One server lifecycle at `shards` shard workers: bind, let `load`
+/// deliver the whole stream, check every kind of answer against the
+/// oracle and exact truth, shut down cleanly.
+fn serve_and_check(shards: usize, load: impl FnOnce(&str, &[u64])) {
     let server = Server::bind(
         "127.0.0.1:0",
         ServiceConfig {
-            shards: 4,
+            shards,
             capacity: CAPACITY,
             refresh: Duration::from_millis(5),
             ..Default::default()
@@ -33,32 +35,11 @@ fn served_answers_match_sequential_oracle() {
     let addr = server.local_addr().to_string();
     let server_thread = std::thread::spawn(move || server.run());
 
-    // Replay the stream over the wire with concurrent queries in flight,
-    // letting the load generator's own truth check run too.
-    let report = loadgen::run(&LoadConfig {
-        addr: addr.clone(),
-        items: ITEMS,
-        alphabet: ALPHABET,
-        alpha: ALPHA,
-        seed: SEED,
-        batch: 4_096,
-        connections: 2,
-        qps: 50,
-        phi: PHI,
-        check: true,
-        ..Default::default()
-    })
-    .unwrap();
-    assert_eq!(report.items, ITEMS);
-    assert!(report.queries_issued > 0, "concurrent queries exercised");
-    let check = report.check.expect("check requested");
-    assert!(check.passed, "load generator check failed: {check:?}");
-    assert_eq!(check.missed, 0, "Space Saving recall must be 1.0");
-    assert_eq!(check.bound_violations, 0);
+    let stream = StreamSpec::zipf(ITEMS as usize, ALPHABET, ALPHA, SEED).generate();
+    load(&addr, &stream);
 
     // Independent oracle: sequential Space Saving with the same counter
     // budget over the identical stream.
-    let stream = StreamSpec::zipf(ITEMS as usize, ALPHABET, ALPHA, SEED).generate();
     let mut oracle = SpaceSaving::<u64>::new(SummaryConfig::with_capacity(CAPACITY).unwrap());
     oracle.process_slice(&stream);
     let oracle_snap = oracle.snapshot();
@@ -67,7 +48,7 @@ fn served_answers_match_sequential_oracle() {
 
     let mut client = Client::connect(&addr).unwrap();
     let (entries, total, stamp) = client.query(QueryReq::Frequent { phi: PHI }).unwrap();
-    assert_eq!(total, ITEMS);
+    assert_eq!(total, ITEMS, "{shards} shards applied every item");
     assert_eq!(stamp.staleness, 0, "post-quiescence answers are exact");
     assert!(stamp.epoch > 0);
 
@@ -122,6 +103,95 @@ fn served_answers_match_sequential_oracle() {
 }
 
 #[test]
+fn served_answers_match_sequential_oracle() {
+    for shards in [1, 2, 4, 8] {
+        serve_and_check(shards, |addr, _| {
+            // Replay the stream over the wire with concurrent queries in
+            // flight, letting the load generator's own truth check run too.
+            let report = loadgen::run(&LoadConfig {
+                addr: addr.to_string(),
+                items: ITEMS,
+                alphabet: ALPHABET,
+                alpha: ALPHA,
+                seed: SEED,
+                batch: 4_096,
+                connections: 2,
+                qps: 50,
+                phi: PHI,
+                check: true,
+                ..Default::default()
+            })
+            .unwrap();
+            assert_eq!(report.items, ITEMS);
+            assert!(report.queries_issued > 0, "concurrent queries exercised");
+            let check = report.check.expect("check requested");
+            assert!(check.passed, "load generator check failed: {check:?}");
+            assert_eq!(check.missed, 0, "Space Saving recall must be 1.0");
+            assert_eq!(check.bound_violations, 0);
+        });
+    }
+}
+
+/// Deliver `stream` over `c` connections that are all open at once and
+/// all stay open until the last batch is acked: connection `j` sends
+/// batches `j, j+c, j+2c, …`. A pool of 8 threads multiplexes them, so
+/// the client needs no thread per connection — which is the ceiling the
+/// server under test must not have either.
+fn ingest_over_open_connections(addr: &str, stream: &[u64], c: usize) {
+    // Every connection sends at least ~2 frames.
+    let batch = (stream.len() / (c * 2)).clamp(64, 8_192);
+    let batches: Vec<&[u64]> = stream.chunks(batch).collect();
+    // Pace the connects so the storm never overflows the listener's
+    // accept backlog (dropped SYNs cost seconds of retransmit).
+    let mut workers: Vec<Vec<(usize, Client)>> = (0..c.min(8)).map(|_| Vec::new()).collect();
+    let pool = workers.len();
+    for j in 0..c {
+        if j > 0 && j % 64 == 0 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let client = Client::connect(addr).unwrap_or_else(|e| panic!("connect {j} of {c}: {e}"));
+        workers[j % pool].push((j, client));
+    }
+    std::thread::scope(|s| {
+        for mut own in workers {
+            let batches = &batches;
+            s.spawn(move || {
+                for round in 0.. {
+                    let mut any = false;
+                    for (j, client) in own.iter_mut() {
+                        if let Some(b) = batches.get(*j + round * c) {
+                            any = true;
+                            client.ingest(b).unwrap_or_else(|e| panic!("connection {j}: {e}"));
+                        }
+                    }
+                    if !any {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    let mut client = Client::connect(addr).unwrap();
+    loadgen::await_quiescence(&mut client, stream.len() as u64).unwrap();
+}
+
+/// 256 simultaneously open connections (3 descriptors each in this one
+/// process: two client-side, one server-side) fit a 1024-descriptor
+/// soft limit.
+#[test]
+fn answers_stay_exact_with_256_open_connections() {
+    serve_and_check(4, |addr, stream| ingest_over_open_connections(addr, stream, 256));
+}
+
+/// The connection count the serving stack is required to sustain. Needs
+/// ~1600 descriptors: run with `ulimit -n 16384` and `--ignored`.
+#[test]
+#[ignore = "needs a raised descriptor limit (ulimit -n 16384)"]
+fn answers_stay_exact_with_512_open_connections() {
+    serve_and_check(4, |addr, stream| ingest_over_open_connections(addr, stream, 512));
+}
+
+#[test]
 fn malformed_traffic_cannot_kill_the_server() {
     use std::io::{Read, Write};
 
@@ -149,4 +219,45 @@ fn malformed_traffic_cannot_kill_the_server() {
     client.shutdown().unwrap();
     drop(client);
     server_thread.join().unwrap().unwrap();
+}
+
+/// Inbound connections are the client's to open, so running out of
+/// descriptors for them must not take the server down: it keeps
+/// listening and serves again as soon as sockets are released.
+#[cfg(unix)]
+#[test]
+fn descriptor_exhaustion_cannot_stop_the_server() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    // A real process, because the descriptor limit is per process.
+    let mut child = Command::new("sh")
+        .args(["-c", r#"ulimit -n 40; exec "$0" "$@""#])
+        .arg(env!("CARGO_BIN_EXE_cots-serve"))
+        .args(["--addr", "127.0.0.1:0", "--shards", "1"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn cots-serve under sh");
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let addr = lines
+        .by_ref()
+        .map_while(Result::ok)
+        .find_map(|l| l.strip_prefix("listening on ").map(str::to_string))
+        .expect("server never printed its listening line");
+
+    // Twice the limit; all of them connect (the backlog holds what the
+    // server cannot accept), and stay open long enough for the acceptor
+    // to hit the limit.
+    let flood: Vec<_> = (0..80)
+        .map(|i| std::net::TcpStream::connect(&addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    drop(flood);
+
+    let mut client = Client::connect(&addr).expect("server still accepts after the flood");
+    client.ingest(&[1, 2, 3]).unwrap();
+    assert!(child.try_wait().unwrap().is_none(), "server is still running");
+    client.shutdown().unwrap();
+    drop(client);
+    assert!(child.wait().unwrap().success(), "clean exit after SHUTDOWN");
 }
