@@ -523,7 +523,7 @@ impl Coordinator {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let current = self.publisher.current();
         let stamp = self.stamp_for(current.epoch, current.captured_total);
-        federate::answer(&current.snapshot, q, stamp)
+        cots_serve::protocol::answer(&current.snapshot, q, stamp)
     }
 
     /// The federated snapshot (for `SNAPSHOT` and `SNAPSHOT_PAGE`

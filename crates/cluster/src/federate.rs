@@ -1,5 +1,5 @@
-//! The federated merge and the cluster answer path — pure functions
-//! over member snapshots.
+//! The federated merge — a pure function over member snapshots. (The
+//! answer shape is `cots_serve::protocol::answer`, shared with members.)
 //!
 //! Federation is `cots_core::merge` applied across members instead of
 //! across shards: for any assignment of stream keys to members (clean
@@ -19,8 +19,7 @@
 //! AUDIT: total — enforced by `cargo xtask audit` (lint-totality).
 
 use cots_core::merge::merge_snapshots;
-use cots_core::{CotsError, Result, Snapshot, Threshold};
-use cots_serve::{QueryReq, QueryStamp, Response};
+use cots_core::{CotsError, Result, Snapshot};
 
 /// Merge member snapshots into one federated summary of `capacity`
 /// counters. An empty member list federates to an empty summary.
@@ -34,29 +33,6 @@ pub fn federate(parts: &[Snapshot<u64>], capacity: usize) -> Result<Snapshot<u64
         return Ok(Snapshot::new(Vec::new(), 0));
     }
     Ok(merge_snapshots(parts, capacity))
-}
-
-/// Answer one query from a federated snapshot, mirroring the
-/// single-node `Service` answer shape so every client works unchanged
-/// against a coordinator.
-pub fn answer(snapshot: &Snapshot<u64>, q: QueryReq, stamp: QueryStamp) -> Response {
-    let entries = match q {
-        QueryReq::Point { key } => snapshot.get(&key).into_iter().copied().collect(),
-        QueryReq::Frequent { phi } => {
-            if !(phi > 0.0 && phi < 1.0) {
-                return Response::Error {
-                    message: format!("phi must be in (0, 1), got {phi}"),
-                };
-            }
-            snapshot.frequent(Threshold::Fraction(phi))
-        }
-        QueryReq::TopK { k } => snapshot.top_k(k),
-    };
-    Response::Answer {
-        entries,
-        total: snapshot.total(),
-        stamp,
-    }
 }
 
 #[cfg(test)]
@@ -95,58 +71,5 @@ mod tests {
         let one = merged.get(&1).unwrap();
         assert_eq!(one.count, 9);
         assert_eq!(one.error, 1);
-    }
-
-    #[test]
-    fn answers_mirror_the_service_shapes() {
-        let s = snap(&[(7, 90, 0), (8, 10, 0)], 100);
-        let stamp = QueryStamp {
-            epoch: 3,
-            captured_total: 100,
-            staleness: 2,
-            rotations: None,
-        };
-        match answer(&s, QueryReq::Point { key: 7 }, stamp) {
-            Response::Answer { entries, total, stamp } => {
-                assert_eq!(entries.len(), 1);
-                assert_eq!(entries[0].count, 90);
-                assert_eq!(total, 100);
-                assert_eq!(stamp.staleness, 2);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        let stamp = QueryStamp {
-            epoch: 3,
-            captured_total: 100,
-            staleness: 2,
-            rotations: None,
-        };
-        match answer(&s, QueryReq::Frequent { phi: 0.5 }, stamp) {
-            Response::Answer { entries, .. } => {
-                assert_eq!(entries.len(), 1);
-                assert_eq!(entries[0].item, 7);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        let stamp = QueryStamp {
-            epoch: 3,
-            captured_total: 100,
-            staleness: 2,
-            rotations: None,
-        };
-        match answer(&s, QueryReq::Frequent { phi: 1.5 }, stamp) {
-            Response::Error { .. } => {}
-            other => panic!("unexpected: {other:?}"),
-        }
-        let stamp = QueryStamp {
-            epoch: 3,
-            captured_total: 100,
-            staleness: 2,
-            rotations: None,
-        };
-        match answer(&s, QueryReq::TopK { k: 1 }, stamp) {
-            Response::Answer { entries, .. } => assert_eq!(entries[0].item, 7),
-            other => panic!("unexpected: {other:?}"),
-        }
     }
 }

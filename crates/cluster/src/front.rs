@@ -26,6 +26,7 @@ use std::time::Duration;
 
 use cots::publish::StampedSnapshot;
 use cots_serve::frame::{is_timeout, read_frame, write_payload};
+use cots_serve::server::is_transient_accept_error;
 use cots_serve::session::{self, ConnState, Endpoint};
 use cots_serve::{QueryStamp, Request, Response};
 
@@ -44,6 +45,9 @@ pub struct CoordServer {
     listener: TcpListener,
     coord: Arc<Coordinator>,
     addr: SocketAddr,
+    /// Connection handles the accept loop held on its last pass.
+    #[cfg(test)]
+    tracked: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl CoordServer {
@@ -57,6 +61,8 @@ impl CoordServer {
             listener,
             coord,
             addr,
+            #[cfg(test)]
+            tracked: Arc::default(),
         })
     }
 
@@ -71,11 +77,21 @@ impl CoordServer {
     }
 
     /// Accept and serve until a `SHUTDOWN` request arrives, then join
-    /// the pullers and return.
+    /// the pullers and return. An `accept` that fails for want of
+    /// descriptors or socket memory is retried, not fatal, exactly as in
+    /// `cots_serve::Server::run`.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         let mut connections = Vec::new();
+        // One line per burst of transient failures, not one per poll.
+        let mut in_burst = false;
         while !self.coord.shutdown_requested() {
+            // Handles of connections that have ended are dropped each
+            // pass, so churn cannot grow the list without bound.
+            connections.retain(|c: &std::thread::JoinHandle<()>| !c.is_finished());
+            #[cfg(test)]
+            self.tracked
+                .store(connections.len(), std::sync::atomic::Ordering::Relaxed);
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let coord = self.coord.clone();
@@ -85,8 +101,18 @@ impl CoordServer {
                             .spawn(move || serve_conn(stream, &coord))?,
                     );
                 }
-                Err(e) if is_timeout(&e) => std::thread::sleep(ACCEPT_POLL),
+                Err(e) if is_timeout(&e) => {
+                    in_burst = false;
+                    std::thread::sleep(ACCEPT_POLL);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if is_transient_accept_error(&e) => {
+                    if !in_burst {
+                        eprintln!("cots-coord: accept failed, still listening: {e}");
+                        in_burst = true;
+                    }
+                    std::thread::sleep(ACCEPT_POLL);
+                }
                 Err(e) => {
                     self.coord.drain();
                     return Err(e);
@@ -199,5 +225,51 @@ impl Endpoint for Coordinator {
             // connection layer answers them before dispatch.
             _ => session::not_dispatched(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cots_serve::Client;
+    use std::sync::atomic::Ordering;
+
+    /// Connection churn must not grow the accept loop's handle list: a
+    /// coordinator lives for months, its clients for one request.
+    #[test]
+    fn connection_churn_leaves_the_handle_list_bounded() {
+        // The member is never contacted beyond refused pulls.
+        let config = CoordConfig {
+            members: vec!["127.0.0.1:1".into()],
+            ..CoordConfig::default()
+        };
+        let server = CoordServer::bind("127.0.0.1:0", config).unwrap();
+        let addr = server.local_addr();
+        let tracked = server.tracked.clone();
+        let running = std::thread::spawn(move || server.run());
+
+        // 20 bursts of 100. The accept queue is FIFO, so once the last
+        // connection of a burst has been greeted the 99 before it are
+        // accepted and the listen backlog (128) never overflows into SYN
+        // retransmits.
+        for _ in 0..20 {
+            let burst: Vec<TcpStream> =
+                (0..99).map(|_| TcpStream::connect(addr).unwrap()).collect();
+            let last = Client::connect(&addr.to_string()).unwrap();
+            drop((burst, last));
+        }
+        let mut client = Client::connect(&addr.to_string()).unwrap();
+        client.stats().expect("a fresh connection is answered");
+        let settled = (0..1_000).any(|_| {
+            std::thread::sleep(Duration::from_millis(5));
+            tracked.load(Ordering::Relaxed) <= 8
+        });
+        assert!(
+            settled,
+            "{} handles still tracked after 2000 closed connections",
+            tracked.load(Ordering::Relaxed)
+        );
+        client.shutdown().unwrap();
+        running.join().unwrap().unwrap();
     }
 }

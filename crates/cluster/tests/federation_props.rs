@@ -6,8 +6,8 @@
 //! This exercises the same code the live coordinator runs —
 //! `Topology::member_of` for routing, per-member Space-Saving
 //! summaries, `federate::federate` for the merge and
-//! `federate::answer` for the query shapes — without sockets, so the
-//! property is about the math, not the transport.
+//! `cots_serve::protocol::answer` for the query shapes — without
+//! sockets, so the property is about the math, not the transport.
 
 use proptest::prelude::*;
 
@@ -91,7 +91,7 @@ proptest! {
         let truth = ExactCounter::from_stream(&stream);
         let merged = federate::federate(&parts, capacity * members).unwrap();
         let total = merged.total();
-        match federate::answer(&merged, QueryReq::Point { key }, stamp(total, 7)) {
+        match cots_serve::protocol::answer(&merged, QueryReq::Point { key }, stamp(total, 7)) {
             Response::Answer { entries, total: t, stamp } => {
                 prop_assert_eq!(t, stream.len() as u64);
                 prop_assert_eq!(stamp.staleness, 7);
@@ -130,7 +130,7 @@ proptest! {
         let truth = ExactCounter::from_stream(&stream);
         let merged = federate::federate(&parts, capacity * members).unwrap();
         let max_error = merged.entries().iter().map(|e| e.error).max().unwrap_or(0);
-        let reported: Vec<u64> = match federate::answer(
+        let reported: Vec<u64> = match cots_serve::protocol::answer(
             &merged,
             QueryReq::Frequent { phi },
             stamp(merged.total(), 0),

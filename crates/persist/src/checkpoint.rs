@@ -1,6 +1,6 @@
 //! Epoch-consistent checkpoint files.
 //!
-//! A checkpoint captures one merged summary of the whole service —
+//! A checkpoint captures the one summary of the whole service —
 //! entries, total processed mass, publisher epoch — together with the WAL
 //! **watermark**: the first batch sequence number *not* contained in the
 //! snapshot. Recovery loads the newest valid checkpoint and replays WAL

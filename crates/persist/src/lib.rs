@@ -9,7 +9,7 @@
 //! * [`codec`] — length-prefixed, CRC-32-framed records. Decoding is
 //!   total: any byte sequence is a record or a typed error, never a
 //!   panic.
-//! * [`checkpoint`] — epoch-consistent snapshots of the merged service
+//! * [`checkpoint`] — epoch-consistent snapshots of the service's
 //!   summary, committed by atomic rename; semantic validation rejects
 //!   CRC-valid files that violate the Space-Saving envelope.
 //! * [`wal`] — segmented batch log, group-committed per ring drain with a
@@ -19,12 +19,13 @@
 //!   corruption), collects the WAL tail past its watermark, and emits a
 //!   [`RecoveryReport`](cots_core::RecoveryReport).
 //!
-//! Soundness rests on the merge algebra already shipped in
-//! `cots_core::merge`: the checkpoint acts as an immutable base snapshot,
-//! the WAL tail replays into a fresh engine, and every published answer
-//! merges the two — so the `count ≥ true ≥ count − error` guarantee
-//! survives the crash, and any unrecoverable tail only *under*-counts,
-//! by an amount the report states.
+//! Soundness: the checkpoint is the engine's own summary at an exact cut
+//! of the log; the serving stack seeds a new engine from it
+//! (`CotsEngine::seed`) and replays the WAL tail on top, so the service
+//! resumes the one summary it had — the `count ≥ true ≥ count − error`
+//! guarantee survives the crash with no merge on any answer, and any
+//! unrecoverable tail only *under*-counts, by an amount the report
+//! states.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

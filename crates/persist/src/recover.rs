@@ -1,6 +1,6 @@
 //! Crash-recovery pipeline: newest valid checkpoint + WAL tail.
 //!
-//! [`recover`] turns a data directory into (a) an optional **base
+//! [`recover`] turns a data directory into (a) an optional **seed
 //! summary** (the newest checkpoint that passed both CRC and semantic
 //! validation), (b) the ordered WAL batches with `seq >= watermark` to
 //! replay through the engine, and (c) a [`RecoveryReport`] quantifying
@@ -8,11 +8,12 @@
 //!
 //! ## Soundness
 //!
-//! The serving stack keeps the checkpoint as an immutable base snapshot
-//! and replays the WAL tail into a *fresh* engine; every published answer
-//! merges base + live through the Space-Saving merge algebra
-//! (`cots_core::merge`), so the `count ≥ true ≥ count − error` envelope
-//! is preserved by construction. Loss is one-sided: a torn or corrupt
+//! The serving stack seeds its engine from the checkpoint
+//! (`CotsEngine::seed`: the checkpoint's counters, errors and total
+//! installed into an empty engine) and replays the WAL tail on top, so a
+//! restarted service resumes the one summary it had and the
+//! `count ≥ true ≥ count − error` envelope carries over with it. Loss is
+//! one-sided: a torn or corrupt
 //! frame can only *remove* mass from the recovered state (under-count),
 //! never add it, and the removed mass is surfaced as `torn_frames` /
 //! `dropped_bytes` so operators and tests can bound the gap versus the

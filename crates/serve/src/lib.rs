@@ -43,10 +43,10 @@
 //!   bound.
 //! * **Durability** ([`persistence`], `cots-persist`): with `--data-dir`
 //!   the service group-commits every drained batch to a segmented WAL,
-//!   checkpoints the merged summary on a cadence (and on the
-//!   `CHECKPOINT` wire op), and recovers checkpoint + WAL tail *before*
-//!   the listener opens, keeping the Space-Saving error envelope over
-//!   everything recovered.
+//!   checkpoints the summary on a cadence (and on the `CHECKPOINT`
+//!   wire op), and on restart seeds the engine from the checkpoint and
+//!   replays the WAL tail *before* the listener opens, keeping the
+//!   Space-Saving error envelope over everything recovered.
 //! * **Binaries**: `cots-serve` (the server; its command line is
 //!   [`cli`], which `cots-member` reuses) and `cots-load` (replay a
 //!   `datagen` Zipf stream over the wire and check answers against exact
@@ -63,6 +63,7 @@ pub mod loadgen;
 pub mod persistence;
 pub mod protocol;
 pub mod reactor;
+pub mod replica;
 pub mod server;
 pub mod service;
 pub mod session;

@@ -41,7 +41,6 @@ use cots_persist::{
     find_checkpoints, parse_checkpoint_name, prune_checkpoints, prune_wal, write_checkpoint,
     Checkpoint, CommitStats, FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES,
 };
-use cots_profiling::ShardTally;
 
 use crate::shard::Backend;
 
@@ -145,71 +144,55 @@ impl Persistence {
         self.repl_retain.store(seq, Ordering::Release);
     }
 
-    /// Log a drained group of batches as one run record, then apply them
-    /// — all inside one gate section, so a checkpoint watermark always
-    /// cuts between groups, never through one.
+    /// Log a run of batches as one run record, then apply them — all
+    /// inside one gate section, so a checkpoint watermark always cuts
+    /// between runs, never through one. This is the only way into the
+    /// backend once the service is up.
     ///
-    /// WAL I/O failures are absorbed (counted, batch still applied): a
-    /// full disk degrades durability, not liveness.
-    pub fn log_and_apply(&self, burst: &mut Vec<Vec<u64>>, backend: &Backend, tally: &ShardTally) {
+    /// `first` is the sequence the run must land on: `None` takes
+    /// whatever is next (a shard worker's drained group, never refused);
+    /// `Some(seq)` is a replicated run at the primary's numbering and is
+    /// refused untouched (`false`) unless `seq` is exactly next, so the
+    /// standby can ack its real watermark and let the shipper resolve a
+    /// duplicate or a gap.
+    ///
+    /// The run is durable per the [`FsyncPolicy`] once this returns. WAL
+    /// I/O failures are absorbed (counted, run still applied): a full
+    /// disk degrades durability, not liveness.
+    pub fn log_and_apply<B: AsRef<[u64]>>(
+        &self,
+        first: Option<u64>,
+        run: &[B],
+        backend: &Backend,
+    ) -> bool {
         let _group = self.gate.read();
         {
             // LOCK-OK: gate (shared) → wal is the one order workers take
             // these in, and the checkpointer takes gate (exclusive) → wal;
             // no path holds wal while waiting for the gate.
             let mut wal = self.wal.lock();
-            // One reservation, one CRC frame for the whole drain.
-            let first = self.next_seq.fetch_add(burst.len() as u64, Ordering::Relaxed);
-            wal.append_run(first, burst);
+            // Every group advances `next_seq` under this lock, so the
+            // value is stable for the duration of the append.
+            let next = self.next_seq.load(Ordering::Acquire);
+            if first.is_some_and(|seq| seq != next) {
+                return false;
+            }
+            // One reservation, one CRC frame for the whole run.
+            wal.append_run(next, run);
             // LOCK-OK: committing under the wal lock is the design — the
             // WAL is one sequential file, writers must not interleave
-            // records, and the hold is bounded by the burst size. Contention
-            // is between shard workers only; the request path never takes
+            // records, and the hold is bounded by the run size. Contention
+            // is between shard workers only (on a standby, the replication
+            // stream *is* the ingest path); the request path never takes
             // this lock. The shared gate hold spans the commit because the
-            // group must be logged *and* applied before a cut can pass it.
+            // run must be logged *and* applied before a cut can pass it.
             self.tally_commit(wal.commit());
+            self.next_seq.store(next + run.len() as u64, Ordering::Release);
         }
-        for batch in burst.drain(..) {
-            backend.apply(&batch);
-            tally.batch(batch.len() as u64);
+        for batch in run {
+            backend.apply(batch.as_ref());
         }
-    }
-
-    /// Log one *replicated* batch at the primary's sequence number (a run
-    /// of one), then apply it — the standby's half of WAL shipping.
-    /// Returns `true` only when `seq` is exactly the next expected
-    /// sequence; duplicates (`seq` below the watermark) and gaps are
-    /// rejected untouched so the caller can ack the real watermark and
-    /// let the shipper resolve.
-    ///
-    /// Same gate discipline and loss model as [`Self::log_and_apply`]:
-    /// the batch is durable per the [`FsyncPolicy`] once this returns,
-    /// and WAL I/O failures degrade durability, never liveness.
-    pub fn log_external_and_apply(&self, seq: u64, keys: &[u64], backend: &Backend) -> bool {
-        let _group = self.gate.read();
-        let accepted = {
-            // LOCK-OK: same gate (shared) → wal order as `log_and_apply`.
-            let mut wal = self.wal.lock();
-            // Read under the wal lock: local ingest allocates from
-            // `next_seq` under this same lock, so the comparison is
-            // stable for the duration of the append.
-            if seq != self.next_seq.load(Ordering::Acquire) {
-                false
-            } else {
-                wal.append_run(seq, &[keys]);
-                // LOCK-OK: same single-sequential-file design as
-                // `log_and_apply` — records must not interleave, and the
-                // request path of a *standby* is the replication stream
-                // itself, so this hold is the ingest path, not behind it.
-                self.tally_commit(wal.commit());
-                self.next_seq.store(seq + 1, Ordering::Release);
-                true
-            }
-        };
-        if accepted {
-            backend.apply(keys);
-        }
-        accepted
+        true
     }
 
     /// Account for one group commit from what the writer says it wrote:
@@ -229,39 +212,54 @@ impl Persistence {
         }
     }
 
-    /// Install a catch-up base checkpoint shipped by a primary: persist
-    /// it and advance the durable watermark to its cut. Only callable on
-    /// an empty log (`next_seq == 0`); the in-memory base swap is the
-    /// caller's job.
+    /// Install a catch-up summary a primary cut at `watermark` into an
+    /// empty standby: persist it as this node's own checkpoint, seed the
+    /// backend from it, and advance the durable watermark to the cut —
+    /// one section under `ckpt_lock`, so no local checkpoint can cut
+    /// between the file and the seed. Only callable on an empty log
+    /// (`next_seq == 0`). The summary goes through [`fit_summary`] — the
+    /// capacity rule a restart applies — and the checkpoint is validated
+    /// first, so a summary the backend could not be seeded from is never
+    /// written.
     ///
     /// Returns the committed file size.
-    pub fn install_base(&self, ckpt: &Checkpoint) -> Result<u64> {
+    pub fn install_base(
+        &self,
+        watermark: u64,
+        epoch: u64,
+        summary: &Snapshot<u64>,
+        backend: &Backend,
+    ) -> Result<u64> {
         let _serialize = self.ckpt_lock.lock();
         if self.next_seq.load(Ordering::Acquire) != 0 {
             return Err(cots_core::CotsError::Report(
                 "catch-up snapshot refused: the log is not empty".into(),
             ));
         }
-        let (_, bytes) = write_checkpoint(&self.dir, ckpt).inspect_err(|_| {
+        let summary = fit_summary(summary.clone(), None, self.capacity)?;
+        let ckpt = Checkpoint::from_snapshot(watermark, epoch, self.capacity, &summary);
+        ckpt.validate().map_err(cots_core::CotsError::Report)?;
+        let (_, bytes) = write_checkpoint(&self.dir, &ckpt).inspect_err(|_| {
             self.tally.io_errors(1);
         })?;
-        self.tally.checkpoint(ckpt.watermark);
-        self.next_seq.store(ckpt.watermark, Ordering::Release);
+        backend.seed(&summary)?;
+        self.tally.checkpoint(watermark);
+        self.next_seq.store(watermark, Ordering::Release);
         Ok(bytes)
     }
 
     /// Take one epoch-consistent checkpoint: freeze ingest, cut the
-    /// watermark, capture the merged summary and force the log, unfreeze,
-    /// then write and commit the file and prune state it makes redundant.
+    /// watermark, capture the backend's summary and force the log,
+    /// unfreeze, then write and commit the file and prune state it makes
+    /// redundant.
     pub fn checkpoint(
         &self,
         backend: &Backend,
-        base: Option<&Snapshot<u64>>,
         publisher: &SnapshotPublisher<u64>,
     ) -> Result<CheckpointCut> {
         let _serialize = self.ckpt_lock.lock();
 
-        let (watermark, live, sync_result) = {
+        let (watermark, summary, sync_result) = {
             // LOCK-OK: ckpt_lock → gate is the one global lock order
             // (ckpt_lock is outermost everywhere). Exclusive: every group
             // that started has finished, none starts until this drops.
@@ -269,7 +267,7 @@ impl Persistence {
             // Quiescent: every batch with seq < next_seq is logged and
             // applied; nothing else is.
             let watermark = self.next_seq.load(Ordering::Acquire);
-            let (live, _, _) = backend.capture();
+            let (summary, _, _) = backend.capture();
             // The log is forced before the checkpoint commits so the
             // durable state never has a checkpoint whose preceding WAL
             // vanished.
@@ -278,7 +276,7 @@ impl Persistence {
             // the exclusive gate, and the transient wal guard orders after
             // it (gate → wal, same as the workers).
             let sync_result = self.wal.lock().sync();
-            (watermark, live, sync_result)
+            (watermark, summary, sync_result)
         };
         // Ingest is live again; report I/O problems only now.
         match sync_result {
@@ -289,10 +287,6 @@ impl Persistence {
             }
         }
 
-        let summary = match base {
-            Some(b) => merge_snapshots(&[b.clone(), live], self.capacity),
-            None => live,
-        };
         let epoch = publisher.epoch();
         let ckpt = Checkpoint::from_snapshot(watermark, epoch, self.capacity, &summary);
         let (_, bytes) = write_checkpoint(&self.dir, &ckpt).inspect_err(|_| {
@@ -318,6 +312,39 @@ impl Persistence {
     }
 }
 
+/// Fit a summary to a `capacity`-counter engine before seeding it — the
+/// one capacity rule behind both seeding paths (a restart passes its
+/// checkpoint's recorded capacity, a catch-up has none: the wire does
+/// not carry it). A source that was *full* has evicted keys it no longer
+/// names; seeded into free slots, such a key would be re-admitted with
+/// error 0 — below the truth — so that is refused. Full is known from the
+/// recorded capacity, or from any entry with `error > 0`: only an
+/// eviction sets one. More entries than `capacity` keep the top
+/// `capacity`, which is sound: every dropped count is at most the kept
+/// minimum.
+pub fn fit_summary(
+    snap: Snapshot<u64>,
+    source_capacity: Option<usize>,
+    capacity: usize,
+) -> Result<Snapshot<u64>> {
+    let full = source_capacity.is_some_and(|c| snap.len() >= c)
+        || snap.entries().iter().any(|e| e.error > 0);
+    if full && snap.len() < capacity {
+        return Err(cots_core::CotsError::InvalidConfig(format!(
+            "the summary was full at capacity {}; seeding it under --capacity \
+             {capacity} would re-admit keys it evicted with no error bound — use \
+             --capacity {} or less",
+            source_capacity.unwrap_or(snap.len()),
+            snap.len()
+        )));
+    }
+    Ok(if snap.len() > capacity {
+        merge_snapshots(&[snap], capacity)
+    } else {
+        snap
+    })
+}
+
 /// What one [`Persistence::checkpoint`] committed.
 #[derive(Debug)]
 pub struct CheckpointCut {
@@ -326,7 +353,7 @@ pub struct CheckpointCut {
     pub watermark: u64,
     /// Size of the committed checkpoint file.
     pub bytes: u64,
-    /// The merged summary the checkpoint captured — the WAL shipper sends
+    /// The summary the checkpoint captured — the WAL shipper sends
     /// exactly this with `watermark` as a catch-up `REPL_SNAPSHOT`, so the
     /// transfer is consistent with the durable cut by construction.
     pub summary: Snapshot<u64>,
@@ -374,23 +401,20 @@ mod tests {
         let opts = PersistOptions::new(dir.clone());
         let p = Persistence::new(&opts, 0, 64).unwrap();
         let backend = engine_backend(64);
-        let shard_tally = ShardTally::new();
         let publisher = SnapshotPublisher::new();
 
-        let mut burst = vec![vec![1u64, 1, 2], vec![3u64]];
-        p.log_and_apply(&mut burst, &backend, &shard_tally);
-        assert!(burst.is_empty());
-        assert_eq!(shard_tally.keys_applied(), 4);
+        let burst = vec![vec![1u64, 1, 2], vec![3u64]];
+        p.log_and_apply(None, &burst, &backend);
         assert_eq!(backend.processed(), 4);
 
-        let cut = p.checkpoint(&backend, None, &publisher).unwrap();
+        let cut = p.checkpoint(&backend, &publisher).unwrap();
         assert_eq!(cut.watermark, 2, "two batches logged before the cut");
         assert_eq!(cut.summary.total(), 4);
         assert!(cut.bytes > 0);
 
         // More batches after the checkpoint land in the WAL tail.
-        let mut tail = vec![vec![9u64, 9]];
-        p.log_and_apply(&mut tail, &backend, &shard_tally);
+        let tail = vec![vec![9u64, 9]];
+        p.log_and_apply(None, &tail, &backend);
         drop(p);
 
         let rec = cots_persist::recover(&dir).unwrap();
@@ -404,29 +428,31 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_merges_base_and_live() {
-        let dir = temp_dir("merge");
+    fn installed_base_seeds_the_backend_and_the_next_cut_carries_it() {
+        let dir = temp_dir("seed");
         let opts = PersistOptions::new(dir.clone());
-        let p = Persistence::new(&opts, 10, 64).unwrap();
+        let p = Persistence::new(&opts, 0, 64).unwrap();
         let backend = engine_backend(64);
-        let shard_tally = ShardTally::new();
         let publisher = SnapshotPublisher::new();
         publisher.resume_from(5);
 
         let base = Snapshot::new(vec![cots_core::CounterEntry::new(7u64, 40, 0)], 40);
-        let mut burst = vec![vec![7u64; 10]];
-        p.log_and_apply(&mut burst, &backend, &shard_tally);
+        p.install_base(10, 5, &base, &backend).unwrap();
+        assert_eq!(p.next_seq(), 10, "the log resumes at the shipped cut");
+        assert_eq!(backend.processed(), 40, "the backend holds the shipped mass");
+        assert!(
+            p.install_base(10, 5, &base, &backend).is_err(),
+            "only an empty log takes a base"
+        );
+        assert!(p.log_and_apply(Some(10), &[vec![7u64; 10]], &backend));
 
-        let cut = p.checkpoint(&backend, Some(&base), &publisher).unwrap();
-        let (watermark, total) = (cut.watermark, cut.summary.total());
-        assert_eq!(watermark, 11);
-        assert_eq!(total, 50, "base mass plus live mass");
+        let cut = p.checkpoint(&backend, &publisher).unwrap();
+        assert_eq!(cut.watermark, 11);
+        assert_eq!(cut.summary.total(), 50, "shipped mass plus the tail, one summary");
         let rec = cots_persist::recover(&dir).unwrap();
         let ckpt = rec.base.unwrap();
         assert_eq!(ckpt.epoch, 5, "publisher epoch carried into the checkpoint");
-        let snap = ckpt.snapshot();
-        let e = snap.get(&7).unwrap();
-        assert_eq!(e.count, 50, "merge summed the key across base and live");
+        assert_eq!(ckpt.snapshot().get(&7).unwrap().count, 50);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -437,12 +463,11 @@ mod tests {
         opts.segment_bytes = 64; // rotate aggressively
         let p = Persistence::new(&opts, 0, 64).unwrap();
         let backend = engine_backend(64);
-        let shard_tally = ShardTally::new();
         let publisher = SnapshotPublisher::new();
         for round in 0..4u64 {
-            let mut burst = vec![vec![round; 8], vec![round; 8]];
-            p.log_and_apply(&mut burst, &backend, &shard_tally);
-            p.checkpoint(&backend, None, &publisher).unwrap();
+            let burst = vec![vec![round; 8], vec![round; 8]];
+            p.log_and_apply(None, &burst, &backend);
+            p.checkpoint(&backend, &publisher).unwrap();
         }
         let ckpts = find_checkpoints(&dir).unwrap();
         assert_eq!(ckpts.len(), KEEP_CHECKPOINTS);
@@ -465,10 +490,9 @@ mod tests {
         {
             let p = Persistence::new(&opts, 0, 64).unwrap();
             let backend = engine_backend(64);
-            let shard_tally = ShardTally::new();
             for round in 0..4u64 {
-                let mut burst = vec![vec![round; 8], vec![round; 8]];
-                p.log_and_apply(&mut burst, &backend, &shard_tally);
+                let burst = vec![vec![round; 8], vec![round; 8]];
+                p.log_and_apply(None, &burst, &backend);
             }
         }
         // A standby acked up to 2 before both processes went down.
@@ -479,12 +503,11 @@ mod tests {
         let rec = cots_persist::recover(&dir).unwrap();
         let p = Persistence::new(&opts, rec.next_seq, 64).unwrap();
         let backend = engine_backend(64);
-        let shard_tally = ShardTally::new();
         let publisher = SnapshotPublisher::new();
         for round in 0..4u64 {
-            let mut burst = vec![vec![round; 8], vec![round; 8]];
-            p.log_and_apply(&mut burst, &backend, &shard_tally);
-            p.checkpoint(&backend, None, &publisher).unwrap();
+            let burst = vec![vec![round; 8], vec![round; 8]];
+            p.log_and_apply(None, &burst, &backend);
+            p.checkpoint(&backend, &publisher).unwrap();
         }
         let oldest = cots_persist::oldest_segment_seq(&dir)
             .unwrap()
@@ -511,13 +534,13 @@ mod tests {
         let dir = temp_dir("tally");
         let p = Persistence::new(&PersistOptions::new(dir.clone()), 0, 64).unwrap();
         let backend = engine_backend(64);
-        let shard_tally = ShardTally::new();
-        let mut multi = vec![vec![1u64, 2, 3], vec![4u64], vec![]];
-        p.log_and_apply(&mut multi, &backend, &shard_tally);
-        let mut single = vec![vec![5u64, 5]];
-        p.log_and_apply(&mut single, &backend, &shard_tally);
-        assert!(p.log_external_and_apply(4, &[6, 6, 6], &backend));
-        assert!(!p.log_external_and_apply(9, &[7], &backend), "a gap logs nothing");
+        let multi = vec![vec![1u64, 2, 3], vec![4u64], vec![]];
+        p.log_and_apply(None, &multi, &backend);
+        let single = vec![vec![5u64, 5]];
+        p.log_and_apply(None, &single, &backend);
+        assert!(p.log_and_apply(Some(4), &[[6u64, 6, 6]], &backend));
+        assert!(!p.log_and_apply(Some(9), &[[7u64]], &backend), "a gap logs nothing");
+        assert!(!p.log_and_apply(Some(4), &[[7u64]], &backend), "as does a duplicate");
         assert_eq!(p.next_seq(), 5);
         let report = p.tally.snapshot();
         assert_eq!(report.wal_records, 5, "records count logical batches");
@@ -538,8 +561,7 @@ mod tests {
         opts.segment_bytes = 1; // every commit opens a new segment
         let p = Persistence::new(&opts, 0, 64).unwrap();
         let backend = engine_backend(64);
-        let shard_tally = ShardTally::new();
-        p.log_and_apply(&mut vec![vec![1u64, 2]], &backend, &shard_tally);
+        p.log_and_apply(None, &[vec![1u64, 2]], &backend);
         let before = p.tally.snapshot();
         assert_eq!((before.wal_records, before.io_errors), (1, 0));
 
@@ -547,7 +569,7 @@ mod tests {
         // the commit fails (read-only permissions would not stop a root
         // test runner; a missing directory stops everyone).
         std::fs::remove_dir_all(&dir).unwrap();
-        p.log_and_apply(&mut vec![vec![3u64], vec![4u64]], &backend, &shard_tally);
+        p.log_and_apply(None, &[vec![3u64], vec![4u64]], &backend);
         let failed = p.tally.snapshot();
         assert_eq!(failed.io_errors, 1);
         assert_eq!(
@@ -560,7 +582,7 @@ mod tests {
         // The disk comes back: the staged records go out with the next
         // commit and are counted then.
         std::fs::create_dir_all(&dir).unwrap();
-        p.log_and_apply(&mut vec![vec![5u64]], &backend, &shard_tally);
+        p.log_and_apply(None, &[vec![5u64]], &backend);
         let healed = p.tally.snapshot();
         assert_eq!((healed.wal_records, healed.wal_keys, healed.io_errors), (4, 5, 1));
         assert_eq!(healed.wal_bytes - before.wal_bytes, wal_record_bytes(&dir));
@@ -581,20 +603,18 @@ mod tests {
                 let backend = backend.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
-                    let tally = ShardTally::new();
                     let mut n = 0u64;
                     while !stop.load(Ordering::Acquire) {
-                        let mut burst = vec![vec![n % 16; 4]];
-                        p.log_and_apply(&mut burst, &backend, &tally);
+                        p.log_and_apply(None, &[vec![n % 16; 4]], &backend);
                         n += 1;
                     }
-                    tally.keys_applied()
+                    n * 4
                 })
             })
             .collect();
         // Checkpoints interleave with live ingest without deadlock.
         for _ in 0..5 {
-            p.checkpoint(&backend, None, &publisher).unwrap();
+            p.checkpoint(&backend, &publisher).unwrap();
             std::thread::sleep(Duration::from_millis(2));
         }
         stop.store(true, Ordering::Release);
@@ -603,7 +623,7 @@ mod tests {
         assert_eq!(backend.processed(), applied);
         // A final frozen cut sees exactly the applied mass.
         let total = p
-            .checkpoint(&backend, None, &publisher)
+            .checkpoint(&backend, &publisher)
             .unwrap()
             .summary
             .total();

@@ -10,9 +10,9 @@
 //! AUDIT: total — decode runs on attacker-controlled payloads; enforced
 //! by `cargo xtask audit` (lint-totality).
 
-use cots_core::json::{field, tagged, variant, FromJson, Json, JsonError, JsonResult, ToJson};
+use cots_core::json::{FromJson, ToJson};
 use cots_core::json_record;
-use cots_core::{ClusterReport, CotsError, CounterEntry, ServiceReport, Snapshot};
+use cots_core::{ClusterReport, CotsError, CounterEntry, ServiceReport, Snapshot, Threshold};
 
 /// The protocol version this build speaks. Version 4 adds no
 /// operations: it introduces the negotiated BIN1 binary encoding for
@@ -36,128 +36,133 @@ pub const MIN_PROTO_VERSION: u32 = PROTO_VERSION;
 /// the 16 MiB frame cap no matter what `limit` the client asks for.
 pub const MAX_PAGE_ENTRIES: usize = 65_536;
 
-/// A query against the live summary.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryReq {
-    /// Estimated frequency of one key.
-    Point {
-        /// The key to look up.
-        key: u64,
-    },
-    /// All keys with estimated frequency ≥ `phi` × total (Query 1/3 of
-    /// the paper, as a set).
-    Frequent {
-        /// Support fraction in (0, 1).
-        phi: f64,
-    },
-    /// The `k` heaviest keys.
-    TopK {
-        /// How many entries to return.
-        k: usize,
-    },
+json_record! {
+    /// A query against the live summary.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum QueryReq {
+        /// Estimated frequency of one key.
+        Point {
+            /// The key to look up.
+            key: u64,
+        },
+        /// All keys with estimated frequency ≥ `phi` × total (Query 1/3 of
+        /// the paper, as a set).
+        Frequent {
+            /// Support fraction in (0, 1).
+            phi: f64,
+        },
+        /// The `k` heaviest keys.
+        TopK {
+            /// How many entries to return.
+            k: usize,
+        },
+    }
 }
 
-/// One client→server message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Mandatory first exchange on every connection: the client
-    /// announces its protocol version and optional feature flags.
-    /// Any other first request is answered with
-    /// [`Response::UnsupportedVersion`] and the connection closes.
-    Hello {
-        /// Protocol version the client speaks (see [`PROTO_VERSION`]).
-        proto_version: u32,
-        /// Free-form feature flags the client understands.
-        features: Vec<String>,
-    },
-    /// Feed a batch of keys into the stream.
-    Ingest {
-        /// The keys, in stream order.
-        keys: Vec<u64>,
-    },
-    /// Ask a question of the published snapshot.
-    Query(QueryReq),
-    /// Service statistics (ingest/query counters, staleness, shards).
-    Stats,
-    /// The full published snapshot.
-    Snapshot,
-    /// One page of the published snapshot (delta-aware streaming
-    /// transfer: large summaries never approach the 16 MiB frame cap).
-    /// `offset == 0` pins the current snapshot to the connection and
-    /// compares its epoch against `since_epoch` (an `unchanged` page
-    /// short-circuits the transfer); later offsets page through the
-    /// pinned snapshot, so a multi-frame transfer is internally
-    /// consistent even while new snapshots publish.
-    SnapshotPage {
-        /// Epoch the requester already holds (0 = none).
-        since_epoch: u64,
-        /// Entry offset into the snapshot's sorted entry list.
-        offset: usize,
-        /// Maximum entries wanted (server clamps to
-        /// [`MAX_PAGE_ENTRIES`]).
-        limit: usize,
-    },
-    /// Cluster-wide statistics (answered by `cots-coord`; members
-    /// answer with an error pointing at the coordinator).
-    ClusterStats,
-    /// Force an immediate durable checkpoint (requires `--data-dir`).
-    Checkpoint,
-    /// Begin graceful shutdown: stop accepting, drain queues, exit.
-    Shutdown,
-    /// Open a replication stream: a primary's WAL shipper announces its
-    /// replication lineage, its own next WAL sequence, and the oldest
-    /// sequence it can still serve from its log. A standby answers with
-    /// [`Response::ReplAck`] naming the next sequence it expects, which
-    /// is where the shipper starts (or restarts) the stream. The standby
-    /// refuses (with an error) a primary whose lineage is behind its
-    /// own, a divergent-lineage primary when the standby already holds
-    /// state, or an equal-lineage primary whose `next_seq` is behind the
-    /// standby's watermark — all three mean the histories have diverged
-    /// and acking would be silent data loss. Non-standby servers refuse
-    /// with an error.
-    ReplSubscribe {
-        /// Oldest WAL sequence the shipper's log still holds.
-        start_seq: u64,
-        /// The primary's replication lineage (promotion generation,
-        /// bumped on every standby → primary promotion).
-        lineage: u64,
-        /// The primary's own next WAL sequence (its durable watermark).
-        next_seq: u64,
-    },
-    /// A run of replicated WAL batches in sequence order. The standby
-    /// logs each batch to its own WAL, applies it, and answers with a
-    /// cumulative [`Response::ReplAck`]. Batches at already-applied
-    /// sequences are acknowledged but not re-applied (duplicates);
-    /// a gap re-acks the current watermark so the shipper rewinds.
-    /// A `lineage` that does not match the standby's own is refused
-    /// with an error — never acked — so a stale or divergent primary
-    /// can't record unseen data as replicated.
-    ReplBatch {
-        /// The primary's replication lineage (must match the standby's).
-        lineage: u64,
-        /// The batches, oldest first.
-        batches: Vec<ReplFrame>,
-    },
-    /// Catch-up transfer: a consistent base snapshot of the primary's
-    /// summary cut at `watermark`, installed by an *empty* standby in
-    /// place of replaying the (already-pruned) WAL prefix. The standby
-    /// persists it as its own base checkpoint, adopts the primary's
-    /// `lineage`, and acks `watermark`. A non-empty standby refuses
-    /// (resync requires an explicit fresh data directory), as does any
-    /// standby whose lineage is ahead of the primary's.
-    ReplSnapshot {
-        /// The primary's replication lineage, adopted on install.
-        lineage: u64,
-        /// WAL sequence the snapshot accounts for (exclusive upper
-        /// bound: the stream resumes at `watermark`).
-        watermark: u64,
-        /// The merged summary at the cut.
-        snapshot: Snapshot<u64>,
-    },
-    /// Coordinator order: stop being a standby, accept ingest, and
-    /// start publishing. Idempotent — promoting a primary is a no-op
-    /// acknowledged with its current watermark.
-    ReplPromote,
+json_record! {
+    /// One client→server message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Mandatory first exchange on every connection: the client
+        /// announces its protocol version and optional feature flags.
+        /// Any other first request is answered with
+        /// [`Response::UnsupportedVersion`] and the connection closes.
+        Hello {
+            /// Protocol version the client speaks (see [`PROTO_VERSION`]).
+            proto_version: u32,
+            /// Free-form feature flags the client understands.
+            features: Vec<String>,
+        },
+        /// Feed a batch of keys into the stream.
+        Ingest {
+            /// The keys, in stream order.
+            keys: Vec<u64>,
+        },
+        /// Ask a question of the published snapshot.
+        Query(QueryReq),
+        /// Service statistics (ingest/query counters, staleness, shards).
+        Stats,
+        /// The full published snapshot.
+        Snapshot,
+        /// One page of the published snapshot (delta-aware streaming
+        /// transfer: large summaries never approach the 16 MiB frame cap).
+        /// `offset == 0` pins the current snapshot to the connection and
+        /// compares its epoch against `since_epoch` (an `unchanged` page
+        /// short-circuits the transfer); later offsets page through the
+        /// pinned snapshot, so a multi-frame transfer is internally
+        /// consistent even while new snapshots publish.
+        SnapshotPage {
+            /// Epoch the requester already holds (0 = none).
+            since_epoch: u64,
+            /// Entry offset into the snapshot's sorted entry list.
+            offset: usize,
+            /// Maximum entries wanted (server clamps to
+            /// [`MAX_PAGE_ENTRIES`]).
+            limit: usize,
+        },
+        /// Cluster-wide statistics (answered by `cots-coord`; members
+        /// answer with an error pointing at the coordinator).
+        ClusterStats,
+        /// Force an immediate durable checkpoint (requires `--data-dir`).
+        Checkpoint,
+        /// Begin graceful shutdown: stop accepting, drain queues, exit.
+        Shutdown,
+        /// Open a replication stream: a primary's WAL shipper announces its
+        /// replication lineage, its own next WAL sequence, and the oldest
+        /// sequence it can still serve from its log. A standby answers with
+        /// [`Response::ReplAck`] naming the next sequence it expects, which
+        /// is where the shipper starts (or restarts) the stream. The standby
+        /// refuses (with an error) a primary whose lineage is behind its
+        /// own, a divergent-lineage primary when the standby already holds
+        /// state, or an equal-lineage primary whose `next_seq` is behind the
+        /// standby's watermark — all three mean the histories have diverged
+        /// and acking would be silent data loss. Non-standby servers refuse
+        /// with an error.
+        ReplSubscribe {
+            /// Oldest WAL sequence the shipper's log still holds.
+            start_seq: u64,
+            /// The primary's replication lineage (promotion generation,
+            /// bumped on every standby → primary promotion).
+            lineage: u64,
+            /// The primary's own next WAL sequence (its durable watermark).
+            next_seq: u64,
+        },
+        /// A run of replicated WAL batches in sequence order. The standby
+        /// logs each batch to its own WAL, applies it, and answers with a
+        /// cumulative [`Response::ReplAck`]. Batches at already-applied
+        /// sequences are acknowledged but not re-applied (duplicates);
+        /// a gap re-acks the current watermark so the shipper rewinds.
+        /// A `lineage` that does not match the standby's own is refused
+        /// with an error — never acked — so a stale or divergent primary
+        /// can't record unseen data as replicated.
+        ReplBatch {
+            /// The primary's replication lineage (must match the standby's).
+            lineage: u64,
+            /// The batches, oldest first.
+            batches: Vec<ReplFrame>,
+        },
+        /// Catch-up transfer: a consistent snapshot of the primary's
+        /// summary cut at `watermark`, installed by an *empty* standby in
+        /// place of replaying the (already-pruned) WAL prefix. The standby
+        /// persists it as its own checkpoint, seeds its engine from it,
+        /// adopts the primary's `lineage`, and acks `watermark`. A
+        /// non-empty standby refuses
+        /// (resync requires an explicit fresh data directory), as does any
+        /// standby whose lineage is ahead of the primary's.
+        ReplSnapshot {
+            /// The primary's replication lineage, adopted on install.
+            lineage: u64,
+            /// WAL sequence the snapshot accounts for (exclusive upper
+            /// bound: the stream resumes at `watermark`).
+            watermark: u64,
+            /// The primary's summary at the cut.
+            snapshot: Snapshot<u64>,
+        },
+        /// Coordinator order: stop being a standby, accept ingest, and
+        /// start publishing. Idempotent — promoting a primary is a no-op
+        /// acknowledged with its current watermark.
+        ReplPromote,
+    }
 }
 
 json_record! {
@@ -191,379 +196,121 @@ json_record! {
     }
 }
 
-/// One server→client message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// The handshake succeeded; the connection may proceed.
-    HelloAck {
-        /// Protocol version the server speaks.
-        proto_version: u32,
-        /// Feature flags the server supports.
-        features: Vec<String>,
-    },
-    /// The handshake failed: the client's version is outside the
-    /// server's supported range, or the first frame was not `HELLO` at
-    /// all (`requested` is 0 in that case). The connection closes after
-    /// this response.
-    UnsupportedVersion {
-        /// Newest protocol version the server speaks.
-        supported: u32,
-        /// Version the client announced (0 = no `HELLO` was sent).
-        requested: u32,
-    },
-    /// The ingest batch was accepted into the shard queues (not yet
-    /// necessarily applied; see `Stats` for applied counts).
-    IngestAck {
-        /// Keys enqueued.
-        enqueued: u64,
-    },
-    /// The shard queues are full; the client should back off and resend.
-    Overloaded,
-    /// Entries answering a [`QueryReq`], heaviest first.
-    Answer {
-        /// Matching entries (singleton or empty for `Point`).
-        entries: Vec<CounterEntry<u64>>,
-        /// Stream total the answer was computed against.
-        total: u64,
-        /// Snapshot provenance.
-        stamp: QueryStamp,
-    },
-    /// Service statistics.
-    Stats(ServiceReport),
-    /// The full published snapshot.
-    Snapshot {
-        /// The summary view.
-        snapshot: Snapshot<u64>,
-        /// Snapshot provenance.
-        stamp: QueryStamp,
-    },
-    /// One page of the pinned snapshot (see [`Request::SnapshotPage`]).
-    SnapshotPage {
-        /// Entries `offset..offset+len` of the sorted entry list
-        /// (empty when `unchanged`).
-        entries: Vec<CounterEntry<u64>>,
-        /// Offset this page actually starts at.
-        offset: usize,
-        /// Total entries in the pinned snapshot.
-        total_entries: usize,
-        /// Total stream mass the pinned snapshot accounts for.
-        total: u64,
-        /// No entries remain after this page.
-        done: bool,
-        /// The requester's `since_epoch` is still current: the transfer
-        /// is a no-op and no entries were shipped.
-        unchanged: bool,
-        /// Provenance of the pinned snapshot.
-        stamp: QueryStamp,
-    },
-    /// Cluster-wide statistics from a coordinator.
-    ClusterStats(ClusterReport),
-    /// A durable checkpoint was committed.
-    Checkpointed {
-        /// WAL sequence watermark the checkpoint cuts at.
-        watermark: u64,
-        /// Total stream mass the checkpoint accounts for.
-        total: u64,
-        /// Size of the committed checkpoint file.
-        bytes: u64,
-    },
-    /// Graceful shutdown has begun.
-    ShuttingDown,
-    /// Cumulative replication acknowledgement: everything below
-    /// `ack_seq` is durable in the standby's own WAL. Answers
-    /// `REPL_SUBSCRIBE`, `REPL_BATCH`, `REPL_SNAPSHOT`, and
-    /// `REPL_PROMOTE`.
-    ReplAck {
-        /// Next WAL sequence the standby expects (= durable watermark).
-        ack_seq: u64,
-    },
-    /// The request could not be served.
-    Error {
-        /// Human-readable reason.
-        message: String,
-    },
-}
-
-impl ToJson for QueryReq {
-    fn to_json(&self) -> Json {
-        match self {
-            QueryReq::Point { key } => {
-                tagged("Point", Json::obj(vec![("key", key.to_json())]))
-            }
-            QueryReq::Frequent { phi } => {
-                tagged("Frequent", Json::obj(vec![("phi", phi.to_json())]))
-            }
-            QueryReq::TopK { k } => tagged("TopK", Json::obj(vec![("k", k.to_json())])),
-        }
+json_record! {
+    /// One server→client message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// The handshake succeeded; the connection may proceed.
+        HelloAck {
+            /// Protocol version the server speaks.
+            proto_version: u32,
+            /// Feature flags the server supports.
+            features: Vec<String>,
+        },
+        /// The handshake failed: the client's version is outside the
+        /// server's supported range, or the first frame was not `HELLO` at
+        /// all (`requested` is 0 in that case). The connection closes after
+        /// this response.
+        UnsupportedVersion {
+            /// Newest protocol version the server speaks.
+            supported: u32,
+            /// Version the client announced (0 = no `HELLO` was sent).
+            requested: u32,
+        },
+        /// The ingest batch was accepted into the shard queues (not yet
+        /// necessarily applied; see `Stats` for applied counts).
+        IngestAck {
+            /// Keys enqueued.
+            enqueued: u64,
+        },
+        /// The shard queues are full; the client should back off and resend.
+        Overloaded,
+        /// Entries answering a [`QueryReq`], heaviest first.
+        Answer {
+            /// Matching entries (singleton or empty for `Point`).
+            entries: Vec<CounterEntry<u64>>,
+            /// Stream total the answer was computed against.
+            total: u64,
+            /// Snapshot provenance.
+            stamp: QueryStamp,
+        },
+        /// Service statistics.
+        Stats(ServiceReport),
+        /// The full published snapshot.
+        Snapshot {
+            /// The summary view.
+            snapshot: Snapshot<u64>,
+            /// Snapshot provenance.
+            stamp: QueryStamp,
+        },
+        /// One page of the pinned snapshot (see [`Request::SnapshotPage`]).
+        SnapshotPage {
+            /// Entries `offset..offset+len` of the sorted entry list
+            /// (empty when `unchanged`).
+            entries: Vec<CounterEntry<u64>>,
+            /// Offset this page actually starts at.
+            offset: usize,
+            /// Total entries in the pinned snapshot.
+            total_entries: usize,
+            /// Total stream mass the pinned snapshot accounts for.
+            total: u64,
+            /// No entries remain after this page.
+            done: bool,
+            /// The requester's `since_epoch` is still current: the transfer
+            /// is a no-op and no entries were shipped.
+            unchanged: bool,
+            /// Provenance of the pinned snapshot.
+            stamp: QueryStamp,
+        },
+        /// Cluster-wide statistics from a coordinator.
+        ClusterStats(ClusterReport),
+        /// A durable checkpoint was committed.
+        Checkpointed {
+            /// WAL sequence watermark the checkpoint cuts at.
+            watermark: u64,
+            /// Total stream mass the checkpoint accounts for.
+            total: u64,
+            /// Size of the committed checkpoint file.
+            bytes: u64,
+        },
+        /// Graceful shutdown has begun.
+        ShuttingDown,
+        /// Cumulative replication acknowledgement: everything below
+        /// `ack_seq` is durable in the standby's own WAL. Answers
+        /// `REPL_SUBSCRIBE`, `REPL_BATCH`, `REPL_SNAPSHOT`, and
+        /// `REPL_PROMOTE`.
+        ReplAck {
+            /// Next WAL sequence the standby expects (= durable watermark).
+            ack_seq: u64,
+        },
+        /// The request could not be served.
+        Error {
+            /// Human-readable reason.
+            message: String,
+        },
     }
 }
 
-impl FromJson for QueryReq {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("Point", Some(p)) => Ok(QueryReq::Point {
-                key: field(p, "key")?,
-            }),
-            ("Frequent", Some(p)) => Ok(QueryReq::Frequent {
-                phi: field(p, "phi")?,
-            }),
-            ("TopK", Some(p)) => Ok(QueryReq::TopK { k: field(p, "k")? }),
-            (name, _) => Err(JsonError(format!("unknown QueryReq variant `{name}`"))),
-        }
-    }
-}
-
-impl ToJson for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::Hello {
-                proto_version,
-                features,
-            } => tagged(
-                "Hello",
-                Json::obj(vec![
-                    ("proto_version", proto_version.to_json()),
-                    ("features", features.to_json()),
-                ]),
-            ),
-            Request::Ingest { keys } => {
-                tagged("Ingest", Json::obj(vec![("keys", keys.to_json())]))
+/// Answer one query from a published snapshot — the one answer shape of
+/// every endpoint (a member's own summary, a coordinator's federated
+/// one), so every client works unchanged against either.
+pub fn answer(snapshot: &Snapshot<u64>, q: QueryReq, stamp: QueryStamp) -> Response {
+    let entries = match q {
+        QueryReq::Point { key } => snapshot.get(&key).into_iter().copied().collect(),
+        QueryReq::Frequent { phi } => {
+            if !(phi > 0.0 && phi < 1.0) {
+                return Response::Error {
+                    message: format!("phi must be in (0, 1), got {phi}"),
+                };
             }
-            Request::Query(q) => tagged("Query", q.to_json()),
-            Request::Stats => Json::Str("Stats".into()),
-            Request::Snapshot => Json::Str("Snapshot".into()),
-            Request::SnapshotPage {
-                since_epoch,
-                offset,
-                limit,
-            } => tagged(
-                "SnapshotPage",
-                Json::obj(vec![
-                    ("since_epoch", since_epoch.to_json()),
-                    ("offset", offset.to_json()),
-                    ("limit", limit.to_json()),
-                ]),
-            ),
-            Request::ClusterStats => Json::Str("ClusterStats".into()),
-            Request::Checkpoint => Json::Str("Checkpoint".into()),
-            Request::Shutdown => Json::Str("Shutdown".into()),
-            Request::ReplSubscribe {
-                start_seq,
-                lineage,
-                next_seq,
-            } => tagged(
-                "ReplSubscribe",
-                Json::obj(vec![
-                    ("start_seq", start_seq.to_json()),
-                    ("lineage", lineage.to_json()),
-                    ("next_seq", next_seq.to_json()),
-                ]),
-            ),
-            Request::ReplBatch { lineage, batches } => tagged(
-                "ReplBatch",
-                Json::obj(vec![
-                    ("lineage", lineage.to_json()),
-                    ("batches", batches.to_json()),
-                ]),
-            ),
-            Request::ReplSnapshot {
-                lineage,
-                watermark,
-                snapshot,
-            } => tagged(
-                "ReplSnapshot",
-                Json::obj(vec![
-                    ("lineage", lineage.to_json()),
-                    ("watermark", watermark.to_json()),
-                    ("snapshot", snapshot.to_json()),
-                ]),
-            ),
-            Request::ReplPromote => Json::Str("ReplPromote".into()),
+            snapshot.frequent(Threshold::Fraction(phi))
         }
-    }
-}
-
-impl FromJson for Request {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("Hello", Some(p)) => Ok(Request::Hello {
-                proto_version: field(p, "proto_version")?,
-                features: field(p, "features")?,
-            }),
-            ("Ingest", Some(p)) => Ok(Request::Ingest {
-                keys: field(p, "keys")?,
-            }),
-            ("Query", Some(p)) => Ok(Request::Query(QueryReq::from_json(p)?)),
-            ("Stats", None) => Ok(Request::Stats),
-            ("Snapshot", None) => Ok(Request::Snapshot),
-            ("SnapshotPage", Some(p)) => Ok(Request::SnapshotPage {
-                since_epoch: field(p, "since_epoch")?,
-                offset: field(p, "offset")?,
-                limit: field(p, "limit")?,
-            }),
-            ("ClusterStats", None) => Ok(Request::ClusterStats),
-            ("Checkpoint", None) => Ok(Request::Checkpoint),
-            ("Shutdown", None) => Ok(Request::Shutdown),
-            ("ReplSubscribe", Some(p)) => Ok(Request::ReplSubscribe {
-                start_seq: field(p, "start_seq")?,
-                lineage: field(p, "lineage")?,
-                next_seq: field(p, "next_seq")?,
-            }),
-            ("ReplBatch", Some(p)) => Ok(Request::ReplBatch {
-                lineage: field(p, "lineage")?,
-                batches: field(p, "batches")?,
-            }),
-            ("ReplSnapshot", Some(p)) => Ok(Request::ReplSnapshot {
-                lineage: field(p, "lineage")?,
-                watermark: field(p, "watermark")?,
-                snapshot: field(p, "snapshot")?,
-            }),
-            ("ReplPromote", None) => Ok(Request::ReplPromote),
-            (name, _) => Err(JsonError(format!("unknown Request variant `{name}`"))),
-        }
-    }
-}
-
-impl ToJson for Response {
-    fn to_json(&self) -> Json {
-        match self {
-            Response::HelloAck {
-                proto_version,
-                features,
-            } => tagged(
-                "HelloAck",
-                Json::obj(vec![
-                    ("proto_version", proto_version.to_json()),
-                    ("features", features.to_json()),
-                ]),
-            ),
-            Response::UnsupportedVersion {
-                supported,
-                requested,
-            } => tagged(
-                "UnsupportedVersion",
-                Json::obj(vec![
-                    ("supported", supported.to_json()),
-                    ("requested", requested.to_json()),
-                ]),
-            ),
-            Response::IngestAck { enqueued } => {
-                tagged("IngestAck", Json::obj(vec![("enqueued", enqueued.to_json())]))
-            }
-            Response::Overloaded => Json::Str("Overloaded".into()),
-            Response::Answer {
-                entries,
-                total,
-                stamp,
-            } => tagged(
-                "Answer",
-                Json::obj(vec![
-                    ("entries", entries.to_json()),
-                    ("total", total.to_json()),
-                    ("stamp", stamp.to_json()),
-                ]),
-            ),
-            Response::Stats(report) => tagged("Stats", report.to_json()),
-            Response::Snapshot { snapshot, stamp } => tagged(
-                "Snapshot",
-                Json::obj(vec![
-                    ("snapshot", snapshot.to_json()),
-                    ("stamp", stamp.to_json()),
-                ]),
-            ),
-            Response::SnapshotPage {
-                entries,
-                offset,
-                total_entries,
-                total,
-                done,
-                unchanged,
-                stamp,
-            } => tagged(
-                "SnapshotPage",
-                Json::obj(vec![
-                    ("entries", entries.to_json()),
-                    ("offset", offset.to_json()),
-                    ("total_entries", total_entries.to_json()),
-                    ("total", total.to_json()),
-                    ("done", done.to_json()),
-                    ("unchanged", unchanged.to_json()),
-                    ("stamp", stamp.to_json()),
-                ]),
-            ),
-            Response::ClusterStats(report) => tagged("ClusterStats", report.to_json()),
-            Response::Checkpointed {
-                watermark,
-                total,
-                bytes,
-            } => tagged(
-                "Checkpointed",
-                Json::obj(vec![
-                    ("watermark", watermark.to_json()),
-                    ("total", total.to_json()),
-                    ("bytes", bytes.to_json()),
-                ]),
-            ),
-            Response::ShuttingDown => Json::Str("ShuttingDown".into()),
-            Response::ReplAck { ack_seq } => {
-                tagged("ReplAck", Json::obj(vec![("ack_seq", ack_seq.to_json())]))
-            }
-            Response::Error { message } => {
-                tagged("Error", Json::obj(vec![("message", message.to_json())]))
-            }
-        }
-    }
-}
-
-impl FromJson for Response {
-    fn from_json(v: &Json) -> JsonResult<Self> {
-        match variant(v)? {
-            ("HelloAck", Some(p)) => Ok(Response::HelloAck {
-                proto_version: field(p, "proto_version")?,
-                features: field(p, "features")?,
-            }),
-            ("UnsupportedVersion", Some(p)) => Ok(Response::UnsupportedVersion {
-                supported: field(p, "supported")?,
-                requested: field(p, "requested")?,
-            }),
-            ("IngestAck", Some(p)) => Ok(Response::IngestAck {
-                enqueued: field(p, "enqueued")?,
-            }),
-            ("Overloaded", None) => Ok(Response::Overloaded),
-            ("Answer", Some(p)) => Ok(Response::Answer {
-                entries: field(p, "entries")?,
-                total: field(p, "total")?,
-                stamp: field(p, "stamp")?,
-            }),
-            ("Stats", Some(p)) => Ok(Response::Stats(ServiceReport::from_json(p)?)),
-            ("Snapshot", Some(p)) => Ok(Response::Snapshot {
-                snapshot: field(p, "snapshot")?,
-                stamp: field(p, "stamp")?,
-            }),
-            ("SnapshotPage", Some(p)) => Ok(Response::SnapshotPage {
-                entries: field(p, "entries")?,
-                offset: field(p, "offset")?,
-                total_entries: field(p, "total_entries")?,
-                total: field(p, "total")?,
-                done: field(p, "done")?,
-                unchanged: field(p, "unchanged")?,
-                stamp: field(p, "stamp")?,
-            }),
-            ("ClusterStats", Some(p)) => Ok(Response::ClusterStats(ClusterReport::from_json(p)?)),
-            ("Checkpointed", Some(p)) => Ok(Response::Checkpointed {
-                watermark: field(p, "watermark")?,
-                total: field(p, "total")?,
-                bytes: field(p, "bytes")?,
-            }),
-            ("ShuttingDown", None) => Ok(Response::ShuttingDown),
-            ("ReplAck", Some(p)) => Ok(Response::ReplAck {
-                ack_seq: field(p, "ack_seq")?,
-            }),
-            ("Error", Some(p)) => Ok(Response::Error {
-                message: field(p, "message")?,
-            }),
-            (name, _) => Err(JsonError(format!("unknown Response variant `{name}`"))),
-        }
+        QueryReq::TopK { k } => snapshot.top_k(k),
+    };
+    Response::Answer {
+        entries,
+        total: snapshot.total(),
+        stamp,
     }
 }
 
@@ -806,6 +553,62 @@ mod tests {
             usize::MAX,
         ));
         assert_eq!(e.len(), 10);
+    }
+
+    #[test]
+    fn answers_have_one_shape_for_every_endpoint() {
+        let s = Snapshot::new(
+            vec![CounterEntry::new(7u64, 90, 0), CounterEntry::new(8u64, 10, 0)],
+            100,
+        );
+        let stamp = QueryStamp {
+            epoch: 3,
+            captured_total: 100,
+            staleness: 2,
+            rotations: None,
+        };
+        match answer(&s, QueryReq::Point { key: 7 }, stamp) {
+            Response::Answer { entries, total, stamp } => {
+                assert_eq!(entries.len(), 1);
+                assert_eq!(entries[0].count, 90);
+                assert_eq!(total, 100);
+                assert_eq!(stamp.staleness, 2);
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        let stamp = QueryStamp {
+            epoch: 3,
+            captured_total: 100,
+            staleness: 2,
+            rotations: None,
+        };
+        match answer(&s, QueryReq::Frequent { phi: 0.5 }, stamp) {
+            Response::Answer { entries, .. } => {
+                assert_eq!(entries.len(), 1);
+                assert_eq!(entries[0].item, 7);
+            }
+            other => panic!("unexpected: {other:?}"),
+        }
+        let stamp = QueryStamp {
+            epoch: 3,
+            captured_total: 100,
+            staleness: 2,
+            rotations: None,
+        };
+        match answer(&s, QueryReq::Frequent { phi: 1.5 }, stamp) {
+            Response::Error { .. } => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+        let stamp = QueryStamp {
+            epoch: 3,
+            captured_total: 100,
+            staleness: 2,
+            rotations: None,
+        };
+        match answer(&s, QueryReq::TopK { k: 1 }, stamp) {
+            Response::Answer { entries, .. } => assert_eq!(entries[0].item, 7),
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
     #[test]

@@ -149,7 +149,7 @@ const ENOBUFS: i32 = if cfg!(target_os = "linux") { 105 } else { 55 };
 /// peer gave up while it sat in the backlog. Any client can cause all
 /// of these by opening sockets, so none of them may stop the server;
 /// the listener itself is still good.
-fn is_transient_accept_error(e: &io::Error) -> bool {
+pub fn is_transient_accept_error(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::ConnectionAborted | io::ErrorKind::OutOfMemory

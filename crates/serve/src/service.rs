@@ -9,12 +9,14 @@
 //! staleness bound: the number of items applied since that snapshot was
 //! captured.
 //!
-//! With persistence enabled (`--data-dir`), startup recovers the durable
-//! state *before* any listener opens: the newest valid checkpoint becomes
-//! an immutable **base snapshot**, the WAL tail replays into the fresh
-//! engine, and every published snapshot merges base + live through the
-//! Space-Saving merge algebra — so post-recovery answers keep the
-//! `count ≥ true ≥ count − error` envelope over everything recovered.
+//! The backend is the only summary a service holds. With persistence
+//! enabled (`--data-dir`), startup recovers the durable state *before*
+//! any listener opens: the newest valid checkpoint **seeds** the engine
+//! ([`cots::CotsEngine::seed`]) and the WAL tail replays on top of it, so
+//! post-recovery answers are the engine's own — the same
+//! `count ≥ true ≥ count − error` envelope, no merge on the way out. A
+//! standby's catch-up snapshot seeds its empty engine the same way, and
+//! from then on [`Persistence::log_and_apply`] is the only way in.
 //!
 //! AUDIT: locks — the request path must never block behind I/O holding a
 //! lock; enforced by `cargo xtask audit` (lint-locks).
@@ -24,18 +26,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use cots::{CotsEngine, JumpingWindow, SnapshotPublisher};
-use cots_core::merge::merge_snapshots;
-use cots_core::{
-    CotsConfig, CotsError, RecoveryReport, ReplReport, Result, ServiceReport, Snapshot, Threshold,
-};
-use cots_persist::Checkpoint;
+use cots_core::{CotsConfig, CotsError, RecoveryReport, ReplReport, Result, ServiceReport, Snapshot};
 use cots_profiling::IngestTally;
 
-use crate::persistence::{PersistOptions, Persistence};
-use crate::protocol::{QueryReq, QueryStamp, ReplFrame, Request, Response};
+use crate::persistence::{self, PersistOptions, Persistence};
+use crate::protocol::{self, QueryStamp, ReplFrame, Request, Response};
+use crate::replica::{Admission, Offer, Replica};
 use crate::session::{self, ConnState, Endpoint};
 use crate::shard::{Backend, SendOutcome, ShardPool, ShardSender};
 
@@ -83,48 +82,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// The recovery base snapshot, shared mutably so a standby can install
-/// a shipped catch-up snapshot after startup. Readers (publisher,
-/// checkpointer, query path) grab the `Arc` and drop the guard — no
-/// work happens under the lock.
-#[derive(Default)]
-struct BaseState {
-    snapshot: RwLock<Option<Arc<Snapshot<u64>>>>,
-    total: AtomicU64,
-}
-
-impl BaseState {
-    /// The current base, if any, plus the stream mass it accounts for.
-    fn get(&self) -> (Option<Arc<Snapshot<u64>>>, u64) {
-        let snap = self.snapshot.read().clone();
-        (snap, self.total.load(Ordering::Acquire))
-    }
-
-    fn install(&self, snapshot: Arc<Snapshot<u64>>, total: u64) {
-        let mut slot = self.snapshot.write();
-        self.total.store(total, Ordering::Release);
-        *slot = Some(snapshot);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.snapshot.read().is_none()
-    }
-}
-
-/// Standby-side replication counters (the shipper keeps the primary
-/// side and pushes whole reports via [`Service::set_repl_report`]).
-#[derive(Default)]
-struct ReplCounters {
-    streamed_batches: AtomicU64,
-    streamed_keys: AtomicU64,
-    duplicates: AtomicU64,
-    snapshots: AtomicU64,
-    /// Set when a stream is refused because histories diverged (needs
-    /// an operator to resync the standby from a fresh data directory);
-    /// cleared when a stream establishes cleanly.
-    resync_required: AtomicBool,
-}
-
 /// A running service instance (workers + publisher thread).
 pub struct Service {
     backend: Backend,
@@ -136,46 +93,19 @@ pub struct Service {
     /// (once) by [`Service::drain`].
     threads: Mutex<Option<Vec<JoinHandle<()>>>>,
     persistence: Option<Arc<Persistence>>,
-    /// Recovered (or replication-installed) checkpoint summary, merged
-    /// into every published snapshot.
-    base: Arc<BaseState>,
-    /// Watermark of the base checkpoint: the first WAL sequence *not*
-    /// covered by `base`. Everything below it is only available as part
-    /// of a catch-up snapshot, never as individual WAL batches.
+    /// Watermark of the checkpoint the backend was seeded from: the
+    /// first WAL sequence it did *not* cover. Everything below it is only
+    /// available as part of a catch-up snapshot, never as individual WAL
+    /// batches.
     base_watermark: AtomicU64,
     recovery: Option<RecoveryReport>,
-    capacity: usize,
-    /// Replication role: `true` while this instance is a standby.
-    standby: AtomicBool,
-    /// Times this instance was promoted from standby to primary.
-    promotions: AtomicU64,
-    /// Replication lineage (promotion generation) of this node's data:
-    /// loaded from the `repl-lineage` file at startup, bumped durably
-    /// on every promotion, and carried on every REPL wire op so a
-    /// divergent pair refuses to stream instead of silently acking.
-    lineage: AtomicU64,
-    repl_counters: ReplCounters,
-    /// Primary-side replication report, pushed by the WAL shipper.
-    repl_report: Mutex<Option<ReplReport>>,
-    repl_peer: String,
+    replica: Replica,
 }
 
-/// Capture the backend and merge the recovery base in, returning
-/// `(snapshot, captured_total, rotations)` in publishable form.
-fn capture_merged(
-    backend: &Backend,
-    base: &BaseState,
-    capacity: usize,
-) -> (Snapshot<u64>, u64, Option<u64>) {
-    let (live, live_total, rotations) = backend.capture();
-    match base.get() {
-        (Some(b), base_total) => (
-            merge_snapshots(&[(*b).clone(), live], capacity),
-            base_total + live_total,
-            rotations,
-        ),
-        (None, _) => (live, live_total, rotations),
-    }
+/// Capture the backend and publish the result.
+fn publish(backend: &Backend, publisher: &SnapshotPublisher<u64>) {
+    let (snapshot, total, rotations) = backend.capture();
+    publisher.publish(snapshot, total, rotations);
 }
 
 impl Service {
@@ -191,7 +121,6 @@ impl Service {
         }
         let engine_config = CotsConfig::for_capacity(config.capacity)?;
         let publisher = Arc::new(SnapshotPublisher::new());
-        let base = Arc::new(BaseState::default());
         let mut recovery: Option<RecoveryReport> = None;
         let mut persistence: Option<Arc<Persistence>> = None;
         let mut base_watermark = 0u64;
@@ -208,29 +137,22 @@ impl Service {
             (Some(opts), None) => {
                 let rec = cots_persist::recover(&opts.data_dir)?;
                 let engine = Arc::new(CotsEngine::new(engine_config)?);
+                if let Some(ckpt) = &rec.base {
+                    let snap = ckpt.snapshot();
+                    engine.seed(&persistence::fit_summary(
+                        snap,
+                        Some(ckpt.capacity),
+                        config.capacity,
+                    )?)?;
+                    publisher.resume_from(ckpt.epoch);
+                    base_watermark = ckpt.watermark;
+                }
                 for batch in &rec.batches {
                     engine.delegate_batch(&batch.keys);
                 }
                 engine.finalize();
                 #[cfg(feature = "invariants")]
                 engine.check_quiescent_invariants();
-                if let Some(ckpt) = &rec.base {
-                    publisher.resume_from(ckpt.epoch);
-                    let snap = ckpt.snapshot();
-                    #[cfg(feature = "invariants")]
-                    {
-                        use cots_core::CheckInvariants;
-                        let violations = snap.violations();
-                        if let Some(v) = violations.first() {
-                            return Err(CotsError::Report(format!(
-                                "recovered checkpoint failed invariant audit: {v}"
-                            )));
-                        }
-                    }
-                    let total = snap.total();
-                    base.install(Arc::new(snap), total);
-                    base_watermark = ckpt.watermark;
-                }
                 persistence = Some(Arc::new(Persistence::new(
                     opts,
                     rec.next_seq,
@@ -246,11 +168,7 @@ impl Service {
 
         // Publish the recovered (or empty) state synchronously so the
         // first query ever answered already sees it.
-        {
-            let (snapshot, total, rotations) =
-                capture_merged(&backend, &base, config.capacity);
-            publisher.publish(snapshot, total, rotations);
-        }
+        publish(&backend, &publisher);
 
         let pool = ShardPool::new(config.shards, config.queue_batches);
         let mut threads = pool.spawn_workers(&backend, persistence.clone());
@@ -259,8 +177,6 @@ impl Service {
             let backend = backend.clone();
             let publisher = publisher.clone();
             let shutdown = shutdown.clone();
-            let base = base.clone();
-            let capacity = config.capacity;
             let refresh = config.refresh;
             std::thread::Builder::new()
                 .name("cots-publisher".into())
@@ -278,8 +194,7 @@ impl Service {
                     let mut last: Option<(u64, Option<u64>)> = None;
                     let mut confirmed = false;
                     while !shutdown.load(Ordering::Acquire) {
-                        let (snapshot, total, rotations) =
-                            capture_merged(&backend, &base, capacity);
+                        let (snapshot, total, rotations) = backend.capture();
                         if last != Some((total, rotations)) {
                             publisher.publish(snapshot, total, rotations);
                             last = Some((total, rotations));
@@ -292,8 +207,7 @@ impl Service {
                     }
                     // One final publish so post-drain queries see the
                     // quiescent state with zero staleness.
-                    let (snapshot, total, rotations) =
-                        capture_merged(&backend, &base, capacity);
+                    let (snapshot, total, rotations) = backend.capture();
                     if last != Some((total, rotations)) || !confirmed {
                         publisher.publish(snapshot, total, rotations);
                     }
@@ -306,7 +220,6 @@ impl Service {
                 let backend = backend.clone();
                 let publisher = publisher.clone();
                 let shutdown = shutdown.clone();
-                let base = base.clone();
                 let every = opts.checkpoint_every;
                 Some(
                     std::thread::Builder::new()
@@ -319,8 +232,7 @@ impl Service {
                                     continue;
                                 }
                                 last = Instant::now();
-                                let (b, _) = base.get();
-                                if let Err(e) = p.checkpoint(&backend, b.as_deref(), &publisher) {
+                                if let Err(e) = p.checkpoint(&backend, &publisher) {
                                     eprintln!("cots-serve: background checkpoint failed: {e}");
                                 }
                             }
@@ -340,16 +252,13 @@ impl Service {
             shutdown,
             threads: Mutex::new(Some(threads)),
             persistence,
-            base,
             base_watermark: AtomicU64::new(base_watermark),
             recovery,
-            capacity: config.capacity,
-            standby: AtomicBool::new(config.standby),
-            promotions: AtomicU64::new(0),
-            lineage: AtomicU64::new(lineage),
-            repl_counters: ReplCounters::default(),
-            repl_report: Mutex::new(None),
-            repl_peer: config.repl_peer.unwrap_or_default(),
+            replica: Replica::new(
+                config.standby,
+                lineage,
+                config.repl_peer.unwrap_or_default(),
+            ),
         })
     }
 
@@ -358,26 +267,20 @@ impl Service {
         self.recovery.as_ref()
     }
 
-    /// Total items the service accounts for: recovered base mass plus
-    /// everything the backend applied since this process started.
-    fn total_processed(&self) -> u64 {
-        self.base.total.load(Ordering::Acquire) + self.backend.processed()
-    }
-
     /// Whether this instance is currently a replication standby.
     pub fn is_standby(&self) -> bool {
-        self.standby.load(Ordering::Acquire)
+        self.replica.is_standby()
     }
 
     /// Times this instance has been promoted from standby to primary.
     pub fn promotions(&self) -> u64 {
-        self.promotions.load(Ordering::Acquire)
+        self.replica.promotions()
     }
 
     /// This node's replication lineage (promotion generation). A fresh
     /// data directory starts at 0; every promotion bumps it durably.
     pub fn lineage(&self) -> u64 {
-        self.lineage.load(Ordering::Acquire)
+        self.replica.lineage()
     }
 
     /// The persistence layer, when running with a data directory. The
@@ -389,13 +292,13 @@ impl Service {
     /// Install the primary-side replication report the WAL shipper
     /// maintains; it is merged into every `STATS` answer.
     pub fn set_repl_report(&self, report: ReplReport) {
-        *self.repl_report.lock() = Some(report);
+        self.replica.set_shipped(report);
     }
 
     /// The lowest WAL sequence this instance can ship as individual
-    /// batches: the base checkpoint's watermark or the oldest surviving
-    /// WAL segment, whichever is higher. A standby acknowledged below
-    /// this floor needs a catch-up snapshot first.
+    /// batches: the seeding checkpoint's watermark or the oldest
+    /// surviving WAL segment, whichever is higher. A standby acknowledged
+    /// below this floor needs a catch-up snapshot first.
     pub fn repl_floor(&self) -> u64 {
         let base = self.base_watermark.load(Ordering::Acquire);
         let oldest = match &self.persistence {
@@ -409,15 +312,14 @@ impl Service {
         base.max(oldest)
     }
 
-    /// Cut a consistent `(watermark, merged summary)` pair for a
-    /// catch-up `REPL_SNAPSHOT` — a durable checkpoint whose summary is
-    /// handed back instead of thrown away. Requires persistence.
+    /// Cut a consistent `(watermark, summary)` pair for a catch-up
+    /// `REPL_SNAPSHOT` — a durable checkpoint whose summary is handed
+    /// back instead of thrown away. Requires persistence.
     pub fn repl_cut(&self) -> Result<(u64, Snapshot<u64>)> {
         let p = self.persistence.as_ref().ok_or_else(|| {
             CotsError::Report("replication snapshot requires --data-dir".into())
         })?;
-        let (b, _) = self.base.get();
-        let cut = p.checkpoint(&self.backend, b.as_deref(), &self.publisher)?;
+        let cut = p.checkpoint(&self.backend, &self.publisher)?;
         Ok((cut.watermark, cut.summary))
     }
 
@@ -462,7 +364,7 @@ impl Endpoint for Service {
         QueryStamp {
             epoch: snap.epoch,
             captured_total: snap.captured_total,
-            staleness: self.total_processed().saturating_sub(snap.captured_total),
+            staleness: self.backend.processed().saturating_sub(snap.captured_total),
             rotations: snap.rotations,
         }
     }
@@ -495,7 +397,8 @@ impl Endpoint for Service {
             }
             Request::Query(q) => {
                 self.tally.query();
-                self.answer(q)
+                let (snap, stamp) = self.published();
+                protocol::answer(&snap, q, stamp)
             }
             Request::Stats => Response::Stats(self.stats()),
             Request::ClusterStats => Response::Error {
@@ -504,19 +407,16 @@ impl Endpoint for Service {
                     .into(),
             },
             Request::Checkpoint => match &self.persistence {
-                Some(p) => {
-                    let (b, _) = self.base.get();
-                    match p.checkpoint(&self.backend, b.as_deref(), &self.publisher) {
-                        Ok(cut) => Response::Checkpointed {
-                            watermark: cut.watermark,
-                            total: cut.summary.total(),
-                            bytes: cut.bytes,
-                        },
-                        Err(e) => Response::Error {
-                            message: format!("checkpoint failed: {e}"),
-                        },
-                    }
-                }
+                Some(p) => match p.checkpoint(&self.backend, &self.publisher) {
+                    Ok(cut) => Response::Checkpointed {
+                        watermark: cut.watermark,
+                        total: cut.summary.total(),
+                        bytes: cut.bytes,
+                    },
+                    Err(e) => Response::Error {
+                        message: format!("checkpoint failed: {e}"),
+                    },
+                },
                 None => Response::Error {
                     message: "service has no data directory (start with --data-dir)".into(),
                 },
@@ -529,260 +429,108 @@ impl Endpoint for Service {
                 start_seq: _,
                 lineage,
                 next_seq,
-            } => match self.repl_persistence() {
-                Ok(p) => self.accept_subscribe(&p, lineage, next_seq),
-                Err(resp) => resp,
-            },
-            Request::ReplBatch { lineage, batches } => match self.repl_persistence() {
-                Ok(p) => {
-                    // A mismatched lineage must never be acked: a
-                    // cumulative ack over unseen batches is exactly the
-                    // silent divergence the lineage exists to prevent.
-                    if lineage != self.lineage() {
-                        Response::Error {
-                            message: format!(
-                                "replication batch refused: primary lineage {lineage} \
-                                 does not match standby lineage {}",
-                                self.lineage()
-                            ),
-                        }
-                    } else {
-                        self.apply_repl_batches(&p, &batches);
-                        Response::ReplAck {
-                            ack_seq: p.next_seq(),
-                        }
-                    }
+            } => self.standby_op(|p| {
+                let offer = Offer::Stream {
+                    primary_next: next_seq,
+                };
+                self.admit(p, offer, lineage)?;
+                self.replica.established(p.dir(), offer, lineage);
+                Ok(p.next_seq())
+            }),
+            // A mismatched lineage must never be acked: a cumulative ack
+            // over unseen batches is exactly the silent divergence the
+            // lineage exists to prevent.
+            Request::ReplBatch { lineage, batches } => self.standby_op(|p| {
+                if lineage != self.lineage() {
+                    return Err(format!(
+                        "replication batch refused: primary lineage {lineage} \
+                         does not match standby lineage {}",
+                        self.lineage()
+                    ));
                 }
-                Err(resp) => resp,
-            },
+                self.apply_repl_batches(p, &batches);
+                Ok(p.next_seq())
+            }),
             Request::ReplSnapshot {
                 lineage,
                 watermark,
                 snapshot,
-            } => match self.repl_persistence() {
-                Ok(p) => self.install_repl_snapshot(&p, lineage, watermark, snapshot),
-                Err(resp) => resp,
-            },
-            Request::ReplPromote => {
-                if self.standby.swap(false, Ordering::AcqRel) {
-                    self.promotions.fetch_add(1, Ordering::Release);
-                    let promoted = self.lineage.fetch_add(1, Ordering::AcqRel) + 1;
-                    self.repl_counters
-                        .resync_required
-                        .store(false, Ordering::Release);
-                    if let Some(p) = &self.persistence {
-                        // Best-effort durability: a lost bump means the
-                        // node restarts with the pre-promotion lineage
-                        // and is refused by newer peers — safe (it must
-                        // resync), never silently divergent.
-                        let _ = cots_persist::store_lineage(p.dir(), promoted);
-                    }
+            } => self.standby_op(|p| {
+                let offer = Offer::Snapshot { watermark };
+                if self.admit(p, offer, lineage)? == Admission::Duplicate {
+                    return Ok(p.next_seq());
                 }
+                // Seed the empty backend and write the shipped cut as
+                // this node's own checkpoint, in one `ckpt_lock` section.
+                p.install_base(watermark, self.publisher.epoch(), &snapshot, &self.backend)
+                    .map_err(|e| format!("catch-up snapshot install failed: {e}"))?;
+                self.base_watermark.store(watermark, Ordering::Release);
+                self.replica.established(p.dir(), offer, lineage);
+                Ok(watermark)
+            }),
+            Request::ReplPromote => {
+                let p = self.persistence.as_ref();
+                self.replica.promote(p.map(|p| p.dir()));
                 Response::ReplAck {
-                    ack_seq: self
-                        .persistence
-                        .as_ref()
-                        .map(|p| p.next_seq())
-                        .unwrap_or(0),
+                    ack_seq: p.map_or(0, |p| p.next_seq()),
                 }
             }
         }
     }
-
 }
 
 impl Service {
-    /// The persistence handle a `REPL_*` stream operation applies
-    /// through, or the refusal to send back: only a standby with a data
-    /// directory accepts the stream.
-    fn repl_persistence(&self) -> std::result::Result<Arc<Persistence>, Response> {
-        if !self.is_standby() {
-            return Err(Response::Error {
-                message: "this instance is not a replication standby \
-                          (REPL_* streams are only accepted in --standby mode)"
-                    .into(),
-            });
-        }
-        match &self.persistence {
-            Some(p) => Ok(p.clone()),
-            None => Err(Response::Error {
-                message: "standby has no data directory".into(),
-            }),
-        }
-    }
-
-    /// Decide whether a primary may open (or reopen) the replication
-    /// stream. This is the divergence gate: a cumulative ack is only
-    /// safe when both sides agree on the history below the watermark,
-    /// so the standby refuses — instead of acking — whenever the
-    /// lineages or watermarks prove the histories have split.
-    fn accept_subscribe(
+    /// Run one `REPL_*` stream operation against the persistence handle
+    /// it applies through — only a standby with a data directory accepts
+    /// the stream — and answer its ack, or its refusal as an error.
+    fn standby_op(
         &self,
-        p: &Persistence,
-        primary_lineage: u64,
-        primary_next: u64,
+        op: impl FnOnce(&Persistence) -> std::result::Result<u64, String>,
     ) -> Response {
-        let mine = self.lineage();
-        let my_next = p.next_seq();
-        if primary_lineage < mine {
-            // A pre-promotion ex-primary (or a primary on older data)
-            // is trying to ship history this node has already moved
-            // past. Its data is the divergent copy, not ours.
-            return Response::Error {
-                message: format!(
-                    "replication refused: primary lineage {primary_lineage} is \
-                     behind standby lineage {mine}; the primary's history is \
-                     stale"
-                ),
-            };
-        }
-        let holds_state =
-            !self.base.is_empty() || self.backend.processed() > 0 || my_next > 0;
-        if primary_lineage > mine {
-            if holds_state {
-                // This standby's data predates the primary's promotion
-                // — e.g. a dead ex-primary restarted with --standby on
-                // its old data dir. Its local tail was never replicated
-                // and cannot be reconciled; acking the new stream would
-                // silently keep the divergent tail.
-                self.repl_counters
-                    .resync_required
-                    .store(true, Ordering::Release);
-                return Response::Error {
-                    message: format!(
-                        "replication refused: primary lineage {primary_lineage} \
-                         diverges from this standby's lineage {mine} and the \
-                         standby already holds state; restart the standby with \
-                         a fresh data directory to resync"
-                    ),
-                };
-            }
-            // Empty standby: adopt the primary's lineage (best-effort
-            // durably — a lost write re-adopts on the next subscribe).
-            let _ = cots_persist::store_lineage(p.dir(), primary_lineage);
-            self.lineage.store(primary_lineage, Ordering::Release);
-        } else if my_next > primary_next {
-            // Same lineage but this standby's WAL is ahead of the
-            // primary's: the primary lost a durable suffix (e.g. it was
-            // restored from older media). Acking would mark batches the
-            // standby never saw as replicated.
-            self.repl_counters
-                .resync_required
-                .store(true, Ordering::Release);
-            return Response::Error {
-                message: format!(
-                    "replication refused: standby watermark {my_next} is ahead \
-                     of primary watermark {primary_next} at lineage {mine}; \
-                     histories have diverged"
-                ),
-            };
-        }
-        self.repl_counters
-            .resync_required
-            .store(false, Ordering::Release);
-        Response::ReplAck { ack_seq: my_next }
-    }
-
-    /// Apply an in-order run of replicated batches: duplicates are
-    /// counted and skipped, a gap stops the run (the unchanged ack tells
-    /// the shipper where to rewind to).
-    fn apply_repl_batches(&self, p: &Persistence, batches: &[ReplFrame]) {
-        for frame in batches {
-            let expected = p.next_seq();
-            if frame.seq < expected {
-                self.repl_counters.duplicates.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if frame.seq > expected
-                || !p.log_external_and_apply(frame.seq, &frame.keys, &self.backend)
-            {
-                break;
-            }
-            self.repl_counters.streamed_batches.fetch_add(1, Ordering::Relaxed);
-            self.repl_counters
-                .streamed_keys
-                .fetch_add(frame.keys.len() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Install a catch-up base snapshot into an empty standby, adopting
-    /// the primary's lineage; a same-lineage watermark the log already
-    /// covers is acked as a duplicate.
-    fn install_repl_snapshot(
-        &self,
-        p: &Persistence,
-        lineage: u64,
-        watermark: u64,
-        snapshot: Snapshot<u64>,
-    ) -> Response {
-        let mine = self.lineage();
-        if lineage < mine {
-            return Response::Error {
-                message: format!(
-                    "catch-up snapshot refused: primary lineage {lineage} is \
-                     behind standby lineage {mine}; the primary's history is \
-                     stale"
-                ),
-            };
-        }
-        if lineage == mine && p.next_seq() >= watermark {
-            self.repl_counters.duplicates.fetch_add(1, Ordering::Relaxed);
-            return Response::ReplAck {
-                ack_seq: p.next_seq(),
-            };
-        }
-        if !self.base.is_empty() || self.backend.processed() > 0 || p.next_seq() > 0 {
-            self.repl_counters
-                .resync_required
-                .store(true, Ordering::Release);
-            return Response::Error {
-                message: "catch-up snapshot refused: this standby already holds \
-                          state; restart it with a fresh data directory to resync"
-                    .into(),
-            };
-        }
-        let epoch = self.publisher.epoch();
-        let ckpt = Checkpoint::from_snapshot(watermark, epoch, self.capacity, &snapshot);
-        match p.install_base(&ckpt) {
-            Ok(_) => {
-                if lineage > mine {
-                    let _ = cots_persist::store_lineage(p.dir(), lineage);
-                    self.lineage.store(lineage, Ordering::Release);
-                }
-                let total = snapshot.total();
-                self.base.install(Arc::new(snapshot), total);
-                self.base_watermark.store(watermark, Ordering::Release);
-                self.repl_counters.snapshots.fetch_add(1, Ordering::Relaxed);
-                self.repl_counters
-                    .resync_required
-                    .store(false, Ordering::Release);
-                Response::ReplAck { ack_seq: watermark }
-            }
-            Err(e) => Response::Error {
-                message: format!("catch-up snapshot install failed: {e}"),
-            },
-        }
-    }
-
-    /// Answer a query from the published snapshot.
-    fn answer(&self, q: QueryReq) -> Response {
-        let (snap, stamp) = self.published();
-        let entries = match q {
-            QueryReq::Point { key } => snap.get(&key).into_iter().copied().collect(),
-            QueryReq::Frequent { phi } => {
-                if !(phi > 0.0 && phi < 1.0) {
-                    return Response::Error {
-                        message: format!("phi must be in (0, 1), got {phi}"),
-                    };
-                }
-                snap.frequent(Threshold::Fraction(phi))
-            }
-            QueryReq::TopK { k } => snap.top_k(k),
+        let outcome = if self.is_standby() {
+            let p = self.persistence.as_deref();
+            p.ok_or_else(|| "standby has no data directory".to_string())
+                .and_then(op)
+        } else {
+            Err("this instance is not a replication standby \
+                 (REPL_* streams are only accepted in --standby mode)"
+                .into())
         };
-        Response::Answer {
-            entries,
-            total: snap.total(),
-            stamp,
+        match outcome {
+            Ok(ack_seq) => Response::ReplAck { ack_seq },
+            Err(message) => Response::Error { message },
+        }
+    }
+
+    /// Put a primary's offer to the divergence gate with this node's
+    /// watermark and whether it already holds state.
+    fn admit(
+        &self,
+        p: &Persistence,
+        offer: Offer,
+        lineage: u64,
+    ) -> std::result::Result<Admission, String> {
+        let my_next = p.next_seq();
+        let holds_state = self.backend.processed() > 0 || my_next > 0;
+        self.replica.admit(offer, lineage, my_next, holds_state)
+    }
+
+    /// Apply one `REPL_BATCH` frame: skip (and count) the prefix the log
+    /// already holds, then log and apply the contiguous run that starts
+    /// at the watermark as one record — one commit, one gate section. A
+    /// gap ends the run; the unchanged ack tells the shipper where to
+    /// rewind to.
+    fn apply_repl_batches(&self, p: &Persistence, batches: &[ReplFrame]) {
+        let next = p.next_seq();
+        let duplicates = batches.iter().take_while(|f| f.seq < next).count();
+        let run: Vec<&[u64]> = (batches.iter().skip(duplicates).zip(next..))
+            .take_while(|(f, seq)| f.seq == *seq)
+            .map(|(f, _)| f.keys.as_slice())
+            .collect();
+        self.replica.duplicates(duplicates as u64);
+        if !run.is_empty() && p.log_and_apply(Some(next), &run, &self.backend) {
+            let keys: usize = run.iter().map(|keys| keys.len()).sum();
+            self.replica.streamed(run.len() as u64, keys as u64);
         }
     }
 
@@ -795,64 +543,18 @@ impl Service {
 
     /// Current service statistics.
     pub fn stats(&self) -> ServiceReport {
-        let snap = self.publisher.current();
-        let staleness = self.total_processed().saturating_sub(snap.captured_total);
+        let (snap, stamp) = self.published();
         let mut report = self.tally.report(
             &self.pool.tallies,
             snap.epoch,
-            staleness,
+            stamp.staleness,
             self.backend.monitored(),
             self.recovery.clone(),
             self.persistence.as_ref().map(|p| p.tally.snapshot()),
         );
-        report.repl = self.build_repl_report();
+        let watermark = self.persistence.as_ref().map_or(0, |p| p.next_seq());
+        report.repl = self.replica.report(watermark);
         report
-    }
-
-    /// Assemble the replication section of `STATS`: the shipper's report
-    /// when one is live (primary side), synthesized from the applier
-    /// counters otherwise (standby side); role and promotion count are
-    /// always this instance's own.
-    fn build_repl_report(&self) -> Option<ReplReport> {
-        let c = &self.repl_counters;
-        let streamed_batches = c.streamed_batches.load(Ordering::Relaxed);
-        let streamed_keys = c.streamed_keys.load(Ordering::Relaxed);
-        let duplicates = c.duplicates.load(Ordering::Relaxed);
-        let snapshots = c.snapshots.load(Ordering::Relaxed);
-        let shipped = self.repl_report.lock().clone();
-        let mut report = match shipped {
-            Some(r) => r,
-            None => {
-                if !self.is_standby()
-                    && streamed_batches == 0
-                    && snapshots == 0
-                    && self.promotions() == 0
-                {
-                    return None;
-                }
-                let watermark = self
-                    .persistence
-                    .as_ref()
-                    .map(|p| p.next_seq())
-                    .unwrap_or(0);
-                ReplReport {
-                    peer: self.repl_peer.clone(),
-                    streamed_batches,
-                    streamed_keys,
-                    acked_seq: watermark,
-                    next_seq: watermark,
-                    ..ReplReport::default()
-                }
-            }
-        };
-        report.role = if self.is_standby() { "standby" } else { "primary" }.to_string();
-        report.promotions = self.promotions();
-        report.duplicates = report.duplicates.saturating_add(duplicates);
-        report.snapshots = report.snapshots.saturating_add(snapshots);
-        report.lineage = self.lineage();
-        report.resync_required =
-            report.resync_required || c.resync_required.load(Ordering::Acquire);
-        Some(report)
     }
 
     /// Drain and stop: signal shutdown, wait for shard workers (all
@@ -874,14 +576,11 @@ impl Service {
             let _ = t.join();
         }
         self.backend.finalize();
-        let (snapshot, total, rotations) =
-            capture_merged(&self.backend, &self.base, self.capacity);
-        self.publisher.publish(snapshot, total, rotations);
+        publish(&self.backend, &self.publisher);
         // Workers are gone, so the final checkpoint captures the exact
         // quiescent state; a clean restart replays an empty WAL tail.
         if let Some(p) = &self.persistence {
-            let (b, _) = self.base.get();
-            if let Err(e) = p.checkpoint(&self.backend, b.as_deref(), &self.publisher) {
+            if let Err(e) = p.checkpoint(&self.backend, &self.publisher) {
                 eprintln!("cots-serve: final checkpoint failed: {e}");
             }
         }
@@ -891,6 +590,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::QueryReq;
 
     fn drive(service: &Service, sender: &mut ShardSender, keys: &[u64], batch: usize) {
         let mut sent = 0;
@@ -1378,7 +1078,7 @@ mod tests {
         assert!(run > 0, "the primary logged something");
         assert_eq!(legacy, 0, "primary wrote {legacy} per-batch records");
 
-        // A standby: every replicated batch is a run of one.
+        // A standby: the contiguous run of a frame is one run record.
         let standby_dir = temp_data_dir("forms-standby");
         let service = Service::start(config(&standby_dir, true)).unwrap();
         let mut sender = service.connect();
@@ -1389,11 +1089,177 @@ mod tests {
         }
         drop(sender);
         service.drain();
-        assert_eq!(wal_record_forms(&standby_dir), (3, 0));
+        assert_eq!(wal_record_forms(&standby_dir), (1, 0));
 
         for dir in [primary_dir, standby_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }
+    }
+
+    fn persistent(dir: &std::path::Path, capacity: usize, fsync: cots_persist::FsyncPolicy) -> ServiceConfig {
+        let mut opts = PersistOptions::new(dir.to_path_buf());
+        opts.checkpoint_every = Duration::ZERO;
+        opts.fsync = fsync;
+        ServiceConfig {
+            shards: 1,
+            capacity,
+            refresh: Duration::from_millis(2),
+            persist: Some(opts),
+            ..Default::default()
+        }
+    }
+
+    fn point(service: &Service, sender: &mut ShardSender, key: u64) -> Option<(u64, u64)> {
+        match service.handle(Request::Query(QueryReq::Point { key }), sender) {
+            Response::Answer { entries, .. } => entries.first().map(|e| (e.count, e.error)),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    /// A checkpoint that was full at capacity 2 has evicted keys it no
+    /// longer names; under capacity 4 it would look "not full" and a
+    /// re-admitted key would be answered below its true count.
+    #[test]
+    fn growing_capacity_over_a_full_checkpoint_is_refused() {
+        let dir = temp_data_dir("grow");
+        let grouped = cots_persist::FsyncPolicy::default();
+        let service = Service::start(persistent(&dir, 2, grouped)).unwrap();
+        let mut sender = service.connect();
+        // One key per frame: a batch of one bypasses the combiner, so
+        // the summary is the sequential Space Saving one, {a:3, c:3/2}.
+        let (a, b, c) = (1u64, 2u64, 3u64);
+        for key in [a, a, a, b, b, c] {
+            drive(&service, &mut sender, &[key], 1);
+        }
+        await_applied(&service, 6);
+        assert!(matches!(
+            service.handle(Request::Checkpoint, &mut sender),
+            Response::Checkpointed { total: 6, .. }
+        ));
+        drop(sender);
+        service.drain();
+
+        let err = match Service::start(persistent(&dir, 4, grouped)) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("capacity 4 over a checkpoint full at 2 must be refused"),
+        };
+        assert!(err.contains("capacity 2") && err.contains("--capacity 4"), "{err}");
+
+        // The same capacity loads as before, and `b` (true count 3 after
+        // one more occurrence) is answered inside the envelope.
+        let service = Service::start(persistent(&dir, 2, grouped)).unwrap();
+        let mut sender = service.connect();
+        drive(&service, &mut sender, &[b], 1);
+        await_applied(&service, 1);
+        await_settled(&service, 7);
+        let (count, error) = point(&service, &mut sender, b).expect("b is the newest admission");
+        assert!(count - error <= 3 && 3 <= count, "b: {count}/{error} vs truth 3");
+        drop(sender);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A smaller capacity keeps the checkpoint's top entries.
+    #[test]
+    fn shrinking_capacity_cuts_the_checkpoint_to_its_top_entries() {
+        let dir = temp_data_dir("shrink");
+        let grouped = cots_persist::FsyncPolicy::default();
+        let service = Service::start(persistent(&dir, 8, grouped)).unwrap();
+        let mut sender = service.connect();
+        let keys: Vec<u64> = (1..=6u64).flat_map(|k| vec![k; (10 * k) as usize]).collect();
+        drive(&service, &mut sender, &keys, 64);
+        await_applied(&service, keys.len() as u64);
+        drop(sender);
+        service.drain();
+
+        let service = Service::start(persistent(&dir, 3, grouped)).unwrap();
+        let mut sender = service.connect();
+        assert_eq!(service.stats().monitored, 3);
+        assert_eq!(point(&service, &mut sender, 6), Some((60, 0)));
+        assert_eq!(point(&service, &mut sender, 4), Some((40, 0)));
+        assert_eq!(point(&service, &mut sender, 3), None);
+        // A dropped key comes back over-counted by the kept minimum.
+        drive(&service, &mut sender, &[3], 1);
+        await_applied(&service, 1);
+        await_settled(&service, keys.len() as u64 + 1);
+        assert_eq!(point(&service, &mut sender, 3), Some((41, 40)));
+        drop(sender);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// After a restart the recovered counters live in the engine, so a
+    /// flood of cold keys churns the minimum around the hot key instead
+    /// of charging it the live summary's minimum on every answer.
+    #[test]
+    fn recovered_hot_key_keeps_error_zero_under_a_cold_flood() {
+        let dir = temp_data_dir("seeded");
+        let grouped = cots_persist::FsyncPolicy::default();
+        let service = Service::start(persistent(&dir, 16, grouped)).unwrap();
+        let mut sender = service.connect();
+        drive(&service, &mut sender, &[42; 1_000], 100);
+        await_applied(&service, 1_000);
+        assert!(matches!(
+            service.handle(Request::Checkpoint, &mut sender),
+            Response::Checkpointed { total: 1_000, .. }
+        ));
+        drop(sender);
+        service.drain();
+
+        let service = Service::start(persistent(&dir, 16, grouped)).unwrap();
+        let mut sender = service.connect();
+        let cold: Vec<u64> = (1_000..1_064u64).collect();
+        drive(&service, &mut sender, &cold, 8);
+        drive(&service, &mut sender, &[42; 10], 10);
+        await_applied(&service, 74);
+        await_settled(&service, 1_074);
+        assert_eq!(point(&service, &mut sender, 42), Some((1_010, 0)));
+        drop(sender);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `REPL_BATCH` frame is one group commit on the standby, as a
+    /// drained burst is on a primary.
+    #[test]
+    fn standby_commits_a_repl_frame_as_one_run() {
+        let dir = temp_data_dir("group");
+        let service = Service::start(ServiceConfig {
+            standby: true,
+            ..persistent(&dir, 64, cots_persist::FsyncPolicy::Always)
+        })
+        .unwrap();
+        let mut sender = service.connect();
+        let frame = |seqs: &[u64]| Request::ReplBatch {
+            lineage: 0,
+            batches: seqs.iter().map(|&seq| ReplFrame { seq, keys: vec![seq, 7] }).collect(),
+        };
+        let before = service.stats().persist.unwrap();
+        match service.handle(frame(&[0, 1, 2, 3, 4, 5, 6, 7]), &mut sender) {
+            Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 8),
+            other => panic!("unexpected: {other:?}"),
+        }
+        let after = service.stats().persist.unwrap();
+        assert_eq!(after.wal_syncs - before.wal_syncs, 1, "one fsync for the frame");
+        assert_eq!(after.wal_records - before.wal_records, 8, "records stay logical batches");
+        assert_eq!(wal_record_forms(&dir), (1, 0));
+
+        // First batch a duplicate, fifth opens a gap: batches 2–4 (seqs
+        // 8, 9, 10) are logged as one record, nothing else.
+        match service.handle(frame(&[7, 8, 9, 10, 12, 13]), &mut sender) {
+            Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 11),
+            other => panic!("unexpected: {other:?}"),
+        }
+        let last = service.stats().persist.unwrap();
+        assert_eq!(last.wal_syncs - after.wal_syncs, 1);
+        assert_eq!(last.wal_records - after.wal_records, 3);
+        assert_eq!(wal_record_forms(&dir), (2, 0));
+        let repl = service.stats().repl.unwrap();
+        assert_eq!((repl.streamed_batches, repl.duplicates), (11, 1));
+        await_settled(&service, 22);
+        drop(sender);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1401,9 +1267,11 @@ mod tests {
         let dir = temp_data_dir("catchup");
         let mut opts = PersistOptions::new(dir.clone());
         opts.checkpoint_every = Duration::ZERO;
+        // Capacity 2: the shipped summary carries an error, so its source
+        // was full at two counters.
         let service = Service::start(ServiceConfig {
             shards: 1,
-            capacity: 64,
+            capacity: 2,
             refresh: Duration::from_millis(2),
             persist: Some(opts),
             standby: true,
@@ -1467,6 +1335,74 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
+        drop(sender);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Catch-up goes through the capacity rule a restart does: a summary
+    /// that has evicted (`c: 3/2`) proves its source was full at two
+    /// counters, so a capacity-4 standby — which would re-admit the
+    /// evicted `b` with error 0 — refuses it and stays empty; a
+    /// capacity-1 standby keeps the top entry.
+    #[test]
+    fn repl_snapshot_obeys_the_capacity_rule() {
+        let standby = |tag: &str, capacity: usize| {
+            let dir = temp_data_dir(tag);
+            let mut opts = PersistOptions::new(dir.clone());
+            opts.checkpoint_every = Duration::ZERO;
+            let service = Service::start(ServiceConfig {
+                shards: 1,
+                capacity,
+                refresh: Duration::from_millis(2),
+                persist: Some(opts),
+                standby: true,
+                ..Default::default()
+            })
+            .unwrap();
+            (service, dir)
+        };
+        let ship = |service: &Service, sender: &mut ShardSender| {
+            let snapshot = Snapshot::new(
+                vec![
+                    cots_core::CounterEntry::new(1u64, 3, 0),
+                    cots_core::CounterEntry::new(3u64, 3, 2),
+                ],
+                6,
+            );
+            service.handle(
+                Request::ReplSnapshot {
+                    lineage: 3,
+                    watermark: 6,
+                    snapshot,
+                },
+                sender,
+            )
+        };
+
+        let (service, dir) = standby("catchup-grow", 4);
+        let mut sender = service.connect();
+        match ship(&service, &mut sender) {
+            Response::Error { message } => assert!(
+                message.contains("capacity 2") && message.contains("--capacity 4"),
+                "{message}"
+            ),
+            other => panic!("a full summary must not seed free slots: {other:?}"),
+        }
+        assert_eq!(service.stats().monitored, 0, "refused before anything was seeded");
+        assert_eq!(service.repl_floor(), 0, "and before anything was written");
+        drop(sender);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let (service, dir) = standby("catchup-shrink", 1);
+        let mut sender = service.connect();
+        match ship(&service, &mut sender) {
+            Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 6),
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert_eq!(service.stats().monitored, 1);
+        await_settled(&service, 6);
         drop(sender);
         service.drain();
         let _ = std::fs::remove_dir_all(&dir);

@@ -53,6 +53,18 @@ impl Backend {
         }
     }
 
+    /// Install a recovered or shipped snapshot as the starting state of
+    /// a backend that has applied nothing (see [`CotsEngine::seed`]); the
+    /// window backend holds no durable state to resume from.
+    pub fn seed(&self, snapshot: &Snapshot<u64>) -> cots_core::Result<()> {
+        match self {
+            Backend::Engine(e) => e.seed(snapshot),
+            Backend::Window(_) => Err(cots_core::CotsError::InvalidConfig(
+                "a jumping window cannot be seeded from a snapshot".into(),
+            )),
+        }
+    }
+
     /// Items applied so far.
     pub fn processed(&self) -> u64 {
         match self {
@@ -222,13 +234,15 @@ impl ShardPool {
             });
             if !burst.is_empty() {
                 match &persist {
-                    Some(p) => p.log_and_apply(&mut burst, &backend, tally),
-                    None => {
-                        for batch in burst.drain(..) {
-                            backend.apply(&batch);
-                            tally.batch(batch.len() as u64);
-                        }
+                    // `None`: workers allocate the next sequences, which
+                    // cannot be refused.
+                    Some(p) => {
+                        p.log_and_apply(None, &burst, &backend);
                     }
+                    None => burst.iter().for_each(|batch| backend.apply(batch)),
+                }
+                for batch in burst.drain(..) {
+                    tally.batch(batch.len() as u64);
                 }
                 continue;
             }
