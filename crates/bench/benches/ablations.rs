@@ -1,7 +1,7 @@
 //! Ablation microbenchmarks for the design choices called out in
-//! DESIGN.md: epoch-pin batching, the neighbour scan, adaptive scheduling,
-//! serial vs hierarchical merge, the request queue, the delegation hash
-//! table, and the zipf samplers.
+//! DESIGN.md: epoch-pin batching, adaptive scheduling, serial vs
+//! hierarchical merge, the request queue, the delegation hash table, and
+//! the zipf samplers.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -42,40 +42,6 @@ fn ablate_batch(c: &mut Criterion) {
                 e.processed()
             });
         });
-    }
-    g.finish();
-}
-
-/// Neighbour scan (§5.2.3) on/off under 4 threads.
-fn ablate_neighbor_scan(c: &mut Criterion) {
-    let data = stream(2.5);
-    let mut g = c.benchmark_group("ablate_neighbor_scan");
-    g.throughput(Throughput::Elements(N as u64));
-    g.sample_size(10);
-    for &scan in &[true, false] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(if scan { "scan" } else { "no-scan" }),
-            &scan,
-            |b, &scan| {
-                b.iter(|| {
-                    let mut e =
-                        CotsEngine::<u64>::new(CotsConfig::for_capacity(1000).unwrap()).unwrap();
-                    e.set_scan_neighbors(scan);
-                    let e = Arc::new(e);
-                    cots::run(
-                        &e,
-                        &data,
-                        RuntimeOptions {
-                            threads: 4,
-                            batch: 2048,
-                            adaptive: false,
-                        },
-                    )
-                    .unwrap()
-                    .elements
-                });
-            },
-        );
     }
     g.finish();
 }
@@ -257,7 +223,6 @@ fn zipf_gen(c: &mut Criterion) {
 criterion_group!(
     benches,
     ablate_batch,
-    ablate_neighbor_scan,
     ablate_adaptive,
     ablate_merge,
     ablate_queue,

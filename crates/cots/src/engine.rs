@@ -39,6 +39,43 @@
 //! order of operations and the span of every ownership are those of the
 //! recursion; only the frames live on the heap.
 //!
+//! ## No drain helps another bucket
+//!
+//! The paper's §5.2.3 has idle pool threads check the buckets after the
+//! one they drained. This engine does not: a finished drain returns to
+//! the stream. The walk (up to 64 successors per drain, three drains per
+//! overwrite crossing) found nothing on the serving path and cost four
+//! fifths of the time per key; under [`crate::run`]'s scheduler workers
+//! park between batches, holding no queued request a helper could rescue.
+//! No request is stranded, because every queued request already has
+//! someone bound to it:
+//!
+//! * **A pusher that loses `try_own`** leaves its request to the owner,
+//!   who rechecks the queue after every release. The queue's lock orders
+//!   the two: the owner's recheck either sees the push, or its release
+//!   happened before the push and the pusher finds the bucket free.
+//! * **Restashed deferred overwrites** (every eviction candidate busy) are
+//!   the one thing an owner leaves queued behind it. A busy candidate's
+//!   element owner holds an increment routed to *this* bucket — the
+//!   candidate cannot move until it is processed — and has either pushed
+//!   it (the recheck's `len > restashed` keeps the drain going) or is
+//!   about to, and its drain attempt retries the overwrites first.
+//! * **Readers and quiescence**: [`CotsEngine::drain_pending`] and
+//!   [`CotsEngine::finalize`] attempt every bucket with a non-empty queue.
+//!
+//! `tests/stress.rs` checks `Σ counts == N` *before* `finalize` after
+//! every hammer, and the parked-drain loom model has no helper.
+//!
+//! Measured on the same streams and *rejected*, so nobody re-runs them:
+//! thread-local garbage bags in the epoch stand-in, and folding the
+//! per-request tallies once per batch (both inside the host's ±15 % drift
+//! at one and two threads); routing `Overwrite` straight to the minimum
+//! bucket (exactly −0.42 summary ops per key and ≈ −15 % at one thread,
+//! nothing at two — but it redefines a counter `perf-gate` gates on); a
+//! lock-free `len` on the vendored queue (nothing measurable once the walk
+//! is gone, and it trades the lock's ordering above for a store-buffering
+//! race). Numbers in EXPERIMENTS.md §"Help only where help is owed".
+//!
 //! ## Why the raw-pointer requests are sound
 //!
 //! See [`crate::node`]: a queued request holds a unit of `pending`, and
@@ -127,7 +164,6 @@ enum Debt<'g, K> {
     /// above it are settled: the suspended frame of `try_drain`.
     Parked {
         bucket: Shared<'g, Bucket<K>>,
-        scan: bool,
         stash: Vec<Request<K>>,
         progressed: bool,
     },
@@ -191,9 +227,6 @@ pub struct CotsEngine<K: Element> {
     /// Capacity of the batch-scoped combining front-end (0 = disabled).
     combiner_slots: usize,
     hook: OnceLock<Arc<dyn SchedulerHook>>,
-    /// After draining a bucket, scan successors for unowned pending work
-    /// (§5.2.3 neighbour checking).
-    scan_neighbors: bool,
 }
 
 impl<K: Element> CotsEngine<K> {
@@ -232,18 +265,12 @@ impl<K: Element> CotsEngine<K> {
             adaptive: config.adaptive,
             combiner_slots: config.combiner_slots,
             hook: OnceLock::new(),
-            scan_neighbors: true,
         })
     }
 
     /// Install the scheduler hook for dynamic auto configuration.
     pub fn set_scheduler_hook(&self, hook: Arc<dyn SchedulerHook>) {
         let _ = self.hook.set(hook);
-    }
-
-    /// Disable the post-drain neighbour scan (ablation support).
-    pub fn set_scan_neighbors(&mut self, scan: bool) {
-        self.scan_neighbors = scan;
     }
 
     /// Counter budget.
@@ -647,13 +674,12 @@ impl<K: Element> CotsEngine<K> {
     fn settle<'g>(&self, owed: &mut Owed<'g, K>, guard: &'g Guard) {
         while let Some(debt) = owed.pop() {
             match debt {
-                Debt::Attempt(b) => self.try_drain(b, self.scan_neighbors, None, owed, guard),
+                Debt::Attempt(b) => self.try_drain(b, None, owed, guard),
                 Debt::Parked {
                     bucket,
-                    scan,
                     stash,
                     progressed,
-                } => self.try_drain(bucket, scan, Some((stash, progressed)), owed, guard),
+                } => self.try_drain(bucket, Some((stash, progressed)), owed, guard),
             }
         }
     }
@@ -694,7 +720,6 @@ impl<K: Element> CotsEngine<K> {
     fn try_drain<'g>(
         &self,
         b: Shared<'g, Bucket<K>>,
-        scan: bool,
         mut parked: Option<(Vec<Request<K>>, bool)>,
         owed: &mut Owed<'g, K>,
         guard: &'g Guard,
@@ -746,7 +771,6 @@ impl<K: Element> CotsEngine<K> {
                         floor,
                         Debt::Parked {
                             bucket: b,
-                            scan,
                             stash,
                             progressed,
                         },
@@ -801,7 +825,7 @@ impl<K: Element> CotsEngine<K> {
                 // until the next admission.
                 let head = self.head.load(Ordering::Acquire, guard);
                 if head != b {
-                    self.try_drain(head, false, None, owed, guard);
+                    self.try_drain(head, None, owed, guard);
                 }
                 return;
             }
@@ -816,42 +840,6 @@ impl<K: Element> CotsEngine<K> {
                 // when new work (increments on the blocking elements)
                 // arrives, which re-enters this loop.
                 break;
-            }
-        }
-        if scan {
-            self.neighbor_scan(b, owed, guard);
-        }
-    }
-
-    /// §5.2.3: after finishing a bucket, help successors that have pending
-    /// requests and no owner, stopping at the first owned bucket.
-    fn neighbor_scan<'g>(
-        &self,
-        b: Shared<'g, Bucket<K>>,
-        owed: &mut Owed<'g, K>,
-        guard: &'g Guard,
-    ) {
-        // SAFETY: `b` was loaded under `guard` by the caller; deferred
-        // reclamation keeps it valid while pinned.
-        let mut cur = unsafe { b.deref() }.next.load(Ordering::Acquire, guard);
-        let mut hops = 0;
-        // SAFETY: chain pointers are loaded under `guard`; retired buckets
-        // are reclaimed via `defer_destroy` only after every pin is released.
-        while let Some(bucket) = unsafe { cur.as_ref() } {
-            if bucket.owner.load(Ordering::Relaxed) {
-                break;
-            }
-            if !bucket.is_gc() && !bucket.queue.is_empty() {
-                let floor = owed.len();
-                self.try_drain(cur, false, None, owed, guard);
-                if owed.len() > floor {
-                    break; // the helped drain has follow-ups to finish first
-                }
-            }
-            cur = bucket.next.load(Ordering::Acquire, guard);
-            hops += 1;
-            if hops > 64 {
-                break; // bounded help; return to the stream
             }
         }
     }
@@ -1301,7 +1289,7 @@ impl<K: Element> CotsEngine<K> {
             while let Some(bucket) = unsafe { cur.as_ref() } {
                 if !bucket.queue.is_empty() {
                     any = true;
-                    self.try_drain(cur, false, None, &mut owed, &guard);
+                    self.try_drain(cur, None, &mut owed, &guard);
                 } else if round == 0
                     && bucket.freq != 0
                     && !bucket.is_gc()
@@ -1309,7 +1297,7 @@ impl<K: Element> CotsEngine<K> {
                 {
                     // Quiet empty bucket: drain once so the exit GC
                     // retires it.
-                    self.try_drain(cur, false, None, &mut owed, &guard);
+                    self.try_drain(cur, None, &mut owed, &guard);
                 }
                 self.settle(&mut owed, &guard);
                 cur = bucket.next.load(Ordering::Acquire, &guard);
@@ -1502,7 +1490,7 @@ impl<K: Element> CotsEngine<K> {
             while let Some(bucket) = unsafe { cur.as_ref() } {
                 if !bucket.queue.is_empty() {
                     any = true;
-                    self.try_drain(cur, false, None, &mut owed, &guard);
+                    self.try_drain(cur, None, &mut owed, &guard);
                     self.settle(&mut owed, &guard);
                 }
                 cur = bucket.next.load(Ordering::Acquire, &guard);

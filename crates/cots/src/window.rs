@@ -109,9 +109,15 @@ impl<K: Element> JumpingWindow<K> {
     pub fn process(&self, item: K) {
         self.total.fetch_add(1, Ordering::AcqRel);
         loop {
+            // Draw the ticket and pick the engine under one read lock: a
+            // rotation takes the write lock, so it cannot slip in between
+            // and send this element to the next sub-window on top of that
+            // sub-window's own `sub` tickets.
+            let engines = self.engines.read();
             let ticket = self.fill.fetch_add(1, Ordering::AcqRel);
-            if ticket < self.sub {
-                let current = self.engines.read()[1].clone();
+            let current = (ticket < self.sub).then(|| engines[1].clone());
+            drop(engines);
+            if let Some(current) = current {
                 current.delegate(item);
                 self.applied.fetch_add(1, Ordering::AcqRel);
                 return;

@@ -394,3 +394,128 @@ fn min_bucket_retirement_never_loses_requests() {
         }
     });
 }
+
+// =====================================================================
+// Model 3: the parked drain with nobody to help — push + `try_own`
+// against release + recheck, with the owner parking mid-drain (still the
+// owner) while the follow-up it logged is settled. This is all the engine
+// has: no third party ever looks at a queue. Mirrors
+// `CotsEngine::{enqueue, settle, try_drain}` with its `Debt::Parked`
+// frame and `Bucket::{try_own, release}`, orderings as they are there.
+//
+// The queue is the vendored `SegQueue`, a locked `VecDeque`: `push`, `pop`
+// and `len` each take the lock, so all three are modelled as
+// read-modify-writes of one counter. That is what lets the owner flag stay
+// `Relaxed`/`Acquire`/`Release`: the recheck after a release either reads
+// the push, or precedes it in the lock's order and so publishes the
+// release to the pusher. The vendored loom stand-in explores schedules
+// over real atomics, not memory orderings; on hardware the guard for this
+// pairing is `stress.rs::verify`'s mass check before `finalize`.
+// =====================================================================
+
+/// `SegQueue::push`.
+fn push(b: &ModelBucket) {
+    b.queued.fetch_add(1, Ordering::AcqRel);
+}
+
+/// `SegQueue::pop`: take one logged request, if any.
+fn pop(b: &ModelBucket) -> bool {
+    b.queued
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |q| q.checked_sub(1))
+        .is_ok()
+}
+
+/// `SegQueue::is_empty`: under the lock, hence a read-modify-write.
+fn is_empty(b: &ModelBucket) -> bool {
+    b.queued.fetch_add(0, Ordering::AcqRel) == 0
+}
+
+/// `CotsEngine::try_drain` as `settle` pays a `Debt::Attempt` with it, on
+/// a bucket that is never retired. With a `follow_up` bucket, the first
+/// request of every ownership logs a request there (an increment landing
+/// its element one bucket up) and the drain parks beneath it: the
+/// follow-up is settled first, then the drain resumes where it stopped,
+/// having owned `b` throughout. Returns how many times it parked.
+fn drain_parking(b: &ModelBucket, follow_up: Option<&ModelBucket>) -> u64 {
+    let mut parks = 0;
+    loop {
+        // `Bucket::try_own`.
+        if b.owner.load(Ordering::Relaxed)
+            || b.owner
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            // Delegated: the owner's release-recheck covers our request.
+            return parks;
+        }
+        let mut fresh = true;
+        while pop(b) {
+            b.drained.fetch_add(1, Ordering::AcqRel);
+            if let (true, Some(up)) = (fresh, follow_up) {
+                fresh = false;
+                parks += 1;
+                push(up);
+                drain_parking(up, None);
+                assert!(
+                    b.owner.load(Ordering::Relaxed),
+                    "a parked drain lost its bucket"
+                );
+            }
+        }
+        // `Bucket::release`, then the recheck nothing else stands in for.
+        b.owner.store(false, Ordering::Release);
+        if is_empty(b) {
+            return parks;
+        }
+    }
+}
+
+/// Two threads enqueue on one bucket; whoever wins `try_own` parks after
+/// its first request, resumes, releases and rechecks. There is no
+/// quiescent sweep and no scanning third party. Checked invariants:
+///
+/// * **no request is stranded or duplicated** — everything pushed on the
+///   bucket, and every follow-up pushed one bucket up, is processed
+///   exactly once by the time both threads have returned;
+/// * **a parked drain keeps its bucket** (asserted where it resumes);
+/// * both buckets end unowned with empty queues.
+#[test]
+fn parked_drain_needs_no_helper() {
+    model(|| {
+        let bucket = Arc::new(ModelBucket::default());
+        let up = Arc::new(ModelBucket::default());
+        const REQS_PER_THREAD: u64 = 2;
+
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let bucket = bucket.clone();
+                let up = up.clone();
+                thread::spawn(move || {
+                    let mut parks = 0;
+                    for _ in 0..REQS_PER_THREAD {
+                        // `CotsEngine::enqueue`, then `settle`.
+                        push(&bucket);
+                        parks += drain_parking(&bucket, Some(&up));
+                    }
+                    parks
+                })
+            })
+            .collect();
+        let parks: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+
+        assert_eq!(
+            bucket.drained.load(Ordering::Acquire),
+            2 * REQS_PER_THREAD,
+            "logged requests stranded or duplicated"
+        );
+        assert_eq!(
+            up.drained.load(Ordering::Acquire),
+            parks,
+            "follow-ups stranded or duplicated"
+        );
+        for b in [&bucket, &up] {
+            assert_eq!(b.queued.load(Ordering::Acquire), 0);
+            assert!(!b.owner.load(Ordering::Acquire));
+        }
+    });
+}

@@ -5,8 +5,13 @@
 //! engine is concurrent by design — that is the paper's contribution) and
 //! `shards` worker threads. Keys are partitioned to workers by
 //! multiplicative hash, so every occurrence of a key is applied by the
-//! same worker — hot keys always hit that worker's combining front-end,
-//! which is exactly the locality the combiner exploits.
+//! same worker: a batch's repeats of a hot key meet in that worker's
+//! batch-scoped combiner, and no two workers ever delegate the same
+//! element. What the workers do share is the engine's bucket list: a
+//! request left on a bucket a worker did not win is the winner's to
+//! finish (no drain helps another bucket; see the `cots::engine` module
+//! docs), and `Backend::capture`'s `drain_pending` sweeps before every
+//! publish.
 //!
 //! Each connection gets one bounded SPSC ring *per shard* (strict
 //! single-producer/single-consumer, no locks on the hot path). Workers
