@@ -145,12 +145,3 @@ pub fn fetch_snapshot(client: &mut Client, since_epoch: u64) -> Result<Fetched> 
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    // `fetch_snapshot` needs a live socket (it drives a `Client`); the
-    // loopback paths are covered by `tests/cluster_e2e.rs` and the
-    // serve-side paging tests. The pure reassembly guards (offset
-    // mismatch, broken pin, over-delivery) are all reachable only
-    // through the wire, so no in-process cases exist here.
-}

@@ -4,8 +4,8 @@
 //! connection rules — handshake, BIN1 admission, snapshot paging, frame
 //! cap all come from [`cots_serve::session`], which the coordinator
 //! plugs into as an [`Endpoint`] — so every existing client
-//! (`cots-load`, [`cots_serve::Client`], the load generator) works
-//! against a coordinator unchanged. Blocking thread-per-connection is
+//! ([`cots_serve::Client`], the benchmark driver) works against a
+//! coordinator unchanged. Blocking thread-per-connection is
 //! deliberate: a request here blocks on member round-trips, so it cannot
 //! share a reactor thread with other connections, and a coordinator
 //! fronts a handful of ingest pipes and dashboards, not the

@@ -199,7 +199,7 @@ impl MemberTracker {
     /// Is a contact attempt due?
     pub fn ready(&self, now: Instant) -> bool {
         let inner = self.inner.lock();
-        inner.retry_at.map_or(true, |t| now >= t)
+        inner.retry_at.is_none_or(|t| now >= t)
     }
 
     /// Did the last contact attempt succeed?

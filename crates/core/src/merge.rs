@@ -224,7 +224,7 @@ mod tests {
     fn combined_absent_bound_sums_full_summaries_only() {
         let full = snap(&[(1, 5, 0), (2, 3, 0)], 8); // at capacity 2, min 3
         let roomy = snap(&[(3, 9, 0)], 9); // below capacity: bound 0
-        assert_eq!(combined_absent_bound(&[full.clone()], 2), 3);
+        assert_eq!(combined_absent_bound(std::slice::from_ref(&full), 2), 3);
         assert_eq!(combined_absent_bound(&[full.clone(), roomy.clone()], 2), 3);
         assert_eq!(combined_absent_bound(&[roomy], 2), 0);
         assert_eq!(combined_absent_bound::<u64>(&[], 2), 0);

@@ -11,21 +11,17 @@
 //!   [`StreamSpec`](stream::StreamSpec) (zipf, uniform, and adversarial
 //!   patterns);
 //! * [`partition`] — the stream partitioners used to feed worker threads;
-//! * [`io`] — a trivial on-disk stream format for replaying identical
-//!   streams across processes;
 //! * [`truth`] — an exact hash-map counter and accuracy metrics for
 //!   validating the approximate algorithms against ground truth.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod io;
 pub mod partition;
 pub mod stream;
 pub mod truth;
 pub mod zipf;
 
-pub use io::StreamChunks;
 pub use stream::{Distribution, StreamSpec};
 pub use truth::{AccuracyReport, ExactCounter};
 pub use zipf::{AliasTable, Zipf};

@@ -200,9 +200,8 @@ proptest! {
         prop_assert_eq!(&load_checkpoint(&path).unwrap(), &original);
         inflict(&path, &fault);
 
-        match load_checkpoint(&path) {
-            Ok(loaded) => prop_assert_eq!(&loaded, &original, "corruption slipped through"),
-            Err(_) => {}
+        if let Ok(loaded) = load_checkpoint(&path) {
+            prop_assert_eq!(&loaded, &original, "corruption slipped through");
         }
 
         // recover() falls back to "no checkpoint" rather than failing,

@@ -160,16 +160,13 @@ fn run(service: &Service, config: &ShipperConfig, stop: &AtomicBool) {
         // faster cannot fix divergent state, only an operator can.
         let acked = load_ack(p.dir());
         let unacked_keys = count_unacked_keys(&p, acked);
-        publish(
-            service,
-            &p,
-            config,
-            false,
+        let link = Link {
+            connected: false,
             acked,
             unacked_keys,
-            refused.is_some(),
-            &counters,
-        );
+            resync_required: refused.is_some(),
+        };
+        publish(service, &p, config, &counters, link);
         if let Some(msg) = refused {
             eprintln!("cots-repl: standby refused the stream (resync required): {msg}");
             sleep_unless_stopped(stop, config.max_backoff);
@@ -226,7 +223,7 @@ fn stream(
     while !stop.load(Ordering::Acquire) {
         let batches = tailer.poll(MAX_KEYS_PER_FRAME)?;
         if batches.is_empty() {
-            publish(service, p, config, true, ack, 0, false, counters);
+            publish(service, p, config, counters, Link::up(ack));
             sleep_unless_stopped(stop, config.poll_interval);
             continue;
         }
@@ -292,40 +289,57 @@ fn note_ack(
 ) {
     let _ = store_ack(p.dir(), ack);
     p.set_repl_retain(ack);
-    publish(service, p, config, true, ack, 0, false, counters);
+    publish(service, p, config, counters, Link::up(ack));
+}
+
+/// The state of the link at one [`publish`].
+struct Link {
+    connected: bool,
+    acked: u64,
+    /// Exact when disconnected; zero while the connected tail is being
+    /// pushed (in-flight chunks are acked within the same call).
+    unacked_keys: u64,
+    resync_required: bool,
+}
+
+impl Link {
+    /// Connected and pushing, acked through `acked`.
+    fn up(acked: u64) -> Self {
+        Self {
+            connected: true,
+            acked,
+            unacked_keys: 0,
+            resync_required: false,
+        }
+    }
 }
 
 /// Push the current shipping state into the service's `STATS` report.
 /// The service stamps role/promotions itself; `unacked_batches` is
-/// exact (`next_seq − ack`), `unacked_keys` is exact when supplied and
-/// zero while the connected tail is being pushed (in-flight chunks are
-/// acked within the same call).
+/// exact (`next_seq − ack`).
 fn publish(
     service: &Service,
     p: &Arc<Persistence>,
     config: &ShipperConfig,
-    connected: bool,
-    ack: u64,
-    unacked_keys: u64,
-    resync_required: bool,
     counters: &ShipCounters,
+    link: Link,
 ) {
     let next = p.next_seq();
     service.set_repl_report(ReplReport {
         role: String::new(),
         peer: config.peer.clone(),
-        connected,
+        connected: link.connected,
         streamed_batches: counters.streamed_batches,
         streamed_keys: counters.streamed_keys,
-        acked_seq: ack,
+        acked_seq: link.acked,
         next_seq: next,
-        unacked_batches: next.saturating_sub(ack),
-        unacked_keys,
+        unacked_batches: next.saturating_sub(link.acked),
+        unacked_keys: link.unacked_keys,
         snapshots: counters.snapshots,
         duplicates: 0,
         promotions: 0,
         lineage: service.lineage(),
-        resync_required,
+        resync_required: link.resync_required,
     });
 }
 

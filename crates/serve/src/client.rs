@@ -153,8 +153,9 @@ impl Client {
         self.send_payload(&payload)
     }
 
-    /// Send one already-encoded payload (loadgen uses this to time
-    /// encoding separately from the round trip).
+    /// Send one already-encoded payload ([`Client::ingest`] resends one
+    /// verbatim on `OVERLOADED`; the WAL shipper sends `REPL_BATCH`
+    /// frames encoded straight from borrowed buffers).
     pub fn send_payload(&mut self, payload: &Payload) -> Result<()> {
         write_payload(&mut self.writer, payload)?;
         Ok(())

@@ -47,10 +47,11 @@
 //!   wire op), and on restart seeds the engine from the checkpoint and
 //!   replays the WAL tail *before* the listener opens, keeping the
 //!   Space-Saving error envelope over everything recovered.
-//! * **Binaries**: `cots-serve` (the server; its command line is
-//!   [`cli`], which `cots-member` reuses) and `cots-load` (replay a
-//!   `datagen` Zipf stream over the wire and check answers against exact
-//!   ground truth).
+//! * **Binary**: `cots-serve` (the server; its command line is [`cli`],
+//!   which `cots-member` reuses). Load is driven by `benchmark/` and by
+//!   the e2e suites through [`Client`], waiting on
+//!   [`loadgen::await_quiescence`] before checking answers against exact
+//!   truth.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -73,7 +74,6 @@ pub mod spsc;
 pub use bin1::Bin1Error;
 pub use client::Client;
 pub use frame::{FrameAssembler, FrameError, Payload, BIN1_MAGIC, MAX_FRAME};
-pub use loadgen::{LatencySummary, LoadConfig, LoadReport};
 pub use persistence::{PersistOptions, Persistence};
 pub use protocol::{
     QueryReq, QueryStamp, ReplFrame, Request, Response, MAX_PAGE_ENTRIES, MIN_PROTO_VERSION,

@@ -16,10 +16,10 @@
 //!   *transition* once instead of re-reporting every ready socket on
 //!   every wait.
 //! * **poll** (portable fallback, any Unix): a level-triggered
-//!   `poll(2)` sweep over the registered set. Used on non-Linux hosts
-//!   (macOS CI) and selectable anywhere with `COTS_POLLER=poll` for
-//!   differential testing. O(n) per wait, so it is the compatibility
-//!   path, not the scalability path.
+//!   `poll(2)` sweep over the registered set. Used on non-Linux Unix
+//!   hosts; on Linux only the unit tests below build it, next to epoll,
+//!   so both backends run the same cases. O(n) per wait, so it is the
+//!   compatibility path, not the scalability path.
 //!
 //! The connection driver is written to be correct under either
 //! semantics: it always reads until `WouldBlock` and always tries to
@@ -89,17 +89,11 @@ pub enum Poller {
 impl Poller {
     /// Open a poller on the best backend for this platform.
     ///
-    /// Linux uses epoll unless the `COTS_POLLER=poll` environment
-    /// variable forces the portable backend (differential testing);
-    /// other Unixes always use `poll(2)`; elsewhere this returns
-    /// `Unsupported` and the server refuses to start.
+    /// Linux uses epoll; other Unixes use `poll(2)`; elsewhere this
+    /// returns `Unsupported` and the server refuses to start.
     #[cfg(target_os = "linux")]
     pub fn new() -> io::Result<Self> {
-        if std::env::var("COTS_POLLER").is_ok_and(|v| v == "poll") {
-            Ok(Poller::Poll(poll::PollPoller::new()))
-        } else {
-            Ok(Poller::Epoll(epoll::EpollPoller::new()?))
-        }
+        Ok(Poller::Epoll(epoll::EpollPoller::new()?))
     }
 
     /// Open a poller on the portable `poll(2)` backend.

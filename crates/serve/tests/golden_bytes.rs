@@ -17,8 +17,7 @@ use cots_core::{
 };
 use cots_persist::Checkpoint;
 use cots_profiling::{Breakdown, Phase, PhaseTimes, ThroughputSummary};
-use cots_serve::loadgen::CheckReport;
-use cots_serve::{LatencySummary, LoadReport, QueryStamp, ReplFrame};
+use cots_serve::{QueryStamp, ReplFrame};
 
 /// `value` encodes to exactly `golden`, and `golden` decodes back to it.
 fn check<T: ToJson + FromJson + PartialEq + Debug>(value: &T, golden: &str) {
@@ -230,45 +229,6 @@ fn wire_structs() {
             keys: vec![1, 2, u64::MAX],
         },
         r#"{"seq":17,"keys":[1,2,18446744073709551615]}"#,
-    );
-}
-
-#[test]
-fn load_report() {
-    let full = LoadReport {
-        items: 10,
-        elapsed_secs: 0.5,
-        meps: 0.02,
-        overload_retries: 3,
-        queries_issued: 8,
-        latency: Some(LatencySummary {
-            samples: 12,
-            p50_us: 180,
-            p99_us: 950,
-            max_us: 1400,
-            worst_connection_p99_us: 1100,
-        }),
-        check: Some(CheckReport {
-            phi: 0.01,
-            threshold: 1,
-            truly_frequent: 4,
-            reported: 5,
-            missed: 0,
-            bound_violations: 2,
-            passed: false,
-        }),
-    };
-    check(
-        &full,
-        r#"{"items":10,"elapsed_secs":0.5,"meps":0.02,"overload_retries":3,"queries_issued":8,"latency":{"samples":12,"p50_us":180,"p99_us":950,"max_us":1400,"worst_connection_p99_us":1100},"check":{"phi":0.01,"threshold":1,"truly_frequent":4,"reported":5,"missed":0,"bound_violations":2,"passed":false}}"#,
-    );
-    check(
-        &LoadReport {
-            latency: None,
-            check: None,
-            ..full
-        },
-        r#"{"items":10,"elapsed_secs":0.5,"meps":0.02,"overload_retries":3,"queries_issued":8,"latency":null,"check":null}"#,
     );
 }
 

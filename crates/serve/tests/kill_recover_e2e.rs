@@ -10,16 +10,15 @@
 //! * recall: keys whose sent count clears the threshold even after
 //!   deducting the whole lost mass must appear in `frequent(φ)`.
 //!
-//! A final `cots-load --resume` run proves the recovered server is live
-//! and that the deterministic replay can continue exactly where the
-//! crashed stream stopped.
+//! Finally the client sends the suffix it owns (`full[KILL_AFTER..]`),
+//! proving the recovered server is live and that ingest continues on top
+//! of the recovered base.
 
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
 
 use cots_core::Threshold;
 use cots_datagen::{ExactCounter, StreamSpec};
@@ -189,32 +188,13 @@ fn sigkill_mid_stream_recovers_within_reported_envelope() {
         );
     }
 
-    // ---- Life 2 continued: deterministic resume via cots-load. ----
+    // ---- Life 2 continued: the client resumes with the suffix it owns. ----
     let tail = (ITEMS_TOTAL - KILL_AFTER) as u64;
-    let status = Command::new(env!("CARGO_BIN_EXE_cots-load"))
-        .args([
-            "--addr",
-            &server.addr,
-            "--items",
-            &tail.to_string(),
-            "--resume",
-            &(KILL_AFTER as u64).to_string(),
-            "--alphabet",
-            &ALPHABET.to_string(),
-            "--alpha",
-            &ALPHA.to_string(),
-            "--seed",
-            &SEED.to_string(),
-            "--batch",
-            &BATCH.to_string(),
-            "--connections",
-            "1",
-        ])
-        .status()
-        .expect("spawn cots-load");
-    assert!(status.success(), "cots-load --resume failed");
+    for batch in full[KILL_AFTER..].chunks(BATCH) {
+        client.ingest(batch).unwrap();
+    }
+    await_quiescence(&mut client, tail).unwrap();
 
-    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
     let (_, final_total, stamp) = client.query(QueryReq::TopK { k: 1 }).unwrap();
     assert_eq!(
         final_total,

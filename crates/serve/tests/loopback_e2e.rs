@@ -1,13 +1,15 @@
-//! End-to-end loopback test: a real TCP server, the real load generator,
-//! and answers checked against both exact truth and a sequential
-//! `SpaceSaving` oracle run over the very same stream.
+//! End-to-end loopback test: a real TCP server fed over real client
+//! connections, with answers checked against both exact truth and a
+//! sequential `SpaceSaving` oracle run over the very same stream — while
+//! the stream is still arriving, and again once it has landed.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use cots_core::{FrequencyCounter, QueryableSummary, SummaryConfig, Threshold};
 use cots_datagen::{ExactCounter, StreamSpec};
 use cots_sequential::SpaceSaving;
-use cots_serve::loadgen::{self, LoadConfig};
+use cots_serve::loadgen::await_quiescence;
 use cots_serve::protocol::QueryReq;
 use cots_serve::{Client, Server, ServiceConfig};
 
@@ -19,8 +21,9 @@ const SEED: u64 = 7;
 const PHI: f64 = 0.01;
 
 /// One server lifecycle at `shards` shard workers: bind, let `load`
-/// deliver the whole stream, check every kind of answer against the
-/// oracle and exact truth, shut down cleanly.
+/// deliver the whole stream (every frame acked), wait until it is
+/// applied, check every kind of answer against the oracle and exact
+/// truth, shut down cleanly.
 fn serve_and_check(shards: usize, load: impl FnOnce(&str, &[u64])) {
     let server = Server::bind(
         "127.0.0.1:0",
@@ -37,6 +40,8 @@ fn serve_and_check(shards: usize, load: impl FnOnce(&str, &[u64])) {
 
     let stream = StreamSpec::zipf(ITEMS as usize, ALPHABET, ALPHA, SEED).generate();
     load(&addr, &stream);
+    let mut client = Client::connect(&addr).unwrap();
+    await_quiescence(&mut client, ITEMS).unwrap();
 
     // Independent oracle: sequential Space Saving with the same counter
     // budget over the identical stream.
@@ -46,16 +51,23 @@ fn serve_and_check(shards: usize, load: impl FnOnce(&str, &[u64])) {
     let truth = ExactCounter::from_stream(&stream);
     let threshold = Threshold::Fraction(PHI).resolve(ITEMS);
 
-    let mut client = Client::connect(&addr).unwrap();
     let (entries, total, stamp) = client.query(QueryReq::Frequent { phi: PHI }).unwrap();
     assert_eq!(total, ITEMS, "{shards} shards applied every item");
     assert_eq!(stamp.staleness, 0, "post-quiescence answers are exact");
     assert!(stamp.epoch > 0);
 
+    // (0) Recall 1.0 against exact truth: every truly frequent key is
+    //     reported.
     // (1) Everything the oracle *guarantees* frequent, the server reports.
     // (2) Everything the server *guarantees* frequent is truly frequent,
     //     and therefore also in the oracle's answer (oracle estimates
     //     dominate true counts).
+    for (key, true_count) in truth.frequent(Threshold::Count(threshold)) {
+        assert!(
+            entries.iter().any(|s| s.item == key),
+            "server answer misses truly frequent item {key} (true count {true_count})"
+        );
+    }
     let oracle_frequent = oracle_snap.frequent(Threshold::Count(threshold));
     for e in &oracle_frequent {
         if e.guaranteed() >= threshold {
@@ -105,38 +117,73 @@ fn serve_and_check(shards: usize, load: impl FnOnce(&str, &[u64])) {
 #[test]
 fn served_answers_match_sequential_oracle() {
     for shards in [1, 2, 4, 8] {
-        serve_and_check(shards, |addr, _| {
-            // Replay the stream over the wire with concurrent queries in
-            // flight, letting the load generator's own truth check run too.
-            let report = loadgen::run(&LoadConfig {
-                addr: addr.to_string(),
-                items: ITEMS,
-                alphabet: ALPHABET,
-                alpha: ALPHA,
-                seed: SEED,
-                batch: 4_096,
-                connections: 2,
-                qps: 50,
-                phi: PHI,
-                check: true,
-                ..Default::default()
-            })
-            .unwrap();
-            assert_eq!(report.items, ITEMS);
-            assert!(report.queries_issued > 0, "concurrent queries exercised");
-            let check = report.check.expect("check requested");
-            assert!(check.passed, "load generator check failed: {check:?}");
-            assert_eq!(check.missed, 0, "Space Saving recall must be 1.0");
-            assert_eq!(check.bound_violations, 0);
+        serve_and_check(shards, |addr, stream| {
+            let truth = ExactCounter::from_stream(stream);
+            let ingesting = AtomicBool::new(true);
+            // Connected before ingest starts, so its first question is
+            // already on the wire when the first frame is.
+            let asker = Client::connect(addr).unwrap();
+            let answered_during_ingest = std::thread::scope(|s| {
+                let queries = s.spawn(|| query_while_ingesting(asker, &truth, &ingesting));
+                ingest_over_open_connections(addr, stream, 2);
+                ingesting.store(false, Ordering::Release);
+                queries.join().unwrap()
+            });
+            assert!(
+                answered_during_ingest > 0,
+                "{shards} shards: no answer arrived before ingest ended"
+            );
         });
     }
 }
 
+/// Ask `frequent(PHI)` about every 10 ms until `ingesting` clears and
+/// check each answer against what *any* prefix of the stream allows: a
+/// prefix's true count never exceeds the full stream's, so
+/// `count − error ≤ truth_full` holds at every instant, the total never
+/// exceeds the stream, and epochs never go backwards on one connection.
+/// Returns how many answers arrived while ingest was still running.
+fn query_while_ingesting(
+    mut client: Client,
+    truth: &ExactCounter<u64>,
+    ingesting: &AtomicBool,
+) -> usize {
+    let mut last_epoch = 0;
+    let mut during = 0;
+    loop {
+        let (entries, total, stamp) = client.query(QueryReq::Frequent { phi: PHI }).unwrap();
+        let live = ingesting.load(Ordering::Acquire);
+        assert!(total <= ITEMS, "mid-stream total {total} exceeds the stream");
+        assert!(
+            stamp.epoch >= last_epoch,
+            "epoch went backwards: {} after {last_epoch}",
+            stamp.epoch
+        );
+        last_epoch = stamp.epoch;
+        for e in &entries {
+            let t = truth.count(&e.item);
+            assert!(
+                e.count - e.error <= t,
+                "mid-stream over-report at epoch {}: item {} count {} error {} > full-stream truth {t}",
+                stamp.epoch,
+                e.item,
+                e.count,
+                e.error
+            );
+        }
+        if !live {
+            return during;
+        }
+        during += 1;
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 /// Deliver `stream` over `c` connections that are all open at once and
-/// all stay open until the last batch is acked: connection `j` sends
-/// batches `j, j+c, j+2c, …`. A pool of 8 threads multiplexes them, so
-/// the client needs no thread per connection — which is the ceiling the
-/// server under test must not have either.
+/// all stay open until the last batch is acked (acked, not yet applied):
+/// connection `j` sends batches `j, j+c, j+2c, …`. A pool of 8 threads
+/// multiplexes them, so the client needs no thread per connection —
+/// which is the ceiling the server under test must not have either.
 fn ingest_over_open_connections(addr: &str, stream: &[u64], c: usize) {
     // Every connection sends at least ~2 frames.
     let batch = (stream.len() / (c * 2)).clamp(64, 8_192);
@@ -171,8 +218,6 @@ fn ingest_over_open_connections(addr: &str, stream: &[u64], c: usize) {
             });
         }
     });
-    let mut client = Client::connect(addr).unwrap();
-    loadgen::await_quiescence(&mut client, stream.len() as u64).unwrap();
 }
 
 /// 256 simultaneously open connections (3 descriptors each in this one

@@ -76,7 +76,7 @@ pub fn has_marker_near(lines: &[LexedLine], line_idx: usize, marker: &str) -> bo
             return true;
         }
         // A comment-only line extends the window upward for free.
-        if !(l.code.trim().is_empty() && !l.comment.is_empty()) {
+        if !l.code.trim().is_empty() || l.comment.is_empty() {
             budget -= 1;
         }
     }

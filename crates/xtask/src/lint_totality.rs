@@ -106,11 +106,10 @@ fn scan(lines: &[LexedLine], rel: &str) -> Vec<Finding> {
                 }
             }
         }
-        for pos in index_sites(code) {
-            // One finding per line is enough for indexing — a single
-            // PANIC-OK discharges the whole expression anyway.
+        // One finding per line is enough for indexing — a single
+        // PANIC-OK discharges the whole expression anyway.
+        if let Some(pos) = index_sites(code).first() {
             flag("index", &format!("slice/array indexing at column {}", pos + 1));
-            break;
         }
     }
     findings
