@@ -12,6 +12,10 @@
 //! The merged entries satisfy the same contract as a single summary:
 //! `count >= true_total >= count - error`.
 //!
+//! When the inputs count *disjoint* key domains — per-worker summaries of
+//! a hash-partitioned stream — no substitution is needed at all, and
+//! [`merge_disjoint`] keeps every entry as its owner reported it.
+//!
 //! AUDIT: total
 
 use std::collections::HashMap;
@@ -86,6 +90,41 @@ pub fn merge_snapshots<K: Element>(snapshots: &[Snapshot<K>], capacity: usize) -
     }
 
     let mut entries: Vec<CounterEntry<K>> = merged.into_values().collect();
+    entries.sort_by_key(|e| std::cmp::Reverse(e.count));
+    entries.truncate(capacity);
+    Snapshot::from_sorted(entries, total)
+}
+
+/// Merge summaries of disjoint key domains — every key counted by at most
+/// one input, as per-worker summaries of a hash-partitioned stream are —
+/// into one of at most `capacity` counters.
+///
+/// Each entry keeps its owner's count and error: no other input could
+/// have seen the key, so none adds its minimum (the general rule's
+/// substitution in [`merge_snapshots`] would only loosen the bound). The
+/// inputs are concatenated, ordered by decreasing count and cut to the
+/// top `capacity`; totals are summed.
+///
+/// The cut keeps [`absent_bound`] of the result sound whenever each
+/// input's own absent bound is sound at `capacity`: a key the result
+/// omits was either absent from its owner — at most the owner's minimum
+/// when the owner is full, and a full owner alone fills the result, so
+/// that minimum is at most the result's `capacity`-th count — or cut,
+/// with its truth at most its count, which is at most the kept minimum.
+///
+/// Total: empty inputs, unsorted entries and a zero capacity give a
+/// well-formed (sorted) snapshot rather than a panic.
+pub fn merge_disjoint<K: Element>(snapshots: &[Snapshot<K>], capacity: usize) -> Snapshot<K> {
+    let total = snapshots
+        .iter()
+        .fold(0u64, |sum, s| sum.saturating_add(s.total()));
+    let mut entries: Vec<CounterEntry<K>> =
+        Vec::with_capacity(snapshots.iter().map(|s| s.len()).sum());
+    for s in snapshots {
+        entries.extend_from_slice(s.entries());
+    }
+    // A stable sort finds each input's descending run and merges the
+    // runs in linear time.
     entries.sort_by_key(|e| std::cmp::Reverse(e.count));
     entries.truncate(capacity);
     Snapshot::from_sorted(entries, total)
@@ -218,6 +257,40 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = merge_snapshots::<u64>(&[], 0);
+    }
+
+    #[test]
+    fn disjoint_merge_keeps_owner_bounds_and_cuts_to_capacity() {
+        // Both full at capacity 2. The general rule would add the other
+        // input's minimum to every entry; the disjoint one adds nothing.
+        let a = snap(&[(1, 9, 0), (2, 4, 1)], 13);
+        let b = snap(&[(3, 7, 2), (4, 3, 0)], 10);
+        let m = merge_disjoint(&[a.clone(), b.clone()], 2);
+        assert_eq!(m.total(), 23);
+        let kept: Vec<(u64, u64, u64)> = m.entries().iter().map(|e| (e.item, e.count, e.error)).collect();
+        assert_eq!(kept, vec![(1, 9, 0), (3, 7, 2)]);
+        assert_eq!(absent_bound(&m, 2), 7, "dropped 2 and 4 count at most 4");
+        let general = merge_snapshots(&[a, b], 2);
+        assert_eq!(general.get(&1).unwrap().count, 12, "9 plus b's minimum 3");
+        assert_eq!(general.get(&1).unwrap().guaranteed(), 9);
+    }
+
+    #[test]
+    fn disjoint_merge_is_total() {
+        assert!(merge_disjoint::<u64>(&[], 4).is_empty());
+        assert_eq!(merge_disjoint(&[snap(&[(1, 2, 0)], 2)], 0).total(), 2);
+        // Unsorted input (decoded, so never through the sorting
+        // constructor) comes out sorted; a lone total with no entries
+        // still adds up.
+        let unsorted: Snapshot<u64> = crate::json::from_str(
+            r#"{"entries":[{"item":1,"count":1,"error":0},{"item":2,"count":5,"error":0}],"total":6}"#,
+        )
+        .unwrap();
+        let m = merge_disjoint(&[unsorted, snap(&[], 10)], 8);
+        assert_eq!(m.entries()[0].item, 2);
+        assert_eq!(m.total(), 16);
+        let huge = snap(&[], u64::MAX);
+        assert_eq!(merge_disjoint(&[huge.clone(), huge], 1).total(), u64::MAX);
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //! * any element with `f(e) > N/m` is monitored (so frequent-element recall
 //!   at threshold εN is 1);
 //! * unmonitored elements have `f(e) <= min_count`.
+//!
+//! A summary can also start from a seed — another summary's entries and an
+//! *admission floor* (see [`SpaceSaving::seed`]); conservation then holds
+//! relative to the seeded mass.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use cots_core::{
-    CounterEntry, Element, FrequencyCounter, QueryableSummary, Result, Snapshot, SummaryConfig,
+    CotsError, CounterEntry, Element, FrequencyCounter, QueryableSummary, Result, Snapshot,
+    SummaryConfig,
 };
 
 use crate::summary::{NodeId, StreamSummary};
@@ -49,6 +54,12 @@ pub struct SpaceSaving<K: Element> {
     index: HashMap<K, NodeId>,
     capacity: usize,
     total: u64,
+    /// Count and error a key admitted into a free slot starts from (0
+    /// unless seeded from a summary that may have evicted keys).
+    floor: u64,
+    /// `Σ counts − total`: the seeded counts plus `floor` per free-slot
+    /// admission, so count conservation is checked relative to the seed.
+    skew: u64,
 }
 
 impl<K: Element> SpaceSaving<K> {
@@ -59,7 +70,55 @@ impl<K: Element> SpaceSaving<K> {
             index: HashMap::with_capacity(config.capacity * 2),
             capacity: config.capacity,
             total: 0,
+            floor: 0,
+            skew: 0,
         }
+    }
+
+    /// Install `entries` as the starting state of a summary that has
+    /// processed nothing, with an admission `floor`: from then on a key
+    /// admitted into a free slot enters as `floor + weight` with error
+    /// `floor` — the charge a full summary's overwrite would make.
+    ///
+    /// The floor is what makes a *cut* seed sound. A seed taken from a
+    /// summary that was full may have dropped a key whose truth is up to
+    /// that summary's minimum; admitted with error 0 into a free slot, the
+    /// key would be answered below its truth. Pass the source's absent
+    /// bound (`cots_core::merge::absent_bound`) as `floor`, 0 for an exact
+    /// source.
+    ///
+    /// `processed()` counts only what is processed after the seed: the
+    /// seeded mass is the caller's to account for. Errors (summary left
+    /// untouched): a non-empty summary, more entries than `capacity`, a
+    /// repeated key, or an entry whose error exceeds its count.
+    /// Zero-count entries carry nothing and are skipped.
+    pub fn seed(&mut self, entries: &[CounterEntry<K>], floor: u64) -> Result<()> {
+        let mut unique = HashSet::with_capacity(entries.len());
+        let refusal = if self.total != 0 || !self.summary.is_empty() {
+            Some("the summary has already processed elements")
+        } else if entries.len() > self.capacity {
+            Some("more entries than the summary's capacity")
+        } else if entries.iter().any(|e| e.error > e.count) {
+            Some("an entry's error exceeds its count")
+        } else if !entries.iter().all(|e| unique.insert(e.item)) {
+            Some("a key appears twice")
+        } else {
+            None
+        };
+        if let Some(why) = refusal {
+            return Err(CotsError::InvalidConfig(format!("cannot seed: {why}")));
+        }
+        // Descending order: each new counter is the minimum, so its bucket
+        // is found at the head of the list.
+        let mut sorted: Vec<&CounterEntry<K>> = entries.iter().filter(|e| e.count > 0).collect();
+        sorted.sort_by_key(|e| std::cmp::Reverse(e.count));
+        for e in sorted {
+            let id = self.summary.insert(e.item, e.count, e.error);
+            self.index.insert(e.item, id);
+            self.skew += e.count;
+        }
+        self.floor = floor;
+        Ok(())
     }
 
     /// Build from an error bound ε (`m = ⌈1/ε⌉`).
@@ -93,8 +152,9 @@ impl<K: Element> SpaceSaving<K> {
             return;
         }
         if self.summary.len() < self.capacity {
-            let id = self.summary.insert(item, weight, 0);
+            let id = self.summary.insert(item, self.floor + weight, self.floor);
             self.index.insert(item, id);
+            self.skew += self.floor;
             return;
         }
         let (evicted, _min, id) = self.summary.overwrite_min(item, weight);
@@ -114,7 +174,11 @@ impl<K: Element> SpaceSaving<K> {
         assert!(self.summary.len() <= self.capacity, "capacity respected");
         assert_eq!(self.index.len(), self.summary.len(), "index tracks summary");
         let sum: u64 = self.summary.iter_desc().map(|(_, c, _)| c).sum();
-        assert_eq!(sum, self.total, "count conservation: Σ counts == N");
+        assert_eq!(
+            sum,
+            self.total + self.skew,
+            "count conservation: Σ counts == N (+ the seed's skew)"
+        );
         for (item, count, error) in self.summary.iter_desc() {
             assert!(error <= count);
             let id = self.index[&item];
@@ -298,6 +362,42 @@ mod tests {
         let s = SpaceSaving::<u64>::with_epsilon(0.01).unwrap();
         assert_eq!(s.capacity(), 100);
         assert!(SpaceSaving::<u64>::with_epsilon(0.0).is_err());
+    }
+
+    #[test]
+    fn seed_installs_entries_and_charges_the_floor_on_admission() {
+        let mut s = ss(4);
+        let seed = [CounterEntry::new(1u64, 5, 0), CounterEntry::new(2u64, 9, 2)];
+        s.seed(&seed, 3).unwrap();
+        s.check_invariants();
+        assert_eq!((s.estimate(&2), s.estimate(&1)), (Some((9, 2)), Some((5, 0))));
+        assert_eq!(s.processed(), 0, "the seeded mass is the caller's");
+        // Free slots admit at the floor; a monitored key just counts.
+        s.process(7);
+        s.process_weighted(1, 2);
+        s.check_invariants();
+        assert_eq!(s.estimate(&7), Some((4, 3)));
+        assert_eq!(s.estimate(&1), Some((7, 0)));
+        assert_eq!(s.processed(), 3);
+        // Full: the ordinary overwrite of the minimum (4) takes over.
+        s.process(8);
+        s.process(9);
+        s.check_invariants();
+        assert_eq!(s.estimate(&9), Some((5, 4)));
+    }
+
+    #[test]
+    fn seed_refusals_leave_the_summary_untouched() {
+        let e = |item: u64, count, error| CounterEntry::new(item, count, error);
+        let mut s = ss(2);
+        assert!(s.seed(&[e(1, 1, 0), e(2, 1, 0), e(3, 1, 0)], 0).is_err());
+        assert!(s.seed(&[e(1, 1, 0), e(1, 2, 0)], 0).is_err());
+        assert!(s.seed(&[CounterEntry { item: 1, count: 1, error: 2 }], 0).is_err());
+        assert_eq!(s.monitored(), 0);
+        s.process(5);
+        assert!(s.seed(&[e(1, 1, 0)], 0).is_err(), "a used summary is not seeded");
+        s.seed(&[], 0).unwrap_err();
+        s.check_invariants();
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //!            [--checkpoint-ms 5000] [--wal-segment-mb 8] [--standby]
 //! ```
 //!
+//! `--refresh-ms` is the longest interval between publishes: ingest
+//! publishes sooner, every `16 × shards × capacity` applied keys.
+//!
 //! A binary names itself and any value-taking flags it adds on top
 //! (`cots-member` adds `--peer`); everything else — parsing, validation,
 //! the recovery summary, the `listening on <addr>` line scripts wait

@@ -1,7 +1,7 @@
 //! # cots-serve
 //!
-//! A network-facing streaming ingest + live-query service over the CoTS
-//! engine: the deployment shape the paper's line-rate argument is about.
+//! A network-facing streaming ingest + live-query service: the deployment
+//! shape the paper's line-rate argument is about.
 //! Clients stream batched keys over TCP and ask `frequent(φ)` / top-k /
 //! point-frequency questions of the live summary without ever stopping
 //! ingestion.
@@ -10,10 +10,10 @@
 //!
 //! ```text
 //! clients ──frames──▶ reactor threads (epoll) ──SPSC rings──▶ shard workers
-//!                        │    ▲                                   │
-//!                      QUERY  │ answer                      delegate_batch
-//!                        ▼    │                                   ▼
-//!                   SnapshotPublisher ◀──capture──── CotsEngine / JumpingWindow
+//!                        │    ▲                                   │ apply own keys
+//!                      QUERY  │ answer                            ▼
+//!                        ▼    │                  one Space Saving summary per worker
+//!                   SnapshotPublisher ◀──capture── merge_disjoint (or JumpingWindow)
 //! ```
 //!
 //! * **Wire protocol** ([`frame`], [`protocol`], [`bin1`]):
@@ -32,19 +32,20 @@
 //!   frame assembly, so N connections cost N buffers rather than N OS
 //!   threads.
 //! * **Sharded ingest** ([`spsc`], [`shard`]): per-(producer, shard)
-//!   bounded SPSC rings feed workers that call
-//!   `CotsEngine::delegate_batch`; full rings answer `OVERLOADED`
-//!   (backpressure) instead of buffering unboundedly, and shutdown drains
-//!   every ring before the engine finalizes. Each reactor *thread* is
-//!   one producer (R×shards rings).
-//! * **Live queries** ([`service`], `cots::publish`): an epoch-stamped
-//!   snapshot publisher refreshes a consistent [`cots_core::Snapshot`]
-//!   off the hot path; every answer reports its epoch and staleness
-//!   bound.
+//!   bounded SPSC rings feed workers, each counting its own
+//!   hash-partitioned keys in a private Space Saving summary; full rings
+//!   answer `OVERLOADED` (backpressure) instead of buffering
+//!   unboundedly, and shutdown drains every ring. Each reactor *thread*
+//!   is one producer (R×shards rings).
+//! * **Live queries** ([`service`], `cots::publish`): captures merge the
+//!   worker summaries into a consistent [`cots_core::Snapshot`] behind an
+//!   epoch-stamped publisher, by progress (every `16 × shards ×
+//!   capacity` applied keys) and at least every `--refresh-ms`; every
+//!   answer reports its epoch and staleness bound.
 //! * **Durability** ([`persistence`], `cots-persist`): with `--data-dir`
 //!   the service group-commits every drained batch to a segmented WAL,
 //!   checkpoints the summary on a cadence (and on the `CHECKPOINT`
-//!   wire op), and on restart seeds the engine from the checkpoint and
+//!   wire op), and on restart seeds the summaries from the checkpoint and
 //!   replays the WAL tail *before* the listener opens, keeping the
 //!   Space-Saving error envelope over everything recovered.
 //! * **Binary**: `cots-serve` (the server; its command line is [`cli`],

@@ -8,7 +8,7 @@
 //! with `seq < watermark` logged **and** applied, nothing past the
 //! watermark reflected in the captured summary. The gate is a
 //! reader/writer lock: shard workers hold it shared across each group
-//! (allocate sequence numbers → append to WAL → apply to the engine), so
+//! (allocate sequence numbers → append to WAL → apply to the backend), so
 //! groups never wait on each other; the checkpointer takes it exclusive,
 //! which waits out the in-flight groups and holds new ones back while it
 //! reads `watermark = next_seq`, captures the summary and syncs the log.
@@ -312,7 +312,7 @@ impl Persistence {
     }
 }
 
-/// Fit a summary to a `capacity`-counter engine before seeding it — the
+/// Fit a summary to a `capacity`-counter backend before seeding it — the
 /// one capacity rule behind both seeding paths (a restart passes its
 /// checkpoint's recorded capacity, a catch-up has none: the wire does
 /// not carry it). A source that was *full* has evicted keys it no longer
@@ -371,8 +371,7 @@ impl std::fmt::Debug for Persistence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cots::CotsEngine;
-    use cots_core::CotsConfig;
+    use crate::shard::Partitioned;
     use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -389,10 +388,8 @@ mod tests {
         dir
     }
 
-    fn engine_backend(capacity: usize) -> Backend {
-        Backend::Engine(Arc::new(
-            CotsEngine::new(CotsConfig::for_capacity(capacity).unwrap()).unwrap(),
-        ))
+    fn backend(capacity: usize) -> Backend {
+        Backend::Partitioned(Arc::new(Partitioned::new(2, capacity).unwrap()))
     }
 
     #[test]
@@ -400,7 +397,7 @@ mod tests {
         let dir = temp_dir("cycle");
         let opts = PersistOptions::new(dir.clone());
         let p = Persistence::new(&opts, 0, 64).unwrap();
-        let backend = engine_backend(64);
+        let backend = backend(64);
         let publisher = SnapshotPublisher::new();
 
         let burst = vec![vec![1u64, 1, 2], vec![3u64]];
@@ -432,7 +429,7 @@ mod tests {
         let dir = temp_dir("seed");
         let opts = PersistOptions::new(dir.clone());
         let p = Persistence::new(&opts, 0, 64).unwrap();
-        let backend = engine_backend(64);
+        let backend = backend(64);
         let publisher = SnapshotPublisher::new();
         publisher.resume_from(5);
 
@@ -462,7 +459,7 @@ mod tests {
         let mut opts = PersistOptions::new(dir.clone());
         opts.segment_bytes = 64; // rotate aggressively
         let p = Persistence::new(&opts, 0, 64).unwrap();
-        let backend = engine_backend(64);
+        let backend = backend(64);
         let publisher = SnapshotPublisher::new();
         for round in 0..4u64 {
             let burst = vec![vec![round; 8], vec![round; 8]];
@@ -489,7 +486,7 @@ mod tests {
         opts.segment_bytes = 64; // rotate aggressively
         {
             let p = Persistence::new(&opts, 0, 64).unwrap();
-            let backend = engine_backend(64);
+            let backend = backend(64);
             for round in 0..4u64 {
                 let burst = vec![vec![round; 8], vec![round; 8]];
                 p.log_and_apply(None, &burst, &backend);
@@ -502,7 +499,7 @@ mod tests {
         // prune past the persisted ack.
         let rec = cots_persist::recover(&dir).unwrap();
         let p = Persistence::new(&opts, rec.next_seq, 64).unwrap();
-        let backend = engine_backend(64);
+        let backend = backend(64);
         let publisher = SnapshotPublisher::new();
         for round in 0..4u64 {
             let burst = vec![vec![round; 8], vec![round; 8]];
@@ -533,7 +530,7 @@ mod tests {
     fn tally_reports_what_the_writer_committed() {
         let dir = temp_dir("tally");
         let p = Persistence::new(&PersistOptions::new(dir.clone()), 0, 64).unwrap();
-        let backend = engine_backend(64);
+        let backend = backend(64);
         let multi = vec![vec![1u64, 2, 3], vec![4u64], vec![]];
         p.log_and_apply(None, &multi, &backend);
         let single = vec![vec![5u64, 5]];
@@ -560,7 +557,7 @@ mod tests {
         let mut opts = PersistOptions::new(dir.clone());
         opts.segment_bytes = 1; // every commit opens a new segment
         let p = Persistence::new(&opts, 0, 64).unwrap();
-        let backend = engine_backend(64);
+        let backend = backend(64);
         p.log_and_apply(None, &[vec![1u64, 2]], &backend);
         let before = p.tally.snapshot();
         assert_eq!((before.wal_records, before.io_errors), (1, 0));
@@ -594,7 +591,7 @@ mod tests {
         let dir = temp_dir("gate");
         let opts = PersistOptions::new(dir.clone());
         let p = Arc::new(Persistence::new(&opts, 0, 64).unwrap());
-        let backend = engine_backend(64);
+        let backend = backend(64);
         let publisher = SnapshotPublisher::new();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let writers: Vec<_> = (0..3)

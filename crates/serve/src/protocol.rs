@@ -144,7 +144,7 @@ json_record! {
         /// Catch-up transfer: a consistent snapshot of the primary's
         /// summary cut at `watermark`, installed by an *empty* standby in
         /// place of replaying the (already-pruned) WAL prefix. The standby
-        /// persists it as its own checkpoint, seeds its engine from it,
+        /// persists it as its own checkpoint, seeds its backend from it,
         /// adopts the primary's `lineage`, and acks `watermark`. A
         /// non-empty standby refuses
         /// (resync requires an explicit fresh data directory), as does any

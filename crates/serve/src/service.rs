@@ -9,14 +9,23 @@
 //! staleness bound: the number of items applied since that snapshot was
 //! captured.
 //!
-//! The backend is the only summary a service holds. With persistence
-//! enabled (`--data-dir`), startup recovers the durable state *before*
-//! any listener opens: the newest valid checkpoint **seeds** the engine
-//! ([`cots::CotsEngine::seed`]) and the WAL tail replays on top of it, so
-//! post-recovery answers are the engine's own — the same
-//! `count ≥ true ≥ count − error` envelope, no merge on the way out. A
-//! standby's catch-up snapshot seeds its empty engine the same way, and
-//! from then on [`Persistence::log_and_apply`] is the only way in.
+//! Publishes follow progress: the publisher thread publishes at least
+//! every `refresh`, and a shard worker publishes inline as soon as the
+//! keys applied since the last capture reach [`PUBLISH_BUDGET_PER_ENTRY`]
+//! × `shards` × `capacity`, so faster ingest means more publishes rather
+//! than staler answers.
+//!
+//! The backend — one Space Saving summary per shard worker
+//! ([`Partitioned`]) — is the only summary a service holds. With
+//! persistence enabled (`--data-dir`), startup recovers the durable state
+//! *before* any listener opens: the newest valid checkpoint **seeds** the
+//! per-shard summaries, each shard taking its own keys under the
+//! checkpoint's admission floor ([`Partitioned::seed`]), and the WAL tail
+//! replays on top through [`Backend::apply`], so post-recovery answers
+//! are the backend's own — the same `count ≥ true ≥ count − error`
+//! envelope, no merge with a frozen base on the way out. A standby's
+//! catch-up snapshot seeds its empty backend the same way, and from then
+//! on [`Persistence::log_and_apply`] is the only way in.
 //!
 //! AUDIT: locks — the request path must never block behind I/O holding a
 //! lock; enforced by `cargo xtask audit` (lint-locks).
@@ -28,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use cots::{CotsEngine, JumpingWindow, SnapshotPublisher};
+use cots::{JumpingWindow, SnapshotPublisher};
 use cots_core::{CotsConfig, CotsError, RecoveryReport, ReplReport, Result, ServiceReport, Snapshot};
 use cots_profiling::IngestTally;
 
@@ -36,10 +45,16 @@ use crate::persistence::{self, PersistOptions, Persistence};
 use crate::protocol::{self, QueryStamp, ReplFrame, Request, Response};
 use crate::replica::{Admission, Offer, Replica};
 use crate::session::{self, ConnState, Endpoint};
-use crate::shard::{Backend, SendOutcome, ShardPool, ShardSender};
+use crate::shard::{Backend, Partitioned, Refresher, SendOutcome, ShardPool, ShardSender};
 
 /// Feature flags a member instance advertises in `HELLO_ACK`.
 const MEMBER_FEATURES: &[&str] = &["snapshot-page", "bin"];
+
+/// Keys applied per summary entry a capture copies before a publish is
+/// due ahead of the timer. A capture copies at most `shards × capacity`
+/// entries, so a budget of this many keys per entry keeps publish work at
+/// no more than 1/16 of an entry copied per key applied.
+pub const PUBLISH_BUDGET_PER_ENTRY: u64 = 16;
 
 /// Service deployment knobs.
 #[derive(Debug, Clone)]
@@ -51,12 +66,13 @@ pub struct ServiceConfig {
     /// `Some(w)` serves a jumping window of `w` elements instead of the
     /// full history.
     pub window: Option<u64>,
-    /// Snapshot publish cadence.
+    /// Longest interval between publishes. Ingest publishes sooner: every
+    /// [`PUBLISH_BUDGET_PER_ENTRY`] × `shards` × `capacity` applied keys.
     pub refresh: Duration,
     /// Ring capacity per (connection, shard), in batches.
     pub queue_batches: usize,
     /// Durable checkpoints + WAL under a data directory. Not supported
-    /// together with `window` (only the full-history engine persists).
+    /// together with `window` (only the full-history backend persists).
     pub persist: Option<PersistOptions>,
     /// Start as a replication standby: refuse `INGEST`, accept the
     /// `REPL_*` stream from a primary, stay promotable. Requires
@@ -87,6 +103,10 @@ pub struct Service {
     backend: Backend,
     pool: Arc<ShardPool>,
     publisher: Arc<SnapshotPublisher<u64>>,
+    /// Captures and publishes, on the timer and by progress.
+    refresher: Arc<Refresher>,
+    /// The timer-driven publisher thread, woken at shutdown.
+    publisher_thread: std::thread::Thread,
     tally: Arc<IngestTally>,
     shutdown: Arc<AtomicBool>,
     /// Join handles of everything [`Service::start`] spawned, taken
@@ -102,12 +122,6 @@ pub struct Service {
     replica: Replica,
 }
 
-/// Capture the backend and publish the result.
-fn publish(backend: &Backend, publisher: &SnapshotPublisher<u64>) {
-    let (snapshot, total, rotations) = backend.capture();
-    publisher.publish(snapshot, total, rotations);
-}
-
 impl Service {
     /// Recover durable state (when configured), build the backend, and
     /// spawn shard workers plus the publisher and checkpointer threads.
@@ -119,7 +133,6 @@ impl Service {
                     .into(),
             ));
         }
-        let engine_config = CotsConfig::for_capacity(config.capacity)?;
         let publisher = Arc::new(SnapshotPublisher::new());
         let mut recovery: Option<RecoveryReport> = None;
         let mut persistence: Option<Arc<Persistence>> = None;
@@ -130,16 +143,17 @@ impl Service {
             (Some(_), Some(_)) => {
                 return Err(CotsError::InvalidConfig(
                     "persistence (--data-dir) is not supported with --window: \
-                     only the full-history engine checkpoints"
+                     only the full-history backend checkpoints"
                         .into(),
                 ))
             }
             (Some(opts), None) => {
                 let rec = cots_persist::recover(&opts.data_dir)?;
-                let engine = Arc::new(CotsEngine::new(engine_config)?);
+                let summaries = Arc::new(Partitioned::new(config.shards, config.capacity)?);
+                let backend = Backend::Partitioned(summaries.clone());
                 if let Some(ckpt) = &rec.base {
                     let snap = ckpt.snapshot();
-                    engine.seed(&persistence::fit_summary(
+                    backend.seed(&persistence::fit_summary(
                         snap,
                         Some(ckpt.capacity),
                         config.capacity,
@@ -148,11 +162,10 @@ impl Service {
                     base_watermark = ckpt.watermark;
                 }
                 for batch in &rec.batches {
-                    engine.delegate_batch(&batch.keys);
+                    backend.apply(&batch.keys);
                 }
-                engine.finalize();
                 #[cfg(feature = "invariants")]
-                engine.check_quiescent_invariants();
+                summaries.check_invariants();
                 persistence = Some(Arc::new(Persistence::new(
                     opts,
                     rec.next_seq,
@@ -160,57 +173,43 @@ impl Service {
                 )?));
                 lineage = cots_persist::load_lineage(&opts.data_dir);
                 recovery = Some(rec.report);
-                Backend::Engine(engine)
+                backend
             }
-            (None, None) => Backend::Engine(Arc::new(CotsEngine::new(engine_config)?)),
-            (None, Some(w)) => Backend::Window(Arc::new(JumpingWindow::new(engine_config, w)?)),
+            (None, None) => {
+                Backend::Partitioned(Arc::new(Partitioned::new(config.shards, config.capacity)?))
+            }
+            (None, Some(w)) => Backend::Window(Arc::new(JumpingWindow::new(
+                CotsConfig::for_capacity(config.capacity)?,
+                w,
+            )?)),
         };
 
         // Publish the recovered (or empty) state synchronously so the
         // first query ever answered already sees it.
-        publish(&backend, &publisher);
+        let budget = PUBLISH_BUDGET_PER_ENTRY * (config.shards * config.capacity) as u64;
+        let refresher = Arc::new(Refresher::new(backend.clone(), publisher.clone(), budget));
+        refresher.publish();
 
         let pool = ShardPool::new(config.shards, config.queue_batches);
-        let mut threads = pool.spawn_workers(&backend, persistence.clone());
+        let mut threads = pool.spawn_workers(&backend, persistence.clone(), &refresher);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let refresher = {
-            let backend = backend.clone();
-            let publisher = publisher.clone();
+        let timer = {
+            let refresher = refresher.clone();
             let shutdown = shutdown.clone();
             let refresh = config.refresh;
             std::thread::Builder::new()
                 .name("cots-publisher".into())
                 .spawn(move || {
-                    // Hold the epoch steady once the service quiesces:
-                    // that is what lets delta pullers (`SNAPSHOT_PAGE {
-                    // since_epoch }`) get a tiny `unchanged` answer
-                    // instead of the full summary. One *confirming*
-                    // publish still happens after the counters settle,
-                    // because a capture can race in-flight batch
-                    // application (snapshot vs. counter reads are not
-                    // one atomic step) — the confirmation replaces any
-                    // such torn capture with a clean one before the
-                    // epoch freezes.
-                    let mut last: Option<(u64, Option<u64>)> = None;
-                    let mut confirmed = false;
+                    // The timer is the ceiling; progress publishes come
+                    // from the shard workers in between, and shutdown
+                    // unparks this early.
                     while !shutdown.load(Ordering::Acquire) {
-                        let (snapshot, total, rotations) = backend.capture();
-                        if last != Some((total, rotations)) {
-                            publisher.publish(snapshot, total, rotations);
-                            last = Some((total, rotations));
-                            confirmed = false;
-                        } else if !confirmed {
-                            publisher.publish(snapshot, total, rotations);
-                            confirmed = true;
-                        }
-                        std::thread::sleep(refresh);
+                        refresher.tick();
+                        std::thread::park_timeout(refresh);
                     }
                     // One final publish so post-drain queries see the
                     // quiescent state with zero staleness.
-                    let (snapshot, total, rotations) = backend.capture();
-                    if last != Some((total, rotations)) || !confirmed {
-                        publisher.publish(snapshot, total, rotations);
-                    }
+                    refresher.tick();
                 })
                 .map_err(|e| CotsError::Report(format!("spawn publisher: {e}")))?
         };
@@ -242,12 +241,15 @@ impl Service {
             }
             _ => None,
         };
-        threads.push(refresher);
+        let publisher_thread = timer.thread().clone();
+        threads.push(timer);
         threads.extend(checkpointer);
         Ok(Self {
             backend,
             pool,
             publisher,
+            refresher,
+            publisher_thread,
             tally: Arc::new(IngestTally::new()),
             shutdown,
             threads: Mutex::new(Some(threads)),
@@ -339,6 +341,7 @@ impl Service {
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.pool.begin_shutdown();
+        self.publisher_thread.unpark();
     }
 
     /// Handle one request in process, on a connection that needs no
@@ -531,6 +534,7 @@ impl Service {
         if !run.is_empty() && p.log_and_apply(Some(next), &run, &self.backend) {
             let keys: usize = run.iter().map(|keys| keys.len()).sum();
             self.replica.streamed(run.len() as u64, keys as u64);
+            self.refresher.progressed();
         }
     }
 
@@ -576,7 +580,7 @@ impl Service {
             let _ = t.join();
         }
         self.backend.finalize();
-        publish(&self.backend, &self.publisher);
+        self.refresher.publish();
         // Workers are gone, so the final checkpoint captures the exact
         // quiescent state; a clean restart replays an empty WAL tail.
         if let Some(p) = &self.persistence {
@@ -1188,7 +1192,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// After a restart the recovered counters live in the engine, so a
+    /// After a restart the recovered counters live in the summary, so a
     /// flood of cold keys churns the minimum around the hot key instead
     /// of charging it the live summary's minimum on every answer.
     #[test]
@@ -1217,6 +1221,156 @@ mod tests {
         drop(sender);
         service.drain();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Five keys, three owned by shard 0 and two by shard 1 of two, so no
+    /// shard of capacity 4 ever evicts; counted 50, 40, 30, 20, 10.
+    fn five_keys_over_two_shards() -> Vec<(u64, u64)> {
+        let pick = |shard, n| (1u64..).filter(move |&k| ShardSender::shard_of(k, 2) == shard).take(n);
+        let mut keys: Vec<u64> = pick(0, 3).chain(pick(1, 2)).collect();
+        keys.sort_unstable();
+        keys.into_iter().zip([50, 40, 30, 20, 10]).collect()
+    }
+
+    /// A full checkpoint cut at capacity 4 drops a key counted 10; spread
+    /// over two shards on restart it leaves free slots. Re-sent 25 times
+    /// it outranks the cut's minimum (20), and must be answered with its
+    /// truth, 35, inside the envelope — admitted at error 0 it would read
+    /// 25.
+    #[test]
+    fn a_key_the_checkpoint_cut_is_readmitted_at_the_floor() {
+        let dir = temp_data_dir("floor-ckpt");
+        let config = || ServiceConfig {
+            shards: 2,
+            ..persistent(&dir, 4, cots_persist::FsyncPolicy::default())
+        };
+        let counted = five_keys_over_two_shards();
+        let keys: Vec<u64> = counted.iter().flat_map(|&(k, n)| vec![k; n as usize]).collect();
+        let service = Service::start(config()).unwrap();
+        let mut sender = service.connect();
+        drive(&service, &mut sender, &keys, 64);
+        await_applied(&service, 150);
+        drop(sender);
+        service.drain();
+
+        let service = Service::start(config()).unwrap();
+        let mut sender = service.connect();
+        let (dropped, _) = counted[4];
+        assert_eq!(point(&service, &mut sender, dropped), None, "the cut dropped it");
+        assert_eq!(point(&service, &mut sender, counted[3].0), Some((20, 0)));
+        drive(&service, &mut sender, &[dropped; 25], 5);
+        await_applied(&service, 25);
+        await_settled(&service, 175);
+        let (count, error) = point(&service, &mut sender, dropped).expect("re-admitted");
+        assert!(count >= 35 && count - error <= 35, "{count}/{error} vs truth 35");
+        drop(sender);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The same through `REPL_SNAPSHOT` into an empty two-shard standby.
+    #[test]
+    fn a_key_the_repl_snapshot_cut_is_readmitted_at_the_floor() {
+        let dir = temp_data_dir("floor-repl");
+        let service = Service::start(ServiceConfig {
+            shards: 2,
+            standby: true,
+            ..persistent(&dir, 4, cots_persist::FsyncPolicy::default())
+        })
+        .unwrap();
+        let mut sender = service.connect();
+        let counted = five_keys_over_two_shards();
+        let cut = counted[..4]
+            .iter()
+            .map(|&(k, n)| cots_core::CounterEntry::new(k, n, 0))
+            .collect();
+        let snapshot = Snapshot::new(cut, 150);
+        match service.handle(
+            Request::ReplSnapshot { lineage: 3, watermark: 12, snapshot },
+            &mut sender,
+        ) {
+            Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 12),
+            other => panic!("unexpected: {other:?}"),
+        }
+        let (dropped, _) = counted[4];
+        let batches = vec![ReplFrame { seq: 12, keys: vec![dropped; 25] }];
+        match service.handle(Request::ReplBatch { lineage: 3, batches }, &mut sender) {
+            Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 13),
+            other => panic!("unexpected: {other:?}"),
+        }
+        await_settled(&service, 175);
+        let (count, error) = point(&service, &mut sender, dropped).expect("re-admitted");
+        assert!(count >= 35 && count - error <= 35, "{count}/{error} vs truth 35");
+        drop(sender);
+        service.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With the timer out of reach (60 s), only progress publishes: ten
+    /// budgets of keys earn at least five epochs, and no answer is ever
+    /// staler than the budget plus one drain burst.
+    #[test]
+    fn ingest_publishes_by_progress_not_by_timer() {
+        let (shards, capacity, frame) = (2, 64, 64);
+        let service = Service::start(ServiceConfig {
+            shards,
+            capacity,
+            refresh: Duration::from_secs(60),
+            ..Default::default()
+        })
+        .unwrap();
+        let budget = PUBLISH_BUDGET_PER_ENTRY * (shards * capacity) as u64;
+        let burst = (crate::shard::DRAIN_BURST * frame) as u64;
+        let mut sender = service.connect();
+        let keys: Vec<u64> = (0..10 * budget).map(|i| i % 40).collect();
+        let first = service.publisher.epoch();
+        for (i, chunk) in keys.chunks(frame).enumerate() {
+            drive(&service, &mut sender, chunk, frame);
+            let sent = ((i + 1) * frame) as u64;
+            while service.stats().applied_keys() < sent {
+                std::thread::yield_now();
+            }
+            match service.handle(Request::Query(QueryReq::TopK { k: 1 }), &mut sender) {
+                Response::Answer { stamp, .. } => assert!(
+                    stamp.staleness <= budget + burst,
+                    "staleness {} after {sent} keys (budget {budget})",
+                    stamp.staleness
+                ),
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
+        let epochs = service.publisher.epoch() - first;
+        assert!(epochs >= 5, "{epochs} publishes over ten budgets");
+        drop(sender);
+        let started = Instant::now();
+        service.drain();
+        assert!(started.elapsed() < Duration::from_secs(10), "shutdown wakes the publisher");
+    }
+
+    /// Once ingest stops the epoch freezes after one confirming publish,
+    /// which is what lets `SNAPSHOT_PAGE { since_epoch }` pulls answer
+    /// `unchanged`.
+    #[test]
+    fn a_quiet_service_holds_its_epoch_after_one_confirming_publish() {
+        let service = Service::start(ServiceConfig {
+            shards: 2,
+            capacity: 64,
+            refresh: Duration::from_millis(2),
+            ..Default::default()
+        })
+        .unwrap();
+        let mut sender = service.connect();
+        let keys: Vec<u64> = (0..5_000u64).map(|i| i % 40).collect();
+        drive(&service, &mut sender, &keys, 256);
+        await_applied(&service, 5_000);
+        let settled = service.publisher.epoch();
+        std::thread::sleep(Duration::from_millis(60));
+        let held = service.publisher.epoch();
+        assert!(held <= settled + 1, "{settled} → {held}: more than one confirming publish");
+        std::thread::sleep(Duration::from_millis(60));
+        assert_eq!(service.publisher.epoch(), held, "the epoch moved with nothing ingested");
+        drop(sender);
+        service.drain();
     }
 
     /// A `REPL_BATCH` frame is one group commit on the standby, as a

@@ -1,49 +1,62 @@
 //! The sharded ingest pipeline: counting backend, per-shard workers, and
 //! the per-connection senders that feed them.
 //!
-//! Topology: the service runs **one** shared counting backend (the CoTS
-//! engine is concurrent by design — that is the paper's contribution) and
-//! `shards` worker threads. Keys are partitioned to workers by
-//! multiplicative hash, so every occurrence of a key is applied by the
-//! same worker: a batch's repeats of a hot key meet in that worker's
-//! batch-scoped combiner, and no two workers ever delegate the same
-//! element. What the workers do share is the engine's bucket list: a
-//! request left on a bucket a worker did not win is the winner's to
-//! finish (no drain helps another bucket; see the `cots::engine` module
-//! docs), and `Backend::capture`'s `drain_pending` sweeps before every
-//! publish.
+//! Topology: the service runs `shards` worker threads, and for full
+//! history **one Space Saving summary per worker** ([`Partitioned`]). Keys
+//! are partitioned to workers by multiplicative hash, so every occurrence
+//! of a key is applied by the same worker to the same summary: no two
+//! workers ever count the same key, a worker's batch takes one
+//! uncontended lock, and a capture merges the per-worker copies by the
+//! disjoint rule ([`cots_core::merge::merge_disjoint`]) — the paper's §4
+//! independent structures, with the merge paid once per publish rather
+//! than once per query. The CoTS engine stays the reproduction artefact
+//! in `crates/cots`; only `--window` still counts through it.
 //!
 //! Each connection gets one bounded SPSC ring *per shard* (strict
 //! single-producer/single-consumer, no locks on the hot path). Workers
 //! adopt newly registered rings from a small mutex-protected inbox,
 //! drop rings whose connection has closed, and exit once shutdown is
 //! signalled and every ring has drained — the graceful-drain guarantee.
+//! After each batch a worker asks the [`Refresher`] whether ingest has
+//! moved a key budget past the last capture, and if so publishes inline.
 //!
-//! AUDIT: locks — the registry mutexes are touched off the hot path only
-//! and must stay I/O-free; enforced by `cargo xtask audit` (lint-locks).
+//! AUDIT: locks — the registry and summary mutexes are held for in-memory
+//! work only and must stay I/O-free; enforced by `cargo xtask audit`
+//! (lint-locks).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cots::{CotsEngine, JumpingWindow};
-use cots_core::{ConcurrentCounter, MulHash, Snapshot};
+use cots::{CotsEngine, JumpingWindow, SnapshotPublisher};
+use cots_core::merge::{absent_bound, merge_disjoint};
+use cots_core::{
+    ConcurrentCounter, CotsError, FrequencyCounter, MulHash, QueryableSummary, Snapshot,
+    SummaryConfig,
+};
 use cots_profiling::ShardTally;
+use cots_sequential::SpaceSaving;
 
 use crate::persistence::Persistence;
 use crate::spsc::{ring, Consumer, Pop, Producer};
 
 /// Batches a worker drains from its rings before logging/applying them
 /// as one group (one WAL commit, one gate section).
-const DRAIN_BURST: usize = 32;
+pub(crate) const DRAIN_BURST: usize = 32;
 
 /// The counting structure behind the service.
 #[derive(Clone)]
 pub enum Backend {
-    /// Unbounded history: one shared CoTS engine.
+    /// Unbounded history: one private Space Saving summary per shard
+    /// worker, merged at capture. What the service runs.
+    Partitioned(Arc<Partitioned>),
+    /// Unbounded history on one shared CoTS engine. No service path
+    /// builds it any more: it stays only because the benchmark's layer
+    /// replay constructs it, and goes once that replay builds its backend
+    /// through the service's own constructor.
     Engine(Arc<CotsEngine<u64>>),
     /// Recency-scoped: a jumping window over an engine pair.
     Window(Arc<JumpingWindow<u64>>),
@@ -53,18 +66,20 @@ impl Backend {
     /// Apply a batch of keys.
     pub fn apply(&self, keys: &[u64]) {
         match self {
+            Backend::Partitioned(p) => p.apply(keys),
             Backend::Engine(e) => e.delegate_batch(keys),
             Backend::Window(w) => w.process_slice(keys),
         }
     }
 
     /// Install a recovered or shipped snapshot as the starting state of
-    /// a backend that has applied nothing (see [`CotsEngine::seed`]); the
+    /// a backend that has applied nothing (see [`Partitioned::seed`]); the
     /// window backend holds no durable state to resume from.
     pub fn seed(&self, snapshot: &Snapshot<u64>) -> cots_core::Result<()> {
         match self {
+            Backend::Partitioned(p) => p.seed(snapshot),
             Backend::Engine(e) => e.seed(snapshot),
-            Backend::Window(_) => Err(cots_core::CotsError::InvalidConfig(
+            Backend::Window(_) => Err(CotsError::InvalidConfig(
                 "a jumping window cannot be seeded from a snapshot".into(),
             )),
         }
@@ -73,6 +88,7 @@ impl Backend {
     /// Items applied so far.
     pub fn processed(&self) -> u64 {
         match self {
+            Backend::Partitioned(p) => p.processed(),
             Backend::Engine(e) => e.processed(),
             Backend::Window(w) => w.processed(),
         }
@@ -80,19 +96,23 @@ impl Backend {
 
     /// Capture a queryable view: `(snapshot, captured_total, rotations)`.
     ///
-    /// `captured_total` is the backend's *applied* counter — elements
-    /// whose delegation call has returned — read *before* the drain and
-    /// snapshot. Every element it counts was already flushed into the
-    /// summary when it was read, so the snapshot taken afterwards covers
-    /// at least that mass, and the staleness a client computes from it
-    /// (`processed − captured_total`) is an upper bound on what the
-    /// snapshot is missing. Reading `processed()` here instead would be
-    /// unsound: that counter is bumped *before* a batch is applied, so a
-    /// capture racing in-flight batches would over-claim and staleness
-    /// could read 0 while heavy hitters are still short the in-flight
-    /// mass. Safe (and designed to be called) while producers run.
+    /// `captured_total` never exceeds the mass the snapshot covers, and a
+    /// later `processed()` is never below it, so the staleness a client
+    /// computes from it (`processed − captured_total`) is an upper bound
+    /// on what the snapshot is missing. For [`Partitioned`] the two are
+    /// equal — each shard's copy and its total are taken under one lock.
+    /// The engine paths read their *applied* counter — elements whose
+    /// delegation call has returned — before draining and snapshotting;
+    /// their `processed()` is bumped before a batch is applied, so reading
+    /// it instead would over-claim while batches are in flight. Safe (and
+    /// designed to be called) while producers run.
     pub fn capture(&self) -> (Snapshot<u64>, u64, Option<u64>) {
         match self {
+            Backend::Partitioned(p) => {
+                let snapshot = p.capture();
+                let total = snapshot.total();
+                (snapshot, total, None)
+            }
             Backend::Engine(e) => {
                 let total = e.applied();
                 e.drain_pending();
@@ -111,6 +131,7 @@ impl Backend {
     /// where the pair's membership is only defined at merge time).
     pub fn monitored(&self) -> usize {
         match self {
+            Backend::Partitioned(p) => p.monitored(),
             Backend::Engine(e) => e.monitored(),
             Backend::Window(_) => 0,
         }
@@ -120,12 +141,267 @@ impl Backend {
     /// Call only after all ingest workers have exited.
     pub fn finalize(&self) {
         match self {
+            // Nothing is ever pending: an apply returns applied.
+            Backend::Partitioned(_) => {}
             Backend::Engine(e) => e.finalize(),
             Backend::Window(w) => {
                 // The window has no finalize; a snapshot drains both
                 // engines' pending queues.
                 let _ = w.snapshot();
             }
+        }
+    }
+}
+
+/// One Space Saving summary per shard, each at the full capacity, over
+/// the disjoint key domains hash partitioning gives the shard workers.
+///
+/// A capture copies one shard at a time and merges the copies with
+/// [`merge_disjoint`], cut to `capacity`: every key keeps its owner's
+/// count and error, so the merged envelope is exactly the owners'.
+pub struct Partitioned {
+    shards: Vec<ShardSummary>,
+    capacity: usize,
+    /// Mass of the snapshot the backend was seeded from, attributed to
+    /// no shard.
+    seeded: AtomicU64,
+}
+
+/// One shard's summary plus the gauges read without its lock. Aligned so
+/// two workers' gauges never share a cache line.
+#[repr(align(128))]
+struct ShardSummary {
+    summary: Mutex<SpaceSaving<u64>>,
+    /// Keys applied to `summary`, stored before its lock is released.
+    applied: AtomicU64,
+    /// Counters `summary` monitors, stored with `applied`.
+    monitored: AtomicUsize,
+}
+
+impl Partitioned {
+    /// `shards` empty summaries of `capacity` counters each.
+    pub fn new(shards: usize, capacity: usize) -> cots_core::Result<Self> {
+        let config = SummaryConfig::with_capacity(capacity)?;
+        if shards == 0 {
+            return Err(CotsError::InvalidConfig("at least one shard".into()));
+        }
+        Ok(Self {
+            shards: (0..shards)
+                .map(|_| ShardSummary {
+                    summary: Mutex::new(SpaceSaving::new(config)),
+                    applied: AtomicU64::new(0),
+                    monitored: AtomicUsize::new(0),
+                })
+                .collect(),
+            capacity,
+            seeded: AtomicU64::new(0),
+        })
+    }
+
+    /// Apply a batch, routing each key to its owner by
+    /// [`ShardSender::shard_of`]. A shard worker's batch is all its own
+    /// shard's keys and takes that one lock; a mixed batch (WAL replay,
+    /// the standby stream) is split first.
+    pub fn apply(&self, keys: &[u64]) {
+        let n = self.shards.len();
+        let Some(&first) = keys.first() else {
+            return;
+        };
+        let home = ShardSender::shard_of(first, n);
+        if keys.iter().all(|&k| ShardSender::shard_of(k, n) == home) {
+            self.apply_owned(home, keys);
+            return;
+        }
+        let mut parts = vec![Vec::new(); n];
+        for &key in keys {
+            parts[ShardSender::shard_of(key, n)].push(key);
+        }
+        for (shard, part) in parts.iter().enumerate() {
+            if !part.is_empty() {
+                self.apply_owned(shard, part);
+            }
+        }
+    }
+
+    /// Apply keys that all belong to `shard`.
+    fn apply_owned(&self, shard: usize, keys: &[u64]) {
+        let s = &self.shards[shard];
+        let mut summary = s.summary.lock();
+        for &key in keys {
+            summary.process(key);
+        }
+        // Stored under the lock: a capture that sees these keys in the
+        // summary also sees them counted, so `processed()` read after a
+        // capture is never below its total.
+        s.applied.store(summary.processed(), Ordering::Release);
+        s.monitored.store(summary.monitored(), Ordering::Release);
+    }
+
+    /// Seed an empty backend from `snapshot` (already fitted to
+    /// `capacity` by `persistence::fit_summary`): each shard takes its
+    /// own entries, and the snapshot's total is counted once, for no
+    /// shard.
+    ///
+    /// Every shard is seeded with the admission floor
+    /// `absent_bound(snapshot, capacity)`. A snapshot that was full may
+    /// have dropped keys whose truth is up to its minimum; spread over
+    /// the shards it leaves free slots, and a dropped key re-admitted into
+    /// one with error 0 would be answered below its truth. With the floor
+    /// it enters as `floor + w` with error `floor`, the charge a full
+    /// summary's overwrite would make. Every seeded count is at least the
+    /// floor, so the merged view keeps `absent_bound` sound.
+    pub fn seed(&self, snapshot: &Snapshot<u64>) -> cots_core::Result<()> {
+        if self.processed() != 0 || self.monitored() != 0 {
+            return Err(CotsError::InvalidConfig(
+                "cannot seed: the backend has already applied keys".into(),
+            ));
+        }
+        if snapshot.len() > self.capacity {
+            return Err(CotsError::InvalidConfig(
+                "cannot seed: the snapshot holds more entries than the capacity".into(),
+            ));
+        }
+        let n = self.shards.len();
+        let mut parts = vec![Vec::new(); n];
+        for e in snapshot.entries() {
+            parts[ShardSender::shard_of(e.item, n)].push(*e);
+        }
+        // Seed fresh summaries first, so a refusal leaves every shard as
+        // it was.
+        let floor = absent_bound(snapshot, self.capacity);
+        let config = SummaryConfig::with_capacity(self.capacity)?;
+        let mut fresh = Vec::with_capacity(n);
+        for part in &parts {
+            let mut summary = SpaceSaving::new(config);
+            summary.seed(part, floor)?;
+            fresh.push(summary);
+        }
+        for (s, summary) in self.shards.iter().zip(fresh) {
+            s.monitored.store(summary.monitored(), Ordering::Release);
+            *s.summary.lock() = summary;
+        }
+        self.seeded.store(snapshot.total(), Ordering::Release);
+        Ok(())
+    }
+
+    /// Keys counted so far: the seeded mass plus every shard's applied
+    /// keys.
+    pub fn processed(&self) -> u64 {
+        let applied: u64 = self
+            .shards
+            .iter()
+            .map(|s| s.applied.load(Ordering::Acquire))
+            .sum();
+        self.seeded.load(Ordering::Acquire) + applied
+    }
+
+    /// Counters monitored across all shards.
+    pub fn monitored(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.monitored.load(Ordering::Acquire))
+            .sum()
+    }
+
+    /// Copy each shard's summary under its own lock, one shard at a time,
+    /// and merge the copies, cut to `capacity`. The snapshot's total is
+    /// exactly the mass the copies hold (plus the seeded mass).
+    pub fn capture(&self) -> Snapshot<u64> {
+        let mut parts = Vec::with_capacity(self.shards.len() + 1);
+        parts.push(Snapshot::new(Vec::new(), self.seeded.load(Ordering::Acquire)));
+        for s in &self.shards {
+            let copy = s.summary.lock().snapshot();
+            parts.push(copy);
+        }
+        merge_disjoint(&parts, self.capacity)
+    }
+
+    /// Check every shard summary's invariants (panics on a violation).
+    pub fn check_invariants(&self) {
+        for s in &self.shards {
+            s.summary.lock().check_invariants();
+        }
+    }
+}
+
+/// Captures the backend and publishes what it captured: on the service's
+/// refresh timer, and — publish by progress — inline on the shard worker
+/// whose batch brings the keys applied since the last capture to a
+/// budget. One capture-and-publish runs at a time, so published totals
+/// only grow, and a worker that finds one running skips its own.
+pub struct Refresher {
+    backend: Backend,
+    publisher: Arc<SnapshotPublisher<u64>>,
+    /// Keys applied past the last capture that earn a publish now.
+    budget: u64,
+    /// `captured_total` of the last capture.
+    captured: AtomicU64,
+    /// What the last publish carried and whether it is confirmed.
+    last: Mutex<LastPublish>,
+}
+
+/// The view the last publish carried, `(captured_total, rotations)`, and
+/// whether a later capture has confirmed it unchanged.
+#[derive(Default)]
+struct LastPublish {
+    view: Option<(u64, Option<u64>)>,
+    confirmed: bool,
+}
+
+impl Refresher {
+    /// A refresher publishing `backend` into `publisher`, early every
+    /// `budget` applied keys.
+    pub fn new(backend: Backend, publisher: Arc<SnapshotPublisher<u64>>, budget: u64) -> Self {
+        Self {
+            backend,
+            publisher,
+            budget,
+            captured: AtomicU64::new(0),
+            last: Mutex::new(LastPublish::default()),
+        }
+    }
+
+    /// Capture and publish unconditionally (start-up, drain).
+    pub fn publish(&self) {
+        let mut last = self.last.lock();
+        self.refresh(&mut last, true);
+    }
+
+    /// The timer's tick: capture, and publish when the view moved. A view
+    /// that stopped moving is published once more to confirm it — a
+    /// capture can race in-flight batches, and the confirmation replaces
+    /// such a torn capture with a clean one — and then the epoch holds,
+    /// which is what lets delta pullers (`SNAPSHOT_PAGE { since_epoch }`)
+    /// get a tiny `unchanged` answer instead of the full summary.
+    pub fn tick(&self) {
+        let mut last = self.last.lock();
+        self.refresh(&mut last, false);
+    }
+
+    /// Ingest side, after a batch (or a logged run) is applied: publish
+    /// now if the backend is a budget past the last capture, unless a
+    /// publish is running.
+    pub fn progressed(&self) {
+        let behind = self
+            .backend
+            .processed()
+            .saturating_sub(self.captured.load(Ordering::Acquire));
+        if behind < self.budget {
+            return;
+        }
+        if let Some(mut last) = self.last.try_lock() {
+            self.refresh(&mut last, false);
+        }
+    }
+
+    fn refresh(&self, last: &mut LastPublish, force: bool) {
+        let (snapshot, total, rotations) = self.backend.capture();
+        self.captured.store(total, Ordering::Release);
+        let moved = last.view != Some((total, rotations));
+        if force || moved || !last.confirmed {
+            self.publisher.publish(snapshot, total, rotations);
+            last.view = Some((total, rotations));
+            last.confirmed = !moved;
         }
     }
 }
@@ -193,20 +469,24 @@ impl ShardPool {
     }
 
     /// Spawn the shard workers over `backend`; with `persist` set, every
-    /// drained group is written to the WAL before it is applied.
+    /// drained group is written to the WAL before it is applied, and
+    /// after every group `refresher` may publish (see
+    /// [`Refresher::progressed`]).
     pub fn spawn_workers(
         self: &Arc<Self>,
         backend: &Backend,
         persist: Option<Arc<Persistence>>,
+        refresher: &Arc<Refresher>,
     ) -> Vec<JoinHandle<()>> {
         (0..self.shards())
             .map(|shard| {
                 let pool = self.clone();
                 let backend = backend.clone();
                 let persist = persist.clone();
+                let refresher = refresher.clone();
                 std::thread::Builder::new()
                     .name(format!("cots-shard-{shard}"))
-                    .spawn(move || pool.worker(shard, backend, persist))
+                    .spawn(move || pool.worker(shard, backend, persist, &refresher))
                     .expect("spawn shard worker")
             })
             .collect()
@@ -214,7 +494,13 @@ impl ShardPool {
 
     /// The worker loop for one shard: drain up to [`DRAIN_BURST`] batches
     /// across this shard's rings, then log-and-apply them as one group.
-    fn worker(&self, shard: usize, backend: Backend, persist: Option<Arc<Persistence>>) {
+    fn worker(
+        &self,
+        shard: usize,
+        backend: Backend,
+        persist: Option<Arc<Persistence>>,
+        refresher: &Refresher,
+    ) {
         let tally = &self.tallies[shard];
         let mut rings: Vec<Consumer<Batch>> = Vec::new();
         let mut burst: Vec<Batch> = Vec::with_capacity(DRAIN_BURST);
@@ -238,13 +524,28 @@ impl ShardPool {
                 }
             });
             if !burst.is_empty() {
+                // After every apply: publish if a budget of keys has built
+                // up, then give way. On a host with fewer cores than busy
+                // threads, a worker counting through a whole burst holds
+                // a CPU for a scheduler slice while a reactor with a
+                // query waits behind it.
+                let applied = || {
+                    refresher.progressed();
+                    std::thread::yield_now();
+                };
                 match &persist {
                     // `None`: workers allocate the next sequences, which
                     // cannot be refused.
                     Some(p) => {
                         p.log_and_apply(None, &burst, &backend);
+                        applied();
                     }
-                    None => burst.iter().for_each(|batch| backend.apply(batch)),
+                    // Per batch: a burst can hold more keys than the
+                    // publish budget.
+                    None => burst.iter().for_each(|batch| {
+                        backend.apply(batch);
+                        applied();
+                    }),
                 }
                 for batch in burst.drain(..) {
                     tally.batch(batch.len() as u64);
@@ -320,17 +621,16 @@ mod tests {
     use super::*;
     use cots_core::CotsConfig;
 
-    fn engine_backend(capacity: usize) -> Backend {
-        Backend::Engine(Arc::new(
-            CotsEngine::new(CotsConfig::for_capacity(capacity).unwrap()).unwrap(),
-        ))
+    fn partitioned(shards: usize, capacity: usize) -> Backend {
+        Backend::Partitioned(Arc::new(Partitioned::new(shards, capacity).unwrap()))
     }
 
     #[test]
     fn pipeline_applies_all_keys() {
-        let backend = engine_backend(64);
+        let backend = partitioned(4, 64);
         let pool = ShardPool::new(4, 16);
-        let workers = pool.spawn_workers(&backend, None);
+        let refresher = Refresher::new(backend.clone(), Arc::new(SnapshotPublisher::new()), u64::MAX);
+        let workers = pool.spawn_workers(&backend, None, &Arc::new(refresher));
         let mut sender = pool.connect();
         let keys: Vec<u64> = (0..10_000u64).map(|i| i % 50).collect();
         let mut sent = 0;
@@ -354,6 +654,101 @@ mod tests {
         assert_eq!(rotations, None);
         let sum: u64 = snap.entries().iter().map(|e| e.count).sum();
         assert_eq!(sum, 10_000, "no key lost in the pipeline");
+        assert_eq!(backend.monitored(), 50);
+    }
+
+    /// Two workers apply while a third thread captures: every capture's
+    /// total is exactly the mass its copies hold, never more than
+    /// `processed()` read afterwards, and never behind the last one.
+    #[test]
+    fn capture_under_load_is_exact_and_monotone() {
+        let backend = partitioned(2, 64);
+        // 40 keys fit every shard and the merge, so nothing is evicted or
+        // cut and Σ counts must equal the captured total.
+        let owned = |shard| -> Vec<u64> {
+            (0..40u64).filter(|&k| ShardSender::shard_of(k, 2) == shard).collect()
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        let workers: Vec<_> = (0..2)
+            .map(|shard| {
+                let backend = backend.clone();
+                let stop = stop.clone();
+                let keys = owned(shard);
+                std::thread::spawn(move || {
+                    let mut rounds = 0u64;
+                    while !stop.load(Ordering::Acquire) || rounds < 100 {
+                        backend.apply(&keys);
+                        rounds += 1;
+                    }
+                    rounds * keys.len() as u64
+                })
+            })
+            .collect();
+        let mut last = 0;
+        for _ in 0..2_000 {
+            let (snap, total, _) = backend.capture();
+            let processed = backend.processed();
+            assert_eq!(snap.total(), total);
+            assert_eq!(snap.entries().iter().map(|e| e.count).sum::<u64>(), total);
+            assert!(total <= processed, "captured {total} > processed {processed}");
+            assert!(total >= last, "capture went back from {last} to {total}");
+            last = total;
+        }
+        stop.store(true, Ordering::Release);
+        let applied: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
+        assert_eq!(backend.capture().1, applied);
+        if let Backend::Partitioned(p) = &backend {
+            p.check_invariants();
+        }
+    }
+
+    /// A mixed batch is split to the owners; each shard's summary then
+    /// holds only its own keys.
+    #[test]
+    fn mixed_batches_are_routed_to_their_owners() {
+        let p = Partitioned::new(3, 16).unwrap();
+        let keys: Vec<u64> = (0..300u64).map(|i| i % 12).collect();
+        p.apply(&keys);
+        p.apply(&[]);
+        assert_eq!(p.processed(), 300);
+        assert_eq!(p.monitored(), 12);
+        for (shard, s) in p.shards.iter().enumerate() {
+            for e in s.summary.lock().snapshot().entries() {
+                assert_eq!(ShardSender::shard_of(e.item, 3), shard);
+            }
+        }
+        let snap = p.capture();
+        assert!(snap.entries().iter().all(|e| (e.count, e.error) == (25, 0)));
+    }
+
+    /// A cut snapshot spread over two shards leaves free slots; a key it
+    /// dropped is re-admitted at the cut's minimum, never below it.
+    #[test]
+    fn seeding_a_cut_snapshot_admits_at_the_floor() {
+        let entries = (1..=4u64).map(|k| cots_core::CounterEntry::new(k, 10 * k, 0)).collect();
+        let cut = Snapshot::new(entries, 120);
+        let backend = partitioned(2, 4);
+        backend.seed(&cut).unwrap();
+        assert!(backend.seed(&cut).is_err(), "a seeded backend is not empty");
+        let (snap, total, _) = backend.capture();
+        assert_eq!((snap.clone(), total), (cut.clone(), 120), "the seed captures as itself");
+        assert_eq!(backend.monitored(), 4);
+        backend.apply(&[99]);
+        assert_eq!(backend.processed(), 121);
+        let (snap, total, _) = backend.capture();
+        assert_eq!(total, 121);
+        let e = snap.get(&99).copied().expect("99 outranks the floor entry");
+        assert_eq!((e.count, e.error), (11, 10), "admitted at the floor 10");
+        // An exact (not full) seed has no floor.
+        let roomy = partitioned(2, 8);
+        roomy.seed(&cut).unwrap();
+        roomy.apply(&[99]);
+        assert_eq!(roomy.capture().0.get(&99).map(|e| (e.count, e.error)), Some((1, 0)));
+        // A refused seed leaves the backend untouched.
+        let bad = Snapshot::new(vec![cots_core::CounterEntry::new(5u64, 1, 0); 2], 2);
+        let fresh = partitioned(1, 8);
+        assert!(fresh.seed(&bad).is_err());
+        assert_eq!((fresh.processed(), fresh.monitored()), (0, 0));
     }
 
     #[test]
