@@ -6,7 +6,7 @@
 //! keeping every answer inside an explicit error envelope.
 //!
 //! ```text
-//! clients ──INGEST──▶ cots-coord ──MulHash(key) % N──▶ member 0..N
+//! clients ──INGEST──▶ cots-coord ──MulHash·N >> 64──▶ member 0..N
 //!    │                    │  ▲                            │
 //!    │ QUERY/STATS/       │  └── SNAPSHOT_PAGE deltas ────┘
 //!    │ CLUSTER_STATS      ▼       (streamed, paged)

@@ -1,8 +1,13 @@
 //! Cluster topology: the member list and the key-routing function.
 //!
 //! Routing reuses the exact hash the single-node shard router uses
-//! ([`cots_core::MulHash`]), applied modulo the member count. The merge
-//! algebra is partition-agnostic — `merge_snapshots` keeps the
+//! ([`cots_core::MulHash`]), but takes the member from its *high* bits
+//! (`hash × members >> 64`) where the shard router takes the shard from
+//! its residue (`hash % shards`). Taking both from the residue would
+//! correlate them: with 2 members of 2 shards, every key a member owns
+//! would land on one of its shards and the other worker would idle.
+//!
+//! The merge algebra is partition-agnostic — `merge_snapshots` keeps the
 //! Space-Saving envelope under *any* assignment of keys to members — so
 //! correctness never depends on this function; it only shapes load.
 //! That is also why spillover routing (sending a primary's keys to the
@@ -85,9 +90,10 @@ impl Topology {
     }
 
     /// The member that owns `key`: same multiplicative hash as the
-    /// single-node shard router, modulo the member count.
+    /// single-node shard router, scaled to the member count by its high
+    /// bits, so a member's keys still spread over all of its shards.
     pub fn member_of(&self, key: u64) -> usize {
-        (MulHash::hash(&key) % self.members.len() as u64) as usize
+        ((MulHash::hash(&key) as u128 * self.members.len() as u128) >> 64) as usize
     }
 
     /// Candidate delivery order for a batch owned by `primary`: the
@@ -196,6 +202,32 @@ mod tests {
         .unwrap();
         assert_eq!(primaries, vec!["127.0.0.1:7001", "127.0.0.1:7002"]);
         assert_eq!(standbys, vec![Some("127.0.0.1:8001".to_string()), None]);
+    }
+
+    /// Member routing and the members' own shard routing hash the same
+    /// value; every shard of every member must still get a fair share of
+    /// that member's keys.
+    #[test]
+    fn every_member_feeds_every_one_of_its_shards() {
+        let keys: Vec<u64> = (0..200_000).collect();
+        for members in 1..=4usize {
+            let topo = Topology::new((0..members).map(|m| m.to_string()).collect()).unwrap();
+            let parts = topo.partition(&keys);
+            for shards in [1, 2, 4, 8] {
+                for (member, part) in parts.iter().enumerate() {
+                    let mut per_shard = vec![0usize; shards];
+                    for &key in part {
+                        per_shard[cots_serve::ShardSender::shard_of(key, shards)] += 1;
+                    }
+                    let floor = part.len() / (2 * shards);
+                    assert!(
+                        per_shard.iter().all(|&n| n >= floor),
+                        "{members} members × {shards} shards: member {member} \
+                         spreads {per_shard:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

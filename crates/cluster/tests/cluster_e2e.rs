@@ -282,8 +282,8 @@ fn member_sigkill_degrades_then_rejoins_and_converges() {
 }
 
 /// `cots-member` takes `cots-serve`'s command line whole, the removals
-/// included: the removed values exit 2 naming the removal, and a flag
-/// only `cots-serve` used to know (`--window`) now parses here too.
+/// included: the removed values exit 2 naming the removal, and a shared
+/// server flag (`--queue-batches`) parses here too.
 #[test]
 fn member_shares_the_server_command_line() {
     let run = |args: &[&str]| {
@@ -298,7 +298,7 @@ fn member_shares_the_server_command_line() {
         assert_eq!(code, Some(2), "{removed:?}");
         assert!(stderr.contains("removed in PR 13"), "{removed:?}: {stderr}");
     }
-    let (code, stderr) = run(&["--window", "1000", "--io-model", "reactor", "--peer", "127.0.0.1:1"]);
+    let (code, stderr) = run(&["--queue-batches", "8", "--io-model", "reactor", "--peer", "127.0.0.1:1"]);
     assert_eq!(code, Some(2));
     assert!(stderr.contains("--peer needs --data-dir"), "{stderr}");
 }

@@ -216,12 +216,9 @@ pub struct CotsEngine<K: Element> {
     /// been flushed into the summary — either applied directly or
     /// enqueued on a bucket queue — so a reader that takes this counter
     /// *before* draining and snapshotting never claims mass the snapshot
-    /// cannot contain. `cots-serve` stamps published snapshots with it.
+    /// cannot contain. `cots_serve::Backend::capture` stamps its
+    /// snapshots with it.
     applied: AtomicU64,
-    /// `total − Σ counts` of the snapshot [`CotsEngine::seed`] installed
-    /// (wrapping; 0 when unseeded or seeded from an engine's own quiescent
-    /// snapshot), so count conservation is checked relative to the seed.
-    seed_skew: AtomicU64,
     tally: Arc<WorkTally>,
     adaptive: Option<cots_core::config::AdaptiveConfig>,
     /// Capacity of the batch-scoped combining front-end (0 = disabled).
@@ -260,7 +257,6 @@ impl<K: Element> CotsEngine<K> {
             monitored: AtomicUsize::new(0),
             total: AtomicU64::new(0),
             applied: AtomicU64::new(0),
-            seed_skew: AtomicU64::new(0),
             tally,
             adaptive: config.adaptive,
             combiner_slots: config.combiner_slots,
@@ -302,66 +298,6 @@ impl<K: Element> CotsEngine<K> {
     /// stays an upper bound on the mass the snapshot is missing.
     pub fn applied(&self) -> u64 {
         self.applied.load(Ordering::Acquire)
-    }
-
-    /// Install `snapshot` as the starting state of an engine that has
-    /// processed nothing — how a restarted service resumes from a
-    /// checkpoint, and a standby from a catch-up transfer, with *one*
-    /// summary instead of a base to merge into every answer.
-    ///
-    /// Every `(key, count, error)` triple goes through the ordinary
-    /// weighted delegation path, so the result is the structure the same
-    /// counts would have built; `total` and `applied` advance by the
-    /// snapshot's total, so `processed()`, staleness and later snapshots
-    /// account for the seeded mass with no second term. Entries are
-    /// installed in the snapshot's descending order: each new counter is
-    /// then the minimum and lands right after the sentinel, where
-    /// ascending order would walk the whole bucket list per entry.
-    /// Zero-count entries carry nothing and are skipped.
-    ///
-    /// Not for use concurrently with producers. Errors (engine left
-    /// untouched): a non-empty engine, the Lossy policy (its admission
-    /// error is a round number, not a count), more entries than
-    /// `capacity`, an entry whose error exceeds its count, or counts
-    /// whose sum overflows `u64`.
-    pub fn seed(&self, snapshot: &Snapshot<K>) -> Result<()> {
-        let entries = snapshot.entries();
-        let mass = entries.iter().try_fold(0u64, |m, e| m.checked_add(e.count));
-        let refusal = if !matches!(self.policy, Policy::SpaceSaving) {
-            Some("only the Space Saving policy can be seeded")
-        } else if self.processed() != 0 {
-            Some("the engine has already processed elements")
-        } else if entries.len() > self.capacity {
-            Some("the snapshot holds more entries than the engine's capacity")
-        } else if entries.iter().any(|e| e.error > e.count) {
-            Some("a snapshot entry's error exceeds its count")
-        } else {
-            None
-        };
-        let mass = match (refusal, mass) {
-            (None, Some(mass)) => mass,
-            (why, _) => {
-                let why = why.unwrap_or("the snapshot's counts overflow u64");
-                return Err(CotsError::InvalidConfig(format!("cannot seed: {why}")));
-            }
-        };
-        let guard = epoch::pin();
-        let mut owed = Owed::new();
-        for e in entries.iter().filter(|e| e.count > 0) {
-            let hash = MulHash::hash(&e.item);
-            let mut unused = BatchCounters::default();
-            self.flush_mass(e.item, hash, e.count, &mut unused, &mut owed, &guard);
-            if let Some(node) = self.table.lookup_hashed(&e.item, hash, &guard) {
-                // SAFETY: `lookup_hashed` returned this pointer under
-                // `guard`; node reclamation is deferred past the pin.
-                unsafe { node.deref() }.error.store(e.error, Ordering::Release);
-            }
-        }
-        let total = snapshot.total();
-        self.seed_skew.store(total.wrapping_sub(mass), Ordering::Release);
-        self.total.fetch_add(total, Ordering::AcqRel);
-        self.applied.fetch_add(total, Ordering::AcqRel);
-        Ok(())
     }
 
     // ==================================================================
@@ -1460,14 +1396,11 @@ impl<K: Element> CotsEngine<K> {
             ));
         }
         if matches!(self.policy, Policy::SpaceSaving) {
-            // Exact for a stream counted from empty or seeded from an
-            // engine's own snapshot; relative to the seed otherwise.
             let total = self.total.load(Ordering::Acquire);
-            let skew = self.seed_skew.load(Ordering::Acquire);
-            if total_mass.wrapping_add(skew) != total {
+            if total_mass != total {
                 out.push((
                     "count-conservation",
-                    format!("Σ counts = {total_mass} (+ seed skew {skew}) ≠ N = {total}"),
+                    format!("Σ counts = {total_mass} ≠ N = {total}"),
                 ));
             }
         }
@@ -2015,125 +1948,6 @@ mod tests {
         assert_eq!(w.boundary_crossings, 1000); // single-threaded: no combining
         assert!(w.summary_ops >= 1000);
         assert!((w.combining_factor() - 1.0).abs() < 1e-9);
-    }
-
-    /// A deterministic skewed stream over `alphabet` keys.
-    fn skewed(n: usize, alphabet: u64, mut x: u64) -> Vec<u64> {
-        (0..n)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                if (x >> 13).is_multiple_of(3) {
-                    (x >> 33) % alphabet
-                } else {
-                    (x >> 40) % 5
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn seed_reproduces_the_source_snapshot() {
-        let source = engine(8);
-        source.delegate_batch(&skewed(5_000, 200, 3));
-        source.finalize();
-        let snap = source.snapshot();
-        assert_eq!(snap.len(), 8, "the source summary is full");
-
-        let seeded = engine(8);
-        seeded.seed(&snap).unwrap();
-        seeded.finalize();
-        seeded.check_quiescent_invariants();
-        assert_eq!(seeded.snapshot().total(), snap.total());
-        assert_eq!(seeded.snapshot().entries().len(), snap.entries().len());
-        for e in snap.entries() {
-            assert_eq!(seeded.snapshot().get(&e.item), Some(e), "entry-for-entry");
-        }
-        assert_eq!(seeded.processed(), snap.total());
-        assert_eq!(seeded.applied(), snap.total());
-        assert_eq!(seeded.monitored(), 8);
-    }
-
-    #[test]
-    fn seed_refuses_a_used_engine_the_lossy_policy_and_bad_snapshots() {
-        let snap = Snapshot::new(vec![CounterEntry::new(1u64, 3, 0)], 3);
-        let used = engine(4);
-        used.delegate(9);
-        assert!(used.seed(&snap).is_err(), "non-empty engine");
-        let lossy = CotsEngine::<u64>::with_policy(
-            CotsConfig::for_capacity(4).unwrap(),
-            Policy::LossyRounds { width: 4 },
-        )
-        .unwrap();
-        assert!(lossy.seed(&snap).is_err(), "lossy policy");
-        let fresh = engine(1);
-        let wide = Snapshot::new(
-            vec![CounterEntry::new(1u64, 3, 0), CounterEntry::new(2u64, 2, 0)],
-            5,
-        );
-        assert!(fresh.seed(&wide).is_err(), "more entries than capacity");
-        let bad = Snapshot::new(vec![CounterEntry { item: 1u64, count: 3, error: 4 }], 3);
-        assert!(fresh.seed(&bad).is_err(), "error above count");
-        let huge = Snapshot::new(
-            vec![
-                CounterEntry::new(1u64, u64::MAX, u64::MAX),
-                CounterEntry::new(2u64, 1, 1),
-            ],
-            0,
-        );
-        assert!(engine(2).seed(&huge).is_err(), "counts overflowing u64");
-        assert_eq!(fresh.processed(), 0, "a refused seed leaves the engine untouched");
-        fresh.seed(&snap).unwrap();
-        assert!(fresh.seed(&snap).is_err(), "a seeded engine is not empty");
-    }
-
-    #[test]
-    fn seeded_engine_keeps_the_envelope_while_ingesting() {
-        use cots_datagen::ExactCounter;
-        let stream = skewed(12_000, 500, 11);
-        let (head, tail) = stream.split_at(7_000);
-        let source = engine(16);
-        source.delegate_batch(head);
-        source.finalize();
-
-        let seeded = engine(16);
-        seeded.seed(&source.snapshot()).unwrap();
-        for chunk in tail.chunks(257) {
-            seeded.delegate_batch(chunk);
-        }
-        seeded.finalize();
-        seeded.check_quiescent_invariants();
-        assert_eq!(seeded.processed(), stream.len() as u64);
-        let truth = ExactCounter::from_stream(&stream);
-        let snap = seeded.snapshot();
-        assert_eq!(snap.total(), stream.len() as u64);
-        for e in snap.entries() {
-            let t = truth.count(&e.item);
-            assert!(e.count - e.error <= t && t <= e.count, "{e:?} vs truth {t}");
-        }
-        let min = snap.entries().last().unwrap().count;
-        for key in 0..500u64 {
-            assert!(
-                snap.get(&key).is_some() || truth.count(&key) <= min,
-                "an unmonitored key may not exceed the minimum counter"
-            );
-        }
-    }
-
-    /// A snapshot that is not an engine's own (a cut merge, a hand-made
-    /// one) has Σ counts ≠ total; conservation is then relative to it.
-    #[test]
-    fn seed_from_a_foreign_snapshot_conserves_relative_to_it() {
-        let foreign = Snapshot::new(
-            vec![CounterEntry::new(7u64, 40, 2), CounterEntry::new(9u64, 10, 0)],
-            60,
-        );
-        let e = engine(4);
-        e.seed(&foreign).unwrap();
-        e.delegate_batch(&[7, 7, 3]);
-        e.finalize();
-        e.check_quiescent_invariants();
-        assert_eq!(e.processed(), 63);
-        assert_eq!(e.estimate_point(&7), Some((42, 2)));
     }
 }
 

@@ -1,8 +1,8 @@
 //! Epoch-stamped snapshot publishing for live query serving.
 //!
 //! A server answering frequency queries cannot afford to materialize a
-//! fresh [`Snapshot`] per request — capture walks the whole summary and,
-//! on the window path, merges two engines. `cots-serve` instead runs a
+//! fresh [`Snapshot`] per request — capture walks the whole summary (in
+//! `cots-serve`, merging one summary per shard worker). It instead runs a
 //! *publisher*: a single refresher captures snapshots at its own cadence
 //! and swaps them behind an [`Arc`]; query threads clone the current
 //! `Arc` wait-free (a `parking_lot` read lock held for one pointer

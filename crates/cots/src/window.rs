@@ -157,7 +157,7 @@ impl<K: Element> JumpingWindow<K> {
 
     /// Process a slice of elements into the window (rotating as sub-windows
     /// fill). Convenience wrapper over [`process`](Self::process) for batch
-    /// ingest paths such as `cots-serve`.
+    /// ingest.
     pub fn process_slice(&self, items: &[K]) {
         for item in items {
             self.process(*item);

@@ -19,10 +19,11 @@
 //!   corruption), collects the WAL tail past its watermark, and emits a
 //!   [`RecoveryReport`](cots_core::RecoveryReport).
 //!
-//! Soundness: the checkpoint is the engine's own summary at an exact cut
-//! of the log; the serving stack seeds a new engine from it
-//! (`CotsEngine::seed`) and replays the WAL tail on top, so the service
-//! resumes the one summary it had — the `count ≥ true ≥ count − error`
+//! Soundness: the checkpoint is the service's merged summary at an exact
+//! cut of the log; the serving stack seeds its empty per-shard summaries
+//! from it (`Partitioned::seed`, under the checkpoint's admission floor)
+//! and replays the WAL tail on top, so the service resumes the one
+//! summary it had — the `count ≥ true ≥ count − error`
 //! guarantee survives the crash with no merge on any answer, and any
 //! unrecoverable tail only *under*-counts, by an amount the report
 //! states.

@@ -3,18 +3,17 @@
 //! [`recover`] turns a data directory into (a) an optional **seed
 //! summary** (the newest checkpoint that passed both CRC and semantic
 //! validation), (b) the ordered WAL batches with `seq >= watermark` to
-//! replay through the engine, and (c) a [`RecoveryReport`] quantifying
+//! replay on top of it, and (c) a [`RecoveryReport`] quantifying
 //! what was recovered and what was lost.
 //!
 //! ## Soundness
 //!
-//! The serving stack seeds its engine from the checkpoint
-//! (`CotsEngine::seed`: the checkpoint's counters, errors and total
-//! installed into an empty engine) and replays the WAL tail on top, so a
-//! restarted service resumes the one summary it had and the
+//! The serving stack seeds its summaries from the checkpoint
+//! (`Partitioned::seed`: the checkpoint's counters, errors and total
+//! installed into empty per-shard summaries) and replays the WAL tail on
+//! top, so a restarted service resumes the one summary it had and the
 //! `count ≥ true ≥ count − error` envelope carries over with it. Loss is
-//! one-sided: a torn or corrupt
-//! frame can only *remove* mass from the recovered state (under-count),
+//! one-sided: a torn or corrupt frame can only *remove* mass from the recovered state (under-count),
 //! never add it, and the removed mass is surfaced as `torn_frames` /
 //! `dropped_bytes` so operators and tests can bound the gap versus the
 //! true stream.

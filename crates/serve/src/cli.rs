@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cots-serve [--addr 127.0.0.1:4040] [--shards 4] [--capacity 1000]
-//!            [--window W] [--refresh-ms 20] [--queue-batches 64]
-//!            [--reactor-threads R]
+//!            [--refresh-ms 20] [--queue-batches 64] [--reactor-threads R]
 //!            [--data-dir DIR] [--fsync always|grouped|off]
 //!            [--checkpoint-ms 5000] [--wal-segment-mb 8] [--standby]
 //! ```
@@ -71,7 +70,7 @@ impl Cli {
             .map(|(flag, value)| format!(" [{flag} {value}]"))
             .collect();
         eprintln!(
-            "usage: {} [--addr HOST:PORT] [--shards N] [--capacity M] [--window W] \
+            "usage: {} [--addr HOST:PORT] [--shards N] [--capacity M] \
              [--refresh-ms MS] [--queue-batches Q] [--reactor-threads R] \
              [--data-dir DIR] [--fsync always|grouped|off] [--checkpoint-ms MS] \
              [--wal-segment-mb MB] [--standby]{extra}",
@@ -110,7 +109,6 @@ impl Cli {
                 "--addr" => addr = value(flag, next())?,
                 "--shards" => config.shards = value(flag, next())?,
                 "--capacity" => config.capacity = value(flag, next())?,
-                "--window" => config.window = Some(value(flag, next())?),
                 "--refresh-ms" => config.refresh = Duration::from_millis(value(flag, next())?),
                 "--queue-batches" => config.queue_batches = value(flag, next())?,
                 "--reactor-threads" => io.reactor_threads = value(flag, next())?,
@@ -298,6 +296,10 @@ mod tests {
             "standby needs a data dir"
         );
         assert!(parse(&serve, &["--bogus"]).is_err());
+        let member = Cli::new("cots-member", &[("--peer", "HOST:PORT")]);
+        for cli in [&serve, &member] {
+            assert!(parse(cli, &["--window", "1000"]).is_err());
+        }
         let (args, _) = parse(&serve, &[]).unwrap();
         assert_eq!(args.addr, "127.0.0.1:4040");
         assert!(args.config.persist.is_none());

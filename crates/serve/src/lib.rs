@@ -13,7 +13,7 @@
 //!                        │    ▲                                   │ apply own keys
 //!                      QUERY  │ answer                            ▼
 //!                        ▼    │                  one Space Saving summary per worker
-//!                   SnapshotPublisher ◀──capture── merge_disjoint (or JumpingWindow)
+//!                   SnapshotPublisher ◀──capture── merge_disjoint
 //! ```
 //!
 //! * **Wire protocol** ([`frame`], [`protocol`], [`bin1`]):

@@ -42,7 +42,7 @@ use cots_persist::{
     Checkpoint, CommitStats, FsyncPolicy, WalWriter, DEFAULT_SEGMENT_BYTES,
 };
 
-use crate::shard::Backend;
+use crate::shard::Partitioned;
 
 /// How many checkpoints to keep on disk: the newest plus one fallback in
 /// case the newest is damaged.
@@ -147,7 +147,7 @@ impl Persistence {
     /// Log a run of batches as one run record, then apply them — all
     /// inside one gate section, so a checkpoint watermark always cuts
     /// between runs, never through one. This is the only way into the
-    /// backend once the service is up.
+    /// summaries once the service is up.
     ///
     /// `first` is the sequence the run must land on: `None` takes
     /// whatever is next (a shard worker's drained group, never refused);
@@ -163,7 +163,7 @@ impl Persistence {
         &self,
         first: Option<u64>,
         run: &[B],
-        backend: &Backend,
+        summaries: &Partitioned,
     ) -> bool {
         let _group = self.gate.read();
         {
@@ -190,7 +190,7 @@ impl Persistence {
             self.next_seq.store(next + run.len() as u64, Ordering::Release);
         }
         for batch in run {
-            backend.apply(batch.as_ref());
+            summaries.apply(batch.as_ref());
         }
         true
     }
@@ -214,13 +214,12 @@ impl Persistence {
 
     /// Install a catch-up summary a primary cut at `watermark` into an
     /// empty standby: persist it as this node's own checkpoint, seed the
-    /// backend from it, and advance the durable watermark to the cut —
+    /// summaries from it, and advance the durable watermark to the cut —
     /// one section under `ckpt_lock`, so no local checkpoint can cut
     /// between the file and the seed. Only callable on an empty log
     /// (`next_seq == 0`). The summary goes through [`fit_summary`] — the
     /// capacity rule a restart applies — and the checkpoint is validated
-    /// first, so a summary the backend could not be seeded from is never
-    /// written.
+    /// first, so a summary that could not be seeded is never written.
     ///
     /// Returns the committed file size.
     pub fn install_base(
@@ -228,7 +227,7 @@ impl Persistence {
         watermark: u64,
         epoch: u64,
         summary: &Snapshot<u64>,
-        backend: &Backend,
+        summaries: &Partitioned,
     ) -> Result<u64> {
         let _serialize = self.ckpt_lock.lock();
         if self.next_seq.load(Ordering::Acquire) != 0 {
@@ -242,19 +241,19 @@ impl Persistence {
         let (_, bytes) = write_checkpoint(&self.dir, &ckpt).inspect_err(|_| {
             self.tally.io_errors(1);
         })?;
-        backend.seed(&summary)?;
+        summaries.seed(&summary)?;
         self.tally.checkpoint(watermark);
         self.next_seq.store(watermark, Ordering::Release);
         Ok(bytes)
     }
 
     /// Take one epoch-consistent checkpoint: freeze ingest, cut the
-    /// watermark, capture the backend's summary and force the log,
+    /// watermark, capture the merged summary and force the log,
     /// unfreeze, then write and commit the file and prune state it makes
     /// redundant.
     pub fn checkpoint(
         &self,
-        backend: &Backend,
+        summaries: &Partitioned,
         publisher: &SnapshotPublisher<u64>,
     ) -> Result<CheckpointCut> {
         let _serialize = self.ckpt_lock.lock();
@@ -267,7 +266,7 @@ impl Persistence {
             // Quiescent: every batch with seq < next_seq is logged and
             // applied; nothing else is.
             let watermark = self.next_seq.load(Ordering::Acquire);
-            let (summary, _, _) = backend.capture();
+            let summary = summaries.capture();
             // The log is forced before the checkpoint commits so the
             // durable state never has a checkpoint whose preceding WAL
             // vanished.
@@ -371,7 +370,6 @@ impl std::fmt::Debug for Persistence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::Partitioned;
     use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -388,8 +386,8 @@ mod tests {
         dir
     }
 
-    fn backend(capacity: usize) -> Backend {
-        Backend::Partitioned(Arc::new(Partitioned::new(2, capacity).unwrap()))
+    fn backend(capacity: usize) -> Arc<Partitioned> {
+        Arc::new(Partitioned::new(2, capacity).unwrap())
     }
 
     #[test]

@@ -144,7 +144,7 @@ json_record! {
         /// Catch-up transfer: a consistent snapshot of the primary's
         /// summary cut at `watermark`, installed by an *empty* standby in
         /// place of replaying the (already-pruned) WAL prefix. The standby
-        /// persists it as its own checkpoint, seeds its backend from it,
+        /// persists it as its own checkpoint, seeds its summaries from it,
         /// adopts the primary's `lineage`, and acks `watermark`. A
         /// non-empty standby refuses
         /// (resync requires an explicit fresh data directory), as does any
@@ -186,12 +186,13 @@ json_record! {
     pub struct QueryStamp {
         /// Publisher epoch of the snapshot the answer was computed from.
         pub epoch: u64,
-        /// Backend items applied when the snapshot was captured.
+        /// Items applied when the snapshot was captured.
         pub captured_total: u64,
         /// Items applied after capture (staleness bound: the answer may miss
         /// at most this many most-recent items).
         pub staleness: u64,
-        /// Window rotation count at capture (`None` on the unwindowed path).
+        /// Always `None` from `cots-serve` and `cots-coord`: no server
+        /// counts over a window. Kept so the v4 bytes stay unchanged.
         pub rotations: Option<u64>,
     }
 }

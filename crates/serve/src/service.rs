@@ -1,6 +1,7 @@
-//! The service: one backend, one shard pool, one snapshot publisher, and
-//! the member's [`Endpoint`] — how it answers every request the shared
-//! connection layer ([`crate::session`]) passes on.
+//! The service: one summary per shard worker, one shard pool, one
+//! snapshot publisher, and the member's [`Endpoint`] — how it answers
+//! every request the shared connection layer ([`crate::session`]) passes
+//! on.
 //!
 //! Queries never touch the counting structures: they are answered from
 //! the most recently *published* snapshot, so a query burst cannot block
@@ -15,16 +16,16 @@
 //! × `shards` × `capacity`, so faster ingest means more publishes rather
 //! than staler answers.
 //!
-//! The backend — one Space Saving summary per shard worker
-//! ([`Partitioned`]) — is the only summary a service holds. With
-//! persistence enabled (`--data-dir`), startup recovers the durable state
+//! One Space Saving summary per shard worker ([`Partitioned`]) is the
+//! only counting structure a service holds. With persistence enabled
+//! (`--data-dir`), startup recovers the durable state
 //! *before* any listener opens: the newest valid checkpoint **seeds** the
 //! per-shard summaries, each shard taking its own keys under the
 //! checkpoint's admission floor ([`Partitioned::seed`]), and the WAL tail
-//! replays on top through [`Backend::apply`], so post-recovery answers
-//! are the backend's own — the same `count ≥ true ≥ count − error`
+//! replays on top through [`Partitioned::apply`], so post-recovery answers
+//! are the summaries' own — the same `count ≥ true ≥ count − error`
 //! envelope, no merge with a frozen base on the way out. A standby's
-//! catch-up snapshot seeds its empty backend the same way, and from then
+//! catch-up snapshot seeds its empty summaries the same way, and from then
 //! on [`Persistence::log_and_apply`] is the only way in.
 //!
 //! AUDIT: locks — the request path must never block behind I/O holding a
@@ -37,15 +38,15 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use cots::{JumpingWindow, SnapshotPublisher};
-use cots_core::{CotsConfig, CotsError, RecoveryReport, ReplReport, Result, ServiceReport, Snapshot};
+use cots::SnapshotPublisher;
+use cots_core::{CotsError, RecoveryReport, ReplReport, Result, ServiceReport, Snapshot};
 use cots_profiling::IngestTally;
 
 use crate::persistence::{self, PersistOptions, Persistence};
 use crate::protocol::{self, QueryStamp, ReplFrame, Request, Response};
 use crate::replica::{Admission, Offer, Replica};
 use crate::session::{self, ConnState, Endpoint};
-use crate::shard::{Backend, Partitioned, Refresher, SendOutcome, ShardPool, ShardSender};
+use crate::shard::{Partitioned, Refresher, SendOutcome, ShardPool, ShardSender};
 
 /// Feature flags a member instance advertises in `HELLO_ACK`.
 const MEMBER_FEATURES: &[&str] = &["snapshot-page", "bin"];
@@ -63,16 +64,12 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Counter budget of the summary (`m`).
     pub capacity: usize,
-    /// `Some(w)` serves a jumping window of `w` elements instead of the
-    /// full history.
-    pub window: Option<u64>,
     /// Longest interval between publishes. Ingest publishes sooner: every
     /// [`PUBLISH_BUDGET_PER_ENTRY`] × `shards` × `capacity` applied keys.
     pub refresh: Duration,
     /// Ring capacity per (connection, shard), in batches.
     pub queue_batches: usize,
-    /// Durable checkpoints + WAL under a data directory. Not supported
-    /// together with `window` (only the full-history backend persists).
+    /// Durable checkpoints + WAL under a data directory.
     pub persist: Option<PersistOptions>,
     /// Start as a replication standby: refuse `INGEST`, accept the
     /// `REPL_*` stream from a primary, stay promotable. Requires
@@ -88,7 +85,6 @@ impl Default for ServiceConfig {
         Self {
             shards: 4,
             capacity: 1_000,
-            window: None,
             refresh: Duration::from_millis(20),
             queue_batches: 64,
             persist: None,
@@ -100,7 +96,7 @@ impl Default for ServiceConfig {
 
 /// A running service instance (workers + publisher thread).
 pub struct Service {
-    backend: Backend,
+    summaries: Arc<Partitioned>,
     pool: Arc<ShardPool>,
     publisher: Arc<SnapshotPublisher<u64>>,
     /// Captures and publishes, on the timer and by progress.
@@ -113,7 +109,7 @@ pub struct Service {
     /// (once) by [`Service::drain`].
     threads: Mutex<Option<Vec<JoinHandle<()>>>>,
     persistence: Option<Arc<Persistence>>,
-    /// Watermark of the checkpoint the backend was seeded from: the
+    /// Watermark of the checkpoint the summaries were seeded from: the
     /// first WAL sequence it did *not* cover. Everything below it is only
     /// available as part of a catch-up snapshot, never as individual WAL
     /// batches.
@@ -123,7 +119,7 @@ pub struct Service {
 }
 
 impl Service {
-    /// Recover durable state (when configured), build the backend, and
+    /// Recover durable state (when configured), build the summaries, and
     /// spawn shard workers plus the publisher and checkpointer threads.
     pub fn start(config: ServiceConfig) -> Result<Self> {
         if config.standby && config.persist.is_none() {
@@ -139,59 +135,41 @@ impl Service {
         let mut base_watermark = 0u64;
         let mut lineage = 0u64;
 
-        let backend = match (&config.persist, config.window) {
-            (Some(_), Some(_)) => {
-                return Err(CotsError::InvalidConfig(
-                    "persistence (--data-dir) is not supported with --window: \
-                     only the full-history backend checkpoints"
-                        .into(),
-                ))
-            }
-            (Some(opts), None) => {
-                let rec = cots_persist::recover(&opts.data_dir)?;
-                let summaries = Arc::new(Partitioned::new(config.shards, config.capacity)?);
-                let backend = Backend::Partitioned(summaries.clone());
-                if let Some(ckpt) = &rec.base {
-                    let snap = ckpt.snapshot();
-                    backend.seed(&persistence::fit_summary(
-                        snap,
-                        Some(ckpt.capacity),
-                        config.capacity,
-                    )?)?;
-                    publisher.resume_from(ckpt.epoch);
-                    base_watermark = ckpt.watermark;
-                }
-                for batch in &rec.batches {
-                    backend.apply(&batch.keys);
-                }
-                #[cfg(feature = "invariants")]
-                summaries.check_invariants();
-                persistence = Some(Arc::new(Persistence::new(
-                    opts,
-                    rec.next_seq,
+        let summaries = Arc::new(Partitioned::new(config.shards, config.capacity)?);
+        if let Some(opts) = &config.persist {
+            let rec = cots_persist::recover(&opts.data_dir)?;
+            if let Some(ckpt) = &rec.base {
+                let snap = ckpt.snapshot();
+                summaries.seed(&persistence::fit_summary(
+                    snap,
+                    Some(ckpt.capacity),
                     config.capacity,
-                )?));
-                lineage = cots_persist::load_lineage(&opts.data_dir);
-                recovery = Some(rec.report);
-                backend
+                )?)?;
+                publisher.resume_from(ckpt.epoch);
+                base_watermark = ckpt.watermark;
             }
-            (None, None) => {
-                Backend::Partitioned(Arc::new(Partitioned::new(config.shards, config.capacity)?))
+            for batch in &rec.batches {
+                summaries.apply(&batch.keys);
             }
-            (None, Some(w)) => Backend::Window(Arc::new(JumpingWindow::new(
-                CotsConfig::for_capacity(config.capacity)?,
-                w,
-            )?)),
-        };
+            #[cfg(feature = "invariants")]
+            summaries.check_invariants();
+            persistence = Some(Arc::new(Persistence::new(
+                opts,
+                rec.next_seq,
+                config.capacity,
+            )?));
+            lineage = cots_persist::load_lineage(&opts.data_dir);
+            recovery = Some(rec.report);
+        }
 
         // Publish the recovered (or empty) state synchronously so the
         // first query ever answered already sees it.
         let budget = PUBLISH_BUDGET_PER_ENTRY * (config.shards * config.capacity) as u64;
-        let refresher = Arc::new(Refresher::new(backend.clone(), publisher.clone(), budget));
+        let refresher = Arc::new(Refresher::new(summaries.clone(), publisher.clone(), budget));
         refresher.publish();
 
         let pool = ShardPool::new(config.shards, config.queue_batches);
-        let mut threads = pool.spawn_workers(&backend, persistence.clone(), &refresher);
+        let mut threads = pool.spawn_workers(&summaries, persistence.clone(), &refresher);
         let shutdown = Arc::new(AtomicBool::new(false));
         let timer = {
             let refresher = refresher.clone();
@@ -216,7 +194,7 @@ impl Service {
         let checkpointer = match (&persistence, &config.persist) {
             (Some(p), Some(opts)) if !opts.checkpoint_every.is_zero() => {
                 let p = p.clone();
-                let backend = backend.clone();
+                let summaries = summaries.clone();
                 let publisher = publisher.clone();
                 let shutdown = shutdown.clone();
                 let every = opts.checkpoint_every;
@@ -231,7 +209,7 @@ impl Service {
                                     continue;
                                 }
                                 last = Instant::now();
-                                if let Err(e) = p.checkpoint(&backend, &publisher) {
+                                if let Err(e) = p.checkpoint(&summaries, &publisher) {
                                     eprintln!("cots-serve: background checkpoint failed: {e}");
                                 }
                             }
@@ -245,7 +223,7 @@ impl Service {
         threads.push(timer);
         threads.extend(checkpointer);
         Ok(Self {
-            backend,
+            summaries,
             pool,
             publisher,
             refresher,
@@ -321,7 +299,7 @@ impl Service {
         let p = self.persistence.as_ref().ok_or_else(|| {
             CotsError::Report("replication snapshot requires --data-dir".into())
         })?;
-        let cut = p.checkpoint(&self.backend, &self.publisher)?;
+        let cut = p.checkpoint(&self.summaries, &self.publisher)?;
         Ok((cut.watermark, cut.summary))
     }
 
@@ -367,7 +345,7 @@ impl Endpoint for Service {
         QueryStamp {
             epoch: snap.epoch,
             captured_total: snap.captured_total,
-            staleness: self.backend.processed().saturating_sub(snap.captured_total),
+            staleness: self.summaries.processed().saturating_sub(snap.captured_total),
             rotations: snap.rotations,
         }
     }
@@ -410,7 +388,7 @@ impl Endpoint for Service {
                     .into(),
             },
             Request::Checkpoint => match &self.persistence {
-                Some(p) => match p.checkpoint(&self.backend, &self.publisher) {
+                Some(p) => match p.checkpoint(&self.summaries, &self.publisher) {
                     Ok(cut) => Response::Checkpointed {
                         watermark: cut.watermark,
                         total: cut.summary.total(),
@@ -463,9 +441,9 @@ impl Endpoint for Service {
                 if self.admit(p, offer, lineage)? == Admission::Duplicate {
                     return Ok(p.next_seq());
                 }
-                // Seed the empty backend and write the shipped cut as
+                // Seed the empty summaries and write the shipped cut as
                 // this node's own checkpoint, in one `ckpt_lock` section.
-                p.install_base(watermark, self.publisher.epoch(), &snapshot, &self.backend)
+                p.install_base(watermark, self.publisher.epoch(), &snapshot, &self.summaries)
                     .map_err(|e| format!("catch-up snapshot install failed: {e}"))?;
                 self.base_watermark.store(watermark, Ordering::Release);
                 self.replica.established(p.dir(), offer, lineage);
@@ -514,7 +492,7 @@ impl Service {
         lineage: u64,
     ) -> std::result::Result<Admission, String> {
         let my_next = p.next_seq();
-        let holds_state = self.backend.processed() > 0 || my_next > 0;
+        let holds_state = self.summaries.processed() > 0 || my_next > 0;
         self.replica.admit(offer, lineage, my_next, holds_state)
     }
 
@@ -531,7 +509,7 @@ impl Service {
             .map(|(f, _)| f.keys.as_slice())
             .collect();
         self.replica.duplicates(duplicates as u64);
-        if !run.is_empty() && p.log_and_apply(Some(next), &run, &self.backend) {
+        if !run.is_empty() && p.log_and_apply(Some(next), &run, &self.summaries) {
             let keys: usize = run.iter().map(|keys| keys.len()).sum();
             self.replica.streamed(run.len() as u64, keys as u64);
             self.refresher.progressed();
@@ -552,7 +530,7 @@ impl Service {
             &self.pool.tallies,
             snap.epoch,
             stamp.staleness,
-            self.backend.monitored(),
+            self.summaries.monitored(),
             self.recovery.clone(),
             self.persistence.as_ref().map(|p| p.tally.snapshot()),
         );
@@ -563,7 +541,7 @@ impl Service {
 
     /// Drain and stop: signal shutdown, wait for shard workers (all
     /// connections must already be closed for their rings to close),
-    /// quiesce the backend, and publish a final exact snapshot.
+    /// and publish a final exact snapshot.
     ///
     /// Call after every [`ShardSender`] for this service has been
     /// dropped; workers wait for live rings to close before exiting.
@@ -579,12 +557,11 @@ impl Service {
         for t in threads {
             let _ = t.join();
         }
-        self.backend.finalize();
         self.refresher.publish();
         // Workers are gone, so the final checkpoint captures the exact
         // quiescent state; a clean restart replays an empty WAL tail.
         if let Some(p) = &self.persistence {
-            if let Err(e) = p.checkpoint(&self.backend, &self.publisher) {
+            if let Err(e) = p.checkpoint(&self.summaries, &self.publisher) {
                 eprintln!("cots-serve: final checkpoint failed: {e}");
             }
         }
@@ -780,44 +757,6 @@ mod tests {
         service.drain();
     }
 
-    #[test]
-    fn window_service_reports_rotations() {
-        let service = Service::start(ServiceConfig {
-            shards: 2,
-            capacity: 64,
-            window: Some(1_000),
-            refresh: Duration::from_millis(2),
-            ..Default::default()
-        })
-        .unwrap();
-        let mut sender = service.connect();
-        let keys: Vec<u64> = (0..5_000u64).map(|i| i % 10).collect();
-        drive(&service, &mut sender, &keys, 256);
-        // Wait for full application (window applied counts live in the
-        // shard tallies, not the window total, which also counts them).
-        for _ in 0..10_000 {
-            if service.stats().applied_keys() == 5_000 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // Let the publisher observe the quiescent window.
-        std::thread::sleep(Duration::from_millis(10));
-        match service.handle(Request::Query(QueryReq::TopK { k: 10 }), &mut sender) {
-            Response::Answer { stamp, total, .. } => {
-                assert!(
-                    stamp.rotations.unwrap() >= 9,
-                    "5000 items over W=1000 rotate ≥9 times, saw {:?}",
-                    stamp.rotations
-                );
-                assert!(total <= 1_000, "window bounds the answer mass");
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        drop(sender);
-        service.drain();
-    }
-
     fn temp_data_dir(tag: &str) -> std::path::PathBuf {
         use std::sync::atomic::AtomicU64;
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -919,7 +858,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Wait until the publisher has observed everything the backend
+    /// Wait until the publisher has observed everything the summaries
     /// applied (repl-applied keys bypass the shard tallies, so
     /// `await_applied` does not cover them).
     fn await_settled(service: &Service, total: u64) {
@@ -1735,17 +1674,5 @@ mod tests {
             ..Default::default()
         });
         assert!(err.is_err(), "standby requires --data-dir");
-    }
-
-    #[test]
-    fn window_plus_persistence_is_rejected() {
-        let dir = temp_data_dir("win");
-        let err = Service::start(ServiceConfig {
-            window: Some(1_000),
-            persist: Some(PersistOptions::new(dir.clone())),
-            ..Default::default()
-        });
-        assert!(err.is_err(), "window + persistence must be refused");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

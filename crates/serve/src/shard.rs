@@ -1,5 +1,5 @@
-//! The sharded ingest pipeline: counting backend, per-shard workers, and
-//! the per-connection senders that feed them.
+//! The sharded ingest pipeline: per-shard summaries, per-shard workers,
+//! and the per-connection senders that feed them.
 //!
 //! Topology: the service runs `shards` worker threads, and for full
 //! history **one Space Saving summary per worker** ([`Partitioned`]). Keys
@@ -10,7 +10,7 @@
 //! disjoint rule ([`cots_core::merge::merge_disjoint`]) — the paper's §4
 //! independent structures, with the merge paid once per publish rather
 //! than once per query. The CoTS engine stays the reproduction artefact
-//! in `crates/cots`; only `--window` still counts through it.
+//! in `crates/cots`.
 //!
 //! Each connection gets one bounded SPSC ring *per shard* (strict
 //! single-producer/single-consumer, no locks on the hot path). Workers
@@ -31,12 +31,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use cots::{CotsEngine, JumpingWindow, SnapshotPublisher};
+use cots::{CotsEngine, SnapshotPublisher};
 use cots_core::merge::{absent_bound, merge_disjoint};
-use cots_core::{
-    ConcurrentCounter, CotsError, FrequencyCounter, MulHash, QueryableSummary, Snapshot,
-    SummaryConfig,
-};
+use cots_core::{CotsError, FrequencyCounter, MulHash, QueryableSummary, Snapshot, SummaryConfig};
 use cots_profiling::ShardTally;
 use cots_sequential::SpaceSaving;
 
@@ -47,109 +44,30 @@ use crate::spsc::{ring, Consumer, Pop, Producer};
 /// as one group (one WAL commit, one gate section).
 pub(crate) const DRAIN_BURST: usize = 32;
 
-/// The counting structure behind the service.
+/// The engine capture the benchmark's layer replay times. No serving
+/// path builds it: the service holds [`Partitioned`] and calls it
+/// directly. Yardstick v2 (ROADMAP 2(b)) deletes this shim together with
+/// the `cots` dependency.
 #[derive(Clone)]
 pub enum Backend {
-    /// Unbounded history: one private Space Saving summary per shard
-    /// worker, merged at capture. What the service runs.
-    Partitioned(Arc<Partitioned>),
-    /// Unbounded history on one shared CoTS engine. No service path
-    /// builds it any more: it stays only because the benchmark's layer
-    /// replay constructs it, and goes once that replay builds its backend
-    /// through the service's own constructor.
+    /// Unbounded history on one shared CoTS engine.
     Engine(Arc<CotsEngine<u64>>),
-    /// Recency-scoped: a jumping window over an engine pair.
-    Window(Arc<JumpingWindow<u64>>),
 }
 
 impl Backend {
-    /// Apply a batch of keys.
-    pub fn apply(&self, keys: &[u64]) {
-        match self {
-            Backend::Partitioned(p) => p.apply(keys),
-            Backend::Engine(e) => e.delegate_batch(keys),
-            Backend::Window(w) => w.process_slice(keys),
-        }
-    }
-
-    /// Install a recovered or shipped snapshot as the starting state of
-    /// a backend that has applied nothing (see [`Partitioned::seed`]); the
-    /// window backend holds no durable state to resume from.
-    pub fn seed(&self, snapshot: &Snapshot<u64>) -> cots_core::Result<()> {
-        match self {
-            Backend::Partitioned(p) => p.seed(snapshot),
-            Backend::Engine(e) => e.seed(snapshot),
-            Backend::Window(_) => Err(CotsError::InvalidConfig(
-                "a jumping window cannot be seeded from a snapshot".into(),
-            )),
-        }
-    }
-
-    /// Items applied so far.
-    pub fn processed(&self) -> u64 {
-        match self {
-            Backend::Partitioned(p) => p.processed(),
-            Backend::Engine(e) => e.processed(),
-            Backend::Window(w) => w.processed(),
-        }
-    }
-
     /// Capture a queryable view: `(snapshot, captured_total, rotations)`.
     ///
-    /// `captured_total` never exceeds the mass the snapshot covers, and a
-    /// later `processed()` is never below it, so the staleness a client
-    /// computes from it (`processed − captured_total`) is an upper bound
-    /// on what the snapshot is missing. For [`Partitioned`] the two are
-    /// equal — each shard's copy and its total are taken under one lock.
-    /// The engine paths read their *applied* counter — elements whose
-    /// delegation call has returned — before draining and snapshotting;
-    /// their `processed()` is bumped before a batch is applied, so reading
-    /// it instead would over-claim while batches are in flight. Safe (and
-    /// designed to be called) while producers run.
+    /// Reads the engine's *applied* counter — elements whose delegation
+    /// call has returned — before draining and snapshotting, so
+    /// `captured_total` never exceeds the mass the snapshot covers (its
+    /// `processed()` is bumped before a batch is applied, so reading it
+    /// instead would over-claim while batches are in flight). Safe while
+    /// producers run. `rotations` is always `None`.
     pub fn capture(&self) -> (Snapshot<u64>, u64, Option<u64>) {
-        match self {
-            Backend::Partitioned(p) => {
-                let snapshot = p.capture();
-                let total = snapshot.total();
-                (snapshot, total, None)
-            }
-            Backend::Engine(e) => {
-                let total = e.applied();
-                e.drain_pending();
-                (cots_core::QueryableSummary::snapshot(&**e), total, None)
-            }
-            Backend::Window(w) => {
-                let total = w.applied();
-                let snap = w.snapshot();
-                let rotations = snap.rotations;
-                (snap.snapshot, total, Some(rotations))
-            }
-        }
-    }
-
-    /// Counters currently monitored (0 reported for the window path,
-    /// where the pair's membership is only defined at merge time).
-    pub fn monitored(&self) -> usize {
-        match self {
-            Backend::Partitioned(p) => p.monitored(),
-            Backend::Engine(e) => e.monitored(),
-            Backend::Window(_) => 0,
-        }
-    }
-
-    /// Quiesce the backend: apply everything logged but not yet applied.
-    /// Call only after all ingest workers have exited.
-    pub fn finalize(&self) {
-        match self {
-            // Nothing is ever pending: an apply returns applied.
-            Backend::Partitioned(_) => {}
-            Backend::Engine(e) => e.finalize(),
-            Backend::Window(w) => {
-                // The window has no finalize; a snapshot drains both
-                // engines' pending queues.
-                let _ = w.snapshot();
-            }
-        }
+        let Backend::Engine(e) = self;
+        let total = e.applied();
+        e.drain_pending();
+        (QueryableSummary::snapshot(&**e), total, None)
     }
 }
 
@@ -324,13 +242,13 @@ impl Partitioned {
     }
 }
 
-/// Captures the backend and publishes what it captured: on the service's
+/// Captures the summaries and publishes what it captured: on the service's
 /// refresh timer, and — publish by progress — inline on the shard worker
 /// whose batch brings the keys applied since the last capture to a
 /// budget. One capture-and-publish runs at a time, so published totals
 /// only grow, and a worker that finds one running skips its own.
 pub struct Refresher {
-    backend: Backend,
+    summaries: Arc<Partitioned>,
     publisher: Arc<SnapshotPublisher<u64>>,
     /// Keys applied past the last capture that earn a publish now.
     budget: u64,
@@ -340,20 +258,24 @@ pub struct Refresher {
     last: Mutex<LastPublish>,
 }
 
-/// The view the last publish carried, `(captured_total, rotations)`, and
-/// whether a later capture has confirmed it unchanged.
+/// The `captured_total` the last publish carried, and whether a later
+/// capture has confirmed it unchanged.
 #[derive(Default)]
 struct LastPublish {
-    view: Option<(u64, Option<u64>)>,
+    view: Option<u64>,
     confirmed: bool,
 }
 
 impl Refresher {
-    /// A refresher publishing `backend` into `publisher`, early every
+    /// A refresher publishing `summaries` into `publisher`, early every
     /// `budget` applied keys.
-    pub fn new(backend: Backend, publisher: Arc<SnapshotPublisher<u64>>, budget: u64) -> Self {
+    pub fn new(
+        summaries: Arc<Partitioned>,
+        publisher: Arc<SnapshotPublisher<u64>>,
+        budget: u64,
+    ) -> Self {
         Self {
-            backend,
+            summaries,
             publisher,
             budget,
             captured: AtomicU64::new(0),
@@ -379,11 +301,11 @@ impl Refresher {
     }
 
     /// Ingest side, after a batch (or a logged run) is applied: publish
-    /// now if the backend is a budget past the last capture, unless a
+    /// now if the summaries are a budget past the last capture, unless a
     /// publish is running.
     pub fn progressed(&self) {
         let behind = self
-            .backend
+            .summaries
             .processed()
             .saturating_sub(self.captured.load(Ordering::Acquire));
         if behind < self.budget {
@@ -394,13 +316,18 @@ impl Refresher {
         }
     }
 
+    /// A capture's total is exactly the mass its copies hold, and a
+    /// later `processed()` is never below it, so the staleness a client
+    /// computes from it (`processed − captured_total`) bounds what the
+    /// snapshot is missing.
     fn refresh(&self, last: &mut LastPublish, force: bool) {
-        let (snapshot, total, rotations) = self.backend.capture();
+        let snapshot = self.summaries.capture();
+        let total = snapshot.total();
         self.captured.store(total, Ordering::Release);
-        let moved = last.view != Some((total, rotations));
+        let moved = last.view != Some(total);
         if force || moved || !last.confirmed {
-            self.publisher.publish(snapshot, total, rotations);
-            last.view = Some((total, rotations));
+            self.publisher.publish(snapshot, total, None);
+            last.view = Some(total);
             last.confirmed = !moved;
         }
     }
@@ -468,25 +395,25 @@ impl ShardPool {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Spawn the shard workers over `backend`; with `persist` set, every
+    /// Spawn the shard workers over `summaries`; with `persist` set, every
     /// drained group is written to the WAL before it is applied, and
     /// after every group `refresher` may publish (see
     /// [`Refresher::progressed`]).
     pub fn spawn_workers(
         self: &Arc<Self>,
-        backend: &Backend,
+        summaries: &Arc<Partitioned>,
         persist: Option<Arc<Persistence>>,
         refresher: &Arc<Refresher>,
     ) -> Vec<JoinHandle<()>> {
         (0..self.shards())
             .map(|shard| {
                 let pool = self.clone();
-                let backend = backend.clone();
+                let summaries = summaries.clone();
                 let persist = persist.clone();
                 let refresher = refresher.clone();
                 std::thread::Builder::new()
                     .name(format!("cots-shard-{shard}"))
-                    .spawn(move || pool.worker(shard, backend, persist, &refresher))
+                    .spawn(move || pool.worker(shard, &summaries, persist, &refresher))
                     .expect("spawn shard worker")
             })
             .collect()
@@ -497,7 +424,7 @@ impl ShardPool {
     fn worker(
         &self,
         shard: usize,
-        backend: Backend,
+        summaries: &Partitioned,
         persist: Option<Arc<Persistence>>,
         refresher: &Refresher,
     ) {
@@ -537,13 +464,13 @@ impl ShardPool {
                     // `None`: workers allocate the next sequences, which
                     // cannot be refused.
                     Some(p) => {
-                        p.log_and_apply(None, &burst, &backend);
+                        p.log_and_apply(None, &burst, summaries);
                         applied();
                     }
                     // Per batch: a burst can hold more keys than the
                     // publish budget.
                     None => burst.iter().for_each(|batch| {
-                        backend.apply(batch);
+                        summaries.apply(batch);
                         applied();
                     }),
                 }
@@ -619,10 +546,17 @@ impl ShardSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cots_core::CotsConfig;
 
-    fn partitioned(shards: usize, capacity: usize) -> Backend {
-        Backend::Partitioned(Arc::new(Partitioned::new(shards, capacity).unwrap()))
+    fn partitioned(shards: usize, capacity: usize) -> Arc<Partitioned> {
+        Arc::new(Partitioned::new(shards, capacity).unwrap())
+    }
+
+    /// `(snapshot, captured_total, rotations)` as the refresher publishes
+    /// it.
+    fn capture(p: &Partitioned) -> (Snapshot<u64>, u64, Option<u64>) {
+        let snapshot = p.capture();
+        let total = snapshot.total();
+        (snapshot, total, None)
     }
 
     #[test]
@@ -646,10 +580,9 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
-        backend.finalize();
         assert_eq!(pool.applied(), 10_000);
         assert_eq!(backend.processed(), 10_000);
-        let (snap, total, rotations) = backend.capture();
+        let (snap, total, rotations) = capture(&backend);
         assert_eq!(total, 10_000);
         assert_eq!(rotations, None);
         let sum: u64 = snap.entries().iter().map(|e| e.count).sum();
@@ -686,7 +619,7 @@ mod tests {
             .collect();
         let mut last = 0;
         for _ in 0..2_000 {
-            let (snap, total, _) = backend.capture();
+            let (snap, total, _) = capture(&backend);
             let processed = backend.processed();
             assert_eq!(snap.total(), total);
             assert_eq!(snap.entries().iter().map(|e| e.count).sum::<u64>(), total);
@@ -696,10 +629,8 @@ mod tests {
         }
         stop.store(true, Ordering::Release);
         let applied: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert_eq!(backend.capture().1, applied);
-        if let Backend::Partitioned(p) = &backend {
-            p.check_invariants();
-        }
+        assert_eq!(capture(&backend).1, applied);
+        backend.check_invariants();
     }
 
     /// A mixed batch is split to the owners; each shard's summary then
@@ -730,12 +661,12 @@ mod tests {
         let backend = partitioned(2, 4);
         backend.seed(&cut).unwrap();
         assert!(backend.seed(&cut).is_err(), "a seeded backend is not empty");
-        let (snap, total, _) = backend.capture();
+        let (snap, total, _) = capture(&backend);
         assert_eq!((snap.clone(), total), (cut.clone(), 120), "the seed captures as itself");
         assert_eq!(backend.monitored(), 4);
         backend.apply(&[99]);
         assert_eq!(backend.processed(), 121);
-        let (snap, total, _) = backend.capture();
+        let (snap, total, _) = capture(&backend);
         assert_eq!(total, 121);
         let e = snap.get(&99).copied().expect("99 outranks the floor entry");
         assert_eq!((e.count, e.error), (11, 10), "admitted at the floor 10");
@@ -743,7 +674,7 @@ mod tests {
         let roomy = partitioned(2, 8);
         roomy.seed(&cut).unwrap();
         roomy.apply(&[99]);
-        assert_eq!(roomy.capture().0.get(&99).map(|e| (e.count, e.error)), Some((1, 0)));
+        assert_eq!(capture(&roomy).0.get(&99).map(|e| (e.count, e.error)), Some((1, 0)));
         // A refused seed leaves the backend untouched.
         let bad = Snapshot::new(vec![cots_core::CounterEntry::new(5u64, 1, 0); 2], 2);
         let fresh = partitioned(1, 8);
@@ -770,18 +701,5 @@ mod tests {
             assert_eq!(a, b);
             assert!(a < 4);
         }
-    }
-
-    #[test]
-    fn window_backend_rotates_and_reports() {
-        let w = JumpingWindow::new(CotsConfig::for_capacity(32).unwrap(), 1_000).unwrap();
-        let backend = Backend::Window(Arc::new(w));
-        let keys: Vec<u64> = (0..2_500u64).map(|i| i % 10).collect();
-        backend.apply(&keys);
-        let (snap, total, rotations) = backend.capture();
-        assert_eq!(total, 2_500);
-        assert!(rotations.unwrap() >= 4);
-        let sum: u64 = snap.entries().iter().map(|e| e.count).sum();
-        assert!(sum <= 1_000, "window bounds the reported mass");
     }
 }
