@@ -8,8 +8,11 @@
 //! not N threads. Unix is the supported platform — elsewhere
 //! [`Server::run`] fails at startup with the poller's error.
 //!
+//! The acceptor waits on the listener's readiness in a poller of its
+//! own, accepts until the backlog is empty, and waits again.
+//!
 //! Shutdown: a `SHUTDOWN` request flips the service flag. The acceptor
-//! (polling with a short timeout) stops accepting; reactor threads
+//! (whose wait times out every `WAIT_MS`) stops accepting; reactor threads
 //! notice the flag within one poll interval, close their connections,
 //! and thereby close their rings; shard workers drain and exit; the
 //! server returns.
@@ -20,18 +23,22 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+#[cfg(unix)]
+use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::frame::is_timeout;
-use crate::reactor::ReactorPool;
+use crate::reactor::sys::{Event, Poller};
+use crate::reactor::{ReactorPool, WAIT_MS};
 use crate::service::{Service, ServiceConfig};
 
-/// How long the acceptor sleeps when no connection is pending. The
-/// listen backlog is small (128 by default), so a connect storm can
-/// overflow it — and suffer seconds-long SYN retransmits — if the
-/// acceptor naps too long between drains.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the acceptor backs off after a transient `accept` failure.
+/// The listener stays readable while descriptors are short, so waiting
+/// on its readiness there would spin; the backoff stays short because
+/// the listen backlog is small (128 by default) and a connect storm that
+/// overflows it suffers seconds-long SYN retransmits.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Front-end I/O sizing.
 #[derive(Debug, Clone, Copy)]
@@ -102,6 +109,13 @@ impl Server {
     /// connections.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
+        // Read interest only, edge-triggered under epoll: every new
+        // connection reports once, and the loop accepts until
+        // `WouldBlock` before it waits again.
+        let mut listening = Poller::new()?;
+        #[cfg(unix)]
+        listening.register_read(self.listener.as_raw_fd(), 0)?;
+        let mut events: Vec<Event> = Vec::new();
         let mut pool = ReactorPool::spawn(&self.service, self.io.reactor_threads)?;
         let mut fatal = None;
         // One line per burst of transient failures, not one per poll;
@@ -112,7 +126,12 @@ impl Server {
                 Ok((stream, _peer)) => pool.dispatch(stream),
                 Err(e) if is_timeout(&e) => {
                     in_burst = false;
-                    std::thread::sleep(ACCEPT_POLL);
+                    events.clear();
+                    #[cfg(unix)]
+                    if let Err(e) = listening.wait(&mut events, WAIT_MS) {
+                        self.service.begin_shutdown();
+                        fatal = Some(e);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if is_transient_accept_error(&e) => {
@@ -120,7 +139,7 @@ impl Server {
                         eprintln!("cots-serve: accept failed, still listening: {e}");
                         in_burst = true;
                     }
-                    std::thread::sleep(ACCEPT_POLL);
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
                 Err(e) => {
                     // Surface the accept error, but unwind the pool and

@@ -20,14 +20,21 @@
 //! After each batch a worker asks the [`Refresher`] whether ingest has
 //! moved a key budget past the last capture, and if so publishes inline.
 //!
+//! A worker whose rings are all empty parks, and the push that gives it
+//! work unparks it: no worker wakes on a timer. The handshake is
+//! Dekker's: the worker sets its `parked` flag, fences, and looks at its
+//! rings once more; a producer pushes, fences, and reads the flag. With
+//! both fences `SeqCst`, at least one of them sees the other's store, so
+//! either the worker finds the batch or the producer unparks it.
+//! Shutdown and a closing sender wake every worker the same way.
+//!
 //! AUDIT: locks — the registry and summary mutexes are held for in-memory
 //! work only and must stay I/O-free; enforced by `cargo xtask audit`
 //! (lint-locks).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 
 use parking_lot::Mutex;
 
@@ -336,10 +343,38 @@ impl Refresher {
 /// One batch in flight between a connection and a shard worker.
 type Batch = Vec<u64>;
 
+/// How one shard worker waits: it parks, and whoever gives it work
+/// unparks it.
+#[derive(Default)]
+struct Waker {
+    /// The worker's thread, set once when it starts.
+    thread: OnceLock<Thread>,
+    /// Set by the worker before its last look at its rings; cleared by
+    /// the worker when it runs again, or by the waker that unparks it.
+    parked: AtomicBool,
+}
+
+impl Waker {
+    /// Unpark the worker if it is parked or about to park. The caller has
+    /// stored its work and then run `fence(SeqCst)`: if the worker's last
+    /// look missed that work, this load sees `parked`.
+    fn wake(&self) {
+        if self.parked.load(Ordering::Relaxed) && self.parked.swap(false, Ordering::Acquire) {
+            // The worker stored `parked` after setting `thread`, with
+            // Release: the swap that read it sees `thread` set.
+            if let Some(thread) = self.thread.get() {
+                thread.unpark();
+            }
+        }
+    }
+}
+
 /// The shard fan-in: ring registries, per-shard tallies, shutdown flag.
 pub struct ShardPool {
     /// Per-shard inbox of newly connected rings, adopted by the worker.
     registries: Vec<Mutex<Vec<Consumer<Batch>>>>,
+    /// Per-shard park/wake handshake.
+    wakers: Vec<Waker>,
     /// Per-shard work counters.
     pub tallies: Vec<ShardTally>,
     /// Ring capacity, in batches, for each (connection, shard) ring.
@@ -354,6 +389,7 @@ impl ShardPool {
         assert!(shards > 0, "at least one shard");
         Arc::new(Self {
             registries: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+            wakers: (0..shards).map(|_| Waker::default()).collect(),
             tallies: (0..shards).map(|_| ShardTally::new()).collect(),
             queue_batches,
             shutdown: AtomicBool::new(false),
@@ -382,12 +418,23 @@ impl ShardPool {
         ShardSender {
             producers,
             scratch: vec![Vec::new(); self.shards()],
+            pool: self.clone(),
         }
     }
 
     /// Signal workers to finish what is queued and exit.
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
+        self.wake_all();
+    }
+
+    /// Wake every worker after a store it must see (shutdown, closed
+    /// rings).
+    fn wake_all(&self) {
+        fence(Ordering::SeqCst);
+        for waker in &self.wakers {
+            waker.wake();
+        }
     }
 
     /// Whether shutdown has been signalled.
@@ -429,6 +476,11 @@ impl ShardPool {
         refresher: &Refresher,
     ) {
         let tally = &self.tallies[shard];
+        let waker = &self.wakers[shard];
+        waker
+            .thread
+            .set(std::thread::current())
+            .expect("one worker per shard");
         let mut rings: Vec<Consumer<Batch>> = Vec::new();
         let mut burst: Vec<Batch> = Vec::with_capacity(DRAIN_BURST);
         loop {
@@ -452,27 +504,34 @@ impl ShardPool {
             });
             if !burst.is_empty() {
                 // After every apply: publish if a budget of keys has built
-                // up, then give way. On a host with fewer cores than busy
-                // threads, a worker counting through a whole burst holds
-                // a CPU for a scheduler slice while a reactor with a
-                // query waits behind it.
-                let applied = || {
+                // up, then give way if more work waits. On a host with
+                // fewer cores than busy threads, a worker counting through
+                // a whole burst holds a CPU for a scheduler slice while a
+                // reactor with a query waits behind it. After the last
+                // apply of a pass with every ring empty the worker parks
+                // next, which gives way anyway.
+                let applied = |last: bool| {
                     refresher.progressed();
-                    std::thread::yield_now();
+                    if !last || rings.iter().any(|rx| !rx.is_empty()) {
+                        std::thread::yield_now();
+                    }
                 };
                 match &persist {
                     // `None`: workers allocate the next sequences, which
                     // cannot be refused.
                     Some(p) => {
                         p.log_and_apply(None, &burst, summaries);
-                        applied();
+                        applied(true);
                     }
                     // Per batch: a burst can hold more keys than the
                     // publish budget.
-                    None => burst.iter().for_each(|batch| {
-                        summaries.apply(batch);
-                        applied();
-                    }),
+                    None => {
+                        let last = burst.len() - 1;
+                        for (i, batch) in burst.iter().enumerate() {
+                            summaries.apply(batch);
+                            applied(i == last);
+                        }
+                    }
                 }
                 for batch in burst.drain(..) {
                     tally.batch(batch.len() as u64);
@@ -483,9 +542,27 @@ impl ShardPool {
             {
                 return; // drained: every connection closed and applied
             }
-            tally.idle_park();
-            std::thread::sleep(Duration::from_micros(200));
+            // Nothing to do: announce the park, then look once more (the
+            // worker's half of the handshake on `Waker`). No lock is held
+            // across the park.
+            waker.parked.store(true, Ordering::Release);
+            fence(Ordering::SeqCst);
+            if self.quiet(shard, &rings) {
+                tally.idle_park();
+                std::thread::park();
+            }
+            // Relaxed: clearing the flag publishes nothing; a push that
+            // still reads `true` only costs one spurious unpark.
+            waker.parked.store(false, Ordering::Relaxed);
         }
+    }
+
+    /// Whether worker `shard` has nothing to do: no ring to adopt, every
+    /// ring open and empty, and no drained shutdown to exit on.
+    fn quiet(&self, shard: usize, rings: &[Consumer<Batch>]) -> bool {
+        !(self.is_shutting_down() && rings.is_empty())
+            && rings.iter().all(|rx| rx.is_empty() && !rx.is_closed())
+            && self.registries[shard].lock().is_empty()
     }
 }
 
@@ -494,6 +571,8 @@ pub struct ShardSender {
     producers: Vec<Producer<Batch>>,
     /// Reused per-shard partition buffers.
     scratch: Vec<Vec<u64>>,
+    /// The pool whose workers this sender wakes.
+    pool: Arc<ShardPool>,
 }
 
 /// Outcome of a [`ShardSender::send`].
@@ -538,13 +617,28 @@ impl ShardSender {
             self.producers[shard]
                 .try_push(batch)
                 .expect("free space checked and only we produce");
+            // The producer's half of the handshake on `Waker`.
+            fence(Ordering::SeqCst);
+            self.pool.wakers[shard].wake();
         }
         SendOutcome::Enqueued
     }
 }
 
+impl Drop for ShardSender {
+    /// Close this sender's rings, then wake every worker so it retires
+    /// them (and, when shutting down, exits) without waiting for other
+    /// work.
+    fn drop(&mut self) {
+        self.producers.clear();
+        self.pool.wake_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
 
     fn partitioned(shards: usize, capacity: usize) -> Arc<Partitioned> {
@@ -680,6 +774,94 @@ mod tests {
         let fresh = partitioned(1, 8);
         assert!(fresh.seed(&bad).is_err());
         assert_eq!((fresh.processed(), fresh.monitored()), (0, 0));
+    }
+
+    /// Spin until `done`, failing after a 5 s deadline: a lost wakeup
+    /// fails the test instead of hanging it.
+    fn within_deadline(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "not within 5 s: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Wait until worker `shard` has announced its park, then give it a
+    /// moment to reach `park()`. Only the likely interleaving depends on
+    /// the sleep: a wake that lands before `park()` must work too.
+    fn until_parked(pool: &ShardPool, shard: usize) {
+        within_deadline("worker never parked", || {
+            pool.wakers[shard].parked.load(Ordering::Acquire)
+        });
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    fn join_within_deadline(workers: Vec<JoinHandle<()>>, what: &str) {
+        within_deadline(what, || workers.iter().all(|w| w.is_finished()));
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
+    fn spawn(pool: &Arc<ShardPool>) -> Vec<JoinHandle<()>> {
+        let backend = partitioned(pool.shards(), 64);
+        let refresher = Refresher::new(
+            backend.clone(),
+            Arc::new(SnapshotPublisher::new()),
+            u64::MAX,
+        );
+        pool.spawn_workers(&backend, None, &Arc::new(refresher))
+    }
+
+    /// Every one-key send wakes the worker that owns the key: each is
+    /// applied before the next is sent, so the worker parks between them
+    /// and a missed wake stalls the count. Also wakes parked workers on
+    /// shutdown and on a sender's drop.
+    #[test]
+    fn every_push_wakes_a_parked_worker() {
+        let pool = ShardPool::new(2, 4);
+        let workers = spawn(&pool);
+        let mut sender = pool.connect();
+        for key in 0..10_000u64 {
+            assert_eq!(sender.send(&[key]), SendOutcome::Enqueued);
+            within_deadline("send not applied", || pool.applied() == key + 1);
+        }
+        // Parked with a live sender at shutdown: the drop must wake it.
+        until_parked(&pool, 0);
+        pool.begin_shutdown();
+        until_parked(&pool, 0);
+        drop(sender);
+        join_within_deadline(workers, "sender dropped while parked");
+
+        // Parked with no ring at all: shutdown must wake it.
+        let pool = ShardPool::new(2, 4);
+        let workers = spawn(&pool);
+        until_parked(&pool, 0);
+        until_parked(&pool, 1);
+        pool.begin_shutdown();
+        join_within_deadline(workers, "shutdown while parked");
+    }
+
+    /// Idle workers park once and stay parked: `idle_parks` counts parks,
+    /// not timer ticks.
+    #[test]
+    fn idle_workers_park_instead_of_polling() {
+        let pool = ShardPool::new(2, 4);
+        let workers = spawn(&pool);
+        let mut sender = pool.connect();
+        let keys: Vec<u64> = (0..64).collect();
+        assert_eq!(sender.send(&keys), SendOutcome::Enqueued);
+        within_deadline("batch not applied", || pool.applied() == 64);
+        let parks = |shard: usize| pool.tallies[shard].report(shard).idle_parks;
+        let before: Vec<u64> = (0..2).map(parks).collect();
+        std::thread::sleep(Duration::from_millis(100));
+        for (shard, before) in before.into_iter().enumerate() {
+            let grew = parks(shard) - before;
+            assert!(grew < 10, "shard {shard} parked {grew} times while idle");
+        }
+        drop(sender);
+        pool.begin_shutdown();
+        join_within_deadline(workers, "idle pool shutdown");
     }
 
     #[test]

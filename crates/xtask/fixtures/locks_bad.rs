@@ -22,6 +22,14 @@ pub fn transient(m: &Mutex<File>) {
     m.lock().sync_all(); //~ EXPECT: locks blocking-under-lock
 }
 
+/// Parking while a guard is live stalls every thread that needs it.
+pub fn park_under_lock(m: &Mutex<Vec<u32>>) {
+    let inbox = m.lock();
+    if inbox.is_empty() {
+        std::thread::park(); //~ EXPECT: locks blocking-under-lock
+    }
+}
+
 /// RwLock read guards count as live locks too.
 pub fn read_guard(l: &RwLock<u32>, m: &Mutex<u32>) -> u32 {
     let g = l.read();

@@ -13,8 +13,10 @@
 //! * while any guard is live, a further acquisition is a `nested-lock`
 //!   finding and a blocking call (`sync_all`, `sync_data`, `write_all`,
 //!   `flush`, `read_exact`, `read_to_end`, `accept`, `connect`,
-//!   `commit`, `sync`, `rename`, `remove_file`, or a `TcpStream::`
-//!   call) is a `blocking-under-lock` finding;
+//!   `commit`, `sync`, `rename`, `remove_file`, `park`, `park_timeout`,
+//!   `sleep`, or a `TcpStream::` call) is a `blocking-under-lock`
+//!   finding — a thread that parks or sleeps holding a guard stalls
+//!   every thread that needs it until it wakes;
 //! * condvar `.wait(..)` is *not* flagged — it releases the mutex it is
 //!   handed, which is the whole point.
 //!
@@ -49,6 +51,9 @@ const BLOCKING_CALLS: &[&str] = &[
     "sync",
     "rename",
     "remove_file",
+    "park",
+    "park_timeout",
+    "sleep",
 ];
 
 /// Run the locks pass. Returns findings and the number of files that
@@ -293,6 +298,17 @@ mod tests {
             "fn f(&self) {\n    let g = self.a.lock();\n    self.file.sync_all();\n}\n",
         );
         assert_eq!(f, vec![(6, "blocking-under-lock")]);
+    }
+
+    #[test]
+    fn parking_or_sleeping_under_guard_is_flagged() {
+        let f = findings_in(
+            "fn f(&self) {\n    let g = self.a.lock();\n    std::thread::park();\n    std::thread::sleep(d);\n    t.unpark();\n}\n",
+        );
+        assert_eq!(
+            f,
+            vec![(6, "blocking-under-lock"), (7, "blocking-under-lock")]
+        );
     }
 
     #[test]
