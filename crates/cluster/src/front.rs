@@ -9,7 +9,8 @@
 //! deliberate: a request here blocks on member round-trips, so it cannot
 //! share a reactor thread with other connections, and a coordinator
 //! fronts a handful of ingest pipes and dashboards, not the
-//! ten-thousand-connection fan-in the member reactor exists for.
+//! ten-thousand-connection fan-in the member reactor exists for. The
+//! acceptor waits on the listener's readiness, as a member's does.
 //!
 //! Differences from a member, all answered here:
 //! * `INGEST` key-routes to members (with spillover) instead of
@@ -21,11 +22,15 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cots::publish::StampedSnapshot;
 use cots_serve::frame::{is_timeout, read_frame, write_payload};
+use cots_serve::reactor::sys::{Event, Poller};
+use cots_serve::reactor::WAIT_MS;
 use cots_serve::server::is_transient_accept_error;
 use cots_serve::session::{self, ConnState, Endpoint};
 use cots_serve::{QueryStamp, Request, Response};
@@ -34,8 +39,9 @@ use crate::coord::{CoordConfig, Coordinator, Router};
 
 /// Read-poll interval for shutdown checks.
 const POLL: Duration = Duration::from_millis(25);
-/// Accept-poll interval.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How long the acceptor backs off after a transient `accept` failure
+/// (the listener stays readable then, so waiting on it would spin).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Feature flags the coordinator advertises in `HELLO_ACK`.
 const COORD_FEATURES: &[&str] = &["cluster", "snapshot-page", "bin"];
@@ -77,11 +83,19 @@ impl CoordServer {
     }
 
     /// Accept and serve until a `SHUTDOWN` request arrives, then join
-    /// the pullers and return. An `accept` that fails for want of
-    /// descriptors or socket memory is retried, not fatal, exactly as in
+    /// the pullers and return. Between accepts the loop waits on the
+    /// listener's readiness (at most `WAIT_MS`, so shutdown is seen
+    /// promptly). An `accept` that fails for want of descriptors or
+    /// socket memory is retried, not fatal, exactly as in
     /// `cots_serve::Server::run`.
     pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
+        // Read interest only: a new connection reports once, and the
+        // loop accepts until `WouldBlock` before it waits again.
+        let mut listening = Poller::new()?;
+        #[cfg(unix)]
+        listening.register_read(self.listener.as_raw_fd(), 0)?;
+        let mut events: Vec<Event> = Vec::new();
         let mut connections = Vec::new();
         // One line per burst of transient failures, not one per poll.
         let mut in_burst = false;
@@ -103,7 +117,12 @@ impl CoordServer {
                 }
                 Err(e) if is_timeout(&e) => {
                     in_burst = false;
-                    std::thread::sleep(ACCEPT_POLL);
+                    events.clear();
+                    #[cfg(unix)]
+                    if let Err(e) = listening.wait(&mut events, WAIT_MS) {
+                        self.coord.drain();
+                        return Err(e);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) if is_transient_accept_error(&e) => {
@@ -111,7 +130,7 @@ impl CoordServer {
                         eprintln!("cots-coord: accept failed, still listening: {e}");
                         in_burst = true;
                     }
-                    std::thread::sleep(ACCEPT_POLL);
+                    std::thread::sleep(ACCEPT_BACKOFF);
                 }
                 Err(e) => {
                     self.coord.drain();

@@ -23,15 +23,17 @@ struct Model {
 enum Op {
     Insert(u64, u64),
     IncrementAny(u64),
-    OverwriteMin(u64),
+    OverwriteMin(u64, u64),
     RemoveAny,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..50, 1u64..5).prop_map(|(item, c)| Op::Insert(item, c)),
-        (1u64..6).prop_map(Op::IncrementAny),
-        (100u64..200).prop_map(Op::OverwriteMin),
+        // Weights up to 50 make `increment` walk past several buckets,
+        // as a weighted run does.
+        (1u64..51).prop_map(Op::IncrementAny),
+        (100u64..200, 1u64..51).prop_map(|(item, w)| Op::OverwriteMin(item, w)),
         Just(Op::RemoveAny),
     ]
 }
@@ -61,7 +63,7 @@ proptest! {
                         model.entries.get_mut(&h).unwrap().1 += by;
                     }
                 }
-                Op::OverwriteMin(new_item) => {
+                Op::OverwriteMin(new_item, weight) => {
                     if summary.is_empty() {
                         continue;
                     }
@@ -69,7 +71,7 @@ proptest! {
                     // live nodes), so entries with identical value triples
                     // cannot be confused.
                     let (victim_id, _) = summary.min().unwrap();
-                    let (evicted, _evicted_count, id) = summary.overwrite_min(new_item, 1);
+                    let (evicted, _evicted_count, id) = summary.overwrite_min(new_item, weight);
                     debug_assert_eq!(victim_id, id, "overwrite reuses the victim node");
                     let &(h, _) = handles
                         .iter()
@@ -79,7 +81,7 @@ proptest! {
                     prop_assert_eq!(e.0, evicted, "model and summary agree on the victim");
                     e.0 = new_item;
                     e.2 = e.1; // error = old count
-                    e.1 += 1;
+                    e.1 += weight;
                 }
                 Op::RemoveAny => {
                     if let Some((h, id)) = handles.pop() {

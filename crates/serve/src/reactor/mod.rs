@@ -64,7 +64,7 @@ use sys::{Event, Poller, PollerKind};
 
 /// How long one `wait` blocks before re-checking shutdown and inboxes
 /// (the acceptor's wait on its listener too).
-pub(crate) const WAIT_MS: i32 = 25;
+pub const WAIT_MS: i32 = 25;
 
 /// Reserved token for the per-reactor wakeup channel. Never collides
 /// with a slab token: the slab would have to hold `usize::MAX + 1`

@@ -1,8 +1,10 @@
-//! The one `unsafe` module of the reactor: raw readiness syscalls.
+//! The one `unsafe` module of the reactor: raw readiness syscalls, and
+//! the priority call the shard workers make when they start.
 //!
-//! Everything FFI lives here, behind the safe [`Poller`] facade — the
-//! rest of the reactor (and the rest of the crate) contains no `unsafe`
-//! at all, which is enforced by `cargo xtask lint-unsafe` plus review.
+//! Everything FFI lives here, behind the safe [`Poller`] facade and
+//! [`lower_thread_priority`] — the rest of the reactor (and the rest of
+//! the crate) contains no `unsafe` at all, which is enforced by
+//! `cargo xtask lint-unsafe` plus review.
 //! The declarations link directly against the platform C library that
 //! every Rust binary on these targets already links; no new crate is
 //! vendored or added.
@@ -174,6 +176,36 @@ impl Poller {
         }
     }
 }
+
+/// Lower the calling thread's scheduling priority by `by` nice levels.
+///
+/// Linux only: there the nice value belongs to the thread, and
+/// `setpriority(PRIO_PROCESS, 0, ..)` renices just the caller. POSIX
+/// makes it per process, so elsewhere this is a no-op rather than a
+/// renice of the whole server. A failure is ignored — raising one's own
+/// nice value needs no privilege, and the server must start regardless.
+#[cfg(target_os = "linux")]
+pub(crate) fn lower_thread_priority(by: i32) {
+    use std::os::raw::{c_int, c_uint};
+
+    const PRIO_PROCESS: c_int = 0;
+    extern "C" {
+        fn getpriority(which: c_int, who: c_uint) -> c_int;
+        fn setpriority(which: c_int, who: c_uint, prio: c_int) -> c_int;
+    }
+    // SAFETY: both calls take integers only and touch no memory of ours.
+    // With `who` 0 they read and set the calling thread's nice value,
+    // which cannot fail with ESRCH; a refused `setpriority` leaves the
+    // priority as it was.
+    unsafe {
+        let nice = getpriority(PRIO_PROCESS, 0);
+        let _ = setpriority(PRIO_PROCESS, 0, nice.saturating_add(by));
+    }
+}
+
+/// No-op off Linux: see the Linux version.
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn lower_thread_priority(_by: i32) {}
 
 #[cfg(target_os = "linux")]
 pub(crate) mod epoll {
@@ -507,5 +539,31 @@ mod tests {
             assert!(events.is_empty());
             assert!(t0.elapsed() < std::time::Duration::from_secs(5));
         }
+    }
+
+    /// The nice value of the calling thread, from `/proc/thread-self/stat`
+    /// (field 19; the fields after the parenthesised name start at 3).
+    #[cfg(target_os = "linux")]
+    fn thread_nice() -> i32 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        let (_, fields) = stat.rsplit_once(')').unwrap();
+        fields.split_whitespace().nth(19 - 3).unwrap().parse().unwrap()
+    }
+
+    /// Only the calling thread is reniced, by exactly the levels asked
+    /// (capped at 19, the lowest priority).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn lower_thread_priority_renices_only_the_caller() {
+        let main = thread_nice();
+        let (before, after) = std::thread::spawn(|| {
+            let before = thread_nice();
+            lower_thread_priority(5);
+            (before, thread_nice())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(after, (before + 5).min(19));
+        assert_eq!(thread_nice(), main, "the caller's siblings keep their priority");
     }
 }
