@@ -238,7 +238,8 @@ json_record! {
         /// barrier sync before every checkpoint).
         pub wal_syncs: u64,
         /// WAL or checkpoint I/O errors absorbed (logged, never fatal to
-        /// ingest).
+        /// ingest), and batches too large for any WAL record (applied,
+        /// not logged).
         pub io_errors: u64,
     }
 

@@ -31,7 +31,7 @@ use std::path::{Path, PathBuf};
 use cots_core::json_record;
 use cots_core::{CotsError, CounterEntry, Result, Snapshot};
 
-use crate::codec::{decode_record, encode_record};
+use crate::codec::{decode_record, encode_record, MAX_RECORD};
 
 /// Magic prefix of every checkpoint file.
 pub const CKPT_MAGIC: &[u8; 8] = b"COTSCKP1";
@@ -124,7 +124,12 @@ pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> Result<(PathBuf, u64)>
     let mut buf = Vec::with_capacity(64 + ckpt.entries.len() * 48);
     buf.extend_from_slice(CKPT_MAGIC);
     let payload = cots_core::json::to_string(ckpt);
-    encode_record(payload.as_bytes(), &mut buf);
+    if encode_record(payload.as_bytes(), &mut buf).is_none() {
+        return Err(CotsError::Report(format!(
+            "checkpoint of {} entries exceeds the {MAX_RECORD}-byte record limit",
+            ckpt.entries.len()
+        )));
+    }
 
     let final_path = dir.join(ckpt.file_name());
     let tmp_path = dir.join(format!("{}.tmp", ckpt.file_name()));

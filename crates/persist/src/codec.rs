@@ -51,13 +51,18 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-/// Frame `payload` into `out`. Returns the number of bytes appended.
-pub fn encode_record(payload: &[u8], out: &mut Vec<u8>) -> usize {
-    debug_assert!(payload.len() <= MAX_RECORD);
+/// Frame `payload` into `out`. Returns the number of bytes appended, or
+/// `None` — appending nothing — for a payload over [`MAX_RECORD`]: the
+/// decoder rejects such a frame as [`RecordError::TooLarge`], so writing
+/// it would commit bytes that no reader ever returns.
+pub fn encode_record(payload: &[u8], out: &mut Vec<u8>) -> Option<usize> {
+    if payload.len() > MAX_RECORD {
+        return None;
+    }
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    8 + payload.len()
+    Some(8 + payload.len())
 }
 
 /// Read a little-endian `u32` at byte offset `off`, if all four bytes are
@@ -100,7 +105,7 @@ mod tests {
     fn round_trip() {
         let mut buf = Vec::new();
         let n = encode_record(b"hello", &mut buf);
-        assert_eq!(n, 13);
+        assert_eq!(n, Some(13));
         let (payload, consumed) = decode_record(&buf).unwrap();
         assert_eq!(payload, b"hello");
         assert_eq!(consumed, 13);
@@ -152,6 +157,13 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         buf.extend_from_slice(&[0; 4]);
         assert!(matches!(decode_record(&buf), Err(RecordError::TooLarge(_))));
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_not_written() {
+        let mut buf = vec![1, 2, 3];
+        assert_eq!(encode_record(&vec![0; MAX_RECORD + 1], &mut buf), None);
+        assert_eq!(buf, [1, 2, 3], "nothing appended");
     }
 
     #[test]

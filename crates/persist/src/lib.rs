@@ -13,8 +13,9 @@
 //!   summary, committed by atomic rename; semantic validation rejects
 //!   CRC-valid files that violate the Space-Saving envelope.
 //! * [`wal`] — segmented batch log, group-committed per ring drain with a
-//!   configurable [`FsyncPolicy`]; the scanner recovers the valid prefix
-//!   of every segment and accounts the rest as dropped mass.
+//!   configurable [`FsyncPolicy`], each batch logged as its runs of equal
+//!   keys; the scanner recovers the valid prefix of every segment and
+//!   accounts the rest as dropped mass.
 //! * [`recover`] — loads the newest valid checkpoint (falling back on
 //!   corruption), collects the WAL tail past its watermark, and emits a
 //!   [`RecoveryReport`](cots_core::RecoveryReport).
@@ -52,5 +53,5 @@ pub use tail::{
 };
 pub use wal::{
     parse_segment_name, prune_wal, scan_wal, CommitStats, FsyncPolicy, WalBatch, WalScan,
-    WalWriter, DEFAULT_SEGMENT_BYTES, RUN_MAGIC, WAL_MAGIC,
+    WalWriter, DEFAULT_SEGMENT_BYTES, MAX_RECORD_KEYS, RUN_MAGIC, WAL_MAGIC, WEIGHTED_RUN_MAGIC,
 };

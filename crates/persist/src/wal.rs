@@ -10,21 +10,36 @@
 //!
 //! ```text
 //! [magic "COTSWAL1": 8 bytes][CRC record]*
-//! record payload := batch | run
-//! batch := [seq: u64 le][nkeys: u32 le][key: u64 le]*nkeys
-//! run   := [magic "COTSRUN\xB1": 8 bytes][nbatches: u32 le][batch]*nbatches
+//! record payload := batch | run | weighted
+//! batch    := [seq: u64 le][nkeys: u32 le][key: u64 le]*nkeys
+//! run      := [magic "COTSRUN\xB1": 8 bytes][nbatches: u32 le][batch]*nbatches
+//! weighted := [magic "COTSRUN\xB2": 8 bytes][nbatches: u32 le][wbatch]*nbatches
+//! wbatch   := [seq: u64 le][nruns: u32 le]([key: u64 le][weight: u32 le])*nruns
 //! ```
 //!
-//! A *run* record ([`WalWriter::append_run`]) packs a whole ring drain
-//! of consecutive batches into one CRC frame: one checksum and one
-//! length prefix per drain instead of per batch, which is the log-side
-//! twin of the BIN1 wire encoding (same per-batch byte layout). It is
-//! the only form the running service writes (a drain of one batch is a
-//! run of one). Legacy per-batch records ([`WalWriter::append`]) and run
-//! records coexist freely in one directory — recovery and tailing parse
-//! both — so data directories written by older builds replay unchanged. The run magic's little-endian `u64`
-//! value has its top bit set (> 2⁶³), which no monotone batch sequence
-//! number ever reaches, so the two payload forms cannot be confused.
+//! The writer emits one form, the *weighted* run record
+//! ([`WalWriter::append_run`]): a ring drain of consecutive batches in
+//! one CRC frame, each batch stored as its runs of consecutive equal
+//! keys. The serving path sorts every batch before logging it, so a
+//! batch costs 12 bytes per *distinct* key — about 1 byte per key on a
+//! skewed stream — instead of 8 per key. The encoding is lossless for
+//! any order (unsorted input is runs of 1), at 12 bytes per key when
+//! every key differs from its neighbour.
+//!
+//! The readers accept all three forms, freely mixed in one directory, so
+//! data directories written by older builds replay unchanged: legacy
+//! per-batch records ([`WalWriter::append`], kept so tests can produce
+//! that grammar) and unweighted `run` records, whose per-batch layout is
+//! BIN1's. Both run magics' little-endian `u64` values have their top
+//! bit set (> 2⁶³), which no monotone batch sequence number ever
+//! reaches, so no two payload forms can be confused.
+//!
+//! A record never exceeds [`MAX_RECORD`] bytes, nor — weighted — more
+//! than [`MAX_RECORD_KEYS`] keys once its runs are expanded: the decoder
+//! rejects a weight of 0 and a record past that cap before allocating,
+//! so a 12-byte payload cannot claim 4 G keys. The writer splits a drain
+//! that would exceed either limit into several records at batch
+//! boundaries.
 //!
 //! Segments are named `wal-{first_seq:016x}.wal` after the first sequence
 //! number they may contain. After a crash the scanner recovers the valid
@@ -36,7 +51,8 @@
 //!
 //! Reading the log back — at recovery ([`scan_wal`]) and while it is
 //! still being written (the replication shipper) — is one loop, in
-//! [`crate::tail`].
+//! [`crate::tail`]. Either way a weighted record is expanded back into
+//! its keys, so every reader sees the same [`WalBatch`]es.
 //!
 //! AUDIT: total — the record parsers decode arbitrary disk bytes;
 //! enforced by `cargo xtask audit` (lint-totality).
@@ -48,7 +64,7 @@ use std::str::FromStr;
 
 use cots_core::{CotsError, Result};
 
-use crate::codec::{encode_record, read_u32_le, read_u64_le};
+use crate::codec::{encode_record, read_u32_le, read_u64_le, MAX_RECORD};
 use crate::tail::WalTailer;
 
 /// Magic prefix of every WAL segment.
@@ -59,6 +75,19 @@ pub const WAL_MAGIC: &[u8; 8] = b"COTSWAL1";
 /// 2⁶³, unreachable for a monotone sequence counter, so legacy and run
 /// payloads are unambiguous.
 pub const RUN_MAGIC: &[u8; 8] = b"COTSRUN\xB1";
+
+/// Magic prefix of a *weighted* run record payload, the form the writer
+/// emits: each batch is its runs of equal keys, `[key][weight]`. Its
+/// little-endian value exceeds 2⁶³ too, and differs from [`RUN_MAGIC`].
+pub const WEIGHTED_RUN_MAGIC: &[u8; 8] = b"COTSRUN\xB2";
+
+/// Most keys one record may expand to: what a maximal unweighted record
+/// could hold. The decoder refuses weighted records past it before
+/// allocating; the writer never writes one.
+pub const MAX_RECORD_KEYS: usize = MAX_RECORD / 8;
+
+/// Bytes of a run record's header: magic and batch count.
+const RUN_HEADER: usize = 12;
 
 /// File extension of WAL segments.
 pub const WAL_EXT: &str = "wal";
@@ -111,7 +140,8 @@ impl std::fmt::Display for FsyncPolicy {
 pub struct WalBatch {
     /// Batch sequence number (monotone across the whole log).
     pub seq: u64,
-    /// The keys of the batch, in ingest order.
+    /// The keys of the batch, in logged order, which the serving path
+    /// sorts.
     pub keys: Vec<u64>,
 }
 
@@ -126,6 +156,9 @@ pub struct CommitStats {
     pub bytes: u64,
     /// Whether this commit ended in an `fsync`.
     pub synced: bool,
+    /// Batches staged since the last commit that were not logged: one
+    /// batch alone exceeded [`MAX_RECORD`] or [`MAX_RECORD_KEYS`].
+    pub refused: u64,
 }
 
 /// Appender for the active WAL segment.
@@ -143,6 +176,7 @@ pub struct WalWriter {
     pending_records: u64,
     pending_keys: u64,
     pending_first_seq: Option<u64>,
+    pending_refused: u64,
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -173,6 +207,7 @@ impl WalWriter {
             pending_records: 0,
             pending_keys: 0,
             pending_first_seq: None,
+            pending_refused: 0,
         })
     }
 
@@ -189,38 +224,75 @@ impl WalWriter {
         for k in keys {
             payload.extend_from_slice(&k.to_le_bytes());
         }
-        encode_record(&payload, &mut self.buf);
-        self.pending_records += 1;
-        self.pending_keys += keys.len() as u64;
-        self.pending_first_seq.get_or_insert(seq);
+        self.stage(&payload, seq, 1, keys.len());
     }
 
-    /// Stage a whole drain of consecutive batches as one *run* record:
-    /// batch `i` carries sequence `first_seq + i`. One CRC frame per
-    /// drain instead of one per batch. Nothing reaches the OS until
+    /// Stage a whole drain of consecutive batches as weighted run
+    /// records: batch `i` carries sequence `first_seq + i` and is stored
+    /// as its runs of consecutive equal keys, in the order given (sorted
+    /// batches give long runs; any order reads back key for key). One CRC
+    /// frame per drain, split at batch boundaries into several when the
+    /// drain would exceed [`MAX_RECORD`] or [`MAX_RECORD_KEYS`]; a batch
+    /// that alone exceeds either is not logged and is reported in
+    /// [`CommitStats::refused`]. Nothing reaches the OS until
     /// [`commit`]; an empty slice stages nothing.
     ///
     /// [`commit`]: WalWriter::commit
     pub fn append_run<B: AsRef<[u64]>>(&mut self, first_seq: u64, batches: &[B]) {
-        if batches.is_empty() {
+        let mut record = Vec::new();
+        let mut encoded = Vec::new();
+        let (mut first, mut nbatches, mut nkeys) = (first_seq, 0usize, 0usize);
+        for (seq, batch) in (first_seq..).zip(batches) {
+            let batch = batch.as_ref();
+            encoded.clear();
+            if batch.len() <= MAX_RECORD_KEYS {
+                push_weighted_batch(seq, batch, &mut encoded);
+            }
+            if batch.len() > MAX_RECORD_KEYS || RUN_HEADER + encoded.len() > MAX_RECORD {
+                // Alone it exceeds a record: no reader could return it.
+                self.pending_refused += 1;
+                continue;
+            }
+            if record.len() + encoded.len() > MAX_RECORD || nkeys + batch.len() > MAX_RECORD_KEYS {
+                self.stage_run(&mut record, first, nbatches, nkeys);
+                (nbatches, nkeys) = (0, 0);
+            }
+            if nbatches == 0 {
+                record.extend_from_slice(WEIGHTED_RUN_MAGIC);
+                record.extend_from_slice(&[0; 4]);
+                first = seq;
+            }
+            record.extend_from_slice(&encoded);
+            nbatches += 1;
+            nkeys += batch.len();
+        }
+        self.stage_run(&mut record, first, nbatches, nkeys);
+    }
+
+    /// Frame a run record of `nbatches` batches opening at `first` that
+    /// [`append_run`](WalWriter::append_run) built in `record`, then
+    /// empty `record`. A record with no batch stages nothing.
+    fn stage_run(&mut self, record: &mut Vec<u8>, first: u64, nbatches: usize, nkeys: usize) {
+        if nbatches > 0 {
+            if let Some(count) = record.get_mut(8..RUN_HEADER) {
+                count.copy_from_slice(&(nbatches as u32).to_le_bytes());
+            }
+            self.stage(record, first, nbatches, nkeys);
+        }
+        record.clear();
+    }
+
+    /// Frame one record payload into the commit buffer and book its
+    /// batches and keys. Callers keep payloads within [`MAX_RECORD`]; the
+    /// codec refuses anything larger, which is booked as refused.
+    fn stage(&mut self, payload: &[u8], first: u64, nbatches: usize, nkeys: usize) {
+        if encode_record(payload, &mut self.buf).is_none() {
+            self.pending_refused += nbatches as u64;
             return;
         }
-        let keys: usize = batches.iter().map(|b| b.as_ref().len()).sum();
-        let mut payload = Vec::with_capacity(12 + batches.len() * 12 + keys * 8);
-        payload.extend_from_slice(RUN_MAGIC);
-        payload.extend_from_slice(&(batches.len() as u32).to_le_bytes());
-        for (i, batch) in batches.iter().enumerate() {
-            let batch = batch.as_ref();
-            payload.extend_from_slice(&(first_seq + i as u64).to_le_bytes());
-            payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-            for k in batch {
-                payload.extend_from_slice(&k.to_le_bytes());
-            }
-        }
-        encode_record(&payload, &mut self.buf);
-        self.pending_records += batches.len() as u64;
-        self.pending_keys += keys as u64;
-        self.pending_first_seq.get_or_insert(first_seq);
+        self.pending_records += nbatches as u64;
+        self.pending_keys += nkeys as u64;
+        self.pending_first_seq.get_or_insert(first);
     }
 
     /// Group-commit everything staged since the last commit: rotate the
@@ -228,7 +300,11 @@ impl WalWriter {
     /// apply the fsync policy.
     pub fn commit(&mut self) -> Result<CommitStats> {
         if self.buf.is_empty() {
-            return Ok(CommitStats::default());
+            let refused = std::mem::take(&mut self.pending_refused);
+            return Ok(CommitStats {
+                refused,
+                ..CommitStats::default()
+            });
         }
         if self.written >= self.segment_bytes {
             // Rotation boundary: seal the old segment (it must be durable
@@ -256,12 +332,14 @@ impl WalWriter {
             keys: self.pending_keys,
             bytes: self.buf.len() as u64,
             synced,
+            refused: self.pending_refused,
         };
         self.written += self.buf.len() as u64;
         self.buf.clear();
         self.pending_records = 0;
         self.pending_keys = 0;
         self.pending_first_seq = None;
+        self.pending_refused = 0;
         Ok(stats)
     }
 
@@ -376,6 +454,27 @@ pub fn scan_wal(dir: &Path, from_seq: u64) -> Result<WalScan> {
     })
 }
 
+/// Append one weighted batch — `seq`, then `keys` as its runs of
+/// consecutive equal keys — to `out`. The caller bounds `keys.len()` by
+/// [`MAX_RECORD_KEYS`], so the run count and every weight fit a `u32`.
+fn push_weighted_batch(seq: u64, keys: &[u64], out: &mut Vec<u8>) {
+    out.extend_from_slice(&seq.to_le_bytes());
+    let count_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut nruns = 0u32;
+    let mut rest = keys;
+    while let Some(&key) = rest.first() {
+        let run = rest.iter().position(|&k| k != key).unwrap_or(rest.len());
+        out.extend_from_slice(&key.to_le_bytes());
+        out.extend_from_slice(&(run as u32).to_le_bytes());
+        nruns += 1;
+        rest = rest.get(run..).unwrap_or(&[]);
+    }
+    if let Some(count) = out.get_mut(count_at..count_at + 4) {
+        count.copy_from_slice(&nruns.to_le_bytes());
+    }
+}
+
 /// Decode one batch at byte offset `off`; returns the batch and the
 /// offset just past it. `None` on any layout violation.
 fn parse_one_batch(payload: &[u8], off: usize) -> Option<(WalBatch, usize)> {
@@ -391,38 +490,81 @@ fn parse_one_batch(payload: &[u8], off: usize) -> Option<(WalBatch, usize)> {
     Some((WalBatch { seq, keys }, end))
 }
 
-/// Decode one CRC-valid record payload — a legacy single-batch record
-/// or a multi-batch run record — appending its batches to `out` in
-/// order. Returns `false` (and appends nothing) on a malformed payload:
-/// a record decodes all-or-nothing, mirroring its all-or-nothing CRC.
-pub(crate) fn parse_record_payload(payload: &[u8], out: &mut Vec<WalBatch>) -> bool {
-    if payload.get(..RUN_MAGIC.len()) == Some(RUN_MAGIC.as_slice()) {
-        let Some(nbatches) = read_u32_le(payload, 8) else {
-            return false;
-        };
-        let mut off = 12usize;
-        let mut run = Vec::new();
-        for _ in 0..nbatches {
-            match parse_one_batch(payload, off) {
-                Some((batch, next)) => {
-                    run.push(batch);
-                    off = next;
-                }
-                None => return false,
-            }
+/// Decode one weighted batch at byte offset `off`, expanding its runs
+/// into keys; returns the batch and the offset just past it. `budget` is
+/// how many keys the record may still expand to: the weights are summed
+/// and checked against it before anything is allocated. `None` on any
+/// layout violation, a weight of 0, or a sum past the budget.
+fn parse_weighted_batch(
+    payload: &[u8],
+    off: usize,
+    budget: &mut usize,
+) -> Option<(WalBatch, usize)> {
+    let seq = read_u64_le(payload, off)?;
+    let nruns = read_u32_le(payload, off.checked_add(8)?)? as usize;
+    let start = off.checked_add(12)?;
+    let end = start.checked_add(nruns.checked_mul(12)?)?;
+    let runs = payload.get(start..end)?;
+    let mut nkeys = 0usize;
+    for run in runs.chunks_exact(12) {
+        let weight = read_u32_le(run, 8)? as usize;
+        if weight == 0 {
+            return None;
         }
-        if off != payload.len() {
-            return false;
-        }
-        out.extend(run);
-        return true;
+        nkeys = nkeys.checked_add(weight).filter(|&n| n <= *budget)?;
     }
-    match parse_one_batch(payload, 0) {
-        Some((batch, end)) if end == payload.len() => {
-            out.push(batch);
+    *budget -= nkeys;
+    let mut keys = Vec::with_capacity(nkeys);
+    for run in runs.chunks_exact(12) {
+        let key = read_u64_le(run, 0)?;
+        let weight = read_u32_le(run, 8)? as usize;
+        keys.resize(keys.len() + weight, key);
+    }
+    Some((WalBatch { seq, keys }, end))
+}
+
+/// Decode the `[nbatches][batch]*` body of a run record with `one`,
+/// which decodes a batch at an offset. `None` unless every batch decodes
+/// and they end exactly at the payload's end.
+fn parse_run(
+    payload: &[u8],
+    mut one: impl FnMut(&[u8], usize) -> Option<(WalBatch, usize)>,
+) -> Option<Vec<WalBatch>> {
+    let nbatches = read_u32_le(payload, 8)?;
+    let mut off = RUN_HEADER;
+    let mut run = Vec::new();
+    for _ in 0..nbatches {
+        let (batch, next) = one(payload, off)?;
+        run.push(batch);
+        off = next;
+    }
+    (off == payload.len()).then_some(run)
+}
+
+/// Decode one CRC-valid record payload — a legacy single-batch record,
+/// an unweighted or a weighted run record — appending its batches to
+/// `out` in order. Returns `false` (and appends nothing) on a malformed
+/// payload: a record decodes all-or-nothing, mirroring its
+/// all-or-nothing CRC.
+pub(crate) fn parse_record_payload(payload: &[u8], out: &mut Vec<WalBatch>) -> bool {
+    let magic = payload.get(..RUN_MAGIC.len());
+    let batches = if magic == Some(RUN_MAGIC.as_slice()) {
+        parse_run(payload, parse_one_batch)
+    } else if magic == Some(WEIGHTED_RUN_MAGIC.as_slice()) {
+        let mut budget = MAX_RECORD_KEYS;
+        parse_run(payload, |p, off| parse_weighted_batch(p, off, &mut budget))
+    } else {
+        match parse_one_batch(payload, 0) {
+            Some((batch, end)) if end == payload.len() => Some(vec![batch]),
+            _ => None,
+        }
+    };
+    match batches {
+        Some(batches) => {
+            out.extend(batches);
             true
         }
-        _ => false,
+        None => false,
     }
 }
 
@@ -707,6 +849,112 @@ mod tests {
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
         out.clear();
         assert!(!parse_record_payload(&hostile, &mut out));
+    }
+
+    #[test]
+    fn sorted_batches_are_logged_as_their_runs() {
+        let dir = temp_dir("weighted");
+        let mut w = WalWriter::open(&dir, 0, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
+        let batches = vec![vec![1u64, 1, 1, 2, 2, 9], vec![5; 1000], vec![]];
+        w.append_run(0, &batches);
+        let stats = w.commit().unwrap();
+        // Frame 8, header 12, then per batch 12 plus 12 per run.
+        assert_eq!(stats.bytes, 8 + 12 + (12 + 3 * 12) + (12 + 12) + 12);
+        assert_eq!((stats.records, stats.keys, stats.refused), (3, 1006, 0));
+        let scan = scan_wal(&dir, 0).unwrap();
+        let keys: Vec<Vec<u64>> = scan.batches.into_iter().map(|b| b.keys).collect();
+        assert_eq!(keys, batches);
+
+        // All-distinct keys are runs of one: 12 bytes a key, not 8.
+        let distinct: Vec<u64> = (0..1000).collect();
+        w.append_run(3, &[&distinct]);
+        assert_eq!(w.commit().unwrap().bytes, 8 + 12 + 12 + 12 * 1000);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A drain of five 2 Mi-key batches (the most one BIN1 frame carries)
+    /// is 120 MiB as runs of one: more than one record may hold. It is
+    /// split at batch boundaries, and every key comes back.
+    #[test]
+    fn oversize_drain_is_split_into_records_that_recover() {
+        let dir = temp_dir("oversize");
+        let mut w = WalWriter::open(&dir, 0, FsyncPolicy::Off, u64::MAX).unwrap();
+        let batch: Vec<u64> = (0..2 << 20).collect();
+        let drain = [batch.as_slice(); 5];
+        w.append_run(0, &drain);
+        let stats = w.commit().unwrap();
+        assert_eq!((stats.records, stats.keys, stats.refused), (5, 5 << 21, 0));
+        drop(w);
+        let scan = scan_wal(&dir, 0).unwrap();
+        assert_eq!(scan.torn_frames, 0);
+        assert_eq!(scan.batches.len(), 5);
+        for (seq, b) in scan.batches.iter().enumerate() {
+            assert_eq!(b.seq, seq as u64);
+            assert!(b.keys == batch, "batch {seq} recovered key for key");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Runs keep the bytes small, but a record may still not expand past
+    /// `MAX_RECORD_KEYS`: a drain over it is split, and a batch over it
+    /// alone is refused rather than written unreadable.
+    #[test]
+    fn key_cap_splits_a_drain_and_refuses_a_batch_no_record_holds() {
+        let dir = temp_dir("key-cap");
+        let mut w = WalWriter::open(&dir, 0, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
+        let hot = vec![7u64; 3 << 20];
+        let huge = vec![8u64; MAX_RECORD_KEYS + 1];
+        w.append_run(0, &[hot.as_slice(), &hot, &huge, &hot, &[9]]);
+        let stats = w.commit().unwrap();
+        assert_eq!(stats.refused, 1);
+        assert_eq!((stats.records, stats.keys), (4, 3 * (3 << 20) + 1));
+        assert!(stats.bytes < 200, "runs, not keys: {} bytes", stats.bytes);
+        drop(w);
+        let scan = scan_wal(&dir, 0).unwrap();
+        assert_eq!(scan.torn_frames, 0);
+        let seqs: Vec<u64> = scan.batches.iter().map(|b| b.seq).collect();
+        assert_eq!(seqs, [0, 1, 3, 4], "the refused batch alone is missing");
+        assert_eq!(scan.batches[2].keys, hot);
+        assert_eq!(scan.batches[3].keys, [9]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn malformed_weighted_record_is_all_or_nothing() {
+        let mut good = Vec::new();
+        good.extend_from_slice(WEIGHTED_RUN_MAGIC);
+        good.extend_from_slice(&2u32.to_le_bytes());
+        for (seq, runs) in [(5u64, &[(50u64, 3u32), (51, 1)][..]), (6, &[(60, 2)][..])] {
+            good.extend_from_slice(&seq.to_le_bytes());
+            good.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+            for &(key, weight) in runs {
+                good.extend_from_slice(&key.to_le_bytes());
+                good.extend_from_slice(&weight.to_le_bytes());
+            }
+        }
+        let mut out = Vec::new();
+        assert!(parse_record_payload(&good, &mut out));
+        assert_eq!(
+            out,
+            [
+                WalBatch { seq: 5, keys: vec![50, 50, 50, 51] },
+                WalBatch { seq: 6, keys: vec![60, 60] },
+            ]
+        );
+        for cut in 0..good.len() {
+            out.clear();
+            assert!(!parse_record_payload(&good[..cut], &mut out), "truncation at {cut} accepted");
+            assert!(out.is_empty(), "truncation at {cut} leaked batches");
+        }
+        // The weight of batch 6's only run sits in the last four bytes.
+        let weight_at = good.len() - 4;
+        for (weight, why) in [(0u32, "a zero weight"), (u32::MAX, "weights past the cap")] {
+            let mut bad = good.clone();
+            bad[weight_at..].copy_from_slice(&weight.to_le_bytes());
+            out.clear();
+            assert!(!parse_record_payload(&bad, &mut out), "{why} accepted");
+            assert!(out.is_empty());
+        }
     }
 
     #[test]

@@ -2,14 +2,18 @@
 //! record must be observationally identical to the legacy per-batch
 //! form under `scan_wal`, and recovery must stay total — arbitrary,
 //! truncated, or bit-flipped record payloads produce torn-frame
-//! accounting, never a panic and never partial runs.
+//! accounting, never a panic and never partial runs. The run record the
+//! writer emits is the weighted one (each batch as its runs of equal
+//! keys); its own grammar, hostile counts and weights, and a directory
+//! mixing all three record forms are tested at the end.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 
 use cots_persist::{
-    encode_record, scan_wal, FsyncPolicy, WalTailer, WalWriter, DEFAULT_SEGMENT_BYTES,
+    encode_record, recover, scan_wal, FsyncPolicy, WalBatch, WalTailer, WalWriter,
+    DEFAULT_SEGMENT_BYTES, MAX_RECORD_KEYS, RUN_MAGIC, WEIGHTED_RUN_MAGIC,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -34,6 +38,59 @@ fn dir_with_record_payload(tag: &str, payload: &[u8]) -> PathBuf {
     encode_record(payload, &mut bytes);
     std::fs::write(dir.join("wal-0000000000000000.wal"), bytes).unwrap();
     dir
+}
+
+/// An unweighted run record payload, as builds before weighted records
+/// wrote it: `[RUN_MAGIC][nbatches]([seq][nkeys][key]*)*`.
+fn unweighted_payload(first_seq: u64, batches: &[Vec<u64>]) -> Vec<u8> {
+    let mut p = RUN_MAGIC.to_vec();
+    p.extend_from_slice(&(batches.len() as u32).to_le_bytes());
+    for (seq, batch) in (first_seq..).zip(batches) {
+        p.extend_from_slice(&seq.to_le_bytes());
+        p.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+        for k in batch {
+            p.extend_from_slice(&k.to_le_bytes());
+        }
+    }
+    p
+}
+
+/// A weighted run record payload built from explicit `(key, weight)`
+/// runs, so tests can state any weight, the illegal ones included.
+fn weighted_payload(first_seq: u64, batches: &[Vec<(u64, u32)>]) -> Vec<u8> {
+    let mut p = WEIGHTED_RUN_MAGIC.to_vec();
+    p.extend_from_slice(&(batches.len() as u32).to_le_bytes());
+    for (seq, runs) in (first_seq..).zip(batches) {
+        p.extend_from_slice(&seq.to_le_bytes());
+        p.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for &(key, weight) in runs {
+            p.extend_from_slice(&key.to_le_bytes());
+            p.extend_from_slice(&weight.to_le_bytes());
+        }
+    }
+    p
+}
+
+/// `keys` as its runs of consecutive equal keys.
+fn runs_of(keys: &[u64]) -> Vec<(u64, u32)> {
+    let mut runs: Vec<(u64, u32)> = Vec::new();
+    for &k in keys {
+        match runs.last_mut() {
+            Some((key, weight)) if *key == k => *weight += 1,
+            _ => runs.push((k, 1)),
+        }
+    }
+    runs
+}
+
+/// A CRC-valid record around `payload` must be refused whole: no batch
+/// recovered, one torn frame.
+fn assert_refused(tag: &str, payload: &[u8]) {
+    let dir = dir_with_record_payload(tag, payload);
+    let scan = scan_wal(&dir, 0).unwrap();
+    assert_eq!((scan.records, scan.torn_frames), (0, 1), "{tag}: payload accepted");
+    assert!(scan.batches.is_empty(), "{tag}: batches leaked");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Batches biased toward the edges: empty, single-key, bulky.
@@ -180,4 +237,147 @@ proptest! {
         prop_assert!(scan.batches.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Sorted batches over a small alphabet, so runs are long: what the
+/// serving path logs.
+fn sorted_batches() -> impl Strategy<Value = Vec<Vec<u64>>> {
+    proptest::collection::vec(proptest::collection::vec(0u64..6, 0..48), 1..6).prop_map(
+        |mut batches| {
+            for b in &mut batches {
+                b.sort_unstable();
+            }
+            batches
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The hand-built weighted grammar is what the writer writes, and any
+    /// cut of it — or any bytes past it — is refused whole.
+    #[test]
+    fn weighted_payloads_decode_whole_or_not_at_all(
+        batches in sorted_batches(),
+        first_seq in 0u64..1 << 40,
+        cut in any::<usize>(),
+        garbage in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let runs: Vec<Vec<(u64, u32)>> = batches.iter().map(|b| runs_of(b)).collect();
+        let payload = weighted_payload(first_seq, &runs);
+
+        let written = temp_dir("w-writer");
+        let mut w =
+            WalWriter::open(&written, first_seq, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
+        w.append_run(first_seq, &batches);
+        w.commit().unwrap();
+        drop(w);
+        let by_hand = dir_with_record_payload("w-hand", &payload);
+        let seg = |dir: &PathBuf| std::fs::read(dir.join(format!("wal-{first_seq:016x}.wal")));
+        prop_assert_eq!(
+            std::fs::read(by_hand.join("wal-0000000000000000.wal")).unwrap(),
+            seg(&written).unwrap()
+        );
+        let scan = scan_wal(&by_hand, 0).unwrap();
+        let want: Vec<WalBatch> = (first_seq..)
+            .zip(&batches)
+            .map(|(seq, keys)| WalBatch { seq, keys: keys.clone() })
+            .collect();
+        prop_assert_eq!(scan.batches, want);
+        std::fs::remove_dir_all(&written).unwrap();
+        std::fs::remove_dir_all(&by_hand).unwrap();
+
+        assert_refused("w-cut", &payload[..cut % payload.len()]);
+        assert_refused("w-garbage", &[payload.as_slice(), &garbage].concat());
+    }
+
+    /// Whatever follows the weighted magic, recovery stays total.
+    #[test]
+    fn arbitrary_weighted_bodies_never_panic_recovery(
+        body in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let payload = [WEIGHTED_RUN_MAGIC.as_slice(), &body].concat();
+        let dir = dir_with_record_payload("w-garbage-body", &payload);
+        let scan = scan_wal(&dir, 0).unwrap();
+        prop_assert!(scan.records > 0 || scan.torn_frames == 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Counts and weights a damaged or hostile record may claim: each is
+/// refused before anything is allocated for it (an allocation for the
+/// claim — up to 12 G keys here — would abort the test).
+#[test]
+fn hostile_weighted_counts_are_refused() {
+    let cap = MAX_RECORD_KEYS as u32;
+    let mut huge_nbatches = WEIGHTED_RUN_MAGIC.to_vec();
+    huge_nbatches.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_refused("w-nbatches", &huge_nbatches);
+
+    let mut huge_nruns = weighted_payload(0, &[vec![(1, 1)]]);
+    huge_nruns[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_refused("w-nruns", &huge_nruns);
+
+    assert_refused("w-zero", &weighted_payload(0, &[vec![(1, 2), (2, 0), (3, 1)]]));
+    assert_refused("w-over-cap", &weighted_payload(0, &[vec![(1, cap + 1)]]));
+    assert_refused("w-max-weights", &weighted_payload(0, &[vec![(1, u32::MAX); 3]]));
+    // Each batch under the cap, the record over it.
+    let half = vec![(1, cap / 2 + 1)];
+    assert_refused("w-split-over-cap", &weighted_payload(0, &[half.clone(), half]));
+
+    // Exactly the cap is what a record may hold.
+    let dir = dir_with_record_payload("w-at-cap", &weighted_payload(0, &[vec![(5, cap)]]));
+    let scan = scan_wal(&dir, 0).unwrap();
+    assert_eq!((scan.records, scan.torn_frames), (1, 0));
+    assert_eq!(scan.batches[0].keys.len(), MAX_RECORD_KEYS);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory holding all three record forms — legacy per-batch,
+/// unweighted run (as older builds wrote it) and weighted run — replays
+/// batch for batch, through recovery and through the tailer alike.
+#[test]
+fn mixed_record_forms_replay_batch_for_batch() {
+    let dir = temp_dir("mixed-forms");
+    let want: Vec<WalBatch> = [
+        vec![3, 1, 3],
+        vec![],
+        vec![9, 9, 2],
+        vec![4, 4, 4, 7],
+        vec![8],
+        vec![5, 1, 5],
+        vec![6, 6],
+        vec![2, 1],
+    ]
+    .into_iter()
+    .zip(0u64..)
+    .map(|(keys, seq)| WalBatch { seq, keys })
+    .collect();
+    let keys = |i: usize| want[i].keys.clone();
+
+    // Segment 0, written by hand: legacy, unweighted run, weighted run.
+    let mut seg = cots_persist::WAL_MAGIC.to_vec();
+    let mut legacy = 0u64.to_le_bytes().to_vec();
+    legacy.extend_from_slice(&3u32.to_le_bytes());
+    for k in keys(0) {
+        legacy.extend_from_slice(&k.to_le_bytes());
+    }
+    encode_record(&legacy, &mut seg);
+    encode_record(&unweighted_payload(1, &[keys(1), keys(2)]), &mut seg);
+    encode_record(&weighted_payload(3, &[runs_of(&keys(3)), runs_of(&keys(4))]), &mut seg);
+    std::fs::write(dir.join("wal-0000000000000000.wal"), seg).unwrap();
+
+    // Segment 5, by the writer: a weighted run and a legacy record.
+    let mut w = WalWriter::open(&dir, 5, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
+    w.append_run(5, &[keys(5), keys(6)]);
+    w.append(7, &keys(7));
+    w.commit().unwrap();
+    drop(w);
+
+    let rec = recover(&dir).unwrap();
+    assert_eq!(rec.batches, want);
+    assert_eq!((rec.report.torn_frames, rec.next_seq), (0, 8));
+    assert_eq!(WalTailer::new(&dir, 0).poll(usize::MAX).unwrap(), want);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -144,10 +144,11 @@ impl Persistence {
         self.repl_retain.store(seq, Ordering::Release);
     }
 
-    /// Log a run of batches as one run record, then apply them — all
-    /// inside one gate section, so a checkpoint watermark always cuts
-    /// between runs, never through one. This is the only way into the
-    /// summaries once the service is up.
+    /// Log a run of batches as one weighted run record — each batch as
+    /// its runs of equal keys, so a batch the caller sorted costs 12 bytes
+    /// per distinct key — then apply them, all inside one gate section, so
+    /// a checkpoint watermark always cuts between runs, never through one.
+    /// This is the only way into the summaries once the service is up.
     ///
     /// `first` is the sequence the run must land on: `None` takes
     /// whatever is next (a shard worker's drained group, never refused);
@@ -177,7 +178,8 @@ impl Persistence {
             if first.is_some_and(|seq| seq != next) {
                 return false;
             }
-            // One reservation, one CRC frame for the whole run.
+            // One reservation, one CRC frame for the whole run (more only
+            // for a run past a record's limits).
             wal.append_run(next, run);
             // LOCK-OK: committing under the wal lock is the design — the
             // WAL is one sequential file, writers must not interleave
@@ -206,6 +208,11 @@ impl Persistence {
                 self.tally.wal_bytes(stats.bytes);
                 if stats.synced {
                     self.tally.wal_syncs(1);
+                }
+                // A batch too large for any record is applied unlogged:
+                // durability degraded, like a failed write.
+                if stats.refused > 0 {
+                    self.tally.io_errors(stats.refused);
                 }
             }
             Err(_) => self.tally.io_errors(1),
@@ -582,6 +589,61 @@ mod tests {
         assert_eq!((healed.wal_records, healed.wal_keys, healed.io_errors), (4, 5, 1));
         assert_eq!(healed.wal_bytes - before.wal_bytes, wal_record_bytes(&dir));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Bursts logged as weighted records and replayed into a fresh
+        /// backend rebuild the live summary entry for entry — counts and
+        /// errors included, since replay applies the same runs in the same
+        /// order — and every entry keeps the envelope against exact truth.
+        #[test]
+        fn replayed_weighted_records_rebuild_the_summary(
+            bursts in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(
+                        proptest::prop_oneof![0u64..4, 0u64..48],
+                        0..64,
+                    ),
+                    1..6,
+                ),
+                1..12,
+            ),
+        ) {
+            let dir = temp_dir("replay-weighted");
+            let p = Persistence::new(&PersistOptions::new(dir.clone()), 0, 8).unwrap();
+            let live = backend(8);
+            let mut truth = std::collections::HashMap::new();
+            for mut burst in bursts {
+                // As a shard worker does before the gate.
+                for batch in &mut burst {
+                    batch.sort_unstable();
+                    for &k in batch.iter() {
+                        *truth.entry(k).or_insert(0u64) += 1;
+                    }
+                }
+                p.log_and_apply(None, &burst, &live);
+            }
+            proptest::prop_assert_eq!(p.tally.snapshot().io_errors, 0);
+            drop(p);
+
+            let replayed = backend(8);
+            for batch in &cots_persist::recover(&dir).unwrap().batches {
+                replayed.apply(&batch.keys);
+            }
+            let snap = live.capture();
+            proptest::prop_assert_eq!(&snap, &replayed.capture());
+            proptest::prop_assert_eq!(snap.total(), truth.values().sum::<u64>());
+            for e in snap.entries() {
+                let t = truth.get(&e.item).copied().unwrap_or(0);
+                proptest::prop_assert!(
+                    e.count - e.error <= t && t <= e.count,
+                    "key {} truth {} outside [{}, {}]", e.item, t, e.count - e.error, e.count
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

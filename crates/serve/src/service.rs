@@ -968,7 +968,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// CRC records in `dir`'s WAL segments, as `(run, legacy)` counts.
+    /// CRC records in `dir`'s WAL segments, as `(weighted run, other)`
+    /// counts.
     fn wal_record_forms(dir: &std::path::Path) -> (usize, usize) {
         let (mut run, mut legacy) = (0, 0);
         for entry in std::fs::read_dir(dir).unwrap() {
@@ -980,7 +981,7 @@ mod tests {
             let mut off = cots_persist::WAL_MAGIC.len();
             while off < bytes.len() {
                 let (payload, used) = cots_persist::decode_record(&bytes[off..]).unwrap();
-                if payload.starts_with(cots_persist::RUN_MAGIC) {
+                if payload.starts_with(cots_persist::WEIGHTED_RUN_MAGIC) {
                     run += 1;
                 } else {
                     legacy += 1;

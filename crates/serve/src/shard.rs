@@ -548,6 +548,12 @@ impl ShardPool {
                     // `None`: workers allocate the next sequences, which
                     // cannot be refused.
                     Some(p) => {
+                        // Sorted outside both locks: the WAL then logs
+                        // each batch as its runs of equal keys, and
+                        // `apply`'s own sort is one linear pass.
+                        for batch in &mut burst {
+                            batch.sort_unstable();
+                        }
                         p.log_and_apply(None, &burst, summaries);
                         applied(true);
                     }
