@@ -1,12 +1,17 @@
-//! Uniform engine runners used by every figure binary.
+//! Uniform engine runners used by every experiment of [`crate::repro`]
+//! and by `perf-gate`.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use cots::{CotsEngine, RuntimeOptions};
-use cots_core::{CotsConfig, FrequencyCounter, QueryableSummary, RunStats, SummaryConfig};
+use cots_core::{
+    ConcurrentCounter, CotsConfig, FrequencyCounter, QueryableSummary, RunStats, SummaryConfig,
+};
+use cots_datagen::partition::chunked;
 use cots_naive::independent::{IndependentSpaceSaving, MergeStrategy};
 use cots_naive::runner::{run_concurrent, run_concurrent_batched};
-use cots_naive::{LockKind, SharedSpaceSaving};
+use cots_naive::{HybridSpaceSaving, LockKind, SharedSpaceSaving};
 use cots_profiling::PhaseTimes;
 use cots_sequential::SpaceSaving;
 
@@ -16,7 +21,7 @@ use crate::harness::CAPACITY;
 /// the 1-thread reference elsewhere.
 pub fn run_sequential(stream: &[u64]) -> RunStats {
     let mut engine = SpaceSaving::<u64>::new(SummaryConfig::with_capacity(CAPACITY).unwrap());
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     engine.process_slice(stream);
     let elapsed = start.elapsed();
     // Consume the snapshot so the work cannot be optimized away and the
@@ -84,6 +89,43 @@ pub fn run_shared_batched(
     stats
 }
 
+/// The hybrid of §4.4: per-thread caches of 64 keys, flushed every 4 096
+/// elements into the shared locked design. The work counters are the shared
+/// structure's, so `lock_acquisitions` is the traffic the caches let through.
+pub fn run_hybrid(stream: &[u64], threads: usize) -> RunStats {
+    let engine = HybridSpaceSaving::<u64>::new(
+        SummaryConfig::with_capacity(CAPACITY).unwrap(),
+        LockKind::Mutex,
+        64,
+        4_096,
+    )
+    .unwrap();
+    let chunks = chunked(stream, threads);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for chunk in &chunks {
+            let engine = &engine;
+            scope.spawn(move || {
+                let mut cache = engine.new_cache();
+                for &item in *chunk {
+                    engine.process_cached(&mut cache, item);
+                }
+                engine.flush(&mut cache);
+            });
+        }
+    });
+    let elapsed = start.elapsed();
+    let sum: u64 = engine.snapshot().entries().iter().map(|e| e.count).sum();
+    assert_eq!(sum, stream.len() as u64, "hybrid lost counts");
+    RunStats {
+        engine: "hybrid".into(),
+        threads,
+        elements: stream.len() as u64,
+        elapsed,
+        work: engine.shared().work(),
+    }
+}
+
 /// The CoTS framework with explicit control over the combining front-end
 /// and counter budget (perf-gate ablations). Returns the run stats and the
 /// engine itself so callers can compare finalize-time estimates.
@@ -111,6 +153,11 @@ pub fn run_cots_frontend(
     .unwrap();
     let sum: u64 = engine.snapshot().entries().iter().map(|e| e.count).sum();
     assert_eq!(sum, stream.len() as u64, "cots engine lost counts");
+    assert_eq!(
+        engine.processed(),
+        stream.len() as u64,
+        "cots engine miscounted"
+    );
     (stats, engine)
 }
 
@@ -130,6 +177,11 @@ pub fn run_cots(stream: &[u64], threads: usize) -> RunStats {
     .unwrap();
     let sum: u64 = engine.snapshot().entries().iter().map(|e| e.count).sum();
     assert_eq!(sum, stream.len() as u64, "cots engine lost counts");
+    assert_eq!(
+        engine.processed(),
+        stream.len() as u64,
+        "cots engine miscounted"
+    );
     stats
 }
 
@@ -151,6 +203,9 @@ mod tests {
         assert_eq!(cots.elements, 20_000);
         let shb = run_shared_batched(&stream, 2, LockKind::Mutex, 512);
         assert_eq!(shb.elements, 20_000);
+        let hy = run_hybrid(&stream, 2);
+        assert_eq!(hy.elements, 20_000);
+        assert!(hy.work.lock_acquisitions > 0);
         let (on, e_on) = run_cots_frontend(&stream, 2, CAPACITY, true, 512);
         let (off, e_off) = run_cots_frontend(&stream, 2, CAPACITY, false, 512);
         assert_eq!(on.elements, 20_000);

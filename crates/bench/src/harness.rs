@@ -2,7 +2,6 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use cots_core::json::ToJson;
 use cots_core::RunStats;
@@ -95,15 +94,11 @@ pub fn write_json<T: ToJson>(name: &str, value: &T) {
     }
 }
 
-/// Format a duration as fractional seconds, the paper's unit.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cots_core::WorkCounters;
+    use std::time::Duration;
 
     #[test]
     fn scale_floors() {

@@ -1,9 +1,12 @@
 //! # cots-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! CoTS paper's evaluation. One binary per experiment (see `src/bin/`),
-//! each printing the same rows/series the paper reports and writing CSV and
-//! JSON under `target/repro/`.
+//! CoTS paper's evaluation. Each experiment is one spec row of
+//! [`repro::SPECS`]; the `repro [NAME…]` binary runs them in process,
+//! prints each measured point and writes CSV and JSON under
+//! `target/repro/`, plus a `SUMMARY.md` digest. `tests/claims.rs` runs the
+//! same specs at reduced scale and asserts the paper's counter-keyed shape
+//! claims. `perf-gate` and `soak` are the two other binaries.
 //!
 //! ## Scaling
 //!
@@ -26,5 +29,6 @@
 
 pub mod engines;
 pub mod harness;
+pub mod repro;
 
 pub use harness::Scale;

@@ -63,16 +63,6 @@ pub struct IndependentOutcome<K: Element> {
 }
 
 impl IndependentSpaceSaving {
-    /// Engine with the paper's defaults: merge every 50 000 elements,
-    /// serial merge.
-    pub fn paper_default(config: SummaryConfig) -> Self {
-        Self {
-            config,
-            strategy: MergeStrategy::Serial,
-            merge_every: Some(50_000),
-        }
-    }
-
     /// Run over `stream` with `threads` workers.
     ///
     /// Each worker counts a contiguous chunk; every `merge_every` global
