@@ -214,7 +214,8 @@ json_record! {
         /// Checkpoint files that failed CRC or semantic validation and were
         /// skipped in favour of an older one.
         pub corrupt_checkpoints: u64,
-        /// Wall-clock seconds the recovery pipeline took (scan + replay).
+        /// Wall-clock seconds the recovery took: checkpoint load and WAL
+        /// scan, and — in a service's report — seeding and replay too.
         pub elapsed_secs: f64,
     }
 }

@@ -14,8 +14,8 @@
 //!   CRC-valid files that violate the Space-Saving envelope.
 //! * [`wal`] — segmented batch log, group-committed per ring drain with a
 //!   configurable [`FsyncPolicy`], each batch logged as its runs of equal
-//!   keys; the scanner recovers the valid prefix of every segment and
-//!   accounts the rest as dropped mass.
+//!   keys; the scanner recovers the valid prefix of every segment, as
+//!   the runs it logged, and accounts the rest as dropped mass.
 //! * [`recover`] — loads the newest valid checkpoint (falling back on
 //!   corruption), collects the WAL tail past its watermark, and emits a
 //!   [`RecoveryReport`](cots_core::RecoveryReport).
@@ -46,12 +46,12 @@ pub use checkpoint::{
 };
 pub use codec::{decode_record, encode_record, RecordError, MAX_RECORD};
 pub use crc::crc32;
-pub use recover::{recover, Recovery};
+pub use recover::{recover, recover_runs, Recovery};
 pub use tail::{
     has_ack, load_ack, load_lineage, oldest_segment_seq, store_ack, store_lineage, TailStats,
     WalTailer, ACK_FILE, LINEAGE_FILE,
 };
 pub use wal::{
-    parse_segment_name, prune_wal, scan_wal, CommitStats, FsyncPolicy, WalBatch, WalScan,
+    parse_segment_name, prune_wal, scan_wal, CommitStats, FsyncPolicy, WalBatch, WalRuns, WalScan,
     WalWriter, DEFAULT_SEGMENT_BYTES, MAX_RECORD_KEYS, RUN_MAGIC, WAL_MAGIC, WEIGHTED_RUN_MAGIC,
 };

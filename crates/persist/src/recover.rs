@@ -4,7 +4,14 @@
 //! summary** (the newest checkpoint that passed both CRC and semantic
 //! validation), (b) the ordered WAL batches with `seq >= watermark` to
 //! replay on top of it, and (c) a [`RecoveryReport`] quantifying
-//! what was recovered and what was lost.
+//! what was recovered and what was lost. [`recover_runs`] is the same
+//! pipeline with every batch left as the `(key, weight)` runs it was
+//! logged as — what the serving stack replays — and [`recover`] expands
+//! those runs into keys.
+//!
+//! The report's `elapsed_secs` covers what this module does: checkpoint
+//! load and WAL scan. A caller that goes on to seed and replay (the
+//! serving stack) overwrites it with the time of the whole recovery.
 //!
 //! ## Soundness
 //!
@@ -27,15 +34,17 @@ use std::time::Instant;
 use cots_core::{RecoveryReport, Result};
 
 use crate::checkpoint::{find_checkpoints, load_checkpoint, Checkpoint};
-use crate::wal::{scan_wal, WalBatch};
+use crate::wal::{scan_wal_runs, WalBatch, WalRuns};
 
-/// The outcome of scanning a data directory.
+/// The outcome of scanning a data directory, its WAL batches as keys
+/// ([`WalBatch`], from [`recover`]) or as runs ([`WalRuns`], from
+/// [`recover_runs`]).
 #[derive(Debug)]
-pub struct Recovery {
+pub struct Recovery<B = WalBatch> {
     /// Newest checkpoint that decoded and validated, if any.
     pub base: Option<Checkpoint>,
     /// WAL batches not covered by `base`, in sequence order.
-    pub batches: Vec<WalBatch>,
+    pub batches: Vec<B>,
     /// First unused sequence number: the restarted WAL writer starts here.
     pub next_seq: u64,
     /// Accounting for the stats endpoint and the recovery tests.
@@ -43,14 +52,26 @@ pub struct Recovery {
 }
 
 /// Recover the durable state under `dir`, creating the directory if this
-/// is a first boot.
+/// is a first boot: [`recover_runs`], every batch expanded into its keys.
+pub fn recover(dir: &Path) -> Result<Recovery> {
+    let rec = recover_runs(dir)?;
+    Ok(Recovery {
+        base: rec.base,
+        batches: rec.batches.into_iter().map(WalRuns::expand).collect(),
+        next_seq: rec.next_seq,
+        report: rec.report,
+    })
+}
+
+/// Recover the durable state under `dir`, creating the directory if this
+/// is a first boot, every WAL batch as the runs it was logged as.
 ///
 /// Checkpoints are tried newest-first; every file that fails CRC or
 /// semantic validation is counted in `corrupt_checkpoints` and the next
 /// older one is tried. A directory with no usable checkpoint recovers
 /// from the WAL alone (from sequence 0). Never panics on any directory
 /// contents; I/O errors (unreadable directory) are returned as errors.
-pub fn recover(dir: &Path) -> Result<Recovery> {
+pub fn recover_runs(dir: &Path) -> Result<Recovery<WalRuns>> {
     let start = Instant::now();
     std::fs::create_dir_all(dir)?;
 
@@ -79,10 +100,10 @@ pub fn recover(dir: &Path) -> Result<Recovery> {
     }
 
     let watermark = base.as_ref().map_or(0, |c| c.watermark);
-    let scan = scan_wal(dir, watermark)?;
+    let scan = scan_wal_runs(dir, watermark)?;
 
     let replayed_batches = scan.batches.len() as u64;
-    let replayed_items: u64 = scan.batches.iter().map(|b| b.keys.len() as u64).sum();
+    let replayed_items: u64 = scan.batches.iter().map(|b| b.keys() as u64).sum();
     let base_items = base.as_ref().map_or(0, |c| c.total);
     let next_seq = scan
         .max_seq

@@ -9,6 +9,12 @@
 //! of a quiescent directory and then [`WalTailer::seal`]s it, which is
 //! what turns that unfinished tail into a torn one.
 //!
+//! Both read through one record decoder, which yields each batch as its
+//! runs ([`WalTailer::poll_runs`], what recovery replays); the shipper's
+//! [`WalTailer::poll`] expands them into keys with
+//! [`WalRuns::expand`](crate::wal::WalRuns::expand). The batches are the
+//! same either way; only the shape a reader gets them in differs.
+//!
 //! Damage is handled once, so shipping and recovery cannot disagree: a
 //! bad frame in a segment that is no longer the newest ends that
 //! segment's contribution (the framing beyond it is untrusted) and the
@@ -32,7 +38,7 @@ use std::path::{Path, PathBuf};
 use cots_core::Result;
 
 use crate::codec::{decode_record, encode_record, read_u64_le, RecordError};
-use crate::wal::{list_segments, parse_record_payload, WalBatch, WAL_MAGIC};
+use crate::wal::{list_segments, parse_record_payload, WalBatch, WalRuns, WAL_MAGIC};
 
 /// File name of the persisted replication ack watermark.
 pub const ACK_FILE: &str = "repl-ack";
@@ -134,12 +140,20 @@ impl WalTailer {
 
     /// Read every complete, committed batch currently available, up to
     /// roughly `max_keys` keys (at least one batch is returned when any
-    /// is available). An empty vec means "caught up, poll again later".
+    /// is available), each expanded into its keys. An empty vec means
+    /// "caught up, poll again later".
     pub fn poll(&mut self, max_keys: usize) -> Result<Vec<WalBatch>> {
+        let runs = self.poll_runs(max_keys)?;
+        Ok(runs.into_iter().map(WalRuns::expand).collect())
+    }
+
+    /// [`poll`](WalTailer::poll), every batch left as the runs it was
+    /// logged as.
+    pub fn poll_runs(&mut self, max_keys: usize) -> Result<Vec<WalRuns>> {
         self.refresh()?;
-        let mut out: Vec<WalBatch> = Vec::new();
+        let mut out: Vec<WalRuns> = Vec::new();
         let mut out_keys = 0usize;
-        let mut parsed: Vec<WalBatch> = Vec::new();
+        let mut parsed: Vec<WalRuns> = Vec::new();
         let n = self.segments.len();
         for i in 0..n {
             if out_keys >= max_keys && !out.is_empty() {
@@ -210,9 +224,10 @@ impl WalTailer {
                                 let fresh = batch.seq >= self.from_seq
                                     && self.last_seq.is_none_or(|l| batch.seq > l);
                                 if fresh {
+                                    let keys = batch.keys();
                                     self.last_seq = Some(batch.seq);
-                                    self.stats.keys += batch.keys.len() as u64;
-                                    out_keys += batch.keys.len();
+                                    self.stats.keys += keys as u64;
+                                    out_keys += keys;
                                     out.push(batch);
                                 }
                             }

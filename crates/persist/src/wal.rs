@@ -49,10 +49,15 @@
 //! segment at the next sequence number — they never append to a
 //! possibly-torn file.
 //!
-//! Reading the log back — at recovery ([`scan_wal`]) and while it is
-//! still being written (the replication shipper) — is one loop, in
-//! [`crate::tail`]. Either way a weighted record is expanded back into
-//! its keys, so every reader sees the same [`WalBatch`]es.
+//! Reading the log back — at recovery ([`scan_wal`], `scan_wal_runs`)
+//! and while it is still being written (the replication shipper) — is
+//! one loop, in [`crate::tail`], over one record decoder that yields every
+//! batch as its `(key, weight)` runs ([`WalRuns`]): a weighted record's
+//! runs as stored, a legacy or unweighted record's keys as runs of
+//! weight 1. Recovery hands those runs to the serving stack as they are;
+//! readers that want keys — the shipper, [`scan_wal`], the public
+//! [`recover`](crate::recover()) — expand them with [`WalRuns::expand`],
+//! the one place runs become keys again.
 //!
 //! AUDIT: total — the record parsers decode arbitrary disk bytes;
 //! enforced by `cargo xtask audit` (lint-totality).
@@ -143,6 +148,38 @@ pub struct WalBatch {
     /// The keys of the batch, in logged order, which the serving path
     /// sorts.
     pub keys: Vec<u64>,
+}
+
+/// One logged batch as its runs: what the record decoder yields.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalRuns {
+    /// Batch sequence number (monotone across the whole log).
+    pub seq: u64,
+    /// `(key, weight)` runs in logged order, every weight at least 1. A
+    /// weighted record's runs as stored; a legacy or unweighted record's
+    /// keys as runs of weight 1.
+    pub runs: Vec<(u64, u32)>,
+}
+
+impl WalRuns {
+    /// Keys the batch holds: the sum of its weights.
+    pub fn keys(&self) -> usize {
+        self.runs.iter().map(|&(_, weight)| weight as usize).sum()
+    }
+
+    /// The batch key for key, in logged order: each run repeated by its
+    /// weight. The decoder has bounded the sum of the weights by
+    /// [`MAX_RECORD_KEYS`] per record before this allocates.
+    pub fn expand(self) -> WalBatch {
+        let mut keys = Vec::with_capacity(self.keys());
+        for (key, weight) in self.runs {
+            keys.resize(keys.len() + weight as usize, key);
+        }
+        WalBatch {
+            seq: self.seq,
+            keys,
+        }
+    }
 }
 
 /// What one [`WalWriter::commit`] wrote.
@@ -392,11 +429,13 @@ pub fn parse_segment_name(path: &Path) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Everything a scan of the log directory recovered.
+/// Everything a scan of the log directory recovered: batches as keys
+/// ([`WalBatch`], from [`scan_wal`]) or as runs ([`WalRuns`], what
+/// [`recover_runs`](crate::recover_runs) scans).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WalScan {
+pub struct WalScan<B = WalBatch> {
     /// Recovered batches with `seq >= from_seq`, in sequence order.
-    pub batches: Vec<WalBatch>,
+    pub batches: Vec<B>,
     /// Segments visited.
     pub segments: u64,
     /// Valid records seen (including ones below `from_seq`).
@@ -424,7 +463,24 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
-/// Scan every WAL segment in `dir` and recover the valid prefix of each.
+/// Scan every WAL segment in `dir` and recover the valid prefix of each,
+/// every batch expanded into its keys: `scan_wal_runs`, then
+/// [`WalRuns::expand`].
+pub fn scan_wal(dir: &Path, from_seq: u64) -> Result<WalScan> {
+    let scan = scan_wal_runs(dir, from_seq)?;
+    Ok(WalScan {
+        batches: scan.batches.into_iter().map(WalRuns::expand).collect(),
+        segments: scan.segments,
+        records: scan.records,
+        bytes_scanned: scan.bytes_scanned,
+        torn_frames: scan.torn_frames,
+        dropped_bytes: scan.dropped_bytes,
+        max_seq: scan.max_seq,
+    })
+}
+
+/// Scan every WAL segment in `dir` and recover the valid prefix of each,
+/// every batch as the runs it was logged as.
 ///
 /// This is a [`WalTailer`] driven to the end of a log nobody is writing:
 /// one poll reads everything committed, and [`WalTailer::seal`] books
@@ -438,9 +494,9 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 /// dropped bytes. Batches with `seq < from_seq` are already covered by
 /// the checkpoint and are skipped; duplicate or regressing sequence
 /// numbers are skipped too so a scan can never double-apply a batch.
-pub fn scan_wal(dir: &Path, from_seq: u64) -> Result<WalScan> {
+pub(crate) fn scan_wal_runs(dir: &Path, from_seq: u64) -> Result<WalScan<WalRuns>> {
     let mut tailer = WalTailer::new(dir, from_seq);
-    let batches = tailer.poll(usize::MAX)?;
+    let batches = tailer.poll_runs(usize::MAX)?;
     tailer.seal();
     let stats = tailer.stats;
     Ok(WalScan {
@@ -475,66 +531,50 @@ fn push_weighted_batch(seq: u64, keys: &[u64], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode one batch at byte offset `off`; returns the batch and the
-/// offset just past it. `None` on any layout violation.
-fn parse_one_batch(payload: &[u8], off: usize) -> Option<(WalBatch, usize)> {
-    let seq = read_u64_le(payload, off)?;
-    let nkeys = read_u32_le(payload, off.checked_add(8)?)? as usize;
-    let start = off.checked_add(12)?;
-    let end = start.checked_add(nkeys.checked_mul(8)?)?;
-    let keys: Vec<u64> = payload
-        .get(start..end)?
-        .chunks_exact(8)
-        .filter_map(|c| read_u64_le(c, 0))
-        .collect();
-    Some((WalBatch { seq, keys }, end))
-}
-
-/// Decode one weighted batch at byte offset `off`, expanding its runs
-/// into keys; returns the batch and the offset just past it. `budget` is
-/// how many keys the record may still expand to: the weights are summed
-/// and checked against it before anything is allocated. `None` on any
-/// layout violation, a weight of 0, or a sum past the budget.
-fn parse_weighted_batch(
+/// Decode one batch at byte offset `off` as its runs; returns the batch
+/// and the offset just past it. A weighted batch holds `[key][weight]`
+/// items, any other `[key]` items of weight 1. `budget` is how many keys
+/// the record may still hold: the weights are summed and checked against
+/// it before anything is allocated. `None` on any layout violation, a
+/// weight of 0, or a sum past the budget.
+fn parse_batch(
     payload: &[u8],
     off: usize,
+    weighted: bool,
     budget: &mut usize,
-) -> Option<(WalBatch, usize)> {
+) -> Option<(WalRuns, usize)> {
+    let width = if weighted { 12 } else { 8 };
+    let weight = |item: &[u8]| if weighted { read_u32_le(item, 8) } else { Some(1) };
     let seq = read_u64_le(payload, off)?;
-    let nruns = read_u32_le(payload, off.checked_add(8)?)? as usize;
+    let nitems = read_u32_le(payload, off.checked_add(8)?)? as usize;
     let start = off.checked_add(12)?;
-    let end = start.checked_add(nruns.checked_mul(12)?)?;
-    let runs = payload.get(start..end)?;
+    let end = start.checked_add(nitems.checked_mul(width)?)?;
+    let items = payload.get(start..end)?.chunks_exact(width);
     let mut nkeys = 0usize;
-    for run in runs.chunks_exact(12) {
-        let weight = read_u32_le(run, 8)? as usize;
-        if weight == 0 {
+    for item in items.clone() {
+        let w = weight(item)? as usize;
+        if w == 0 {
             return None;
         }
-        nkeys = nkeys.checked_add(weight).filter(|&n| n <= *budget)?;
+        nkeys = nkeys.checked_add(w).filter(|&n| n <= *budget)?;
     }
     *budget -= nkeys;
-    let mut keys = Vec::with_capacity(nkeys);
-    for run in runs.chunks_exact(12) {
-        let key = read_u64_le(run, 0)?;
-        let weight = read_u32_le(run, 8)? as usize;
-        keys.resize(keys.len() + weight, key);
+    // `nitems` items fit in the payload, which bounds the allocation.
+    let mut runs = Vec::with_capacity(nitems);
+    for item in items {
+        runs.push((read_u64_le(item, 0)?, weight(item)?));
     }
-    Some((WalBatch { seq, keys }, end))
+    Some((WalRuns { seq, runs }, end))
 }
 
-/// Decode the `[nbatches][batch]*` body of a run record with `one`,
-/// which decodes a batch at an offset. `None` unless every batch decodes
-/// and they end exactly at the payload's end.
-fn parse_run(
-    payload: &[u8],
-    mut one: impl FnMut(&[u8], usize) -> Option<(WalBatch, usize)>,
-) -> Option<Vec<WalBatch>> {
+/// Decode the `[nbatches][batch]*` body of a run record. `None` unless
+/// every batch decodes and they end exactly at the payload's end.
+fn parse_run(payload: &[u8], weighted: bool, budget: &mut usize) -> Option<Vec<WalRuns>> {
     let nbatches = read_u32_le(payload, 8)?;
     let mut off = RUN_HEADER;
     let mut run = Vec::new();
     for _ in 0..nbatches {
-        let (batch, next) = one(payload, off)?;
+        let (batch, next) = parse_batch(payload, off, weighted, budget)?;
         run.push(batch);
         off = next;
     }
@@ -542,19 +582,20 @@ fn parse_run(
 }
 
 /// Decode one CRC-valid record payload — a legacy single-batch record,
-/// an unweighted or a weighted run record — appending its batches to
-/// `out` in order. Returns `false` (and appends nothing) on a malformed
-/// payload: a record decodes all-or-nothing, mirroring its
+/// an unweighted or a weighted run record — appending its batches, as
+/// runs, to `out` in order. No record holds more than
+/// [`MAX_RECORD_KEYS`] keys. Returns `false` (and appends nothing) on a
+/// malformed payload: a record decodes all-or-nothing, mirroring its
 /// all-or-nothing CRC.
-pub(crate) fn parse_record_payload(payload: &[u8], out: &mut Vec<WalBatch>) -> bool {
+pub(crate) fn parse_record_payload(payload: &[u8], out: &mut Vec<WalRuns>) -> bool {
     let magic = payload.get(..RUN_MAGIC.len());
+    let mut budget = MAX_RECORD_KEYS;
     let batches = if magic == Some(RUN_MAGIC.as_slice()) {
-        parse_run(payload, parse_one_batch)
+        parse_run(payload, false, &mut budget)
     } else if magic == Some(WEIGHTED_RUN_MAGIC.as_slice()) {
-        let mut budget = MAX_RECORD_KEYS;
-        parse_run(payload, |p, off| parse_weighted_batch(p, off, &mut budget))
+        parse_run(payload, true, &mut budget)
     } else {
-        match parse_one_batch(payload, 0) {
+        match parse_batch(payload, 0, false, &mut budget) {
             Some((batch, end)) if end == payload.len() => Some(vec![batch]),
             _ => None,
         }
@@ -937,10 +978,12 @@ mod tests {
         assert_eq!(
             out,
             [
-                WalBatch { seq: 5, keys: vec![50, 50, 50, 51] },
-                WalBatch { seq: 6, keys: vec![60, 60] },
+                WalRuns { seq: 5, runs: vec![(50, 3), (51, 1)] },
+                WalRuns { seq: 6, runs: vec![(60, 2)] },
             ]
         );
+        let keys: Vec<Vec<u64>> = out.iter().cloned().map(|b| b.expand().keys).collect();
+        assert_eq!(keys, [vec![50, 50, 50, 51], vec![60, 60]]);
         for cut in 0..good.len() {
             out.clear();
             assert!(!parse_record_payload(&good[..cut], &mut out), "truncation at {cut} accepted");

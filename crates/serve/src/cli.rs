@@ -30,6 +30,7 @@ use cots_persist::FsyncPolicy;
 use crate::persistence::PersistOptions;
 use crate::server::{IoConfig, Server};
 use crate::service::ServiceConfig;
+use crate::shard::MAX_SHARDS;
 
 /// Everything the shared flags configure.
 #[derive(Debug, Clone)]
@@ -140,6 +141,12 @@ impl Cli {
         }
         if config.shards == 0 || config.capacity == 0 || config.queue_batches == 0 {
             return Err("--shards, --capacity and --queue-batches must be positive".into());
+        }
+        if config.shards > MAX_SHARDS {
+            return Err(format!(
+                "--shards {} is more than {MAX_SHARDS}: each shard is a worker thread",
+                config.shards
+            ));
         }
         if io.reactor_threads == 0 {
             return Err("--reactor-threads must be positive".into());
@@ -303,5 +310,20 @@ mod tests {
         let (args, _) = parse(&serve, &[]).unwrap();
         assert_eq!(args.addr, "127.0.0.1:4040");
         assert!(args.config.persist.is_none());
+    }
+
+    /// Parsing only: nothing here spawns a shard.
+    #[test]
+    fn shard_count_is_bounded() {
+        let serve = Cli::new("cots-serve", &[]);
+        let most = MAX_SHARDS.to_string();
+        assert_eq!(
+            parse(&serve, &["--shards", &most]).unwrap().0.config.shards,
+            MAX_SHARDS
+        );
+        let over = (MAX_SHARDS + 1).to_string();
+        let err = parse(&serve, &["--shards", &over]).unwrap_err();
+        assert!(err.contains(&most), "{err}");
+        assert!(parse(&serve, &["--shards", "18446744073709551615"]).is_err());
     }
 }

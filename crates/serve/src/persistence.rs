@@ -166,6 +166,40 @@ impl Persistence {
         run: &[B],
         summaries: &Partitioned,
     ) -> bool {
+        self.log_then(first, run, || {
+            for batch in run {
+                summaries.apply(batch.as_ref());
+            }
+        })
+    }
+
+    /// [`log_and_apply`](Persistence::log_and_apply) for a durable shard
+    /// worker's drained group: every batch is sorted and owned by
+    /// `shard`, so it is counted from its runs as it is, with no copy and
+    /// no second sort.
+    pub(crate) fn log_and_apply_sorted(
+        &self,
+        shard: usize,
+        run: &[Vec<u64>],
+        summaries: &Partitioned,
+    ) {
+        self.log_then(None, run, || {
+            for batch in run {
+                summaries.apply_sorted(shard, batch);
+            }
+        });
+    }
+
+    /// Log `run` at `first` (see [`log_and_apply`]), then call `apply`,
+    /// both inside one shared gate section.
+    ///
+    /// [`log_and_apply`]: Persistence::log_and_apply
+    fn log_then<B: AsRef<[u64]>>(
+        &self,
+        first: Option<u64>,
+        run: &[B],
+        apply: impl FnOnce(),
+    ) -> bool {
         let _group = self.gate.read();
         {
             // LOCK-OK: gate (shared) → wal is the one order workers take
@@ -191,9 +225,7 @@ impl Persistence {
             self.tally_commit(wal.commit());
             self.next_seq.store(next + run.len() as u64, Ordering::Release);
         }
-        for batch in run {
-            summaries.apply(batch.as_ref());
-        }
+        apply();
         true
     }
 

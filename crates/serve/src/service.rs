@@ -22,9 +22,10 @@
 //! *before* any listener opens: the newest valid checkpoint **seeds** the
 //! per-shard summaries, each shard taking its own keys under the
 //! checkpoint's admission floor ([`Partitioned::seed`]), and the WAL tail
-//! replays on top through [`Partitioned::apply`], so post-recovery answers
-//! are the summaries' own — the same `count ≥ true ≥ count − error`
-//! envelope, no merge with a frozen base on the way out. A standby's
+//! replays on top from the runs it was logged as, one thread per shard
+//! ([`Partitioned::replay`]), so post-recovery answers are the summaries'
+//! own — the same `count ≥ true ≥ count − error` envelope, no merge with
+//! a frozen base on the way out. A standby's
 //! catch-up snapshot seeds its empty summaries the same way, and from then
 //! on [`Persistence::log_and_apply`] is the only way in.
 //!
@@ -60,7 +61,7 @@ pub const PUBLISH_BUDGET_PER_ENTRY: u64 = 16;
 /// Service deployment knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Shard worker threads.
+    /// Shard worker threads, 1 to [`MAX_SHARDS`](crate::shard::MAX_SHARDS).
     pub shards: usize,
     /// Counter budget of the summary (`m`).
     pub capacity: usize,
@@ -137,7 +138,8 @@ impl Service {
 
         let summaries = Arc::new(Partitioned::new(config.shards, config.capacity)?);
         if let Some(opts) = &config.persist {
-            let rec = cots_persist::recover(&opts.data_dir)?;
+            let started = Instant::now();
+            let mut rec = cots_persist::recover_runs(&opts.data_dir)?;
             if let Some(ckpt) = &rec.base {
                 let snap = ckpt.snapshot();
                 summaries.seed(&persistence::fit_summary(
@@ -148,9 +150,8 @@ impl Service {
                 publisher.resume_from(ckpt.epoch);
                 base_watermark = ckpt.watermark;
             }
-            for batch in &rec.batches {
-                summaries.apply(&batch.keys);
-            }
+            summaries.replay(&rec.batches)?;
+            rec.report.elapsed_secs = started.elapsed().as_secs_f64();
             #[cfg(feature = "invariants")]
             summaries.check_invariants();
             persistence = Some(Arc::new(Persistence::new(
@@ -856,6 +857,96 @@ mod tests {
         drop(sender);
         service.drain();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard count past `MAX_SHARDS` is refused before any summary is
+    /// allocated or any thread spawned.
+    #[test]
+    fn too_many_shards_are_refused_before_anything_starts() {
+        use crate::shard::MAX_SHARDS;
+        let start = |shards| {
+            Service::start(ServiceConfig {
+                shards,
+                capacity: 8,
+                ..Default::default()
+            })
+        };
+        let err = start(MAX_SHARDS + 1).err().expect("refused");
+        assert!(err.to_string().contains(&MAX_SHARDS.to_string()), "{err}");
+        assert!(start(0).is_err());
+    }
+
+    /// A data directory written at 2 shards restarts at 1 and at 4: each
+    /// 2-shard batch in the WAL tail is split across the new owners (or
+    /// merged into one), and the recovered summary keeps the exact total
+    /// and the envelope against exact truth.
+    #[test]
+    fn restart_at_a_different_shard_count_keeps_the_envelope() {
+        use cots_core::merge::absent_bound;
+        use cots_datagen::{ExactCounter, StreamSpec};
+
+        const CAPACITY: usize = 64;
+        let stream = StreamSpec::zipf(60_000, 5_000, 1.1, 7).generate();
+        let truth = ExactCounter::from_stream(&stream);
+        // Written the way two durable shard workers write it: each batch
+        // owned by one of 2 shards and sorted, a checkpoint partway, and
+        // no final checkpoint, so the restart replays a WAL tail.
+        let write_dir = |tag: &str| {
+            let dir = temp_data_dir(tag);
+            let mut opts = PersistOptions::new(dir.clone());
+            opts.checkpoint_every = Duration::ZERO;
+            let p = Persistence::new(&opts, 0, CAPACITY).unwrap();
+            let summaries = Partitioned::new(2, CAPACITY).unwrap();
+            for (i, frame) in stream.chunks(1_000).enumerate() {
+                for shard in 0..2 {
+                    let mut batch: Vec<u64> = frame
+                        .iter()
+                        .copied()
+                        .filter(|&k| ShardSender::shard_of(k, 2) == shard)
+                        .collect();
+                    batch.sort_unstable();
+                    p.log_and_apply_sorted(shard, &[batch], &summaries);
+                }
+                if i == 20 {
+                    p.checkpoint(&summaries, &SnapshotPublisher::new()).unwrap();
+                }
+            }
+            dir
+        };
+        for shards in [1, 4] {
+            let dir = write_dir("reshard");
+            let service = Service::start(ServiceConfig {
+                shards,
+                capacity: CAPACITY,
+                persist: Some(PersistOptions::new(dir.clone())),
+                ..Default::default()
+            })
+            .unwrap();
+            let rec = service.recovery_report().unwrap().clone();
+            assert!(rec.checkpoint_watermark.is_some() && rec.replayed_batches > 0, "{rec:?}");
+            assert_eq!(rec.recovered_items, stream.len() as u64);
+            let (snap, _) = service.published();
+            assert_eq!(snap.total(), stream.len() as u64, "at {shards} shards");
+            assert_eq!(service.summaries.processed(), stream.len() as u64);
+            for e in snap.entries() {
+                let t = truth.count(&e.item);
+                assert!(
+                    e.count - e.error <= t && t <= e.count,
+                    "at {shards} shards, key {}: truth {t} outside [{}, {}]",
+                    e.item,
+                    e.count - e.error,
+                    e.count
+                );
+            }
+            let absent = absent_bound(&snap.snapshot, CAPACITY);
+            for &key in &stream {
+                if snap.get(&key).is_none() {
+                    assert!(truth.count(&key) <= absent, "at {shards} shards, omitted key {key}");
+                }
+            }
+            service.drain();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Wait until the publisher has observed everything the summaries

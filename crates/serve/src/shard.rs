@@ -20,14 +20,22 @@
 //! After each batch a worker asks the [`Refresher`] whether ingest has
 //! moved a key budget past the last capture, and if so publishes inline.
 //!
-//! A batch is counted by its runs ([`Partitioned::apply`]): the worker
-//! sorts a copy of it before taking the summary lock, and under the lock
-//! applies each distinct key once, weighted by its run length. A skewed
-//! batch holds few distinct keys (about 179 of 2 048 at Zipf 1.5), so
-//! the lock is held for a fraction of the per-key work; a batch of
-//! distinct keys pays the sort for nothing. Every way into the summaries
-//! — the worker, the WAL's log-then-apply, replay and the standby
-//! stream — goes through that one path.
+//! A batch is counted by its runs: sorted before the summary lock is
+//! taken, then under the lock each distinct key is applied once, weighted
+//! by its run length. A skewed batch holds few distinct keys (about 179
+//! of 2 048 at Zipf 1.5), so the lock is held for a fraction of the
+//! per-key work; a batch of distinct keys pays the sort for nothing.
+//! Every way into the summaries ends in that one loop (`count_runs`),
+//! fed three ways:
+//!
+//! * [`Partitioned::apply`] — the volatile worker and the standby stream:
+//!   a copy of the batch, split by owner when it is mixed, sorted;
+//! * `Partitioned::apply_sorted` — the durable worker, which sorted its
+//!   owned batch before logging it: counted as it is, no copy, no sort;
+//! * [`Partitioned::replay`] — WAL recovery: the logged runs, split by
+//!   owner, sorted and merged per batch, on one thread per shard (at most
+//!   one per CPU). Each shard sees exactly the `process_weighted` sequence
+//!   `apply` would have given it on the expanded keys.
 //!
 //! Workers run [`WORKER_NICE`] nice levels behind the reactors (Linux
 //! only): with more busy threads than cores, a reactor holding a query or
@@ -54,6 +62,7 @@ use parking_lot::Mutex;
 use cots::{CotsEngine, SnapshotPublisher};
 use cots_core::merge::{absent_bound, merge_disjoint};
 use cots_core::{CotsError, FrequencyCounter, MulHash, QueryableSummary, Snapshot, SummaryConfig};
+use cots_persist::WalRuns;
 use cots_profiling::ShardTally;
 use cots_sequential::SpaceSaving;
 
@@ -63,6 +72,11 @@ use crate::spsc::{ring, Consumer, Pop, Producer};
 /// Batches a worker drains from its rings before logging/applying them
 /// as one group (one WAL commit, one gate section).
 pub(crate) const DRAIN_BURST: usize = 32;
+
+/// Most shards a service runs. Each shard is a worker thread (and a
+/// replay thread at recovery), so the count is bounded before anything
+/// is allocated or spawned.
+pub const MAX_SHARDS: usize = 1024;
 
 /// Nice levels a shard worker lowers its own priority by when it starts,
 /// so the reactors answering queries and writing acks win the CPU over
@@ -122,11 +136,14 @@ struct ShardSummary {
 }
 
 impl Partitioned {
-    /// `shards` empty summaries of `capacity` counters each.
+    /// `shards` empty summaries of `capacity` counters each; `shards` is
+    /// at least 1 and at most [`MAX_SHARDS`].
     pub fn new(shards: usize, capacity: usize) -> cots_core::Result<Self> {
         let config = SummaryConfig::with_capacity(capacity)?;
-        if shards == 0 {
-            return Err(CotsError::InvalidConfig("at least one shard".into()));
+        if shards == 0 || shards > MAX_SHARDS {
+            return Err(CotsError::InvalidConfig(format!(
+                "{shards} shards: between 1 and {MAX_SHARDS}"
+            )));
         }
         Ok(Self {
             shards: (0..shards)
@@ -142,10 +159,10 @@ impl Partitioned {
     }
 
     /// Apply a batch, routing each key to its owner by
-    /// [`ShardSender::shard_of`]. A shard worker's batch is all its own
-    /// shard's keys and takes that one lock; a mixed batch (WAL replay,
-    /// the standby stream) is split first. Each part is counted by its
-    /// runs (`apply_owned`).
+    /// [`ShardSender::shard_of`]. A volatile worker's batch is all its own
+    /// shard's keys and takes that one lock; a mixed batch (the standby
+    /// stream) is split first. Each part is copied, sorted and counted by
+    /// its runs.
     pub fn apply(&self, keys: &[u64]) {
         let n = self.shards.len();
         let Some(&first) = keys.first() else {
@@ -167,20 +184,94 @@ impl Partitioned {
         }
     }
 
-    /// Apply `keys`, which all belong to `shard`, one run of equal keys at
-    /// a time: the batch is sorted before the lock is taken, and under it
-    /// each distinct key costs one `process_weighted(key, run length)` —
-    /// the paper's §5 bulk increment. Weighted Space Saving keeps the
-    /// envelope and `Σ counts == N`.
+    /// Sort `keys`, which all belong to `shard`, and count them by their
+    /// runs.
     fn apply_owned(&self, shard: usize, mut keys: Vec<u64>) {
         keys.sort_unstable();
+        self.apply_sorted(shard, &keys);
+    }
+
+    /// Count `keys` — sorted, and all owned by `shard` — by their runs of
+    /// equal keys, straight from the slice: the durable worker sorts its
+    /// batch before logging it, and this counts it without a copy or a
+    /// second sort.
+    pub(crate) fn apply_sorted(&self, shard: usize, keys: &[u64]) {
+        debug_assert!(keys.is_sorted(), "apply_sorted takes sorted keys");
+        debug_assert!(
+            keys.iter().all(|&k| ShardSender::shard_of(k, self.shards.len()) == shard),
+            "apply_sorted takes keys shard {shard} owns"
+        );
+        let runs = keys.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64));
+        self.count_runs(shard, runs);
+    }
+
+    /// Replay recovered WAL batches, in WAL order, from the runs they were
+    /// logged as. `min(shards, available_parallelism)` threads each own a
+    /// fixed set of shards (`t`, `t + threads`, …) and apply every batch's
+    /// part for them; the threads have joined when this returns. Each
+    /// shard receives the `process_weighted` sequence that
+    /// [`apply`](Partitioned::apply) on the batch's expanded keys would
+    /// give it, so the summaries come out bit-identical.
+    pub fn replay(&self, batches: &[WalRuns]) -> cots_core::Result<()> {
+        let n = self.shards.len();
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get().min(n));
+        std::thread::scope(|scope| {
+            for t in 1..threads {
+                std::thread::Builder::new()
+                    .name(format!("cots-replay-{t}"))
+                    .spawn_scoped(scope, move || self.replay_shards(batches, t, threads))
+                    .map_err(|e| CotsError::Report(format!("spawn replay thread: {e}")))?;
+            }
+            self.replay_shards(batches, 0, threads);
+            Ok(())
+        })
+    }
+
+    /// Replay thread `t` of `threads`: for every batch in order, the runs
+    /// of each shard it owns, hashed once each, sorted by key with equal
+    /// keys merged — the distinct keys and counts an expand, sort and
+    /// run-length pass would give, unsorted and mixed-owner batches
+    /// included.
+    fn replay_shards(&self, batches: &[WalRuns], t: usize, threads: usize) {
+        let n = self.shards.len();
+        let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
+        for batch in batches {
+            for &(key, weight) in &batch.runs {
+                let shard = ShardSender::shard_of(key, n);
+                if shard % threads == t {
+                    parts[shard].push((key, u64::from(weight)));
+                }
+            }
+            for shard in (t..n).step_by(threads) {
+                let part = &mut parts[shard];
+                if part.is_empty() {
+                    continue;
+                }
+                part.sort_unstable_by_key(|&(key, _)| key);
+                part.dedup_by(|next, kept| {
+                    let same = next.0 == kept.0;
+                    if same {
+                        kept.1 += next.1;
+                    }
+                    same
+                });
+                self.count_runs(shard, part.drain(..));
+            }
+        }
+    }
+
+    /// The one loop into a shard's summary: under its lock, one
+    /// `process_weighted(key, weight)` per run — the paper's §5 bulk
+    /// increment. `runs` yields ascending, distinct keys. Weighted Space
+    /// Saving keeps the envelope and `Σ counts == N`.
+    fn count_runs(&self, shard: usize, runs: impl Iterator<Item = (u64, u64)>) {
         let s = &self.shards[shard];
         let mut summary = s.summary.lock();
-        let mut rest = keys.as_slice();
-        while let Some(&key) = rest.first() {
-            let run = rest.iter().position(|&k| k != key).unwrap_or(rest.len());
-            summary.process_weighted(key, run as u64);
-            rest = &rest[run..];
+        let mut last = None;
+        for (key, weight) in runs {
+            debug_assert!(last < Some(key), "runs ascend by distinct key");
+            last = Some(key);
+            summary.process_weighted(key, weight);
         }
         // Stored under the lock: a capture that sees these keys in the
         // summary also sees them counted, so `processed()` read after a
@@ -549,12 +640,12 @@ impl ShardPool {
                     // cannot be refused.
                     Some(p) => {
                         // Sorted outside both locks: the WAL then logs
-                        // each batch as its runs of equal keys, and
-                        // `apply`'s own sort is one linear pass.
+                        // each batch as its runs of equal keys, and the
+                        // apply counts those runs without sorting again.
                         for batch in &mut burst {
                             batch.sort_unstable();
                         }
-                        p.log_and_apply(None, &burst, summaries);
+                        p.log_and_apply_sorted(shard, &burst, summaries);
                         applied(true);
                     }
                     // Per batch: a burst can hold more keys than the
