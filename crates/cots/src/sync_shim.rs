@@ -15,12 +15,12 @@
 //! See `docs/correctness.md` for what the models cover and why.
 
 #[cfg(loom)]
-pub use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+pub use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 #[cfg(loom)]
 pub use loom::thread;
 
 #[cfg(not(loom))]
-pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+pub use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
 pub use std::thread;
 

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use cots::node::TOMB;
-use cots::sync_shim::{model, thread, AtomicBool, AtomicU64, Ordering};
+use cots::sync_shim::{fence, model, thread, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 // =====================================================================
 // Model 1: the element-level `pending` protocol — delegation (Algorithm
@@ -517,5 +517,133 @@ fn parked_drain_needs_no_helper() {
             assert_eq!(b.queued.load(Ordering::Acquire), 0);
             assert!(!b.owner.load(Ordering::Acquire));
         }
+    });
+}
+
+// =====================================================================
+// Model 4: waiting for ring room — the serving stack's backpressure. A
+// producer whose SPSC ring is full announces `want_room`, fences and
+// looks at the ring once more; the consumer pops, fences, reads the
+// announcement and wakes the producer once `WAKE_ROOM` slots are free.
+// Mirrors `cots_serve::spsc::{Producer::wait_for_room,
+// Consumer::room_wanted}` as the reactor's `ShardSender::send` and the
+// shard worker's `Feed::pop` use them, orderings as they are there. The
+// ring is restated as its two counters; a parked producer waits for
+// nothing but the wake.
+// =====================================================================
+
+/// A ring reduced to its positions, the announcement, and a wake count.
+#[derive(Default)]
+struct ModelRing {
+    head: AtomicUsize,
+    tail: AtomicUsize,
+    want_room: AtomicBool,
+    wakes: AtomicUsize,
+}
+
+const RING_CAP: usize = 4;
+/// Below the capacity, so a pop can find the announcement too early.
+const RING_WAKE_ROOM: usize = 2;
+
+impl ModelRing {
+    /// `Producer::free`, from the producer's side.
+    fn free(&self) -> usize {
+        RING_CAP - (self.tail.load(Ordering::Relaxed) - self.head.load(Ordering::Acquire))
+    }
+
+    /// `Producer::wait_for_room`: `true` when the last look found room.
+    fn wait_for_room(&self) -> bool {
+        self.want_room.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        self.free() > 0
+    }
+
+    /// `Consumer::pop` followed by `Consumer::room_wanted` and the wake.
+    fn pop(&self) -> bool {
+        let head = self.head.load(Ordering::Relaxed);
+        if head == self.tail.load(Ordering::Acquire) {
+            return false;
+        }
+        self.head.store(head + 1, Ordering::Release);
+        fence(Ordering::SeqCst);
+        if self.want_room.load(Ordering::Relaxed) {
+            let free = RING_CAP - (self.tail.load(Ordering::Acquire) - (head + 1));
+            if free >= RING_WAKE_ROOM && self.want_room.swap(false, Ordering::Acquire) {
+                self.wakes.fetch_add(1, Ordering::AcqRel);
+            }
+        }
+        true
+    }
+}
+
+/// The ring starts full; the producer pushes what it can of two more
+/// items, and parks (stops) the first time its last look finds the ring
+/// full. The consumer drains until the producer has stopped and the ring
+/// is empty. Checked invariants:
+///
+/// * **a parked producer is woken** — its last announcement was cleared
+///   by a wake, so it is never left parked once the ring has room;
+/// * no more wakes than announcements (one that found room itself may
+///   still get one, stale);
+/// * every item pushed is popped exactly once.
+#[test]
+fn waiting_producer_is_woken_once_room_returns() {
+    model(|| {
+        let ring = Arc::new(ModelRing::default());
+        ring.tail.store(RING_CAP, Ordering::Release);
+        let stopped = Arc::new(AtomicBool::new(false));
+
+        let producer = {
+            let ring = ring.clone();
+            let stopped = stopped.clone();
+            thread::spawn(move || {
+                let (mut pushed, mut announced) = (0, 0);
+                let mut parked = false;
+                while pushed < 2 {
+                    if ring.free() > 0 {
+                        ring.tail.fetch_add(1, Ordering::Release);
+                        pushed += 1;
+                        continue;
+                    }
+                    announced += 1;
+                    if !ring.wait_for_room() {
+                        parked = true;
+                        break;
+                    }
+                }
+                stopped.store(true, Ordering::Release);
+                (pushed, announced, parked)
+            })
+        };
+        let consumer = {
+            let ring = ring.clone();
+            let stopped = stopped.clone();
+            thread::spawn(move || {
+                let mut popped = 0;
+                loop {
+                    if ring.pop() {
+                        popped += 1;
+                    } else if stopped.load(Ordering::Acquire)
+                        && ring.head.load(Ordering::Acquire) == ring.tail.load(Ordering::Acquire)
+                    {
+                        return popped;
+                    } else {
+                        thread::yield_now();
+                    }
+                }
+            })
+        };
+        let (pushed, announced, parked) = producer.join().unwrap();
+        let popped = consumer.join().unwrap();
+
+        assert_eq!(popped, RING_CAP + pushed, "items lost or duplicated");
+        if parked {
+            assert!(
+                !ring.want_room.load(Ordering::Acquire),
+                "a parked producer was left parked with room"
+            );
+        }
+        let wakes = ring.wakes.load(Ordering::Acquire);
+        assert!(wakes <= announced, "{wakes} wakes for {announced} announcements");
     });
 }

@@ -9,6 +9,11 @@
 //! of a quiescent directory and then [`WalTailer::seal`]s it, which is
 //! what turns that unfinished tail into a torn one.
 //!
+//! Each segment's bytes are read once: a cursor keeps what it read but
+//! has not decoded yet (the rest of a poll cut short at `max_keys`, or an
+//! unfinished frame), and the next poll reads only what was appended
+//! after it. [`TailStats::bytes_read`] counts those reads.
+//!
 //! Both read through one record decoder, which yields each batch as its
 //! runs ([`WalTailer::poll_runs`], what recovery replays); the shipper's
 //! [`WalTailer::poll`] expands them into keys with
@@ -65,6 +70,10 @@ pub struct TailStats {
     /// Bytes accounted for so far: decoded frames, segment magics and
     /// abandoned regions. Equals the log's size once sealed.
     pub bytes_scanned: u64,
+    /// Bytes read from segment files. Each byte is read once however many
+    /// polls it takes to decode, so after a catch-up this is the size of
+    /// the segments read.
+    pub bytes_read: u64,
     /// Highest sequence number in any valid record (including ones
     /// below the start sequence).
     pub max_seq: Option<u64>,
@@ -77,6 +86,9 @@ struct SegCursor {
     path: PathBuf,
     /// Next byte offset to decode from.
     offset: u64,
+    /// The file's bytes from `offset` on that were read but not decoded
+    /// yet; the next read starts after them.
+    pending: Vec<u8>,
     /// No more frames will ever be taken from this segment.
     done: bool,
 }
@@ -129,6 +141,7 @@ impl WalTailer {
                     first_seq,
                     path,
                     offset: 0,
+                    pending: Vec::new(),
                     done: false,
                 });
             }
@@ -153,7 +166,6 @@ impl WalTailer {
         self.refresh()?;
         let mut out: Vec<WalRuns> = Vec::new();
         let mut out_keys = 0usize;
-        let mut parsed: Vec<WalRuns> = Vec::new();
         let n = self.segments.len();
         for i in 0..n {
             if out_keys >= max_keys && !out.is_empty() {
@@ -161,108 +173,123 @@ impl WalTailer {
             }
             // PANIC-OK: `i < n == self.segments.len()` and nothing in the
             // loop changes the vec's length.
-            if self.segments[i].done {
+            let c = &mut self.segments[i];
+            if c.done {
                 continue;
             }
-            let is_last = i + 1 == n;
-            let (path, offset) = {
-                // PANIC-OK: same in-bounds `i` as above.
-                let c = &self.segments[i];
-                (c.path.clone(), c.offset)
-            };
-            let bytes = match read_from(&path, offset) {
-                Ok(b) => b,
+            // The cursor's unread bytes, then whatever was appended since.
+            let mut bytes = std::mem::take(&mut c.pending);
+            match read_from(&c.path, c.offset + bytes.len() as u64, &mut bytes) {
+                Ok(read) => self.stats.bytes_read += read as u64,
                 // The file can vanish between listing and reading
                 // (pruned); treat as done, a refresh will drop it.
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    // PANIC-OK: same in-bounds `i` as above.
-                    self.segments[i].done = true;
+                    c.done = true;
                     continue;
                 }
                 // Anything else (permissions, a failing disk) must not
                 // pass for an empty segment: recovery would silently
                 // under-count and the shipper would skip live data.
                 Err(e) => return Err(e.into()),
-            };
-            let mut off = 0usize;
-            // The magic prefix is consumed once per segment.
-            if offset == 0 {
-                if bytes.len() < WAL_MAGIC.len() {
-                    if !is_last {
-                        // A newer segment exists: this stub will never
-                        // grow into a valid segment.
-                        self.finish_segment(i, bytes.len() as u64);
-                    }
-                    continue;
-                }
-                // PANIC-OK: the branch above returned unless
-                // `bytes.len() >= WAL_MAGIC.len()`.
-                if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC.as_slice() {
-                    self.finish_segment(i, bytes.len() as u64);
-                    continue;
-                }
-                off = WAL_MAGIC.len();
-                self.stats.bytes_scanned += off as u64;
-                // PANIC-OK: same in-bounds `i` as above.
-                self.segments[i].offset = off as u64;
             }
-            while off < bytes.len() {
-                if out_keys >= max_keys && !out.is_empty() {
-                    break;
-                }
-                match decode_record(bytes.get(off..).unwrap_or(&[])) {
-                    Ok((payload, consumed)) => {
-                        off += consumed;
-                        self.stats.bytes_scanned += consumed as u64;
-                        // PANIC-OK: same in-bounds `i` as above.
-                        self.segments[i].offset = offset + off as u64;
-                        parsed.clear();
-                        if parse_record_payload(payload, &mut parsed) {
-                            for batch in parsed.drain(..) {
-                                self.stats.records += 1;
-                                self.stats.max_seq = self.stats.max_seq.max(Some(batch.seq));
-                                let fresh = batch.seq >= self.from_seq
-                                    && self.last_seq.is_none_or(|l| batch.seq > l);
-                                if fresh {
-                                    let keys = batch.keys();
-                                    self.last_seq = Some(batch.seq);
-                                    self.stats.keys += keys as u64;
-                                    out_keys += keys;
-                                    out.push(batch);
-                                }
-                            }
-                        } else {
-                            // CRC-valid frame, malformed payload:
-                            // framing is trustworthy, skip just it.
-                            self.stats.torn_frames += 1;
-                            self.stats.dropped_bytes += consumed as u64;
-                        }
-                    }
-                    Err(RecordError::Incomplete) if is_last => {
-                        // Mid-write tail of the active segment: the
-                        // writer will finish it; re-decode next poll.
-                        break;
-                    }
-                    Err(_) => {
-                        // Permanent damage (or a rotation left a torn
-                        // tail behind): recovery would stop here too.
-                        self.finish_segment(i, (bytes.len() - off) as u64);
-                        break;
-                    }
-                }
-            }
-            // A sealed (non-newest) segment read cleanly to EOF will
-            // never grow again: retire its cursor.
+            let is_last = i + 1 == n;
+            let used = self.decode_segment(i, is_last, &bytes, max_keys, &mut out, &mut out_keys);
             // PANIC-OK: same in-bounds `i` as above.
-            if !is_last
-                && !self.segments[i].done
-                && self.segments[i].offset == offset + bytes.len() as u64
-            {
-                self.segments[i].done = true;
+            let c = &mut self.segments[i];
+            c.offset += used as u64;
+            if c.done {
+                continue;
+            }
+            if !is_last && used == bytes.len() {
+                // A sealed (non-newest) segment read cleanly to EOF will
+                // never grow again: retire its cursor.
+                c.done = true;
                 self.stats.segments_done += 1;
+            } else {
+                bytes.drain(..used);
+                c.pending = bytes;
             }
         }
         Ok(out)
+    }
+
+    /// Decode segment `i`'s unread `bytes` (the file from its cursor on)
+    /// into `out` until it holds `max_keys` keys (`out_keys`) and at
+    /// least one batch. Returns how many bytes were consumed; damage marks
+    /// the segment done.
+    fn decode_segment(
+        &mut self,
+        i: usize,
+        is_last: bool,
+        bytes: &[u8],
+        max_keys: usize,
+        out: &mut Vec<WalRuns>,
+        out_keys: &mut usize,
+    ) -> usize {
+        let mut off = 0usize;
+        // The magic prefix is consumed once per segment.
+        // PANIC-OK: callers pass an `i` bounded by the poll loop.
+        if self.segments[i].offset == 0 {
+            if bytes.len() < WAL_MAGIC.len() {
+                if !is_last {
+                    // A newer segment exists: this stub will never grow
+                    // into a valid segment.
+                    self.finish_segment(i, bytes.len() as u64);
+                }
+                return 0;
+            }
+            if bytes.get(..WAL_MAGIC.len()) != Some(WAL_MAGIC.as_slice()) {
+                self.finish_segment(i, bytes.len() as u64);
+                return 0;
+            }
+            off = WAL_MAGIC.len();
+            self.stats.bytes_scanned += off as u64;
+        }
+        let mut parsed: Vec<WalRuns> = Vec::new();
+        while off < bytes.len() {
+            if *out_keys >= max_keys && !out.is_empty() {
+                break;
+            }
+            match decode_record(bytes.get(off..).unwrap_or(&[])) {
+                Ok((payload, consumed)) => {
+                    off += consumed;
+                    self.stats.bytes_scanned += consumed as u64;
+                    parsed.clear();
+                    if parse_record_payload(payload, &mut parsed) {
+                        for batch in parsed.drain(..) {
+                            self.stats.records += 1;
+                            self.stats.max_seq = self.stats.max_seq.max(Some(batch.seq));
+                            let fresh = batch.seq >= self.from_seq
+                                && self.last_seq.is_none_or(|l| batch.seq > l);
+                            if fresh {
+                                let keys = batch.keys();
+                                self.last_seq = Some(batch.seq);
+                                self.stats.keys += keys as u64;
+                                *out_keys += keys;
+                                out.push(batch);
+                            }
+                        }
+                    } else {
+                        // CRC-valid frame, malformed payload: framing is
+                        // trustworthy, skip just it.
+                        self.stats.torn_frames += 1;
+                        self.stats.dropped_bytes += consumed as u64;
+                    }
+                }
+                Err(RecordError::Incomplete) if is_last => {
+                    // Mid-write tail of the active segment: the writer
+                    // will finish it; decode it next poll.
+                    break;
+                }
+                Err(_) => {
+                    // Permanent damage (or a rotation left a torn tail
+                    // behind): recovery would stop here too.
+                    self.finish_segment(i, (bytes.len() - off) as u64);
+                    break;
+                }
+            }
+        }
+        off
     }
 
     /// Declare the log quiescent: nobody will finish what the newest
@@ -298,13 +325,11 @@ impl WalTailer {
     }
 }
 
-/// Read `path` from byte `offset` to EOF.
-fn read_from(path: &Path, offset: u64) -> std::io::Result<Vec<u8>> {
+/// Append `path`'s bytes from `offset` to EOF to `buf`; returns how many.
+fn read_from(path: &Path, offset: u64, buf: &mut Vec<u8>) -> std::io::Result<usize> {
     let mut f = File::open(path)?;
     f.seek(SeekFrom::Start(offset))?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    Ok(buf)
+    f.read_to_end(buf)
 }
 
 /// The first sequence number still available in the log under `dir`:
@@ -466,6 +491,48 @@ mod tests {
             tailed.extend(got);
         }
         assert_eq!(tailed, scan.batches);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A catch-up in polls far smaller than a segment reads every
+    /// segment byte once, and yields what one big poll would.
+    #[test]
+    fn many_poll_catch_up_reads_each_segment_once() {
+        let dir = temp_dir("once");
+        let mut w = WalWriter::open(&dir, 0, FsyncPolicy::Off, 4096).unwrap();
+        for seq in 0..400u64 {
+            let keys: Vec<u64> = (0..(seq % 13 + 1)).map(|k| k * 977 + seq).collect();
+            w.append(seq, &keys);
+            if seq % 4 == 3 {
+                w.commit().unwrap();
+            }
+        }
+        w.commit().unwrap();
+        drop(w);
+        let size: u64 = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| parse_segment_name(p).is_some())
+            .map(|p| fs::metadata(p).unwrap().len())
+            .sum();
+        let mut one = WalTailer::new(&dir, 0);
+        let whole = one.poll(usize::MAX).unwrap();
+        let mut t = WalTailer::new(&dir, 0);
+        let mut tailed = Vec::new();
+        let mut polls = 0;
+        loop {
+            let got = t.poll(5).unwrap();
+            if got.is_empty() {
+                break;
+            }
+            polls += 1;
+            tailed.extend(got);
+        }
+        assert!(t.stats.segments_done >= 2, "spans several segments");
+        assert!(polls > 100, "{polls} polls");
+        assert_eq!(tailed, whole);
+        assert_eq!(t.stats.bytes_read, size, "each byte read once over {polls} polls");
+        assert_eq!(one.stats.bytes_read, size);
         fs::remove_dir_all(&dir).unwrap();
     }
 

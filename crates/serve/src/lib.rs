@@ -33,9 +33,11 @@
 //!   threads.
 //! * **Sharded ingest** ([`spsc`], [`shard`]): per-(producer, shard)
 //!   bounded SPSC rings feed workers, each counting its own
-//!   hash-partitioned keys in a private Space Saving summary; full rings
-//!   answer `OVERLOADED` (backpressure) instead of buffering
-//!   unboundedly, and shutdown drains every ring. Each reactor *thread*
+//!   hash-partitioned keys in a private Space Saving summary; a full
+//!   ring parks the connection that found it full (backpressure by not
+//!   reading) instead of buffering unboundedly, a frame held past
+//!   [`reactor::conn::HOLD`] is answered `OVERLOADED`, and shutdown
+//!   drains every ring. Each reactor *thread*
 //!   is one producer (R×shards rings).
 //! * **Live queries** ([`service`], `cots::publish`): captures merge the
 //!   worker summaries into a consistent [`cots_core::Snapshot`] behind an

@@ -34,6 +34,16 @@
 //! not a single producer connection — all of this reactor's
 //! connections enqueue from this thread.
 //!
+//! Backpressure: when a shard ring is full, the connection whose
+//! `INGEST` found it full parks ([`conn::Drive::Parked`]) and joins the
+//! reactor's FIFO of parked connections; the reactor keeps serving every
+//! other connection. The sender waits on the full rings, and a shard
+//! worker that makes room writes one byte down the same wakeup channel.
+//! A pass of the loop that finds that byte resumes the parked connections
+//! oldest first, before it serves other events; one still parked after
+//! [`conn::HOLD`] answers `OVERLOADED`, which the loop's wait timeout
+//! ([`WAIT_MS`]) keeps on time.
+//!
 //! Shutdown: the service flag flips, the reactor notices at its next
 //! wakeup (immediate when the acceptor joins the pool — it taps every
 //! wakeup channel first), drops every connection and its `ShardSender`
@@ -46,6 +56,8 @@
 pub mod conn;
 pub mod sys;
 
+#[cfg(unix)]
+use std::collections::VecDeque;
 use std::io;
 use std::net::TcpStream;
 #[cfg(unix)]
@@ -54,6 +66,8 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+#[cfg(unix)]
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -112,19 +126,20 @@ impl ReactorPool {
             inboxes.push(inbox.clone());
             let service = service.clone();
             #[cfg(unix)]
-            let wake_rx = {
+            let (wake_rx, room_tx) = {
                 let (rx, tx) = UnixStream::pair()?;
                 rx.set_nonblocking(true)?;
                 tx.set_nonblocking(true)?;
+                let room_tx = tx.try_clone()?;
                 wakers.push(tx);
-                rx
+                (rx, room_tx)
             };
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("cots-reactor-{r}"))
                     .spawn(move || {
                         #[cfg(unix)]
-                        run_reactor(poller, inbox, wake_rx, service);
+                        run_reactor(poller, inbox, wake_rx, room_tx, service);
                         #[cfg(not(unix))]
                         run_reactor(poller, inbox, service);
                     })
@@ -184,128 +199,186 @@ impl ReactorPool {
     }
 }
 
-/// One reactor thread: adopt, wait, drive, repeat until shutdown.
+/// One reactor thread: adopt, wait, resume the parked, drive, repeat
+/// until shutdown. `room` is the write end of `wake`, handed to the shard
+/// workers to call when a ring this reactor waits on has room.
 #[cfg(unix)]
-fn run_reactor(mut poller: Poller, inbox: Arc<Inbox>, wake: UnixStream, service: Arc<Service>) {
-    let mut sender: ShardSender = service.connect();
+fn run_reactor(
+    mut poller: Poller,
+    inbox: Arc<Inbox>,
+    wake: UnixStream,
+    room: UnixStream,
+    service: Arc<Service>,
+) {
+    use std::io::Write;
+    // WouldBlock means wakeup bytes are already pending: the reactor
+    // wakes anyway.
+    let sender = service.connect_woken(Arc::new(move || {
+        let _ = (&room).write(&[1]);
+    }));
     // The wakeup channel keeps dispatch latency off the wait timeout.
-    // If registration fails the reactor still works — adoption just
-    // degrades to WAIT_MS-bounded latency.
+    // If registration fails the reactor still works — adoption and
+    // resumes just degrade to WAIT_MS-bounded latency.
     let _ = poller.register_read(wake.as_raw_fd(), WAKE_TOKEN);
-    // Token-indexed slab: `None` slots are free and recorded in `free`.
-    let mut slab: Vec<Option<Connection>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
+    let mut r = Reactor {
+        poller,
+        service,
+        sender,
+        slab: Vec::new(),
+        free: Vec::new(),
+        again: Vec::new(),
+        parked: VecDeque::new(),
+    };
     let mut events: Vec<Event> = Vec::new();
-    // Connections whose read budget ran out mid-drive; edge-triggered
-    // polling will not re-report them, so we re-drive explicitly.
-    let mut again: Vec<usize> = Vec::new();
 
     loop {
         // Adopt newly accepted streams (lock held only for the take).
         let adopted = std::mem::take(&mut *inbox.streams.lock());
         for stream in adopted {
-            if stream.set_nonblocking(true).is_err() {
-                continue; // dropped: the peer sees a closed connection
-            }
-            let _ = stream.set_nodelay(true);
-            let token = match free.pop() {
-                Some(t) => t,
-                None => {
-                    slab.push(None);
-                    slab.len() - 1
-                }
-            };
-            let fd = stream.as_raw_fd();
-            if poller.register(fd, token).is_err() {
-                free.push(token);
-                continue; // dropped likewise
-            }
-            if let Some(slot) = slab.get_mut(token) {
-                *slot = Some(Connection::new(stream));
-            }
+            r.adopt(stream);
         }
 
-        if service.shutdown_requested() {
+        if r.service.shutdown_requested() {
             break;
         }
 
         events.clear();
         // Pending re-drives must not wait behind the poll timeout.
-        let timeout = if again.is_empty() { WAIT_MS } else { 0 };
-        if poller.wait(&mut events, timeout).is_err() {
+        let timeout = if r.again.is_empty() { WAIT_MS } else { 0 };
+        if r.poller.wait(&mut events, timeout).is_err() {
             break; // poller broken beyond EINTR: drop all connections
         }
 
-        for token in std::mem::take(&mut again) {
-            drive(
-                &mut poller, &mut slab, &mut free, token, true, false, &service, &mut sender,
-                &mut again,
-            );
+        let now = Instant::now();
+        // Drained before anything parks in this pass, so a worker's wake
+        // for a park announced below stays in the channel for the next.
+        let woken = events.iter().any(|ev| ev.token == WAKE_TOKEN);
+        if woken {
+            drain_wake(&wake);
+        }
+        // A wake means some ring has room: every parked connection is
+        // retried, oldest first. Without one only a hold that ran out is
+        // (to answer it); the rest go back in order.
+        for _ in 0..r.parked.len() {
+            if let Some(token) = r.parked.pop_front() {
+                if woken || r.hold_expired(token, now) {
+                    r.drive(token, Step::Resume, now);
+                } else {
+                    r.parked.push_back(token);
+                }
+            }
+        }
+        for token in std::mem::take(&mut r.again) {
+            r.drive(token, Step::Read, now);
         }
         for ev in &events {
             if ev.token == WAKE_TOKEN {
-                drain_wake(&wake);
                 continue;
             }
-            drive(
-                &mut poller,
-                &mut slab,
-                &mut free,
-                ev.token,
-                ev.readable || ev.hangup,
-                ev.writable,
-                &service,
-                &mut sender,
-                &mut again,
-            );
+            let step = if ev.readable || ev.hangup {
+                Step::Read
+            } else if ev.writable {
+                Step::Write
+            } else {
+                continue;
+            };
+            r.drive(ev.token, step, now);
         }
     }
 
     // Teardown: deregister and drop every connection, then the sender
     // (closing this thread's rings lets the shard workers drain).
-    for slot in slab.iter_mut() {
+    for slot in r.slab.iter_mut() {
         if let Some(c) = slot.take() {
-            poller.deregister(c.stream().as_raw_fd());
+            r.poller.deregister(c.stream().as_raw_fd());
         }
     }
-    drop(sender);
 }
 
-/// Drive one connection for one readiness report and retire it if done.
+/// What one reactor thread owns.
 #[cfg(unix)]
-#[allow(clippy::too_many_arguments)] // internal plumbing, not API
-fn drive(
-    poller: &mut Poller,
-    slab: &mut [Option<Connection>],
-    free: &mut Vec<usize>,
-    token: usize,
-    readable: bool,
-    writable: bool,
-    service: &Service,
-    sender: &mut ShardSender,
-    again: &mut Vec<usize>,
-) {
-    let Some(slot) = slab.get_mut(token) else {
-        return;
-    };
-    let Some(c) = slot.as_mut() else {
-        return; // already closed earlier in this batch
-    };
-    let outcome = if readable {
-        c.drive_readable(service, sender)
-    } else if writable {
-        c.drive_writable()
-    } else {
-        Drive::Continue
-    };
-    match outcome {
-        Drive::Continue => {}
-        Drive::Again => again.push(token),
-        Drive::Close => {
-            if let Some(c) = slot.take() {
-                poller.deregister(c.stream().as_raw_fd());
+struct Reactor {
+    poller: Poller,
+    service: Arc<Service>,
+    /// The one sender all of this thread's connections enqueue through.
+    sender: ShardSender,
+    /// Token-indexed slab: `None` slots are free and recorded in `free`.
+    slab: Vec<Option<Connection>>,
+    free: Vec<usize>,
+    /// Connections whose read budget ran out mid-drive; edge-triggered
+    /// polling will not re-report them, so we re-drive explicitly.
+    again: Vec<usize>,
+    /// Parked connections, oldest first, each once.
+    parked: VecDeque<usize>,
+}
+
+/// Why a connection is driven.
+#[cfg(unix)]
+#[derive(Clone, Copy)]
+enum Step {
+    Read,
+    Write,
+    /// Retry a parked connection's held frame.
+    Resume,
+}
+
+#[cfg(unix)]
+impl Reactor {
+    /// Register an accepted stream and give it a slab slot; a stream that
+    /// cannot be set up is dropped (the peer sees a closed connection).
+    fn adopt(&mut self, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        let _ = stream.set_nodelay(true);
+        let token = match self.free.pop() {
+            Some(t) => t,
+            None => {
+                self.slab.push(None);
+                self.slab.len() - 1
             }
-            free.push(token);
+        };
+        if self.poller.register(stream.as_raw_fd(), token).is_err() {
+            self.free.push(token);
+            return;
+        }
+        if let Some(slot) = self.slab.get_mut(token) {
+            *slot = Some(Connection::new(stream));
+        }
+    }
+
+    /// Whether the connection at `token` holds a frame past its hold.
+    fn hold_expired(&self, token: usize, now: Instant) -> bool {
+        self.slab
+            .get(token)
+            .and_then(Option::as_ref)
+            .is_some_and(|c| c.hold_expired(now))
+    }
+
+    /// Drive one connection one step and file it by the outcome: re-drive
+    /// soon, parked, or retired.
+    fn drive(&mut self, token: usize, step: Step, now: Instant) {
+        let Some(c) = self.slab.get_mut(token).and_then(Option::as_mut) else {
+            return; // already closed earlier in this batch
+        };
+        let outcome = match step {
+            Step::Read => c.drive_readable(&self.service, &mut self.sender, now),
+            Step::Write => c.drive_writable(),
+            Step::Resume => c.resume(&self.service, &mut self.sender, now),
+        };
+        match outcome {
+            Drive::Continue => {}
+            Drive::Again => self.again.push(token),
+            Drive::Parked => self.parked.push_back(token),
+            Drive::Close => {
+                if let Some(c) = self.slab.get_mut(token).and_then(Option::take) {
+                    if c.is_parked() {
+                        self.parked.retain(|&t| t != token);
+                    }
+                    self.poller.deregister(c.stream().as_raw_fd());
+                }
+                self.free.push(token);
+            }
         }
     }
 }

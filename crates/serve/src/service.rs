@@ -47,7 +47,7 @@ use crate::persistence::{self, PersistOptions, Persistence};
 use crate::protocol::{self, QueryStamp, ReplFrame, Request, Response};
 use crate::replica::{Admission, Offer, Replica};
 use crate::session::{self, ConnState, Endpoint};
-use crate::shard::{Partitioned, Refresher, SendOutcome, ShardPool, ShardSender};
+use crate::shard::{Partitioned, Refresher, RoomWaker, SendOutcome, ShardPool, ShardSender};
 
 /// Feature flags a member instance advertises in `HELLO_ACK`.
 const MEMBER_FEATURES: &[&str] = &["snapshot-page", "bin"];
@@ -304,9 +304,23 @@ impl Service {
         Ok((cut.watermark, cut.summary))
     }
 
-    /// Register a new connection with the shard pool.
+    /// Register a new in-process sender with the shard pool: it gets
+    /// [`Response::Overloaded`] for a batch the rings have no room for and
+    /// retries on its own.
     pub fn connect(&self) -> ShardSender {
-        self.pool.connect()
+        self.pool.connect(None)
+    }
+
+    /// Register a reactor's sender with the shard pool: `room` is called
+    /// when a ring the sender waits on has room again.
+    pub(crate) fn connect_woken(&self, room: RoomWaker) -> ShardSender {
+        self.pool.connect(Some(room))
+    }
+
+    /// Count an INGEST answered `OVERLOADED`: a reactor's frame held past
+    /// its hold, or an in-process one refused at once.
+    pub(crate) fn rejected(&self) {
+        self.tally.reject();
     }
 
     /// Whether graceful shutdown has been requested.
@@ -327,7 +341,12 @@ impl Service {
     /// handshake: the same path a socket takes through
     /// [`session::serve_request`], minus the `HELLO` gate.
     pub fn handle(&self, request: Request, sender: &mut ShardSender) -> Response {
-        session::serve_request(self, &mut ConnState::pre_greeted(), request, sender).response
+        let response =
+            session::serve_request(self, &mut ConnState::pre_greeted(), request, sender).response;
+        if matches!(response, Response::Overloaded) {
+            self.rejected();
+        }
+        response
     }
 }
 
@@ -371,10 +390,9 @@ impl Endpoint for Service {
                             enqueued: keys.len() as u64,
                         }
                     }
-                    SendOutcome::Overloaded => {
-                        self.tally.reject();
-                        Response::Overloaded
-                    }
+                    // Not counted here: a reactor holds the frame and
+                    // answers it only if the hold runs out.
+                    SendOutcome::Overloaded => Response::Overloaded,
                 }
             }
             Request::Query(q) => {

@@ -196,16 +196,28 @@ pub fn serve_request<E: Endpoint>(
 
 /// Serve one raw frame payload: decode (JSON always; BIN1 only on a
 /// connection that negotiated it), run [`serve_request`], and encode the
-/// response in kind, falling back to a JSON error when the encoding
-/// would not fit one frame. Returns the payload to write and whether the
-/// connection must close after it.
+/// response in kind (see [`encode_reply`]). Returns the payload to write
+/// and whether the connection must close after it.
 pub fn serve_frame<E: Endpoint>(
     endpoint: &E,
     conn: &mut ConnState,
     payload: &Payload,
     link: &mut E::Link,
 ) -> (Payload, bool) {
-    let (reply, bin) = match payload {
+    let (reply, bin) = serve_payload(endpoint, conn, payload, link);
+    encode_reply(reply, bin)
+}
+
+/// [`serve_frame`] before the encode: the reply, and whether the request
+/// came as BIN1. A front-end that may hold a frame instead of answering it
+/// looks at the reply here.
+pub fn serve_payload<E: Endpoint>(
+    endpoint: &E,
+    conn: &mut ConnState,
+    payload: &Payload,
+    link: &mut E::Link,
+) -> (Reply, bool) {
+    match payload {
         Payload::Json(text) => match decode::<Request>(text) {
             Ok(request) => (serve_request(endpoint, conn, request, link), false),
             Err(e) => (Reply::error(e.to_string()), false),
@@ -222,7 +234,14 @@ pub fn serve_frame<E: Endpoint>(
             Ok(request) => (serve_request(endpoint, conn, request, link), true),
             Err(e) => (Reply::error(e.to_string()), false),
         },
-    };
+    }
+}
+
+/// Encode `reply` in kind — BIN1 when `bin` and the response has a binary
+/// form, JSON otherwise — falling back to a JSON error when the encoding
+/// would not fit one frame. Returns the payload to write and whether the
+/// connection must close after it.
+pub fn encode_reply(reply: Reply, bin: bool) -> (Payload, bool) {
     let binary = if bin {
         crate::bin1::encode_response(&reply.response)
     } else {

@@ -28,10 +28,11 @@
 //! Every way into the summaries ends in that one loop (`count_runs`),
 //! fed three ways:
 //!
-//! * [`Partitioned::apply`] — the volatile worker and the standby stream:
-//!   a copy of the batch, split by owner when it is mixed, sorted;
-//! * `Partitioned::apply_sorted` — the durable worker, which sorted its
-//!   owned batch before logging it: counted as it is, no copy, no sort;
+//! * [`Partitioned::apply`] — the standby stream: a copy of the batch,
+//!   split by owner when it is mixed, sorted;
+//! * `Partitioned::apply_sorted` — the shard workers, which sort the batch
+//!   they own in place (the durable one before logging it): counted as it
+//!   is, no copy, no second hash;
 //! * [`Partitioned::replay`] — WAL recovery: the logged runs, split by
 //!   owner, sorted and merged per batch, on one thread per shard (at most
 //!   one per CPU). Each shard sees exactly the `process_weighted` sequence
@@ -48,6 +49,15 @@
 //! both fences `SeqCst`, at least one of them sees the other's store, so
 //! either the worker finds the batch or the producer unparks it.
 //! Shutdown and a closing sender wake every worker the same way.
+//!
+//! The rings are bounded, and a full one is waited on rather than grown:
+//! a sender that finds a ring full announces it on that ring
+//! ([`Producer::wait_for_room`]) and reports [`SendOutcome::Overloaded`];
+//! the worker, after every pop, asks whether a wait is owed a wake
+//! ([`Consumer::room_wanted`]) and calls the sender's [`RoomWaker`] — for a
+//! reactor, one byte down its wakeup channel. The volatile worker pops one
+//! batch per apply, so room comes back a slot at a time; the durable one
+//! drains up to [`DRAIN_BURST`] batches into one WAL commit.
 //!
 //! AUDIT: locks — the registry and summary mutexes are held for in-memory
 //! work only and must stay I/O-free; enforced by `cargo xtask audit`
@@ -68,6 +78,10 @@ use cots_sequential::SpaceSaving;
 
 use crate::persistence::Persistence;
 use crate::spsc::{ring, Consumer, Pop, Producer};
+
+/// What a worker calls when a ring whose sender waits for room has room
+/// again (see [`ShardPool::connect`]).
+pub type RoomWaker = Arc<dyn Fn() + Send + Sync>;
 
 /// Batches a worker drains from its rings before logging/applying them
 /// as one group (one WAL commit, one gate section).
@@ -159,10 +173,10 @@ impl Partitioned {
     }
 
     /// Apply a batch, routing each key to its owner by
-    /// [`ShardSender::shard_of`]. A volatile worker's batch is all its own
-    /// shard's keys and takes that one lock; a mixed batch (the standby
-    /// stream) is split first. Each part is copied, sorted and counted by
-    /// its runs.
+    /// [`ShardSender::shard_of`]. A batch a primary's worker logged with
+    /// the same shard count is all one shard's keys and takes that one
+    /// lock; a mixed batch is split first. Each part is copied, sorted and
+    /// counted by its runs.
     pub fn apply(&self, keys: &[u64]) {
         let n = self.shards.len();
         let Some(&first) = keys.first() else {
@@ -461,6 +475,26 @@ impl Refresher {
 /// One batch in flight between a connection and a shard worker.
 type Batch = Vec<u64>;
 
+/// A worker's end of one sender's ring, with that sender's waker.
+struct Feed {
+    rx: Consumer<Batch>,
+    room: Option<RoomWaker>,
+}
+
+impl Feed {
+    /// Pop one batch, and wake the sender if it waits for the room this
+    /// pop made.
+    fn pop(&mut self) -> Pop<Batch> {
+        let popped = self.rx.pop();
+        if matches!(popped, Pop::Item(_)) && self.rx.room_wanted() {
+            if let Some(wake) = &self.room {
+                wake();
+            }
+        }
+        popped
+    }
+}
+
 /// How one shard worker waits: it parks, and whoever gives it work
 /// unparks it.
 #[derive(Default)]
@@ -490,7 +524,7 @@ impl Waker {
 /// The shard fan-in: ring registries, per-shard tallies, shutdown flag.
 pub struct ShardPool {
     /// Per-shard inbox of newly connected rings, adopted by the worker.
-    registries: Vec<Mutex<Vec<Consumer<Batch>>>>,
+    registries: Vec<Mutex<Vec<Feed>>>,
     /// Per-shard park/wake handshake.
     wakers: Vec<Waker>,
     /// Per-shard work counters.
@@ -502,9 +536,10 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// A pool of `shards` shards whose rings hold `queue_batches` batches.
+    /// A pool of `shards` shards whose rings hold `queue_batches` batches;
+    /// `shards` is at least 1 and at most [`MAX_SHARDS`].
     pub fn new(shards: usize, queue_batches: usize) -> Arc<Self> {
-        assert!(shards > 0, "at least one shard");
+        assert!((1..=MAX_SHARDS).contains(&shards), "1 to {MAX_SHARDS} shards");
         Arc::new(Self {
             registries: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             wakers: (0..shards).map(|_| Waker::default()).collect(),
@@ -524,18 +559,24 @@ impl ShardPool {
         self.tallies.iter().map(|t| t.keys_applied()).sum()
     }
 
-    /// Create the sender for a new connection: one fresh ring per shard,
-    /// consumers handed to the workers.
-    pub fn connect(self: &Arc<Self>) -> ShardSender {
+    /// Create a sender: one fresh ring per shard, consumers handed to the
+    /// workers. A worker calls `room` when one of these rings the sender
+    /// waits on has room again; a sender without one retries on its own.
+    pub fn connect(self: &Arc<Self>, room: Option<RoomWaker>) -> ShardSender {
         let mut producers = Vec::with_capacity(self.shards());
         for registry in &self.registries {
             let (tx, rx) = ring::<Batch>(self.queue_batches);
-            registry.lock().push(rx);
+            registry.lock().push(Feed {
+                rx,
+                room: room.clone(),
+            });
             producers.push(tx);
         }
         ShardSender {
             producers,
-            scratch: vec![Vec::new(); self.shards()],
+            owners: Vec::new(),
+            counts: vec![0; self.shards()],
+            batches: vec![Vec::new(); self.shards()],
             pool: self.clone(),
         }
     }
@@ -584,8 +625,9 @@ impl ShardPool {
             .collect()
     }
 
-    /// The worker loop for one shard: drain up to [`DRAIN_BURST`] batches
-    /// across this shard's rings, then log-and-apply them as one group.
+    /// The worker loop for one shard: a pass over this shard's rings
+    /// (see [`apply_each`](Self::apply_each) and
+    /// [`log_burst`](Self::log_burst)), and a park when none had work.
     fn worker(
         &self,
         shard: usize,
@@ -593,14 +635,13 @@ impl ShardPool {
         persist: Option<Arc<Persistence>>,
         refresher: &Refresher,
     ) {
-        let tally = &self.tallies[shard];
         let waker = &self.wakers[shard];
         waker
             .thread
             .set(std::thread::current())
             .expect("one worker per shard");
         crate::reactor::sys::lower_thread_priority(WORKER_NICE);
-        let mut rings: Vec<Consumer<Batch>> = Vec::new();
+        let mut rings: Vec<Feed> = Vec::new();
         let mut burst: Vec<Batch> = Vec::with_capacity(DRAIN_BURST);
         loop {
             // Adopt rings registered since the last pass.
@@ -608,59 +649,11 @@ impl ShardPool {
                 let mut inbox = self.registries[shard].lock();
                 rings.append(&mut inbox);
             }
-            rings.retain_mut(|rx| {
-                tally.observe_depth(rx.len() as u64);
-                loop {
-                    if burst.len() >= DRAIN_BURST {
-                        return true; // leftovers wait for the next pass
-                    }
-                    match rx.pop() {
-                        Pop::Item(batch) => burst.push(batch),
-                        Pop::Empty => return true,
-                        Pop::Closed => return false,
-                    }
-                }
-            });
-            if !burst.is_empty() {
-                // After every apply: publish if a budget of keys has built
-                // up, then give way if more work waits. On a host with
-                // fewer cores than busy threads, a worker counting through
-                // a whole burst holds a CPU for a scheduler slice while a
-                // reactor with a query waits behind it. After the last
-                // apply of a pass with every ring empty the worker parks
-                // next, which gives way anyway.
-                let applied = |last: bool| {
-                    refresher.progressed();
-                    if !last || rings.iter().any(|rx| !rx.is_empty()) {
-                        std::thread::yield_now();
-                    }
-                };
-                match &persist {
-                    // `None`: workers allocate the next sequences, which
-                    // cannot be refused.
-                    Some(p) => {
-                        // Sorted outside both locks: the WAL then logs
-                        // each batch as its runs of equal keys, and the
-                        // apply counts those runs without sorting again.
-                        for batch in &mut burst {
-                            batch.sort_unstable();
-                        }
-                        p.log_and_apply_sorted(shard, &burst, summaries);
-                        applied(true);
-                    }
-                    // Per batch: a burst can hold more keys than the
-                    // publish budget.
-                    None => {
-                        let last = burst.len() - 1;
-                        for (i, batch) in burst.iter().enumerate() {
-                            summaries.apply(batch);
-                            applied(i == last);
-                        }
-                    }
-                }
-                for batch in burst.drain(..) {
-                    tally.batch(batch.len() as u64);
-                }
+            let worked = match &persist {
+                Some(p) => self.log_burst(shard, &mut rings, &mut burst, p, summaries, refresher),
+                None => self.apply_each(shard, &mut rings, summaries, refresher),
+            };
+            if worked {
                 continue;
             }
             if self.is_shutting_down() && rings.is_empty() && self.registries[shard].lock().is_empty()
@@ -673,7 +666,7 @@ impl ShardPool {
             waker.parked.store(true, Ordering::Release);
             fence(Ordering::SeqCst);
             if self.quiet(shard, &rings) {
-                tally.idle_park();
+                self.tallies[shard].idle_park();
                 std::thread::park();
             }
             // Relaxed: clearing the flag publishes nothing; a push that
@@ -682,20 +675,114 @@ impl ShardPool {
         }
     }
 
+    /// The volatile pass: one batch from each ring in turn, sorted in
+    /// place and counted as soon as it is popped, so a full ring frees a
+    /// slot per apply rather than a burst of them at once. Whether any
+    /// ring had a batch.
+    fn apply_each(
+        &self,
+        shard: usize,
+        rings: &mut Vec<Feed>,
+        summaries: &Partitioned,
+        refresher: &Refresher,
+    ) -> bool {
+        let tally = &self.tallies[shard];
+        let mut worked = false;
+        let mut i = 0;
+        while let Some(feed) = rings.get_mut(i) {
+            tally.observe_depth(feed.rx.len() as u64);
+            match feed.pop() {
+                Pop::Item(mut batch) => {
+                    batch.sort_unstable();
+                    summaries.apply_sorted(shard, &batch);
+                    tally.batch(batch.len() as u64);
+                    applied(refresher, rings);
+                    worked = true;
+                    i += 1;
+                }
+                Pop::Empty => i += 1,
+                Pop::Closed => {
+                    rings.remove(i);
+                }
+            }
+        }
+        worked
+    }
+
+    /// The durable pass: drain up to [`DRAIN_BURST`] batches across the
+    /// rings, sort each, and log-and-apply them as one group (one WAL
+    /// commit, one gate section). Whether any ring had a batch.
+    fn log_burst(
+        &self,
+        shard: usize,
+        rings: &mut Vec<Feed>,
+        burst: &mut Vec<Batch>,
+        persist: &Persistence,
+        summaries: &Partitioned,
+        refresher: &Refresher,
+    ) -> bool {
+        let tally = &self.tallies[shard];
+        rings.retain_mut(|feed| {
+            tally.observe_depth(feed.rx.len() as u64);
+            while burst.len() < DRAIN_BURST {
+                match feed.pop() {
+                    Pop::Item(batch) => burst.push(batch),
+                    Pop::Empty => return true,
+                    Pop::Closed => return false,
+                }
+            }
+            true // leftovers wait for the next pass
+        });
+        if burst.is_empty() {
+            return false;
+        }
+        // Sorted outside both locks: the WAL then logs each batch as its
+        // runs of equal keys, and the apply counts those runs without
+        // sorting again. Workers allocate the next sequences, which cannot
+        // be refused.
+        for batch in burst.iter_mut() {
+            batch.sort_unstable();
+        }
+        persist.log_and_apply_sorted(shard, burst, summaries);
+        for batch in burst.drain(..) {
+            tally.batch(batch.len() as u64);
+        }
+        applied(refresher, rings);
+        true
+    }
+
     /// Whether worker `shard` has nothing to do: no ring to adopt, every
     /// ring open and empty, and no drained shutdown to exit on.
-    fn quiet(&self, shard: usize, rings: &[Consumer<Batch>]) -> bool {
+    fn quiet(&self, shard: usize, rings: &[Feed]) -> bool {
         !(self.is_shutting_down() && rings.is_empty())
-            && rings.iter().all(|rx| rx.is_empty() && !rx.is_closed())
+            && rings.iter().all(|f| f.rx.is_empty() && !f.rx.is_closed())
             && self.registries[shard].lock().is_empty()
+    }
+}
+
+/// After every apply: publish if a budget of keys has built up, then give
+/// way if more work waits. On a host with fewer cores than busy threads, a
+/// worker counting on holds a CPU for a scheduler slice while a reactor
+/// with a query waits behind it. With every ring empty the worker parks
+/// next, which gives way anyway.
+fn applied(refresher: &Refresher, rings: &[Feed]) {
+    refresher.progressed();
+    if rings.iter().any(|f| !f.rx.is_empty()) {
+        std::thread::yield_now();
     }
 }
 
 /// A connection's handle for feeding the shard queues.
 pub struct ShardSender {
     producers: Vec<Producer<Batch>>,
-    /// Reused per-shard partition buffers.
-    scratch: Vec<Vec<u64>>,
+    /// Owner shard of each key of the batch being sent (reused;
+    /// [`MAX_SHARDS`] fits a `u16`).
+    owners: Vec<u16>,
+    /// Keys of the batch being sent per shard (reused).
+    counts: Vec<usize>,
+    /// Each shard's part of the batch being sent, allocated at its final
+    /// size and moved into the ring.
+    batches: Vec<Batch>,
     /// The pool whose workers this sender wakes.
     pool: Arc<ShardPool>,
 }
@@ -705,7 +792,9 @@ pub struct ShardSender {
 pub enum SendOutcome {
     /// Every shard accepted its partition.
     Enqueued,
-    /// At least one shard ring was full; nothing was enqueued.
+    /// At least one shard ring was full; nothing was enqueued, and the
+    /// sender waits on every full ring the batch needs: its
+    /// [`RoomWaker`] is called once one of them has room.
     Overloaded,
 }
 
@@ -718,27 +807,44 @@ impl ShardSender {
 
     /// Partition `keys` by shard and enqueue, all-or-nothing: if any
     /// shard's ring lacks room for its partition the whole batch is
-    /// rejected so the client can back off and resend without splitting
-    /// or reordering. Sound under concurrency because this connection is
-    /// the only producer on its rings: observed free space only grows.
+    /// refused, so it can be sent again whole, without splitting or
+    /// reordering. Sound under concurrency because this sender is the only
+    /// producer on its rings: observed free space only grows.
+    ///
+    /// Each key is hashed once: the owners are counted first, the room
+    /// checked, and only then is each shard's part allocated at its final
+    /// size and filled, so a refused batch allocates nothing.
     pub fn send(&mut self, keys: &[u64]) -> SendOutcome {
         let shards = self.producers.len();
-        for bucket in &mut self.scratch {
-            bucket.clear();
-        }
+        self.counts.fill(0);
+        self.owners.clear();
         for &key in keys {
-            self.scratch[Self::shard_of(key, shards)].push(key);
+            let shard = Self::shard_of(key, shards);
+            self.counts[shard] += 1;
+            self.owners.push(shard as u16);
         }
-        for (shard, bucket) in self.scratch.iter().enumerate() {
-            if !bucket.is_empty() && self.producers[shard].free() < 1 {
-                return SendOutcome::Overloaded;
+        let mut full = false;
+        for (producer, &count) in self.producers.iter_mut().zip(&self.counts) {
+            // Every full ring the batch needs is waited on, not just the
+            // first: the retry then finds them all with room.
+            if count > 0 && producer.free() == 0 && !producer.wait_for_room() {
+                full = true;
             }
         }
-        for (shard, bucket) in self.scratch.iter_mut().enumerate() {
-            if bucket.is_empty() {
+        if full {
+            return SendOutcome::Overloaded;
+        }
+        for (batch, &count) in self.batches.iter_mut().zip(&self.counts) {
+            batch.reserve_exact(count);
+        }
+        for (&key, &shard) in keys.iter().zip(&self.owners) {
+            self.batches[usize::from(shard)].push(key);
+        }
+        for (shard, part) in self.batches.iter_mut().enumerate() {
+            if part.is_empty() {
                 continue;
             }
-            let batch = std::mem::take(bucket);
+            let batch = std::mem::take(part);
             self.producers[shard]
                 .try_push(batch)
                 .expect("free space checked and only we produce");
@@ -788,7 +894,7 @@ mod tests {
         let pool = ShardPool::new(4, 16);
         let refresher = Refresher::new(backend.clone(), Arc::new(SnapshotPublisher::new()), u64::MAX);
         let workers = pool.spawn_workers(&backend, None, &Arc::new(refresher));
-        let mut sender = pool.connect();
+        let mut sender = pool.connect(None);
         let keys: Vec<u64> = (0..10_000u64).map(|i| i % 50).collect();
         let mut sent = 0;
         while sent < keys.len() {
@@ -1022,7 +1128,7 @@ mod tests {
     fn every_push_wakes_a_parked_worker() {
         let pool = ShardPool::new(2, 4);
         let workers = spawn(&pool);
-        let mut sender = pool.connect();
+        let mut sender = pool.connect(None);
         for key in 0..10_000u64 {
             assert_eq!(sender.send(&[key]), SendOutcome::Enqueued);
             within_deadline("send not applied", || pool.applied() == key + 1);
@@ -1049,7 +1155,7 @@ mod tests {
     fn idle_workers_park_instead_of_polling() {
         let pool = ShardPool::new(2, 4);
         let workers = spawn(&pool);
-        let mut sender = pool.connect();
+        let mut sender = pool.connect(None);
         let keys: Vec<u64> = (0..64).collect();
         assert_eq!(sender.send(&keys), SendOutcome::Enqueued);
         within_deadline("batch not applied", || pool.applied() == 64);
@@ -1069,7 +1175,7 @@ mod tests {
     fn overload_rejects_all_or_nothing() {
         let pool = ShardPool::new(1, 2);
         // No workers: the single ring (capacity 2) fills and stays full.
-        let mut sender = pool.connect();
+        let mut sender = pool.connect(None);
         assert_eq!(sender.send(&[1, 2, 3]), SendOutcome::Enqueued);
         assert_eq!(sender.send(&[4]), SendOutcome::Enqueued);
         assert_eq!(sender.send(&[5]), SendOutcome::Overloaded);

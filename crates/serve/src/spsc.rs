@@ -14,11 +14,25 @@
 //! Closing: dropping the [`Producer`] closes the ring; the consumer
 //! drains whatever is left and then sees [`Pop::Closed`]. Dropping the
 //! consumer lets remaining items be reclaimed when the last half drops.
+//!
+//! Waiting for room: a producer that found the ring full can announce it
+//! ([`Producer::wait_for_room`]) and stop producing; the consumer asks
+//! after each pop whether to wake it ([`Consumer::room_wanted`]), which
+//! says yes once [`WAKE_ROOM`] slots are free. The handshake is Dekker's:
+//! the producer stores the flag, fences and reads `head`; the consumer
+//! stores `head` (the pop), fences and reads the flag. With both fences
+//! `SeqCst` at least one side sees the other's store, so either the
+//! producer finds the room itself or the consumer sees the announcement.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Free slots (or the whole ring, if smaller) a consumer waits for before
+/// it wakes a producer that announced a wait: the producer then refills
+/// several slots per wake instead of one.
+pub const WAKE_ROOM: usize = 4;
 
 struct Inner<T> {
     /// Power-of-two slot array; slot `i & (cap-1)` holds position `i`.
@@ -31,6 +45,9 @@ struct Inner<T> {
     tail: AtomicUsize,
     /// Set when the producer half drops.
     closed: AtomicBool,
+    /// Set by a producer that found the ring full and waits for room;
+    /// cleared by the consumer that tells it room has returned.
+    want_room: AtomicBool,
 }
 
 // SAFETY: Inner is shared between exactly one producer and one consumer
@@ -98,6 +115,7 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
         closed: AtomicBool::new(false),
+        want_room: AtomicBool::new(false),
     });
     (
         Producer {
@@ -140,6 +158,18 @@ impl<T> Producer<T> {
         // makes the slot contents visible.
         self.inner.tail.store(tail + 1, Ordering::Release);
         Ok(())
+    }
+
+    /// Announce that this producer waits for room, then look once more
+    /// (the producer's half of the handshake in the module docs). `true`
+    /// when the ring has room after all; the announcement then stays set
+    /// and costs at most one needless wake. `false` means the consumer
+    /// will see the announcement and report it from
+    /// [`Consumer::room_wanted`] once room returns.
+    pub fn wait_for_room(&mut self) -> bool {
+        self.inner.want_room.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        self.free() > 0
     }
 }
 
@@ -193,6 +223,21 @@ impl<T> Consumer<T> {
     /// True when no items are queued (racy; for statistics).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether to wake a producer waiting for room, asked after a pop (the
+    /// consumer's half of the handshake in the module docs): it announced
+    /// the wait and at least `min(WAKE_ROOM, capacity)` slots are free.
+    /// Clears the announcement when it says yes, so one wait gets one
+    /// wake. A consumer that keeps popping asks again, so a wait that came
+    /// too early for this pop's room is answered by a later one.
+    pub fn room_wanted(&self) -> bool {
+        fence(Ordering::SeqCst);
+        if !self.inner.want_room.load(Ordering::Relaxed) {
+            return false;
+        }
+        let cap = self.inner.buf.len();
+        cap - self.len() >= WAKE_ROOM.min(cap) && self.inner.want_room.swap(false, Ordering::Acquire)
     }
 
     /// True once the producer half has dropped. Items may still be
@@ -255,6 +300,88 @@ mod tests {
         drop(tx);
         drop(rx);
         assert_eq!(Arc::strong_count(&item), 1, "ring drop reclaimed items");
+    }
+
+    /// A full ring's waiting producer is woken once `min(WAKE_ROOM, cap)`
+    /// slots are free, not before, and once per announcement.
+    #[test]
+    fn waiting_producer_is_woken_at_the_threshold() {
+        for cap in [2usize, 4, 8, 16] {
+            let (mut tx, mut rx) = ring::<usize>(cap);
+            for i in 0..cap {
+                tx.try_push(i).unwrap();
+            }
+            assert!(!rx.room_wanted(), "cap {cap}: nobody waits yet");
+            assert!(!tx.wait_for_room(), "cap {cap}: the ring is full");
+            let threshold = WAKE_ROOM.min(cap);
+            for popped in 1..=cap {
+                assert_eq!(rx.pop(), Pop::Item(popped - 1));
+                let woken = rx.room_wanted();
+                assert_eq!(woken, popped == threshold, "cap {cap}: woken after {popped} pops");
+            }
+            assert!(!rx.room_wanted(), "cap {cap}: one wake per announcement");
+            assert_eq!(tx.free(), cap);
+        }
+    }
+
+    /// A producer whose last look finds room proceeds without a wake; the
+    /// announcement it left behind costs at most one.
+    #[test]
+    fn waiting_producer_that_finds_room_needs_no_wake() {
+        let (mut tx, mut rx) = ring::<u8>(8);
+        assert!(tx.wait_for_room(), "an empty ring has room");
+        tx.try_push(1).unwrap();
+        assert_eq!(rx.pop(), Pop::Item(1));
+        assert!(rx.room_wanted(), "the stale announcement wakes once");
+        assert!(!rx.room_wanted());
+    }
+
+    /// A producer parks only on a full ring and a consumer wakes it: the
+    /// producer thread never proceeds past a failed push until it was
+    /// woken or found room itself, and every item arrives in order.
+    #[test]
+    fn park_and_wake_across_threads_loses_no_wake() {
+        use std::sync::atomic::AtomicBool;
+        const N: u64 = 50_000;
+        let (mut tx, mut rx) = ring::<u64>(4);
+        let woken = Arc::new(AtomicBool::new(false));
+        let producer = {
+            let woken = woken.clone();
+            std::thread::spawn(move || {
+                let mut i = 0;
+                while i < N {
+                    match tx.try_push(i) {
+                        Ok(()) => i += 1,
+                        Err(_) => {
+                            if tx.wait_for_room() {
+                                continue;
+                            }
+                            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                            while !woken.swap(false, Ordering::Acquire) {
+                                assert!(std::time::Instant::now() < deadline, "lost wake at {i}");
+                                std::thread::yield_now();
+                            }
+                        }
+                    }
+                }
+            })
+        };
+        let mut expected = 0;
+        loop {
+            match rx.pop() {
+                Pop::Item(v) => {
+                    assert_eq!(v, expected);
+                    expected += 1;
+                    if rx.room_wanted() {
+                        woken.store(true, Ordering::Release);
+                    }
+                }
+                Pop::Empty => std::thread::yield_now(),
+                Pop::Closed => break,
+            }
+        }
+        assert_eq!(expected, N);
+        producer.join().unwrap();
     }
 
     #[test]

@@ -236,6 +236,64 @@ fn answers_stay_exact_with_512_open_connections() {
     serve_and_check(4, |addr, stream| ingest_over_open_connections(addr, stream, 512));
 }
 
+/// A closed loop that keeps more frames in flight than two-batch rings
+/// hold: every full ring parks the connection instead of refusing the
+/// frame, so every answer is an `IngestAck`, none is `OVERLOADED`, and
+/// every key is applied exactly (the summary holds the whole alphabet).
+#[test]
+fn a_closed_loop_flood_on_tiny_rings_is_only_acked_and_exact() {
+    const IN_FLIGHT: usize = 16;
+    const FRAME: usize = 512;
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServiceConfig {
+            shards: 2,
+            capacity: CAPACITY,
+            queue_batches: 2,
+            refresh: Duration::from_millis(5),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let stream = StreamSpec::zipf(ITEMS as usize, CAPACITY / 2, ALPHA, SEED).generate();
+    let mut client = Client::connect(&addr).unwrap();
+    let frames: Vec<&[u64]> = stream.chunks(FRAME).collect();
+    let ack = |client: &mut Client, i: usize| match client.recv().unwrap() {
+        cots_serve::Response::IngestAck { enqueued } => {
+            assert_eq!(enqueued, frames[i].len() as u64, "frame {i}")
+        }
+        other => panic!("frame {i}: {other:?} instead of an ack"),
+    };
+    for (i, keys) in frames.iter().enumerate() {
+        if i >= IN_FLIGHT {
+            ack(&mut client, i - IN_FLIGHT);
+        }
+        let payload = client.encode_ingest(keys);
+        client.send_payload(&payload).unwrap();
+    }
+    for i in frames.len().saturating_sub(IN_FLIGHT)..frames.len() {
+        ack(&mut client, i);
+    }
+    await_quiescence(&mut client, ITEMS).unwrap();
+    assert_eq!(client.stats().unwrap().rejected_frames, 0);
+
+    let truth = ExactCounter::from_stream(&stream);
+    let (entries, total, _) = client
+        .query(QueryReq::TopK { k: CAPACITY })
+        .unwrap();
+    assert_eq!(total, ITEMS);
+    assert_eq!(entries.len(), truth.distinct());
+    for e in &entries {
+        assert_eq!((e.count, e.error), (truth.count(&e.item), 0), "key {}", e.item);
+    }
+    client.shutdown().unwrap();
+    drop(client);
+    server_thread.join().unwrap().unwrap();
+}
+
 #[test]
 fn malformed_traffic_cannot_kill_the_server() {
     use std::io::{Read, Write};
