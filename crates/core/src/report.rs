@@ -251,7 +251,7 @@ json_record! {
 
 json_record! {
     /// Live replication state of one member of a primary/standby pair
-    /// (`cots-repl`), reported in `STATS` responses.
+    /// (`cots_serve::repl`), reported in `STATS` responses.
     ///
     /// On a primary the counters describe the WAL shipper: batches tailed
     /// from the local log and streamed to the standby, and the ack

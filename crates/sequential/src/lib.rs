@@ -10,8 +10,6 @@
 //! * [`lossy_counting::LossyCounting`] — Manku–Motwani rounds-based counting
 //!   (§5.3 adapts it into CoTS).
 //! * [`misra_gries::MisraGries`] — the Frequent algorithm (reference [9]).
-//! * [`sticky_sampling::StickySampling`] — Manku–Motwani's probabilistic
-//!   sibling of Lossy Counting, with stream-length-independent space.
 //! * [`sketch::CountMinSketch`] / [`sketch::CountSketch`] — the sketch-based
 //!   family the paper's related work contrasts with (references [3, 6]),
 //!   paired with top-`m` candidate tracking so they can answer set queries.
@@ -26,12 +24,10 @@ pub mod lossy_counting;
 pub mod misra_gries;
 pub mod sketch;
 pub mod space_saving;
-pub mod sticky_sampling;
 pub mod summary;
 
 pub use lossy_counting::LossyCounting;
 pub use misra_gries::MisraGries;
 pub use sketch::{CountMinSketch, CountSketch};
 pub use space_saving::SpaceSaving;
-pub use sticky_sampling::StickySampling;
 pub use summary::{NodeId, StreamSummary};

@@ -6,23 +6,37 @@
 //! the WAL tail *before* binding the listener, prints a one-line recovery
 //! summary, then logs every ingested batch and checkpoints on the
 //! `--checkpoint-ms` cadence (0 disables the background checkpointer; the
-//! `CHECKPOINT` wire op always works).
+//! `CHECKPOINT` wire op always works). A restarted node rejoins its
+//! coordinator (`cots-coord`) with its acknowledged state intact.
 //!
-//! `--standby` (requires `--data-dir`) starts the node as a replication
-//! standby: it refuses ordinary `INGEST` and instead applies
-//! `REPL_BATCH` / `REPL_SNAPSHOT` streams from a primary's WAL shipper
-//! (see `docs/replication.md`), staying warm until `REPL_PROMOTE` flips
-//! it to primary in place. The shipper itself rides the *primary*
-//! process (`cots-member --peer`, or embed `cots_repl::spawn`).
+//! Replication (both flags need `--data-dir`, see `docs/replication.md`):
+//! `--standby` starts the node refusing ordinary `INGEST` and applying
+//! `REPL_BATCH` / `REPL_SNAPSHOT` streams from a primary until
+//! `REPL_PROMOTE` flips it to primary in place; `--peer HOST:PORT` starts
+//! a WAL shipper ([`cots_serve::repl::spawn`]) streaming this node's
+//! committed log to the standby there. A rejoining ex-primary runs with
+//! *both*: it parks as a standby and its shipper stays idle unless it is
+//! promoted again.
 //!
 //! Prints `listening on <addr>` once ready (scripts wait for this line),
 //! serves until a `SHUTDOWN` request arrives, drains (taking a final
 //! checkpoint when persistent), and exits 0.
 
-use cots_serve::cli::Cli;
+use cots_serve::cli;
+use cots_serve::repl::{spawn, ShipperConfig};
 
 fn main() {
-    let cli = Cli::new("cots-serve", &[]);
-    let (args, _) = cli.parse();
-    cli.run(cli.bind(args));
+    let args = cli::parse();
+    let peer = args.config.repl_peer.clone();
+    let server = cli::bind(args);
+    // The shipper parks while this node is a standby, so a rejoining
+    // ex-primary can carry `--standby --peer OLD_SELF` and the pair
+    // stays symmetric across promotions.
+    let _shipper = peer.map(|peer| {
+        spawn(server.service().clone(), ShipperConfig::new(peer)).unwrap_or_else(|e| {
+            eprintln!("cots-serve: cannot start WAL shipper: {e}");
+            std::process::exit(1);
+        })
+    });
+    cli::run(server);
 }

@@ -25,7 +25,7 @@
 //! * **Connection rules** ([`session`]): the `HELLO` gate, BIN1
 //!   admission, encode-in-kind, snapshot pinning and the frame-cap
 //!   fallback, written once over an [`Endpoint`] trait that this crate's
-//!   [`Service`] and `cots-cluster`'s coordinator both implement.
+//!   [`Service`] and the [`cluster`] coordinator both implement.
 //! * **Event-driven front-end** ([`reactor`], [`server`]): a small fixed
 //!   pool of reactor threads drives every connection via readiness
 //!   polling (epoll on Linux, `poll(2)` on other Unix) and incremental
@@ -50,9 +50,15 @@
 //!   wire op), and on restart seeds the summaries from the checkpoint and
 //!   replays the WAL tail *before* the listener opens, keeping the
 //!   Space-Saving error envelope over everything recovered.
-//! * **Binary**: `cots-serve` (the server; its command line is [`cli`],
-//!   which `cots-member` reuses). Load is driven by `benchmark/` and by
-//!   the e2e suites through [`Client`], waiting on
+//! * **Replication** ([`repl`]): `--standby` makes a node a warm
+//!   standby; `--peer` starts a WAL shipper streaming this node's
+//!   committed log to one.
+//! * **Federation** ([`cluster`]): the `cots-coord` coordinator
+//!   key-routes ingest across member `cots-serve` nodes, merges their
+//!   summaries and fails replica pairs over.
+//! * **Binaries**: `cots-serve` (the server; its command line is
+//!   [`cli`]) and `cots-coord` (the coordinator). Load is driven by
+//!   `benchmark/` and by the e2e suites through [`Client`], waiting on
 //!   [`loadgen::await_quiescence`] before checking answers against exact
 //!   truth.
 
@@ -62,12 +68,13 @@
 pub mod bin1;
 pub mod cli;
 pub mod client;
+pub mod cluster;
 pub mod frame;
 pub mod loadgen;
 pub mod persistence;
 pub mod protocol;
 pub mod reactor;
-pub mod replica;
+pub mod repl;
 pub mod server;
 pub mod service;
 pub mod session;

@@ -45,7 +45,7 @@ use cots_profiling::IngestTally;
 
 use crate::persistence::{self, PersistOptions, Persistence};
 use crate::protocol::{self, QueryStamp, ReplFrame, Request, Response};
-use crate::replica::{Admission, Offer, Replica};
+use crate::repl::replica::{Admission, Offer, Replica};
 use crate::session::{self, ConnState, Endpoint};
 use crate::shard::{Partitioned, Refresher, RoomWaker, SendOutcome, ShardPool, ShardSender};
 
@@ -76,8 +76,10 @@ pub struct ServiceConfig {
     /// `REPL_*` stream from a primary, stay promotable. Requires
     /// `persist` (the standby keeps its own durable WAL copy).
     pub standby: bool,
-    /// Replication peer address, for `STATS` reporting only (the wiring
-    /// itself is the shipper's job).
+    /// Replication peer: the standby this node's WAL shipper streams to
+    /// (`--peer`). `STATS` reports it, and `cots-serve` starts the
+    /// shipper ([`crate::repl::spawn`]) when it is set. Requires
+    /// `persist` (the shipper tails the WAL).
     pub repl_peer: Option<String>,
 }
 

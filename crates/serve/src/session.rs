@@ -27,7 +27,7 @@
 //! What differs between front-ends is behind [`Endpoint`]: which features
 //! they advertise, where the published snapshot comes from, and how every
 //! other request is answered. [`crate::Service`] implements it over a
-//! [`crate::ShardSender`]; `cots-cluster`'s coordinator over its router.
+//! [`crate::ShardSender`]; the [`crate::cluster`] coordinator over its router.
 //!
 //! AUDIT: total — every frame here is attacker-controlled; enforced by
 //! `cargo xtask audit` (lint-totality).

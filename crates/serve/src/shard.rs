@@ -232,7 +232,7 @@ impl Partitioned {
         std::thread::scope(|scope| {
             for t in 1..threads {
                 std::thread::Builder::new()
-                    .name(format!("cots-replay-{t}"))
+                    .name(format!("cots-recover-{t}"))
                     .spawn_scoped(scope, move || self.replay_shards(batches, t, threads))
                     .map_err(|e| CotsError::Report(format!("spawn replay thread: {e}")))?;
             }
