@@ -4,6 +4,10 @@
 //! replaced them: a field renamed, reordered, dropped or re-typed by a
 //! declaration edit changes bytes that peers and files on disk already
 //! hold, and fails here.
+//!
+//! The BIN1 frames are pinned the same way, as hex with one group per
+//! field: a round trip cannot see a layout change made to the encoder
+//! and the decoder at once, a literal can.
 
 use std::fmt::Debug;
 use std::time::Duration;
@@ -17,7 +21,7 @@ use cots_core::{
 };
 use cots_persist::Checkpoint;
 use cots_profiling::{Breakdown, Phase, PhaseTimes, ThroughputSummary};
-use cots_serve::{QueryStamp, ReplFrame};
+use cots_serve::{bin1, QueryStamp, ReplFrame, Request, Response};
 
 /// `value` encodes to exactly `golden`, and `golden` decodes back to it.
 fn check<T: ToJson + FromJson + PartialEq + Debug>(value: &T, golden: &str) {
@@ -30,6 +34,30 @@ fn check<T: ToJson + FromJson + PartialEq + Debug>(value: &T, golden: &str) {
 fn check_reencoded<T: ToJson + FromJson>(value: &T, golden: &str) {
     assert_eq!(to_string(value), golden, "{}", std::any::type_name::<T>());
     assert_eq!(to_string(&from_str::<T>(golden).unwrap()), golden);
+}
+
+/// Hex digits to bytes; whitespace separates fields and is ignored.
+fn unhex(golden: &str) -> Vec<u8> {
+    let digits: Vec<u8> = golden.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect()
+}
+
+/// `request` encodes to exactly the BIN1 bytes `golden`, and they decode
+/// back to it.
+fn check_bin1_request(request: &Request, golden: &str) {
+    let bytes = unhex(golden);
+    assert_eq!(bin1::encode_request(request).unwrap(), bytes, "{request:?}");
+    assert_eq!(&bin1::decode_request(&bytes).unwrap(), request);
+}
+
+/// [`check_bin1_request`] for a response.
+fn check_bin1_response(response: &Response, golden: &str) {
+    let bytes = unhex(golden);
+    assert_eq!(bin1::encode_response(response).unwrap(), bytes, "{response:?}");
+    assert_eq!(&bin1::decode_response(&bytes).unwrap(), response);
 }
 
 fn shard() -> ShardReport {
@@ -333,5 +361,77 @@ fn queries_and_profiles() {
             max_secs: 2.0,
         },
         r#"{"median_secs":1.5,"min_secs":1.25,"max_secs":2}"#,
+    );
+}
+
+#[test]
+fn bin1_frames() {
+    check_bin1_request(
+        &Request::Ingest {
+            keys: vec![1, 2, u64::MAX],
+        },
+        "b1 01 03000000 0100000000000000 0200000000000000 ffffffffffffffff",
+    );
+    check_bin1_response(
+        &Response::IngestAck { enqueued: 4096 },
+        "b1 02 0010000000000000",
+    );
+    check_bin1_response(&Response::Overloaded, "b1 03");
+    check_bin1_request(
+        &Request::ReplBatch {
+            lineage: 2,
+            batches: vec![
+                ReplFrame {
+                    seq: 17,
+                    keys: vec![1, u64::MAX],
+                },
+                ReplFrame {
+                    seq: 18,
+                    keys: vec![],
+                },
+            ],
+        },
+        "b1 04 0200000000000000 02000000 \
+         1100000000000000 02000000 0100000000000000 ffffffffffffffff \
+         1200000000000000 00000000",
+    );
+    check_bin1_response(&Response::ReplAck { ack_seq: 99 }, "b1 05 6300000000000000");
+    check_bin1_request(
+        &Request::SnapshotPage {
+            since_epoch: 41,
+            offset: 128,
+            limit: 4096,
+        },
+        "b1 06 2900000000000000 8000000000000000 0010000000000000",
+    );
+    let page = |rotations| Response::SnapshotPage {
+        entries: vec![CounterEntry::new(7u64, 9, 2), CounterEntry::new(1, 4, 0)],
+        offset: 128,
+        total_entries: 130,
+        total: 13,
+        done: true,
+        unchanged: false,
+        stamp: QueryStamp {
+            epoch: 3,
+            captured_total: 100,
+            staleness: 7,
+            rotations,
+        },
+    };
+    check_bin1_response(
+        &page(Some(2)),
+        "b1 07 05 8000000000000000 8200000000000000 0d00000000000000 \
+         0300000000000000 6400000000000000 0700000000000000 0200000000000000 \
+         02000000 \
+         0700000000000000 0900000000000000 0200000000000000 \
+         0100000000000000 0400000000000000 0000000000000000",
+    );
+    check_bin1_response(
+        &page(None),
+        "b1 07 01 8000000000000000 8200000000000000 0d00000000000000 \
+         0300000000000000 6400000000000000 0700000000000000 \
+         02000000 \
+         0700000000000000 0900000000000000 0200000000000000 \
+         0100000000000000 0400000000000000 0000000000000000",
     );
 }
