@@ -12,26 +12,26 @@
 //!
 //! ## Crate map
 //!
-//! * [`element`] — the [`Element`](element::Element) trait satisfied by
+//! * [`element`] — the [`Element`] trait satisfied by
 //!   stream items.
 //! * [`hash`] — Knuth multiplicative hashing, the hash family the paper
 //!   recommends for the search structure.
-//! * [`counter`] — [`CounterEntry`](counter::CounterEntry) (item, count,
-//!   error) and [`Snapshot`](counter::Snapshot), the sorted summary view all
+//! * [`counter`] — [`CounterEntry`] (item, count,
+//!   error) and [`Snapshot`], the sorted summary view all
 //!   engines can export.
 //! * [`merge`] — the Space-Saving merge algebra used by the
 //!   independent-structures design.
 //! * [`query`] — Queries 1–4 of the paper: point/set × one-shot/interval.
 //! * [`ql`] — a parser for the paper's SQL-like query dialect
 //!   (`Select S.element From Stream S Where … Every …`).
-//! * [`traits`] — [`FrequencyCounter`](traits::FrequencyCounter) (sequential
-//!   engines) and [`ConcurrentCounter`](traits::ConcurrentCounter) (shared
+//! * [`traits`] — [`FrequencyCounter`] (sequential
+//!   engines) and [`ConcurrentCounter`] (shared
 //!   engines).
 //! * [`config`] — capacity/ε configuration shared by all engines.
 //! * [`report`] — JSON-serializable run statistics and hardware-independent
 //!   work counters.
 //! * [`json`] — the dependency-free JSON model those reports serialize
-//!   through ([`ToJson`](json::ToJson) / [`FromJson`](json::FromJson)).
+//!   through ([`ToJson`] / [`FromJson`]).
 //! * [`error`] — the crate error type.
 //! * [`invariants`] — structural self-auditing for summary structures
 //!   (feature `invariants`, on by default).

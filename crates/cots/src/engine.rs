@@ -31,11 +31,11 @@
 //! recursion, one hot element climbing the frequency list while other
 //! threads keep logging mass for it nests a stack frame per bucket
 //! climbed: unbounded, and a stack overflow on a small-stack worker
-//! thread. So the call stack is explicit. [`CotsEngine::enqueue`] only
-//! pushes the request and records a [`Debt`] in the caller's list; a
+//! thread. So the call stack is explicit. `CotsEngine::enqueue` only
+//! pushes the request and records a `Debt` in the caller's list; a
 //! drain that finds it has incurred debts *parks* itself — still owning
 //! its bucket — beneath them; and the outermost caller
-//! [`CotsEngine::settle`]s the list newest-first until it is empty. The
+//! `CotsEngine::settle`s the list newest-first until it is empty. The
 //! order of operations and the span of every ownership are those of the
 //! recursion; only the frames live on the heap.
 //!
@@ -169,7 +169,7 @@ enum Debt<'g, K> {
     },
 }
 
-/// A thread's outstanding [`Debt`]s, newest last.
+/// A thread's outstanding `Debt`s, newest last.
 type Owed<'g, K> = Vec<Debt<'g, K>>;
 
 /// Outcome of processing one request.

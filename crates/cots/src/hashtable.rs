@@ -16,7 +16,7 @@
 //! ## Cache-conscious layout
 //!
 //! Each hash bucket's chain head and insert lock live together in one
-//! 64-byte-aligned [`Stripe`], so (a) a lookup that misses in the chain
+//! 64-byte-aligned `Stripe`, so (a) a lookup that misses in the chain
 //! head and an insert that takes the lock touch the same cache line, and
 //! (b) writers hammering *different* buckets never false-share a line the
 //! way the previous parallel `Vec<Atomic>`/`Vec<Mutex>` layout invited.

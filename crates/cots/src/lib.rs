@@ -54,7 +54,6 @@
 //! * [`policy`] — Space Saving vs Lossy Counting (§5.3).
 //! * [`scheduler`] — the thread pool gate with σ/ρ thresholds (§5.2.3).
 //! * [`runtime`] — the measurement driver.
-//! * [`window`] — a jumping-window wrapper for recency-scoped queries.
 //! * [`publish`] — epoch-stamped snapshot publishing for live serving.
 
 #![warn(missing_docs)]
@@ -70,11 +69,9 @@ pub mod publish;
 pub mod runtime;
 pub mod scheduler;
 pub mod sync_shim;
-pub mod window;
 
 pub use engine::CotsEngine;
 pub use policy::Policy;
 pub use publish::{SnapshotPublisher, StampedSnapshot};
 pub use runtime::{run, RuntimeOptions};
 pub use scheduler::{SchedulerHook, ThreadGate};
-pub use window::{JumpingWindow, WindowSnapshot};

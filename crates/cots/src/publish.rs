@@ -28,9 +28,9 @@ pub struct StampedSnapshot<K: Element> {
     /// Backend `processed()` at capture time. Staleness of a query answer
     /// is the backend's current processed count minus this.
     pub captured_total: u64,
-    /// Window rotation count at capture, when the backend is a
-    /// [`JumpingWindow`](crate::JumpingWindow); `None` for the plain
-    /// engine.
+    /// A rotation count passed through to the wire's
+    /// `QueryStamp::rotations`; every backend in this repository counts
+    /// over full history and publishes `None`.
     pub rotations: Option<u64>,
 }
 

@@ -8,7 +8,7 @@
 //!
 //! * [`zipf`] — exact-CDF and O(1) alias-method samplers for that law;
 //! * [`stream`] — reproducible stream materialization from a
-//!   [`StreamSpec`](stream::StreamSpec) (zipf, uniform, and adversarial
+//!   [`StreamSpec`] (zipf, uniform, and adversarial
 //!   patterns);
 //! * [`partition`] — the stream partitioners used to feed worker threads;
 //! * [`truth`] — an exact hash-map counter and accuracy metrics for

@@ -16,7 +16,7 @@
 //!   configurable [`FsyncPolicy`], each batch logged as its runs of equal
 //!   keys; the scanner recovers the valid prefix of every segment, as
 //!   the runs it logged, and accounts the rest as dropped mass.
-//! * [`recover`] — loads the newest valid checkpoint (falling back on
+//! * [`recover`](mod@recover) — loads the newest valid checkpoint (falling back on
 //!   corruption), collects the WAL tail past its watermark, and emits a
 //!   [`RecoveryReport`](cots_core::RecoveryReport).
 //!

@@ -9,9 +9,9 @@
 //! * [`space_saving::SpaceSaving`] — the paper's primary algorithm (§3.3).
 //! * [`lossy_counting::LossyCounting`] — Manku–Motwani rounds-based counting
 //!   (§5.3 adapts it into CoTS).
-//! * [`misra_gries::MisraGries`] — the Frequent algorithm (reference [9]).
+//! * [`misra_gries::MisraGries`] — the Frequent algorithm (reference \[9\]).
 //! * [`sketch::CountMinSketch`] / [`sketch::CountSketch`] — the sketch-based
-//!   family the paper's related work contrasts with (references [3, 6]),
+//!   family the paper's related work contrasts with (references \[3, 6\]),
 //!   paired with top-`m` candidate tracking so they can answer set queries.
 //!
 //! The sequential `SpaceSaving` here is the baseline of Table 2 and the

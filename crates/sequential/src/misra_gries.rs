@@ -1,5 +1,5 @@
 //! *Misra–Gries / Frequent* (Misra & Gries '82; Demaine et al. '02 — the
-//! paper's reference [9]).
+//! paper's reference \[9\]).
 //!
 //! Keeps at most `m` counters. A monitored element is incremented; an
 //! unmonitored element takes a free counter if one exists; otherwise *every*

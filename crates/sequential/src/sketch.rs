@@ -1,6 +1,6 @@
 //! Sketch-based baselines: *Count-Min* (Cormode & Muthukrishnan — the
-//! paper's reference [6]) and *Count Sketch* (Charikar et al. — reference
-//! [3]).
+//! paper's reference \[6\]) and *Count Sketch* (Charikar et al. — reference
+//! \[3\]).
 //!
 //! The paper contrasts these with counter-based techniques: sketches hash
 //! every element through `d` rows (higher per-element cost), keep no

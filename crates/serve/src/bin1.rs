@@ -1,14 +1,14 @@
-//! BIN1: the negotiated binary encoding for hot-path frames.
+//! BIN1: the one encoding of the bulk frames, and the rule that picks
+//! each op's encoding.
 //!
-//! JSON (see [`crate::protocol`]) is the default wire encoding and the
-//! only one for control and query operations. For the bulk paths —
-//! `INGEST`/`IngestAck`/`Overloaded`, `REPL_BATCH`/`REPL_ACK`, and
-//! `SNAPSHOT_PAGE` — a peer that negotiated the `"bin"` feature at
-//! `HELLO` time (protocol version ≥ 4) may instead send BIN1 payloads,
-//! where keys travel as fixed-width little-endian `u64` runs instead of
-//! per-key decimal text. Responses mirror the request's encoding, with
-//! one carve-out: errors are always JSON (`Response::Error` carries
-//! free text), so a BIN1 sender must be ready to decode either.
+//! In protocol v5 the op decides its encoding, and this module is where
+//! that decision lives ([`request_payload`], [`response_payload`],
+//! [`binary_only`]). The bulk ops — `INGEST`/`IngestAck`/`Overloaded`,
+//! `REPL_BATCH`/`REPL_ACK`, and `SNAPSHOT_PAGE` with its response —
+//! travel only as BIN1, where keys are fixed-width little-endian `u64`
+//! runs instead of per-key decimal text. Every other op, and every
+//! `Error`, travels only as JSON (see [`crate::protocol`]). No HELLO
+//! feature negotiates this: a peer that speaks v5 speaks both.
 //!
 //! Payload layout (after the 4-byte frame length prefix):
 //!
@@ -45,8 +45,8 @@
 //! AUDIT: total — every byte here is attacker-controlled; enforced by
 //! `cargo xtask audit` (lint-totality).
 
-use crate::frame::{BIN1_MAGIC, MAX_FRAME};
-use crate::protocol::{QueryStamp, ReplFrame, Request, Response};
+use crate::frame::{Payload, BIN1_MAGIC, MAX_FRAME};
+use crate::protocol::{encode, QueryStamp, ReplFrame, Request, Response};
 use cots_core::CounterEntry;
 
 /// Operation tag: `Request::Ingest`.
@@ -293,8 +293,8 @@ pub fn encode_page_resp(
     out
 }
 
-/// Encode a request as BIN1, if it has a binary form. Control and
-/// query operations return `None` (JSON is their only encoding).
+/// Encode a request as BIN1, if it is a bulk op. Control and query
+/// operations return `None` (JSON is their only encoding).
 pub fn encode_request(req: &Request) -> Option<Vec<u8>> {
     match req {
         Request::Ingest { keys } => Some(encode_ingest(keys)),
@@ -308,7 +308,7 @@ pub fn encode_request(req: &Request) -> Option<Vec<u8>> {
     }
 }
 
-/// Encode a response as BIN1, if it has a binary form.
+/// Encode a response as BIN1, if it answers a bulk op.
 pub fn encode_response(resp: &Response) -> Option<Vec<u8>> {
     match resp {
         Response::IngestAck { enqueued } => Some(encode_ingest_ack(*enqueued)),
@@ -331,6 +331,35 @@ pub fn encode_response(resp: &Response) -> Option<Vec<u8>> {
             *unchanged,
             *stamp,
         )),
+        _ => None,
+    }
+}
+
+/// A request in its one wire form: BIN1 for a bulk op, JSON otherwise.
+pub fn request_payload(req: &Request) -> Payload {
+    match encode_request(req) {
+        Some(bytes) => Payload::Bin(bytes),
+        None => Payload::Json(encode(req)),
+    }
+}
+
+/// A response in its one wire form: BIN1 for a bulk answer, JSON
+/// otherwise (`Error` included).
+pub fn response_payload(resp: &Response) -> Payload {
+    match encode_response(resp) {
+        Some(bytes) => Payload::Bin(bytes),
+        None => Payload::Json(encode(resp)),
+    }
+}
+
+/// The wire name of a bulk request, which travels only as BIN1; `None`
+/// for an op whose one form is JSON. A JSON frame naming a bulk op is
+/// refused with this name.
+pub fn binary_only(req: &Request) -> Option<&'static str> {
+    match req {
+        Request::Ingest { .. } => Some("INGEST"),
+        Request::ReplBatch { .. } => Some("REPL_BATCH"),
+        Request::SnapshotPage { .. } => Some("SNAPSHOT_PAGE"),
         _ => None,
     }
 }
@@ -551,6 +580,35 @@ mod tests {
             message: "no".into()
         })
         .is_none());
+    }
+
+    #[test]
+    fn the_op_picks_its_one_encoding() {
+        let ingest = Request::Ingest { keys: vec![1] };
+        assert!(request_payload(&ingest).is_bin());
+        assert_eq!(binary_only(&ingest), Some("INGEST"));
+        assert!(!request_payload(&Request::Stats).is_bin());
+        assert_eq!(binary_only(&Request::Stats), None);
+        // REPL_ACK is BIN1 whatever it answers, REPL_SUBSCRIBE included.
+        assert!(response_payload(&Response::ReplAck { ack_seq: 1 }).is_bin());
+        assert!(!response_payload(&Response::ShuttingDown).is_bin());
+        // Every op with a BIN1 encoder is refused as JSON, and no other.
+        for req in [
+            ingest,
+            Request::ReplBatch {
+                lineage: 0,
+                batches: vec![],
+            },
+            Request::SnapshotPage {
+                since_epoch: 0,
+                offset: 0,
+                limit: 1,
+            },
+            Request::Stats,
+            Request::ReplPromote,
+        ] {
+            assert_eq!(binary_only(&req).is_some(), encode_request(&req).is_some());
+        }
     }
 
     #[test]

@@ -1,13 +1,9 @@
 //! A blocking client for the framed protocol.
 //!
-//! The client always speaks JSON for control and query operations. At
-//! `HELLO` time it advertises the `"bin"` feature; when the server
-//! advertises it back, the bulk operations (`INGEST`, `REPL_BATCH`,
-//! `SNAPSHOT_PAGE`) switch to the BIN1 binary encoding automatically
-//! (see [`crate::bin1`]). This is the one place the bulk encoding is
-//! chosen; [`Client::set_binary`] forces JSON back on for one connection
-//! (differential testing). Responses of either encoding are always
-//! accepted, so a JSON `Error` answering a binary request never
+//! Every op goes out in the one encoding [`crate::bin1`] assigns it: the
+//! bulk operations (`INGEST`, `REPL_BATCH`, `SNAPSHOT_PAGE`) as BIN1,
+//! control and query operations as JSON. Responses of either encoding
+//! are accepted, so a JSON `Error` answering a BIN1 request never
 //! desynchronizes the conversation.
 
 use std::io::{self, BufReader, BufWriter};
@@ -18,18 +14,12 @@ use cots_core::{CotsError, CounterEntry, Result, ServiceReport};
 
 use crate::bin1;
 use crate::frame::{read_frame, write_payload, Payload};
-use crate::protocol::{
-    decode, encode, QueryReq, QueryStamp, ReplFrame, Request, Response, PROTO_VERSION,
-};
+use crate::protocol::{decode, QueryReq, QueryStamp, Request, Response, PROTO_VERSION};
 
 /// One connection to a `cots-serve` instance.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    /// The server advertised `"bin"` in its `HELLO_ACK`.
-    bin_negotiated: bool,
-    /// BIN1 is negotiated *and* enabled (see [`Client::set_binary`]).
-    bin: bool,
 }
 
 impl Client {
@@ -53,28 +43,20 @@ impl Client {
         Ok(Self {
             reader,
             writer: BufWriter::new(stream),
-            bin_negotiated: false,
-            bin: false,
         })
     }
 
     /// Perform the `HELLO` handshake, returning the server's protocol
-    /// version and feature flags. Advertises the `"bin"` feature and
-    /// switches the bulk operations to BIN1 when the server advertises
-    /// it back.
+    /// version and feature flags. The client asks for no feature.
     pub fn hello(&mut self) -> Result<(u32, Vec<String>)> {
         match self.call(&Request::Hello {
             proto_version: PROTO_VERSION,
-            features: vec!["bin".to_string()],
+            features: Vec::new(),
         })? {
             Response::HelloAck {
                 proto_version,
                 features,
-            } => {
-                self.bin_negotiated = features.iter().any(|f| f == "bin");
-                self.bin = self.bin_negotiated;
-                Ok((proto_version, features))
-            }
+            } => Ok((proto_version, features)),
             Response::UnsupportedVersion {
                 supported,
                 requested,
@@ -87,17 +69,11 @@ impl Client {
         }
     }
 
-    /// Whether the bulk operations currently go out as BIN1.
-    pub fn is_binary(&self) -> bool {
-        self.bin
-    }
-
-    /// Force the wire encoding for bulk operations: `false` always
-    /// falls back to JSON; `true` takes effect only if the server
-    /// negotiated `"bin"`. Returns the effective state.
-    pub fn set_binary(&mut self, on: bool) -> bool {
-        self.bin = on && self.bin_negotiated;
-        self.bin
+    /// Does nothing and returns `true`: the bulk operations are always
+    /// BIN1. Kept only because the benchmark driver asks for BIN1 this
+    /// way; it goes when the driver stops calling it (ROADMAP 2-I).
+    pub fn set_binary(&mut self, _on: bool) -> bool {
+        true
     }
 
     /// Set the read timeout for responses (`None` blocks forever).
@@ -105,46 +81,23 @@ impl Client {
         self.reader.get_ref().set_read_timeout(timeout)
     }
 
-    /// Encode `request` for this connection: BIN1 when negotiated and
-    /// the operation has a binary form, JSON otherwise.
+    /// Encode `request` in its one wire form (see
+    /// [`bin1::request_payload`]).
     pub fn encode_request(&self, request: &Request) -> Payload {
-        if self.bin {
-            if let Some(bytes) = bin1::encode_request(request) {
-                return Payload::Bin(bytes);
-            }
-        }
-        Payload::Json(encode(request))
+        bin1::request_payload(request)
     }
 
-    /// Encode one `INGEST` for this connection. The BIN1 path goes
-    /// straight from the key slice to wire bytes — no `Request` clone —
-    /// and either payload can be resent verbatim on `OVERLOADED`.
+    /// Encode one `INGEST` straight from the key slice to BIN1 bytes — no
+    /// `Request` clone. The payload can be resent verbatim on
+    /// `OVERLOADED`.
     pub fn encode_ingest(&self, keys: &[u64]) -> Payload {
-        if self.bin {
-            Payload::Bin(bin1::encode_ingest(keys))
-        } else {
-            Payload::Json(encode(&Request::Ingest {
-                keys: keys.to_vec(),
-            }))
-        }
+        Payload::Bin(bin1::encode_ingest(keys))
     }
 
-    /// Encode one `REPL_BATCH` of borrowed `(seq, keys)` runs for this
-    /// connection. The BIN1 path frames the runs straight from the
-    /// caller's buffers; only the JSON form materializes owned frames.
+    /// Encode one `REPL_BATCH` of borrowed `(seq, keys)` runs, framed
+    /// straight from the caller's buffers.
     pub fn encode_repl_batch(&self, lineage: u64, runs: &[(u64, &[u64])]) -> Payload {
-        if self.bin {
-            Payload::Bin(bin1::encode_repl_batch_runs(lineage, runs))
-        } else {
-            let batches = runs
-                .iter()
-                .map(|&(seq, keys)| ReplFrame {
-                    seq,
-                    keys: keys.to_vec(),
-                })
-                .collect();
-            Payload::Json(encode(&Request::ReplBatch { lineage, batches }))
-        }
+        Payload::Bin(bin1::encode_repl_batch_runs(lineage, runs))
     }
 
     /// Send one request without waiting for its response (pipelining).

@@ -140,6 +140,13 @@ impl Coordinator {
                 "coordinator capacity must be positive".into(),
             ));
         }
+        // A socket refuses a zero read timeout, and the member calls drop
+        // that error: a hung member would block its puller forever.
+        if config.io_timeout.is_zero() {
+            return Err(CotsError::InvalidConfig(
+                "coordinator I/O timeout must be positive".into(),
+            ));
+        }
         let (primaries, standbys) = parse_members(&config.members)?;
         let topology = Topology::new(primaries.clone())?;
         let members: Vec<Arc<MemberTracker>> = primaries
@@ -484,8 +491,8 @@ impl Coordinator {
             }
         }
         // Encode once per member attempt — straight from the raw key
-        // run when the member negotiated BIN1 — and resend the same
-        // buffer across OVERLOADED retries instead of re-encoding.
+        // run to BIN1 — and resend the same buffer across OVERLOADED
+        // retries instead of re-encoding.
         let payload = match slot.as_ref() {
             Some(client) => client.encode_ingest(keys),
             None => return SendOutcome::Down,
@@ -628,5 +635,24 @@ impl Router {
     /// Keys accepted but not yet delivered to any member.
     pub fn buffered(&self) -> usize {
         self.pending.iter().map(Vec::len).sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn start_refuses_a_zero_io_timeout() {
+        let config = CoordConfig {
+            members: vec!["127.0.0.1:1".into()],
+            io_timeout: Duration::ZERO,
+            ..CoordConfig::default()
+        };
+        match Coordinator::start(config) {
+            Err(CotsError::InvalidConfig(message)) => assert!(message.contains("timeout")),
+            Err(other) => panic!("wrong error: {other:?}"),
+            Ok(_) => panic!("a zero I/O timeout was accepted"),
+        }
     }
 }

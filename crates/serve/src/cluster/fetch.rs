@@ -2,13 +2,12 @@
 //! `SNAPSHOT_PAGE` frames.
 //!
 //! A member summary can exceed the 16 MiB frame cap, so the coordinator
-//! never uses the one-shot `SNAPSHOT` op. It pages instead: the member
-//! pins its current published snapshot at `offset 0` and serves every
-//! later page from that pin, so the reassembly here is a *consistent*
-//! cut no matter how many epochs publish mid-transfer. Passing the
-//! epoch of the previous pull as `since_epoch` turns an idle member's
-//! answer into a tiny `unchanged` frame instead of megabytes of
-//! entries.
+//! pulls it in pages: the member pins its current published snapshot
+//! at `offset 0` and serves every later page from that pin, so the
+//! reassembly here is a *consistent* cut no matter how many epochs
+//! publish mid-transfer. Passing the epoch of the previous pull as
+//! `since_epoch` turns an idle member's answer into a tiny `unchanged`
+//! frame instead of megabytes of entries.
 //!
 //! Everything a member sends is untrusted input to the coordinator: a
 //! buggy or malicious member must produce a typed error here, never a

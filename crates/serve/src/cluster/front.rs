@@ -45,7 +45,7 @@ const POLL: Duration = Duration::from_millis(25);
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Feature flags the coordinator advertises in `HELLO_ACK`.
-const COORD_FEATURES: &[&str] = &["cluster", "snapshot-page", "bin"];
+const COORD_FEATURES: &[&str] = &["cluster"];
 
 /// A bound coordinator server.
 pub struct CoordServer {

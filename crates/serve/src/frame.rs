@@ -13,9 +13,9 @@
 //! byte: `0xB1` can never begin well-formed UTF-8 (it is a continuation
 //! byte), so a JSON payload can never be mistaken for BIN1 and — by the
 //! same argument — a server that predates BIN1 rejects a binary frame
-//! cleanly as "not UTF-8" instead of misparsing it. Whether a peer is
-//! *allowed* to send BIN1 is negotiated at HELLO time and enforced by
-//! the dispatch layer, not here; the framing layer is encoding-neutral.
+//! cleanly as "not UTF-8" instead of misparsing it. Which encoding an op
+//! travels in is decided by [`crate::bin1`] and enforced by the session
+//! layer, not here; the framing layer is encoding-neutral.
 //!
 //! Frames are capped at [`MAX_FRAME`] bytes so a corrupt or hostile length
 //! prefix cannot make the server allocate unbounded memory. Decoding is
@@ -44,9 +44,9 @@ pub const BIN1_MAGIC: u8 = 0xB1;
 /// classifies on that byte; the encode side asserts it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
-    /// UTF-8 JSON text (the default encoding; always accepted).
+    /// UTF-8 JSON text (control, query and error ops).
     Json(String),
-    /// BIN1 binary bytes, first byte [`BIN1_MAGIC`] (negotiated).
+    /// BIN1 binary bytes, first byte [`BIN1_MAGIC`] (the bulk ops).
     Bin(Vec<u8>),
 }
 

@@ -17,13 +17,13 @@
 //! ```
 //!
 //! * **Wire protocol** ([`frame`], [`protocol`], [`bin1`]):
-//!   length-prefixed frames carrying externally-tagged JSON
-//!   (`cots_core::json`): `INGEST`, `QUERY`, `STATS`, `SNAPSHOT`,
-//!   `SHUTDOWN`. Peers that negotiate the `"bin"` feature at `HELLO`
-//!   may carry the bulk ops (`INGEST`, `REPL_BATCH`, `SNAPSHOT_PAGE`)
-//!   as BIN1 fixed-LE binary payloads instead.
-//! * **Connection rules** ([`session`]): the `HELLO` gate, BIN1
-//!   admission, encode-in-kind, snapshot pinning and the frame-cap
+//!   length-prefixed frames, one encoding per op: the bulk ops
+//!   (`INGEST`, `REPL_BATCH`, `SNAPSHOT_PAGE`) and their answers as BIN1
+//!   fixed-LE binary payloads, everything else (`HELLO`, `QUERY`,
+//!   `STATS`, `SHUTDOWN`, ...) as externally-tagged JSON
+//!   (`cots_core::json`).
+//! * **Connection rules** ([`session`]): the `HELLO` gate, the refusal
+//!   of a bulk op sent as JSON, snapshot pinning and the frame-cap
 //!   fallback, written once over an [`Endpoint`] trait that this crate's
 //!   [`Service`] and the [`cluster`] coordinator both implement.
 //! * **Event-driven front-end** ([`reactor`], [`server`]): a small fixed

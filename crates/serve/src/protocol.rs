@@ -14,19 +14,20 @@ use cots_core::json::{FromJson, ToJson};
 use cots_core::json_record;
 use cots_core::{ClusterReport, CotsError, CounterEntry, ServiceReport, Snapshot, Threshold};
 
-/// The protocol version this build speaks. Version 4 adds no
-/// operations: it introduces the negotiated BIN1 binary encoding for
-/// the hot-path frames (feature flag `"bin"`, see [`crate::bin1`]).
-/// Version 3 introduced the replication operations (`REPL_SUBSCRIBE`,
-/// `REPL_BATCH`, `REPL_SNAPSHOT`, `REPL_PROMOTE`); version 2 the
-/// mandatory `HELLO` handshake plus the `SNAPSHOT_PAGE` and
-/// `CLUSTER_STATS` operations; see the version-compatibility table in
-/// `docs/PROTOCOL.md` (machine-checked by `cargo xtask lint-protocol`).
-pub const PROTO_VERSION: u32 = 4;
+/// The protocol version this build speaks. Version 5 adds no
+/// operations and drops the one-shot `SNAPSHOT`: each op has one
+/// encoding, BIN1 for the bulk ops and JSON for the rest, with no HELLO
+/// feature to negotiate (see [`crate::bin1`]). Version 4 introduced BIN1
+/// behind a HELLO feature flag; version 3 the replication operations
+/// (`REPL_SUBSCRIBE`, `REPL_BATCH`, `REPL_SNAPSHOT`, `REPL_PROMOTE`);
+/// version 2 the mandatory `HELLO` handshake plus the `SNAPSHOT_PAGE`
+/// and `CLUSTER_STATS` operations; see the version-compatibility table
+/// in `docs/PROTOCOL.md` (machine-checked by `cargo xtask lint-protocol`).
+pub const PROTO_VERSION: u32 = 5;
 
 /// The oldest peer version this build still accepts in `HELLO`: the
-/// current one. Versions 2 and 3 are answered `UNSUPPORTED_VERSION` like
-/// any other mismatch (no in-repo client ever sent them once v4 shipped);
+/// current one. Versions 2 to 4 are answered `UNSUPPORTED_VERSION` like
+/// any other mismatch (no in-repo client sends them once v5 ships);
 /// version 1 had no handshake at all, so a v1 client's first frame is an
 /// operation, which gets the same answer with `requested = 0`.
 pub const MIN_PROTO_VERSION: u32 = PROTO_VERSION;
@@ -82,8 +83,6 @@ json_record! {
         Query(QueryReq),
         /// Service statistics (ingest/query counters, staleness, shards).
         Stats,
-        /// The full published snapshot.
-        Snapshot,
         /// One page of the published snapshot (delta-aware streaming
         /// transfer: large summaries never approach the 16 MiB frame cap).
         /// `offset == 0` pins the current snapshot to the connection and
@@ -192,7 +191,7 @@ json_record! {
         /// at most this many most-recent items).
         pub staleness: u64,
         /// Always `None` from `cots-serve` and `cots-coord`: no server
-        /// counts over a window. Kept so the v4 bytes stay unchanged.
+        /// counts over a window. Kept so the stamp's bytes stay unchanged.
         pub rotations: Option<u64>,
     }
 }
@@ -237,13 +236,6 @@ json_record! {
         },
         /// Service statistics.
         Stats(ServiceReport),
-        /// The full published snapshot.
-        Snapshot {
-            /// The summary view.
-            snapshot: Snapshot<u64>,
-            /// Snapshot provenance.
-            stamp: QueryStamp,
-        },
         /// One page of the pinned snapshot (see [`Request::SnapshotPage`]).
         SnapshotPage {
             /// Entries `offset..offset+len` of the sorted entry list
@@ -382,7 +374,7 @@ mod tests {
     fn requests_round_trip() {
         round_trip_request(Request::Hello {
             proto_version: PROTO_VERSION,
-            features: vec!["snapshot-page".into()],
+            features: vec!["cluster".into()],
         });
         round_trip_request(Request::Hello {
             proto_version: 1,
@@ -396,7 +388,6 @@ mod tests {
         round_trip_request(Request::Query(QueryReq::Frequent { phi: 0.01 }));
         round_trip_request(Request::Query(QueryReq::TopK { k: 25 }));
         round_trip_request(Request::Stats);
-        round_trip_request(Request::Snapshot);
         round_trip_request(Request::SnapshotPage {
             since_epoch: 41,
             offset: 65_536,
@@ -445,7 +436,7 @@ mod tests {
         };
         round_trip_response(Response::HelloAck {
             proto_version: PROTO_VERSION,
-            features: vec!["snapshot-page".into(), "cluster".into()],
+            features: vec!["cluster".into()],
         });
         round_trip_response(Response::UnsupportedVersion {
             supported: PROTO_VERSION,
@@ -459,10 +450,6 @@ mod tests {
             stamp,
         });
         round_trip_response(Response::Stats(ServiceReport::default()));
-        round_trip_response(Response::Snapshot {
-            snapshot: Snapshot::new(vec![CounterEntry::new(1u64, 2, 0)], 2),
-            stamp: QueryStamp::default(),
-        });
         round_trip_response(Response::SnapshotPage {
             entries: vec![CounterEntry::new(5u64, 10, 1)],
             offset: 128,

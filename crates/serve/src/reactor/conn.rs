@@ -247,7 +247,7 @@ impl Connection {
         since: Instant,
         now: Instant,
     ) -> bool {
-        let (reply, bin) = session::serve_payload(service, &mut self.state, &payload, sender);
+        let reply = session::serve_payload(service, &mut self.state, &payload, sender);
         if matches!(reply.response, Response::Overloaded) {
             let held = Held { payload, since };
             if !held.expired(now) {
@@ -256,7 +256,7 @@ impl Connection {
             }
             service.rejected();
         }
-        let (response, close) = session::encode_reply(reply, bin);
+        let (response, close) = session::encode_reply(reply);
         if !self.queue_payload(&response) {
             return false;
         }
@@ -318,8 +318,9 @@ mod tests {
     use cots::SnapshotPublisher;
 
     use super::*;
-    use crate::frame::{encode_frame, read_frame};
-    use crate::protocol::{encode, Request, PROTO_VERSION};
+    use crate::bin1;
+    use crate::frame::{encode_payload, read_frame};
+    use crate::protocol::{Request, PROTO_VERSION};
     use crate::shard::{Partitioned, Refresher, ShardPool};
     use crate::{Client, ServiceConfig};
 
@@ -336,7 +337,9 @@ mod tests {
     }
 
     fn send(client: &mut TcpStream, request: &Request) {
-        client.write_all(&encode_frame(&encode(request))).unwrap();
+        client
+            .write_all(&encode_payload(&bin1::request_payload(request)))
+            .unwrap();
     }
 
     fn recv(client: &mut TcpStream) -> Response {

@@ -4,10 +4,10 @@
 //! A thread-per-connection server costs one OS thread and one set of shard
 //! rings per connection — fine for hundreds of connections, fatal for
 //! tens of thousands. The reactor inverts that: a fixed pool of
-//! reactor threads each owns one readiness [`Poller`](sys::Poller)
+//! reactor threads each owns one readiness [`Poller`]
 //! (epoll on Linux, `poll(2)` elsewhere), one [`ShardSender`] feeding
 //! the per-shard SPSC rings, and a slab of nonblocking
-//! [`Connection`](conn::Connection) state machines. N connections cost
+//! [`Connection`] state machines. N connections cost
 //! N small buffers, not N threads or N×shards rings.
 //!
 //! Topology:

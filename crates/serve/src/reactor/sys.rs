@@ -2,7 +2,7 @@
 //! the priority call the shard workers make when they start.
 //!
 //! Everything FFI lives here, behind the safe [`Poller`] facade and
-//! [`lower_thread_priority`] — the rest of the reactor (and the rest of
+//! `lower_thread_priority` — the rest of the reactor (and the rest of
 //! the crate) contains no `unsafe` at all, which is enforced by
 //! `cargo xtask lint-unsafe` plus review.
 //! The declarations link directly against the platform C library that

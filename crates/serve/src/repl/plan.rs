@@ -3,7 +3,7 @@
 //!
 //! Plans are *subslices* of the tailer's batch run — no keys are copied
 //! at planning time; the shipper hands the borrowed slices ([`runs_for`])
-//! to `Client::encode_repl_batch`, which picks the wire encoding.
+//! to `Client::encode_repl_batch`, which frames them as BIN1.
 //!
 //! AUDIT: total — planning runs on every shipper poll against data read
 //! back from disk; it must never panic. Enforced by `cargo xtask audit`

@@ -49,8 +49,8 @@ use crate::repl::replica::{Admission, Offer, Replica};
 use crate::session::{self, ConnState, Endpoint};
 use crate::shard::{Partitioned, Refresher, RoomWaker, SendOutcome, ShardPool, ShardSender};
 
-/// Feature flags a member instance advertises in `HELLO_ACK`.
-const MEMBER_FEATURES: &[&str] = &["snapshot-page", "bin"];
+/// Feature flags a member instance advertises in `HELLO_ACK`: none.
+const MEMBER_FEATURES: &[&str] = &[];
 
 /// Keys applied per summary entry a capture copies before a publish is
 /// due ahead of the timer. A capture copies at most `shards × capacity`
@@ -374,9 +374,7 @@ impl Endpoint for Service {
 
     fn dispatch(&self, request: Request, sender: &mut ShardSender) -> Response {
         match request {
-            Request::Hello { .. } | Request::Snapshot | Request::SnapshotPage { .. } => {
-                session::not_dispatched()
-            }
+            Request::Hello { .. } | Request::SnapshotPage { .. } => session::not_dispatched(),
             Request::Ingest { keys } => {
                 if self.is_standby() {
                     return Response::Error {

@@ -5,23 +5,22 @@
 //! once and the front-ends only move bytes:
 //!
 //! * **Handshake** — the first frame must be `HELLO` with a version in
-//!   `MIN_PROTO_VERSION..=PROTO_VERSION` (both 4); anything else is
+//!   `MIN_PROTO_VERSION..=PROTO_VERSION` (both 5); anything else is
 //!   answered with `UNSUPPORTED_VERSION` (`requested = 0` when no `HELLO`
 //!   was sent at all) and the connection closes.
-//! * **BIN1 admission** — binary frames are decoded only on connections
-//!   whose `HELLO` listed the `"bin"` feature; an unnegotiated binary
-//!   frame is a protocol violation (JSON error, then close), a malformed
-//!   one on a negotiated connection is an ordinary error.
-//! * **Encode in kind** — a BIN1 request gets a BIN1 response when the
-//!   response op has a binary form, JSON otherwise (errors are always
-//!   JSON; clients of either mode decode both).
-//! * **Snapshot serving** — `SNAPSHOT` answers from the endpoint's
-//!   freshest published snapshot; `SNAPSHOT_PAGE` pins that snapshot at
-//!   `offset == 0` and keeps reading the pinned one on later pages, so a
-//!   multi-frame transfer never sees a torn summary.
-//! * **Frame cap** — a response that encodes past [`MAX_FRAME`] (only a
-//!   one-shot `SNAPSHOT` of a very large summary can) is replaced by a
-//!   JSON error pointing at `SNAPSHOT_PAGE`; the connection stays open.
+//! * **One encoding per op** — each op travels in the one encoding
+//!   [`crate::bin1`] assigns it: BIN1 for the bulk ops and their answers,
+//!   JSON for everything else. A JSON frame naming a bulk op is answered
+//!   with an error naming its BIN1 form and is never dispatched; a
+//!   malformed frame of either encoding is an ordinary error. Neither
+//!   closes the connection.
+//! * **Snapshot serving** — `SNAPSHOT_PAGE` pins the endpoint's freshest
+//!   published snapshot at `offset == 0` and keeps reading the pinned
+//!   one on later pages, so a multi-frame transfer never sees a torn
+//!   summary.
+//! * **Frame cap** — a response that encodes past [`MAX_FRAME`] (a `TopK`
+//!   or `Frequent` answer over a very large `--capacity` can) is replaced
+//!   by a JSON error saying so; the connection stays open.
 //! * **Shutdown** — the connection closes after `SHUTTING_DOWN`.
 //!
 //! What differs between front-ends is behind [`Endpoint`]: which features
@@ -36,6 +35,7 @@ use std::sync::Arc;
 
 use cots::StampedSnapshot;
 
+use crate::bin1;
 use crate::frame::{Payload, MAX_FRAME};
 use crate::protocol::{
     decode, encode, snapshot_page_response, QueryStamp, Request, Response, MIN_PROTO_VERSION,
@@ -51,37 +51,35 @@ pub trait Endpoint {
     /// Feature flags advertised in `HELLO_ACK`.
     fn features(&self) -> &'static [&'static str];
 
-    /// The freshest published snapshot: what `SNAPSHOT` answers from and
-    /// what a `SNAPSHOT_PAGE` transfer starting now pins.
+    /// The freshest published snapshot: what a `SNAPSHOT_PAGE` transfer
+    /// starting now pins.
     fn current(&self, link: &mut Self::Link) -> Arc<StampedSnapshot<u64>>;
 
     /// Provenance stamp for a (possibly pinned) snapshot, with staleness
     /// measured against everything acknowledged so far.
     fn stamp(&self, snapshot: &StampedSnapshot<u64>) -> QueryStamp;
 
-    /// Answer any request other than `HELLO`, `SNAPSHOT` and
-    /// `SNAPSHOT_PAGE`, which [`serve_request`] answers itself and never
-    /// passes on.
+    /// Answer any request other than `HELLO` and `SNAPSHOT_PAGE`, which
+    /// [`serve_request`] answers itself and never passes on.
     fn dispatch(&self, request: Request, link: &mut Self::Link) -> Response;
 }
 
 /// The answer an [`Endpoint::dispatch`] gives for an op it has no arm
-/// of its own for — by contract only the three it is never handed.
+/// of its own for — by contract only the two it is never handed.
 pub fn not_dispatched() -> Response {
     Response::Error {
-        message: "op not served by this endpoint (HELLO, SNAPSHOT and SNAPSHOT_PAGE are \
-                  answered by the connection layer before dispatch)"
+        message: "op not served by this endpoint (HELLO and SNAPSHOT_PAGE are answered by \
+                  the connection layer before dispatch)"
             .into(),
     }
 }
 
-/// Per-connection protocol state: handshake progress, whether the peer
-/// negotiated the BIN1 encoding, plus the snapshot pinned by an
-/// in-progress paged transfer. Owned by the connection, never shared.
+/// Per-connection protocol state: handshake progress plus the snapshot
+/// pinned by an in-progress paged transfer. Owned by the connection,
+/// never shared.
 #[derive(Default)]
 pub struct ConnState {
     greeted: bool,
-    bin: bool,
     pinned: Option<Arc<StampedSnapshot<u64>>>,
 }
 
@@ -140,11 +138,7 @@ pub fn serve_request<E: Endpoint>(
     request: Request,
     link: &mut E::Link,
 ) -> Reply {
-    if let Request::Hello {
-        proto_version,
-        ref features,
-    } = request
-    {
+    if let Request::Hello { proto_version, .. } = request {
         if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&proto_version) {
             return Reply::closing(Response::UnsupportedVersion {
                 supported: PROTO_VERSION,
@@ -152,7 +146,6 @@ pub fn serve_request<E: Endpoint>(
             });
         }
         conn.greeted = true;
-        conn.bin = features.iter().any(|f| f == "bin");
         return Reply::open(Response::HelloAck {
             proto_version: PROTO_VERSION,
             features: endpoint.features().iter().map(|f| f.to_string()).collect(),
@@ -165,13 +158,6 @@ pub fn serve_request<E: Endpoint>(
         });
     }
     match request {
-        Request::Snapshot => {
-            let current = endpoint.current(link);
-            Reply::open(Response::Snapshot {
-                snapshot: current.snapshot.clone(),
-                stamp: endpoint.stamp(&current),
-            })
-        }
         Request::SnapshotPage {
             since_epoch,
             offset,
@@ -194,68 +180,55 @@ pub fn serve_request<E: Endpoint>(
     }
 }
 
-/// Serve one raw frame payload: decode (JSON always; BIN1 only on a
-/// connection that negotiated it), run [`serve_request`], and encode the
-/// response in kind (see [`encode_reply`]). Returns the payload to write
-/// and whether the connection must close after it.
+/// Serve one raw frame payload: decode it, refuse a bulk op sent as JSON,
+/// run [`serve_request`], and encode the response in its one form (see
+/// [`encode_reply`]). Returns the payload to write and whether the
+/// connection must close after it.
 pub fn serve_frame<E: Endpoint>(
     endpoint: &E,
     conn: &mut ConnState,
     payload: &Payload,
     link: &mut E::Link,
 ) -> (Payload, bool) {
-    let (reply, bin) = serve_payload(endpoint, conn, payload, link);
-    encode_reply(reply, bin)
+    encode_reply(serve_payload(endpoint, conn, payload, link))
 }
 
-/// [`serve_frame`] before the encode: the reply, and whether the request
-/// came as BIN1. A front-end that may hold a frame instead of answering it
-/// looks at the reply here.
+/// [`serve_frame`] before the encode. A front-end that may hold a frame
+/// instead of answering it looks at the reply here.
 pub fn serve_payload<E: Endpoint>(
     endpoint: &E,
     conn: &mut ConnState,
     payload: &Payload,
     link: &mut E::Link,
-) -> (Reply, bool) {
+) -> Reply {
     match payload {
         Payload::Json(text) => match decode::<Request>(text) {
-            Ok(request) => (serve_request(endpoint, conn, request, link), false),
-            Err(e) => (Reply::error(e.to_string()), false),
+            Ok(request) => match bin1::binary_only(&request) {
+                // Before `HELLO` the handshake rule answers, whatever the op.
+                Some(op) if conn.greeted => Reply::error(format!(
+                    "{op} travels only as a BIN1 frame in protocol v{PROTO_VERSION}, not as JSON"
+                )),
+                _ => serve_request(endpoint, conn, request, link),
+            },
+            Err(e) => Reply::error(e.to_string()),
         },
-        Payload::Bin(_) if !conn.bin => (
-            Reply::closing(Response::Error {
-                message: "BIN1 frame on a connection that did not negotiate the `bin` \
-                          feature in HELLO"
-                    .into(),
-            }),
-            false,
-        ),
-        Payload::Bin(bytes) => match crate::bin1::decode_request(bytes) {
-            Ok(request) => (serve_request(endpoint, conn, request, link), true),
-            Err(e) => (Reply::error(e.to_string()), false),
+        Payload::Bin(bytes) => match bin1::decode_request(bytes) {
+            Ok(request) => serve_request(endpoint, conn, request, link),
+            Err(e) => Reply::error(e.to_string()),
         },
     }
 }
 
-/// Encode `reply` in kind — BIN1 when `bin` and the response has a binary
-/// form, JSON otherwise — falling back to a JSON error when the encoding
-/// would not fit one frame. Returns the payload to write and whether the
-/// connection must close after it.
-pub fn encode_reply(reply: Reply, bin: bool) -> (Payload, bool) {
-    let binary = if bin {
-        crate::bin1::encode_response(&reply.response)
-    } else {
-        None
-    };
-    let encoded = match binary {
-        Some(bytes) => Payload::Bin(bytes),
-        None => Payload::Json(encode(&reply.response)),
-    };
+/// Encode `reply` in its op's one form (see [`bin1::response_payload`]),
+/// falling back to a JSON error when it would not fit one frame. Returns
+/// the payload to write and whether the connection must close after it.
+pub fn encode_reply(reply: Reply) -> (Payload, bool) {
+    let encoded = bin1::response_payload(&reply.response);
     if encoded.len() > MAX_FRAME {
         let fallback = Response::Error {
             message: format!(
-                "response would be {} bytes, over the {MAX_FRAME}-byte frame cap; \
-                 page it with SNAPSHOT_PAGE",
+                "response would be {} bytes, over the {MAX_FRAME}-byte frame cap; ask for \
+                 fewer entries or page the summary with SNAPSHOT_PAGE",
                 encoded.len()
             ),
         };
@@ -393,7 +366,7 @@ mod tests {
                         matches!(
                             r,
                             Response::UnsupportedVersion {
-                                supported: 4,
+                                supported: 5,
                                 requested: 2
                             }
                         )
@@ -406,14 +379,33 @@ mod tests {
             (
                 "protocol v3 is no longer negotiated",
                 vec![],
-                hello(3, &["snapshot-page"]),
+                hello(3, &[]),
                 Expect {
                     response: |r| {
                         matches!(
                             r,
                             Response::UnsupportedVersion {
-                                supported: 4,
+                                supported: 5,
                                 requested: 3
+                            }
+                        )
+                    },
+                    bin: false,
+                    close: true,
+                    dispatched: false,
+                },
+            ),
+            (
+                "protocol v4 is no longer negotiated",
+                vec![],
+                hello(4, &[]),
+                Expect {
+                    response: |r| {
+                        matches!(
+                            r,
+                            Response::UnsupportedVersion {
+                                supported: 5,
+                                requested: 4
                             }
                         )
                     },
@@ -425,7 +417,7 @@ mod tests {
             (
                 "version above the supported range",
                 vec![],
-                hello(PROTO_VERSION + 1, &["bin"]),
+                hello(PROTO_VERSION + 1, &[]),
                 Expect {
                     response: |r| {
                         matches!(r, Response::UnsupportedVersion { requested, .. }
@@ -451,19 +443,50 @@ mod tests {
                 },
             ),
             (
-                "BIN1 before `bin` was negotiated",
-                vec![hello(PROTO_VERSION, &["snapshot-page"])],
+                "BIN1 INGEST after a featureless HELLO is served in BIN1",
+                vec![hello(PROTO_VERSION, &[])],
                 ingest_bin.clone(),
                 Expect {
-                    response: is_error,
+                    response: |r| matches!(r, Response::IngestAck { enqueued: 3 }),
+                    bin: true,
+                    close: false,
+                    dispatched: true,
+                },
+            ),
+            (
+                "JSON INGEST is refused, naming its BIN1 form, and not dispatched",
+                vec![hello(PROTO_VERSION, &[])],
+                json(&Request::Ingest {
+                    keys: vec![1, 2, 3],
+                }),
+                Expect {
+                    response: |r| {
+                        matches!(r, Response::Error { message }
+                            if message.contains("INGEST") && message.contains("BIN1"))
+                    },
+                    bin: false,
+                    close: false,
+                    dispatched: false,
+                },
+            ),
+            (
+                "JSON INGEST before HELLO gets the handshake answer",
+                vec![],
+                json(&Request::Ingest {
+                    keys: vec![1, 2, 3],
+                }),
+                Expect {
+                    response: |r| {
+                        matches!(r, Response::UnsupportedVersion { requested: 0, .. })
+                    },
                     bin: false,
                     close: true,
                     dispatched: false,
                 },
             ),
             (
-                "malformed BIN1 on a negotiated connection",
-                vec![hello(PROTO_VERSION, &["bin"])],
+                "malformed BIN1",
+                vec![hello(PROTO_VERSION, &[])],
                 Payload::Bin(vec![BIN1_MAGIC, 0x7F]),
                 Expect {
                     response: is_error,
@@ -484,48 +507,11 @@ mod tests {
                 },
             ),
             (
-                "BIN1 request whose response has a binary form",
-                vec![hello(PROTO_VERSION, &["bin"])],
-                ingest_bin.clone(),
-                Expect {
-                    response: |r| matches!(r, Response::IngestAck { enqueued: 3 }),
-                    bin: true,
-                    close: false,
-                    dispatched: true,
-                },
-            ),
-            (
-                "BIN1 request whose response has none",
-                vec![hello(PROTO_VERSION, &["bin"])],
+                "BIN1 request answered with an error gets JSON",
+                vec![hello(PROTO_VERSION, &[])],
                 Payload::Bin(bin1::encode_repl_batch(0, &[])),
                 Expect {
                     response: is_error,
-                    bin: false,
-                    close: false,
-                    dispatched: true,
-                },
-            ),
-            (
-                "v4 without `bin` is served in JSON",
-                vec![hello(PROTO_VERSION, &[])],
-                json(&Request::Ingest {
-                    keys: vec![1, 2, 3],
-                }),
-                Expect {
-                    response: |r| matches!(r, Response::IngestAck { enqueued: 3 }),
-                    bin: false,
-                    close: false,
-                    dispatched: true,
-                },
-            ),
-            (
-                "JSON request on a BIN1-capable connection stays JSON",
-                vec![hello(PROTO_VERSION, &["bin"])],
-                json(&Request::Ingest {
-                    keys: vec![1, 2, 3],
-                }),
-                Expect {
-                    response: |r| matches!(r, Response::IngestAck { enqueued: 3 }),
                     bin: false,
                     close: false,
                     dispatched: true,
@@ -554,17 +540,6 @@ mod tests {
                     bin: false,
                     close: true,
                     dispatched: true,
-                },
-            ),
-            (
-                "SNAPSHOT is answered without dispatch",
-                vec![hello(PROTO_VERSION, &[])],
-                json(&Request::Snapshot),
-                Expect {
-                    response: |r| matches!(r, Response::Snapshot { snapshot, .. } if snapshot.len() == 10),
-                    bin: false,
-                    close: false,
-                    dispatched: false,
                 },
             ),
         ];

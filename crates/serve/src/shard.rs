@@ -38,7 +38,7 @@
 //!   one per CPU). Each shard sees exactly the `process_weighted` sequence
 //!   `apply` would have given it on the expanded keys.
 //!
-//! Workers run [`WORKER_NICE`] nice levels behind the reactors (Linux
+//! Workers run `WORKER_NICE` nice levels behind the reactors (Linux
 //! only): with more busy threads than cores, a reactor holding a query or
 //! an ack takes the CPU before a worker counting a batch.
 //!
@@ -57,7 +57,7 @@
 //! ([`Consumer::room_wanted`]) and calls the sender's [`RoomWaker`] — for a
 //! reactor, one byte down its wakeup channel. The volatile worker pops one
 //! batch per apply, so room comes back a slot at a time; the durable one
-//! drains up to [`DRAIN_BURST`] batches into one WAL commit.
+//! drains up to `DRAIN_BURST` batches into one WAL commit.
 //!
 //! AUDIT: locks — the registry and summary mutexes are held for in-memory
 //! work only and must stay I/O-free; enforced by `cargo xtask audit`
@@ -709,7 +709,7 @@ impl ShardPool {
         worked
     }
 
-    /// The durable pass: drain up to [`DRAIN_BURST`] batches across the
+    /// The durable pass: drain up to `DRAIN_BURST` batches across the
     /// rings, sort each, and log-and-apply them as one group (one WAL
     /// commit, one gate section). Whether any ring had a batch.
     fn log_burst(

@@ -1,14 +1,14 @@
-//! Interop end-to-end tests for the negotiated BIN1 encoding: a
-//! JSON-only client (v4, no `"bin"` feature) keeps working against a
-//! binary-capable server (same answers, byte-for-byte JSON frames), BIN1
-//! frames are
-//! refused on connections that did not negotiate `"bin"`, and malformed
-//! binary frames produce clean errors on a live connection.
+//! End-to-end tests for protocol v5's one encoding per op over a real
+//! socket: a v4 `HELLO` is refused and the connection closes; after a
+//! featureless v5 `HELLO` a JSON `INGEST` is refused with an error naming
+//! its BIN1 form and never reaches the shards, while the same connection
+//! serves a BIN1 `INGEST` in BIN1 and queries in JSON; malformed BIN1
+//! frames produce clean errors on a live connection.
 
 use std::time::Duration;
 
 use cots_serve::frame::Payload;
-use cots_serve::protocol::QueryReq;
+use cots_serve::protocol::{encode, QueryReq};
 use cots_serve::{Client, Request, Response, Server, ServiceConfig, BIN1_MAGIC, PROTO_VERSION};
 
 fn spawn_server() -> (String, std::thread::JoinHandle<()>) {
@@ -35,135 +35,90 @@ fn shutdown(addr: &str, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("server thread");
 }
 
-/// Wait until queries converge on `total` observed mass.
-fn settle(client: &mut Client, total: u64) {
-    for _ in 0..1_000 {
-        let (_, seen, _) = client.query(QueryReq::TopK { k: 64 }).expect("query");
-        if seen == total {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    panic!("ingested mass never became visible");
-}
-
-/// A client that never advertises `"bin"` gets pure JSON frames back —
-/// and sees exactly the same answers as a binary client on the same
-/// server.
+/// A v4 peer is refused at the handshake, named in the answer, and the
+/// connection closes.
 #[test]
-fn json_only_client_interoperates_with_binary_server() {
-    let (addr, handle) = spawn_server();
-
-    // The modern client: negotiates BIN1 and ingests binary.
-    let mut modern = Client::connect(&addr).expect("modern connect");
-    modern.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert!(modern.is_binary(), "server must offer bin");
-
-    // The JSON-only client: current version, no feature flags at all.
-    let mut legacy = Client::connect_raw(&addr).expect("json-only connect");
-    legacy.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    match legacy.call(&Request::Hello {
-        proto_version: PROTO_VERSION,
-        features: vec![],
-    }) {
-        Ok(Response::HelloAck { proto_version, .. }) => {
-            assert_eq!(proto_version, PROTO_VERSION)
-        }
-        other => panic!("featureless HELLO failed: {other:?}"),
-    }
-    assert!(!legacy.is_binary(), "no `bin` advertised, stays JSON");
-
-    // Both ingest; the binary ack must actually be binary and the
-    // JSON-only client's ack actually JSON.
-    modern
-        .send(&Request::Ingest {
-            keys: vec![1, 1, 2, 3],
-        })
-        .expect("modern send");
-    let payload = modern.recv_payload().expect("modern ack");
-    assert!(payload.is_bin(), "negotiated ack is BIN1");
-    match Client::decode_response(&payload).expect("decode") {
-        Response::IngestAck { enqueued } => assert_eq!(enqueued, 4),
-        other => panic!("unexpected ack {other:?}"),
-    }
-    legacy
-        .send(&Request::Ingest { keys: vec![1, 4] })
-        .expect("legacy send");
-    let payload = legacy.recv_payload().expect("legacy ack");
-    assert!(!payload.is_bin(), "JSON conn gets JSON ack");
-    match Client::decode_response(&payload).expect("decode") {
-        Response::IngestAck { enqueued } => assert_eq!(enqueued, 2),
-        other => panic!("unexpected ack {other:?}"),
-    }
-
-    // Same question, both encodings of client: byte-identical JSON
-    // answers (queries are JSON on every connection). The publisher
-    // keeps republishing, and ties may order differently from one
-    // published snapshot to the next, so only answers served from the
-    // same epoch are comparable.
-    settle(&mut modern, 6);
-    let ask = |client: &mut Client| {
-        client
-            .send(&Request::Query(QueryReq::TopK { k: 64 }))
-            .unwrap();
-        let raw = client.recv_payload().expect("answer");
-        assert!(!raw.is_bin(), "queries are answered in JSON");
-        match Client::decode_response(&raw).expect("decode") {
-            Response::Answer { stamp, .. } => (stamp.epoch, raw),
-            other => panic!("unexpected answer {other:?}"),
-        }
-    };
-    let same_epoch = (0..100).find_map(|_| {
-        let (modern_epoch, modern_raw) = ask(&mut modern);
-        let (legacy_epoch, legacy_raw) = ask(&mut legacy);
-        (modern_epoch == legacy_epoch).then_some((modern_raw, legacy_raw))
-    });
-    let (modern_raw, legacy_raw) = same_epoch.expect("two queries never hit one epoch");
-    assert_eq!(
-        modern_raw.bytes(),
-        legacy_raw.bytes(),
-        "answers must be byte-identical across client encodings"
-    );
-
-    shutdown(&addr, handle);
-}
-
-/// A BIN1 frame on a connection that never negotiated `"bin"` is an
-/// error and the connection closes — same contract as a failed
-/// handshake.
-#[test]
-fn bin1_without_negotiation_is_refused_and_closed() {
+fn v4_hello_is_refused_and_closed() {
     let (addr, handle) = spawn_server();
 
     let mut raw = Client::connect_raw(&addr).expect("raw connect");
     raw.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    raw.call(&Request::Hello {
-        proto_version: PROTO_VERSION,
-        features: vec![], // deliberately not advertising bin
-    })
-    .expect("hello");
-    raw.send_payload(&Payload::Bin(cots_serve::bin1::encode_ingest(&[1, 2])))
-        .expect("send binary frame");
-    match raw.recv() {
-        Ok(Response::Error { message }) => {
-            assert!(message.contains("bin"), "{message}")
-        }
-        other => panic!("expected Error, got {other:?}"),
+    match raw.call(&Request::Hello {
+        proto_version: 4,
+        features: vec![],
+    }) {
+        Ok(Response::UnsupportedVersion {
+            supported,
+            requested,
+        }) => assert_eq!((supported, requested), (5, 4)),
+        other => panic!("a v4 HELLO must be refused, got {other:?}"),
     }
-    assert!(raw.recv().is_err(), "closed after violation");
+    assert!(raw.recv().is_err(), "closed after the refusal");
 
     shutdown(&addr, handle);
 }
 
-/// Malformed BIN1 bytes on a *negotiated* connection answer with a JSON
-/// error and the connection survives — mirroring garbage-JSON handling.
+/// A JSON `INGEST` is refused and never dispatched — `STATS` does not
+/// count it — and the connection stays open: it then serves a BIN1
+/// `INGEST` in BIN1 and a query in JSON.
+#[test]
+fn json_ingest_is_refused_and_the_connection_serves_bin1() {
+    let (addr, handle) = spawn_server();
+
+    let mut client = Client::connect_raw(&addr).expect("raw connect");
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    match client.call(&Request::Hello {
+        proto_version: PROTO_VERSION,
+        features: vec![],
+    }) {
+        Ok(Response::HelloAck { features, .. }) => assert!(features.is_empty()),
+        other => panic!("featureless HELLO failed: {other:?}"),
+    }
+
+    let json_ingest = encode(&Request::Ingest { keys: vec![1, 2] });
+    client
+        .send_payload(&Payload::Json(json_ingest))
+        .expect("send JSON ingest");
+    match client.recv() {
+        Ok(Response::Error { message }) => {
+            assert!(message.contains("INGEST") && message.contains("BIN1"), "{message}")
+        }
+        other => panic!("a JSON INGEST must be refused, got {other:?}"),
+    }
+    assert_eq!(client.stats().expect("stats").ingested_keys, 0);
+
+    client
+        .send_payload(&client.encode_ingest(&[1, 1, 2]))
+        .expect("send BIN1 ingest");
+    let ack = client.recv_payload().expect("ack");
+    assert!(ack.is_bin(), "a BIN1 INGEST is acked in BIN1");
+    match Client::decode_response(&ack).expect("decode") {
+        Response::IngestAck { enqueued } => assert_eq!(enqueued, 3),
+        other => panic!("unexpected ack {other:?}"),
+    }
+    assert_eq!(client.stats().expect("stats").ingested_keys, 3);
+
+    client
+        .send(&Request::Query(QueryReq::TopK { k: 4 }))
+        .expect("send query");
+    let answer = client.recv_payload().expect("answer");
+    assert!(!answer.is_bin(), "queries are answered in JSON");
+    assert!(matches!(
+        Client::decode_response(&answer),
+        Ok(Response::Answer { .. })
+    ));
+
+    shutdown(&addr, handle);
+}
+
+/// Malformed BIN1 bytes answer with a JSON error and the connection
+/// survives — mirroring garbage-JSON handling.
 #[test]
 fn malformed_bin1_errors_cleanly_and_connection_survives() {
     let (addr, handle) = spawn_server();
 
     let mut client = Client::connect(&addr).expect("connect");
     client.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert!(client.is_binary());
 
     for garbage in [
         vec![BIN1_MAGIC],                      // no tag
@@ -179,44 +134,9 @@ fn malformed_bin1_errors_cleanly_and_connection_survives() {
             other => panic!("expected Error, got {other:?}"),
         }
     }
-    // Still alive and fully functional, still binary.
+    // Still alive and fully functional.
     client.ingest(&[5, 6, 7]).expect("ingest after garbage");
     client.stats().expect("stats after garbage");
-
-    shutdown(&addr, handle);
-}
-
-/// `set_binary(false)` drops a negotiated connection back to JSON and
-/// `set_binary(true)` restores it — the one differential-testing switch;
-/// both encodings of a bulk request decode to the same operation.
-#[test]
-fn set_binary_toggles_wire_encoding_per_connection() {
-    let (addr, handle) = spawn_server();
-
-    let mut client = Client::connect(&addr).expect("connect");
-    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert!(client.is_binary());
-
-    assert!(!client.set_binary(false));
-    let runs: [(u64, &[u64]); 2] = [(7, &[1, 2]), (8, &[])];
-    let json_batch = client.encode_repl_batch(3, &runs);
-    client.send(&Request::Ingest { keys: vec![1] }).unwrap();
-    let ack = client.recv_payload().expect("ack");
-    assert!(!ack.is_bin(), "forced-JSON ingest must be answered in JSON");
-
-    assert!(client.set_binary(true), "re-enable after negotiation");
-    let (Payload::Json(text), Payload::Bin(bytes)) =
-        (json_batch, client.encode_repl_batch(3, &runs))
-    else {
-        panic!("REPL_BATCH must follow the connection's encoding");
-    };
-    assert_eq!(
-        cots_serve::protocol::decode::<Request>(&text).expect("json form"),
-        cots_serve::bin1::decode_request(&bytes).expect("bin1 form"),
-    );
-    client.send(&Request::Ingest { keys: vec![2] }).unwrap();
-    let ack = client.recv_payload().expect("ack");
-    assert!(ack.is_bin(), "binary ingest answered in BIN1");
 
     shutdown(&addr, handle);
 }

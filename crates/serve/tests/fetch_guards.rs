@@ -1,7 +1,7 @@
 //! The coordinator's defence against an untrusted member's pages:
 //! `fetch_snapshot` against a scripted fake member on a loopback socket.
-//! The fake answers `HELLO` without `bin` (so every frame is JSON), then
-//! answers each `SNAPSHOT_PAGE` request with the next crafted response.
+//! The fake answers `HELLO`, then answers each BIN1 `SNAPSHOT_PAGE`
+//! request with the next crafted response, each in its op's one form.
 //! Every guard must turn its violation into a `CotsError::Protocol` that
 //! names it; an honest three-page transfer must reassemble the summary.
 
@@ -12,8 +12,9 @@ use std::time::Duration;
 
 use cots_core::{CotsError, CounterEntry, Snapshot};
 use cots_serve::cluster::{fetch_snapshot, Fetched};
+use cots_serve::bin1;
 use cots_serve::frame::{read_frame, write_payload, Payload};
-use cots_serve::protocol::{decode, encode};
+use cots_serve::protocol::decode;
 use cots_serve::{Client, QueryStamp, Request, Response, PROTO_VERSION};
 
 const EPOCH: u64 = 9;
@@ -71,9 +72,9 @@ impl Page {
     }
 }
 
-/// Serve one connection: acknowledge `HELLO` without `bin`, then answer
-/// each request with the next scripted response, and hang up when the
-/// script runs out. Returns the requests after `HELLO`.
+/// Serve one connection: acknowledge `HELLO`, then answer each request
+/// with the next scripted response, and hang up when the script runs
+/// out. Returns the requests after `HELLO`.
 fn fake_member(script: Vec<Response>) -> (String, JoinHandle<Vec<Request>>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -82,11 +83,11 @@ fn fake_member(script: Vec<Response>) -> (String, JoinHandle<Vec<Request>>) {
         let mut reader = stream.try_clone().unwrap();
         let mut writer = stream;
         let mut reply = |response: &Response| {
-            write_payload(&mut writer, &Payload::Json(encode(response))).unwrap();
+            write_payload(&mut writer, &bin1::response_payload(response)).unwrap();
         };
         let mut next_request = || match read_frame(&mut reader).unwrap() {
             Some(Payload::Json(text)) => Some(decode::<Request>(&text).unwrap()),
-            Some(Payload::Bin(_)) => panic!("BIN1 was never negotiated"),
+            Some(Payload::Bin(bytes)) => Some(bin1::decode_request(&bytes).unwrap()),
             None => None,
         };
         assert!(matches!(next_request(), Some(Request::Hello { .. })));
@@ -109,7 +110,6 @@ fn fetch_from(script: Vec<Response>) -> (cots_core::Result<Fetched>, Vec<Request
     let (addr, member) = fake_member(script);
     let mut client = Client::connect(&addr).unwrap();
     client.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    assert!(!client.is_binary());
     let fetched = fetch_snapshot(&mut client, 0);
     drop(client);
     (fetched, member.join().unwrap())

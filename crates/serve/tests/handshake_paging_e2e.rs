@@ -1,13 +1,14 @@
 //! End-to-end tests for the `HELLO` handshake and `SNAPSHOT_PAGE`
 //! streaming: version gating over a real socket, paged reassembly equal
-//! to the one-shot snapshot, the `unchanged` delta short-circuit, and a
+//! to the exact summary, the `unchanged` delta short-circuit, and a
 //! summary too large for any single frame.
 
 use std::time::Duration;
 
 use cots_core::CounterEntry;
 use cots_serve::{
-    Client, Request, Response, Server, ServiceConfig, MAX_FRAME, MAX_PAGE_ENTRIES, PROTO_VERSION,
+    Client, QueryReq, Request, Response, Server, ServiceConfig, MAX_FRAME, MAX_PAGE_ENTRIES,
+    PROTO_VERSION,
 };
 
 fn spawn_server(capacity: usize) -> (String, std::thread::JoinHandle<()>) {
@@ -97,17 +98,17 @@ fn handshake_is_mandatory_on_the_wire() {
     client.set_timeout(Some(Duration::from_secs(10))).unwrap();
     let (version, features) = client.hello().expect("re-HELLO is idempotent");
     assert_eq!(version, PROTO_VERSION);
-    assert!(features.iter().any(|f| f == "snapshot-page"));
+    assert!(features.is_empty(), "a member advertises no feature");
     client.ingest(&[1, 2, 3]).expect("ingest after handshake");
 
     shutdown(&addr, handle);
 }
 
 /// Page through a snapshot over the wire and check the reassembly is
-/// exactly the one-shot `SNAPSHOT` answer, then exercise the
+/// exactly the summary of what was ingested, then exercise the
 /// `unchanged` delta short-circuit.
 #[test]
-fn paged_snapshot_matches_one_shot_over_the_wire() {
+fn paged_snapshot_reassembles_the_exact_summary_over_the_wire() {
     let (addr, handle) = spawn_server(32);
     let mut client = Client::connect(&addr).expect("connect");
     client.set_timeout(Some(Duration::from_secs(30))).unwrap();
@@ -119,16 +120,9 @@ fn paged_snapshot_matches_one_shot_over_the_wire() {
     cots_serve::loadgen::await_quiescence(&mut client, keys.len() as u64).expect("quiesce");
     let stable = settled_epoch(&mut client);
 
-    let (full_entries, full_total, full_epoch) =
-        match client.call(&Request::Snapshot).expect("snapshot") {
-            Response::Snapshot { snapshot, stamp } => {
-                (snapshot.entries().to_vec(), snapshot.total(), stamp.epoch)
-            }
-            other => panic!("unexpected: {other:?}"),
-        };
-    assert_eq!(full_entries.len(), 20);
-    assert_eq!(full_total, 5_000);
-    assert_eq!(full_epoch, stable);
+    // 20 distinct keys under a capacity of 32: the summary is exact.
+    let full_total = keys.len() as u64;
+    let full_epoch = stable;
 
     // Pull the same summary in pages of 7.
     let mut paged: Vec<CounterEntry<u64>> = Vec::new();
@@ -153,7 +147,7 @@ fn paged_snapshot_matches_one_shot_over_the_wire() {
             } => {
                 assert!(!unchanged);
                 assert_eq!(at, offset);
-                assert_eq!(total_entries, full_entries.len());
+                assert_eq!(total_entries, 20);
                 assert_eq!(total, full_total);
                 assert_eq!(stamp.epoch, full_epoch, "quiesced: same epoch throughout");
                 offset += entries.len();
@@ -165,7 +159,10 @@ fn paged_snapshot_matches_one_shot_over_the_wire() {
             other => panic!("unexpected: {other:?}"),
         }
     }
-    assert_eq!(paged, full_entries, "paged reassembly == one-shot snapshot");
+    let mut seen: Vec<(u64, u64, u64)> = paged.iter().map(|e| (e.item, e.count, e.error)).collect();
+    seen.sort_unstable();
+    let expected: Vec<(u64, u64, u64)> = (0..20).map(|k| (k, 250, 0)).collect();
+    assert_eq!(seen, expected, "paged reassembly is the exact summary");
 
     // A puller that already holds this epoch gets a tiny `unchanged`
     // answer instead of the data again.
@@ -193,14 +190,14 @@ fn paged_snapshot_matches_one_shot_over_the_wire() {
     shutdown(&addr, handle);
 }
 
-/// A summary whose one-shot encoding exceeds the 16 MiB frame cap can
-/// only move via `SNAPSHOT_PAGE`. Over a real socket: the one-shot
-/// `SNAPSHOT` is answered with an error naming the paged op (not a
+/// A summary whose entries exceed the 16 MiB frame cap can only move via
+/// `SNAPSHOT_PAGE`. Over a real socket: a `TopK` asking for every entry
+/// is answered with an error naming the cap and the paged op (not a
 /// dropped connection), the same connection then pages the whole
 /// summary, every page fits a frame and reads one pinned epoch, and the
 /// reassembly is exact.
 #[test]
-fn oversized_snapshot_is_refused_then_streams_in_pages() {
+fn oversized_summary_is_refused_then_streams_in_pages() {
     let capacity = 500_000usize;
     let (addr, handle) = spawn_server(capacity);
     let mut client = Client::connect(&addr).expect("connect");
@@ -217,11 +214,11 @@ fn oversized_snapshot_is_refused_then_streams_in_pages() {
     }
     cots_serve::loadgen::await_quiescence(&mut client, items).expect("quiesce");
 
-    // The one-shot answer physically cannot fit one frame: the server
-    // says so and keeps the connection.
+    // An answer holding every entry physically cannot fit one frame:
+    // the server says so and keeps the connection.
     match client
-        .call(&Request::Snapshot)
-        .expect("connection must survive an oversized SNAPSHOT")
+        .call(&Request::Query(QueryReq::TopK { k: capacity }))
+        .expect("connection must survive an oversized answer")
     {
         Response::Error { message } => {
             assert!(
@@ -233,12 +230,10 @@ fn oversized_snapshot_is_refused_then_streams_in_pages() {
                 "cap not named: {message}"
             );
         }
-        other => panic!("a >16 MiB SNAPSHOT must be refused, got {other:?}"),
+        other => panic!("a >16 MiB answer must be refused, got {other:?}"),
     }
 
-    // The same connection streams it in pages — JSON pages, the larger
-    // of the two encodings, so the page clamp is checked at its worst.
-    client.set_binary(false);
+    // The same connection streams it in pages.
     let mut paged: Vec<CounterEntry<u64>> = Vec::new();
     let mut pages = 0usize;
     let mut pinned_epoch = None;

@@ -79,7 +79,7 @@ proptest! {
             // byte landed outside the flipped position).
             prop_assert!(matches!(req, Request::ReplBatch { .. } | Request::Ingest { .. }
                 | Request::Hello { .. } | Request::Query(_) | Request::Stats
-                | Request::Snapshot | Request::SnapshotPage { .. } | Request::ClusterStats
+                | Request::SnapshotPage { .. } | Request::ClusterStats
                 | Request::Checkpoint | Request::Shutdown | Request::ReplSubscribe { .. }
                 | Request::ReplSnapshot { .. } | Request::ReplPromote));
         }

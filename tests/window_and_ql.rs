@@ -1,9 +1,8 @@
-//! End-to-end: the SQL-ish query dialect and the jumping window driving
-//! real engines.
+//! End-to-end: the SQL-ish query dialect driving a real engine.
 
 use std::sync::Arc;
 
-use cots::{CotsEngine, JumpingWindow, RuntimeOptions};
+use cots::{CotsEngine, RuntimeOptions};
 use cots_core::ql;
 use cots_core::query::{QueryKind, QueryPeriod};
 use cots_core::{CotsConfig, QueryableSummary};
@@ -64,74 +63,4 @@ fn parsed_statements_run_against_a_live_engine() {
         }
     }
     assert_eq!(evaluations, 3);
-}
-
-#[test]
-fn jumping_window_tracks_a_drifting_distribution() {
-    // The hot set shifts every phase; the window must follow it while the
-    // full-history engine stays anchored to the oldest heavy hitters.
-    let window =
-        Arc::new(JumpingWindow::<u64>::new(CotsConfig::for_capacity(64).unwrap(), 20_000).unwrap());
-    let full = Arc::new(CotsEngine::<u64>::new(CotsConfig::for_capacity(64).unwrap()).unwrap());
-
-    let phases: [(u64, usize); 3] = [(100, 40_000), (200, 40_000), (300, 40_000)];
-    for (base, len) in phases {
-        for i in 0..len as u64 {
-            // 75% of the phase's traffic on its own hot key.
-            let item = if i % 4 != 3 {
-                base
-            } else {
-                base + 1 + (i % 50)
-            };
-            window.process(item);
-            full.delegate(item);
-        }
-    }
-    full.finalize();
-
-    let wsnap = window.snapshot();
-    let top = wsnap.top_k(1);
-    assert_eq!(
-        top[0].item, 300,
-        "window top must be the latest phase's hot key"
-    );
-    // Old hot keys have aged out of the window entirely.
-    assert!(wsnap.get(&100).is_none(), "phase-1 key must have aged out");
-    // The full-history engine still holds all three.
-    let fsnap = full.snapshot();
-    for key in [100u64, 200, 300] {
-        assert!(
-            fsnap.get(&key).is_some(),
-            "full history must retain hot key {key}"
-        );
-    }
-    assert!(window.rotations() >= 10);
-}
-
-#[test]
-fn window_snapshot_is_safe_under_concurrent_feeding() {
-    let window =
-        Arc::new(JumpingWindow::<u64>::new(CotsConfig::for_capacity(32).unwrap(), 5_000).unwrap());
-    std::thread::scope(|s| {
-        for t in 0..3 {
-            let w = window.clone();
-            s.spawn(move || {
-                for i in 0..30_000u64 {
-                    w.process((i + t as u64) % 20);
-                }
-            });
-        }
-        let w = window.clone();
-        s.spawn(move || {
-            for _ in 0..200 {
-                let snap = w.snapshot();
-                let sum: u64 = snap.entries().iter().map(|e| e.count).sum();
-                assert!(sum <= w.window() + 1, "window mass bound: {sum}");
-                for e in snap.entries() {
-                    assert!(e.error <= e.count);
-                }
-            }
-        });
-    });
-    assert_eq!(window.processed(), 90_000);
 }
