@@ -330,8 +330,8 @@ fn main() {
                 mismatches += 1;
             }
         }
-        let totals_match = on_stats.elements == off_stats.elements
-            && e_on.processed() == e_off.processed();
+        let totals_match =
+            on_stats.elements == off_stats.elements && e_on.processed() == e_off.processed();
         checks.push(GateCheck {
             name: "frontend-exact-when-nothing-evicts".into(),
             pass: totals_match && mismatches == 0,
@@ -372,7 +372,8 @@ fn main() {
     }
 
     let all_pass = checks.iter().all(|c| c.pass);
-    let report = Json::obj(vec![
+    let report =
+        Json::obj(vec![
         ("n", n.to_json()),
         ("alphabet", alphabet.to_json()),
         ("capacity", CAPACITY.to_json()),
@@ -402,7 +403,12 @@ fn main() {
     println!("wrote {}", out_path.display());
 
     for c in &checks {
-        println!("[{}] {} — {}", if c.pass { "PASS" } else { "FAIL" }, c.name, c.detail);
+        println!(
+            "[{}] {} — {}",
+            if c.pass { "PASS" } else { "FAIL" },
+            c.name,
+            c.detail
+        );
     }
     if !all_pass {
         eprintln!("perf-gate: work-counter regression detected");

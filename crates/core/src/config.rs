@@ -234,7 +234,8 @@ mod tests {
     #[test]
     fn combiner_slots_json_defaults_when_absent() {
         // Configs serialized before the front-end existed parse as "off".
-        let legacy = r#"{"summary":{"capacity":10},"hash_bits":5,"block_entries":4,"adaptive":null}"#;
+        let legacy =
+            r#"{"summary":{"capacity":10},"hash_bits":5,"block_entries":4,"adaptive":null}"#;
         let c: CotsConfig = crate::json::from_str(legacy).unwrap();
         assert_eq!(c.combiner_slots, 0);
     }

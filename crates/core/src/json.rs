@@ -118,7 +118,9 @@ impl Json {
         match *self {
             Json::UInt(v) => i64::try_from(v).ok(),
             Json::Int(v) => Some(v),
-            Json::Float(v) if v.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&v) => {
+            Json::Float(v)
+                if v.fract() == 0.0 && (i64::MIN as f64..=i64::MAX as f64).contains(&v) =>
+            {
                 Some(v as i64)
             }
             _ => None,
@@ -315,10 +317,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            err(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            ))
+            err(format!("expected `{}` at byte {}", b as char, self.pos))
         }
     }
 
@@ -460,7 +459,9 @@ impl Parser<'_> {
     fn hex4(&mut self) -> JsonResult<u32> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let c = self.peek().ok_or_else(|| JsonError("bad \\u escape".into()))?;
+            let c = self
+                .peek()
+                .ok_or_else(|| JsonError("bad \\u escape".into()))?;
             let d = (c as char)
                 .to_digit(16)
                 .ok_or_else(|| JsonError("bad hex digit".into()))?;
@@ -624,7 +625,8 @@ impl ToJson for f64 {
 
 impl FromJson for f64 {
     fn from_json(v: &Json) -> JsonResult<Self> {
-        v.as_f64().ok_or_else(|| JsonError("expected number".into()))
+        v.as_f64()
+            .ok_or_else(|| JsonError("expected number".into()))
     }
 }
 

@@ -629,8 +629,7 @@ mod tests {
         let back: ServiceReport = crate::json::from_str(&json).unwrap();
         assert_eq!(back, r);
         let bare = ServiceReport::default();
-        let back: ServiceReport =
-            crate::json::from_str(&crate::json::to_string(&bare)).unwrap();
+        let back: ServiceReport = crate::json::from_str(&crate::json::to_string(&bare)).unwrap();
         assert_eq!(back.recovery, None);
         assert_eq!(back.persist, None);
         assert_eq!(back.repl, None);
@@ -682,12 +681,10 @@ mod tests {
             merges: 61,
             queries: 14,
         };
-        let back: ClusterReport =
-            crate::json::from_str(&crate::json::to_string(&r)).unwrap();
+        let back: ClusterReport = crate::json::from_str(&crate::json::to_string(&r)).unwrap();
         assert_eq!(back, r);
         let bare = ClusterReport::default();
-        let back: ClusterReport =
-            crate::json::from_str(&crate::json::to_string(&bare)).unwrap();
+        let back: ClusterReport = crate::json::from_str(&crate::json::to_string(&bare)).unwrap();
         assert_eq!(back, bare);
     }
 

@@ -93,7 +93,11 @@ impl<K: Copy + PartialEq> BatchCombiner<K> {
             }
         }
         if let Some(idx) = free {
-            self.slots[idx] = Some(Slot { key, hash, count: 1 });
+            self.slots[idx] = Some(Slot {
+                key,
+                hash,
+                count: 1,
+            });
             self.occupied += 1;
             return None;
         }
@@ -110,7 +114,11 @@ impl<K: Copy + PartialEq> BatchCombiner<K> {
             }
         }
         self.slots[victim]
-            .replace(Slot { key, hash, count: 1 })
+            .replace(Slot {
+                key,
+                hash,
+                count: 1,
+            })
             .map(|s| (s.key, s.hash, s.count))
     }
 
@@ -180,7 +188,7 @@ mod tests {
     #[test]
     fn full_window_evicts_smallest_count() {
         let mut c = BatchCombiner::new(8); // window == capacity
-        // Fill all 8 slots with colliding keys; key 0 gets extra mass.
+                                           // Fill all 8 slots with colliding keys; key 0 gets extra mass.
         for k in 0..8u64 {
             assert!(c.add(k, 0).is_none());
         }

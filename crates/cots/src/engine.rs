@@ -1385,7 +1385,10 @@ impl<K: Element> CotsEngine<K> {
         if reachable != self.monitored() {
             out.push((
                 "monitored-count",
-                format!("{reachable} reachable but monitored() = {}", self.monitored()),
+                format!(
+                    "{reachable} reachable but monitored() = {}",
+                    self.monitored()
+                ),
             ));
         }
         let live = self.table.live_count(&guard);
@@ -1899,7 +1902,10 @@ mod tests {
         );
         // Every occurrence is accounted for exactly once.
         assert_eq!(w_on.elements, 10_000);
-        assert_eq!(w_off.boundary_crossings + w_off.delegated_increments, 10_000);
+        assert_eq!(
+            w_off.boundary_crossings + w_off.delegated_increments,
+            10_000
+        );
     }
 
     #[test]
@@ -1909,13 +1915,10 @@ mod tests {
         // run exactly, evictions included.
         let cfg = CotsConfig::for_capacity(512).unwrap();
         let width = 16u64;
-        let on =
-            CotsEngine::<u64>::with_policy(cfg, Policy::LossyRounds { width }).unwrap();
-        let off = CotsEngine::<u64>::with_policy(
-            cfg.without_combiner(),
-            Policy::LossyRounds { width },
-        )
-        .unwrap();
+        let on = CotsEngine::<u64>::with_policy(cfg, Policy::LossyRounds { width }).unwrap();
+        let off =
+            CotsEngine::<u64>::with_policy(cfg.without_combiner(), Policy::LossyRounds { width })
+                .unwrap();
         let mut x = 11u64;
         let stream: Vec<u64> = (0..4_000)
             .map(|_| {

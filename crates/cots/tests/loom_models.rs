@@ -380,8 +380,7 @@ fn min_bucket_retirement_never_loses_requests() {
         try_drain(&succ, None);
 
         let total = 2 * REQS_PER_THREAD;
-        let drained =
-            min.drained.load(Ordering::Acquire) + succ.drained.load(Ordering::Acquire);
+        let drained = min.drained.load(Ordering::Acquire) + succ.drained.load(Ordering::Acquire);
         assert_eq!(drained, total, "logged requests lost or duplicated");
         assert_eq!(min.queued.load(Ordering::Acquire), 0);
         assert_eq!(succ.queued.load(Ordering::Acquire), 0);
@@ -644,6 +643,9 @@ fn waiting_producer_is_woken_once_room_returns() {
             );
         }
         let wakes = ring.wakes.load(Ordering::Acquire);
-        assert!(wakes <= announced, "{wakes} wakes for {announced} announcements");
+        assert!(
+            wakes <= announced,
+            "{wakes} wakes for {announced} announcements"
+        );
     });
 }

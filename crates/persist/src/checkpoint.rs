@@ -61,7 +61,12 @@ json_record! {
 
 impl Checkpoint {
     /// Build a checkpoint from a captured snapshot.
-    pub fn from_snapshot(watermark: u64, epoch: u64, capacity: usize, snap: &Snapshot<u64>) -> Self {
+    pub fn from_snapshot(
+        watermark: u64,
+        epoch: u64,
+        capacity: usize,
+        snap: &Snapshot<u64>,
+    ) -> Self {
         Self {
             watermark,
             epoch,
@@ -207,7 +212,9 @@ pub fn prune_checkpoints(dir: &Path, keep: usize) -> Result<u64> {
 /// (including `.tmp` leftovers from a crashed commit).
 pub fn parse_checkpoint_name(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
-    let stem = name.strip_prefix("ckpt-")?.strip_suffix(&format!(".{CKPT_EXT}"))?;
+    let stem = name
+        .strip_prefix("ckpt-")?
+        .strip_suffix(&format!(".{CKPT_EXT}"))?;
     if stem.len() != 16 {
         return None;
     }
@@ -286,7 +293,10 @@ mod tests {
         fs::write(dir.join("ckpt-00000000000000ff.ckpt.tmp"), b"junk").unwrap();
         fs::write(dir.join("wal-0000000000000000.wal"), b"junk").unwrap();
         let found = find_checkpoints(&dir).unwrap();
-        let wms: Vec<u64> = found.iter().map(|p| parse_checkpoint_name(p).unwrap()).collect();
+        let wms: Vec<u64> = found
+            .iter()
+            .map(|p| parse_checkpoint_name(p).unwrap())
+            .collect();
         assert_eq!(wms, vec![3, 2, 1]);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -43,7 +43,10 @@ impl std::fmt::Display for RecordError {
             RecordError::Incomplete => write!(f, "record truncated"),
             RecordError::TooLarge(n) => write!(f, "record length {n} exceeds {MAX_RECORD}"),
             RecordError::Corrupt { expected, actual } => {
-                write!(f, "record crc mismatch: stored {expected:#010x}, computed {actual:#010x}")
+                write!(
+                    f,
+                    "record crc mismatch: stored {expected:#010x}, computed {actual:#010x}"
+                )
             }
         }
     }

@@ -171,10 +171,13 @@ mod tests {
         assert!(rec.base.is_none());
         assert!(rec.batches.is_empty());
         assert_eq!(rec.next_seq, 0);
-        assert_eq!(rec.report, RecoveryReport {
-            elapsed_secs: rec.report.elapsed_secs,
-            ..RecoveryReport::default()
-        });
+        assert_eq!(
+            rec.report,
+            RecoveryReport {
+                elapsed_secs: rec.report.elapsed_secs,
+                ..RecoveryReport::default()
+            }
+        );
         assert!(dir.is_dir(), "recover creates the data dir");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -428,14 +428,23 @@ mod tests {
         let dir = temp_dir("live");
         let mut w = WalWriter::open(&dir, 0, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
         let mut t = WalTailer::new(&dir, 0);
-        assert!(t.poll(usize::MAX).unwrap().is_empty(), "nothing committed yet");
+        assert!(
+            t.poll(usize::MAX).unwrap().is_empty(),
+            "nothing committed yet"
+        );
 
         w.append(0, &[1, 2]);
         w.append(1, &[3]);
         w.commit().unwrap();
         let got = t.poll(usize::MAX).unwrap();
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0], WalBatch { seq: 0, keys: vec![1, 2] });
+        assert_eq!(
+            got[0],
+            WalBatch {
+                seq: 0,
+                keys: vec![1, 2]
+            }
+        );
         assert_eq!(t.last_seq(), Some(1));
 
         // Nothing new: caught up.
@@ -531,7 +540,10 @@ mod tests {
         assert!(t.stats.segments_done >= 2, "spans several segments");
         assert!(polls > 100, "{polls} polls");
         assert_eq!(tailed, whole);
-        assert_eq!(t.stats.bytes_read, size, "each byte read once over {polls} polls");
+        assert_eq!(
+            t.stats.bytes_read, size,
+            "each byte read once over {polls} polls"
+        );
         assert_eq!(one.stats.bytes_read, size);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -563,7 +575,13 @@ mod tests {
         fs::write(&path, [&full[..], &framed[..]].concat()).unwrap();
         let got = t.poll(usize::MAX).unwrap();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0], WalBatch { seq: 1, keys: vec![9] });
+        assert_eq!(
+            got[0],
+            WalBatch {
+                seq: 1,
+                keys: vec![9]
+            }
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -600,7 +618,10 @@ mod tests {
         }
         let scan = scan_wal(&dir, 0).unwrap();
         let scanned: Vec<u64> = scan.batches.iter().map(|b| b.seq).collect();
-        assert_eq!(tailed, scanned, "tailer under-ships exactly what recovery drops");
+        assert_eq!(
+            tailed, scanned,
+            "tailer under-ships exactly what recovery drops"
+        );
         assert!(t.stats.torn_frames >= 1);
         assert!(t.stats.dropped_bytes > 0);
         fs::remove_dir_all(&dir).unwrap();

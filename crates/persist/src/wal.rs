@@ -230,7 +230,12 @@ impl WalWriter {
     /// Open a fresh segment in `dir` whose first record will carry
     /// `next_seq`. Always creates a new file — a restarted writer must
     /// never append to a possibly-torn segment.
-    pub fn open(dir: &Path, next_seq: u64, policy: FsyncPolicy, segment_bytes: u64) -> Result<Self> {
+    pub fn open(
+        dir: &Path,
+        next_seq: u64,
+        policy: FsyncPolicy,
+        segment_bytes: u64,
+    ) -> Result<Self> {
         fs::create_dir_all(dir)?;
         let (file, segment_path) = new_segment(dir, next_seq)?;
         Ok(Self {
@@ -421,7 +426,9 @@ fn new_segment(dir: &Path, first_seq: u64) -> Result<(File, PathBuf)> {
 /// for non-WAL files.
 pub fn parse_segment_name(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
-    let stem = name.strip_prefix("wal-")?.strip_suffix(&format!(".{WAL_EXT}"))?;
+    let stem = name
+        .strip_prefix("wal-")?
+        .strip_suffix(&format!(".{WAL_EXT}"))?;
     let hex = stem.split('-').next()?;
     if hex.len() != 16 {
         return None;
@@ -544,7 +551,13 @@ fn parse_batch(
     budget: &mut usize,
 ) -> Option<(WalRuns, usize)> {
     let width = if weighted { 12 } else { 8 };
-    let weight = |item: &[u8]| if weighted { read_u32_le(item, 8) } else { Some(1) };
+    let weight = |item: &[u8]| {
+        if weighted {
+            read_u32_le(item, 8)
+        } else {
+            Some(1)
+        }
+    };
     let seq = read_u64_le(payload, off)?;
     let nitems = read_u32_le(payload, off.checked_add(8)?)? as usize;
     let start = off.checked_add(12)?;
@@ -645,8 +658,14 @@ mod tests {
 
     #[test]
     fn fsync_policy_parses() {
-        assert_eq!("always".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::Always);
-        assert_eq!("grouped".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::Grouped);
+        assert_eq!(
+            "always".parse::<FsyncPolicy>().unwrap(),
+            FsyncPolicy::Always
+        );
+        assert_eq!(
+            "grouped".parse::<FsyncPolicy>().unwrap(),
+            FsyncPolicy::Grouped
+        );
         assert_eq!("off".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::Off);
         assert!("sometimes".parse::<FsyncPolicy>().is_err());
         assert_eq!(FsyncPolicy::default(), FsyncPolicy::Grouped);
@@ -664,7 +683,11 @@ mod tests {
         assert!(!s1.synced);
         w.append(2, &[]);
         w.commit().unwrap();
-        assert_eq!(w.commit().unwrap(), CommitStats::default(), "empty commit is a no-op");
+        assert_eq!(
+            w.commit().unwrap(),
+            CommitStats::default(),
+            "empty commit is a no-op"
+        );
 
         let scan = scan_wal(&dir, 0).unwrap();
         assert_eq!(scan.segments, 1);
@@ -675,9 +698,18 @@ mod tests {
         assert_eq!(
             scan.batches,
             vec![
-                WalBatch { seq: 0, keys: vec![1, 2, 3] },
-                WalBatch { seq: 1, keys: vec![4] },
-                WalBatch { seq: 2, keys: vec![] },
+                WalBatch {
+                    seq: 0,
+                    keys: vec![1, 2, 3]
+                },
+                WalBatch {
+                    seq: 1,
+                    keys: vec![4]
+                },
+                WalBatch {
+                    seq: 2,
+                    keys: vec![]
+                },
             ]
         );
         // from_seq skips the checkpointed prefix.
@@ -701,7 +733,10 @@ mod tests {
             .unwrap()
             .filter(|e| parse_segment_name(&e.as_ref().unwrap().path()).is_some())
             .count();
-        assert!(n_segments >= 2, "expected rotation, got {n_segments} segment(s)");
+        assert!(
+            n_segments >= 2,
+            "expected rotation, got {n_segments} segment(s)"
+        );
         let scan = scan_wal(&dir, 0).unwrap();
         assert_eq!(scan.batches.len(), 5);
         assert_eq!(scan.segments as usize, n_segments);
@@ -802,11 +837,16 @@ mod tests {
         let mut w = WalWriter::open(&run_dir, 10, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
         w.append_run(10, &batches);
         let stats = w.commit().unwrap();
-        assert_eq!((stats.records, stats.keys), (3, 4), "records counts logical batches");
+        assert_eq!(
+            (stats.records, stats.keys),
+            (3, 4),
+            "records counts logical batches"
+        );
         drop(w);
 
         let legacy_dir = temp_dir("run-legacy");
-        let mut w = WalWriter::open(&legacy_dir, 10, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
+        let mut w =
+            WalWriter::open(&legacy_dir, 10, FsyncPolicy::Off, DEFAULT_SEGMENT_BYTES).unwrap();
         for (i, batch) in batches.iter().enumerate() {
             w.append(10 + i as u64, batch);
         }
@@ -839,10 +879,22 @@ mod tests {
         assert_eq!(
             scan.batches,
             vec![
-                WalBatch { seq: 0, keys: vec![100] },
-                WalBatch { seq: 1, keys: vec![101] },
-                WalBatch { seq: 2, keys: vec![102, 103] },
-                WalBatch { seq: 3, keys: vec![104] },
+                WalBatch {
+                    seq: 0,
+                    keys: vec![100]
+                },
+                WalBatch {
+                    seq: 1,
+                    keys: vec![101]
+                },
+                WalBatch {
+                    seq: 2,
+                    keys: vec![102, 103]
+                },
+                WalBatch {
+                    seq: 3,
+                    keys: vec![104]
+                },
             ]
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -876,7 +928,10 @@ mod tests {
         // Truncated anywhere inside: rejected whole, never a partial run.
         for cut in 0..good.len() {
             out.clear();
-            assert!(!parse_record_payload(&good[..cut], &mut out), "truncation at {cut} accepted");
+            assert!(
+                !parse_record_payload(&good[..cut], &mut out),
+                "truncation at {cut} accepted"
+            );
             assert!(out.is_empty(), "truncation at {cut} leaked batches");
         }
         // Trailing garbage: rejected.
@@ -978,15 +1033,24 @@ mod tests {
         assert_eq!(
             out,
             [
-                WalRuns { seq: 5, runs: vec![(50, 3), (51, 1)] },
-                WalRuns { seq: 6, runs: vec![(60, 2)] },
+                WalRuns {
+                    seq: 5,
+                    runs: vec![(50, 3), (51, 1)]
+                },
+                WalRuns {
+                    seq: 6,
+                    runs: vec![(60, 2)]
+                },
             ]
         );
         let keys: Vec<Vec<u64>> = out.iter().cloned().map(|b| b.expand().keys).collect();
         assert_eq!(keys, [vec![50, 50, 50, 51], vec![60, 60]]);
         for cut in 0..good.len() {
             out.clear();
-            assert!(!parse_record_payload(&good[..cut], &mut out), "truncation at {cut} accepted");
+            assert!(
+                !parse_record_payload(&good[..cut], &mut out),
+                "truncation at {cut} accepted"
+            );
             assert!(out.is_empty(), "truncation at {cut} leaked batches");
         }
         // The weight of batch 6's only run sits in the last four bytes.

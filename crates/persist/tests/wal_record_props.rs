@@ -88,7 +88,11 @@ fn runs_of(keys: &[u64]) -> Vec<(u64, u32)> {
 fn assert_refused(tag: &str, payload: &[u8]) {
     let dir = dir_with_record_payload(tag, payload);
     let scan = scan_wal(&dir, 0).unwrap();
-    assert_eq!((scan.records, scan.torn_frames), (0, 1), "{tag}: payload accepted");
+    assert_eq!(
+        (scan.records, scan.torn_frames),
+        (0, 1),
+        "{tag}: payload accepted"
+    );
     assert!(scan.batches.is_empty(), "{tag}: batches leaked");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -319,12 +323,21 @@ fn hostile_weighted_counts_are_refused() {
     huge_nruns[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_refused("w-nruns", &huge_nruns);
 
-    assert_refused("w-zero", &weighted_payload(0, &[vec![(1, 2), (2, 0), (3, 1)]]));
+    assert_refused(
+        "w-zero",
+        &weighted_payload(0, &[vec![(1, 2), (2, 0), (3, 1)]]),
+    );
     assert_refused("w-over-cap", &weighted_payload(0, &[vec![(1, cap + 1)]]));
-    assert_refused("w-max-weights", &weighted_payload(0, &[vec![(1, u32::MAX); 3]]));
+    assert_refused(
+        "w-max-weights",
+        &weighted_payload(0, &[vec![(1, u32::MAX); 3]]),
+    );
     // Each batch under the cap, the record over it.
     let half = vec![(1, cap / 2 + 1)];
-    assert_refused("w-split-over-cap", &weighted_payload(0, &[half.clone(), half]));
+    assert_refused(
+        "w-split-over-cap",
+        &weighted_payload(0, &[half.clone(), half]),
+    );
 
     // Exactly the cap is what a record may hold.
     let dir = dir_with_record_payload("w-at-cap", &weighted_payload(0, &[vec![(5, cap)]]));
@@ -365,7 +378,10 @@ fn mixed_record_forms_replay_batch_for_batch() {
     }
     encode_record(&legacy, &mut seg);
     encode_record(&unweighted_payload(1, &[keys(1), keys(2)]), &mut seg);
-    encode_record(&weighted_payload(3, &[runs_of(&keys(3)), runs_of(&keys(4))]), &mut seg);
+    encode_record(
+        &weighted_payload(3, &[runs_of(&keys(3)), runs_of(&keys(4))]),
+        &mut seg,
+    );
     std::fs::write(dir.join("wal-0000000000000000.wal"), seg).unwrap();
 
     // Segment 5, by the writer: a weighted run and a legacy record.

@@ -425,17 +425,14 @@ mod tests {
         t.add(Phase::Counting, Duration::from_nanos(600));
         t.add(Phase::Merge, Duration::from_nanos(400));
         let b = Breakdown::aggregate(2, &[t.clone()]);
-        let back: Breakdown =
-            cots_core::json::from_str(&cots_core::json::to_string(&b)).unwrap();
+        let back: Breakdown = cots_core::json::from_str(&cots_core::json::to_string(&b)).unwrap();
         assert_eq!(back.threads, 2);
         assert_eq!(back.total_nanos, b.total_nanos);
         assert_eq!(back.percent, b.percent);
-        let t2: PhaseTimes =
-            cots_core::json::from_str(&cots_core::json::to_string(&t)).unwrap();
+        let t2: PhaseTimes = cots_core::json::from_str(&cots_core::json::to_string(&t)).unwrap();
         assert_eq!(t2.get(Phase::Merge), Duration::from_nanos(400));
         for p in ALL_PHASES {
-            let back: Phase =
-                cots_core::json::from_str(&cots_core::json::to_string(&p)).unwrap();
+            let back: Phase = cots_core::json::from_str(&cots_core::json::to_string(&p)).unwrap();
             assert_eq!(back, p);
         }
     }

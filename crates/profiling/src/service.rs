@@ -118,7 +118,11 @@ impl IngestTally {
             snapshot_epoch,
             staleness,
             monitored,
-            shards: shards.iter().enumerate().map(|(i, s)| s.report(i)).collect(),
+            shards: shards
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.report(i))
+                .collect(),
             recovery,
             persist,
             repl: None,

@@ -256,7 +256,9 @@ impl Coordinator {
                     }
                 }
             }
-            let Some(client) = conn.as_mut() else { continue };
+            let Some(client) = conn.as_mut() else {
+                continue;
+            };
             match fetch_snapshot(client, tracker.last_epoch()) {
                 Ok(Fetched::Changed(fetched)) => {
                     tracker.record_pull(fetched);
@@ -276,9 +278,7 @@ impl Coordinator {
             // primary dies, not reconstructed after.
             if let Some(client) = conn.as_mut() {
                 if let Ok(stats) = client.stats() {
-                    tracker.record_repl_unacked(
-                        stats.repl.as_ref().map_or(0, |r| r.unacked_keys),
-                    );
+                    tracker.record_repl_unacked(stats.repl.as_ref().map_or(0, |r| r.unacked_keys));
                 }
             }
             std::thread::sleep(interval);
@@ -348,7 +348,8 @@ impl Coordinator {
         for &key in keys {
             router.pending[self.topology.member_of(key)].push(key);
         }
-        self.forwarded.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        self.forwarded
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
         let threshold = self.coalesce_keys.max(1);
         let deadline = Instant::now() + self.forward_deadline;
         for primary in 0..router.pending.len() {
@@ -502,10 +503,7 @@ impl Coordinator {
             let Some(client) = slot.as_mut() else {
                 return SendOutcome::Down;
             };
-            match client
-                .send_payload(&payload)
-                .and_then(|()| client.recv())
-            {
+            match client.send_payload(&payload).and_then(|()| client.recv()) {
                 Ok(Response::IngestAck { enqueued }) if enqueued == keys.len() as u64 => {
                     return SendOutcome::Acked;
                 }

@@ -70,9 +70,19 @@ pub fn fetch_snapshot(client: &mut Client, since_epoch: u64) -> Result<Fetched> 
                 done,
                 unchanged,
                 stamp,
-            } => (entries, offset, total_entries, total, done, unchanged, stamp),
+            } => (
+                entries,
+                offset,
+                total_entries,
+                total,
+                done,
+                unchanged,
+                stamp,
+            ),
             Response::Error { message } => {
-                return Err(CotsError::Protocol(format!("member refused page: {message}")))
+                return Err(CotsError::Protocol(format!(
+                    "member refused page: {message}"
+                )))
             }
             other => {
                 return Err(CotsError::Protocol(format!(

@@ -190,9 +190,7 @@ impl MemberTracker {
         inner.healthy = false;
         inner.failures = inner.failures.saturating_add(1);
         let exp = inner.failures.saturating_sub(1).min(6);
-        let delay = BACKOFF_BASE
-            .saturating_mul(1u32 << exp)
-            .min(BACKOFF_CAP);
+        let delay = BACKOFF_BASE.saturating_mul(1u32 << exp).min(BACKOFF_CAP);
         inner.retry_at = Some(now + delay);
     }
 
@@ -215,11 +213,7 @@ impl MemberTracker {
     /// Epoch of the last good snapshot (0 = never pulled), for
     /// `since_epoch` delta pulls.
     pub fn last_epoch(&self) -> u64 {
-        self.inner
-            .lock()
-            .last
-            .as_ref()
-            .map_or(0, |f| f.epoch)
+        self.inner.lock().last.as_ref().map_or(0, |f| f.epoch)
     }
 
     /// Point-in-time report for `STATS` / `CLUSTER_STATS`.

@@ -134,7 +134,10 @@ pub fn encode_payload(payload: &Payload) -> Vec<u8> {
     if payload.is_bin() {
         // PANIC-OK: a Bin payload without the magic is a caller bug —
         // the peer would decode it as JSON.
-        assert!(bytes.first() == Some(&BIN1_MAGIC), "BIN1 payload missing magic");
+        assert!(
+            bytes.first() == Some(&BIN1_MAGIC),
+            "BIN1 payload missing magic"
+        );
     }
     let mut out = Vec::with_capacity(4 + bytes.len());
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -254,7 +257,8 @@ impl FrameAssembler {
         // PANIC-OK: `resize` above guarantees `len < buf.len()`, so the
         // range start is always in bounds.
         let result = r.read(&mut self.buf[len..]);
-        self.buf.truncate(len + result.as_ref().copied().unwrap_or(0));
+        self.buf
+            .truncate(len + result.as_ref().copied().unwrap_or(0));
         result
     }
 

@@ -223,7 +223,8 @@ impl Persistence {
             // this lock. The shared gate hold spans the commit because the
             // run must be logged *and* applied before a cut can pass it.
             self.tally_commit(wal.commit());
-            self.next_seq.store(next + run.len() as u64, Ordering::Release);
+            self.next_seq
+                .store(next + run.len() as u64, Ordering::Release);
         }
         apply();
         true
@@ -473,7 +474,11 @@ mod tests {
         let base = Snapshot::new(vec![cots_core::CounterEntry::new(7u64, 40, 0)], 40);
         p.install_base(10, 5, &base, &backend).unwrap();
         assert_eq!(p.next_seq(), 10, "the log resumes at the shipped cut");
-        assert_eq!(backend.processed(), 40, "the backend holds the shipped mass");
+        assert_eq!(
+            backend.processed(),
+            40,
+            "the backend holds the shipped mass"
+        );
         assert!(
             p.install_base(10, 5, &base, &backend).is_err(),
             "only an empty log takes a base"
@@ -482,7 +487,11 @@ mod tests {
 
         let cut = p.checkpoint(&backend, &publisher).unwrap();
         assert_eq!(cut.watermark, 11);
-        assert_eq!(cut.summary.total(), 50, "shipped mass plus the tail, one summary");
+        assert_eq!(
+            cut.summary.total(),
+            50,
+            "shipped mass plus the tail, one summary"
+        );
         let rec = cots_persist::recover(&dir).unwrap();
         let ckpt = rec.base.unwrap();
         assert_eq!(ckpt.epoch, 5, "publisher epoch carried into the checkpoint");
@@ -573,13 +582,23 @@ mod tests {
         let single = vec![vec![5u64, 5]];
         p.log_and_apply(None, &single, &backend);
         assert!(p.log_and_apply(Some(4), &[[6u64, 6, 6]], &backend));
-        assert!(!p.log_and_apply(Some(9), &[[7u64]], &backend), "a gap logs nothing");
-        assert!(!p.log_and_apply(Some(4), &[[7u64]], &backend), "as does a duplicate");
+        assert!(
+            !p.log_and_apply(Some(9), &[[7u64]], &backend),
+            "a gap logs nothing"
+        );
+        assert!(
+            !p.log_and_apply(Some(4), &[[7u64]], &backend),
+            "as does a duplicate"
+        );
         assert_eq!(p.next_seq(), 5);
         let report = p.tally.snapshot();
         assert_eq!(report.wal_records, 5, "records count logical batches");
         assert_eq!(report.wal_keys, 9);
-        assert_eq!(report.wal_bytes, wal_record_bytes(&dir), "bytes are the segment's growth");
+        assert_eq!(
+            report.wal_bytes,
+            wal_record_bytes(&dir),
+            "bytes are the segment's growth"
+        );
         assert_eq!(report.io_errors, 0);
         drop(p);
         let rec = cots_persist::recover(&dir).unwrap();
@@ -618,7 +637,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         p.log_and_apply(None, &[vec![5u64]], &backend);
         let healed = p.tally.snapshot();
-        assert_eq!((healed.wal_records, healed.wal_keys, healed.io_errors), (4, 5, 1));
+        assert_eq!(
+            (healed.wal_records, healed.wal_keys, healed.io_errors),
+            (4, 5, 1)
+        );
         assert_eq!(healed.wal_bytes - before.wal_bytes, wal_record_bytes(&dir));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -711,11 +733,7 @@ mod tests {
         assert!(applied > 0);
         assert_eq!(backend.processed(), applied);
         // A final frozen cut sees exactly the applied mass.
-        let total = p
-            .checkpoint(&backend, &publisher)
-            .unwrap()
-            .summary
-            .total();
+        let total = p.checkpoint(&backend, &publisher).unwrap().summary.total();
         assert_eq!(total, applied);
         std::fs::remove_dir_all(&dir).unwrap();
     }

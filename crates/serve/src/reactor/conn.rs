@@ -215,7 +215,12 @@ impl Connection {
 
     /// Decode and serve every complete buffered frame, stopping at a held
     /// one or a close; `false` if the connection must close now.
-    fn serve_buffered(&mut self, service: &Service, sender: &mut ShardSender, now: Instant) -> bool {
+    fn serve_buffered(
+        &mut self,
+        service: &Service,
+        sender: &mut ShardSender,
+        now: Instant,
+    ) -> bool {
         while self.held.is_none() && !self.closing {
             match self.asm.next_frame() {
                 Ok(Some(payload)) => {
@@ -379,30 +384,57 @@ mod tests {
         }
         assert!(conn.is_parked());
         assert!(matches!(recv(&mut client), Response::HelloAck { .. }));
-        assert!(matches!(recv(&mut client), Response::IngestAck { enqueued: 3 }));
-        assert!(matches!(recv(&mut client), Response::IngestAck { enqueued: 1 }));
+        assert!(matches!(
+            recv(&mut client),
+            Response::IngestAck { enqueued: 3 }
+        ));
+        assert!(matches!(
+            recv(&mut client),
+            Response::IngestAck { enqueued: 1 }
+        ));
 
         // A readable drive of a parked connection reads nothing.
         send(&mut client, &Request::Stats);
-        assert_eq!(conn.drive_readable(&service, &mut sender, t0), Drive::Continue);
-        assert_eq!(conn.resume(&service, &mut sender, t0 + HOLD / 2), Drive::Parked);
-        assert_eq!(service.stats().rejected_frames, 0, "a held frame is not rejected");
+        assert_eq!(
+            conn.drive_readable(&service, &mut sender, t0),
+            Drive::Continue
+        );
+        assert_eq!(
+            conn.resume(&service, &mut sender, t0 + HOLD / 2),
+            Drive::Parked
+        );
+        assert_eq!(
+            service.stats().rejected_frames,
+            0,
+            "a held frame is not rejected"
+        );
 
         assert_ne!(conn.resume(&service, &mut sender, t0 + HOLD), Drive::Parked);
         assert!(!conn.is_parked());
         assert!(matches!(recv(&mut client), Response::Overloaded));
-        assert!(matches!(recv(&mut client), Response::Stats(_)), "reading resumed");
+        assert!(
+            matches!(recv(&mut client), Response::Stats(_)),
+            "reading resumed"
+        );
         assert_eq!(service.stats().rejected_frames, 1);
 
         let summaries = Arc::new(Partitioned::new(1, 64).unwrap());
-        let refresher = Refresher::new(summaries.clone(), Arc::new(SnapshotPublisher::new()), u64::MAX);
+        let refresher = Refresher::new(
+            summaries.clone(),
+            Arc::new(SnapshotPublisher::new()),
+            u64::MAX,
+        );
         let workers = pool.spawn_workers(&summaries, None, &Arc::new(refresher));
         drop(sender);
         pool.begin_shutdown();
         for w in workers {
             w.join().unwrap();
         }
-        assert_eq!(summaries.processed(), 4, "only the acked frames were enqueued");
+        assert_eq!(
+            summaries.processed(),
+            4,
+            "only the acked frames were enqueued"
+        );
         service.drain();
     }
 
@@ -436,7 +468,11 @@ mod tests {
         }
         // Room for both held-back frames, one at a time.
         let summaries = Arc::new(Partitioned::new(1, 64).unwrap());
-        let refresher = Refresher::new(summaries.clone(), Arc::new(SnapshotPublisher::new()), u64::MAX);
+        let refresher = Refresher::new(
+            summaries.clone(),
+            Arc::new(SnapshotPublisher::new()),
+            u64::MAX,
+        );
         let workers = pool.spawn_workers(&summaries, None, &Arc::new(refresher));
         while conn.is_parked() {
             assert!(Instant::now() < deadline, "held frames never acked");
@@ -445,7 +481,9 @@ mod tests {
         }
         let acked: Vec<Response> = (0..5).map(|_| recv(&mut client)).collect();
         assert!(matches!(acked[0], Response::HelloAck { .. }));
-        assert!(acked[1..].iter().all(|r| matches!(r, Response::IngestAck { enqueued: 1 })));
+        assert!(acked[1..]
+            .iter()
+            .all(|r| matches!(r, Response::IngestAck { enqueued: 1 })));
         drop(sender);
         pool.begin_shutdown();
         for w in workers {

@@ -522,7 +522,9 @@ mod tests {
             let mut events = Vec::new();
             poller.wait(&mut events, 1000).unwrap();
             assert!(
-                events.iter().any(|e| e.token == 7 && (e.readable || e.hangup)),
+                events
+                    .iter()
+                    .any(|e| e.token == 7 && (e.readable || e.hangup)),
                 "{}: hangup must wake the connection",
                 poller.kind()
             );
@@ -547,7 +549,12 @@ mod tests {
     fn thread_nice() -> i32 {
         let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
         let (_, fields) = stat.rsplit_once(')').unwrap();
-        fields.split_whitespace().nth(19 - 3).unwrap().parse().unwrap()
+        fields
+            .split_whitespace()
+            .nth(19 - 3)
+            .unwrap()
+            .parse()
+            .unwrap()
     }
 
     /// Only the calling thread is reniced, by exactly the levels asked
@@ -564,6 +571,10 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(after, (before + 5).min(19));
-        assert_eq!(thread_nice(), main, "the caller's siblings keep their priority");
+        assert_eq!(
+            thread_nice(),
+            main,
+            "the caller's siblings keep their priority"
+        );
     }
 }

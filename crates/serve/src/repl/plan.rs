@@ -80,7 +80,11 @@ mod tests {
             vec![2, 2],
             "3+3 fills the budget, 3+1 goes next"
         );
-        let seqs: Vec<u64> = chunks.iter().flat_map(|c| c.iter()).map(|b| b.seq).collect();
+        let seqs: Vec<u64> = chunks
+            .iter()
+            .flat_map(|c| c.iter())
+            .map(|b| b.seq)
+            .collect();
         assert_eq!(seqs, vec![0, 1, 2, 3], "order preserved across chunks");
     }
 

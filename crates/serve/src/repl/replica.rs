@@ -243,7 +243,12 @@ impl Replica {
                 }
             }
         };
-        report.role = if self.is_standby() { "standby" } else { "primary" }.to_string();
+        report.role = if self.is_standby() {
+            "standby"
+        } else {
+            "primary"
+        }
+        .to_string();
         report.promotions = self.promotions();
         report.duplicates = report
             .duplicates

@@ -299,9 +299,10 @@ impl Service {
     /// `REPL_SNAPSHOT` — a durable checkpoint whose summary is handed
     /// back instead of thrown away. Requires persistence.
     pub fn repl_cut(&self) -> Result<(u64, Snapshot<u64>)> {
-        let p = self.persistence.as_ref().ok_or_else(|| {
-            CotsError::Report("replication snapshot requires --data-dir".into())
-        })?;
+        let p = self
+            .persistence
+            .as_ref()
+            .ok_or_else(|| CotsError::Report("replication snapshot requires --data-dir".into()))?;
         let cut = p.checkpoint(&self.summaries, &self.publisher)?;
         Ok((cut.watermark, cut.summary))
     }
@@ -367,7 +368,10 @@ impl Endpoint for Service {
         QueryStamp {
             epoch: snap.epoch,
             captured_total: snap.captured_total,
-            staleness: self.summaries.processed().saturating_sub(snap.captured_total),
+            staleness: self
+                .summaries
+                .processed()
+                .saturating_sub(snap.captured_total),
             rotations: snap.rotations,
         }
     }
@@ -462,8 +466,13 @@ impl Endpoint for Service {
                 }
                 // Seed the empty summaries and write the shipped cut as
                 // this node's own checkpoint, in one `ckpt_lock` section.
-                p.install_base(watermark, self.publisher.epoch(), &snapshot, &self.summaries)
-                    .map_err(|e| format!("catch-up snapshot install failed: {e}"))?;
+                p.install_base(
+                    watermark,
+                    self.publisher.epoch(),
+                    &snapshot,
+                    &self.summaries,
+                )
+                .map_err(|e| format!("catch-up snapshot install failed: {e}"))?;
                 self.base_watermark.store(watermark, Ordering::Release);
                 self.replica.established(p.dir(), offer, lineage);
                 Ok(watermark)
@@ -755,7 +764,10 @@ mod tests {
         drive(&service, &mut service.connect(), &keys, 128);
         await_applied(&service, 2_000);
         let (total, second) = page(4);
-        assert_eq!(second.epoch, first.epoch, "transfer stays on the pinned epoch");
+        assert_eq!(
+            second.epoch, first.epoch,
+            "transfer stays on the pinned epoch"
+        );
         assert_eq!(total, 1_000, "pinned mass, not the republished one");
         assert_eq!(second.staleness, 1_000);
         drop(sender);
@@ -941,7 +953,10 @@ mod tests {
             })
             .unwrap();
             let rec = service.recovery_report().unwrap().clone();
-            assert!(rec.checkpoint_watermark.is_some() && rec.replayed_batches > 0, "{rec:?}");
+            assert!(
+                rec.checkpoint_watermark.is_some() && rec.replayed_batches > 0,
+                "{rec:?}"
+            );
             assert_eq!(rec.recovered_items, stream.len() as u64);
             let (snap, _) = service.published();
             assert_eq!(snap.total(), stream.len() as u64, "at {shards} shards");
@@ -959,7 +974,10 @@ mod tests {
             let absent = absent_bound(&snap.snapshot, CAPACITY);
             for &key in &stream {
                 if snap.get(&key).is_none() {
-                    assert!(truth.count(&key) <= absent, "at {shards} shards, omitted key {key}");
+                    assert!(
+                        truth.count(&key) <= absent,
+                        "at {shards} shards, omitted key {key}"
+                    );
                 }
             }
             service.drain();
@@ -1000,7 +1018,12 @@ mod tests {
         assert!(service.is_standby());
 
         // A standby refuses writes from clients...
-        match service.handle(Request::Ingest { keys: vec![1, 2, 3] }, &mut sender) {
+        match service.handle(
+            Request::Ingest {
+                keys: vec![1, 2, 3],
+            },
+            &mut sender,
+        ) {
             Response::Error { message } => assert!(message.contains("standby")),
             other => panic!("unexpected: {other:?}"),
         }
@@ -1135,8 +1158,19 @@ mod tests {
         let standby_dir = temp_data_dir("forms-standby");
         let service = Service::start(config(&standby_dir, true)).unwrap();
         let mut sender = service.connect();
-        let batches = (0..3).map(|seq| ReplFrame { seq, keys: vec![7, 7, 9] }).collect();
-        match service.handle(Request::ReplBatch { lineage: 0, batches }, &mut sender) {
+        let batches = (0..3)
+            .map(|seq| ReplFrame {
+                seq,
+                keys: vec![7, 7, 9],
+            })
+            .collect();
+        match service.handle(
+            Request::ReplBatch {
+                lineage: 0,
+                batches,
+            },
+            &mut sender,
+        ) {
             Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 3),
             other => panic!("unexpected: {other:?}"),
         }
@@ -1149,7 +1183,11 @@ mod tests {
         }
     }
 
-    fn persistent(dir: &std::path::Path, capacity: usize, fsync: cots_persist::FsyncPolicy) -> ServiceConfig {
+    fn persistent(
+        dir: &std::path::Path,
+        capacity: usize,
+        fsync: cots_persist::FsyncPolicy,
+    ) -> ServiceConfig {
         let mut opts = PersistOptions::new(dir.to_path_buf());
         opts.checkpoint_every = Duration::ZERO;
         opts.fsync = fsync;
@@ -1196,7 +1234,10 @@ mod tests {
             Err(e) => e.to_string(),
             Ok(_) => panic!("capacity 4 over a checkpoint full at 2 must be refused"),
         };
-        assert!(err.contains("capacity 2") && err.contains("--capacity 4"), "{err}");
+        assert!(
+            err.contains("capacity 2") && err.contains("--capacity 4"),
+            "{err}"
+        );
 
         // The same capacity loads as before, and `b` (true count 3 after
         // one more occurrence) is answered inside the envelope.
@@ -1206,7 +1247,10 @@ mod tests {
         await_applied(&service, 1);
         await_settled(&service, 7);
         let (count, error) = point(&service, &mut sender, b).expect("b is the newest admission");
-        assert!(count - error <= 3 && 3 <= count, "b: {count}/{error} vs truth 3");
+        assert!(
+            count - error <= 3 && 3 <= count,
+            "b: {count}/{error} vs truth 3"
+        );
         drop(sender);
         service.drain();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1219,7 +1263,9 @@ mod tests {
         let grouped = cots_persist::FsyncPolicy::default();
         let service = Service::start(persistent(&dir, 8, grouped)).unwrap();
         let mut sender = service.connect();
-        let keys: Vec<u64> = (1..=6u64).flat_map(|k| vec![k; (10 * k) as usize]).collect();
+        let keys: Vec<u64> = (1..=6u64)
+            .flat_map(|k| vec![k; (10 * k) as usize])
+            .collect();
         drive(&service, &mut sender, &keys, 64);
         await_applied(&service, keys.len() as u64);
         drop(sender);
@@ -1275,7 +1321,11 @@ mod tests {
     /// Five keys, three owned by shard 0 and two by shard 1 of two, so no
     /// shard of capacity 4 ever evicts; counted 50, 40, 30, 20, 10.
     fn five_keys_over_two_shards() -> Vec<(u64, u64)> {
-        let pick = |shard, n| (1u64..).filter(move |&k| ShardSender::shard_of(k, 2) == shard).take(n);
+        let pick = |shard, n| {
+            (1u64..)
+                .filter(move |&k| ShardSender::shard_of(k, 2) == shard)
+                .take(n)
+        };
         let mut keys: Vec<u64> = pick(0, 3).chain(pick(1, 2)).collect();
         keys.sort_unstable();
         keys.into_iter().zip([50, 40, 30, 20, 10]).collect()
@@ -1294,7 +1344,10 @@ mod tests {
             ..persistent(&dir, 4, cots_persist::FsyncPolicy::default())
         };
         let counted = five_keys_over_two_shards();
-        let keys: Vec<u64> = counted.iter().flat_map(|&(k, n)| vec![k; n as usize]).collect();
+        let keys: Vec<u64> = counted
+            .iter()
+            .flat_map(|&(k, n)| vec![k; n as usize])
+            .collect();
         let service = Service::start(config()).unwrap();
         let mut sender = service.connect();
         drive(&service, &mut sender, &keys, 64);
@@ -1305,13 +1358,20 @@ mod tests {
         let service = Service::start(config()).unwrap();
         let mut sender = service.connect();
         let (dropped, _) = counted[4];
-        assert_eq!(point(&service, &mut sender, dropped), None, "the cut dropped it");
+        assert_eq!(
+            point(&service, &mut sender, dropped),
+            None,
+            "the cut dropped it"
+        );
         assert_eq!(point(&service, &mut sender, counted[3].0), Some((20, 0)));
         drive(&service, &mut sender, &[dropped; 25], 5);
         await_applied(&service, 25);
         await_settled(&service, 175);
         let (count, error) = point(&service, &mut sender, dropped).expect("re-admitted");
-        assert!(count >= 35 && count - error <= 35, "{count}/{error} vs truth 35");
+        assert!(
+            count >= 35 && count - error <= 35,
+            "{count}/{error} vs truth 35"
+        );
         drop(sender);
         service.drain();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1335,21 +1395,37 @@ mod tests {
             .collect();
         let snapshot = Snapshot::new(cut, 150);
         match service.handle(
-            Request::ReplSnapshot { lineage: 3, watermark: 12, snapshot },
+            Request::ReplSnapshot {
+                lineage: 3,
+                watermark: 12,
+                snapshot,
+            },
             &mut sender,
         ) {
             Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 12),
             other => panic!("unexpected: {other:?}"),
         }
         let (dropped, _) = counted[4];
-        let batches = vec![ReplFrame { seq: 12, keys: vec![dropped; 25] }];
-        match service.handle(Request::ReplBatch { lineage: 3, batches }, &mut sender) {
+        let batches = vec![ReplFrame {
+            seq: 12,
+            keys: vec![dropped; 25],
+        }];
+        match service.handle(
+            Request::ReplBatch {
+                lineage: 3,
+                batches,
+            },
+            &mut sender,
+        ) {
             Response::ReplAck { ack_seq } => assert_eq!(ack_seq, 13),
             other => panic!("unexpected: {other:?}"),
         }
         await_settled(&service, 175);
         let (count, error) = point(&service, &mut sender, dropped).expect("re-admitted");
-        assert!(count >= 35 && count - error <= 35, "{count}/{error} vs truth 35");
+        assert!(
+            count >= 35 && count - error <= 35,
+            "{count}/{error} vs truth 35"
+        );
         drop(sender);
         service.drain();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1393,7 +1469,10 @@ mod tests {
         drop(sender);
         let started = Instant::now();
         service.drain();
-        assert!(started.elapsed() < Duration::from_secs(10), "shutdown wakes the publisher");
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "shutdown wakes the publisher"
+        );
     }
 
     /// Once ingest stops the epoch freezes after one confirming publish,
@@ -1415,9 +1494,16 @@ mod tests {
         let settled = service.publisher.epoch();
         std::thread::sleep(Duration::from_millis(60));
         let held = service.publisher.epoch();
-        assert!(held <= settled + 1, "{settled} → {held}: more than one confirming publish");
+        assert!(
+            held <= settled + 1,
+            "{settled} → {held}: more than one confirming publish"
+        );
         std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(service.publisher.epoch(), held, "the epoch moved with nothing ingested");
+        assert_eq!(
+            service.publisher.epoch(),
+            held,
+            "the epoch moved with nothing ingested"
+        );
         drop(sender);
         service.drain();
     }
@@ -1435,7 +1521,13 @@ mod tests {
         let mut sender = service.connect();
         let frame = |seqs: &[u64]| Request::ReplBatch {
             lineage: 0,
-            batches: seqs.iter().map(|&seq| ReplFrame { seq, keys: vec![seq, 7] }).collect(),
+            batches: seqs
+                .iter()
+                .map(|&seq| ReplFrame {
+                    seq,
+                    keys: vec![seq, 7],
+                })
+                .collect(),
         };
         let before = service.stats().persist.unwrap();
         match service.handle(frame(&[0, 1, 2, 3, 4, 5, 6, 7]), &mut sender) {
@@ -1443,8 +1535,16 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         let after = service.stats().persist.unwrap();
-        assert_eq!(after.wal_syncs - before.wal_syncs, 1, "one fsync for the frame");
-        assert_eq!(after.wal_records - before.wal_records, 8, "records stay logical batches");
+        assert_eq!(
+            after.wal_syncs - before.wal_syncs,
+            1,
+            "one fsync for the frame"
+        );
+        assert_eq!(
+            after.wal_records - before.wal_records,
+            8,
+            "records stay logical batches"
+        );
         assert_eq!(wal_record_forms(&dir), (1, 0));
 
         // First batch a duplicate, fifth opens a gap: batches 2–4 (seqs
@@ -1592,7 +1692,11 @@ mod tests {
             ),
             other => panic!("a full summary must not seed free slots: {other:?}"),
         }
-        assert_eq!(service.stats().monitored, 0, "refused before anything was seeded");
+        assert_eq!(
+            service.stats().monitored,
+            0,
+            "refused before anything was seeded"
+        );
         assert_eq!(service.repl_floor(), 0, "and before anything was written");
         drop(sender);
         service.drain();

@@ -476,9 +476,7 @@ mod tests {
                     keys: vec![1, 2, 3],
                 }),
                 Expect {
-                    response: |r| {
-                        matches!(r, Response::UnsupportedVersion { requested: 0, .. })
-                    },
+                    response: |r| matches!(r, Response::UnsupportedVersion { requested: 0, .. }),
                     bin: false,
                     close: true,
                     dispatched: false,

@@ -212,10 +212,13 @@ impl Partitioned {
     pub(crate) fn apply_sorted(&self, shard: usize, keys: &[u64]) {
         debug_assert!(keys.is_sorted(), "apply_sorted takes sorted keys");
         debug_assert!(
-            keys.iter().all(|&k| ShardSender::shard_of(k, self.shards.len()) == shard),
+            keys.iter()
+                .all(|&k| ShardSender::shard_of(k, self.shards.len()) == shard),
             "apply_sorted takes keys shard {shard} owns"
         );
-        let runs = keys.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64));
+        let runs = keys
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u64));
         self.count_runs(shard, runs);
     }
 
@@ -365,7 +368,10 @@ impl Partitioned {
     /// exactly the mass the copies hold (plus the seeded mass).
     pub fn capture(&self) -> Snapshot<u64> {
         let mut parts = Vec::with_capacity(self.shards.len() + 1);
-        parts.push(Snapshot::new(Vec::new(), self.seeded.load(Ordering::Acquire)));
+        parts.push(Snapshot::new(
+            Vec::new(),
+            self.seeded.load(Ordering::Acquire),
+        ));
         for s in &self.shards {
             let copy = s.summary.lock().snapshot();
             parts.push(copy);
@@ -539,7 +545,10 @@ impl ShardPool {
     /// A pool of `shards` shards whose rings hold `queue_batches` batches;
     /// `shards` is at least 1 and at most [`MAX_SHARDS`].
     pub fn new(shards: usize, queue_batches: usize) -> Arc<Self> {
-        assert!((1..=MAX_SHARDS).contains(&shards), "1 to {MAX_SHARDS} shards");
+        assert!(
+            (1..=MAX_SHARDS).contains(&shards),
+            "1 to {MAX_SHARDS} shards"
+        );
         Arc::new(Self {
             registries: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             wakers: (0..shards).map(|_| Waker::default()).collect(),
@@ -656,7 +665,9 @@ impl ShardPool {
             if worked {
                 continue;
             }
-            if self.is_shutting_down() && rings.is_empty() && self.registries[shard].lock().is_empty()
+            if self.is_shutting_down()
+                && rings.is_empty()
+                && self.registries[shard].lock().is_empty()
             {
                 return; // drained: every connection closed and applied
             }
@@ -892,7 +903,11 @@ mod tests {
     fn pipeline_applies_all_keys() {
         let backend = partitioned(4, 64);
         let pool = ShardPool::new(4, 16);
-        let refresher = Refresher::new(backend.clone(), Arc::new(SnapshotPublisher::new()), u64::MAX);
+        let refresher = Refresher::new(
+            backend.clone(),
+            Arc::new(SnapshotPublisher::new()),
+            u64::MAX,
+        );
         let workers = pool.spawn_workers(&backend, None, &Arc::new(refresher));
         let mut sender = pool.connect(None);
         let keys: Vec<u64> = (0..10_000u64).map(|i| i % 50).collect();
@@ -928,7 +943,9 @@ mod tests {
         // 40 keys fit every shard and the merge, so nothing is evicted or
         // cut and Σ counts must equal the captured total.
         let owned = |shard| -> Vec<u64> {
-            (0..40u64).filter(|&k| ShardSender::shard_of(k, 2) == shard).collect()
+            (0..40u64)
+                .filter(|&k| ShardSender::shard_of(k, 2) == shard)
+                .collect()
         };
         let stop = Arc::new(AtomicBool::new(false));
         let workers: Vec<_> = (0..2)
@@ -952,7 +969,10 @@ mod tests {
             let processed = backend.processed();
             assert_eq!(snap.total(), total);
             assert_eq!(snap.entries().iter().map(|e| e.count).sum::<u64>(), total);
-            assert!(total <= processed, "captured {total} > processed {processed}");
+            assert!(
+                total <= processed,
+                "captured {total} > processed {processed}"
+            );
             assert!(total >= last, "capture went back from {last} to {total}");
             last = total;
         }
@@ -1054,13 +1074,19 @@ mod tests {
     /// dropped is re-admitted at the cut's minimum, never below it.
     #[test]
     fn seeding_a_cut_snapshot_admits_at_the_floor() {
-        let entries = (1..=4u64).map(|k| cots_core::CounterEntry::new(k, 10 * k, 0)).collect();
+        let entries = (1..=4u64)
+            .map(|k| cots_core::CounterEntry::new(k, 10 * k, 0))
+            .collect();
         let cut = Snapshot::new(entries, 120);
         let backend = partitioned(2, 4);
         backend.seed(&cut).unwrap();
         assert!(backend.seed(&cut).is_err(), "a seeded backend is not empty");
         let (snap, total, _) = capture(&backend);
-        assert_eq!((snap.clone(), total), (cut.clone(), 120), "the seed captures as itself");
+        assert_eq!(
+            (snap.clone(), total),
+            (cut.clone(), 120),
+            "the seed captures as itself"
+        );
         assert_eq!(backend.monitored(), 4);
         backend.apply(&[99]);
         assert_eq!(backend.processed(), 121);

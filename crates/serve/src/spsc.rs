@@ -237,7 +237,8 @@ impl<T> Consumer<T> {
             return false;
         }
         let cap = self.inner.buf.len();
-        cap - self.len() >= WAKE_ROOM.min(cap) && self.inner.want_room.swap(false, Ordering::Acquire)
+        cap - self.len() >= WAKE_ROOM.min(cap)
+            && self.inner.want_room.swap(false, Ordering::Acquire)
     }
 
     /// True once the producer half has dropped. Items may still be
@@ -317,7 +318,11 @@ mod tests {
             for popped in 1..=cap {
                 assert_eq!(rx.pop(), Pop::Item(popped - 1));
                 let woken = rx.room_wanted();
-                assert_eq!(woken, popped == threshold, "cap {cap}: woken after {popped} pops");
+                assert_eq!(
+                    woken,
+                    popped == threshold,
+                    "cap {cap}: woken after {popped} pops"
+                );
             }
             assert!(!rx.room_wanted(), "cap {cap}: one wake per announcement");
             assert_eq!(tx.free(), cap);
@@ -356,7 +361,8 @@ mod tests {
                             if tx.wait_for_room() {
                                 continue;
                             }
-                            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                            let deadline =
+                                std::time::Instant::now() + std::time::Duration::from_secs(5);
                             while !woken.swap(false, Ordering::Acquire) {
                                 assert!(std::time::Instant::now() < deadline, "lost wake at {i}");
                                 std::thread::yield_now();

@@ -81,7 +81,10 @@ fn json_ingest_is_refused_and_the_connection_serves_bin1() {
         .expect("send JSON ingest");
     match client.recv() {
         Ok(Response::Error { message }) => {
-            assert!(message.contains("INGEST") && message.contains("BIN1"), "{message}")
+            assert!(
+                message.contains("INGEST") && message.contains("BIN1"),
+                "{message}"
+            )
         }
         other => panic!("a JSON INGEST must be refused, got {other:?}"),
     }

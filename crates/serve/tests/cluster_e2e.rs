@@ -45,7 +45,14 @@ const COALESCE_KEYS: u64 = 1_024;
 
 fn spawn_member(addr: &str, data_dir: Option<&Path>) -> Proc {
     let mut args: Vec<String> = [
-        "--addr", addr, "--shards", "2", "--capacity", "512", "--refresh-ms", "10",
+        "--addr",
+        addr,
+        "--shards",
+        "2",
+        "--capacity",
+        "512",
+        "--refresh-ms",
+        "10",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -85,7 +92,8 @@ fn spawn_coord(members: &[&str]) -> Proc {
 
 #[test]
 fn member_sigkill_degrades_then_rejoins_and_converges() {
-    let dir: PathBuf = std::env::temp_dir().join(format!("cots-cluster-e2e-{}", std::process::id()));
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("cots-cluster-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let full = StreamSpec::zipf(TOTAL, ALPHABET, ALPHA, SEED).generate();
 
@@ -117,9 +125,12 @@ fn member_sigkill_degrades_then_rejoins_and_converges() {
         frames > 0 && delivered >= frames * COALESCE_KEYS && delivered < PHASE1 as u64,
         "threshold flush: {delivered} keys in {frames} frames"
     );
-    await_cluster(&mut client, Duration::from_secs(30), "phase-1 quiescence", |r| {
-        r.captured_total == PHASE1 as u64 && r.staleness == 0
-    });
+    await_cluster(
+        &mut client,
+        Duration::from_secs(30),
+        "phase-1 quiescence",
+        |r| r.captured_total == PHASE1 as u64 && r.staleness == 0,
+    );
     let healthy = cluster_report(&mut client);
     assert_eq!(healthy.members.len(), 2);
     assert_eq!(healthy.degraded_members, 0);
@@ -168,13 +179,19 @@ fn member_sigkill_degrades_then_rejoins_and_converges() {
     );
 
     // Degraded mode: the dead member is reported, answers keep coming.
-    await_cluster(&mut client, Duration::from_secs(10), "degraded detection", |r| {
-        r.degraded_members == 1
-    });
+    await_cluster(
+        &mut client,
+        Duration::from_secs(10),
+        "degraded detection",
+        |r| r.degraded_members == 1,
+    );
     let degraded = cluster_report(&mut client);
     let dead: Vec<_> = degraded.members.iter().filter(|m| !m.healthy).collect();
     assert_eq!(dead.len(), 1);
-    assert_eq!(dead[0].addr, b_addr, "the killed member is the degraded one");
+    assert_eq!(
+        dead[0].addr, b_addr,
+        "the killed member is the degraded one"
+    );
     for _ in 0..3 {
         let (entries, total, stamp) = client.query(QueryReq::TopK { k: 10 }).unwrap();
         assert!(!entries.is_empty(), "degraded cluster still answers");

@@ -36,7 +36,14 @@ const BATCH: usize = 500;
 
 fn spawn_member(addr: &str, data_dir: Option<&Path>, standby: bool, peer: Option<&str>) -> Proc {
     let mut args: Vec<String> = [
-        "--addr", addr, "--shards", "2", "--capacity", "512", "--refresh-ms", "10",
+        "--addr",
+        addr,
+        "--shards",
+        "2",
+        "--capacity",
+        "512",
+        "--refresh-ms",
+        "10",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -106,9 +113,12 @@ fn primary_sigkill_promotes_standby_without_restarts() {
         client.ingest(batch).unwrap();
         acked.extend_from_slice(batch);
     }
-    await_cluster(&mut client, Duration::from_secs(30), "phase-1 quiescence", |r| {
-        r.captured_total == PHASE1 as u64 && r.staleness == 0
-    });
+    await_cluster(
+        &mut client,
+        Duration::from_secs(30),
+        "phase-1 quiescence",
+        |r| r.captured_total == PHASE1 as u64 && r.staleness == 0,
+    );
     let healthy = cluster_report(&mut client);
     assert_eq!(healthy.promotions, 0);
     let pair = healthy
@@ -131,7 +141,10 @@ fn primary_sigkill_promotes_standby_without_restarts() {
         {
             break;
         }
-        assert!(Instant::now() < deadline, "shipper never drained: {stats:?}");
+        assert!(
+            Instant::now() < deadline,
+            "shipper never drained: {stats:?}"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
     drop(pclient);
@@ -159,9 +172,12 @@ fn primary_sigkill_promotes_standby_without_restarts() {
     // ---- Failover: the standby is promoted, routing flips, and the
     // cluster reports itself healthy again — all without restarting
     // any process. ----
-    await_cluster(&mut client, Duration::from_secs(30), "standby promotion", |r| {
-        r.promotions == 1 && r.degraded_members == 0
-    });
+    await_cluster(
+        &mut client,
+        Duration::from_secs(30),
+        "standby promotion",
+        |r| r.promotions == 1 && r.degraded_members == 0,
+    );
     let promoted = cluster_report(&mut client);
     let slot = promoted
         .members

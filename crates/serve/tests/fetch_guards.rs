@@ -11,8 +11,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cots_core::{CotsError, CounterEntry, Snapshot};
-use cots_serve::cluster::{fetch_snapshot, Fetched};
 use cots_serve::bin1;
+use cots_serve::cluster::{fetch_snapshot, Fetched};
 use cots_serve::frame::{read_frame, write_payload, Payload};
 use cots_serve::protocol::decode;
 use cots_serve::{Client, QueryStamp, Request, Response, PROTO_VERSION};
@@ -256,5 +256,9 @@ fn honest_three_page_transfer_reassembles_the_summary() {
             other => panic!("expected SNAPSHOT_PAGE, got {other:?}"),
         })
         .collect();
-    assert_eq!(offsets, [0, 2, 4], "each request resumes where the last page ended");
+    assert_eq!(
+        offsets,
+        [0, 2, 4],
+        "each request resumes where the last page ended"
+    );
 }

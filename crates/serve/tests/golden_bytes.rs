@@ -38,7 +38,10 @@ fn check_reencoded<T: ToJson + FromJson>(value: &T, golden: &str) {
 
 /// Hex digits to bytes; whitespace separates fields and is ignored.
 fn unhex(golden: &str) -> Vec<u8> {
-    let digits: Vec<u8> = golden.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    let digits: Vec<u8> = golden
+        .bytes()
+        .filter(|b| !b.is_ascii_whitespace())
+        .collect();
     digits
         .chunks(2)
         .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
@@ -56,7 +59,11 @@ fn check_bin1_request(request: &Request, golden: &str) {
 /// [`check_bin1_request`] for a response.
 fn check_bin1_response(response: &Response, golden: &str) {
     let bytes = unhex(golden);
-    assert_eq!(bin1::encode_response(response).unwrap(), bytes, "{response:?}");
+    assert_eq!(
+        bin1::encode_response(response).unwrap(),
+        bytes,
+        "{response:?}"
+    );
     assert_eq!(&bin1::decode_response(&bytes).unwrap(), response);
 }
 

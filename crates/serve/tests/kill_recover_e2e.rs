@@ -119,7 +119,10 @@ fn sigkill_mid_stream_recovers_within_reported_envelope() {
     await_quiescence(&mut client, PHASE1 as u64).unwrap();
     let (watermark, total, bytes) = client.checkpoint().unwrap();
     assert!(watermark > 0);
-    assert_eq!(total, PHASE1 as u64, "checkpoint covers the quiesced stream");
+    assert_eq!(
+        total, PHASE1 as u64,
+        "checkpoint covers the quiesced stream"
+    );
     assert!(bytes > 0);
 
     for batch in full[PHASE1..KILL_AFTER].chunks(BATCH) {
@@ -133,10 +136,16 @@ fn sigkill_mid_stream_recovers_within_reported_envelope() {
 
     // ---- Life 2: recover, quantify the loss, verify the envelope. ----
     let server = spawn_server(&dir);
-    let line = server.recovery_line.clone().expect("recovery summary printed");
+    let line = server
+        .recovery_line
+        .clone()
+        .expect("recovery summary printed");
     let mut client = Client::connect(&server.addr).unwrap();
     let stats = client.stats().unwrap();
-    let rec = stats.recovery.clone().expect("stats carry the recovery report");
+    let rec = stats
+        .recovery
+        .clone()
+        .expect("stats carry the recovery report");
     assert!(
         rec.checkpoint_watermark.is_some(),
         "a checkpoint was durable: {line}"
@@ -159,7 +168,10 @@ fn sigkill_mid_stream_recovers_within_reported_envelope() {
     let truth = ExactCounter::from_stream(&full[..KILL_AFTER]);
     let (entries, answer_total, stamp) = client.query(QueryReq::Frequent { phi: PHI }).unwrap();
     assert_eq!(answer_total, recovered);
-    assert_eq!(stamp.staleness, 0, "recovered state publishes synchronously");
+    assert_eq!(
+        stamp.staleness, 0,
+        "recovered state publishes synchronously"
+    );
     for e in &entries {
         let sent_k = truth.count(&e.item);
         assert!(

@@ -153,7 +153,10 @@ fn query_while_ingesting(
     loop {
         let (entries, total, stamp) = client.query(QueryReq::Frequent { phi: PHI }).unwrap();
         let live = ingesting.load(Ordering::Acquire);
-        assert!(total <= ITEMS, "mid-stream total {total} exceeds the stream");
+        assert!(
+            total <= ITEMS,
+            "mid-stream total {total} exceeds the stream"
+        );
         assert!(
             stamp.epoch >= last_epoch,
             "epoch went backwards: {} after {last_epoch}",
@@ -208,7 +211,9 @@ fn ingest_over_open_connections(addr: &str, stream: &[u64], c: usize) {
                     for (j, client) in own.iter_mut() {
                         if let Some(b) = batches.get(*j + round * c) {
                             any = true;
-                            client.ingest(b).unwrap_or_else(|e| panic!("connection {j}: {e}"));
+                            client
+                                .ingest(b)
+                                .unwrap_or_else(|e| panic!("connection {j}: {e}"));
                         }
                     }
                     if !any {
@@ -225,7 +230,9 @@ fn ingest_over_open_connections(addr: &str, stream: &[u64], c: usize) {
 /// soft limit.
 #[test]
 fn answers_stay_exact_with_256_open_connections() {
-    serve_and_check(4, |addr, stream| ingest_over_open_connections(addr, stream, 256));
+    serve_and_check(4, |addr, stream| {
+        ingest_over_open_connections(addr, stream, 256)
+    });
 }
 
 /// The connection count the serving stack is required to sustain. Needs
@@ -233,7 +240,9 @@ fn answers_stay_exact_with_256_open_connections() {
 #[test]
 #[ignore = "needs a raised descriptor limit (ulimit -n 16384)"]
 fn answers_stay_exact_with_512_open_connections() {
-    serve_and_check(4, |addr, stream| ingest_over_open_connections(addr, stream, 512));
+    serve_and_check(4, |addr, stream| {
+        ingest_over_open_connections(addr, stream, 512)
+    });
 }
 
 /// A closed loop that keeps more frames in flight than two-batch rings
@@ -281,13 +290,16 @@ fn a_closed_loop_flood_on_tiny_rings_is_only_acked_and_exact() {
     assert_eq!(client.stats().unwrap().rejected_frames, 0);
 
     let truth = ExactCounter::from_stream(&stream);
-    let (entries, total, _) = client
-        .query(QueryReq::TopK { k: CAPACITY })
-        .unwrap();
+    let (entries, total, _) = client.query(QueryReq::TopK { k: CAPACITY }).unwrap();
     assert_eq!(total, ITEMS);
     assert_eq!(entries.len(), truth.distinct());
     for e in &entries {
-        assert_eq!((e.count, e.error), (truth.count(&e.item), 0), "key {}", e.item);
+        assert_eq!(
+            (e.count, e.error),
+            (truth.count(&e.item), 0),
+            "key {}",
+            e.item
+        );
     }
     client.shutdown().unwrap();
     drop(client);
@@ -359,7 +371,10 @@ fn descriptor_exhaustion_cannot_stop_the_server() {
 
     let mut client = Client::connect(&addr).expect("server still accepts after the flood");
     client.ingest(&[1, 2, 3]).unwrap();
-    assert!(child.try_wait().unwrap().is_none(), "server is still running");
+    assert!(
+        child.try_wait().unwrap().is_none(),
+        "server is still running"
+    );
     client.shutdown().unwrap();
     drop(client);
     assert!(child.wait().unwrap().success(), "clean exit after SHUTDOWN");

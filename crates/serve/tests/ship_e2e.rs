@@ -168,7 +168,9 @@ fn primary_ships_standby_catches_up_and_promotes() {
     }
 
     // The promoted node accepts writes now.
-    sclient.ingest(&[42, 42, 42]).expect("promoted node accepts INGEST");
+    sclient
+        .ingest(&[42, 42, 42])
+        .expect("promoted node accepts INGEST");
 
     sclient.shutdown().unwrap();
     drop(sclient);
@@ -234,7 +236,10 @@ fn diverged_standby_is_refused_and_flagged_for_resync() {
                 break;
             }
         }
-        assert!(Instant::now() < deadline, "divergence never surfaced in STATS");
+        assert!(
+            Instant::now() < deadline,
+            "divergence never surfaced in STATS"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     // The standby kept its divergent state intact and acked nothing.
@@ -273,7 +278,10 @@ fn late_standby_catches_up_via_snapshot() {
     }
     let deadline = Instant::now() + Duration::from_secs(10);
     while primary_service.stats().applied_keys() < 20_000 {
-        assert!(Instant::now() < deadline, "primary never applied the stream");
+        assert!(
+            Instant::now() < deadline,
+            "primary never applied the stream"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
     let (watermark, _, _) = client.checkpoint().unwrap();
@@ -310,12 +318,18 @@ fn late_standby_catches_up_via_snapshot() {
         if total == 20_000 && stamp.staleness == 0 {
             break;
         }
-        assert!(Instant::now() < deadline, "standby never published the base");
+        assert!(
+            Instant::now() < deadline,
+            "standby never published the base"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
     let (entries, _, _) = sclient.query(QueryReq::Point { key: 7 }).unwrap();
     let e = &entries[0];
-    assert!(e.count >= 200 && e.count - e.error <= 200, "7 appears exactly 200 times");
+    assert!(
+        e.count >= 200 && e.count - e.error <= 200,
+        "7 appears exactly 200 times"
+    );
 
     shipper.stop();
     client.shutdown().unwrap();

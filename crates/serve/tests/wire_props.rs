@@ -7,7 +7,9 @@ use proptest::strategy::Strategy;
 
 use cots_core::CounterEntry;
 use cots_serve::bin1;
-use cots_serve::frame::{decode_frame, encode_frame, FrameAssembler, FrameError, Payload, MAX_FRAME};
+use cots_serve::frame::{
+    decode_frame, encode_frame, FrameAssembler, FrameError, Payload, MAX_FRAME,
+};
 use cots_serve::protocol::{
     decode, encode, QueryReq, QueryStamp, ReplFrame, Request, Response, MAX_PAGE_ENTRIES,
 };
@@ -76,14 +78,21 @@ fn bulk_request() -> impl Strategy<Value = Request> {
 
 /// Responses that have a BIN1 form.
 fn bulk_response() -> impl Strategy<Value = Response> {
-    let stamp = (any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>(), any::<u64>()).prop_map(
-        |(epoch, captured_total, staleness, has_rot, rot)| QueryStamp {
-            epoch,
-            captured_total,
-            staleness,
-            rotations: has_rot.then_some(rot),
-        },
-    );
+    let stamp = (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(epoch, captured_total, staleness, has_rot, rot)| QueryStamp {
+                epoch,
+                captured_total,
+                staleness,
+                rotations: has_rot.then_some(rot),
+            },
+        );
     prop_oneof![
         any::<u64>().prop_map(|enqueued| Response::IngestAck { enqueued }),
         Just(Response::Overloaded),

@@ -171,7 +171,14 @@ pub fn run_fixtures(root: &Path) -> ExitCode {
 
     let mut got: Vec<(String, usize, String, String)> = actual
         .iter()
-        .map(|f| (f.file.clone(), f.line, f.pass.to_string(), f.rule.to_string()))
+        .map(|f| {
+            (
+                f.file.clone(),
+                f.line,
+                f.pass.to_string(),
+                f.rule.to_string(),
+            )
+        })
         .collect();
     got.sort();
     expected.sort();

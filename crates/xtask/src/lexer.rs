@@ -44,11 +44,11 @@ pub fn find_word(code: &str, word: &str, from: usize) -> Option<usize> {
     let mut start = from;
     while let Some(rel) = code.get(start..)?.find(word) {
         let pos = start + rel;
-        let before_ok = pos == 0
-            || !(bytes[pos - 1].is_ascii_alphanumeric() || bytes[pos - 1] == b'_');
+        let before_ok =
+            pos == 0 || !(bytes[pos - 1].is_ascii_alphanumeric() || bytes[pos - 1] == b'_');
         let end = pos + word.len();
-        let after_ok = end >= bytes.len()
-            || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
+        let after_ok =
+            end >= bytes.len() || !(bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_');
         if before_ok && after_ok {
             return Some(pos);
         }
@@ -203,8 +203,7 @@ pub fn lex(source: &str) -> Vec<LexedLine> {
                     'r' if matches!(chars.get(i + 1), Some('"' | '#'))
                         && raw_string_hashes(&chars[i + 1..]).is_some() =>
                     {
-                        let hashes = raw_string_hashes(&chars[i + 1..])
-                            .unwrap_or_default();
+                        let hashes = raw_string_hashes(&chars[i + 1..]).unwrap_or_default();
                         state = State::RawStr { hashes };
                         code.push(' ');
                         i += 2 + hashes as usize; // r, hashes, opening quote
@@ -334,9 +333,15 @@ mod tests {
         let buried = lex("fn f() {}\n//! AUDIT: total\n");
         assert!(!file_marker(&buried, "AUDIT: total"));
         let plain = lex("// AUDIT: total\nfn f() {}\n");
-        assert!(!file_marker(&plain, "AUDIT: total"), "non-doc comments don't count");
+        assert!(
+            !file_marker(&plain, "AUDIT: total"),
+            "non-doc comments don't count"
+        );
         let mention = lex("//! Opt in with a `//! AUDIT: total` line.\n\nfn f() {}\n");
-        assert!(!file_marker(&mention, "AUDIT: total"), "prose mentions don't count");
+        assert!(
+            !file_marker(&mention, "AUDIT: total"),
+            "prose mentions don't count"
+        );
     }
 
     #[test]

@@ -70,7 +70,11 @@ pub fn pass(root: &Path, files: &[PathBuf]) -> (Vec<Finding>, usize) {
             continue;
         }
         annotated += 1;
-        let rel = file.strip_prefix(root).unwrap_or(file).display().to_string();
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(file)
+            .display()
+            .to_string();
         findings.extend(scan(&lines, &rel));
     }
     (findings, annotated)
@@ -104,7 +108,11 @@ fn scan(lines: &[LexedLine], rel: &str) -> Vec<Finding> {
     let mut guards: Vec<Guard> = Vec::new();
     for (i, line) in lines.iter().enumerate() {
         let code = &line.code;
-        let mut events = if in_test[i] { Vec::new() } else { events_on(code) };
+        let mut events = if in_test[i] {
+            Vec::new()
+        } else {
+            events_on(code)
+        };
         events.sort_by_key(|(col, _)| *col);
         let mut next_event = 0usize;
         for (col, c) in code.char_indices() {

@@ -181,9 +181,7 @@ pub fn check(root: &Path, paths: &ProtocolPaths) -> Vec<Finding> {
                 rule: "doc-stale",
                 file: md_file.clone(),
                 line: *md_line,
-                message: format!(
-                    "documented group `### {ty}` matches no checked enum/struct"
-                ),
+                message: format!("documented group `### {ty}` matches no checked enum/struct"),
             });
             continue;
         }
@@ -223,8 +221,11 @@ pub fn check(root: &Path, paths: &ProtocolPaths) -> Vec<Finding> {
             ),
         }),
         (Some(table), Some((version, version_line))) => {
-            let current: Vec<&VersionRow> =
-                table.rows.iter().filter(|r| r.status == "current").collect();
+            let current: Vec<&VersionRow> = table
+                .rows
+                .iter()
+                .filter(|r| r.status == "current")
+                .collect();
             match current.as_slice() {
                 [row] if row.version != version => findings.push(Finding {
                     pass: "protocol",
@@ -321,7 +322,11 @@ fn read(path: &Path, findings: &mut Vec<Finding>, root: &Path) -> Option<String>
             findings.push(Finding {
                 pass: "protocol",
                 rule: "doc-missing",
-                file: path.strip_prefix(root).unwrap_or(path).display().to_string(),
+                file: path
+                    .strip_prefix(root)
+                    .unwrap_or(path)
+                    .display()
+                    .to_string(),
                 line: 0,
                 message: format!("cannot read: {e}"),
             });
@@ -471,7 +476,8 @@ fn parse_wire_reference(md: &str) -> WireDoc {
         }
         if let (Some(ty), Some(rest)) = (&group, line.trim_start().strip_prefix("- `")) {
             if let Some(end) = rest.find('`') {
-                doc.entries.push((ty.clone(), rest[..end].to_string(), i + 1));
+                doc.entries
+                    .push((ty.clone(), rest[..end].to_string(), i + 1));
             }
         }
     }
@@ -491,10 +497,7 @@ fn version_row(line: &str, line_no: usize) -> Option<VersionRow> {
         return None;
     }
     let version = cells[1].to_string();
-    if version.is_empty()
-        || version == "version"
-        || version.chars().all(|c| c == '-' || c == ':')
-    {
+    if version.is_empty() || version == "version" || version.chars().all(|c| c == '-' || c == ':') {
         return None;
     }
     let ops = cells[3]

@@ -55,7 +55,11 @@ pub fn pass(root: &Path, files: &[PathBuf]) -> (Vec<Finding>, usize) {
             continue;
         }
         annotated += 1;
-        let rel = file.strip_prefix(root).unwrap_or(file).display().to_string();
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(file)
+            .display()
+            .to_string();
         findings.extend(scan(&lines, &rel));
     }
     (findings, annotated)
@@ -92,7 +96,11 @@ fn scan(lines: &[LexedLine], rel: &str) -> Vec<Finding> {
                 let is_call = code[from..].trim_start().starts_with('(');
                 let is_method = code[..pos].trim_end().ends_with('.');
                 if is_call && is_method {
-                    let rule = if method == "unwrap" { "unwrap" } else { "expect" };
+                    let rule = if method == "unwrap" {
+                        "unwrap"
+                    } else {
+                        "expect"
+                    };
                     flag(rule, &format!("`.{method}(..)`"));
                 }
             }
@@ -109,7 +117,10 @@ fn scan(lines: &[LexedLine], rel: &str) -> Vec<Finding> {
         // One finding per line is enough for indexing — a single
         // PANIC-OK discharges the whole expression anyway.
         if let Some(pos) = index_sites(code).first() {
-            flag("index", &format!("slice/array indexing at column {}", pos + 1));
+            flag(
+                "index",
+                &format!("slice/array indexing at column {}", pos + 1),
+            );
         }
     }
     findings

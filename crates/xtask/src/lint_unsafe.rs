@@ -189,8 +189,7 @@ fn has_safety_doc_section(lines: &[LexedLine], line_idx: usize) -> bool {
         let l = &lines[idx];
         let code_trimmed = l.code.trim();
         let is_attr = code_trimmed.starts_with('#');
-        let is_attached =
-            l.is_doc || is_attr || (code_trimmed.is_empty() && !l.comment.is_empty());
+        let is_attached = l.is_doc || is_attr || (code_trimmed.is_empty() && !l.comment.is_empty());
         if !is_attached {
             // Also allow the `pub`/`pub(crate)` qualifier split across lines.
             if code_trimmed.is_empty() {
