@@ -7,11 +7,24 @@
 //! consecutive integer keys maximally far apart.
 //!
 //! For non-integer elements we first fold the value through the standard
-//! `Hasher` machinery (`FoldHasher`, itself a multiplicative accumulator) and
-//! then apply the same finalizer, so the whole family stays allocation-free
-//! and deterministic across runs.
+//! `Hasher` machinery ([`FoldHasher`], itself a multiplicative accumulator
+//! that ends in [`MulHash::finalize`]), so the whole family stays
+//! allocation-free.
+//!
+//! Two forms share that fold:
+//!
+//! * [`MulHash`] — unseeded and deterministic across runs. The CoTS
+//!   engine's table, the sketches' rows and key placement
+//!   (`ShardSender::shard_of`, `Topology::member_of` in `cots-serve`) use
+//!   it, because a placement must be the same after a restart.
+//! * [`SeededMulHash`] — a `BuildHasher` whose fold starts from a
+//!   per-instance random seed. The key indexes of the sequential summaries
+//!   (`cots-sequential`) and the general merge ([`crate::merge`]) use it:
+//!   their keys come from clients, and an unseeded hash would let a client
+//!   choose keys that share a bucket.
 
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// 2⁶⁴ / φ rounded to the nearest odd integer — Knuth's recommended
 /// multiplier for 64-bit multiplicative hashing.
@@ -35,7 +48,7 @@ impl MulHash {
     pub fn hash<T: Hash>(value: &T) -> u64 {
         let mut f = FoldHasher::default();
         value.hash(&mut f);
-        Self::finalize(f.finish())
+        f.finish()
     }
 
     /// Finalizer: multiplicative avalanche (the SplitMix64 finalizer, two
@@ -76,8 +89,15 @@ impl MulHash {
 }
 
 /// A minimal 64-bit folding hasher: multiplicative accumulation over the
-/// written bytes. Deterministic (no random seed) so experiment runs are
-/// reproducible, which matters more here than HashDoS resistance.
+/// written bytes, finished by [`MulHash::finalize`].
+///
+/// `FoldHasher::default()` starts from a fixed state, which is what
+/// [`MulHash::hash`] uses. [`SeededMulHash`] builds one whose start state
+/// depends on its seed. The finalizer in [`Hasher::finish`] is what makes
+/// the result fit a table that takes its bucket from the *low* bits (as
+/// std's `HashMap` does): the fold's product has low bits that depend only
+/// on the key's low bits, so keys that differ only in their high bits would
+/// otherwise all share one bucket.
 #[derive(Debug)]
 pub struct FoldHasher {
     state: u64,
@@ -96,7 +116,7 @@ impl Default for FoldHasher {
 impl Hasher for FoldHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        MulHash::finalize(self.state)
     }
 
     #[inline]
@@ -126,6 +146,62 @@ impl Hasher for FoldHasher {
     #[inline]
     fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
+    }
+}
+
+/// A `BuildHasher` for key indexes: [`FoldHasher`] started from a
+/// per-instance seed.
+///
+/// [`SeededMulHash::new`] (and `Default`) draw the seed from std's
+/// `RandomState`, so two instances almost surely hash differently; keys
+/// chosen to share a bucket under one instance spread out under another.
+/// [`SeededMulHash::with_seed`] fixes it (seed 0 hashes exactly as
+/// [`MulHash::hash`]).
+///
+/// This is a keyed mix, not a PRF: it makes bucket collisions hard to aim
+/// at without the seed, but an adversary who can time lookups against one
+/// long-lived instance is not ruled out. Use it where keys come from a
+/// client and the hash only places them in a table; use [`MulHash`] where
+/// the hash must be the same in every process (placement across shards or
+/// members).
+#[derive(Clone, Copy)]
+pub struct SeededMulHash {
+    seed: u64,
+}
+
+impl SeededMulHash {
+    /// A hasher builder with a fresh random seed.
+    pub fn new() -> Self {
+        Self::with_seed(RandomState::new().hash_one(0u64))
+    }
+
+    /// A hasher builder with a fixed seed (tests, reproducible runs).
+    pub fn with_seed(seed: u64) -> Self {
+        Self { seed }
+    }
+}
+
+impl Default for SeededMulHash {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::fmt::Debug for SeededMulHash {
+    // The seed is the whole defence; keep it out of logs.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SeededMulHash").finish_non_exhaustive()
+    }
+}
+
+impl BuildHasher for SeededMulHash {
+    type Hasher = FoldHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            state: SECONDARY_MUL ^ self.seed,
+        }
     }
 }
 
@@ -198,5 +274,59 @@ mod tests {
         let mut h = FoldHasher::default();
         h.write(&[3, 2, 1]);
         assert_ne!(a, h.finish());
+    }
+
+    /// Low 12 bits of `key`'s hash under `build` — a 4096-bucket index
+    /// as a low-bits table (std's `HashMap`) takes it.
+    fn low12(build: &SeededMulHash, key: u64) -> u64 {
+        build.hash_one(key) & 0xFFF
+    }
+
+    #[test]
+    fn seed_zero_hashes_like_mul_hash() {
+        let build = SeededMulHash::with_seed(0);
+        for key in [0u64, 1, 42, u64::MAX] {
+            assert_eq!(build.hash_one(key), MulHash::hash(&key));
+        }
+    }
+
+    #[test]
+    fn fresh_instances_draw_different_seeds() {
+        let (a, b) = (SeededMulHash::new(), SeededMulHash::new());
+        assert_ne!(a.hash_one(1u64), b.hash_one(1u64));
+        assert_eq!(format!("{a:?}"), "SeededMulHash { .. }");
+    }
+
+    #[test]
+    fn collisions_chosen_under_one_seed_spread_under_another() {
+        // An adversary who knew seed A could send keys that all share
+        // one low-12-bit bucket; a reseed must scatter them.
+        let (a, b) = (SeededMulHash::with_seed(0xA), SeededMulHash::with_seed(0xB));
+        let target = low12(&a, 0);
+        let chosen: Vec<u64> = (0u64..)
+            .filter(|&k| low12(&a, k) == target)
+            .take(256)
+            .collect();
+        let spread: HashSet<u64> = chosen.iter().map(|&k| low12(&b, k)).collect();
+        assert!(
+            spread.len() > 200,
+            "only {} buckets under the other seed",
+            spread.len()
+        );
+    }
+
+    #[test]
+    fn keys_differing_only_in_high_bits_spread_over_low_bits() {
+        // The fold's product has the same low 32 bits for every `k << 32`;
+        // only the finalizer in `finish` spreads them over the low bits.
+        for seed in [0, 1, 0x5EED] {
+            let build = SeededMulHash::with_seed(seed);
+            let spread: HashSet<u64> = (0..4096u64).map(|k| low12(&build, k << 32)).collect();
+            assert!(
+                spread.len() > 2500,
+                "seed {seed}: only {} of 4096 buckets",
+                spread.len()
+            );
+        }
     }
 }

@@ -57,7 +57,7 @@ pub use config::{CotsConfig, SummaryConfig};
 pub use counter::{CounterEntry, Snapshot};
 pub use element::Element;
 pub use error::{CotsError, Result};
-pub use hash::MulHash;
+pub use hash::{MulHash, SeededMulHash};
 #[cfg(feature = "invariants")]
 pub use invariants::{CheckInvariants, Violation};
 pub use json::{FromJson, Json, ToJson};

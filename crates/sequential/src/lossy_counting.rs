@@ -14,7 +14,8 @@
 use std::collections::HashMap;
 
 use cots_core::{
-    CounterEntry, Element, FrequencyCounter, QueryableSummary, Result, Snapshot, SummaryConfig,
+    CounterEntry, Element, FrequencyCounter, QueryableSummary, Result, SeededMulHash, Snapshot,
+    SummaryConfig,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -26,7 +27,7 @@ struct Entry {
 /// Sequential Lossy Counting.
 #[derive(Debug, Clone)]
 pub struct LossyCounting<K: Element> {
-    entries: HashMap<K, Entry>,
+    entries: HashMap<K, Entry, SeededMulHash>,
     /// Round width `w = ⌈1/ε⌉`.
     width: u64,
     /// Current round id `b = ⌈N/w⌉` (1-based; 0 before the first element).
@@ -39,7 +40,7 @@ impl<K: Element> LossyCounting<K> {
     /// capacity`), i.e. ε = 1/capacity.
     pub fn new(config: SummaryConfig) -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             width: config.capacity as u64,
             round: 0,
             total: 0,

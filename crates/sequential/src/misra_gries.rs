@@ -15,13 +15,14 @@
 use std::collections::HashMap;
 
 use cots_core::{
-    CounterEntry, Element, FrequencyCounter, QueryableSummary, Result, Snapshot, SummaryConfig,
+    CounterEntry, Element, FrequencyCounter, QueryableSummary, Result, SeededMulHash, Snapshot,
+    SummaryConfig,
 };
 
 /// Sequential Misra–Gries.
 #[derive(Debug, Clone)]
 pub struct MisraGries<K: Element> {
-    counts: HashMap<K, u64>,
+    counts: HashMap<K, u64, SeededMulHash>,
     capacity: usize,
     /// Number of decrement rounds performed.
     decrements: u64,
@@ -32,7 +33,7 @@ impl<K: Element> MisraGries<K> {
     /// Build with an explicit counter budget.
     pub fn new(config: SummaryConfig) -> Self {
         Self {
-            counts: HashMap::with_capacity(config.capacity * 2),
+            counts: HashMap::with_capacity_and_hasher(config.capacity * 2, SeededMulHash::new()),
             capacity: config.capacity,
             decrements: 0,
             total: 0,

@@ -13,21 +13,21 @@
 use std::collections::HashMap;
 
 use cots_core::{
-    CounterEntry, Element, FrequencyCounter, MulHash, QueryableSummary, Result, Snapshot,
-    SummaryConfig,
+    CounterEntry, Element, FrequencyCounter, MulHash, QueryableSummary, Result, SeededMulHash,
+    Snapshot, SummaryConfig,
 };
 
 /// Maintains the top-`m` candidates by estimated count next to a sketch.
 #[derive(Debug, Clone)]
 struct TopKeeper<K: Element> {
-    entries: HashMap<K, u64>,
+    entries: HashMap<K, u64, SeededMulHash>,
     capacity: usize,
 }
 
 impl<K: Element> TopKeeper<K> {
     fn new(capacity: usize) -> Self {
         Self {
-            entries: HashMap::with_capacity(capacity * 2),
+            entries: HashMap::with_capacity_and_hasher(capacity * 2, SeededMulHash::new()),
             capacity,
         }
     }

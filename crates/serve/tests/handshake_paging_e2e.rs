@@ -198,7 +198,9 @@ fn paged_snapshot_reassembles_the_exact_summary_over_the_wire() {
 /// reassembly is exact.
 #[test]
 fn oversized_summary_is_refused_then_streams_in_pages() {
-    let capacity = 500_000usize;
+    // More entries than one full page holds: past the frame cap even as
+    // BIN1's 24 bytes per entry.
+    let capacity = MAX_PAGE_ENTRIES + 100_000;
     let (addr, handle) = spawn_server(capacity);
     let mut client = Client::connect(&addr).expect("connect");
     client.set_timeout(Some(Duration::from_secs(120))).unwrap();
