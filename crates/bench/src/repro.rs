@@ -522,7 +522,7 @@ impl Outcome<'_> {
 
     /// Append this experiment's `SUMMARY.md` section: its table and its
     /// wall-clock verdict, with every thread count above `cores` marked †.
-    fn report(&self, out: &mut String, cores: usize) {
+    fn report(&self, out: &mut String, cores: usize, repeats: usize) {
         let mark = |t: usize| if t > cores { "†" } else { "" };
         let max_threads = self.points.iter().map(|p| p.threads).max().unwrap_or(0);
         let verdict = |ok: bool| if ok { "holds" } else { "DOES NOT HOLD" };
@@ -641,7 +641,10 @@ impl Outcome<'_> {
                 }
                 let _ = writeln!(
                     out,
-                    "\n\"CoTS vs Seq\" pits threads against one core: it needs ≥ 4 real cores \
+                    "\n\"CoTS vs Seq\" is a ratio of medians over REPRO_REPEATS={repeats} \
+                     timed runs per cell. One repeat is not a result: two back-to-back \
+                     single-repeat runs on one 2-vCPU host read 4.33x and 2.79x at alpha 2.5. \
+                     The ratio pits threads against one core, so it needs ≥ 4 real cores \
                      (ROADMAP, Parked); this host has {cores}."
                 );
             }
@@ -698,7 +701,7 @@ pub fn summary(outcomes: &[Outcome], scale: Scale, cores: usize) -> String {
         scale.factor, scale.repeats
     );
     for outcome in outcomes {
-        outcome.report(&mut out, cores);
+        outcome.report(&mut out, cores, scale.repeats);
     }
     out
 }
@@ -742,6 +745,10 @@ mod tests {
             }
             let text = summary(&[outcome], scale, 1);
             assert!(text.contains(s.title), "{text}");
+            if s.name == "table2" {
+                let note = format!("medians over REPRO_REPEATS={}", scale.repeats);
+                assert!(text.contains(&note), "{text}");
+            }
         }
     }
 }

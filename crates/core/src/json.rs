@@ -16,10 +16,20 @@
 //! * [`to_string`] / [`to_string_pretty`] / [`from_str`] — the
 //!   `serde_json`-shaped entry points the harness uses.
 //!
+//! Compact output does not build a tree: [`ToJson::write_json`] appends
+//! a value's text straight to a `String`, and [`to_string`] is that
+//! writer. Records, integers, strings, options and sequences write their
+//! own bytes; a hand-written [`ToJson`] impl that only has `to_json`
+//! still works, through the tree. Both paths print the same bytes.
+//! Parsing always builds a [`Json`] tree.
+//!
 //! Enum encodings follow serde's *externally tagged* convention so the
 //! artifact files keep the same shape they had under serde: a unit variant
 //! is a bare string (`"SpaceSaving"`), a data-carrying variant is a
 //! one-entry object (`{"Count": 7}`).
+//!
+//! AUDIT: total — the parser reads attacker-controlled query frames;
+//! enforced by `cargo xtask audit` (lint-totality).
 
 use std::fmt::Write as _;
 
@@ -179,24 +189,18 @@ impl Json {
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::Bool(b) => b.write_json(out),
+            Json::UInt(v) => write_u64(out, *v),
+            Json::Int(v) => write_i64(out, *v),
             Json::Float(v) => write_f64(out, *v),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
-                    items[i].write(out, indent, d);
+                write_seq(out, indent, depth, '[', ']', items, |out, v, d| {
+                    v.write(out, indent, d);
                 });
             }
             Json::Obj(members) => {
-                write_seq(out, indent, depth, '{', '}', members.len(), |out, i, d| {
-                    let (k, v) = &members[i];
+                write_seq(out, indent, depth, '{', '}', members, |out, (k, v), d| {
                     write_escaped(out, k);
                     out.push(':');
                     if indent.is_some() {
@@ -209,6 +213,31 @@ impl Json {
     }
 }
 
+/// Append `v` in decimal — the digits `write!` prints, without a trip
+/// through `core::fmt`.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (v % 10) as u8;
+        start -= 1;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let digits = digits.get(start..).unwrap_or_default();
+    out.push_str(std::str::from_utf8(digits).unwrap_or_default());
+}
+
+/// Append `v` in decimal, with a leading `-` when negative.
+fn write_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(out, v.unsigned_abs());
+}
+
 fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
@@ -219,8 +248,14 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Append `s` as a JSON string literal.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -239,21 +274,21 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn write_seq(
+fn write_seq<T>(
     out: &mut String,
     indent: Option<usize>,
     depth: usize,
     open: char,
     close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize, usize),
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T, usize),
 ) {
     out.push(open);
-    if len == 0 {
+    if items.is_empty() {
         out.push(close);
         return;
     }
-    for i in 0..len {
+    for (i, v) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -263,7 +298,7 @@ fn write_seq(
                 out.push(' ');
             }
         }
-        item(out, i, depth + 1);
+        item(out, v, depth + 1);
     }
     if let Some(w) = indent {
         out.push('\n');
@@ -285,6 +320,7 @@ impl std::str::FromStr for Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -296,14 +332,27 @@ impl std::str::FromStr for Json {
     }
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a bound a frame of nested `[` would overflow the
+/// stack of the thread reading it; no document this crate writes nests
+/// more than a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// The bytes from `start` up to the cursor.
+    fn since(&self, start: usize) -> &[u8] {
+        self.bytes.get(start..self.pos).unwrap_or_default()
     }
 
     fn skip_ws(&mut self) {
@@ -312,7 +361,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> JsonResult<()> {
+    fn eat(&mut self, b: u8) -> JsonResult<()> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -322,7 +371,8 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> JsonResult<Json> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -336,16 +386,28 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth >= MAX_DEPTH => err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
             None => err("unexpected end of input"),
         }
     }
 
+    /// Parse one array or object one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> JsonResult<Json>) -> JsonResult<Json> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
+    }
+
     fn array(&mut self) -> JsonResult<Json> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -368,7 +430,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> JsonResult<Json> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -379,7 +441,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             members.push((key, self.value()?));
             self.skip_ws();
@@ -395,7 +457,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> JsonResult<String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut s = String::new();
         loop {
             let start = self.pos;
@@ -403,7 +465,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
+                std::str::from_utf8(self.since(start))
                     .map_err(|_| JsonError("invalid utf-8 in string".into()))?,
             );
             match self.peek() {
@@ -438,7 +500,7 @@ impl Parser<'_> {
                     // Surrogate pair: a second \uXXXX must follow.
                     if self.peek() == Some(b'\\') {
                         self.pos += 1;
-                        self.expect(b'u')?;
+                        self.eat(b'u')?;
                         let lo = self.hex4()?;
                         if !(0xDC00..0xE000).contains(&lo) {
                             return err("invalid low surrogate");
@@ -497,7 +559,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        let text = std::str::from_utf8(self.since(start))
             .map_err(|_| JsonError("invalid number".into()))?;
         if !fractional {
             if let Ok(v) = text.parse::<u64>() {
@@ -517,10 +579,18 @@ impl Parser<'_> {
 // Conversion traits
 // ---------------------------------------------------------------------------
 
-/// Conversion into a [`Json`] tree.
+/// Conversion into JSON: a [`Json`] tree, or compact text.
 pub trait ToJson {
     /// Build the JSON representation.
     fn to_json(&self) -> Json;
+
+    /// Append the compact text of [`ToJson::to_json`] to `out`. The
+    /// default prints the tree; the impls in this module and the ones
+    /// [`json_record!`](crate::json_record) generates write directly,
+    /// byte for byte the same.
+    fn write_json(&self, out: &mut String) {
+        self.to_json().write(out, None, 0);
+    }
 }
 
 /// Conversion back from a [`Json`] tree.
@@ -529,9 +599,12 @@ pub trait FromJson: Sized {
     fn from_json(v: &Json) -> JsonResult<Self>;
 }
 
-/// Serialize compactly, `serde_json::to_string` style.
+/// Serialize compactly, `serde_json::to_string` style, through
+/// [`ToJson::write_json`].
 pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
-    v.to_json().dump()
+    let mut out = String::new();
+    v.write_json(&mut out);
+    out
 }
 
 /// Serialize with indentation, `serde_json::to_string_pretty` style.
@@ -548,6 +621,10 @@ impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
     }
+
+    fn write_json(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
 }
 
 impl FromJson for Json {
@@ -559,6 +636,10 @@ impl FromJson for Json {
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -574,6 +655,10 @@ macro_rules! json_uint {
             impl ToJson for $t {
                 fn to_json(&self) -> Json {
                     Json::UInt(*self as u64)
+                }
+
+                fn write_json(&self, out: &mut String) {
+                    write_u64(out, *self as u64);
                 }
             }
 
@@ -600,6 +685,10 @@ macro_rules! json_int {
                     let v = *self as i64;
                     if v < 0 { Json::Int(v) } else { Json::UInt(v as u64) }
                 }
+
+                fn write_json(&self, out: &mut String) {
+                    write_i64(out, *self as i64);
+                }
             }
 
             impl FromJson for $t {
@@ -621,6 +710,10 @@ impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Float(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self);
+    }
 }
 
 impl FromJson for f64 {
@@ -634,6 +727,10 @@ impl ToJson for f32 {
     fn to_json(&self) -> Json {
         Json::Float(*self as f64)
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self as f64);
+    }
 }
 
 impl FromJson for f32 {
@@ -645,6 +742,10 @@ impl FromJson for f32 {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
     }
 }
 
@@ -660,11 +761,31 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
+    }
+}
+
+/// Append `items` as a JSON array.
+fn write_array<T: ToJson>(out: &mut String, items: &[T]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self);
     }
 }
 
@@ -682,11 +803,19 @@ impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self);
+    }
 }
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self);
     }
 }
 
@@ -707,6 +836,13 @@ impl<T: ToJson> ToJson for Option<T> {
             None => Json::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
@@ -724,6 +860,7 @@ macro_rules! json_tuple {
             fn to_json(&self) -> Json {
                 Json::Arr(vec![$(self.$idx.to_json()),+])
             }
+
         }
 
         impl<$($name: FromJson),+> FromJson for ($($name,)+) {
@@ -732,7 +869,8 @@ macro_rules! json_tuple {
                 if items.len() != $len {
                     return err(format!("expected {}-tuple, got {} items", $len, items.len()));
                 }
-                Ok(($($name::from_json(&items[$idx])?,)+))
+                let item = |i: usize| items.get(i).unwrap_or(&Json::Null);
+                Ok(($($name::from_json(item($idx))?,)+))
             }
         }
     };
@@ -746,6 +884,10 @@ json_tuple!(A:0, B:1, C:2, D:3; 4);
 impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -775,6 +917,17 @@ pub fn variant(v: &Json) -> JsonResult<(&str, Option<&Json>)> {
 /// Build the externally-tagged form of a data-carrying variant.
 pub fn tagged(name: &str, payload: Json) -> Json {
     Json::Obj(vec![(name.to_string(), payload)])
+}
+
+/// Open a member of the object being written: a comma unless it is the
+/// first member, then `key`, the member's quoted name and colon.
+#[doc(hidden)]
+pub fn write_key(out: &mut String, key: &str) {
+    // A written value never ends in `{`, so this is the object's opener.
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push_str(key);
 }
 
 /// Declare a type once and get [`ToJson`] + [`FromJson`] for it.
@@ -868,6 +1021,10 @@ macro_rules! json_record {
                     $( (stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)), )*
                 ])
             }
+
+            fn write_json(&self, out: &mut String) {
+                $crate::json_record!(@object out, $( $field: &self.$field ),*);
+            }
         }
 
         impl<$($($gen: $crate::json::FromJson),+)?> $crate::json::FromJson for $name<$($($gen),+)?> {
@@ -883,7 +1040,7 @@ macro_rules! json_record {
         $vis:vis enum $name:ident $(<$($gen:ident),+>)? { $($body:tt)* }
     ) => {
         $crate::json_record! {
-            @enum [$(#[$meta])* $vis enum $name [$($($gen),+)?]] [] [] [] $($body)*
+            @enum ($(#[$meta])* $vis enum $name ($($($gen),+)?)) out () () () () $($body)*
         }
     };
 
@@ -897,61 +1054,83 @@ macro_rules! json_record {
         }
     };
 
-    // Enum variants are munched one at a time into three accumulators:
-    // the declaration body, the `to_json` arms and the `from_json` arms.
+    // One object, members in declaration order, written into `$out`.
+    (@object $out:ident, $( $field:ident : $value:expr ),*) => {{
+        $out.push('{');
+        $(
+            $crate::json::write_key($out, concat!("\"", stringify!($field), "\":"));
+            $crate::json::ToJson::write_json($value, $out);
+        )*
+        $out.push('}');
+    }};
+
+    // Enum variants are munched one at a time into four accumulators:
+    // the declaration body, the `to_json` arms, the `write_json` arms
+    // and the `from_json` arms.
     (
-        @enum $head:tt [$($decl:tt)*] [$($to:tt)*] [$($from:tt)*]
+        @enum $head:tt $out:ident ($($decl:tt)*) ($($to:tt)*) ($($write:tt)*) ($($from:tt)*)
         $(#[$vmeta:meta])* $variant:ident {
             $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)?
         } $(, $($rest:tt)*)?
     ) => {
         $crate::json_record! {
-            @enum $head
-            [$($decl)* $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field : $fty ),* },]
-            [$($to)* Self::$variant { $($field),* } => $crate::json::tagged(
+            @enum $head $out
+            ($($decl)* $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field : $fty ),* },)
+            ($($to)* Self::$variant { $($field),* } => $crate::json::tagged(
                 stringify!($variant),
                 $crate::json::Json::Obj(vec![
                     $( (stringify!($field).to_string(), $crate::json::ToJson::to_json($field)), )*
                 ]),
-            ),]
-            [$($from)* (stringify!($variant), Some(p)) => Ok(Self::$variant {
+            ),)
+            ($($write)* Self::$variant { $($field),* } => {
+                $out.push_str(concat!("{\"", stringify!($variant), "\":"));
+                $crate::json_record!(@object $out, $( $field: $field ),*);
+                $out.push('}');
+            })
+            ($($from)* (stringify!($variant), Some(p)) => Ok(Self::$variant {
                 $( $field: $crate::json::field(p, stringify!($field))?, )*
-            }),]
+            }),)
             $($($rest)*)?
         }
     };
     (
-        @enum $head:tt [$($decl:tt)*] [$($to:tt)*] [$($from:tt)*]
+        @enum $head:tt $out:ident ($($decl:tt)*) ($($to:tt)*) ($($write:tt)*) ($($from:tt)*)
         $(#[$vmeta:meta])* $variant:ident ( $inner:ty ) $(, $($rest:tt)*)?
     ) => {
         $crate::json_record! {
-            @enum $head
-            [$($decl)* $(#[$vmeta])* $variant($inner),]
-            [$($to)* Self::$variant(inner) => $crate::json::tagged(
+            @enum $head $out
+            ($($decl)* $(#[$vmeta])* $variant($inner),)
+            ($($to)* Self::$variant(inner) => $crate::json::tagged(
                 stringify!($variant),
                 $crate::json::ToJson::to_json(inner),
-            ),]
-            [$($from)* (stringify!($variant), Some(p)) => {
+            ),)
+            ($($write)* Self::$variant(inner) => {
+                $out.push_str(concat!("{\"", stringify!($variant), "\":"));
+                $crate::json::ToJson::write_json(inner, $out);
+                $out.push('}');
+            })
+            ($($from)* (stringify!($variant), Some(p)) => {
                 Ok(Self::$variant($crate::json::FromJson::from_json(p)?))
-            }]
+            })
             $($($rest)*)?
         }
     };
     (
-        @enum $head:tt [$($decl:tt)*] [$($to:tt)*] [$($from:tt)*]
+        @enum $head:tt $out:ident ($($decl:tt)*) ($($to:tt)*) ($($write:tt)*) ($($from:tt)*)
         $(#[$vmeta:meta])* $variant:ident $(, $($rest:tt)*)?
     ) => {
         $crate::json_record! {
-            @enum $head
-            [$($decl)* $(#[$vmeta])* $variant,]
-            [$($to)* Self::$variant => $crate::json::Json::Str(stringify!($variant).to_string()),]
-            [$($from)* (stringify!($variant), None) => Ok(Self::$variant),]
+            @enum $head $out
+            ($($decl)* $(#[$vmeta])* $variant,)
+            ($($to)* Self::$variant => $crate::json::Json::Str(stringify!($variant).to_string()),)
+            ($($write)* Self::$variant => $out.push_str(concat!("\"", stringify!($variant), "\"")),)
+            ($($from)* (stringify!($variant), None) => Ok(Self::$variant),)
             $($($rest)*)?
         }
     };
     (
-        @enum [$(#[$meta:meta])* $vis:vis enum $name:ident [$($gen:ident),*]]
-        [$($decl:tt)*] [$($to:tt)*] [$($from:tt)*]
+        @enum ($(#[$meta:meta])* $vis:vis enum $name:ident ($($gen:ident),*)) $out:ident
+        ($($decl:tt)*) ($($to:tt)*) ($($write:tt)*) ($($from:tt)*)
     ) => {
         $(#[$meta])*
         $vis enum $name<$($gen),*> { $($decl)* }
@@ -959,6 +1138,10 @@ macro_rules! json_record {
         impl<$($gen: $crate::json::ToJson),*> $crate::json::ToJson for $name<$($gen),*> {
             fn to_json(&self) -> $crate::json::Json {
                 match self { $($to)* }
+            }
+
+            fn write_json(&self, $out: &mut String) {
+                match self { $($write)* }
             }
         }
 
@@ -1010,6 +1193,16 @@ mod tests {
         assert!("nul".parse::<Json>().is_err());
         assert!("1 2".parse::<Json>().is_err());
         assert!("\"unterminated".parse::<Json>().is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(deep(MAX_DEPTH).parse::<Json>().is_ok());
+        let e = deep(MAX_DEPTH + 1).parse::<Json>().unwrap_err();
+        assert!(e.0.contains("nesting deeper"), "{e}");
+        // A frame's worth of openers is an error, not a crash.
+        assert!("[{\"a\":".repeat(1 << 20).parse::<Json>().is_err());
     }
 
     #[test]

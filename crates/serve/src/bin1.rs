@@ -46,7 +46,7 @@
 //! `cargo xtask audit` (lint-totality).
 
 use crate::frame::{Payload, BIN1_MAGIC, MAX_FRAME};
-use crate::protocol::{encode, QueryStamp, ReplFrame, Request, Response};
+use crate::protocol::{encode, encode_within, QueryStamp, ReplFrame, Request, Response};
 use cots_core::CounterEntry;
 
 /// Operation tag: `Request::Ingest`.
@@ -352,11 +352,14 @@ pub fn request_payload(req: &Request) -> Payload {
 }
 
 /// A response in its one wire form: BIN1 for a bulk answer, JSON
-/// otherwise (`Error` included).
-pub fn response_payload(resp: &Response) -> Payload {
+/// otherwise (`Error` included). `Err` if the payload would pass `cap`
+/// bytes, with the length written when the JSON writer stopped (see
+/// [`encode_within`]).
+pub fn response_payload(resp: &Response, cap: usize) -> Result<Payload, usize> {
     match encode_response(resp) {
-        Some(bytes) => Payload::Bin(bytes),
-        None => Payload::Json(encode(resp)),
+        Some(bytes) if bytes.len() > cap => Err(bytes.len()),
+        Some(bytes) => Ok(Payload::Bin(bytes)),
+        None => encode_within(resp, cap).map(Payload::Json),
     }
 }
 
@@ -615,8 +618,9 @@ mod tests {
         assert!(!request_payload(&Request::Stats).is_bin());
         assert_eq!(binary_only(&Request::Stats), None);
         // REPL_ACK is BIN1 whatever it answers, REPL_SUBSCRIBE included.
-        assert!(response_payload(&Response::ReplAck { ack_seq: 1 }).is_bin());
-        assert!(!response_payload(&Response::ShuttingDown).is_bin());
+        let payload = |r| response_payload(r, MAX_FRAME).unwrap();
+        assert!(payload(&Response::ReplAck { ack_seq: 1 }).is_bin());
+        assert!(!payload(&Response::ShuttingDown).is_bin());
         // Every op with a BIN1 encoder is refused as JSON, and no other.
         for req in [
             ingest,

@@ -33,6 +33,10 @@ use std::io::{self, Read, Write};
 /// still bounding per-connection memory.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// The room one [`FrameAssembler::fill_from`] offers a read: 64 KiB.
+/// A read that returns less has drained the socket.
+pub const READ_CHUNK: usize = 64 * 1024;
+
 /// First byte of every BIN1 payload. `0xB1` is a UTF-8 continuation
 /// byte, so no JSON payload can start with it and pre-BIN1 peers reject
 /// it as malformed rather than misreading it.
@@ -218,11 +222,17 @@ pub fn write_payload(w: &mut impl Write, payload: &Payload) -> io::Result<()> {
 /// Errors are terminal for the stream: once the front of the buffer is
 /// not a valid frame, resynchronization is impossible and the caller
 /// must drop the connection.
+///
+/// The buffer is zeroed once, as it grows, and reused after that: bytes
+/// past `filled` are spare read room, not data.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
-    /// Bytes received but not yet decoded. The region before `consumed`
-    /// has been handed out already and is reclaimed lazily.
+    /// `..filled` is received bytes, the region before `consumed` of it
+    /// handed out already and reclaimed lazily; `filled..` is zeroed room
+    /// for the next read.
     buf: Vec<u8>,
+    /// Received bytes at the front of `buf`.
+    filled: usize,
     /// Decoded-and-returned prefix length of `buf`.
     consumed: usize,
 }
@@ -235,46 +245,55 @@ impl FrameAssembler {
 
     /// Append newly received bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.reclaim();
-        self.buf.extend_from_slice(bytes);
+        let room = self.room(bytes.len());
+        let n = bytes.len().min(room.len());
+        if let (Some(dst), Some(src)) = (room.get_mut(..n), bytes.get(..n)) {
+            dst.copy_from_slice(src);
+        }
+        self.filled += n;
     }
 
     /// Read once from `r` directly into the assembly buffer — the
-    /// reactor's hot path. Skipping the caller-side scratch buffer
-    /// turns a read-plus-memcpy per chunk into a read into place (the
-    /// `resize` zero-fill below is a plain memset, half the memory
-    /// traffic of the copy it replaces).
+    /// reactor's hot path. The read lands in place, with no scratch
+    /// buffer and no copy, and its [`READ_CHUNK`] of room is zeroed
+    /// only the first time the buffer grows that far, not per read.
     ///
-    /// Returns the byte count from the underlying `read` (0 = EOF);
-    /// `WouldBlock` and friends propagate unchanged and leave the
-    /// buffered bytes intact.
+    /// Returns the byte count from the underlying `read` (0 = EOF); a
+    /// count below [`READ_CHUNK`] is a short read. `WouldBlock` and
+    /// friends propagate unchanged and leave the buffered bytes intact.
     pub fn fill_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
-        /// One socket read's worth of room.
-        const READ_CHUNK: usize = 64 * 1024;
-        self.reclaim();
-        let len = self.buf.len();
-        self.buf.resize(len + READ_CHUNK, 0);
-        // PANIC-OK: `resize` above guarantees `len < buf.len()`, so the
-        // range start is always in bounds.
-        let result = r.read(&mut self.buf[len..]);
-        self.buf
-            .truncate(len + result.as_ref().copied().unwrap_or(0));
-        result
+        let n = r.read(self.room(READ_CHUNK))?;
+        // A reader reporting more than it was offered is not trusted.
+        self.filled += n.min(READ_CHUNK);
+        Ok(n)
     }
 
-    /// Reclaim the consumed prefix before growing, so the buffer's
-    /// high-water mark tracks the largest *single* frame rather than
-    /// the connection's lifetime traffic.
+    /// `want` bytes of room after the received bytes, reclaiming the
+    /// consumed prefix first and zeroing only the part of the buffer
+    /// never used before.
+    fn room(&mut self, want: usize) -> &mut [u8] {
+        self.reclaim();
+        let end = self.filled.saturating_add(want);
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        self.buf.get_mut(self.filled..end).unwrap_or_default()
+    }
+
+    /// Move the unread tail to the front, so the buffer's high-water
+    /// mark tracks the largest *single* frame rather than the
+    /// connection's lifetime traffic.
     fn reclaim(&mut self) {
         if self.consumed > 0 {
-            self.buf.drain(..self.consumed);
+            self.buf.copy_within(self.consumed..self.filled, 0);
+            self.filled -= self.consumed;
             self.consumed = 0;
         }
     }
 
     /// Bytes buffered but not yet decoded into frames.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.consumed
+        self.filled - self.consumed
     }
 
     /// Decode the next complete frame, if one is fully buffered.
@@ -282,7 +301,7 @@ impl FrameAssembler {
     /// `Ok(None)` means "wait for more bytes". Any error means the
     /// stream is unrecoverable at this point.
     pub fn next_frame(&mut self) -> Result<Option<Payload>, FrameError> {
-        let tail = self.buf.get(self.consumed..).unwrap_or(&[]);
+        let tail = self.buf.get(self.consumed..self.filled).unwrap_or(&[]);
         match decode_frame(tail) {
             Ok((payload, used)) => {
                 self.consumed += used;
@@ -537,6 +556,67 @@ mod tests {
         let err = asm.fill_from(&mut Failing).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
         assert_eq!(asm.pending(), pending, "no phantom bytes on error");
+    }
+
+    #[test]
+    fn fill_from_reuses_its_room_across_many_small_reads() {
+        // Frames of 1 to 300 bytes of payload, delivered 1 to 7 bytes per
+        // read: the buffer never grows past one read's room plus the
+        // largest frame, and `pending` is exact after every step.
+        struct Pieces {
+            bytes: Vec<u8>,
+            at: usize,
+            step: usize,
+        }
+        impl Read for Pieces {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.step += 1;
+                let n = (self.step % 7 + 1)
+                    .min(buf.len())
+                    .min(self.bytes.len() - self.at);
+                buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+                self.at += n;
+                Ok(n)
+            }
+        }
+
+        let mut bytes = Vec::new();
+        let mut largest = 0;
+        let mut sent = Vec::new();
+        for i in 0..400usize {
+            let body = "x".repeat(1 + i * 37 % 300);
+            let frame = encode_frame(&body);
+            largest = largest.max(frame.len());
+            bytes.extend_from_slice(&frame);
+            sent.push(json(&body));
+        }
+        let total = bytes.len();
+        let mut reader = Pieces {
+            bytes,
+            at: 0,
+            step: 0,
+        };
+        let mut asm = FrameAssembler::new();
+        let (mut got, mut decoded_bytes, mut calls) = (Vec::new(), 0, 0);
+        while reader.at < total {
+            let n = asm.fill_from(&mut reader).unwrap();
+            calls += 1;
+            assert!(n < READ_CHUNK, "every read here is short");
+            assert_eq!(asm.pending(), reader.at - decoded_bytes);
+            while let Some(p) = asm.next_frame().unwrap() {
+                decoded_bytes += 4 + p.len();
+                got.push(p);
+                assert_eq!(asm.pending(), reader.at - decoded_bytes);
+            }
+            assert!(
+                asm.buf.len() <= READ_CHUNK + largest,
+                "buffer grew to {} after {calls} reads",
+                asm.buf.len()
+            );
+        }
+        assert!(calls >= 10_000, "only {calls} reads");
+        assert_eq!(got, sent);
+        assert_eq!(asm.pending(), 0);
     }
 
     #[test]

@@ -287,24 +287,69 @@ json_record! {
     }
 }
 
+/// The fewest bytes a JSON [`Response::Answer`] takes besides its
+/// entries: zero `total` and stamp fields, `rotations` null.
+const ANSWER_JSON_ENVELOPE: usize = 105;
+
+/// The fewest bytes one entry adds to a JSON answer, its separating
+/// comma included: `{"item":0,"count":0,"error":0},` is 31.
+const ANSWER_JSON_ENTRY: usize = 31;
+
+/// A lower bound on the JSON size of an answer holding `n` entries (the
+/// last entry has no comma).
+fn answer_json_floor(n: usize) -> usize {
+    n.saturating_mul(ANSWER_JSON_ENTRY)
+        .saturating_add(ANSWER_JSON_ENVELOPE)
+        .saturating_sub(usize::from(n > 0))
+}
+
+/// The refusal of a response that does not fit one frame; `size` says
+/// how large it would be.
+pub(crate) fn over_the_cap(size: &str) -> Response {
+    Response::Error {
+        message: format!(
+            "response would be {size}, over the {MAX_FRAME}-byte frame cap; ask for fewer \
+             entries or page the summary with SNAPSHOT_PAGE"
+        ),
+    }
+}
+
 /// Answer one query from a published snapshot — the one answer shape of
 /// every endpoint (a member's own summary, a coordinator's federated
 /// one), so every client works unchanged against either.
+///
+/// The entries an answer would hold are counted first, on the sorted
+/// snapshot and without copying any. When even their smallest JSON form
+/// passes [`MAX_FRAME`] the query is refused before anything is copied
+/// or formatted.
 pub fn answer(snapshot: &Snapshot<u64>, q: QueryReq, stamp: QueryStamp) -> Response {
-    let entries = match q {
-        QueryReq::Point { key } => snapshot.get(&key).into_iter().copied().collect(),
+    let sorted = snapshot.entries();
+    let n = match q {
+        QueryReq::Point { key } => {
+            return Response::Answer {
+                entries: snapshot.get(&key).into_iter().copied().collect(),
+                total: snapshot.total(),
+                stamp,
+            };
+        }
         QueryReq::Frequent { phi } => {
             if !(phi > 0.0 && phi < 1.0) {
                 return Response::Error {
                     message: format!("phi must be in (0, 1), got {phi}"),
                 };
             }
-            snapshot.frequent(Threshold::Fraction(phi))
+            // Sorted by decreasing count: the answer is a prefix.
+            let min = snapshot.resolve_threshold(Threshold::Fraction(phi));
+            sorted.partition_point(|e| e.count >= min)
         }
-        QueryReq::TopK { k } => snapshot.top_k(k),
+        QueryReq::TopK { k } => k.min(sorted.len()),
     };
+    let floor = answer_json_floor(n);
+    if floor > MAX_FRAME {
+        return over_the_cap(&format!("at least {floor} bytes ({n} entries)"));
+    }
     Response::Answer {
-        entries,
+        entries: sorted.get(..n).unwrap_or_default().to_vec(),
         total: snapshot.total(),
         stamp,
     }
@@ -351,6 +396,45 @@ pub fn snapshot_page_response(
 /// Encode a message for the wire.
 pub fn encode<T: ToJson>(msg: &T) -> String {
     cots_core::json::to_string(msg)
+}
+
+/// [`encode`] a response unless its text passes `cap` bytes; then `Err`
+/// with the length written so far. An [`Response::Answer`] is written
+/// entry by entry and stops at the first entry past `cap`, so a refusal
+/// formats at most `cap` bytes and one entry.
+pub fn encode_within(resp: &Response, cap: usize) -> Result<String, usize> {
+    let text = match resp {
+        Response::Answer {
+            entries,
+            total,
+            stamp,
+        } => {
+            // The bytes `encode` writes for this variant: fields in
+            // declaration order (pinned by `tests/json_writer_props.rs`).
+            let mut out = String::with_capacity(ANSWER_JSON_ENVELOPE + 48 * entries.len());
+            out.push_str("{\"Answer\":{\"entries\":[");
+            for (i, e) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                e.write_json(&mut out);
+                if out.len() > cap {
+                    return Err(out.len());
+                }
+            }
+            out.push_str("],\"total\":");
+            total.write_json(&mut out);
+            out.push_str(",\"stamp\":");
+            stamp.write_json(&mut out);
+            out.push_str("}}");
+            out
+        }
+        other => encode(other),
+    };
+    if text.len() > cap {
+        return Err(text.len());
+    }
+    Ok(text)
 }
 
 /// Decode a message from a frame payload, mapping parse failures into
@@ -596,6 +680,58 @@ mod tests {
             Response::Answer { entries, .. } => assert_eq!(entries[0].item, 7),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_answer_floor_is_the_smallest_answer() {
+        let zero = QueryStamp::default();
+        let answer = |n: u64| Response::Answer {
+            entries: (0..n).map(|_| CounterEntry::new(0u64, 0, 0)).collect(),
+            total: 0,
+            stamp: zero,
+        };
+        for n in [0, 1, 2, 100] {
+            assert_eq!(encode(&answer(n)).len(), answer_json_floor(n as usize));
+        }
+        assert_eq!(answer_json_floor(usize::MAX), usize::MAX - 1);
+    }
+
+    #[test]
+    fn refused_answers_name_the_cap_and_the_paged_op() {
+        let n = (MAX_FRAME - ANSWER_JSON_ENVELOPE) / ANSWER_JSON_ENTRY + 1;
+        let entries = (0..n as u64).map(|i| CounterEntry::new(i, 1, 0)).collect();
+        let s = Snapshot::from_sorted(entries, n as u64);
+        for q in [
+            QueryReq::TopK { k: usize::MAX },
+            QueryReq::Frequent { phi: 1e-9 },
+        ] {
+            match answer(&s, q, QueryStamp::default()) {
+                Response::Error { message } => {
+                    assert!(message.contains("SNAPSHOT_PAGE"), "{message}");
+                    assert!(message.contains(&MAX_FRAME.to_string()), "{message}");
+                }
+                other => panic!("expected a refusal, got {:?}", encode(&other).len()),
+            }
+        }
+        // One entry fewer fits the floor and is answered.
+        assert!(matches!(
+            answer(&s, QueryReq::TopK { k: n - 1 }, QueryStamp::default()),
+            Response::Answer { .. }
+        ));
+    }
+
+    #[test]
+    fn the_capped_writer_stops_past_the_cap() {
+        let wide = CounterEntry::new(u64::MAX, u64::MAX, u64::MAX);
+        let resp = Response::Answer {
+            entries: vec![wide; 1_000],
+            total: 5,
+            stamp: QueryStamp::default(),
+        };
+        let full = encode(&resp);
+        assert_eq!(encode_within(&resp, full.len()).unwrap(), full);
+        let written = encode_within(&resp, 1_000).unwrap_err();
+        assert!(written > 1_000 && written < 1_100, "wrote {written}");
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::frame::{FrameAssembler, Payload, MAX_FRAME};
+use crate::frame::{FrameAssembler, Payload, MAX_FRAME, READ_CHUNK};
 use crate::protocol::Response;
 use crate::service::Service;
 use crate::session::{self, ConnState};
@@ -102,6 +102,9 @@ pub struct Connection {
     /// The `INGEST` the shard rings had no room for; while set, nothing
     /// more is read or decoded.
     held: Option<Held>,
+    /// The peer has shut its side ([`Connection::hang_up`]): read on past
+    /// a short read to the EOF, which no later edge would report.
+    peer_closed: bool,
 }
 
 /// An `INGEST` frame waiting for ring room.
@@ -128,7 +131,15 @@ impl Connection {
             closing: false,
             state: ConnState::new(),
             held: None,
+            peer_closed: false,
         }
+    }
+
+    /// The poller reported the peer's hangup. The EOF may sit right
+    /// behind the last bytes, where an edge-triggered poller reports
+    /// nothing more, so reads from now on go on until it is read.
+    pub fn hang_up(&mut self) {
+        self.peer_closed = true;
     }
 
     /// The underlying stream (for readiness registration).
@@ -149,6 +160,12 @@ impl Connection {
     /// Read everything available (up to the fairness budget), decode
     /// and handle complete frames, and flush responses. A parked
     /// connection only flushes: the reactor resumes it.
+    ///
+    /// A read that returns less than the [`READ_CHUNK`] it offered has
+    /// drained the socket, so reading stops there instead of paying one
+    /// more `recv` for its `EAGAIN`: the next arrival raises a new edge
+    /// (epoll) or stays readable (`poll`). Only after [`Self::hang_up`]
+    /// does reading go on to the EOF.
     pub fn drive_readable(
         &mut self,
         service: &Service,
@@ -173,7 +190,12 @@ impl Connection {
                     saw_eof = true;
                     break;
                 }
-                Ok(n) => consumed += n,
+                Ok(n) => {
+                    consumed += n;
+                    if n < READ_CHUNK && !self.peer_closed {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return Drive::Close,

@@ -20,7 +20,9 @@
 //!   summary.
 //! * **Frame cap** — a response that encodes past [`MAX_FRAME`] (a `TopK`
 //!   or `Frequent` answer over a very large `--capacity` can) is replaced
-//!   by a JSON error saying so; the connection stays open.
+//!   by a JSON error saying so; the connection stays open. The writer
+//!   stops at the cap, and [`crate::protocol::answer`] refuses an answer
+//!   whose entry count alone rules it out before copying any entry.
 //! * **Shutdown** — the connection closes after `SHUTTING_DOWN`.
 //!
 //! What differs between front-ends is behind [`Endpoint`]: which features
@@ -38,8 +40,8 @@ use cots::StampedSnapshot;
 use crate::bin1;
 use crate::frame::{Payload, MAX_FRAME};
 use crate::protocol::{
-    decode, encode, snapshot_page_response, QueryStamp, Request, Response, MIN_PROTO_VERSION,
-    PROTO_VERSION,
+    decode, encode, over_the_cap, snapshot_page_response, QueryStamp, Request, Response,
+    MIN_PROTO_VERSION, PROTO_VERSION,
 };
 
 /// What a front-end plugs into the shared protocol layer.
@@ -219,22 +221,18 @@ pub fn serve_payload<E: Endpoint>(
     }
 }
 
-/// Encode `reply` in its op's one form (see [`bin1::response_payload`]),
-/// falling back to a JSON error when it would not fit one frame. Returns
-/// the payload to write and whether the connection must close after it.
+/// Encode `reply` in its op's one form (see
+/// [`bin1::response_payload`]), falling back to a JSON error when
+/// it would not fit one frame. Returns the payload to write and whether
+/// the connection must close after it.
 pub fn encode_reply(reply: Reply) -> (Payload, bool) {
-    let encoded = bin1::response_payload(&reply.response);
-    if encoded.len() > MAX_FRAME {
-        let fallback = Response::Error {
-            message: format!(
-                "response would be {} bytes, over the {MAX_FRAME}-byte frame cap; ask for \
-                 fewer entries or page the summary with SNAPSHOT_PAGE",
-                encoded.len()
-            ),
-        };
-        return (Payload::Json(encode(&fallback)), reply.close);
+    match bin1::response_payload(&reply.response, MAX_FRAME) {
+        Ok(encoded) => (encoded, reply.close),
+        Err(written) => {
+            let fallback = over_the_cap(&format!("at least {written} bytes"));
+            (Payload::Json(encode(&fallback)), reply.close)
+        }
     }
-    (encoded, reply.close)
 }
 
 /// The frame a front-end writes before dropping a connection whose byte

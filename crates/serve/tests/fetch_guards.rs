@@ -13,7 +13,7 @@ use std::time::Duration;
 use cots_core::{CotsError, CounterEntry, Snapshot};
 use cots_serve::bin1;
 use cots_serve::cluster::{fetch_snapshot, Fetched};
-use cots_serve::frame::{read_frame, write_payload, Payload};
+use cots_serve::frame::{read_frame, write_payload, Payload, MAX_FRAME};
 use cots_serve::protocol::decode;
 use cots_serve::{Client, QueryStamp, Request, Response, PROTO_VERSION};
 
@@ -83,7 +83,11 @@ fn fake_member(script: Vec<Response>) -> (String, JoinHandle<Vec<Request>>) {
         let mut reader = stream.try_clone().unwrap();
         let mut writer = stream;
         let mut reply = |response: &Response| {
-            write_payload(&mut writer, &bin1::response_payload(response)).unwrap();
+            write_payload(
+                &mut writer,
+                &bin1::response_payload(response, MAX_FRAME).unwrap(),
+            )
+            .unwrap();
         };
         let mut next_request = || match read_frame(&mut reader).unwrap() {
             Some(Payload::Json(text)) => Some(decode::<Request>(&text).unwrap()),

@@ -127,10 +127,11 @@ fn scan(lines: &[LexedLine], rel: &str) -> Vec<Finding> {
 }
 
 /// Keywords that can directly precede a `[` that is a type or pattern,
-/// not an indexing expression (`&mut [u8]`, `if let [a, b] = ...`).
+/// not an indexing expression (`&mut [u8]`, `if let [a, b] = ...`,
+/// `impl Trait for [T]`).
 const NON_INDEX_KEYWORDS: &[&str] = &[
     "mut", "let", "in", "as", "return", "else", "match", "dyn", "impl", "ref", "move", "box",
-    "const", "static", "break", "continue", "where",
+    "const", "static", "break", "continue", "where", "for",
 ];
 
 /// Columns of `[` tokens that look like value indexing.
@@ -154,12 +155,13 @@ fn index_sites(code: &str) -> Vec<usize> {
     sites
 }
 
-/// True when `before` ends in one of [`NON_INDEX_KEYWORDS`] as a whole word.
+/// True when `before` ends in one of [`NON_INDEX_KEYWORDS`] as a whole
+/// word, or in a lifetime (`&'a [u8]` is a type).
 fn ends_with_keyword(before: &str) -> bool {
     let word_start = before
         .rfind(|c: char| !c.is_ascii_alphanumeric() && c != '_')
         .map_or(0, |i| i + 1);
-    NON_INDEX_KEYWORDS.contains(&&before[word_start..])
+    NON_INDEX_KEYWORDS.contains(&&before[word_start..]) || before[..word_start].ends_with('\'')
 }
 
 #[cfg(test)]
@@ -212,6 +214,14 @@ mod tests {
             "fn f(buf: &mut [u8], pair: &[u8]) -> u8 {\n    if let [a, _b] = pair {\n        return *a;\n    }\n    buf[0]\n}\n",
         );
         assert_eq!(f, vec![(8, "index")]);
+    }
+
+    #[test]
+    fn impl_targets_and_lifetimes_are_types() {
+        let f = findings_in(
+            "struct P<'a> {\n    b: &'a [u8],\n}\nimpl<T> Tr for [T] {}\nfn f(v: &[u8]) -> u8 {\n    v[0]\n}\n",
+        );
+        assert_eq!(f, vec![(9, "index")]);
     }
 
     #[test]
