@@ -79,12 +79,19 @@ fn primary_ships_standby_catches_up_and_promotes() {
         client.ingest(chunk).unwrap();
     }
 
-    // Wait until the standby acked everything the primary logged.
+    // Wait until the standby acked everything the primary logged. The
+    // shipper's report is as of its last publish, so its acks are held
+    // against the log itself, not against the report's own `next_seq`.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = primary_service.stats();
+        let logged = stats.persist.as_ref().map_or(0, |p| p.wal_records);
         if let Some(repl) = &stats.repl {
-            if repl.connected && repl.unacked_batches == 0 && stats.applied_keys() == total_items {
+            if repl.connected
+                && repl.unacked_batches == 0
+                && stats.applied_keys() == total_items
+                && repl.acked_seq == logged
+            {
                 break;
             }
         }
@@ -273,16 +280,20 @@ fn late_standby_catches_up_via_snapshot() {
     // fresh standby can then only catch up via REPL_SNAPSHOT.
     let mut client = Client::connect(&primary_addr).unwrap();
     let keys: Vec<u64> = (0..20_000u64).map(|i| i % 100).collect();
-    for chunk in keys.chunks(1_000) {
-        client.ingest(chunk).unwrap();
-    }
     let deadline = Instant::now() + Duration::from_secs(10);
-    while primary_service.stats().applied_keys() < 20_000 {
-        assert!(
-            Instant::now() < deadline,
-            "primary never applied the stream"
-        );
-        std::thread::sleep(Duration::from_millis(5));
+    for (i, chunk) in keys.chunks(1_000).enumerate() {
+        client.ingest(chunk).unwrap();
+        // Each chunk is logged before it is applied, so waiting for it
+        // puts every chunk in a group commit of its own: the log crosses
+        // `segment_bytes` between commits and rotates, however fast the
+        // acks come back.
+        while primary_service.stats().applied_keys() < (i as u64 + 1) * 1_000 {
+            assert!(
+                Instant::now() < deadline,
+                "primary never applied the stream"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
     let (watermark, _, _) = client.checkpoint().unwrap();
     assert!(watermark > 0);
