@@ -161,17 +161,21 @@ pub fn run_cots_frontend(
     (stats, engine)
 }
 
-/// The CoTS framework (§5).
-pub fn run_cots(stream: &[u64], threads: usize) -> RunStats {
-    let engine =
-        Arc::new(CotsEngine::<u64>::new(CotsConfig::for_capacity(CAPACITY).unwrap()).unwrap());
+/// The CoTS framework (§5); with `adaptive`, under the §5.2.3 σ/ρ thread
+/// gate at σ = 256, ρ = 32.
+pub fn run_cots(stream: &[u64], threads: usize, adaptive: bool) -> RunStats {
+    let mut config = CotsConfig::for_capacity(CAPACITY).unwrap();
+    if adaptive {
+        config = config.with_adaptive(256, 32);
+    }
+    let engine = Arc::new(CotsEngine::<u64>::new(config).unwrap());
     let stats = cots::run(
         &engine,
         stream,
         RuntimeOptions {
             threads,
             batch: 2048,
-            adaptive: false,
+            adaptive,
         },
     )
     .unwrap();
@@ -199,8 +203,10 @@ mod tests {
         assert_eq!(sh.elements, 20_000);
         let (ind, _) = run_independent(&stream, 2, MergeStrategy::Serial, Some(5_000), false);
         assert_eq!(ind.elements, 20_000);
-        let cots = run_cots(&stream, 2);
+        let cots = run_cots(&stream, 2, false);
         assert_eq!(cots.elements, 20_000);
+        let adaptive = run_cots(&stream, 2, true);
+        assert_eq!(adaptive.elements, 20_000);
         let shb = run_shared_batched(&stream, 2, LockKind::Mutex, 512);
         assert_eq!(shb.elements, 20_000);
         let hy = run_hybrid(&stream, 2);

@@ -20,19 +20,24 @@ use crate::harness::{median_run, paper_stream, write_csv, write_json, Scale, MER
 
 /// An engine as the paper's evaluation configures it: the independent
 /// design merges serially every [`MERGE_EVERY`] elements, the shared one
-/// locks with blocking mutexes.
+/// locks with blocking mutexes. Two variants exist only for the ablations:
+/// each changes one design choice of its parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Sequential Space Saving, the one-core baseline.
     Sequential,
     /// Independent Structures (§4.1).
     Independent,
+    /// Independent Structures merging through a binary tree (§4.1, §4.3).
+    IndependentTree,
     /// Shared Structure (§4.2).
     Shared,
     /// The dismissed hybrid of §4.4.
     Hybrid,
     /// The CoTS framework (§5).
     Cots,
+    /// CoTS under the §5.2.3 σ/ρ adaptive thread gate.
+    CotsAdaptive,
 }
 
 impl Engine {
@@ -41,9 +46,20 @@ impl Engine {
         match self {
             Engine::Sequential => "sequential",
             Engine::Independent => "independent",
+            Engine::IndependentTree => "independent-tree",
             Engine::Shared => "shared",
             Engine::Hybrid => "hybrid",
             Engine::Cots => "cots",
+            Engine::CotsAdaptive => "cots-adaptive",
+        }
+    }
+
+    /// The engine this one ablates, if it is an ablation variant.
+    fn parent(self) -> Option<Engine> {
+        match self {
+            Engine::IndependentTree => Some(Engine::Independent),
+            Engine::CotsAdaptive => Some(Engine::Cots),
+            _ => None,
         }
     }
 
@@ -52,16 +68,21 @@ impl Engine {
     fn run(self, stream: &[u64], threads: usize, profile: bool) -> (RunStats, Vec<PhaseTimes>) {
         match self {
             Engine::Sequential => (run_sequential(stream), Vec::new()),
-            Engine::Independent => run_independent(
+            Engine::Independent | Engine::IndependentTree => run_independent(
                 stream,
                 threads,
-                MergeStrategy::Serial,
+                if self == Engine::Independent {
+                    MergeStrategy::Serial
+                } else {
+                    MergeStrategy::Hierarchical
+                },
                 Some(MERGE_EVERY),
                 profile,
             ),
             Engine::Shared => run_shared(stream, threads, LockKind::Mutex, profile),
             Engine::Hybrid => (run_hybrid(stream, threads), Vec::new()),
-            Engine::Cots => (run_cots(stream, threads), Vec::new()),
+            Engine::Cots => (run_cots(stream, threads, false), Vec::new()),
+            Engine::CotsAdaptive => (run_cots(stream, threads, true), Vec::new()),
         }
     }
 }
@@ -89,7 +110,8 @@ pub enum Kind {
     Surface,
     /// Best-case seconds of sequential, shared and CoTS (Table 2).
     Table2,
-    /// Peak CoTS throughput beside sequential (the §6 headline).
+    /// Elements per second of every leg: the §6 headline (peak CoTS beside
+    /// sequential) and each ablation variant beside its parent.
     Throughput,
     /// The hybrid beside its two parents (§4.4).
     Hybrid,
@@ -276,6 +298,25 @@ pub const SPECS: &[Spec<'static>] = &[
             (Engine::Independent, &[4]),
         ],
         alphas: &[0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+        sizes: &[2_000_000],
+        columns: &[],
+    },
+    // Two design choices no figure isolates. Paper §4.3: the hierarchical
+    // merge does not beat the serial one, its per-level barriers cost what
+    // the tree saves. §5.2.3: the σ/ρ gate parks threads that would only
+    // queue. Each variant runs beside its parent; the CSV's engine column
+    // tells them apart.
+    Spec {
+        name: "ablations",
+        title: "Ablations — hierarchical merge (§4.3), adaptive gating (§5.2.3)",
+        kind: Kind::Throughput,
+        legs: &[
+            (Engine::Independent, &[4, 8]),
+            (Engine::IndependentTree, &[4, 8]),
+            (Engine::Cots, &[16]),
+            (Engine::CotsAdaptive, &[16]),
+        ],
+        alphas: &[2.5],
         sizes: &[2_000_000],
         columns: &[],
     },
@@ -649,27 +690,55 @@ impl Outcome<'_> {
                 );
             }
             Kind::Throughput => {
+                let _ = writeln!(out, "| engine | threads | M elem/s |\n|---|---|---|");
+                for p in &self.points {
+                    let _ = writeln!(
+                        out,
+                        "| {} | {}{} | {:.2} |",
+                        p.engine.label(),
+                        p.threads,
+                        mark(p.threads),
+                        p.stats.throughput() / 1e6
+                    );
+                }
+                out.push('\n');
+                for p in &self.points {
+                    let Some(parent) = p.engine.parent() else {
+                        continue;
+                    };
+                    let Some(base) = self.points.iter().find(|b| {
+                        (b.engine, b.threads, b.alpha, b.n) == (parent, p.threads, p.alpha, p.n)
+                    }) else {
+                        continue;
+                    };
+                    let _ = writeln!(
+                        out,
+                        "{} at {}{} threads: {:.2}x the throughput of {}.",
+                        p.engine.label(),
+                        p.threads,
+                        mark(p.threads),
+                        p.stats.throughput() / base.stats.throughput(),
+                        parent.label()
+                    );
+                }
                 let peak = self
                     .points
                     .iter()
                     .filter(|p| p.engine == Engine::Cots)
-                    .max_by(|a, b| a.stats.throughput().total_cmp(&b.stats.throughput()))
-                    .unwrap();
-                let seq = self
-                    .points
-                    .iter()
-                    .find(|p| p.engine == Engine::Sequential)
-                    .unwrap();
-                let _ = writeln!(
-                    out,
-                    "peak CoTS {:.2} M elem/s at {}{} threads vs sequential {:.2} M elem/s \
-                     (paper: >60 M elem/s on 4 physical cores; that headline needs ≥ 4 real \
-                     cores, this host has {cores}).",
-                    peak.stats.throughput() / 1e6,
-                    peak.threads,
-                    mark(peak.threads),
-                    seq.stats.throughput() / 1e6
-                );
+                    .max_by(|a, b| a.stats.throughput().total_cmp(&b.stats.throughput()));
+                let seq = self.points.iter().find(|p| p.engine == Engine::Sequential);
+                if let (Some(peak), Some(seq)) = (peak, seq) {
+                    let _ = writeln!(
+                        out,
+                        "peak CoTS {:.2} M elem/s at {}{} threads vs sequential {:.2} M elem/s \
+                         (paper: >60 M elem/s on 4 physical cores; that headline needs ≥ 4 real \
+                         cores, this host has {cores}).",
+                        peak.stats.throughput() / 1e6,
+                        peak.threads,
+                        mark(peak.threads),
+                        seq.stats.throughput() / 1e6
+                    );
+                }
             }
             Kind::Hybrid => {
                 let (lo, hi) = (&groups[0], &groups[groups.len() - 1]);

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use cots_core::{FrequencyCounter, QueryableSummary, SummaryConfig};
 use cots_datagen::ExactCounter;
-use cots_sequential::{LossyCounting, MisraGries, NodeId, SpaceSaving, StreamSummary};
+use cots_sequential::{LossyCounting, NodeId, SpaceSaving, StreamSummary};
 
 /// Reference model: a multiset of (handle, item, count, error).
 #[derive(Default)]
@@ -111,39 +111,39 @@ proptest! {
         }
     }
 
-    /// Space Saving and Misra-Gries agree on guaranteed-frequent answers:
-    /// anything Misra-Gries guarantees, Space Saving monitors too (both are
-    /// counter-based with the same ε law).
+    /// Every key Space Saving does not monitor has an exact count of at
+    /// most `min_count()`, after every update: the bound that makes an
+    /// absent key's answer sound. Runs arrive either one element at a time
+    /// or whole through `process_weighted` (the served update).
     #[test]
-    fn space_saving_covers_misra_gries_guarantees(
-        stream in vec(0u64..40, 10..1_500),
-        capacity in 2usize..24,
+    fn unmonitored_keys_stay_below_the_minimum(
+        runs in vec((0u64..48, 1u64..16), 1..600),
+        capacity in 1usize..24,
+        weighted in any::<bool>(),
     ) {
-        let cfg = SummaryConfig::with_capacity(capacity).unwrap();
-        let mut ss = SpaceSaving::<u64>::new(cfg);
-        let mut mg = MisraGries::<u64>::new(cfg);
-        for &e in &stream {
-            ss.process(e);
-            mg.process(e);
-        }
-        let ss_snap = ss.snapshot();
-        for entry in mg.snapshot().entries() {
-            // Guaranteed mass in MG implies the element's true count is at
-            // least that; SS must monitor any element whose count exceeds
-            // its own minimum.
-            if entry.guaranteed() > ss.min_count() {
+        let mut ss = SpaceSaving::<u64>::new(SummaryConfig::with_capacity(capacity).unwrap());
+        let mut truth = ExactCounter::<u64>::new();
+        for (key, weight) in runs {
+            if weighted {
+                ss.process_weighted(key, weight);
+            } else {
+                (0..weight).for_each(|_| ss.process(key));
+            }
+            (0..weight).for_each(|_| truth.process(key));
+            let snap = ss.snapshot();
+            for absent in (0..48).filter(|k| snap.get(k).is_none()) {
                 prop_assert!(
-                    ss_snap.get(&entry.item).is_some(),
-                    "item {} guaranteed {} by MG but unmonitored in SS (min {})",
-                    entry.item,
-                    entry.guaranteed(),
+                    truth.count(&absent) <= ss.min_count(),
+                    "key {} counted {} but unmonitored above the minimum {}",
+                    absent,
+                    truth.count(&absent),
                     ss.min_count()
                 );
             }
         }
     }
 
-    /// All three counter algorithms keep sound bounds on the same stream.
+    /// Both counter algorithms keep sound bounds on the same stream.
     #[test]
     fn counter_algorithms_bounds_agree(
         stream in vec(0u64..64, 10..1_200),
@@ -153,13 +153,11 @@ proptest! {
         let cfg = SummaryConfig::with_capacity(capacity).unwrap();
         let mut ss = SpaceSaving::<u64>::new(cfg);
         let mut lc = LossyCounting::<u64>::new(cfg);
-        let mut mg = MisraGries::<u64>::new(cfg);
         for &e in &stream {
             ss.process(e);
             lc.process(e);
-            mg.process(e);
         }
-        for snap in [ss.snapshot(), lc.snapshot(), mg.snapshot()] {
+        for snap in [ss.snapshot(), lc.snapshot()] {
             for entry in snap.entries() {
                 let t = truth.count(&entry.item);
                 prop_assert!(entry.count >= t);

@@ -15,7 +15,7 @@ use cots_core::{
 };
 use cots_datagen::{AccuracyReport, ExactCounter, StreamSpec};
 use cots_naive::{IndependentSpaceSaving, LockKind, MergeStrategy, SharedSpaceSaving};
-use cots_sequential::{CountMinSketch, LossyCounting, MisraGries, SpaceSaving};
+use cots_sequential::{LossyCounting, SpaceSaving};
 
 const N: usize = 1_000_000;
 const ALPHABET: usize = 50_000;
@@ -71,17 +71,6 @@ fn main() {
         t.elapsed().as_secs_f64(),
         e.snapshot(),
     );
-
-    let t = Instant::now();
-    let mut e = MisraGries::<u64>::new(cfg);
-    e.process_slice(&stream);
-    report("misra-gries (seq)", t.elapsed().as_secs_f64(), e.snapshot());
-
-    // A sketch baseline.
-    let t = Instant::now();
-    let mut e = CountMinSketch::<u64>::new(0.001, 0.01, cfg).unwrap();
-    e.process_slice(&stream);
-    report("count-min + heap", t.elapsed().as_secs_f64(), e.snapshot());
 
     // Naive parallelizations.
     let t = Instant::now();

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use cots::{CotsEngine, Policy, RuntimeOptions};
 use cots_core::{CotsConfig, FrequencyCounter, QueryableSummary, SummaryConfig, Threshold};
 use cots_datagen::{AccuracyReport, ExactCounter, StreamSpec};
-use cots_sequential::{CountMinSketch, CountSketch, LossyCounting, MisraGries, SpaceSaving};
+use cots_sequential::{LossyCounting, SpaceSaving};
 
 const N: usize = 80_000;
 const ALPHABET: usize = 8_000;
@@ -52,33 +52,6 @@ fn lossy_counting_epsilon_recall_is_one() {
         let rep = AccuracyReport::for_frequent(&e.snapshot(), &truth, eps_threshold());
         assert_eq!(rep.recall, 1.0, "alpha {alpha}: {rep:?}");
     }
-}
-
-#[test]
-fn misra_gries_epsilon_recall_is_one() {
-    for alpha in [1.5, 2.5] {
-        let (stream, truth) = workload(alpha);
-        let mut e = MisraGries::<u64>::new(SummaryConfig::with_capacity(CAPACITY).unwrap());
-        e.process_slice(&stream);
-        let rep = AccuracyReport::for_frequent(&e.snapshot(), &truth, eps_threshold());
-        assert_eq!(rep.recall, 1.0, "alpha {alpha}: {rep:?}");
-    }
-}
-
-#[test]
-fn sketches_track_heavy_hitters() {
-    let (stream, truth) = workload(2.0);
-    let cfg = SummaryConfig::with_capacity(CAPACITY).unwrap();
-
-    let mut cm = CountMinSketch::<u64>::new(0.005, 0.01, cfg).unwrap();
-    cm.process_slice(&stream);
-    let rep = AccuracyReport::for_top_k(&cm.snapshot(), &truth, 10);
-    assert!(rep.recall >= 0.9, "count-min top-10 recall {rep:?}");
-
-    let mut cs = CountSketch::<u64>::new(1024, 5, cfg).unwrap();
-    cs.process_slice(&stream);
-    let rep = AccuracyReport::for_top_k(&cs.snapshot(), &truth, 10);
-    assert!(rep.recall >= 0.9, "count-sketch top-10 recall {rep:?}");
 }
 
 #[test]

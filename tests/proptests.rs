@@ -5,7 +5,7 @@
 //! * the merge algebra's soundness against ground truth for arbitrary
 //!   partitionings;
 //! * CoTS ≡ sequential on exact-regime streams for arbitrary thread counts;
-//! * Lossy Counting / Misra-Gries bounds;
+//! * Lossy Counting bounds;
 //! * zipf sampler distribution law.
 
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use cots_core::merge::merge_snapshots;
 use cots_core::{CotsConfig, FrequencyCounter, QueryableSummary, SummaryConfig};
 use cots_datagen::partition::{by_hash, chunked, round_robin};
 use cots_datagen::ExactCounter;
-use cots_sequential::{LossyCounting, MisraGries, SpaceSaving};
+use cots_sequential::{LossyCounting, SpaceSaving};
 
 fn space_saving(stream: &[u64], capacity: usize) -> SpaceSaving<u64> {
     let mut e = SpaceSaving::new(SummaryConfig::with_capacity(capacity).unwrap());
@@ -146,25 +146,6 @@ proptest! {
         for (item, _) in truth.frequent(cots_core::Threshold::Count(floor + 1)) {
             prop_assert!(snap.get(&item).is_some());
         }
-    }
-
-    #[test]
-    fn misra_gries_bounds(
-        stream in vec(0u64..64, 1..2_000),
-        capacity in 1usize..48,
-    ) {
-        let truth = ExactCounter::from_stream(&stream);
-        let mut e = MisraGries::<u64>::new(SummaryConfig::with_capacity(capacity).unwrap());
-        e.process_slice(&stream);
-        e.check_invariants();
-        let snap = e.snapshot();
-        for entry in snap.entries() {
-            let t = truth.count(&entry.item);
-            prop_assert!(entry.count >= t);
-            prop_assert!(entry.guaranteed() <= t);
-        }
-        // D <= N/(m+1).
-        prop_assert!(e.decrement_rounds() <= stream.len() as u64 / (capacity as u64 + 1));
     }
 
     #[test]
