@@ -19,10 +19,21 @@ json_record! {
 }
 
 impl SummaryConfig {
-    /// Configure from an explicit counter budget.
+    /// The largest counter budget. A Stream Summary addresses its counters
+    /// by `u32` ids (`cots_sequential::NodeId`) with `u32::MAX` reserved as
+    /// "none", so no summary can hold more.
+    pub const MAX_CAPACITY: usize = u32::MAX as usize;
+
+    /// Configure from an explicit counter budget in `1..=MAX_CAPACITY`.
     pub fn with_capacity(capacity: usize) -> Result<Self> {
         if capacity == 0 {
             return Err(CotsError::InvalidConfig("capacity must be positive".into()));
+        }
+        if capacity > Self::MAX_CAPACITY {
+            return Err(CotsError::InvalidConfig(format!(
+                "capacity {capacity} is more than {}: counters have 32-bit ids",
+                Self::MAX_CAPACITY
+            )));
         }
         Ok(Self { capacity })
     }
@@ -34,9 +45,7 @@ impl SummaryConfig {
                 "epsilon must be in (0, 1), got {epsilon}"
             )));
         }
-        Ok(Self {
-            capacity: (1.0 / epsilon).ceil() as usize,
-        })
+        Self::with_capacity((1.0 / epsilon).ceil() as usize)
     }
 
     /// The error bound this budget guarantees: ε = 1/m.
@@ -188,6 +197,19 @@ mod tests {
         assert!(SummaryConfig::with_epsilon(1.0).is_err());
         assert!(SummaryConfig::with_epsilon(-0.5).is_err());
         assert!(SummaryConfig::with_capacity(0).is_err());
+    }
+
+    /// Nothing is allocated: the budget is refused before any summary
+    /// would size itself by it.
+    #[test]
+    fn capacity_is_bounded_by_the_counter_ids() {
+        let most = SummaryConfig::MAX_CAPACITY;
+        assert_eq!(SummaryConfig::with_capacity(most).unwrap().capacity, most);
+        let err = SummaryConfig::with_capacity(most + 1).unwrap_err();
+        assert!(err.to_string().contains(&most.to_string()), "{err}");
+        assert!(SummaryConfig::with_capacity(usize::MAX).is_err());
+        assert!(SummaryConfig::with_capacity(1_000_000_000_000).is_err());
+        assert!(SummaryConfig::with_epsilon(1e-12).is_err());
     }
 
     #[test]

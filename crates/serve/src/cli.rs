@@ -26,6 +26,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use cots_core::SummaryConfig;
 use cots_persist::FsyncPolicy;
 
 use crate::persistence::PersistOptions;
@@ -117,6 +118,7 @@ pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<ServerArgs, 
             config.shards
         ));
     }
+    SummaryConfig::with_capacity(config.capacity).map_err(|e| format!("--capacity: {e}"))?;
     if io.reactor_threads == 0 {
         return Err("--reactor-threads must be positive".into());
     }
@@ -292,5 +294,22 @@ mod tests {
         let err = parse(&["--shards", &over]).unwrap_err();
         assert!(err.contains(&most), "{err}");
         assert!(parse(&["--shards", "18446744073709551615"]).is_err());
+    }
+
+    /// Parsing only: nothing here allocates a summary.
+    #[test]
+    fn capacity_is_bounded() {
+        let most = SummaryConfig::MAX_CAPACITY.to_string();
+        assert_eq!(
+            parse(&["--capacity", &most]).unwrap().config.capacity,
+            SummaryConfig::MAX_CAPACITY
+        );
+        for over in ["4294967296", "1000000000000", "18446744073709551615"] {
+            let err = parse(&["--capacity", over]).unwrap_err();
+            assert!(
+                err.starts_with("--capacity") && err.contains(&most),
+                "{err}"
+            );
+        }
     }
 }
