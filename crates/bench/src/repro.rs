@@ -690,11 +690,23 @@ impl Outcome<'_> {
                 );
             }
             Kind::Throughput => {
-                let _ = writeln!(out, "| engine | threads | M elem/s |\n|---|---|---|");
+                let _ = writeln!(
+                    out,
+                    "| engine | threads | M elem/s | vs parent |\n|---|---|---|---|"
+                );
                 for p in &self.points {
+                    // An ablation variant beside its parent's point.
+                    let base = p.engine.parent().and_then(|parent| {
+                        self.points.iter().find(|b| {
+                            (b.engine, b.threads, b.alpha, b.n) == (parent, p.threads, p.alpha, p.n)
+                        })
+                    });
+                    let vs = base.map_or(String::new(), |b| {
+                        format!("{:.2}x", p.stats.throughput() / b.stats.throughput())
+                    });
                     let _ = writeln!(
                         out,
-                        "| {} | {}{} | {:.2} |",
+                        "| {} | {}{} | {:.2} | {vs} |",
                         p.engine.label(),
                         p.threads,
                         mark(p.threads),
@@ -702,25 +714,6 @@ impl Outcome<'_> {
                     );
                 }
                 out.push('\n');
-                for p in &self.points {
-                    let Some(parent) = p.engine.parent() else {
-                        continue;
-                    };
-                    let Some(base) = self.points.iter().find(|b| {
-                        (b.engine, b.threads, b.alpha, b.n) == (parent, p.threads, p.alpha, p.n)
-                    }) else {
-                        continue;
-                    };
-                    let _ = writeln!(
-                        out,
-                        "{} at {}{} threads: {:.2}x the throughput of {}.",
-                        p.engine.label(),
-                        p.threads,
-                        mark(p.threads),
-                        p.stats.throughput() / base.stats.throughput(),
-                        parent.label()
-                    );
-                }
                 let peak = self
                     .points
                     .iter()
