@@ -14,7 +14,7 @@
 //! Two forms share that fold:
 //!
 //! * [`MulHash`] — unseeded and deterministic across runs. The CoTS
-//!   engine's table, the sketches' rows and key placement
+//!   engine's table and key placement
 //!   (`ShardSender::shard_of`, `Topology::member_of` in `cots-serve`) use
 //!   it, because a placement must be the same after a restart.
 //! * [`SeededMulHash`] — a `BuildHasher` whose fold starts from a
@@ -30,8 +30,8 @@ use std::hash::{BuildHasher, Hash, Hasher};
 /// multiplier for 64-bit multiplicative hashing.
 pub const KNUTH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// A second odd constant (from SplitMix64) used to de-correlate the sketch
-/// hash family from the table hash.
+/// A second odd constant (from SplitMix64): the finalizer's second
+/// multiplier and the folding hasher's start state.
 pub const SECONDARY_MUL: u64 = 0xBF58_476D_1CE4_E5B9;
 
 /// Stateless multiplicative hasher.
@@ -73,18 +73,6 @@ impl MulHash {
             return 0;
         }
         (hash >> (64 - log2_buckets)) as usize
-    }
-
-    /// An independent hash for row `row` of a sketch, derived by re-mixing
-    /// with a per-row odd multiplier. Rows behave as a pairwise-independent
-    /// family for the purposes of Count-Min / Count-Sketch error bounds.
-    #[inline]
-    pub fn row_hash<T: Hash>(value: &T, row: u64) -> u64 {
-        let base = Self::hash(value);
-        let mixed = base
-            .wrapping_add(row.wrapping_mul(SECONDARY_MUL))
-            .wrapping_mul(KNUTH_MUL | 1);
-        mixed ^ (mixed >> 31)
     }
 }
 
@@ -240,16 +228,6 @@ mod tests {
             "only {} distinct buckets out of 4096",
             distinct.len()
         );
-    }
-
-    #[test]
-    fn row_hashes_differ_between_rows() {
-        let a = MulHash::row_hash(&7u64, 0);
-        let b = MulHash::row_hash(&7u64, 1);
-        let c = MulHash::row_hash(&7u64, 2);
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-        assert_ne!(a, c);
     }
 
     #[test]
